@@ -340,6 +340,13 @@ def _parse_source(obj: dict | None, context: str) -> ImageSource | None:
     return ImageSource(image_path=obj["image"], mask_path=obj["mask"])
 
 
+def _required(obj: dict, key: str, context: str):
+    value = obj.get(key)
+    if value is None:
+        raise DataError(f"{context}: missing field {key!r}")
+    return value
+
+
 def load_manifest(path: str | Path) -> list[MetastasisRecord]:
     """Load and validate a cohort manifest (schema in the README)."""
     path = Path(path)
@@ -366,8 +373,8 @@ def load_manifest(path: str | Path) -> list[MetastasisRecord]:
                 raise DataError(f"{pid}: lesion missing lesion_id")
             ctx = f"{pid}/{lid}"
             followups = tuple(
-                Followup(_parse_date(f["date"], ctx), _parse_source(f, ctx))
-                for f in lesion.get("followups", [])
+                Followup(_parse_date(_required(f, "date", f"{ctx} follow-up {k}"), ctx), _parse_source(f, ctx))
+                for k, f in enumerate(lesion.get("followups", []))
             )
             event = lesion.get("event_date")
             records.append(
@@ -375,12 +382,12 @@ def load_manifest(path: str | Path) -> list[MetastasisRecord]:
                     patient_id=pid,
                     lesion_id=lid,
                     clinical=clinical,
-                    planning_date=_parse_date(lesion["planning_date"], ctx),
-                    planning_mr=_parse_source(lesion["planning_mr"], ctx),
+                    planning_date=_parse_date(_required(lesion, "planning_date", ctx), ctx),
+                    planning_mr=_parse_source(_required(lesion, "planning_mr", ctx), ctx),
                     planning_ct=_parse_source(lesion.get("planning_ct"), ctx),
                     followups=followups,
                     event_date=_parse_date(event, ctx) if event else None,
-                    censor_date=_parse_date(lesion["censor_date"], ctx),
+                    censor_date=_parse_date(_required(lesion, "censor_date", ctx), ctx),
                 )
             )
     return records

@@ -19,7 +19,7 @@ from .. import classifier as clf
 from ..errors import ConfigError, DataError
 from ..pipeline import Dataset
 from ..selection import SelectionResult, mrmr_select, selection_cap
-from .roc import roc_curve
+from .roc import confusion_at, roc_curve
 
 MAX_SPLIT_RETRIES = 100
 
@@ -186,12 +186,8 @@ def monte_carlo_cv(
         oof_sum[in_test] += scores
         oof_counts[in_test] += 1
         y_test = dataset.y[in_test]
-        pred = scores >= clf_cfg.threshold
-        pos = y_test == 1
-        confusion["tp"] += int((pred & pos).sum())
-        confusion["fp"] += int((pred & ~pos).sum())
-        confusion["tn"] += int((~pred & ~pos).sum())
-        confusion["fn"] += int((~pred & pos).sum())
+        for key, count in confusion_at(scores, y_test, clf_cfg.threshold).items():
+            confusion[key] += count
         pooled_scores.append(scores)
         pooled_labels.append(y_test)
         if k == 0:

@@ -1,51 +1,53 @@
 """Texture-matrix features over a discretized ROI: GLCM, GLRLM, GLSZM, GLDM.
 
-All four families use the 26-neighborhood (Chebyshev distance 1):
+One engine serves all four families. Its geometry is the ROI's 26-neighbor
+index pairs (voxel, voxel + d) for the 13 directions d of ``DIRECTIONS_13``.
+The pairs depend on the mask alone, so they are built once per mask
+(:attr:`RoiMask.neighbor_pairs`) and shared by the original image and its
+wavelet subbands. Each family is then a few whole-array numpy operations over
+the pairs, with no loop over directions or gray levels, and features are
+evaluated as arrays over a leading axis (the 13 directions for GLCM and GLRLM),
+as in pyradiomics (van Griethuysen et al., Cancer Research 2017):
 
-* GLCM / GLRLM accumulate over the 13 unique 3D direction pairs, symmetric
-  per direction, and report the mean of each feature over directions (GLCM
-  directions without any voxel pair are skipped; if no direction has a pair,
-  every GLCM feature is 0 by convention).
-* GLSZM zones are 26-connected components of equal gray level.
-* GLDM dependence counts the center voxel plus its 26-neighbors within the
-  ROI whose level differs by at most alpha = 0.
-* GLCM ``Correlation`` is 1 by convention when either marginal is degenerate.
+* GLCM: one ``bincount`` of the pairs gives the 13 symmetric co-occurrence
+  matrices as one (13, Ng, Ng) array. The 22 features are averaged over the
+  directions that have a voxel pair; if no direction has one, every GLCM
+  feature is 0 by convention. ``Correlation`` is 1 by convention when either
+  marginal is degenerate.
+* GLRLM: a run is a chain of equal-level pairs along one direction. One walk
+  along the successor links measures every run of all 13 directions at once;
+  the features are averaged over the 13 directions.
+* GLSZM: zones are 26-connected components of equal gray level, labeled by
+  min-label propagation over the equal-level pairs.
+* GLDM: dependence counts the center voxel plus its 26-neighbors within the
+  ROI whose level differs by at most alpha = 0, i.e. its equal-level pairs.
 
-Gray levels are 1-based (1..Ng) as produced by :func:`discretize`.
+GLRLM, GLSZM and GLDM share one feature function over (gray level i, run
+length / zone size / dependence j) count matrices, with a name map per
+family. Only numpy is used. Gray levels are 1-based (1..Ng) as produced by
+:func:`discretize`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
 
 from ..errors import ConfigError, DataError
-from ..volume import RoiMask, VolumeImage, check_aligned, require_nonempty
+from ..volume import (
+    DIRECTIONS_13,
+    NeighborPairs,
+    RoiMask,
+    VolumeImage,
+    check_aligned,
+    neighbor_pairs_of,
+    require_nonempty,
+)
 from .firstorder import bin_levels
 
 TEXTURE_FAMILIES = ("glcm", "glrlm", "glszm", "gldm")
-
-# one representative per +/- pair of the 26-neighborhood
-DIRECTIONS_13 = (
-    (1, 0, 0),
-    (0, 1, 0),
-    (0, 0, 1),
-    (1, 1, 0),
-    (1, -1, 0),
-    (1, 0, 1),
-    (1, 0, -1),
-    (0, 1, 1),
-    (0, 1, -1),
-    (1, 1, 1),
-    (1, 1, -1),
-    (1, -1, 1),
-    (1, -1, -1),
-)
-
-GLDM_ALPHA = 0
 
 GLCM_FEATURES = (
     "Autocorrelation",
@@ -72,60 +74,65 @@ GLCM_FEATURES = (
     "SumSquares",
 )
 
-GLRLM_FEATURES = (
-    "GrayLevelNonUniformity",
-    "GrayLevelNonUniformityNormalized",
-    "GrayLevelVariance",
-    "HighGrayLevelRunEmphasis",
-    "LongRunEmphasis",
-    "LongRunHighGrayLevelEmphasis",
-    "LongRunLowGrayLevelEmphasis",
-    "LowGrayLevelRunEmphasis",
-    "RunEntropy",
-    "RunLengthNonUniformity",
-    "RunLengthNonUniformityNormalized",
-    "RunPercentage",
-    "RunVariance",
-    "ShortRunEmphasis",
-    "ShortRunHighGrayLevelEmphasis",
-    "ShortRunLowGrayLevelEmphasis",
-)
+# feature name -> key of _ilm_features, in output order
+_ILM_NAMES = {
+    "glrlm": {
+        "GrayLevelNonUniformity": "gln",
+        "GrayLevelNonUniformityNormalized": "glnn",
+        "GrayLevelVariance": "glv",
+        "HighGrayLevelRunEmphasis": "high",
+        "LongRunEmphasis": "large",
+        "LongRunHighGrayLevelEmphasis": "large_high",
+        "LongRunLowGrayLevelEmphasis": "large_low",
+        "LowGrayLevelRunEmphasis": "low",
+        "RunEntropy": "entropy",
+        "RunLengthNonUniformity": "jn",
+        "RunLengthNonUniformityNormalized": "jnn",
+        "RunPercentage": "percentage",
+        "RunVariance": "jv",
+        "ShortRunEmphasis": "small",
+        "ShortRunHighGrayLevelEmphasis": "small_high",
+        "ShortRunLowGrayLevelEmphasis": "small_low",
+    },
+    "glszm": {
+        "GrayLevelNonUniformity": "gln",
+        "GrayLevelNonUniformityNormalized": "glnn",
+        "GrayLevelVariance": "glv",
+        "HighGrayLevelZoneEmphasis": "high",
+        "LargeAreaEmphasis": "large",
+        "LargeAreaHighGrayLevelEmphasis": "large_high",
+        "LargeAreaLowGrayLevelEmphasis": "large_low",
+        "LowGrayLevelZoneEmphasis": "low",
+        "SizeZoneNonUniformity": "jn",
+        "SizeZoneNonUniformityNormalized": "jnn",
+        "SmallAreaEmphasis": "small",
+        "SmallAreaHighGrayLevelEmphasis": "small_high",
+        "SmallAreaLowGrayLevelEmphasis": "small_low",
+        "ZoneEntropy": "entropy",
+        "ZonePercentage": "percentage",
+        "ZoneVariance": "jv",
+    },
+    "gldm": {
+        "DependenceEntropy": "entropy",
+        "DependenceNonUniformity": "jn",
+        "DependenceNonUniformityNormalized": "jnn",
+        "DependenceVariance": "jv",
+        "GrayLevelNonUniformity": "gln",
+        "GrayLevelVariance": "glv",
+        "HighGrayLevelEmphasis": "high",
+        "LargeDependenceEmphasis": "large",
+        "LargeDependenceHighGrayLevelEmphasis": "large_high",
+        "LargeDependenceLowGrayLevelEmphasis": "large_low",
+        "LowGrayLevelEmphasis": "low",
+        "SmallDependenceEmphasis": "small",
+        "SmallDependenceHighGrayLevelEmphasis": "small_high",
+        "SmallDependenceLowGrayLevelEmphasis": "small_low",
+    },
+}
 
-GLSZM_FEATURES = (
-    "GrayLevelNonUniformity",
-    "GrayLevelNonUniformityNormalized",
-    "GrayLevelVariance",
-    "HighGrayLevelZoneEmphasis",
-    "LargeAreaEmphasis",
-    "LargeAreaHighGrayLevelEmphasis",
-    "LargeAreaLowGrayLevelEmphasis",
-    "LowGrayLevelZoneEmphasis",
-    "SizeZoneNonUniformity",
-    "SizeZoneNonUniformityNormalized",
-    "SmallAreaEmphasis",
-    "SmallAreaHighGrayLevelEmphasis",
-    "SmallAreaLowGrayLevelEmphasis",
-    "ZoneEntropy",
-    "ZonePercentage",
-    "ZoneVariance",
-)
-
-GLDM_FEATURES = (
-    "DependenceEntropy",
-    "DependenceNonUniformity",
-    "DependenceNonUniformityNormalized",
-    "DependenceVariance",
-    "GrayLevelNonUniformity",
-    "GrayLevelVariance",
-    "HighGrayLevelEmphasis",
-    "LargeDependenceEmphasis",
-    "LargeDependenceHighGrayLevelEmphasis",
-    "LargeDependenceLowGrayLevelEmphasis",
-    "LowGrayLevelEmphasis",
-    "SmallDependenceEmphasis",
-    "SmallDependenceHighGrayLevelEmphasis",
-    "SmallDependenceLowGrayLevelEmphasis",
-)
+GLRLM_FEATURES = tuple(_ILM_NAMES["glrlm"])
+GLSZM_FEATURES = tuple(_ILM_NAMES["glszm"])
+GLDM_FEATURES = tuple(_ILM_NAMES["gldm"])
 
 FAMILY_FEATURES = {
     "glcm": GLCM_FEATURES,
@@ -137,12 +144,14 @@ FAMILY_FEATURES = {
 
 @dataclass(frozen=True)
 class DiscretizedRoi:
-    """Quantized ROI: integer gray level per ROI voxel, plus voxel coordinates."""
+    """Quantized ROI: integer gray level per ROI voxel, voxel coordinates, and
+    the voxels' neighbor pairs (built from ``coords`` when not given)."""
 
     levels: np.ndarray
     n_bins: int
     coords: np.ndarray
     spacing: tuple[float, float, float]
+    pairs: NeighborPairs | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         levels = np.asarray(self.levels, dtype=np.int64)
@@ -158,14 +167,15 @@ class DiscretizedRoi:
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
+        if self.pairs is None:
+            object.__setattr__(self, "pairs", neighbor_pairs_of(coords))
 
-    def level_grid(self) -> np.ndarray:
-        """Dense level array over the ROI bounding box; 0 marks outside-ROI."""
-        mn = self.coords.min(axis=0)
-        shape = self.coords.max(axis=0) - mn + 1
-        grid = np.zeros(shape, dtype=np.int64)
-        grid[tuple((self.coords - mn).T)] = self.levels
-        return grid
+    @cached_property
+    def equal_pairs(self) -> NeighborPairs:
+        """The neighbor pairs whose two voxels share a gray level."""
+        a, b, direction = self.pairs
+        same = self.levels[a] == self.levels[b]
+        return NeighborPairs(a[same], b[same], direction[same])
 
 
 def discretize(img: VolumeImage, mask: RoiMask, n_bins: int) -> DiscretizedRoi:
@@ -178,308 +188,217 @@ def discretize(img: VolumeImage, mask: RoiMask, n_bins: int) -> DiscretizedRoi:
         raise ConfigError(f"n_bins must be >= 2, got {n_bins}")
     check_aligned(img, mask)
     require_nonempty(mask)
-    coords = np.argwhere(mask.voxels)
     values = img.voxels[mask.voxels]
-    return DiscretizedRoi(bin_levels(values, n_bins), n_bins, coords, img.spacing)
+    return DiscretizedRoi(bin_levels(values, n_bins), n_bins, mask.coords, img.spacing, mask.neighbor_pairs)
 
 
-def _offset_slices(shape, d):
-    """Slice pair (src, dst) so that dst = src + d, both in bounds."""
-    src = []
-    dst = []
-    for n, step in zip(shape, d):
-        if step >= 0:
-            src.append(slice(0, max(n - step, 0)))
-            dst.append(slice(step, n))
-        else:
-            src.append(slice(-step, n))
-            dst.append(slice(0, max(n + step, 0)))
-    return tuple(src), tuple(dst)
+def _entropy(p: np.ndarray) -> np.ndarray:
+    """Base-2 entropy over the last axis."""
+    logp = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    return -(p * logp).sum(axis=-1)
 
 
-def _entropy(p: np.ndarray) -> float:
-    nz = p[p > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+def _counts(codes: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Histogram of flat indices into an array of ``shape``."""
+    return np.bincount(codes, minlength=int(np.prod(shape))).reshape(shape).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
 # GLCM
 
 
-def _glcm_matrix(grid: np.ndarray, d, n_bins: int) -> np.ndarray:
-    src, dst = _offset_slices(grid.shape, d)
-    a = grid[src].ravel()
-    b = grid[dst].ravel()
-    sel = (a > 0) & (b > 0)
-    mat = np.zeros((n_bins, n_bins), dtype=np.float64)
-    np.add.at(mat, (a[sel] - 1, b[sel] - 1), 1.0)
-    return mat + mat.T
+def _glcm_features(p: np.ndarray, p_sum: np.ndarray, p_diff: np.ndarray) -> dict[str, np.ndarray]:
+    """The 22 GLCM features of each normalized symmetric matrix p[k] (Ng x Ng).
 
-
-def _glcm_features(p: np.ndarray) -> dict[str, float]:
-    ng = p.shape[0]
+    ``p_sum[k]`` is its distribution of i + j (2..2Ng), ``p_diff[k]`` that of
+    |i - j| (0..Ng-1). Symmetry makes the two marginals equal: px = py, so
+    ux = uy, sigx = sigy and HX = HY.
+    """
+    m, ng, _ = p.shape
     iv = np.arange(1, ng + 1, dtype=np.float64)
-    i = iv[:, None]
-    j = iv[None, :]
-    px = p.sum(axis=1)
-    py = p.sum(axis=0)
-    ux = float((p * i).sum())
-    uy = float((p * j).sum())
-    sigx = math.sqrt(float((p * (i - ux) ** 2).sum()))
-    sigy = math.sqrt(float((p * (j - uy) ** 2).sum()))
-
-    idx = np.arange(ng)
-    sum_idx = np.add.outer(idx, idx).ravel()
-    p_sum = np.bincount(sum_idx, weights=p.ravel(), minlength=2 * ng - 1)
     k_sum = np.arange(2, 2 * ng + 1, dtype=np.float64)
-    diff_idx = np.abs(np.subtract.outer(idx, idx)).ravel()
-    p_diff = np.bincount(diff_idx, weights=p.ravel(), minlength=ng)
     k_diff = np.arange(0, ng, dtype=np.float64)
-
+    flat = p.reshape(m, ng * ng)
+    px = p.sum(axis=2)
+    ux = px @ iv
+    var_x = (px * (iv - ux[:, None]) ** 2).sum(axis=1)
     hx = _entropy(px)
-    hy = _entropy(py)
-    hxy = _entropy(p)
-    pij = px[:, None] * py[None, :]
-    pos = p > 0.0
-    hxy1 = float(-(p[pos] * np.log2(pij[pos])).sum())
-    posij = pij > 0.0
-    hxy2 = float(-(pij[posij] * np.log2(pij[posij])).sum())
-
-    diff_avg = float((k_diff * p_diff).sum())
-    autocorr = float((p * i * j).sum())
-    if sigx * sigy > 0.0:
-        correlation = (autocorr - ux * uy) / (sigx * sigy)
-    else:
-        correlation = 1.0
-    max_h = max(hx, hy)
-    imc1 = (hxy - hxy1) / max_h if max_h > 0.0 else 0.0
+    hxy = _entropy(flat)
+    # HXY1 = -sum p log2(px py) and HXY2 = -sum px py log2(px py) both equal HX + HY
+    hxy12 = 2.0 * hx
+    diff_avg = p_diff @ k_diff
+    autocorr = (p @ iv) @ iv
+    shifted = k_sum - 2.0 * ux[:, None]
+    correlation = np.ones(m)
+    np.divide(autocorr - ux * ux, var_x, out=correlation, where=var_x > 0.0)
+    imc1 = np.zeros(m)
+    np.divide(hxy - hxy12, hx, out=imc1, where=hx > 0.0)
     # sqrt has an infinite derivative at 0: clamp the exactly-independent case
     # so rounding noise in HXY2 - HXY cannot surface as a spurious ~1e-8 value
-    imc2_arg = 1.0 - math.exp(-2.0 * (hxy2 - hxy))
-    imc2 = math.sqrt(imc2_arg) if imc2_arg > 1e-12 else 0.0
+    imc2_arg = 1.0 - np.exp(-2.0 * (hxy12 - hxy))
+    imc2 = np.sqrt(imc2_arg, out=np.zeros(m), where=imc2_arg > 1e-12)
 
     return {
         "Autocorrelation": autocorr,
-        "ClusterProminence": float((p * (i + j - ux - uy) ** 4).sum()),
-        "ClusterShade": float((p * (i + j - ux - uy) ** 3).sum()),
-        "ClusterTendency": float((p * (i + j - ux - uy) ** 2).sum()),
-        "Contrast": float((k_diff**2 * p_diff).sum()),
+        "ClusterProminence": (p_sum * shifted**4).sum(axis=1),
+        "ClusterShade": (p_sum * shifted**3).sum(axis=1),
+        "ClusterTendency": (p_sum * shifted**2).sum(axis=1),
+        "Contrast": p_diff @ k_diff**2,
         "Correlation": correlation,
         "DifferenceAverage": diff_avg,
         "DifferenceEntropy": _entropy(p_diff),
-        "DifferenceVariance": float(((k_diff - diff_avg) ** 2 * p_diff).sum()),
-        "Id": float((p_diff / (1.0 + k_diff)).sum()),
-        "Idm": float((p_diff / (1.0 + k_diff**2)).sum()),
-        "Idmn": float((p_diff / (1.0 + (k_diff / ng) ** 2)).sum()),
-        "Idn": float((p_diff / (1.0 + k_diff / ng)).sum()),
+        "DifferenceVariance": (p_diff * (k_diff - diff_avg[:, None]) ** 2).sum(axis=1),
+        "Id": p_diff @ (1.0 / (1.0 + k_diff)),
+        "Idm": p_diff @ (1.0 / (1.0 + k_diff**2)),
+        "Idmn": p_diff @ (1.0 / (1.0 + (k_diff / ng) ** 2)),
+        "Idn": p_diff @ (1.0 / (1.0 + k_diff / ng)),
         "Imc1": imc1,
         "Imc2": imc2,
-        "InverseVariance": float((p_diff[1:] / k_diff[1:] ** 2).sum()) if ng > 1 else 0.0,
+        "InverseVariance": p_diff[:, 1:] @ (1.0 / k_diff[1:] ** 2),
         "JointAverage": ux,
-        "JointEnergy": float((p**2).sum()),
+        "JointEnergy": (flat**2).sum(axis=1),
         "JointEntropy": hxy,
-        "MaximumProbability": float(p.max()),
+        "MaximumProbability": flat.max(axis=1),
         "SumEntropy": _entropy(p_sum),
-        "SumSquares": float((p * (i - ux) ** 2).sum()),
+        "SumSquares": var_x,
     }
 
 
-def _glcm(droi: DiscretizedRoi) -> dict[str, float]:
-    grid = droi.level_grid()
-    per_direction = []
-    for d in DIRECTIONS_13:
-        mat = _glcm_matrix(grid, d, droi.n_bins)
-        total = mat.sum()
-        if total > 0.0:
-            per_direction.append(_glcm_features(mat / total))
-    if not per_direction:
-        return {name: 0.0 for name in GLCM_FEATURES}
-    return {name: float(np.mean([f[name] for f in per_direction])) for name in GLCM_FEATURES}
+def _glcm(droi: DiscretizedRoi) -> dict[str, np.ndarray]:
+    ng = droi.n_bins
+    n_dir = len(DIRECTIONS_13)
+    a, b, direction = droi.pairs
+    n_pairs = np.bincount(direction, minlength=n_dir)
+    has_pair = n_pairs > 0
+    if not has_pair.any():
+        return {name: np.zeros(1) for name in GLCM_FEATURES}
+    la = droi.levels[a] - 1
+    lb = droi.levels[b] - 1
+    # the symmetric matrix counts each pair at (la, lb) and at (lb, la), so it
+    # sums to 2 * n_pairs; both entries share the pair's i + j and |i - j|
+    mat = _counts((direction * ng + la) * ng + lb, (n_dir, ng, ng))
+    mat += mat.transpose(0, 2, 1)
+    n = n_pairs[has_pair, None]
+    p_sum = _counts(direction * (2 * ng - 1) + la + lb, (n_dir, 2 * ng - 1))[has_pair] / n
+    p_diff = _counts(direction * ng + np.abs(la - lb), (n_dir, ng))[has_pair] / n
+    return _glcm_features(mat[has_pair] / (2.0 * n[:, :, None]), p_sum, p_diff)
 
 
 # ---------------------------------------------------------------------------
-# GLRLM
+# GLRLM, GLSZM, GLDM
 
 
-def _glrlm_matrix(grid: np.ndarray, d, n_bins: int) -> np.ndarray:
-    shape = np.asarray(grid.shape)
-    prev_same = np.zeros(grid.shape, dtype=bool)
-    src, dst = _offset_slices(grid.shape, d)
-    a = grid[src]
-    b = grid[dst]
-    prev_same[dst] = (a == b) & (a > 0)
-    starts = (grid > 0) & ~prev_same
+def _ilm_features(mat: np.ndarray, n_voxels: int) -> dict[str, np.ndarray]:
+    """Statistics of (gray level i, run/size/dependence j) count matrices.
 
-    pos = np.argwhere(starts)
-    lvl = grid[starts]
-    lengths = np.ones(pos.shape[0], dtype=np.int64)
-    active = np.arange(pos.shape[0])
-    front = pos.copy()
-    step = np.asarray(d)
-    while active.size:
-        front = front + step
-        inb = np.all((front >= 0) & (front < shape), axis=1)
-        keep = np.zeros(active.size, dtype=bool)
-        if inb.any():
-            keep[inb] = grid[tuple(front[inb].T)] == lvl[active[inb]]
-        active = active[keep]
-        front = front[keep]
-        lengths[active] += 1
-
-    mat = np.zeros((n_bins, int(lengths.max())), dtype=np.float64)
-    np.add.at(mat, (lvl - 1, lengths - 1), 1.0)
-    return mat
-
-
-def _ilm_stats(mat: np.ndarray):
-    """Shared helpers for (gray level, run/size/dependence) count matrices."""
-    total = mat.sum()
-    p = mat / total
-    gi = np.arange(1, mat.shape[0] + 1, dtype=np.float64)[:, None]
-    sj = np.arange(1, mat.shape[1] + 1, dtype=np.float64)[None, :]
-    return total, p, gi, sj
-
-
-def _glrlm_features(mat: np.ndarray, n_voxels: int) -> dict[str, float]:
-    nr, p, gi, lj = _ilm_stats(mat)
-    pg = mat.sum(axis=1)
-    pl = mat.sum(axis=0)
-    mu_g = float((p * gi).sum())
-    mu_l = float((p * lj).sum())
+    ``mat[k, i - 1, j - 1]`` counts the entries of matrix k; every statistic
+    is an array over k. ``percentage`` is the entry count over ``n_voxels``.
+    """
+    n = mat.sum(axis=(1, 2))
+    gi = np.arange(1, mat.shape[1] + 1, dtype=np.float64)
+    sj = np.arange(1, mat.shape[2] + 1, dtype=np.float64)
+    gi2 = gi**2
+    sj2 = sj**2
+    pg = mat.sum(axis=2)
+    pj = mat.sum(axis=1)
+    mu_g = pg @ gi / n
+    mu_j = pj @ sj / n
+    by_small = mat @ (1.0 / sj2)
+    by_large = mat @ sj2
     return {
-        "GrayLevelNonUniformity": float((pg**2).sum() / nr),
-        "GrayLevelNonUniformityNormalized": float((pg**2).sum() / nr**2),
-        "GrayLevelVariance": float((p * (gi - mu_g) ** 2).sum()),
-        "HighGrayLevelRunEmphasis": float((mat * gi**2).sum() / nr),
-        "LongRunEmphasis": float((mat * lj**2).sum() / nr),
-        "LongRunHighGrayLevelEmphasis": float((mat * gi**2 * lj**2).sum() / nr),
-        "LongRunLowGrayLevelEmphasis": float((mat * lj**2 / gi**2).sum() / nr),
-        "LowGrayLevelRunEmphasis": float((mat / gi**2).sum() / nr),
-        "RunEntropy": _entropy(p),
-        "RunLengthNonUniformity": float((pl**2).sum() / nr),
-        "RunLengthNonUniformityNormalized": float((pl**2).sum() / nr**2),
-        "RunPercentage": float(nr / n_voxels),
-        "RunVariance": float((p * (lj - mu_l) ** 2).sum()),
-        "ShortRunEmphasis": float((mat / lj**2).sum() / nr),
-        "ShortRunHighGrayLevelEmphasis": float((mat * gi**2 / lj**2).sum() / nr),
-        "ShortRunLowGrayLevelEmphasis": float((mat / (gi**2 * lj**2)).sum() / nr),
+        "gln": (pg**2).sum(axis=1) / n,
+        "glnn": (pg**2).sum(axis=1) / n**2,
+        "jn": (pj**2).sum(axis=1) / n,
+        "jnn": (pj**2).sum(axis=1) / n**2,
+        "glv": (pg * (gi - mu_g[:, None]) ** 2).sum(axis=1) / n,
+        "jv": (pj * (sj - mu_j[:, None]) ** 2).sum(axis=1) / n,
+        "entropy": _entropy(mat.reshape(mat.shape[0], -1) / n[:, None]),
+        "low": pg @ (1.0 / gi2) / n,
+        "high": pg @ gi2 / n,
+        "small": pj @ (1.0 / sj2) / n,
+        "large": pj @ sj2 / n,
+        "small_low": by_small @ (1.0 / gi2) / n,
+        "small_high": by_small @ gi2 / n,
+        "large_low": by_large @ (1.0 / gi2) / n,
+        "large_high": by_large @ gi2 / n,
+        "percentage": n / n_voxels,
     }
 
 
-def _glrlm(droi: DiscretizedRoi) -> dict[str, float]:
-    grid = droi.level_grid()
-    n_voxels = droi.levels.size
-    per_direction = [
-        _glrlm_features(_glrlm_matrix(grid, d, droi.n_bins), n_voxels) for d in DIRECTIONS_13
-    ]
-    return {name: float(np.mean([f[name] for f in per_direction])) for name in GLRLM_FEATURES}
+def _glrlm(droi: DiscretizedRoi) -> dict[str, np.ndarray]:
+    # node k * n + v is voxel v seen along direction k; succ links it to the
+    # next voxel of its run, and a run starts at every node nothing links to
+    n = droi.levels.size
+    n_nodes = len(DIRECTIONS_13) * n
+    a, b, direction = droi.equal_pairs
+    node_a = direction * n + a
+    node_b = direction * n + b
+    succ = np.full(n_nodes, -1, dtype=np.intp)
+    succ[node_a] = node_b
+    linked = np.zeros(n_nodes, dtype=bool)
+    linked[node_b] = True
+    starts = np.flatnonzero(~linked)
+    lengths = np.ones(starts.size, dtype=np.intp)
+    running = np.arange(starts.size)
+    nxt = succ[starts]
+    while True:
+        on = nxt >= 0
+        running = running[on]
+        if not running.size:
+            break
+        lengths[running] += 1
+        nxt = succ[nxt[on]]
+    n_len = int(lengths.max())
+    ng = droi.n_bins
+    codes = ((starts // n) * ng + droi.levels[starts % n] - 1) * n_len + lengths - 1
+    return _ilm_features(_counts(codes, (len(DIRECTIONS_13), ng, n_len)), n)
 
 
-# ---------------------------------------------------------------------------
-# GLSZM
+def _glszm(droi: DiscretizedRoi) -> dict[str, np.ndarray]:
+    # every label names a voxel of its own zone; lowering it to the smallest
+    # label across each equal-level pair, then following it once, converges
+    # to one label per zone
+    n = droi.levels.size
+    a, b, _ = droi.equal_pairs
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[a], label[b])
+        new = label.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    sizes = np.bincount(label, minlength=n)
+    zones = np.flatnonzero(sizes)
+    max_size = int(sizes.max())
+    codes = (droi.levels[zones] - 1) * max_size + sizes[zones] - 1
+    return _ilm_features(_counts(codes, (1, droi.n_bins, max_size)), n)
 
 
-def _glszm_matrix(grid: np.ndarray, n_bins: int) -> np.ndarray:
-    structure = np.ones((3, 3, 3), dtype=int)
-    zones = []
-    for level in np.unique(grid[grid > 0]):
-        labeled, ncomp = ndimage.label(grid == level, structure=structure)
-        if ncomp == 0:
-            continue
-        sizes = np.bincount(labeled.ravel())[1:]
-        zones.extend((int(level), int(s)) for s in sizes)
-    max_size = max(s for _, s in zones)
-    mat = np.zeros((n_bins, max_size), dtype=np.float64)
-    for level, size in zones:
-        mat[level - 1, size - 1] += 1.0
-    return mat
-
-
-def _glszm_features(mat: np.ndarray, n_voxels: int) -> dict[str, float]:
-    nz, p, gi, sj = _ilm_stats(mat)
-    pg = mat.sum(axis=1)
-    ps = mat.sum(axis=0)
-    mu_g = float((p * gi).sum())
-    mu_s = float((p * sj).sum())
-    return {
-        "GrayLevelNonUniformity": float((pg**2).sum() / nz),
-        "GrayLevelNonUniformityNormalized": float((pg**2).sum() / nz**2),
-        "GrayLevelVariance": float((p * (gi - mu_g) ** 2).sum()),
-        "HighGrayLevelZoneEmphasis": float((mat * gi**2).sum() / nz),
-        "LargeAreaEmphasis": float((mat * sj**2).sum() / nz),
-        "LargeAreaHighGrayLevelEmphasis": float((mat * gi**2 * sj**2).sum() / nz),
-        "LargeAreaLowGrayLevelEmphasis": float((mat * sj**2 / gi**2).sum() / nz),
-        "LowGrayLevelZoneEmphasis": float((mat / gi**2).sum() / nz),
-        "SizeZoneNonUniformity": float((ps**2).sum() / nz),
-        "SizeZoneNonUniformityNormalized": float((ps**2).sum() / nz**2),
-        "SmallAreaEmphasis": float((mat / sj**2).sum() / nz),
-        "SmallAreaHighGrayLevelEmphasis": float((mat * gi**2 / sj**2).sum() / nz),
-        "SmallAreaLowGrayLevelEmphasis": float((mat / (gi**2 * sj**2)).sum() / nz),
-        "ZoneEntropy": _entropy(p),
-        "ZonePercentage": float(nz / n_voxels),
-        "ZoneVariance": float((p * (sj - mu_s) ** 2).sum()),
-    }
-
-
-def _glszm(droi: DiscretizedRoi) -> dict[str, float]:
-    return _glszm_features(_glszm_matrix(droi.level_grid(), droi.n_bins), droi.levels.size)
-
-
-# ---------------------------------------------------------------------------
-# GLDM
-
-
-def _gldm_matrix(grid: np.ndarray, n_bins: int, alpha: int = GLDM_ALPHA) -> np.ndarray:
-    neighbors = np.zeros(grid.shape, dtype=np.int64)
-    for d in DIRECTIONS_13:
-        src, dst = _offset_slices(grid.shape, d)
-        a = grid[src]
-        b = grid[dst]
-        dependent = (a > 0) & (b > 0) & (np.abs(a - b) <= alpha)
-        neighbors[src] += dependent
-        neighbors[dst] += dependent
-    roi = grid > 0
-    dep = neighbors[roi] + 1  # center voxel counts as dependent on itself
-    lvl = grid[roi]
-    mat = np.zeros((n_bins, int(dep.max())), dtype=np.float64)
-    np.add.at(mat, (lvl - 1, dep - 1), 1.0)
-    return mat
-
-
-def _gldm_features(mat: np.ndarray) -> dict[str, float]:
-    nz, p, gi, dj = _ilm_stats(mat)
-    pg = mat.sum(axis=1)
-    pd = mat.sum(axis=0)
-    mu_g = float((p * gi).sum())
-    mu_d = float((p * dj).sum())
-    return {
-        "DependenceEntropy": _entropy(p),
-        "DependenceNonUniformity": float((pd**2).sum() / nz),
-        "DependenceNonUniformityNormalized": float((pd**2).sum() / nz**2),
-        "DependenceVariance": float((p * (dj - mu_d) ** 2).sum()),
-        "GrayLevelNonUniformity": float((pg**2).sum() / nz),
-        "GrayLevelVariance": float((p * (gi - mu_g) ** 2).sum()),
-        "HighGrayLevelEmphasis": float((mat * gi**2).sum() / nz),
-        "LargeDependenceEmphasis": float((mat * dj**2).sum() / nz),
-        "LargeDependenceHighGrayLevelEmphasis": float((mat * gi**2 * dj**2).sum() / nz),
-        "LargeDependenceLowGrayLevelEmphasis": float((mat * dj**2 / gi**2).sum() / nz),
-        "LowGrayLevelEmphasis": float((mat / gi**2).sum() / nz),
-        "SmallDependenceEmphasis": float((mat / dj**2).sum() / nz),
-        "SmallDependenceHighGrayLevelEmphasis": float((mat * gi**2 / dj**2).sum() / nz),
-        "SmallDependenceLowGrayLevelEmphasis": float((mat / (gi**2 * dj**2)).sum() / nz),
-    }
-
-
-def _gldm(droi: DiscretizedRoi) -> dict[str, float]:
-    return _gldm_features(_gldm_matrix(droi.level_grid(), droi.n_bins))
+def _gldm(droi: DiscretizedRoi) -> dict[str, np.ndarray]:
+    n = droi.levels.size
+    a, b, _ = droi.equal_pairs
+    dependence = 1 + np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+    max_dep = int(dependence.max())
+    codes = (droi.levels - 1) * max_dep + dependence - 1
+    return _ilm_features(_counts(codes, (1, droi.n_bins, max_dep)), n)
 
 
 _DISPATCH = {"glcm": _glcm, "glrlm": _glrlm, "glszm": _glszm, "gldm": _gldm}
+_NAMES = {"glcm": {name: name for name in GLCM_FEATURES}, **_ILM_NAMES}
 
 
 def texture_features(droi: DiscretizedRoi, family: str) -> dict[str, float]:
-    """Compute one texture family's feature set for a discretized ROI."""
+    """Compute one texture family's feature set for a discretized ROI.
+
+    GLCM and GLRLM report each feature's mean over directions.
+    """
     family = family.lower()
     if family not in _DISPATCH:
         raise ConfigError(f"unknown texture family {family!r} (expected one of {TEXTURE_FAMILIES})")
-    return _DISPATCH[family](droi)
+    values = _DISPATCH[family](droi)
+    names = _NAMES[family]
+    means = np.stack([values[key] for key in names.values()]).mean(axis=1)
+    return dict(zip(names, means.tolist()))

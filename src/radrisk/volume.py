@@ -10,7 +10,8 @@ Two on-disk formats are supported:
   No affine handling, no compression, no resampling.
 
 Volumes are immutable after construction; voxel arrays are indexed ``[x, y, z]``
-and marked read-only.
+and marked read-only. A mask computes its foreground coordinates and their
+26-neighbor pairs once, on first use.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +32,45 @@ FORMAT_NIFTI = "nifti1"
 
 _NIFTI_MAGIC = b"n+1\x00"
 _NIFTI_DTYPES = {4: np.dtype("<i2"), 16: np.dtype("<f4")}
+
+# one representative per +/- pair of the 26-neighborhood
+DIRECTIONS_13 = (
+    (1, 0, 0),
+    (0, 1, 0),
+    (0, 0, 1),
+    (1, 1, 0),
+    (1, -1, 0),
+    (1, 0, 1),
+    (1, 0, -1),
+    (0, 1, 1),
+    (0, 1, -1),
+    (1, 1, 1),
+    (1, 1, -1),
+    (1, -1, 1),
+    (1, -1, -1),
+)
+
+
+class NeighborPairs(NamedTuple):
+    """Voxel pairs (a, b) with coords[b] == coords[a] + DIRECTIONS_13[direction]."""
+
+    a: np.ndarray
+    b: np.ndarray
+    direction: np.ndarray
+
+
+def neighbor_pairs_of(coords: np.ndarray) -> NeighborPairs:
+    """Every 26-neighbor pair of a voxel set, once per unordered pair, as row indices into ``coords``."""
+    coords = np.asarray(coords, dtype=np.intp)
+    origin = coords.min(axis=0) - 1
+    pos = coords - origin
+    shape = pos.max(axis=0) + 2  # a one-voxel margin keeps every neighbor in bounds
+    index = np.full(shape, -1, dtype=np.intp)
+    index[tuple(pos.T)] = np.arange(coords.shape[0])
+    strides = np.array([shape[1] * shape[2], shape[2], 1])
+    neighbor = index.ravel()[(pos @ strides)[:, None] + np.asarray(DIRECTIONS_13) @ strides]
+    a, direction = np.nonzero(neighbor >= 0)
+    return NeighborPairs(a, neighbor[a, direction], direction)
 
 
 @dataclass(frozen=True)
@@ -81,6 +123,22 @@ class RoiMask:
     @property
     def count(self) -> int:
         return int(self.voxels.sum())
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """Foreground voxel indices, (n, 3) in C order; computed once per mask."""
+        coords = np.argwhere(self.voxels)
+        coords.flags.writeable = False
+        return coords
+
+    @cached_property
+    def neighbor_pairs(self) -> NeighborPairs:
+        """26-neighbor pairs of the foreground voxels, computed once per mask.
+
+        Every image on this mask (an original and its wavelet subbands) reads
+        the same pairs.
+        """
+        return neighbor_pairs_of(self.coords)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime
 import json
 
@@ -301,3 +302,30 @@ def test_manifest_validation_errors(tmp_path):
         load_manifest(p2)
     with pytest.raises(DataError, match="not found"):
         load_manifest(tmp_path / "missing.json")
+
+    def lesion():
+        return {
+            "lesion_id": "P1-L1",
+            "planning_date": "2010-01-01",
+            "planning_mr": {"image": "mr.json", "mask": "mr_mask.json"},
+            "followups": [{"date": "2010-04-01", "image": "fu.json", "mask": "fu_mask.json"}],
+            "censor_date": "2011-12-31",
+        }
+
+    def write(les):
+        path = tmp_path / "fields.json"
+        patient = {"patient_id": "P1", "clinical": dataclasses.asdict(CLINICAL), "lesions": [les]}
+        path.write_text(json.dumps({"patients": [patient]}))
+        return path
+
+    assert len(load_manifest(write(lesion()))) == 1
+    for field in ("planning_date", "planning_mr", "censor_date"):
+        absent = lesion()
+        del absent[field]
+        for les in (absent, {**lesion(), field: None}):
+            with pytest.raises(DataError, match=f"P1/P1-L1: missing field '{field}'"):
+                load_manifest(write(les))
+    les = lesion()
+    del les["followups"][0]["date"]
+    with pytest.raises(DataError, match="P1/P1-L1 follow-up 0: missing field 'date'"):
+        load_manifest(write(les))

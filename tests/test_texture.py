@@ -10,7 +10,7 @@ from radrisk.features import (
     texture_features,
 )
 from helpers import full_mask, mask_of, vol
-from oracles import BF_FAMILIES, roi_dict
+from oracles import BF_FAMILIES, bf_glrlm_runs, bf_glszm_zones, roi_dict
 
 
 def droi_of(values, dims, n_bins, mask_values=None):
@@ -107,22 +107,33 @@ def test_rotation_mean_aggregation_invariance():
 
 def test_oracle_equivalence_random_rois():
     rng = np.random.default_rng(32)
-    for trial in range(40):
-        dims = tuple(int(rng.integers(1, 6)) for _ in range(3))
+    # 40 tiny ROIs; then larger, smoothed ones with many bins, which have runs
+    # longer than one voxel, multi-voxel zones and gray levels no voxel takes
+    cases = [((1, 5), (2, 4), False)] * 40 + [((6, 9), (16, 32), True)] * 4
+    longest_run = largest_zone = most_empty_levels = 0
+    for trial, ((dim_lo, dim_hi), (bins_lo, bins_hi), smooth) in enumerate(cases):
+        dims = tuple(int(rng.integers(dim_lo, dim_hi + 1)) for _ in range(3))
         mask_arr = rng.uniform(size=dims) < rng.uniform(0.3, 0.95)
         if not mask_arr.any():
             mask_arr[0, 0, 0] = True
         values = rng.normal(size=dims)
-        n_bins = int(rng.integers(2, 5))
+        if smooth:
+            values = values.cumsum(axis=0).cumsum(axis=1)
+        n_bins = int(rng.integers(bins_lo, bins_hi + 1))
         d = discretize(VolumeImage(values), RoiMask(mask_arr), n_bins)
         roi = roi_dict(mask_arr, values=values, n_bins=n_bins)
         assert sorted(map(tuple, d.coords.tolist())) == sorted(roi)
+        if smooth:
+            longest_run = max(longest_run, max(n for _, n in bf_glrlm_runs(roi, (1, 0, 0))))
+            largest_zone = max(largest_zone, max(n for _, n in bf_glszm_zones(roi)))
+            most_empty_levels = max(most_empty_levels, n_bins - len(set(roi.values())))
         for family in TEXTURE_FAMILIES:
             mine = texture_features(d, family)
             ref = BF_FAMILIES[family](roi, n_bins)
             assert set(mine) == set(ref)
             for name in mine:
                 assert mine[name] == pytest.approx(ref[name], abs=1e-10), (family, name, trial)
+    assert longest_run > 2 and largest_zone > 2 and most_empty_levels > 0
 
 
 def test_glrlm_runs_simple_line():

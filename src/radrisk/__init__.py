@@ -21,7 +21,7 @@ from .volume import (
     write_volume,
     z_normalize,
 )
-from .wavelet import SUBBAND_LABELS, SubbandSet, WaveletBank, decompose, get_bank, reconstruct
+from .wavelet import SUBBAND_LABELS, WaveletBank, decompose, get_bank, reconstruct
 from .features import (
     DiscretizedRoi,
     ExtractionConfig,

@@ -347,6 +347,17 @@ def _required(obj: dict, key: str, context: str):
     return value
 
 
+def _entries(obj: dict, key: str, context: str) -> list[dict]:
+    """``obj[key]`` as a list of objects; a missing key is an empty list."""
+    entries = obj.get(key, [])
+    if not isinstance(entries, list):
+        raise DataError(f"{context}: {key!r} must be an array")
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise DataError(f"{context}: {key!r} entry {k} must be an object")
+    return entries
+
+
 def load_manifest(path: str | Path) -> list[MetastasisRecord]:
     """Load and validate a cohort manifest (schema in the README)."""
     path = Path(path)
@@ -359,7 +370,7 @@ def load_manifest(path: str | Path) -> list[MetastasisRecord]:
     if not isinstance(data, dict) or "patients" not in data:
         raise DataError(f"manifest {path} must be an object with a 'patients' array")
     records: list[MetastasisRecord] = []
-    for p in data["patients"]:
+    for p in _entries(data, "patients", f"manifest {path}"):
         pid = p.get("patient_id")
         if not pid:
             raise DataError("manifest patient missing patient_id")
@@ -367,14 +378,14 @@ def load_manifest(path: str | Path) -> list[MetastasisRecord]:
             clinical = ClinicalData(**p["clinical"])
         except (KeyError, TypeError) as exc:
             raise DataError(f"{pid}: bad clinical block ({exc})") from exc
-        for lesion in p.get("lesions", []):
+        for lesion in _entries(p, "lesions", pid):
             lid = lesion.get("lesion_id")
             if not lid:
                 raise DataError(f"{pid}: lesion missing lesion_id")
             ctx = f"{pid}/{lid}"
             followups = tuple(
                 Followup(_parse_date(_required(f, "date", f"{ctx} follow-up {k}"), ctx), _parse_source(f, ctx))
-                for k, f in enumerate(lesion.get("followups", []))
+                for k, f in enumerate(_entries(lesion, "followups", ctx))
             )
             event = lesion.get("event_date")
             records.append(

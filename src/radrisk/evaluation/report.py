@@ -15,6 +15,7 @@ import numpy as np
 from ..errors import DataError
 from ..pipeline import Dataset
 from ..svgplot import km_plot
+from .roc import confusion_at
 from .survival import LogRankResult, SurvivalCurve, days_to_months, kaplan_meier, log_rank
 
 
@@ -91,13 +92,8 @@ def risk_split_report(dataset: Dataset, oof_scores, oof_counts, threshold: float
     if pred_hrm.any() and pred_lrm.any() and (events[pred_hrm].any() or events[pred_lrm].any()):
         lr = log_rank(times[pred_hrm], events[pred_hrm], times[pred_lrm], events[pred_lrm])
 
-    y = dataset.y
-    confusion = {
-        "tp": int((pred_hrm & (y == 1)).sum()),
-        "fn": int((pred_lrm & (y == 1)).sum()),
-        "tn": int((pred_lrm & (y == 0)).sum()),
-        "fp": int((pred_hrm & (y == 0)).sum()),
-    }
+    counts = confusion_at(oof_scores[scored], dataset.y[scored], threshold)
+    confusion = {key: counts[key] for key in ("tp", "fn", "tn", "fp")}  # report.json key order
     return RiskSplitReport(
         curve_full=curve_full,
         curve_hrm=curve_hrm,

@@ -11,6 +11,12 @@ Conventions (documented because they differ from mesh-based tools):
 * Diameters are maximal pairwise distances between voxel centers;
   ``Maximum2DDiameterRow/Column/Slice`` restrict pairs to planes orthogonal to
   the x / y / z axis respectively (0 when every such plane holds one voxel).
+* Diameters are searched over line-end voxels only, and the result is exact.
+  The farthest pair of a point set lies on vertices of its convex hull. A
+  voxel whose two neighbors along some grid axis are both in the ROI is the
+  midpoint of those two, so it is no hull vertex. The 3D search keeps voxels
+  that end their run along all three axes; the search in planes orthogonal to
+  an axis keeps voxels that end their run along the other two.
 """
 
 from __future__ import annotations
@@ -60,6 +66,20 @@ def _surface_area(fg: np.ndarray, spacing) -> float:
     return area
 
 
+def _line_ends(fg: np.ndarray, coords: np.ndarray) -> list[np.ndarray]:
+    """Per axis, whether each voxel of ``coords`` ends its run of ROI voxels along that axis."""
+    padded = np.pad(fg, 1)
+    ends = []
+    for axis in range(3):
+        prev = [slice(1, -1)] * 3
+        nxt = [slice(1, -1)] * 3
+        prev[axis] = slice(None, -2)
+        nxt[axis] = slice(2, None)
+        inner = padded[tuple(prev)] & padded[tuple(nxt)]
+        ends.append(~inner[tuple(coords.T)])
+    return ends
+
+
 def _max_pairwise(points: np.ndarray) -> float:
     if points.shape[0] < 2:
         return 0.0
@@ -80,7 +100,7 @@ def shape_features(mask: RoiMask, spacing) -> dict[str, float]:
     if len(spacing) != 3 or any(s <= 0 for s in spacing):
         raise DataError(f"spacing must be three positive floats, got {spacing}")
     fg = mask.voxels
-    coords = np.argwhere(fg)
+    coords = mask.coords
     n = coords.shape[0]
     phys = coords.astype(np.float64) * np.asarray(spacing)
 
@@ -100,14 +120,17 @@ def shape_features(mask: RoiMask, spacing) -> dict[str, float]:
         elongation = 0.0
         flatness = 0.0
 
-    diam3d = _max_pairwise(phys)
+    ends = _line_ends(fg, coords)
+    diam3d = _max_pairwise(phys[ends[0] & ends[1] & ends[2]])
     plane_diams = []
     for axis in range(3):
         keep = [a for a in range(3) if a != axis]
+        candidates = ends[keep[0]] & ends[keep[1]]
+        pts = phys[candidates][:, keep]
+        planes = coords[candidates, axis]
         best = 0.0
-        for value in np.unique(coords[:, axis]):
-            pts = phys[coords[:, axis] == value][:, keep]
-            best = max(best, _max_pairwise(pts))
+        for value in np.unique(planes):
+            best = max(best, _max_pairwise(pts[planes == value]))
         plane_diams.append(best)
 
     return {

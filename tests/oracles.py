@@ -4,10 +4,13 @@ Everything here is deliberately written with plain Python loops over dicts and
 lists (no shared code with the package): voxel-pair enumeration for GLCM, run
 walking for GLRLM, stack flood-fill for GLSZM, per-voxel neighbor counting for
 GLDM, pairwise concordance for AUC, and an exhaustive greedy loop for the
-feature selection.
+feature selection. The shape diameters are searched over all voxel pairs, in
+numpy blocks, since plain loops over a few thousand voxels would be too slow.
 """
 
 import math
+
+import numpy as np
 
 OFFSETS_13 = [
     (1, 0, 0), (0, 1, 0), (0, 0, 1),
@@ -283,6 +286,36 @@ def bf_gldm(roi, ng):
 
 
 BF_FAMILIES = {"glcm": bf_glcm, "glrlm": bf_glrlm, "glszm": bf_glszm, "gldm": bf_gldm}
+
+
+# ---------------------------------------------------------------------------
+# Shape diameters
+
+
+def _bf_max_pairwise(points):
+    if points.shape[0] < 2:
+        return 0.0
+    best = 0.0
+    step = 512  # blocked to bound memory on large ROIs
+    for i in range(0, points.shape[0], step):
+        chunk = points[i : i + step]
+        d2 = np.sum((chunk[:, None, :] - points[None, :, :]) ** 2, axis=2)
+        best = max(best, float(d2.max()))
+    return math.sqrt(best)
+
+
+def bf_diameters(mask, spacing):
+    """The four shape diameters of a boolean mask, over every pair of ROI voxels."""
+    coords = np.argwhere(mask)
+    phys = coords.astype(np.float64) * np.asarray(spacing, dtype=np.float64)
+    out = {"Maximum3DDiameter": _bf_max_pairwise(phys)}
+    for axis, name in enumerate(("Row", "Column", "Slice")):
+        keep = [a for a in range(3) if a != axis]
+        out[f"Maximum2DDiameter{name}"] = max(
+            _bf_max_pairwise(phys[coords[:, axis] == value][:, keep])
+            for value in np.unique(coords[:, axis])
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -329,3 +329,21 @@ def test_manifest_validation_errors(tmp_path):
     del les["followups"][0]["date"]
     with pytest.raises(DataError, match="P1/P1-L1 follow-up 0: missing field 'date'"):
         load_manifest(write(les))
+
+    for les, message in (
+        ("P1-L1", "P1: 'lesions' entry 0 must be an object"),
+        ({**lesion(), "followups": {"date": "2010-04-01"}}, "P1/P1-L1: 'followups' must be an array"),
+        ({**lesion(), "followups": ["fu.json"]}, "P1/P1-L1: 'followups' entry 0 must be an object"),
+    ):
+        with pytest.raises(DataError, match=message):
+            load_manifest(write(les))
+    patient = {"patient_id": "P1", "clinical": dataclasses.asdict(CLINICAL), "lesions": "P1-L1"}
+    for patients, message in (
+        ({"P1": patient}, "'patients' must be an array"),
+        (["P1"], "'patients' entry 0 must be an object"),
+        ([patient], "P1: 'lesions' must be an array"),
+    ):
+        p3 = tmp_path / "types.json"
+        p3.write_text(json.dumps({"patients": patients}))
+        with pytest.raises(DataError, match=message):
+            load_manifest(p3)

@@ -3,9 +3,18 @@ import re
 import numpy as np
 import pytest
 
-from radrisk import RoiMask, VolumeImage
+import radrisk.features.extract as extract_module
+from radrisk import SUBBAND_LABELS, RoiMask, VolumeImage, decompose, get_bank
 from radrisk.errors import DataError
-from radrisk.features import ExtractionConfig, extract_all
+from radrisk.features import (
+    TEXTURE_FAMILIES,
+    ExtractionConfig,
+    discretize,
+    extract_all,
+    firstorder_features,
+    shape_features,
+    texture_features,
+)
 from radrisk.featurestore import read_features_csv, write_features_csv
 
 
@@ -103,3 +112,50 @@ def test_feature_csv_roundtrip(tmp_path, pair):
     assert set(back) == set(store)
     for key in store:
         assert back[key] == store[key]  # repr round-trip is exact
+
+
+def full_volume_reference(img, mask, cfg, tag):
+    """extract_all's features, with every subband computed on the whole volume."""
+    out = {f"{tag}-original-shape-{name}": value for name, value in shape_features(mask, img.spacing).items()}
+    subbands = decompose(img, get_bank(cfg.wavelet))
+    images = {"original": img, **{f"wavelet-{label}": subbands[label] for label in SUBBAND_LABELS}}
+    for prefix, image in images.items():
+        out.update({f"{tag}-{prefix}-firstorder-{k}": v for k, v in firstorder_features(image, mask).items()})
+        droi = discretize(image, mask, cfg.n_bins)
+        for family in TEXTURE_FAMILIES:
+            out.update({f"{tag}-{prefix}-{family}-{k}": v for k, v in texture_features(droi, family).items()})
+    return out
+
+
+@pytest.mark.parametrize("wavelet", ["haar", "coif1"])
+def test_roi_box_matches_full_volume_exactly(wavelet, monkeypatch):
+    seen = []
+
+    def recording_decompose(img, bank):
+        seen.append(img.dims)
+        return decompose(img, bank)
+
+    monkeypatch.setattr(extract_module, "decompose", recording_decompose)
+    rng = np.random.default_rng(81)
+    dims = (14, 13, 12)
+    img = VolumeImage(rng.normal(60, 10, size=dims), (0.8, 1.1, 2.0))
+    margin = get_bank(wavelet).low.size - 1
+    interior = (slice(6, 10), slice(6, 10), slice(7, 11))
+    # a ROI on the low face of each axis, where the box keeps that whole axis
+    faces = [tuple(slice(0, 3) if a == axis else slice(5, 9) for a in range(3)) for axis in range(3)]
+    for box in [interior] + faces:
+        fg = np.zeros(dims, dtype=bool)
+        fg[box] = rng.uniform(size=fg[box].shape) < 0.7
+        fg[tuple(s.start for s in box)] = True
+        mask = RoiMask(fg)
+        cfg = ExtractionConfig(n_bins=16, wavelet=wavelet)
+        got = extract_all(img, mask, cfg, "Plan-mr")
+        ref = full_volume_reference(img, mask, cfg, "Plan-mr")
+        assert list(got) == list(ref)
+        assert all(got[k] == ref[k] for k in ref), [k for k in ref if got[k] != ref[k]][:5]
+        coords = mask.coords
+        expected = tuple(
+            n if lo - margin < 0 else hi + 1 - (lo - margin)
+            for n, lo, hi in zip(dims, coords.min(axis=0), coords.max(axis=0))
+        )
+        assert seen.pop() == expected

@@ -8,6 +8,10 @@ from radrisk import RoiMask
 from radrisk.errors import DataError
 from radrisk.features import SHAPE_FEATURES, shape_features
 from helpers import mask_of
+from oracles import bf_diameters
+
+DIAMETERS = ("Maximum3DDiameter", "Maximum2DDiameterRow", "Maximum2DDiameterColumn",
+             "Maximum2DDiameterSlice")
 
 
 def test_feature_roster():
@@ -116,6 +120,57 @@ def test_rotation_invariance_90_degrees():
         rotated = shape_features(RoiMask(np.transpose(fg, axes)), (1.0, 1.0, 1.0))
         for name in invariant:
             assert rotated[name] == pytest.approx(base[name], abs=1e-9), (name, axes)
+
+
+def _diameter_masks(rng):
+    """Random masks with holes, then lines, planes, single voxels and solid boxes."""
+    for _ in range(300):
+        dims = tuple(int(rng.integers(1, 9)) for _ in range(3))
+        fg = rng.uniform(size=dims) < rng.uniform(0.1, 0.95)
+        fg[tuple(int(rng.integers(0, d)) for d in dims)] = True
+        yield fg
+    for _ in range(60):
+        dims = [int(rng.integers(1, 9)) for _ in range(3)]
+        flat = rng.choice(3, size=int(rng.integers(1, 3)), replace=False)
+        for axis in flat:
+            dims[axis] = 1  # one flat axis gives a plane, two give a line
+        fg = np.zeros([d + 2 for d in dims], dtype=bool)
+        fg[1:-1, 1:-1, 1:-1] = rng.uniform(size=dims) < rng.uniform(0.5, 1.0)
+        fg[1, 1, 1] = True
+        yield fg
+    for _ in range(20):
+        fg = np.zeros(tuple(int(rng.integers(1, 7)) for _ in range(3)), dtype=bool)
+        fg[tuple(int(rng.integers(0, d)) for d in fg.shape)] = True
+        yield fg
+    for _ in range(20):
+        fg = np.ones(tuple(int(rng.integers(1, 7)) for _ in range(3)), dtype=bool)
+        hole = tuple(int(rng.integers(0, d)) for d in fg.shape)
+        fg[hole] = fg.size == 1
+        yield fg
+
+
+def test_diameters_match_all_pairs_oracle():
+    rng = np.random.default_rng(14)
+    checked = 0
+    for fg in _diameter_masks(rng):
+        spacing = tuple(float(rng.uniform(0.3, 3.0)) for _ in range(3))
+        f = shape_features(RoiMask(fg), spacing)
+        ref = bf_diameters(fg, spacing)
+        for name in DIAMETERS:
+            assert f[name] == ref[name], (checked, name, f[name], ref[name])
+        checked += 1
+    assert checked == 400
+
+
+def test_diameters_match_all_pairs_oracle_on_ellipsoid():
+    axes = np.ogrid[0:24, 0:24, 0:16]
+    q = sum(((g - c) / r) ** 2 for g, c, r in zip(axes, (11.3, 12.1, 7.6), (10.0, 8.5, 5.8)))
+    fg = q <= 1.0
+    assert 1800 < fg.sum() < 2200
+    spacing = (0.75, 0.9, 1.5)
+    f = shape_features(RoiMask(fg), spacing)
+    ref = bf_diameters(fg, spacing)
+    assert {name: f[name] for name in DIAMETERS} == ref
 
 
 def test_empty_mask_rejected():

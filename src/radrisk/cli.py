@@ -26,13 +26,13 @@ from .errors import ConfigError, DataError, RadriskError
 from .evaluation import (
     CvConfig,
     SelectionConfig,
+    curve_csv,
     kaplan_meier,
     monte_carlo_cv,
     risk_split_report,
     roc_curve,
     write_risk_split,
 )
-from .evaluation.report import _curve_csv
 from .features import ExtractionConfig
 from .featurestore import read_features_csv, write_features_csv
 from .pipeline import NormalizationConfig, _image_jobs, build_dataset, extract_cohort
@@ -490,7 +490,7 @@ def km(manifest, horizon_days, out_dir):
     comment = f"config: {json.dumps({'manifest': str(manifest_path), 'horizon_days': horizon_days})}"
     (out / "km_cohort.svg").write_text(km_plot([("cohort", "#3060c0", curve, False)],
                                                "freedom from progression", comment))
-    (out / "km_cohort.csv").write_text(f"# {comment}\n" + _curve_csv(curve))
+    (out / "km_cohort.csv").write_text(f"# {comment}\n" + curve_csv(curve))
     median = "not reached" if curve.median is None else f"{curve.median:.0f} days"
     click.echo(f"cohort KM over {curve.n} samples, median {median}")
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import datetime
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -337,6 +338,9 @@ def _parse_source(obj: dict | None, context: str) -> ImageSource | None:
         return None
     if not isinstance(obj, dict) or "image" not in obj or "mask" not in obj:
         raise DataError(f"{context}: image ref must be an object with 'image' and 'mask'")
+    for key in ("image", "mask"):
+        if not isinstance(obj[key], str):
+            raise DataError(f"{context}: {key!r} path must be a string, got {obj[key]!r}")
     return ImageSource(image_path=obj["image"], mask_path=obj["mask"])
 
 
@@ -345,6 +349,40 @@ def _required(obj: dict, key: str, context: str):
     if value is None:
         raise DataError(f"{context}: missing field {key!r}")
     return value
+
+
+def _identifier(obj: dict, key: str, context: str) -> str:
+    value = obj.get(key)
+    if not isinstance(value, str) or not value:
+        raise DataError(f"{context}: {key!r} must be a non-empty string, got {value!r}")
+    return value
+
+
+def _is_number(value) -> bool:
+    """A JSON number that converts to a finite float; bools are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+_CLINICAL_NUMBERS = ("rpa_class", "eqd", "n_metastases", "age", "sex", "karnofsky", "extracranial")
+
+
+def _parse_clinical(obj, pid: str) -> ClinicalData:
+    if not isinstance(obj, dict):
+        raise DataError(f"{pid}: 'clinical' must be an object")
+    for key in _CLINICAL_NUMBERS:
+        if key in obj and not _is_number(obj[key]):
+            raise DataError(f"{pid}: clinical field {key!r} must be a number, got {obj[key]!r}")
+    if not isinstance(obj.get("primary_site", ""), str):
+        raise DataError(f"{pid}: clinical field 'primary_site' must be a string, got {obj['primary_site']!r}")
+    try:
+        return ClinicalData(**obj)
+    except TypeError as exc:
+        raise DataError(f"{pid}: bad clinical block ({exc})") from exc
 
 
 def _entries(obj: dict, key: str, context: str) -> list[dict]:
@@ -370,21 +408,17 @@ def load_manifest(path: str | Path) -> list[MetastasisRecord]:
     if not isinstance(data, dict) or "patients" not in data:
         raise DataError(f"manifest {path} must be an object with a 'patients' array")
     records: list[MetastasisRecord] = []
-    for p in _entries(data, "patients", f"manifest {path}"):
-        pid = p.get("patient_id")
-        if not pid:
-            raise DataError("manifest patient missing patient_id")
-        try:
-            clinical = ClinicalData(**p["clinical"])
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"{pid}: bad clinical block ({exc})") from exc
-        for lesion in _entries(p, "lesions", pid):
-            lid = lesion.get("lesion_id")
-            if not lid:
-                raise DataError(f"{pid}: lesion missing lesion_id")
+    for j, p in enumerate(_entries(data, "patients", f"manifest {path}")):
+        pid = _identifier(p, "patient_id", f"manifest {path}: patient {j}")
+        clinical = _parse_clinical(_required(p, "clinical", pid), pid)
+        for i, lesion in enumerate(_entries(p, "lesions", pid)):
+            lid = _identifier(lesion, "lesion_id", f"{pid}: lesion {i}")
             ctx = f"{pid}/{lid}"
             followups = tuple(
-                Followup(_parse_date(_required(f, "date", f"{ctx} follow-up {k}"), ctx), _parse_source(f, ctx))
+                Followup(
+                    _parse_date(_required(f, "date", f"{ctx} follow-up {k}"), ctx),
+                    _parse_source(f, f"{ctx} follow-up {k}"),
+                )
                 for k, f in enumerate(_entries(lesion, "followups", ctx))
             )
             event = lesion.get("event_date")
@@ -394,8 +428,8 @@ def load_manifest(path: str | Path) -> list[MetastasisRecord]:
                     lesion_id=lid,
                     clinical=clinical,
                     planning_date=_parse_date(_required(lesion, "planning_date", ctx), ctx),
-                    planning_mr=_parse_source(_required(lesion, "planning_mr", ctx), ctx),
-                    planning_ct=_parse_source(lesion.get("planning_ct"), ctx),
+                    planning_mr=_parse_source(_required(lesion, "planning_mr", ctx), f"{ctx} planning_mr"),
+                    planning_ct=_parse_source(lesion.get("planning_ct"), f"{ctx} planning_ct"),
                     followups=followups,
                     event_date=_parse_date(event, ctx) if event else None,
                     censor_date=_parse_date(_required(lesion, "censor_date", ctx), ctx),

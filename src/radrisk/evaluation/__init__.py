@@ -4,6 +4,7 @@ and the predicted-risk split report."""
 from .cv import CvConfig, CvReport, SelectionConfig, monte_carlo_cv
 from .report import (
     RiskSplitReport,
+    curve_csv,
     format_confusion,
     format_median_split,
     format_months,
@@ -26,6 +27,7 @@ __all__ = [
     "SelectionConfig",
     "monte_carlo_cv",
     "RiskSplitReport",
+    "curve_csv",
     "format_confusion",
     "format_median_split",
     "format_months",

@@ -11,7 +11,7 @@ leakage guard (count of lesions straddling train/test, asserted zero).
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -74,18 +74,11 @@ class CvReport:
 
 
 def _lesion_table(dataset: Dataset):
-    lesions: list[str] = []
-    flags: list[bool] = []
-    index: dict[str, int] = {}
+    """Lesion ids in order of first appearance, and whether each is ever HRM."""
     ever_hrm: dict[str, bool] = {}
     for lid, label in zip(dataset.lesion_ids, dataset.y):
         ever_hrm[lid] = ever_hrm.get(lid, False) or label == 1
-    for lid in dataset.lesion_ids:
-        if lid not in index:
-            index[lid] = len(lesions)
-            lesions.append(lid)
-            flags.append(ever_hrm[lid])
-    return lesions, np.asarray(flags, dtype=bool)
+    return list(ever_hrm), np.asarray(list(ever_hrm.values()), dtype=bool)
 
 
 def _split_lesions(lesions, flags, test_frac, rng):
@@ -103,8 +96,9 @@ def _split_lesions(lesions, flags, test_frac, rng):
     return test
 
 
-def _one_repeat(dataset: Dataset, seed: int, test_frac: float, sel_cfg: SelectionConfig, clf_cfg, global_selection):
-    lesions, flags = _lesion_table(dataset)
+def _one_repeat(
+    dataset: Dataset, lesions, flags, seed: int, test_frac: float, sel_cfg: SelectionConfig, clf_cfg, global_selection
+):
     lesion_ids = np.asarray(dataset.lesion_ids)
     rng = np.random.default_rng(seed)
     for attempt in range(MAX_SPLIT_RETRIES):
@@ -127,14 +121,7 @@ def _one_repeat(dataset: Dataset, seed: int, test_frac: float, sel_cfg: Selectio
         cap = selection_cap(X_train.shape[0], sel_cfg.per_samples)
         selection = mrmr_select(X_train, y_train, cap, dataset.feature_names)
     cols = selection.indices(dataset.feature_names)
-    cfg = clf.ClassifierConfig(
-        C=clf_cfg.C,
-        sensitivity_weight=clf_cfg.sensitivity_weight,
-        threshold=clf_cfg.threshold,
-        seed=int(np.random.default_rng(seed + 1).integers(0, 2**31 - 1)),
-        max_epochs=clf_cfg.max_epochs,
-        tol=clf_cfg.tol,
-    )
+    cfg = replace(clf_cfg, seed=int(np.random.default_rng(seed + 1).integers(0, 2**31 - 1)))
     model = clf.fit(X_train[:, cols], y_train, selection.selected, cfg)
     scores = clf.decision_scores(model, X_test[:, cols])
     auc_value = roc_curve(scores, y_test).auc
@@ -163,7 +150,7 @@ def monte_carlo_cv(
     repeat_seeds = [int(s) for s in master.integers(0, 2**31 - 1, size=cv_cfg.repeats)]
 
     def job(seed):
-        return _one_repeat(dataset, seed, cv_cfg.test_frac, sel_cfg, clf_cfg, global_selection)
+        return _one_repeat(dataset, lesions, flags, seed, cv_cfg.test_frac, sel_cfg, clf_cfg, global_selection)
 
     if cv_cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cv_cfg.threads) as pool:

@@ -107,7 +107,8 @@ def risk_split_report(dataset: Dataset, oof_scores, oof_counts, threshold: float
     )
 
 
-def _curve_csv(curve: SurvivalCurve) -> str:
+def curve_csv(curve: SurvivalCurve) -> str:
+    """A Kaplan-Meier curve as CSV text, one row per step, floats in repr form."""
     lines = ["time_days,at_risk,events,survival,ci_low,ci_high"]
     for k in range(curve.times.size):
         lines.append(
@@ -142,7 +143,7 @@ def write_risk_split(report: RiskSplitReport, out_dir: str | Path, config_commen
         if curve is None:
             continue
         p = out_dir / name
-        p.write_text(_curve_csv(curve))
+        p.write_text(curve_csv(curve))
         written.append(p)
 
     lines = ["metric,value"]

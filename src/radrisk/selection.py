@@ -6,7 +6,9 @@ first pick maximizes ``|r(f, label)|`` alone. Ties break on the
 lexicographically smallest feature name. Selection stops at the cap, or once
 every remaining score is non-positive (after at least one pick).
 
-Constant features carry r = 0 with a degenerate flag instead of failing.
+Every correlation goes through one kernel over a matrix centered once. Each
+column's r is an elementwise column sum, so bit-identical columns get
+bit-identical r and tie exactly. A constant column has r = 0 instead of failing.
 """
 
 from __future__ import annotations
@@ -18,6 +20,27 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 
+def _centered(X: np.ndarray):
+    """Center the columns once: (centered matrix, column norms, constant mask).
+
+    Constancy is tested exactly: the float mean of a constant column is not
+    exact, so its norm need not be 0.
+    """
+    Xc = X - X.mean(axis=0)
+    norm = np.sqrt((Xc**2).sum(axis=0))
+    constant = np.all(X == X[0], axis=0) | (norm == 0.0)
+    return Xc, norm, constant
+
+
+def _corr(Xc: np.ndarray, norm: np.ndarray, constant: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pearson r of every centered column with ``y``; 0 where either side is constant."""
+    yc, yn, y_constant = _centered(y[:, None])
+    r = np.zeros(Xc.shape[1])
+    if not y_constant[0]:
+        np.divide((Xc * yc).sum(axis=0), norm * yn, out=r, where=~constant)
+    return r
+
+
 def pearson(x, y) -> float:
     """Pearson linear correlation; 0 by convention when either vector is constant."""
     x = np.asarray(x, dtype=np.float64)
@@ -26,21 +49,7 @@ def pearson(x, y) -> float:
         raise DataError(f"pearson needs two equal-length vectors, got {x.shape} and {y.shape}")
     if x.size < 2:
         raise DataError(f"pearson needs n >= 2 samples, got {x.size}")
-    # exact-constancy guard: the float mean of a constant vector is not exact
-    if np.all(x == x[0]) or np.all(y == y[0]):
-        return 0.0
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = float(np.sqrt((xc**2).sum()))
-    sy = float(np.sqrt((yc**2).sum()))
-    if sx == 0.0 or sy == 0.0:
-        return 0.0
-    return float((xc * yc).sum() / (sx * sy))
-
-
-def is_degenerate(x) -> bool:
-    x = np.asarray(x, dtype=np.float64)
-    return bool(np.all(x == x[0]))
+    return float(_corr(*_centered(x[:, None]), y)[0])
 
 
 def selection_cap(n_samples: int, per: int = 10) -> int:
@@ -62,38 +71,9 @@ class CorrelationReport:
 
 
 def correlation_report(X: np.ndarray, y, names: list[str]) -> CorrelationReport:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    r = _corr_to_vector(X, y)
-    degenerate = np.array([bool(np.all(X[:, k] == X[0, k])) for k in range(X.shape[1])])
-    return CorrelationReport(list(names), r, degenerate)
-
-
-def pairwise_abs_correlation(X) -> np.ndarray:
-    """|r| between all feature-column pairs; degenerate columns carry 0 throughout."""
-    X = np.asarray(X, dtype=np.float64)
-    d = X.shape[1]
-    out = np.empty((d, d))
-    degenerate = np.array([bool(np.all(X[:, j] == X[0, j])) for j in range(d)])
-    for j in range(d):
-        out[:, j] = np.abs(_corr_to_vector(X, X[:, j]))
-    np.fill_diagonal(out, 1.0)
-    out[degenerate, :] = 0.0
-    out[:, degenerate] = 0.0
-    return out
-
-
-def _corr_to_vector(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Column-wise pearson(X[:, k], y) with the constant-column convention."""
-    Xc = X - X.mean(axis=0)
-    yc = y - y.mean()
-    xn = np.sqrt((Xc**2).sum(axis=0))
-    yn = float(np.sqrt((yc**2).sum()))
-    r = np.zeros(X.shape[1])
-    ok = ~np.all(X == X[0, :], axis=0)  # exact constancy, not float-residual norms
-    if yn > 0.0 and not np.all(y == y[0]):
-        r[ok] = (Xc[:, ok] * yc[:, None]).sum(axis=0) / (xn[ok] * yn)
-    return r
+    Xc, norm, constant = _centered(np.asarray(X, dtype=np.float64))
+    r = _corr(Xc, norm, constant, np.asarray(y, dtype=np.float64))
+    return CorrelationReport(list(names), r, constant)
 
 
 @dataclass(frozen=True)
@@ -141,36 +121,25 @@ def mrmr_select(X, y, k: int, names: list[str] | None = None) -> SelectionResult
     if len(names) != d or len(set(names)) != d:
         raise DataError("feature names must be unique and match the matrix width")
 
-    relevance = np.abs(_corr_to_vector(X, y))
+    Xc, norm, constant = _centered(X)
+    relevance = np.abs(_corr(Xc, norm, constant, y))
     redundancy_sum = np.zeros(d)
-    remaining = np.ones(d, dtype=bool)
+    # scores read in name order: the first maximum is the smallest name
+    by_name = np.array(sorted(range(d), key=names.__getitem__))
+    picked = np.zeros(d, dtype=bool)
     selected: list[int] = []
     trace: list[SelectionStep] = []
 
-    while len(selected) < min(k, d):
-        idx = np.nonzero(remaining)[0]
-        if len(selected) == 0:
-            scores = relevance[idx]
-            redund = np.zeros(idx.size)
-        else:
-            redund = redundancy_sum[idx] / len(selected)
-            scores = relevance[idx] - redund
-            if scores.max() <= 0.0:
-                break
-        # deterministic tie-break: highest score, then smallest name
-        best_pos = min(range(idx.size), key=lambda t: (-scores[t], names[idx[t]]))
-        best = int(idx[best_pos])
+    for step in range(min(k, d)):
+        if step:
+            redundancy_sum += np.abs(_corr(Xc, norm, constant, X[:, selected[-1]]))
+        redund = redundancy_sum / max(step, 1)
+        scores = np.where(picked, -np.inf, relevance - redund)
+        best = int(by_name[np.argmax(scores[by_name])])
+        if step and scores[best] <= 0.0:
+            break
         selected.append(best)
-        remaining[best] = False
-        trace.append(
-            SelectionStep(
-                names[best],
-                float(relevance[best]),
-                float(redund[best_pos]),
-                float(scores[best_pos]),
-            )
-        )
-        if remaining.any():
-            redundancy_sum[remaining] += np.abs(_corr_to_vector(X[:, remaining], X[:, best]))
+        picked[best] = True
+        trace.append(SelectionStep(names[best], float(relevance[best]), float(redund[best]), float(scores[best])))
 
     return SelectionResult([names[s] for s in selected], trace, k)

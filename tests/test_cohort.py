@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from radrisk import (
     ClinicalData,
@@ -347,3 +349,108 @@ def test_manifest_validation_errors(tmp_path):
         p3.write_text(json.dumps({"patients": patients}))
         with pytest.raises(DataError, match=message):
             load_manifest(p3)
+
+    for les, message in (
+        ({**lesion(), "planning_mr": {"image": 5, "mask": "m.json"}}, "P1/P1-L1 planning_mr: 'image' path must be a string"),
+        ({**lesion(), "planning_ct": {"image": "ct.json", "mask": None}}, "P1/P1-L1 planning_ct: 'mask' path must be a string"),
+        (
+            {**lesion(), "followups": [{"date": "2010-04-01", "image": ["fu.json"], "mask": "m.json"}]},
+            "P1/P1-L1 follow-up 0: 'image' path must be a string",
+        ),
+        ({**lesion(), "lesion_id": {"id": "P1-L1"}}, "P1: lesion 0: 'lesion_id' must be a non-empty string"),
+        ({**lesion(), "lesion_id": 7}, "P1: lesion 0: 'lesion_id' must be a non-empty string"),
+        ({**lesion(), "lesion_id": ""}, "P1: lesion 0: 'lesion_id' must be a non-empty string"),
+    ):
+        with pytest.raises(DataError, match=message):
+            load_manifest(write(les))
+    clinical = dataclasses.asdict(CLINICAL)
+    for changes, message in (
+        ({"patient_id": 1}, "patient 0: 'patient_id' must be a non-empty string"),
+        ({"patient_id": ["P1"]}, "patient 0: 'patient_id' must be a non-empty string"),
+        ({"patient_id": ""}, "patient 0: 'patient_id' must be a non-empty string"),
+        ({"clinical": ["lung"]}, "P1: 'clinical' must be an object"),
+        ({"clinical": {**clinical, "age": "sixty"}}, "P1: clinical field 'age' must be a number"),
+        ({"clinical": {**clinical, "sex": True}}, "P1: clinical field 'sex' must be a number"),
+        ({"clinical": {**clinical, "eqd": None}}, "P1: clinical field 'eqd' must be a number"),
+        ({"clinical": {**clinical, "karnofsky": float("nan")}}, "P1: clinical field 'karnofsky' must be a number"),
+        ({"clinical": {**clinical, "extracranial": 10**400}}, "P1: clinical field 'extracranial' must be a number"),
+        ({"clinical": {**clinical, "rpa_class": [2]}}, "P1: clinical field 'rpa_class' must be a number"),
+        ({"clinical": {**clinical, "primary_site": 3}}, "P1: clinical field 'primary_site' must be a string"),
+    ):
+        p4 = tmp_path / "values.json"
+        patient = {"patient_id": "P1", "clinical": clinical, "lesions": [lesion()], **changes}
+        p4.write_text(json.dumps({"patients": [patient]}))
+        with pytest.raises(DataError, match=message):
+            load_manifest(p4)
+
+
+def _json_type(value):
+    kinds = (("null", type(None)), ("bool", bool), ("number", (int, float)), ("string", str), ("array", list))
+    return next((kind for kind, types in kinds if isinstance(value, types)), "object")
+
+
+def _field_paths(obj, prefix=()):
+    """Every key / index path inside a JSON document, parents before children."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+_VALID_MANIFEST = {
+    "format_version": 1,
+    "patients": [
+        {
+            "patient_id": "P1",
+            "clinical": dataclasses.asdict(CLINICAL),
+            "lesions": [
+                {
+                    "lesion_id": "P1-L1",
+                    "planning_date": "2010-01-01",
+                    "planning_mr": {"image": "mr.json", "mask": "mr_mask.json"},
+                    "planning_ct": {"image": "ct.json", "mask": "ct_mask.json"},
+                    "followups": [
+                        {"date": "2010-04-01", "image": "fu1.json", "mask": "fu1_mask.json"},
+                        {"date": "2010-07-01", "image": "fu2.json", "mask": "fu2_mask.json"},
+                    ],
+                    "event_date": "2010-09-01",
+                    "censor_date": "2011-12-31",
+                }
+            ],
+        }
+    ],
+}
+
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=12),
+    st.lists(st.one_of(st.integers(), st.text(max_size=6)), max_size=3),
+    st.dictionaries(st.text(max_size=6), st.one_of(st.integers(), st.text(max_size=6)), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(list(_field_paths(_VALID_MANIFEST))), data=st.data())
+def test_manifest_field_of_another_json_type(tmp_path, path, data):
+    manifest = json.loads(json.dumps(_VALID_MANIFEST))
+    parent = manifest
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    parent[path[-1]] = data.draw(_JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(old)))
+    p = tmp_path / "swapped.json"
+    p.write_text(json.dumps(manifest))
+    try:
+        records = load_manifest(p)
+    except DataError:
+        return
+    for rec in records:
+        assert isinstance(rec.patient_id, str) and isinstance(rec.lesion_id, str)
+        for src in (rec.planning_mr, rec.planning_ct, *(fu.source for fu in rec.followups)):
+            if src is not None:
+                assert isinstance(src.image_path, str) and isinstance(src.mask_path, str)
+        clinical_features(rec.clinical, 1)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from . import classifier as clf
-from .cohort import feature_set, load_manifest, label_samples, manifest_dict
+from .cohort import BLOCK_TITLES, column_block, feature_set, load_manifest, label_samples, manifest_dict
 from .errors import ConfigError, DataError, RadriskError
 from .evaluation import (
     CvConfig,
@@ -45,15 +45,6 @@ log = logging.getLogger("radrisk")
 
 ENV_OUT = "RADRISK_OUT"
 
-_BLOCK_TITLES = {
-    "clinical": "Clinical data",
-    "followup_mr": "Radiomic features follow-up MRI",
-    "delta": "Delta-radiomic features",
-    "planning_mr": "Radiomic features planning MRI",
-    "planning_ct": "Radiomic features planning CT",
-    "wavelet": "Wavelet filtered images",
-}
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -61,10 +52,10 @@ class PipelineConfig:
 
     manifest: str
     sets: tuple[int, ...]
-    n_bins: int
-    wavelet: str
-    whitestripe: str
-    zscore: bool
+    n_bins: int | None  # the extraction settings are None for evaluate, which takes none
+    wavelet: str | None
+    whitestripe: str | None
+    zscore: bool | None
     per_samples: int
     per_fold: bool
     C: float
@@ -79,11 +70,12 @@ class PipelineConfig:
 
     def public_dict(self) -> dict:
         # threads and out_dir are execution details: artifacts must be
-        # byte-identical across them, so they stay out of the embedded echo
+        # byte-identical across them, so they stay out of the embedded echo,
+        # as do settings the command did not use
         d = asdict(self)
         d.pop("threads")
         d.pop("out_dir")
-        return d
+        return {key: value for key, value in d.items() if value is not None}
 
     def comment(self) -> str:
         return "config: " + json.dumps(self.public_dict(), sort_keys=True)
@@ -297,24 +289,9 @@ def _dataset_from_files(manifest_path, features_path, set_id, horizon_days):
 
 
 def _correlation_blocks(dataset):
-    def block_of(name: str) -> str:
-        if name.startswith("clinical-"):
-            return "clinical"
-        if "-wavelet-" in name:
-            return "wavelet"
-        if name.startswith("follow-up-mr-"):
-            return "followup_mr"
-        if name.startswith("Delta-mr-"):
-            return "delta"
-        if name.startswith("Plan-mr-"):
-            return "planning_mr"
-        if name.startswith("Plan-ct-"):
-            return "planning_ct"
-        return "other"
-
     groups: dict[str, list[int]] = {}
     for k, name in enumerate(dataset.feature_names):
-        groups.setdefault(block_of(name), []).append(k)
+        groups.setdefault(column_block(name), []).append(k)
     return groups
 
 
@@ -403,10 +380,10 @@ def _pipeline_config(manifest, sets, merged, out) -> PipelineConfig:
     return PipelineConfig(
         manifest=str(manifest),
         sets=tuple(sets),
-        n_bins=merged["n_bins"],
-        wavelet=merged["wavelet"],
-        whitestripe=merged["whitestripe"],
-        zscore=merged["zscore"],
+        n_bins=merged.get("n_bins"),
+        wavelet=merged.get("wavelet"),
+        whitestripe=merged.get("whitestripe"),
+        zscore=merged.get("zscore"),
         per_samples=merged["per_samples"],
         per_fold=not merged["global_selection"],
         C=merged["c_value"],
@@ -455,8 +432,7 @@ def evaluate(manifest, features_path, set_id, out_dir, **flags):
     manifest_path = _require_manifest(manifest)
     out = Path(out_dir or _default_out())
     out.mkdir(parents=True, exist_ok=True)
-    merged = {"n_bins": 0, "wavelet": "-", "whitestripe": "-", "zscore": True, **flags}
-    cfg = _pipeline_config(manifest_path, (set_id,), merged, out)
+    cfg = _pipeline_config(manifest_path, (set_id,), flags, out)
     _, dataset = _dataset_from_files(manifest_path, features_path, set_id, cfg.horizon_days)
     report = _run_cv(dataset, cfg)
     _write_json(out / "cv_report.json", report.to_dict(), cfg)
@@ -580,12 +556,11 @@ def run(ctx, manifest, features_path, sets, out_dir, config_path, **flags):
 
 def _write_table1(out: Path, set_rows, cfg: PipelineConfig) -> None:
     lines = [f"# {cfg.comment()}"]
-    lines.append("set,clinical,followup_mr,delta,planning_mr,planning_ct,wavelet,mean_auc,std_auc,pooled_auc")
+    lines.append(",".join(["set", *BLOCK_TITLES, "mean_auc", "std_auc", "pooled_auc"]))
     for set_id, rep in set_rows:
-        spec = feature_set(set_id)
-        flags = [spec.clinical, spec.followup_mr, spec.delta, spec.planning_mr, spec.planning_ct, spec.wavelet]
+        blocks = feature_set(set_id).blocks
         lines.append(
-            f"Set {set_id}," + ",".join("x" if f else "" for f in flags)
+            f"Set {set_id}," + ",".join("x" if block in blocks else "" for block in BLOCK_TITLES)
             + f",{rep.mean_auc!r},{rep.std_auc!r},{rep.pooled_auc!r}"
         )
     (out / "table1.csv").write_text("\n".join(lines) + "\n")
@@ -594,10 +569,10 @@ def _write_table1(out: Path, set_rows, cfg: PipelineConfig) -> None:
     cols = [set_id for set_id, _ in set_rows]
     width = 36
     text = [" " * width + "".join(f"Set {c:<4}" for c in cols)]
-    for key, title in _BLOCK_TITLES.items():
+    for block, title in BLOCK_TITLES.items():
         row = title.ljust(width)
         for set_id, _ in set_rows:
-            row += ("x" if getattr(feature_set(set_id), key) else " ").ljust(8)
+            row += ("x" if block in feature_set(set_id).blocks else " ").ljust(8)
         text.append(row)
     row = "AUC score".ljust(width)
     for _, rep in set_rows:

@@ -26,6 +26,7 @@ log = logging.getLogger(__name__)
 
 HORIZON_DAYS = 100
 
+TAG_CLINICAL = "clinical"
 TAG_FOLLOWUP = "follow-up-mr"
 TAG_PLAN_MR = "Plan-mr"
 TAG_PLAN_CT = "Plan-ct"
@@ -229,7 +230,18 @@ def delta_features(followup: dict[str, float], planning: dict[str, float], days:
     return out
 
 
-_SET_FLAGS = {
+# Table 1 of the paper: the six feature blocks in column order, with their titles
+BLOCK_TITLES = {
+    "clinical": "Clinical data",
+    "followup_mr": "Radiomic features follow-up MRI",
+    "delta": "Delta-radiomic features",
+    "planning_mr": "Radiomic features planning MRI",
+    "planning_ct": "Radiomic features planning CT",
+    "wavelet": "Wavelet filtered images",
+}
+
+# set id -> the blocks it assembles, in column order
+FEATURE_SETS = {
     1: ("clinical",),
     2: ("clinical", "followup_mr"),
     3: ("clinical", "delta"),
@@ -239,47 +251,42 @@ _SET_FLAGS = {
     7: ("clinical", "followup_mr", "delta", "planning_mr", "planning_ct", "wavelet"),
 }
 
-_IMAGE_BLOCKS = ("followup_mr", "delta", "planning_mr", "planning_ct")
+# the tag each block's column names start with; the wavelet block is the
+# "-wavelet-" columns of every image block instead
+BLOCK_TAGS = {
+    "clinical": TAG_CLINICAL,
+    "followup_mr": TAG_FOLLOWUP,
+    "delta": TAG_DELTA,
+    "planning_mr": TAG_PLAN_MR,
+    "planning_ct": TAG_PLAN_CT,
+}
 
 
 @dataclass(frozen=True)
 class FeatureSetSpec:
-    """One of the 7 canonical feature-set rows."""
+    """One of the 7 canonical feature-set rows; its blocks come from ``FEATURE_SETS``."""
 
     set_id: int
-    clinical: bool = False
-    followup_mr: bool = False
-    delta: bool = False
-    planning_mr: bool = False
-    planning_ct: bool = False
-    wavelet: bool = False
 
     def __post_init__(self):
-        if self.set_id not in _SET_FLAGS:
+        if self.set_id not in FEATURE_SETS:
             raise DataError(f"feature set id must be 1..7, got {self.set_id}")
-        expected = _SET_FLAGS[self.set_id]
-        actual = tuple(
-            name
-            for name in ("clinical", "followup_mr", "delta", "planning_mr", "planning_ct", "wavelet")
-            if getattr(self, name)
-        )
-        if actual != expected:
-            raise DataError(f"set {self.set_id} flags {actual} do not match the canonical row {expected}")
 
     @property
-    def needs_ct(self) -> bool:
-        return self.planning_ct
+    def blocks(self) -> tuple[str, ...]:
+        return FEATURE_SETS[self.set_id]
 
 
 def feature_set(set_id: int) -> FeatureSetSpec:
-    flags = _SET_FLAGS.get(set_id)
-    if flags is None:
-        raise DataError(f"feature set id must be 1..7, got {set_id}")
-    return FeatureSetSpec(set_id, **{name: True for name in flags})
+    return FeatureSetSpec(set_id)
 
 
-def _filtered(block: dict[str, float], marker: str) -> dict[str, float]:
-    return {n: v for n, v in block.items() if marker in n}
+def column_block(name: str) -> str:
+    """The block of an assembled column: 'Plan-ct-wavelet-LLL-...' -> 'wavelet'."""
+    block = next((b for b, tag in BLOCK_TAGS.items() if name.startswith(f"{tag}-")), None)
+    if block is None:
+        raise DataError(f"column {name!r} starts with no feature-block tag")
+    return "wavelet" if block != "clinical" and "-wavelet-" in name else block
 
 
 def assemble(
@@ -290,33 +297,25 @@ def assemble(
     planning_mr: dict[str, float] | None = None,
     planning_ct: dict[str, float] | None = None,
 ) -> dict[str, float]:
-    """Concatenate the flagged feature blocks in a stable column order.
+    """Concatenate the set's feature blocks in a stable column order.
 
     Original-filter columns come first (per block, in canonical block order);
-    when the wavelet flag is set, the wavelet-filter columns of every included
-    image block are appended as one trailing block.
+    when the set has the wavelet block, the wavelet-filter columns of every
+    included image block are appended as one trailing block.
     """
-    blocks = {
-        "followup_mr": followup_mr,
-        "delta": delta,
-        "planning_mr": planning_mr,
-        "planning_ct": planning_ct,
-    }
+    given = {"followup_mr": followup_mr, "delta": delta, "planning_mr": planning_mr, "planning_ct": planning_ct}
     out: dict[str, float] = {}
-    if spec.clinical:
+    if "clinical" in spec.blocks:
         if len(clinical) != len(CLINICAL_FEATURE_NAMES):
             raise DataError(f"clinical block has {len(clinical)} columns, expected 12")
         out.update(clinical)
-    for name in _IMAGE_BLOCKS:
-        if getattr(spec, name):
-            block = blocks[name]
-            if block is None:
-                raise DataError(f"feature set {spec.set_id} requires the {name} block")
-            out.update(_filtered(block, "-original-"))
-    if spec.wavelet:
-        for name in _IMAGE_BLOCKS:
-            if getattr(spec, name):
-                out.update(_filtered(blocks[name], "-wavelet-"))
+    images = [name for name in spec.blocks if name in given]
+    for name in images:
+        if given[name] is None:
+            raise DataError(f"feature set {spec.set_id} requires the {name} block")
+    for marker in _FILTER_MARKERS if "wavelet" in spec.blocks else _FILTER_MARKERS[:1]:
+        for name in images:
+            out.update({n: v for n, v in given[name].items() if marker in n})
     return out
 
 
@@ -431,7 +430,7 @@ def load_manifest(path: str | Path) -> list[MetastasisRecord]:
                     planning_mr=_parse_source(_required(lesion, "planning_mr", ctx), f"{ctx} planning_mr"),
                     planning_ct=_parse_source(lesion.get("planning_ct"), f"{ctx} planning_ct"),
                     followups=followups,
-                    event_date=_parse_date(event, ctx) if event else None,
+                    event_date=None if event is None else _parse_date(event, f"{ctx} event_date"),
                     censor_date=_parse_date(_required(lesion, "censor_date", ctx), ctx),
                 )
             )

@@ -1,11 +1,6 @@
 """Radiomic feature extraction: shape, first-order, and texture-matrix classes."""
 
-from .extract import (
-    ORIGINAL_FEATURE_COUNT,
-    WAVELET_FEATURE_COUNT,
-    ExtractionConfig,
-    extract_all,
-)
+from .extract import ExtractionConfig, extract_all
 from .firstorder import ENTROPY_BINS, FIRSTORDER_FEATURES, bin_levels, firstorder_features
 from .shape import SHAPE_FEATURES, shape_features
 from .texture import (
@@ -22,8 +17,6 @@ from .texture import (
 )
 
 __all__ = [
-    "ORIGINAL_FEATURE_COUNT",
-    "WAVELET_FEATURE_COUNT",
     "ExtractionConfig",
     "extract_all",
     "ENTROPY_BINS",

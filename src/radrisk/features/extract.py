@@ -28,22 +28,11 @@ from .firstorder import FIRSTORDER_FEATURES, firstorder_features
 from .shape import SHAPE_FEATURES, shape_features
 from .texture import TEXTURE_FAMILIES, discretize, texture_features
 
-ORIGINAL_FEATURE_COUNT = 98
-WAVELET_FEATURE_COUNT = 770
-
 
 @dataclass(frozen=True)
 class ExtractionConfig:
     n_bins: int = 32
-    wavelet: str | None = "haar"  # "haar", "coif1" or None/"none"
-
-    def wavelet_bank(self) -> str | None:
-        if self.wavelet in (None, "none", ""):
-            return None
-        return self.wavelet
-
-    def features_per_image(self) -> int:
-        return WAVELET_FEATURE_COUNT if self.wavelet_bank() else ORIGINAL_FEATURE_COUNT
+    wavelet: str | None = "haar"  # a bank name ("haar", "coif1"), or None for no wavelet
 
 
 def _intensity_block(img: VolumeImage, mask: RoiMask, n_bins: int, prefix: str, out: dict) -> None:
@@ -77,8 +66,7 @@ def extract_all(img: VolumeImage, mask: RoiMask, config: ExtractionConfig, tag: 
     sh = shape_features(mask, img.spacing)
     for name in SHAPE_FEATURES:
         out[f"{tag}-original-shape-{name}"] = sh[name]
-    bank_name = config.wavelet_bank()
-    bank = get_bank(bank_name) if bank_name else None
+    bank = None if config.wavelet is None else get_bank(config.wavelet)
     box = _roi_box(mask, max(bank.low.size, bank.high.size) - 1 if bank else 0)
     img = VolumeImage(img.voxels[box], img.spacing, img.modality)
     mask = RoiMask(mask.voxels[box])

@@ -150,7 +150,7 @@ def build_dataset(
     labeling = label_samples(records, horizon_days)
 
     excluded = []
-    if spec.needs_ct:
+    if "planning_ct" in spec.blocks:
         excluded = [rec.lesion_id for rec in records if rec.planning_ct is None]
     excluded_set = set(excluded)
 
@@ -169,7 +169,7 @@ def build_dataset(
         if fu_fv is None or plan_mr_fv is None:
             raise DataError(f"feature store is missing images for {sample.lesion_id}")
         delta = None
-        if spec.delta:
+        if "delta" in spec.blocks:
             delta = delta_features(fu_fv, plan_mr_fv, sample.gap_days)
         try:
             fv = assemble(

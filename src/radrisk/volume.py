@@ -17,6 +17,7 @@ and marked read-only. A mask computes its foreground coordinates and their
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -87,9 +88,12 @@ class VolumeImage:
             raise DataError(f"volume must be 3D with positive dims, got shape {vox.shape}")
         if not np.all(np.isfinite(vox)):
             raise DataError("volume contains non-finite voxels")
-        spacing = tuple(float(s) for s in self.spacing)
-        if len(spacing) != 3 or any(s <= 0 for s in spacing):
-            raise DataError(f"spacing must be three positive floats, got {self.spacing}")
+        try:
+            spacing = tuple(float(s) for s in self.spacing)
+        except (TypeError, ValueError, OverflowError):
+            spacing = ()  # not three numbers: rejected below
+        if len(spacing) != 3 or not all(math.isfinite(s) and s > 0 for s in spacing):
+            raise DataError(f"spacing must be three finite positive floats, got {self.spacing}")
         if self.modality not in ("MR", "CT"):
             raise DataError(f"unknown modality {self.modality!r} (expected MR or CT)")
         vox = vox.copy()
@@ -208,20 +212,26 @@ def write_volume(img: VolumeImage, path: str | Path, format: str | None = None) 
 
 def _read_rawjson(path: Path, modality: str | None) -> VolumeImage:
     try:
-        meta = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        meta = json.loads(path.read_bytes())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"malformed RAWJSON header {path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise DataError(f"RAWJSON header {path} must be an object")
     for key in ("dims", "spacing", "dtype", "data_file"):
         if key not in meta:
             raise DataError(f"RAWJSON header {path} missing field {key!r}")
     if meta["dtype"] != "f32":
         raise DataError(f"unsupported scalar type {meta['dtype']!r} in {path} (only f32)")
-    dims = tuple(int(d) for d in meta["dims"])
-    if len(dims) != 3 or any(d < 1 for d in dims):
-        raise DataError(f"RAWJSON dims must be 3 positive ints, got {meta['dims']}")
-    spacing = tuple(float(s) for s in meta["spacing"])
+    dims = meta["dims"]
+    if not _json_triple(dims, int) or any(d < 1 for d in dims):
+        raise DataError(f"RAWJSON dims must be 3 positive ints, got {dims!r}")
+    spacing = meta["spacing"]
+    if not _json_triple(spacing, (int, float)):
+        raise DataError(f"RAWJSON spacing must be 3 numbers, got {spacing!r}")
+    if not isinstance(meta["data_file"], str):
+        raise DataError(f"RAWJSON data_file must be a string, got {meta['data_file']!r}")
     raw_path = path.parent / meta["data_file"]
-    if not raw_path.exists():
+    if not raw_path.is_file():
         raise DataError(f"RAWJSON data file not found: {raw_path}")
     raw = raw_path.read_bytes()
     nvox = dims[0] * dims[1] * dims[2]
@@ -229,6 +239,15 @@ def _read_rawjson(path: Path, modality: str | None) -> VolumeImage:
         raise DataError(f"RAWJSON payload size {len(raw)} != {nvox * 4} bytes for dims {dims}")
     vox = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(dims, order="F")
     return VolumeImage(vox, spacing, modality or meta.get("modality", "MR"))
+
+
+def _json_triple(value, kinds) -> bool:
+    """A JSON array of three values of ``kinds``; bools are not numbers."""
+    return (
+        isinstance(value, list)
+        and len(value) == 3
+        and all(isinstance(v, kinds) and not isinstance(v, bool) for v in value)
+    )
 
 
 def _write_rawjson(img: VolumeImage, path: Path) -> Path:
@@ -270,10 +289,10 @@ def _read_nifti(path: Path, modality: str | None) -> VolumeImage:
     dtype = _NIFTI_DTYPES[datatype]
     pixdim = struct.unpack_from("<8f", buf, 76)
     spacing = tuple(float(p) for p in pixdim[1:4])
-    if any(s <= 0 for s in spacing):
+    if not all(math.isfinite(s) and s > 0 for s in spacing):
         raise DataError(f"malformed NIfTI header (pixdim {spacing})")
     (vox_offset,) = struct.unpack_from("<f", buf, 108)
-    if vox_offset < 352 or vox_offset != int(vox_offset):
+    if not math.isfinite(vox_offset) or vox_offset < 352 or vox_offset != int(vox_offset):
         raise DataError(f"malformed NIfTI header (vox_offset {vox_offset})")
     slope, inter = struct.unpack_from("<2f", buf, 112)
     nvox = dims[0] * dims[1] * dims[2]

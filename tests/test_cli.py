@@ -96,6 +96,10 @@ def test_select_train_evaluate_km(cohort_dir, tmp_path):
     assert cv["repeats"] == 3
     assert cv["straddle_counts"] == [0, 0, 0]
     assert (out / "roc_oof.svg").exists()
+    # evaluate takes no extraction settings, so its config echo carries none
+    svg = (out / "roc_oof.svg").read_text()
+    for key in ("n_bins", "wavelet", "whitestripe", "zscore"):
+        assert key not in cv["config"] and f'"{key}"' not in svg
 
     assert main(["km", "--manifest", manifest, "--out", str(out)]) == 0
     assert (out / "km_cohort.svg").exists()

@@ -21,8 +21,16 @@ from radrisk import (
     load_manifest,
     synth_cohort,
 )
-from radrisk.cohort import CLINICAL_FEATURE_NAMES, FeatureSetSpec, strip_image_tag
+from radrisk.cohort import (
+    BLOCK_TITLES,
+    CLINICAL_FEATURE_NAMES,
+    FEATURE_SETS,
+    FeatureSetSpec,
+    column_block,
+    strip_image_tag,
+)
 from radrisk.synth import EffectConfig, SynthConfig
+from helpers import field_paths, with_field_of_another_json_type
 
 
 def d(iso):
@@ -204,13 +212,27 @@ def test_missing_required_block_errors():
 
 
 def test_feature_set_table_is_locked():
-    assert feature_set(1).clinical and not feature_set(1).followup_mr
-    assert feature_set(6).planning_ct and not feature_set(6).wavelet
-    assert feature_set(7).wavelet
+    assert feature_set(1).blocks == ("clinical",)
+    assert "planning_ct" in feature_set(6).blocks and "wavelet" not in feature_set(6).blocks
+    assert "wavelet" in feature_set(7).blocks
     with pytest.raises(DataError):
         feature_set(8)
-    with pytest.raises(DataError, match="canonical"):
-        FeatureSetSpec(2, clinical=True, delta=True)
+    with pytest.raises(DataError, match="1..7"):
+        FeatureSetSpec(0)
+
+
+def test_column_block_follows_the_table():
+    for blocks in FEATURE_SETS.values():
+        assert list(blocks) == [b for b in BLOCK_TITLES if b in blocks]
+    clin, fu, delta, plan_mr, plan_ct = _blocks()
+    out = assemble(feature_set(7), clin, followup_mr=fu, delta=delta,
+                   planning_mr=plan_mr, planning_ct=plan_ct)
+    blocks = [column_block(name) for name in out]
+    assert blocks == sorted(blocks, key=list(BLOCK_TITLES).index)  # contiguous, in Table 1 order
+    assert set(blocks) == set(BLOCK_TITLES)
+    assert all(("-wavelet-" in name) == (block == "wavelet") for name, block in zip(out, blocks))
+    with pytest.raises(DataError, match="no feature-block tag"):
+        column_block("Plan-pet-original-shape-Volume")
 
 
 def test_assembly_columns_depend_only_on_spec():
@@ -327,6 +349,11 @@ def test_manifest_validation_errors(tmp_path):
         for les in (absent, {**lesion(), field: None}):
             with pytest.raises(DataError, match=f"P1/P1-L1: missing field '{field}'"):
                 load_manifest(write(les))
+    for les in (lesion(), {**lesion(), "event_date": None}):
+        assert load_manifest(write(les))[0].event_date is None
+    for event in (0, False, "", []):
+        with pytest.raises(DataError, match="P1/P1-L1 event_date: bad ISO date"):
+            load_manifest(write({**lesion(), "event_date": event}))
     les = lesion()
     del les["followups"][0]["date"]
     with pytest.raises(DataError, match="P1/P1-L1 follow-up 0: missing field 'date'"):
@@ -384,19 +411,6 @@ def test_manifest_validation_errors(tmp_path):
             load_manifest(p4)
 
 
-def _json_type(value):
-    kinds = (("null", type(None)), ("bool", bool), ("number", (int, float)), ("string", str), ("array", list))
-    return next((kind for kind, types in kinds if isinstance(value, types)), "object")
-
-
-def _field_paths(obj, prefix=()):
-    """Every key / index path inside a JSON document, parents before children."""
-    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
-    for key, value in items:
-        yield prefix + (key,)
-        yield from _field_paths(value, prefix + (key,))
-
-
 _VALID_MANIFEST = {
     "format_version": 1,
     "patients": [
@@ -421,29 +435,12 @@ _VALID_MANIFEST = {
     ],
 }
 
-_JSON_VALUES = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.floats(),
-    st.text(max_size=12),
-    st.lists(st.one_of(st.integers(), st.text(max_size=6)), max_size=3),
-    st.dictionaries(st.text(max_size=6), st.one_of(st.integers(), st.text(max_size=6)), max_size=3),
-)
-
-
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(path=st.sampled_from(list(_field_paths(_VALID_MANIFEST))), data=st.data())
+@given(path=st.sampled_from(list(field_paths(_VALID_MANIFEST))), data=st.data())
 def test_manifest_field_of_another_json_type(tmp_path, path, data):
-    manifest = json.loads(json.dumps(_VALID_MANIFEST))
-    parent = manifest
-    for key in path[:-1]:
-        parent = parent[key]
-    old = parent[path[-1]]
-    parent[path[-1]] = data.draw(_JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(old)))
     p = tmp_path / "swapped.json"
-    p.write_text(json.dumps(manifest))
+    p.write_text(json.dumps(with_field_of_another_json_type(_VALID_MANIFEST, path, data)))
     try:
         records = load_manifest(p)
     except DataError:

@@ -1,11 +1,14 @@
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from radrisk import DataError, VolumeImage, read_volume, write_volume
-from helpers import vol
+from helpers import field_paths, vol, with_field_of_another_json_type
 
 
 def test_rawjson_identity_roundtrip(tmp_path):
@@ -123,6 +126,84 @@ def test_volume_invariants():
         VolumeImage(np.zeros((2, 2, 2)), (1, 0, 1))
     with pytest.raises(DataError):
         VolumeImage(np.full((2, 2, 2), np.inf), (1, 1, 1))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DataError, match="spacing"):
+            VolumeImage(np.zeros((2, 2, 2)), (1, bad, 1))
     img = VolumeImage(np.zeros((2, 2, 2)), (1, 1, 1))
     with pytest.raises(ValueError):
         img.voxels[0, 0, 0] = 1.0  # frozen payload
+
+
+_VALID_RAWJSON = {"dims": [2, 2, 1], "spacing": [1.0, 0.5, 2.0], "dtype": "f32", "data_file": "v.raw",
+                  "modality": "MR"}
+# pixdim[0..7], vox_offset, scl_slope, scl_inter
+_NIFTI_FLOAT_FIELDS = tuple(76 + 4 * k for k in range(8)) + (108, 112, 116)
+
+
+def _rawjson(tmp_path, header):
+    (tmp_path / "v.raw").write_bytes(np.arange(4, dtype="<f4").tobytes())
+    (tmp_path / "v.json").write_text(json.dumps(header))
+    return tmp_path / "v.json"
+
+
+def _data_error_or_valid(path):
+    try:
+        img = read_volume(path)
+    except DataError:
+        return
+    assert np.isfinite(img.voxels).all()
+    assert all(math.isfinite(s) and s > 0 for s in img.spacing)
+
+
+@pytest.mark.parametrize("changes", [
+    {"dims": 14},
+    {"dims": ["a", "b", "c"]},
+    {"dims": [2.0, 2, 1]},
+    {"spacing": None},
+    {"spacing": [1.0, float("nan"), 2.0]},
+    {"spacing": [1.0, float("inf"), 2.0]},
+    {"data_file": 5},
+    {"data_file": ""},
+])
+def test_rawjson_bad_header_field(tmp_path, changes):
+    with pytest.raises(DataError, match="RAWJSON|spacing"):
+        read_volume(_rawjson(tmp_path, {**_VALID_RAWJSON, **changes}))
+
+
+def test_rawjson_header_not_a_json_object(tmp_path):
+    for header in (b"5", b'"dims spacing dtype data_file"', b"\xff\xfe\xfd"):
+        (tmp_path / "h.json").write_bytes(header)
+        with pytest.raises(DataError, match="RAWJSON header"):
+            read_volume(tmp_path / "h.json")
+
+
+@pytest.mark.parametrize("offset", [80, 108])  # pixdim[1], vox_offset
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_nifti_nonfinite_header_field(tmp_path, offset, value):
+    _independent_nifti(tmp_path / "h.nii", (2, 2, 2), (1, 1, 1), np.zeros(8, dtype=np.float32))
+    data = bytearray((tmp_path / "h.nii").read_bytes())
+    struct.pack_into("<f", data, offset, value)
+    (tmp_path / "h.nii").write_bytes(bytes(data))
+    with pytest.raises(DataError, match="malformed NIfTI header"):
+        read_volume(tmp_path / "h.nii")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(list(field_paths(_VALID_RAWJSON))), data=st.data())
+def test_rawjson_header_field_of_another_json_type(tmp_path, path, data):
+    _data_error_or_valid(_rawjson(tmp_path, with_field_of_another_json_type(_VALID_RAWJSON, path, data)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fields=st.dictionaries(st.sampled_from(_NIFTI_FLOAT_FIELDS),
+                              st.sampled_from([np.nan, np.inf, -np.inf]), min_size=1))
+def test_nifti_float_header_field_nonfinite(tmp_path, fields):
+    rng = np.random.default_rng(3)
+    _independent_nifti(tmp_path / "f.nii", (2, 2, 2), (1, 1, 1), rng.normal(size=8).astype(np.float32))
+    data = bytearray((tmp_path / "f.nii").read_bytes())
+    for offset, value in fields.items():
+        struct.pack_into("<f", data, offset, value)
+    (tmp_path / "f.nii").write_bytes(bytes(data))
+    _data_error_or_valid(tmp_path / "f.nii")

@@ -109,6 +109,18 @@ def _parse_sets(text: str) -> tuple[int, ...]:
     return tuple(dict.fromkeys(out))
 
 
+def _config_value(ctx: click.Context, param: click.Parameter, value, path: Path):
+    """A config-file value converted by its option's click type, as if typed on the command line."""
+    if value is None and param.default is None:
+        return None
+    if not isinstance(value, (str, int, float)):  # null (where the option needs a value), arrays, objects
+        raise ConfigError(f"config file {path}: {param.name} must be a string or number, got {value!r}")
+    try:
+        return param.type.convert(str(value), param, ctx)
+    except click.BadParameter as exc:
+        raise ConfigError(f"config file {path}: {param.name}: {exc.format_message()}") from exc
+
+
 def _merge_config(ctx: click.Context, config_path: str | None, **flags) -> dict:
     """Config-file values fill in for flags the user left at their defaults."""
     merged = dict(flags)
@@ -120,10 +132,14 @@ def _merge_config(ctx: click.Context, config_path: str | None, **flags) -> dict:
             file_cfg = json.loads(p.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed config file {p}: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file {p} must be a JSON object")
         unknown = set(file_cfg) - set(flags)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        params = {param.name: param for param in ctx.command.params}
         for key, value in file_cfg.items():
+            value = _config_value(ctx, params[key], value, p)
             src = ctx.get_parameter_source(key)
             if src is not None and src.name != "COMMANDLINE":
                 merged[key] = value
@@ -346,9 +362,8 @@ def select(manifest, features_path, set_id, horizon_days, out_dir):
 @click.option("--c", "-C", "c_value", type=float, default=1.0, show_default=True)
 @click.option("--sensitivity-weight", type=float, default=2.0, show_default=True)
 @click.option("--theta", type=float, default=0.0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_dir", default=None)
-def train(manifest, features_path, set_id, horizon_days, c_value, sensitivity_weight, theta, seed, out_dir):
+def train(manifest, features_path, set_id, horizon_days, c_value, sensitivity_weight, theta, out_dir):
     """Select features and fit one model on the whole cohort."""
     manifest_path = _require_manifest(manifest)
     out = Path(out_dir or _default_out())
@@ -357,7 +372,7 @@ def train(manifest, features_path, set_id, horizon_days, c_value, sensitivity_we
     cap = selection_cap(dataset.n_samples)
     selection = mrmr_select(dataset.X, dataset.y, cap, dataset.feature_names)
     cols = selection.indices(dataset.feature_names)
-    cfg = clf.ClassifierConfig(C=c_value, sensitivity_weight=sensitivity_weight, threshold=theta, seed=seed)
+    cfg = clf.ClassifierConfig(C=c_value, sensitivity_weight=sensitivity_weight, threshold=theta)
     model = clf.fit(dataset.X[:, cols], dataset.y, selection.selected, cfg)
     model.save(out / "model.json")
     click.echo(f"trained on {dataset.n_samples} samples, {len(cols)} features -> {out / 'model.json'}")
@@ -370,9 +385,8 @@ def train(manifest, features_path, set_id, horizon_days, c_value, sensitivity_we
 def _run_cv(dataset, cfg: PipelineConfig):
     cv_cfg = CvConfig(repeats=cfg.repeats, test_frac=cfg.test_frac, seed=cfg.seed, threads=cfg.threads)
     sel_cfg = SelectionConfig(per_samples=cfg.per_samples, per_fold=cfg.per_fold)
-    clf_cfg = clf.ClassifierConfig(
-        C=cfg.C, sensitivity_weight=cfg.sensitivity_weight, threshold=cfg.threshold, seed=cfg.seed
-    )
+    clf_cfg = clf.ClassifierConfig(C=cfg.C, sensitivity_weight=cfg.sensitivity_weight,
+                                   threshold=cfg.threshold)
     return monte_carlo_cv(dataset, cv_cfg, sel_cfg, clf_cfg)
 
 
@@ -536,6 +550,8 @@ def run(ctx, manifest, features_path, sets, out_dir, config_path, **flags):
                 "pooled_auc": rep.pooled_auc,
                 "repeats": len(rep.aucs),
                 "confusion": rep.confusion,
+                "nonconverged_fits": rep.nonconverged_fits,
+                "max_kkt_residual": rep.max_kkt_residual,
             }
             for set_id, rep in set_rows
         },

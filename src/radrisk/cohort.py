@@ -415,7 +415,7 @@ def load_manifest(path: str | Path) -> list[MetastasisRecord]:
             ctx = f"{pid}/{lid}"
             followups = tuple(
                 Followup(
-                    _parse_date(_required(f, "date", f"{ctx} follow-up {k}"), ctx),
+                    _parse_date(_required(f, "date", f"{ctx} follow-up {k}"), f"{ctx} follow-up {k} date"),
                     _parse_source(f, f"{ctx} follow-up {k}"),
                 )
                 for k, f in enumerate(_entries(lesion, "followups", ctx))
@@ -426,12 +426,12 @@ def load_manifest(path: str | Path) -> list[MetastasisRecord]:
                     patient_id=pid,
                     lesion_id=lid,
                     clinical=clinical,
-                    planning_date=_parse_date(_required(lesion, "planning_date", ctx), ctx),
+                    planning_date=_parse_date(_required(lesion, "planning_date", ctx), f"{ctx} planning_date"),
                     planning_mr=_parse_source(_required(lesion, "planning_mr", ctx), f"{ctx} planning_mr"),
                     planning_ct=_parse_source(lesion.get("planning_ct"), f"{ctx} planning_ct"),
                     followups=followups,
                     event_date=None if event is None else _parse_date(event, f"{ctx} event_date"),
-                    censor_date=_parse_date(_required(lesion, "censor_date", ctx), ctx),
+                    censor_date=_parse_date(_required(lesion, "censor_date", ctx), f"{ctx} censor_date"),
                 )
             )
     return records

@@ -4,14 +4,17 @@ Every repeat draws a fresh split where all samples of a lesion land wholly in
 train or test (stratified on the lesion-level "ever high-risk" flag), fits the
 feature selection and the classifier on the training fold only, and scores the
 test fold. The report carries per-repeat AUCs, the mean/std AUC, a pooled
-confusion at the decision threshold, per-sample out-of-fold mean scores, and a
-leakage guard (count of lesions straddling train/test, asserted zero).
+confusion at the decision threshold, per-sample out-of-fold mean scores, a
+leakage guard (count of lesions straddling train/test, asserted zero), and how
+many classifier fits stopped at their iteration cap before reaching the KKT
+tolerance, with the largest KKT residual of any fit.
 """
 
 from __future__ import annotations
 
+import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,6 +23,8 @@ from ..errors import ConfigError, DataError
 from ..pipeline import Dataset
 from ..selection import SelectionResult, mrmr_select, selection_cap
 from .roc import confusion_at, roc_curve
+
+log = logging.getLogger(__name__)
 
 MAX_SPLIT_RETRIES = 100
 
@@ -56,6 +61,8 @@ class CvReport:
     oof_scores: np.ndarray
     oof_counts: np.ndarray
     straddle_counts: list[int]
+    nonconverged_fits: int  # fits whose KKT residual stayed >= the classifier's tol
+    max_kkt_residual: float
     selected_first_repeat: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -69,6 +76,8 @@ class CvReport:
             "repeat_seeds": self.repeat_seeds,
             "confusion": self.confusion,
             "straddle_counts": self.straddle_counts,
+            "nonconverged_fits": self.nonconverged_fits,
+            "max_kkt_residual": self.max_kkt_residual,
             "selected_first_repeat": self.selected_first_repeat,
         }
 
@@ -121,11 +130,10 @@ def _one_repeat(
         cap = selection_cap(X_train.shape[0], sel_cfg.per_samples)
         selection = mrmr_select(X_train, y_train, cap, dataset.feature_names)
     cols = selection.indices(dataset.feature_names)
-    cfg = replace(clf_cfg, seed=int(np.random.default_rng(seed + 1).integers(0, 2**31 - 1)))
-    model = clf.fit(X_train[:, cols], y_train, selection.selected, cfg)
+    model = clf.fit(X_train[:, cols], y_train, selection.selected, clf_cfg)
     scores = clf.decision_scores(model, X_test[:, cols])
     auc_value = roc_curve(scores, y_test).auc
-    return auc_value, in_test, scores, straddle, selection.selected
+    return auc_value, in_test, scores, straddle, selection.selected, model.kkt_residual
 
 
 def monte_carlo_cv(
@@ -167,7 +175,9 @@ def monte_carlo_cv(
     pooled_scores: list[np.ndarray] = []
     pooled_labels: list[np.ndarray] = []
     selected_first: list[str] = []
-    for k, (auc_value, in_test, scores, straddle, selected) in enumerate(results):
+    residuals = []
+    for k, (auc_value, in_test, scores, straddle, selected, residual) in enumerate(results):
+        residuals.append(residual)
         aucs.append(float(auc_value))
         straddles.append(straddle)
         oof_sum[in_test] += scores
@@ -180,6 +190,11 @@ def monte_carlo_cv(
         if k == 0:
             selected_first = list(selected)
 
+    nonconverged = sum(r >= clf_cfg.tol for r in residuals)
+    if nonconverged:
+        log.warning("set %d: %d of %d classifier fits stopped at max_epochs=%d with a KKT residual "
+                    "up to %.3g (tol %g)", dataset.set_id, nonconverged, len(residuals),
+                    clf_cfg.max_epochs, max(residuals), clf_cfg.tol)
     oof = np.divide(oof_sum, oof_counts, out=np.zeros(n), where=oof_counts > 0)
     pooled = roc_curve(np.concatenate(pooled_scores), np.concatenate(pooled_labels)).auc
     return CvReport(
@@ -193,5 +208,7 @@ def monte_carlo_cv(
         oof_scores=oof,
         oof_counts=oof_counts,
         straddle_counts=straddles,
+        nonconverged_fits=nonconverged,
+        max_kkt_residual=max(residuals),
         selected_first_repeat=selected_first,
     )

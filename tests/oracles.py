@@ -6,8 +6,11 @@ walking for GLRLM, stack flood-fill for GLSZM, per-voxel neighbor counting for
 GLDM, pairwise concordance for AUC, and an exhaustive greedy loop for the
 feature selection. The shape diameters are searched over all voxel pairs, in
 numpy blocks, since plain loops over a few thousand voxels would be too slow.
+The classifier's dual is solved by enumerating every active set of a small
+problem and solving each one's KKT system.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -316,6 +319,44 @@ def bf_diameters(mask, spacing):
             for value in np.unique(coords[:, axis])
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# Classifier dual
+
+
+def bf_svm_dual(Z, upper, eps=1e-9):
+    """Exact minimizer of ``0.5 ||Z.T a||^2 - sum(a)`` over ``0 <= a <= upper``.
+
+    Each of the 3^n patterns puts every sample at 0, at its bound, or free;
+    the free entries solve ``Z_F Z_F.T a_F = 1 - Z_F Z_U.T a_U``. A pattern
+    whose solution lies in the box and meets the KKT sign conditions (gradient
+    >= 0 at 0, <= 0 at the bound, = 0 when free) is optimal; the one with the
+    lowest objective is kept. Returns ``w = Z.T a``, which is unique because
+    the primal is strongly convex in ``w``. Meant for n <= 7.
+    """
+    Z = np.asarray(Z, dtype=np.float64)
+    upper = np.asarray(upper, dtype=np.float64)
+    n = Z.shape[0]
+    best, best_w = None, None
+    for pattern in itertools.product((0, 1, 2), repeat=n):  # 0: at 0, 1: free, 2: at bound
+        state = np.asarray(pattern)
+        a = np.where(state == 2, upper, 0.0)
+        free = state == 1
+        if free.any():
+            Zf = Z[free]
+            rhs = 1.0 - Zf @ (Z.T @ a)
+            a[free] = np.linalg.lstsq(Zf @ Zf.T, rhs, rcond=None)[0]
+        if np.any(a < -eps) or np.any(a > upper + eps):
+            continue
+        w = Z.T @ a
+        g = Z @ w - 1.0
+        if np.any(g[state == 0] < -eps) or np.any(g[state == 2] > eps) or np.any(np.abs(g[free]) > eps):
+            continue
+        objective = 0.5 * float(w @ w) - float(a.sum())
+        if best is None or objective < best:
+            best, best_w = objective, w
+    return best_w
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from radrisk import ClassifierConfig, decision_scores, fit, load_model, predict
-from radrisk.errors import DataError
+from radrisk.errors import ConfigError, DataError
+
+from oracles import bf_svm_dual
 
 
 def hand_instance():
@@ -21,6 +23,54 @@ def test_recovers_analytic_max_margin():
     assert model.b == pytest.approx(0.0, abs=1e-3)
     assert model.kkt_residual < 1e-4
     assert np.array_equal(predict(model, X), y)
+
+
+def _dual_problem(model, X, y):
+    """The standardized, bias-augmented dual ``(Z, upper)`` that ``fit`` solved."""
+    Xa = np.hstack([(X - model.mu) / model.sigma, np.ones((X.shape[0], 1))])
+    ypm = np.where(y == 1, 1.0, -1.0)
+    c_pos, c_neg = model.class_weights
+    upper = model.config.C * np.where(y == 1, c_pos, c_neg)
+    return ypm[:, None] * Xa, upper
+
+
+def test_oracle_equivalence_random_instances():
+    rng = np.random.default_rng(55)
+    for trial in range(60):
+        n = int(rng.integers(2, 8))
+        d = int(rng.integers(1, 5))
+        X = rng.normal(size=(n, d))
+        y = rng.integers(0, 2, size=n)
+        y[:2] = [0, 1]
+        if trial % 3 == 0:  # pull the classes apart: most samples end at 0, not at the bound
+            X[y == 1] += 1.5
+        cfg = ClassifierConfig(C=float(10 ** rng.uniform(-1, 2)),
+                               sensitivity_weight=float(rng.uniform(0.5, 3.0)),
+                               max_epochs=1_000_000, tol=1e-12)
+        model = fit(X, y, [f"f{j}" for j in range(d)], cfg)
+        assert model.kkt_residual < 1e-12, trial
+        w = bf_svm_dual(*_dual_problem(model, X, y))
+        assert np.allclose(model.w, w[:d], rtol=0.0, atol=1e-9), (trial, model.w, w)
+        assert model.b == pytest.approx(w[d], rel=0.0, abs=1e-9), trial
+
+
+def test_iteration_cap_and_config_validation():
+    rng = np.random.default_rng(56)
+    X = rng.normal(size=(30, 3))
+    y = (X[:, 0] + rng.normal(size=30) > 0).astype(int)
+    names = ["a", "b", "c"]
+    capped = fit(X, y, names, ClassifierConfig(max_epochs=1))
+    assert capped.epochs_run == 1
+    assert capped.kkt_residual >= capped.config.tol
+    full = fit(X, y, names, ClassifierConfig())
+    assert 1 < full.epochs_run <= full.config.max_epochs
+    assert full.kkt_residual < full.config.tol
+    for bad in (0, -1, 1.5, True, "10", None):
+        with pytest.raises(ConfigError, match="max_epochs"):
+            ClassifierConfig(max_epochs=bad)
+    for bad in (0, 0.0, -1e-6, float("nan"), float("inf"), True, "1e-6", None):
+        with pytest.raises(ConfigError, match="tol"):
+            ClassifierConfig(tol=bad)
 
 
 def test_zero_training_error_separable():

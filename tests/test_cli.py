@@ -180,6 +180,8 @@ def test_run_with_config_file(cohort_dir, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["repeats"] == 2
     assert report["config"]["sets"] == [1]
+    assert report["sets"]["1"]["nonconverged_fits"] == 0
+    assert 0.0 < report["sets"]["1"]["max_kkt_residual"] < 1e-6
     # flags take precedence over the config file
     out2 = tmp_path / "out2"
     code = main(["run", "--manifest", str(cohort_dir / "manifest.json"),
@@ -187,11 +189,15 @@ def test_run_with_config_file(cohort_dir, tmp_path):
                  "--config", str(cfg_path), "--repeats", "3", "--out", str(out2)])
     assert code == 0
     assert json.loads((out2 / "report.json").read_text())["config"]["repeats"] == 3
+    # unknown keys, and values the flag's own type refuses, are config errors
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"unknown_key": 1}))
-    assert main(["run", "--manifest", str(cohort_dir / "manifest.json"),
-                 "--features", str(cohort_dir / "features.csv"),
-                 "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+    for value in ({"unknown_key": 1}, {"n_bins": None}, {"repeats": "three"}, {"repeats": 2.5},
+                  {"repeats": True}, {"c_value": None}, {"zscore": [1]}, {"wavelet": "db4"},
+                  {"test_frac": {"value": 0.3}}, {"sets": None}, [1, 2]):
+        bad.write_text(json.dumps(value))
+        assert main(["run", "--manifest", str(cohort_dir / "manifest.json"),
+                     "--config", str(bad), "--out", str(tmp_path / "x")]) == 2, value
+    assert not (tmp_path / "x").exists()
 
 
 def test_run_auto_extracts_when_no_features_given(tmp_path):

@@ -354,10 +354,19 @@ def test_manifest_validation_errors(tmp_path):
     for event in (0, False, "", []):
         with pytest.raises(DataError, match="P1/P1-L1 event_date: bad ISO date"):
             load_manifest(write({**lesion(), "event_date": event}))
+    for field in ("planning_date", "censor_date"):
+        for value in ("x", 5, "2010-13-01"):
+            with pytest.raises(DataError, match=f"P1/P1-L1 {field}: bad ISO date"):
+                load_manifest(write({**lesion(), field: value}))
     les = lesion()
     del les["followups"][0]["date"]
     with pytest.raises(DataError, match="P1/P1-L1 follow-up 0: missing field 'date'"):
         load_manifest(write(les))
+    for value in ("x", 5, ""):
+        les = lesion()
+        les["followups"].append({**les["followups"][0], "date": value})
+        with pytest.raises(DataError, match="P1/P1-L1 follow-up 1 date: bad ISO date"):
+            load_manifest(write(les))
 
     for les, message in (
         ("P1-L1", "P1: 'lesions' entry 0 must be an object"),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from radrisk import (
+    ClassifierConfig,
     CvConfig,
     SelectionConfig,
     build_dataset,
@@ -55,6 +56,22 @@ def test_cv_lesion_grouping_guard(small_cohort):
     assert report.straddle_counts == [0] * 8
     assert len(report.aucs) == 8
     assert report.mean_auc == pytest.approx(float(np.mean(report.aucs)), abs=1e-15)
+
+
+def test_nonconverged_fits_reported(small_cohort, caplog):
+    records, store = small_cohort
+    ds = build_dataset(records, store, feature_set(2))
+    converged = monte_carlo_cv(ds, CvConfig(repeats=4, seed=3))
+    assert converged.nonconverged_fits == 0
+    assert 0.0 < converged.max_kkt_residual < ClassifierConfig().tol
+    with caplog.at_level("WARNING"):
+        capped = monte_carlo_cv(ds, CvConfig(repeats=4, seed=3), clf_cfg=ClassifierConfig(max_epochs=1))
+    assert capped.nonconverged_fits == 4
+    assert capped.max_kkt_residual >= ClassifierConfig().tol
+    assert capped.to_dict()["nonconverged_fits"] == 4
+    assert capped.to_dict()["max_kkt_residual"] == capped.max_kkt_residual
+    warnings = [m for m in caplog.messages if "classifier fits" in m]
+    assert len(warnings) == 1 and "set 2: 4 of 4" in warnings[0]
 
 
 def test_cv_requires_two_lesions_per_class(small_cohort):

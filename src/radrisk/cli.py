@@ -34,7 +34,7 @@ from .evaluation import (
     write_risk_split,
 )
 from .features import ExtractionConfig
-from .featurestore import read_features_csv, write_features_csv
+from .featurestore import FeatureStore, read_features_csv, write_features_csv
 from .pipeline import NormalizationConfig, _image_jobs, build_dataset, extract_cohort
 from .selection import correlation_report, mrmr_select, selection_cap
 from .svgplot import km_plot, roc_plot
@@ -249,13 +249,12 @@ def extract(manifest, out_dir, n_bins, wavelet, whitestripe, zscore, force, thre
     ext_cfg, norm_cfg = _extraction_configs(n_bins, wavelet, whitestripe, zscore)
 
     csv_path = out / "features.csv"
-    existing: dict = {}
+    existing = FeatureStore.from_vectors([])
     if csv_path.exists() and not force:
         try:
             existing = read_features_csv(csv_path)
-        except DataError:
-            existing = {}
-    skip = set(existing)
+        except DataError as exc:
+            log.warning("%s is unreadable, re-extracting every image: %s", csv_path, exc)
 
     failures: list[str] = []
     store = extract_cohort(
@@ -264,10 +263,10 @@ def extract(manifest, out_dir, n_bins, wavelet, whitestripe, zscore, force, thre
         norm_cfg,
         base_dir=manifest_path.parent,
         threads=threads,
-        skip_keys=skip,
+        skip_keys=set(existing.keys),
         failures=failures,
     )
-    merged = {**existing, **store}
+    merged = existing.merged(store)
     job_keys = [(j[0], j[1], j[2]) for j in _image_jobs(records)]
     comment = "config: " + json.dumps(
         {

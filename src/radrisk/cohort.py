@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DataError
 from .volume import RoiMask, VolumeImage, read_volume
 
@@ -32,7 +34,9 @@ TAG_PLAN_MR = "Plan-mr"
 TAG_PLAN_CT = "Plan-ct"
 TAG_DELTA = "Delta-mr"
 
-_FILTER_MARKERS = ("-original-", "-wavelet-")
+# every tag-free feature name starts with its filter: 'original-shape-Volume'
+FILTER_PREFIXES = ("original-", "wavelet-")
+_FILTER_MARKERS = tuple(f"-{prefix}" for prefix in FILTER_PREFIXES)
 
 CLINICAL_FEATURE_NAMES = (
     "clinical-rpa_class",
@@ -214,20 +218,38 @@ def strip_image_tag(name: str) -> str:
     raise DataError(f"feature name {name!r} does not follow the <tag>-<filter>-<class>-<name> grammar")
 
 
+def _untagged(vector: dict[str, float]) -> list[str]:
+    """One image's feature names without the image tag they all share."""
+    names = list(vector)
+    if not names:
+        return []
+    prefix = names[0][: len(names[0]) - len(strip_image_tag(names[0]))]
+    suffixes = [n[len(prefix) :] for n in names]
+    bad = [n for n, s in zip(names, suffixes) if not (n.startswith(prefix) and s.startswith(FILTER_PREFIXES))]
+    if bad:
+        raise DataError(f"feature name {bad[0]!r} does not follow the {prefix}<filter>-<class>-<name> grammar")
+    return suffixes
+
+
+def delta_rows(followup: np.ndarray, planning: np.ndarray, days) -> np.ndarray:
+    """Per-day change of aligned feature values: ``days`` is a scalar or a column of day counts."""
+    return (followup - planning) / days
+
+
 def delta_features(followup: dict[str, float], planning: dict[str, float], days: int) -> dict[str, float]:
     """Per-day feature change between follow-up and planning MRI."""
     if days <= 0:
         raise DataError(f"elapsed days must be > 0, got {days}")
-    planning_by_suffix = {strip_image_tag(n): v for n, v in planning.items()}
-    out: dict[str, float] = {}
-    for name, value in followup.items():
-        suffix = strip_image_tag(name)
-        if suffix not in planning_by_suffix:
-            raise DataError(f"no planning counterpart for feature {name!r}")
-        out[f"{TAG_DELTA}-{suffix}"] = (value - planning_by_suffix[suffix]) / days
-    if len(planning_by_suffix) != len(out):
+    fu_names, plan_names = _untagged(followup), _untagged(planning)
+    plan_col = dict(zip(plan_names, range(len(plan_names))))
+    missing = [name for name, suffix in zip(followup, fu_names) if suffix not in plan_col]
+    if missing:
+        raise DataError(f"no planning counterpart for feature {missing[0]!r}")
+    if len(plan_col) != len(fu_names):
         raise DataError("planning vector has features missing from the follow-up vector")
-    return out
+    fu = np.fromiter(followup.values(), np.float64, len(followup))
+    plan = np.fromiter(planning.values(), np.float64, len(planning))[[plan_col[s] for s in fu_names]]
+    return dict(zip([f"{TAG_DELTA}-{s}" for s in fu_names], delta_rows(fu, plan, days).tolist()))
 
 
 # Table 1 of the paper: the six feature blocks in column order, with their titles

@@ -1,72 +1,168 @@
-"""CSV persistence for extracted per-image feature vectors.
+"""The per-image feature store and its CSV persistence.
 
-Layout: one row per image, key columns (lesion_id, role, date) followed by
-tag-free feature columns (``original-shape-Volume`` ...). Tags are re-attached
-from the role on load, so a single dense header serves MR and CT rows alike.
-Lines starting with ``#`` carry the embedded run configuration and are skipped
-on read. Floats round-trip exactly via ``repr``.
+A ``FeatureStore`` holds every extracted image as one row of a float64
+matrix. Its columns are the tag-free feature names (``original-shape-Volume``
+...), written once; its rows are keyed by (lesion_id, role, date). The role's
+image tag (``Plan-mr`` ...) is attached to the names once per use, not once
+per value, so a single dense header serves MR and CT rows alike.
+
+CSV layout: the key columns followed by the feature columns, one row per
+image, with csv quoting where a key needs it. Lines starting with ``#``
+before the header carry the embedded run configuration and are skipped on
+read. Floats round-trip exactly via ``repr``.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from pathlib import Path
 
-from .cohort import strip_image_tag
+import numpy as np
+
+from .cohort import FILTER_PREFIXES, TAG_FOLLOWUP, TAG_PLAN_CT, TAG_PLAN_MR
 from .errors import DataError
-from .pipeline import ROLE_TAGS
 
 KEY_COLUMNS = ("lesion_id", "role", "date")
 
+ROLE_FOLLOWUP = "followup"
+ROLE_PLAN_MR = "planning_mr"
+ROLE_PLAN_CT = "planning_ct"
 
-def write_features_csv(path: str | Path, store: dict, job_keys: list, config_comment: str) -> Path:
-    """Write the store in the given key order (deterministic bytes)."""
+ROLE_TAGS = {ROLE_FOLLOWUP: TAG_FOLLOWUP, ROLE_PLAN_MR: TAG_PLAN_MR, ROLE_PLAN_CT: TAG_PLAN_CT}
+
+
+class FeatureStore:
+    """Feature vectors of many images: row ``k`` of ``values`` is image ``keys[k]``.
+
+    ``names`` are the tag-free feature names, one per column; ``keys`` are
+    (lesion_id, role, date_iso) triples. Raises ``DataError`` for duplicate
+    names or keys, a name without a filter prefix, or an unknown role.
+    """
+
+    def __init__(self, names: list[str], keys: list[tuple[str, str, str]], values: np.ndarray):
+        self.names = list(names)
+        self.keys = list(keys)
+        self.values = np.asarray(values, dtype=np.float64).reshape(len(self.keys), len(self.names))
+        if len(set(self.names)) != len(self.names):
+            raise DataError(f"duplicate feature column {_first_duplicate(self.names)!r}")
+        bad = [n for n in self.names if not n.startswith(FILTER_PREFIXES)]
+        if bad:
+            raise DataError(f"feature column {bad[0]!r} does not start with a filter {FILTER_PREFIXES}")
+        roles = {key[1] for key in self.keys} - ROLE_TAGS.keys()
+        if roles:
+            raise DataError(f"unknown role {sorted(roles)[0]!r}")
+        self.index = dict(zip(self.keys, range(len(self.keys))))
+        if len(self.index) != len(self.keys):
+            raise DataError(f"duplicate row for image {_first_duplicate(self.keys)}")
+
+    @classmethod
+    def from_vectors(cls, vectors: list[tuple[tuple[str, str, str], dict[str, float]]]) -> FeatureStore:
+        """Stack ``extract_all`` outputs, each tagged with its key's role."""
+        if not vectors:
+            return cls([], [], np.empty((0, 0)))
+        (_, role, _), first = vectors[0]
+        names = [n[len(ROLE_TAGS[role]) + 1 :] for n in first]
+        tagged = {r: tag_names(tag, names) for r, tag in ROLE_TAGS.items()}
+        for key, fv in vectors:
+            if list(fv) != tagged[key[1]]:
+                raise DataError(f"inconsistent feature columns for {key}")
+        values = np.array([list(fv.values()) for _, fv in vectors], dtype=np.float64)
+        return cls(names, [key for key, _ in vectors], values)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def rows(self, keys: list[tuple[str, str, str]]) -> np.ndarray:
+        """Row index of each key, -1 where the store has no such image."""
+        return np.array([self.index.get(key, -1) for key in keys], dtype=np.intp)
+
+    def merged(self, newer: FeatureStore) -> FeatureStore:
+        """This store with ``newer``'s rows added; ``newer`` wins on a shared key."""
+        if not newer.keys:
+            return self
+        if not self.keys:
+            return newer
+        if newer.names != self.names:
+            raise DataError(f"inconsistent feature columns for {newer.keys[0]}")
+        keep = [k for k, key in enumerate(self.keys) if key not in newer.index]
+        return FeatureStore(
+            self.names,
+            [self.keys[k] for k in keep] + newer.keys,
+            np.concatenate([self.values[keep], newer.values]),
+        )
+
+
+def _first_duplicate(items: list):
+    return next(item for item, count in Counter(items).items() if count > 1)
+
+
+def tag_names(tag: str, names: list[str]) -> list[str]:
+    """Attach an image tag: 'original-shape-Volume' -> 'Plan-mr-original-shape-Volume'."""
+    return [f"{tag}-{n}" for n in names]
+
+
+def write_features_csv(path: str | Path, store: FeatureStore, job_keys: list, config_comment: str) -> Path:
+    """Write the store's rows in the given key order (deterministic bytes)."""
     path = Path(path)
-    suffix_names: list[str] | None = None
-    lines = [f"# {config_comment}"]
-    header_written = False
-    for key in job_keys:
-        fv = store.get(key)
-        if fv is None:
-            continue
-        row = {strip_image_tag(n): v for n, v in fv.items()}
-        if suffix_names is None:
-            suffix_names = list(row)
-            lines.append(",".join(KEY_COLUMNS + tuple(suffix_names)))
-            header_written = True
-        elif list(row) != suffix_names:
-            raise DataError(f"inconsistent feature columns for {key}")
-        lines.append(",".join(list(key) + [repr(row[n]) for n in suffix_names]))
-    if not header_written:
-        lines.append(",".join(KEY_COLUMNS))
-    path.write_text("\n".join(lines) + "\n")
+    rows = store.rows([key for key in job_keys if key in store.index])
+    with path.open("w", newline="") as fh:
+        fh.write(f"# {config_comment}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(KEY_COLUMNS + (tuple(store.names) if rows.size else ()))
+        # .tolist() gives Python floats, which csv writes as their repr
+        writer.writerows(list(store.keys[k]) + v for k, v in zip(rows.tolist(), store.values[rows].tolist()))
     return path
 
 
-def read_features_csv(path: str | Path) -> dict:
-    """Load a feature CSV back into a tagged feature store."""
+def _zero(field: str) -> float:
+    return 0.0
+
+
+def read_features_csv(path: str | Path) -> FeatureStore:
+    """Load a feature CSV written by ``write_features_csv``."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"feature CSV not found: {path}")
-    store: dict = {}
     with path.open(newline="") as fh:
-        rows = [r for r in csv.reader(line for line in fh if not line.startswith("#"))]
-    if not rows:
-        raise DataError(f"feature CSV {path} is empty")
-    header = rows[0]
-    if tuple(header[:3]) != KEY_COLUMNS:
-        raise DataError(f"feature CSV {path} must start with columns {KEY_COLUMNS}")
-    suffix_names = header[3:]
-    for row in rows[1:]:
+        line = fh.readline()
+        while line.startswith("#"):
+            line = fh.readline()
+        if not line:
+            raise DataError(f"feature CSV {path} is empty")
+        header = next(csv.reader([line]))
+        if tuple(header[:3]) != KEY_COLUMNS:
+            raise DataError(f"feature CSV {path} must start with columns {KEY_COLUMNS}")
+        body = fh.tell()
+        values = np.empty((0, len(header)))
+        keys: list = []
+        if fh.read(1):
+            fh.seek(body)
+            try:
+                # the key columns parse as zeros, so a row of the wrong width still fails here
+                values = np.loadtxt(fh, dtype=np.float64, delimiter=",", quotechar='"', comments=None,
+                                    converters={k: _zero for k in range(len(KEY_COLUMNS))}, ndmin=2)
+            except ValueError as exc:
+                fh.seek(body)
+                raise _row_error(path, header, csv.reader(fh), exc) from exc
+            if values.shape[1] != len(header):
+                raise DataError(f"feature CSV {path}: row width {values.shape[1]} != header {len(header)}")
+            fh.seek(body)
+            keys = np.loadtxt(fh, dtype=str, delimiter=",", quotechar='"', comments=None,
+                              usecols=range(len(KEY_COLUMNS)), ndmin=2).tolist()
+    try:
+        return FeatureStore(header[3:], list(map(tuple, keys)), values[:, len(KEY_COLUMNS) :])
+    except DataError as exc:
+        raise DataError(f"feature CSV {path}: {exc}") from exc
+
+
+def _row_error(path: Path, header: list[str], rows, exc: ValueError) -> DataError:
+    """Name the first row that the matrix parse rejected."""
+    for row in rows:
         if len(row) != len(header):
-            raise DataError(f"feature CSV {path}: row width {len(row)} != header {len(header)}")
-        lesion_id, role, date = row[:3]
-        if role not in ROLE_TAGS:
-            raise DataError(f"feature CSV {path}: unknown role {role!r}")
-        tag = ROLE_TAGS[role]
+            return DataError(f"feature CSV {path}: row width {len(row)} != header {len(header)}")
         try:
-            fv = {f"{tag}-{n}": float(v) for n, v in zip(suffix_names, row[3:])}
-        except ValueError as exc:
-            raise DataError(f"feature CSV {path}: bad value in row {row[:3]} ({exc})") from exc
-        store[(lesion_id, role, date)] = fv
-    return store
+            [float(v) for v in row[3:]]
+        except ValueError as bad:
+            return DataError(f"feature CSV {path}: bad value in row {row[:3]} ({bad})")
+    return DataError(f"feature CSV {path}: {exc}")

@@ -17,32 +17,23 @@ from pathlib import Path
 import numpy as np
 
 from .cohort import (
+    BLOCK_TAGS,
+    CLINICAL_FEATURE_NAMES,
     KmPoint,
     LabeledSample,
     MetastasisRecord,
     FeatureSetSpec,
-    TAG_FOLLOWUP,
-    TAG_PLAN_CT,
-    TAG_PLAN_MR,
     assemble,
     clinical_features,
-    delta_features,
+    delta_rows,
     label_samples,
 )
 from .errors import DataError
 from .features import ExtractionConfig, extract_all
+from .featurestore import ROLE_FOLLOWUP, ROLE_PLAN_CT, ROLE_PLAN_MR, ROLE_TAGS, FeatureStore, tag_names
 from .volume import RoiMask, VolumeImage, WhiteStripeConfig, white_stripe_normalize, z_normalize
 
 log = logging.getLogger(__name__)
-
-ROLE_FOLLOWUP = "followup"
-ROLE_PLAN_MR = "planning_mr"
-ROLE_PLAN_CT = "planning_ct"
-
-ROLE_TAGS = {ROLE_FOLLOWUP: TAG_FOLLOWUP, ROLE_PLAN_MR: TAG_PLAN_MR, ROLE_PLAN_CT: TAG_PLAN_CT}
-
-FeatureStore = dict  # (lesion_id, role, date_iso) -> {feature name: value}
-
 
 @dataclass(frozen=True)
 class NormalizationConfig:
@@ -103,16 +94,12 @@ def extract_cohort(
             failures.append(message)
             return None
 
-    store: FeatureStore = {}
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, jobs))
     else:
         results = [run(j) for j in jobs]
-    for job, fv in zip(jobs, results):
-        if fv is not None:
-            store[(job[0], job[1], job[2])] = fv
-    return store
+    return FeatureStore.from_vectors([(job[:3], fv) for job, fv in zip(jobs, results) if fv is not None])
 
 
 @dataclass
@@ -144,60 +131,75 @@ def build_dataset(
     """Label follow-ups and assemble the feature matrix for one feature set.
 
     Lesions without planning-CT data are excluded (with a record of the
-    exclusion) when the set requires the CT block.
+    exclusion) when the set requires the CT block. Each block is gathered
+    from the store's matrix by row, and the set's column order comes from
+    one ``assemble`` call on name -> column maps.
     """
-    by_lesion = {rec.lesion_id: rec for rec in records}
     labeling = label_samples(records, horizon_days)
 
     excluded = []
     if "planning_ct" in spec.blocks:
         excluded = [rec.lesion_id for rec in records if rec.planning_ct is None]
     excluded_set = set(excluded)
-
-    names: list[str] | None = None
-    rows: list[list[float]] = []
-    kept: list[LabeledSample] = []
-    for sample in labeling.samples:
-        if sample.lesion_id in excluded_set:
-            continue
-        rec = by_lesion[sample.lesion_id]
-        date_iso = rec.planning_date.isoformat()
-        clin = clinical_features(rec.clinical, sample.gap_days)
-        fu_fv = store.get((sample.lesion_id, ROLE_FOLLOWUP, sample.imaging_date.isoformat()))
-        plan_mr_fv = store.get((sample.lesion_id, ROLE_PLAN_MR, date_iso))
-        plan_ct_fv = store.get((sample.lesion_id, ROLE_PLAN_CT, date_iso))
-        if fu_fv is None or plan_mr_fv is None:
-            raise DataError(f"feature store is missing images for {sample.lesion_id}")
-        delta = None
-        if "delta" in spec.blocks:
-            delta = delta_features(fu_fv, plan_mr_fv, sample.gap_days)
-        try:
-            fv = assemble(
-                spec,
-                clinical=clin,
-                followup_mr=fu_fv,
-                delta=delta,
-                planning_mr=plan_mr_fv,
-                planning_ct=plan_ct_fv,
-            )
-        except DataError as exc:
-            raise DataError(f"[assemble {sample.lesion_id}/{sample.imaging_date}] {exc}") from exc
-        if names is None:
-            names = list(fv)
-        elif names != list(fv):
-            raise DataError(f"inconsistent feature columns for {sample.lesion_id}")
-        rows.append([fv[n] for n in names])
-        kept.append(sample)
-
-    if names is None:
+    kept = [s for s in labeling.samples if s.lesion_id not in excluded_set]
+    if not kept:
         raise DataError("no usable samples after labeling and exclusions")
-    X = np.asarray(rows, dtype=np.float64)
+
+    lesion_row = {rec.lesion_id: k for k, rec in enumerate(records)}
+    lesion = np.array([lesion_row[s.lesion_id] for s in kept], dtype=np.intp)
+    gap = np.array([s.gap_days for s in kept], dtype=np.float64)
+    plan_keys = [(rec.lesion_id, rec.planning_date.isoformat()) for rec in records]
+    rows = {
+        "followup_mr": store.rows([(s.lesion_id, ROLE_FOLLOWUP, s.imaging_date.isoformat()) for s in kept]),
+        "planning_mr": store.rows([(lid, ROLE_PLAN_MR, d) for lid, d in plan_keys])[lesion],
+        "planning_ct": store.rows([(lid, ROLE_PLAN_CT, d) for lid, d in plan_keys])[lesion],
+    }
+    # an error names the first sample, in sample order, that has one
+    missing = (rows["followup_mr"] < 0) | (rows["planning_mr"] < 0)
+    bad_gap = (gap <= 0) & ("delta" in spec.blocks)
+    no_ct = (rows["planning_ct"] < 0) & ("planning_ct" in spec.blocks)
+    first_bad = np.flatnonzero(missing | bad_gap | no_ct)[:1]
+    if first_bad.size:
+        sample = kept[first_bad[0]]
+        if missing[first_bad[0]]:
+            raise DataError(f"feature store is missing images for {sample.lesion_id}")
+        if bad_gap[first_bad[0]]:
+            raise DataError(f"elapsed days must be > 0, got {sample.gap_days}")
+
+    # name -> column maps of the set's blocks, offset as the blocks are stacked below
+    stacked = [name for name in spec.blocks if name in BLOCK_TAGS]
+    maps: dict[str, dict[str, int] | None] = {}
+    offset = 0
+    for name in stacked:
+        names = CLINICAL_FEATURE_NAMES if name == "clinical" else tag_names(BLOCK_TAGS[name], store.names)
+        maps[name] = dict(zip(names, range(offset, offset + len(names))))
+        offset += len(names)
+    if first_bad.size:  # the sample's lesion has no planning-CT row
+        maps["planning_ct"] = None
+    try:
+        columns = assemble(spec, **maps)
+    except DataError as exc:
+        sample = kept[first_bad[0]] if first_bad.size else kept[0]
+        raise DataError(f"[assemble {sample.lesion_id}/{sample.imaging_date}] {exc}") from exc
+
+    # the clinical columns are per lesion, except the planning -> follow-up gap
+    clinical = np.array([list(clinical_features(rec.clinical, 0).values()) for rec in records])[lesion]
+    clinical[:, CLINICAL_FEATURE_NAMES.index("clinical-gap_days")] = gap
+    blocks = {"clinical": clinical}
+    for name in stacked:
+        if name == "delta":
+            fu, plan = store.values[rows["followup_mr"]], store.values[rows["planning_mr"]]
+            blocks[name] = delta_rows(fu, plan, gap[:, None])
+        elif name != "clinical":
+            blocks[name] = store.values[rows[name]]
+    # np.take keeps X C-ordered, as the selection and fit results depend on the layout
+    X = np.take(np.concatenate([blocks[name] for name in stacked], axis=1), list(columns.values()), axis=1)
     y = np.asarray([1 if s.label == "HRM" else 0 for s in kept], dtype=np.int64)
     times = np.asarray([s.days_to_event_or_censor for s in kept], dtype=np.float64)
     events = np.asarray([not s.censored for s in kept], dtype=bool)
     return Dataset(
         set_id=spec.set_id,
-        feature_names=names,
+        feature_names=list(columns),
         X=X,
         y=y,
         lesion_ids=[s.lesion_id for s in kept],

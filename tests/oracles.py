@@ -7,7 +7,8 @@ GLDM, pairwise concordance for AUC, and an exhaustive greedy loop for the
 feature selection. The shape diameters are searched over all voxel pairs, in
 numpy blocks, since plain loops over a few thousand voxels would be too slow.
 The classifier's dual is solved by enumerating every active set of a small
-problem and solving each one's KKT system.
+problem and solving each one's KKT system. A feature set's dataset is
+assembled one sample at a time, as one dict per image and per sample.
 """
 
 import itertools
@@ -465,3 +466,84 @@ def bf_whitestripe_peak(values, bins=256):
     if best is None:
         return None
     return lo + (best + 0.5) * width
+
+
+# ---------------------------------------------------------------------------
+# feature-set assembly, one sample at a time
+
+
+_ROLE_TAGS = {"followup": "follow-up-mr", "planning_mr": "Plan-mr", "planning_ct": "Plan-ct"}
+
+
+def bf_vectors(names, keys, values):
+    """A feature store as one dict per image, keyed by role-tagged feature names."""
+    return {key: {f"{_ROLE_TAGS[key[1]]}-{n}": float(v) for n, v in zip(names, row)}
+            for key, row in zip(keys, values)}
+
+
+def _bf_suffix(name):
+    for marker in ("-original-", "-wavelet-"):
+        pos = name.find(marker)
+        if pos >= 0:
+            return name[pos + 1:]
+    raise ValueError(name)
+
+
+def _bf_clinical(c, gap_days):
+    n = c.n_metastases
+    return {
+        "clinical-rpa_class": float(c.rpa_class),
+        "clinical-eqd": float(c.eqd),
+        "clinical-n_metastases": float(n),
+        "clinical-age": float(c.age),
+        "clinical-sex": float(c.sex),
+        "clinical-karnofsky": float(c.karnofsky),
+        "clinical-primary_lung": 1.0 if c.primary_site == "lung" else 0.0,
+        "clinical-primary_melanoma": 1.0 if c.primary_site == "melanoma" else 0.0,
+        "clinical-primary_breast": 1.0 if c.primary_site == "breast" else 0.0,
+        "clinical-gap_days": float(gap_days),
+        "clinical-lesion_count_class": float(1 if n == 1 else (2 if n <= 3 else 3)),
+        "clinical-extracranial": float(c.extracranial),
+    }
+
+
+def bf_dataset(records, samples, vectors, blocks):
+    """One feature set's rows, built per sample from per-image dicts.
+
+    ``samples`` are the labeled follow-ups, ``vectors`` the output of
+    ``bf_vectors`` and ``blocks`` the set's row of Table 1. Returns
+    (names, rows, y, times, events, lesion_ids) as plain lists.
+    """
+    by_lesion = {rec.lesion_id: rec for rec in records}
+    excluded = set()
+    if "planning_ct" in blocks:
+        excluded = {rec.lesion_id for rec in records if rec.planning_ct is None}
+    markers = ("-original-", "-wavelet-") if "wavelet" in blocks else ("-original-",)
+    names, rows, kept = None, [], []
+    for s in samples:
+        if s.lesion_id in excluded:
+            continue
+        rec = by_lesion[s.lesion_id]
+        plan_date = rec.planning_date.isoformat()
+        image = {
+            "followup_mr": vectors[(s.lesion_id, "followup", s.imaging_date.isoformat())],
+            "planning_mr": vectors[(s.lesion_id, "planning_mr", plan_date)],
+            "planning_ct": vectors.get((s.lesion_id, "planning_ct", plan_date)),
+        }
+        plan_by_suffix = {_bf_suffix(n): v for n, v in image["planning_mr"].items()}
+        image["delta"] = {f"Delta-mr-{_bf_suffix(n)}": (v - plan_by_suffix[_bf_suffix(n)]) / s.gap_days
+                          for n, v in image["followup_mr"].items()}
+        row = _bf_clinical(rec.clinical, s.gap_days)
+        for marker in markers:
+            for block in ("followup_mr", "delta", "planning_mr", "planning_ct"):
+                if block in blocks:
+                    row.update({n: v for n, v in image[block].items() if marker in n})
+        if names is None:
+            names = list(row)
+        assert list(row) == names
+        rows.append([row[n] for n in names])
+        kept.append(s)
+    y = [1 if s.label == "HRM" else 0 for s in kept]
+    times = [float(s.days_to_event_or_censor) for s in kept]
+    events = [not s.censored for s in kept]
+    return names, rows, y, times, events, [s.lesion_id for s in kept]

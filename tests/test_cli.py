@@ -47,6 +47,36 @@ def test_extract_empty_manifest_header_only(tmp_path):
     assert lines == ["lesion_id,role,date"]
 
 
+def test_ids_with_comma_and_quote_round_trip(tmp_path):
+    cohort = tmp_path / "c"
+    assert main(["synth", "--seed", "31", "--lesions", "8", "--hrm-fraction", "0.3",
+                 "--out", str(cohort)]) == 0
+    manifest = json.loads((cohort / "manifest.json").read_text())
+    manifest["patients"][0]["lesions"][0]["lesion_id"] = "P,0001-L1"
+    manifest["patients"][1]["lesions"][0]["lesion_id"] = 'P"0002-L1'
+    (cohort / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["extract", "--manifest", str(cohort / "manifest.json"), "--out", str(cohort),
+                 "--ng", "8", "--wavelet", "none"]) == 0
+    text = (cohort / "features.csv").read_text()
+    assert '"P,0001-L1",' in text and '"P""0002-L1",' in text
+    code = main(["run", "--manifest", str(cohort / "manifest.json"), "--features", str(cohort / "features.csv"),
+                 "--sets", "2", "--repeats", "2", "--out", str(tmp_path / "run")])
+    assert code == 0
+
+
+def test_extract_warns_when_it_discards_an_unreadable_table(cohort_dir, tmp_path, caplog):
+    out = tmp_path / "ext"
+    out.mkdir()
+    (out / "features.csv").write_text("lesion_id,role,date,original-shape-Volume\nL1,followup,2010-01-01,x\n")
+    with caplog.at_level("WARNING"):
+        code = main(["extract", "--manifest", str(cohort_dir / "manifest.json"), "--out", str(out),
+                     "--ng", "8", "--wavelet", "haar"])
+    assert code == 0
+    warnings = [m for m in caplog.messages if "unreadable" in m]
+    assert len(warnings) == 1 and str(out / "features.csv") in warnings[0] and "bad value" in warnings[0]
+    assert json.loads((out / "features.json").read_text())["rows"] == 48  # every image re-extracted
+
+
 def test_exit_code_config_error(tmp_path):
     assert main(["extract", "--manifest", str(tmp_path / "missing.json"), "--out", str(tmp_path)]) == 2
     assert main(["run", "--manifest", str(tmp_path / "missing.json")]) == 2

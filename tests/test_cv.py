@@ -12,10 +12,13 @@ from radrisk import (
     risk_split_report,
     synth_cohort,
 )
+from radrisk.cohort import FEATURE_SETS, label_samples
 from radrisk.errors import DataError
+from radrisk.featurestore import FeatureStore
 from radrisk.evaluation.report import write_risk_split
 from radrisk.features import ExtractionConfig
 from radrisk.synth import EffectConfig, SynthConfig
+from oracles import bf_dataset, bf_vectors
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +115,56 @@ def test_ct_missing_lesions_excluded():
     ds2 = build_dataset(records, store, feature_set(2))
     assert ds2.excluded_lesions == []
     assert set(ds2.lesion_ids) & set(missing)
+
+
+@pytest.fixture(scope="module")
+def ct_missing_cohort():
+    records = synth_cohort(seed=22, n_lesions=16,
+                           config=SynthConfig(hrm_fraction=0.25, ct_missing_fraction=0.3))
+    return records, extract_cohort(records, ExtractionConfig(n_bins=8, wavelet="haar"))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("cohort", ["small_cohort", "ct_missing_cohort"])
+@pytest.mark.parametrize("set_id", sorted(FEATURE_SETS))
+def test_build_dataset_matches_oracle(cohort, set_id, request):
+    records, store = request.getfixturevalue(cohort)
+    ds = build_dataset(records, store, feature_set(set_id))
+    names, rows, y, times, events, lesion_ids = bf_dataset(
+        records, label_samples(records).samples, bf_vectors(store.names, store.keys, store.values),
+        FEATURE_SETS[set_id])
+    assert ds.feature_names == names
+    assert np.array_equal(_bits(ds.X), _bits(rows))  # bit for bit
+    assert ds.X.flags.c_contiguous  # reductions over X round by its layout
+    assert ds.y.tolist() == y and ds.events.tolist() == events
+    assert np.array_equal(_bits(ds.times), _bits(times))
+    assert ds.lesion_ids == lesion_ids
+    if cohort == "ct_missing_cohort" and "planning_ct" in FEATURE_SETS[set_id]:
+        assert ds.excluded_lesions and not set(ds.excluded_lesions) & set(lesion_ids)
+
+
+def _without(store, drop):
+    keep = [k for k, key in enumerate(store.keys) if key not in drop]
+    return FeatureStore(store.names, [store.keys[k] for k in keep], store.values[keep])
+
+
+def test_build_dataset_errors(ct_missing_cohort):
+    records, store = ct_missing_cohort
+    with_ct = next(r for r in records if r.planning_ct is not None and r.followups)
+    fu_key = (with_ct.lesion_id, "followup", with_ct.followups[0].date.isoformat())
+    with pytest.raises(DataError, match=f"missing images for {with_ct.lesion_id}"):
+        build_dataset(records, _without(store, {fu_key}), feature_set(1))
+    ct_key = (with_ct.lesion_id, "planning_ct", with_ct.planning_date.isoformat())
+    no_ct = _without(store, {ct_key})
+    with pytest.raises(DataError, match=rf"^\[assemble {with_ct.lesion_id}/.*requires the planning_ct block"):
+        build_dataset(records, no_ct, feature_set(5))
+    assert build_dataset(records, no_ct, feature_set(4)).n_samples > 0
+    only_missing_ct = [r for r in records if r.planning_ct is None]
+    with pytest.raises(DataError, match="no usable samples"):
+        build_dataset(only_missing_ct, store, feature_set(5))
 
 
 def test_risk_split_report_and_files(small_cohort, tmp_path):

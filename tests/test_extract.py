@@ -15,7 +15,7 @@ from radrisk.features import (
     shape_features,
     texture_features,
 )
-from radrisk.featurestore import read_features_csv, write_features_csv
+from radrisk.featurestore import ROLE_TAGS, FeatureStore, read_features_csv, tag_names, write_features_csv
 
 
 @pytest.fixture(scope="module")
@@ -102,16 +102,65 @@ def test_misaligned_mask_rejected(pair):
 def test_feature_csv_roundtrip(tmp_path, pair):
     img, mask = pair
     cfg = ExtractionConfig(n_bins=8, wavelet=None)
-    store = {
-        ("L1", "followup", "2010-01-01"): extract_all(img, mask, cfg, "follow-up-mr"),
-        ("L1", "planning_mr", "2009-10-01"): extract_all(img, mask, cfg, "Plan-mr"),
-        ("L1", "planning_ct", "2009-10-01"): extract_all(img, mask, cfg, "Plan-ct"),
-    }
-    path = write_features_csv(tmp_path / "f.csv", store, list(store), "config: {}")
+    vectors = [
+        (("L1", "followup", "2010-01-01"), extract_all(img, mask, cfg, "follow-up-mr")),
+        (("L1", "planning_mr", "2009-10-01"), extract_all(img, mask, cfg, "Plan-mr")),
+        (("L1", "planning_ct", "2009-10-01"), extract_all(img, mask, cfg, "Plan-ct")),
+    ]
+    store = FeatureStore.from_vectors(vectors)
+    assert [tag_names(ROLE_TAGS[key[1]], store.names) for key, _ in vectors] == [list(fv) for _, fv in vectors]
+    path = write_features_csv(tmp_path / "f.csv", store, store.keys, "config: {}")
     back = read_features_csv(path)
-    assert set(back) == set(store)
-    for key in store:
-        assert back[key] == store[key]  # repr round-trip is exact
+    assert back.keys == store.keys and back.names == store.names
+    for (key, fv), row in zip(vectors, back.values.tolist()):
+        assert row == list(fv.values())  # repr round-trip is exact
+
+
+def _store(keys, names=("original-shape-Volume", "wavelet-LLL-firstorder-Mean")):
+    values = np.arange(len(keys) * len(names), dtype=np.float64).reshape(len(keys), len(names)) / 3.0
+    return FeatureStore(list(names), keys, values)
+
+
+def test_feature_csv_quotes_keys(tmp_path):
+    keys = [("P,0001-L1", "followup", "2010-01-01"), ('P"2-L1', "planning_mr", "2009-10-01"),
+            ("#3,\n", "planning_ct", "2009-10-01"), ("P4-L1", "followup", "2010-02-01")]
+    store = _store(keys)
+    path = write_features_csv(tmp_path / "f.csv", store, keys, "config: {}")
+    lines = path.read_text().splitlines()
+    assert lines[-1].startswith("P4-L1,followup,2010-02-01,")  # plain ids keep their bytes
+    back = read_features_csv(path)
+    assert back.keys == keys and back.names == store.names
+    assert np.array_equal(back.values.view(np.int64), store.values.view(np.int64))
+
+
+@pytest.mark.parametrize("header, rows, match", [
+    ("original-shape-Volume,original-shape-Volume", ["L1,followup,2010-01-01,1.0,2.0"], "duplicate feature"),
+    ("original-shape-Volume", ["L1,followup,2010-01-01,1.0", "L1,followup,2010-01-01,2.0"], "duplicate row"),
+    ("original-shape-Volume,shape-Sphericity", ["L1,followup,2010-01-01,1.0,2.0"], "filter"),
+    ("original-shape-Volume", ["L1,followup,2010-01-01,1.0", "L1,planning_mr,2009-01-01,1.0,2.0"],
+     r"row width 5 != header 4"),
+    ("original-shape-Volume", ["L1,followup,2010-01-01,1.0,2.0"], r"row width 5 != header 4"),
+    ("original-shape-Volume", ["L1,followup,2010-01-01,x"], r"bad value in row \['L1', 'followup'"),
+    ("original-shape-Volume", ["L1,pet,2010-01-01,1.0"], "unknown role 'pet'"),
+])
+def test_feature_csv_refuses_ambiguous_tables(tmp_path, header, rows, match):
+    path = tmp_path / "f.csv"
+    path.write_text("\n".join(["# config: {}", "lesion_id,role,date," + header, *rows]) + "\n")
+    with pytest.raises(DataError, match=match):
+        read_features_csv(path)
+
+
+def test_feature_store_merge_and_columns():
+    old = _store([("L1", "followup", "2010-01-01"), ("L2", "followup", "2010-01-01")])
+    new = _store([("L2", "followup", "2010-01-01"), ("L3", "followup", "2010-01-01")])
+    merged = old.merged(new)
+    assert merged.keys == [("L1", "followup", "2010-01-01")] + new.keys
+    assert merged.values[1:].tolist() == new.values.tolist()
+    with pytest.raises(DataError, match="inconsistent feature columns"):
+        old.merged(_store(new.keys, names=("original-shape-Volume",)))
+    with pytest.raises(DataError, match="inconsistent feature columns"):
+        FeatureStore.from_vectors([(("L1", "followup", "d"), {"follow-up-mr-original-shape-Volume": 1.0}),
+                                   (("L1", "planning_mr", "d"), {"Plan-mr-original-shape-Sphericity": 1.0})])
 
 
 def full_volume_reference(img, mask, cfg, tag):

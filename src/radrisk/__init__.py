@@ -27,6 +27,7 @@ from .features import (
     ExtractionConfig,
     discretize,
     extract_all,
+    feature_names,
     firstorder_features,
     shape_features,
     texture_features,

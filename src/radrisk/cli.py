@@ -35,7 +35,7 @@ from .evaluation import (
 )
 from .features import ExtractionConfig
 from .featurestore import FeatureStore, read_features_csv, write_features_csv
-from .pipeline import NormalizationConfig, _image_jobs, build_dataset, extract_cohort
+from .pipeline import NormalizationConfig, build_dataset, extract_cohort, image_jobs
 from .selection import correlation_report, mrmr_select, selection_cap
 from .svgplot import km_plot, roc_plot
 from .synth import EffectConfig, SynthConfig, synth_cohort
@@ -203,7 +203,7 @@ def synth(seed, lesions, out_dir, hrm_fraction, growth, texture, ct_missing, fol
             "mask": str(mask_path.relative_to(out)),
         }
 
-    for lesion_id, role, date, source in _image_jobs(records):
+    for lesion_id, role, date, source in image_jobs(records):
         dump(lesion_id, role, date, source)
     manifest = manifest_dict(records, source_paths)
     manifest["synth"] = {
@@ -246,15 +246,13 @@ def extract(manifest, out_dir, n_bins, wavelet, whitestripe, zscore, force, thre
     out = Path(out_dir or _default_out())
     out.mkdir(parents=True, exist_ok=True)
     records = load_manifest(manifest_path)
+    job_keys = [job[:3] for job in image_jobs(records)]
     ext_cfg, norm_cfg = _extraction_configs(n_bins, wavelet, whitestripe, zscore)
 
     csv_path = out / "features.csv"
-    existing = FeatureStore.from_vectors([])
-    if csv_path.exists() and not force:
-        try:
-            existing = read_features_csv(csv_path)
-        except DataError as exc:
-            log.warning("%s is unreadable, re-extracting every image: %s", csv_path, exc)
+    settings = {"n_bins": n_bins, "wavelet": wavelet, "whitestripe": whitestripe, "zscore": zscore}
+    comment = "config: " + json.dumps({"manifest": str(manifest_path), **settings}, sort_keys=True)
+    existing = _resumable_rows(csv_path, settings) if csv_path.exists() and not force else None
 
     failures: list[str] = []
     store = extract_cohort(
@@ -263,34 +261,46 @@ def extract(manifest, out_dir, n_bins, wavelet, whitestripe, zscore, force, thre
         norm_cfg,
         base_dir=manifest_path.parent,
         threads=threads,
-        skip_keys=set(existing.keys),
+        skip_keys=None if existing is None else set(existing.keys),
         failures=failures,
     )
-    merged = existing.merged(store)
-    job_keys = [(j[0], j[1], j[2]) for j in _image_jobs(records)]
-    comment = "config: " + json.dumps(
-        {
-            "manifest": str(manifest_path),
-            "n_bins": n_bins,
-            "wavelet": wavelet,
-            "whitestripe": whitestripe,
-            "zscore": zscore,
-        },
-        sort_keys=True,
-    )
-    write_features_csv(csv_path, merged, job_keys, comment)
+    if existing is not None:
+        store = existing.merged(store)
+    write_features_csv(csv_path, store, job_keys, comment)
+    n_rows = sum(key in store.index for key in job_keys)
     sidecar = {
         "format_version": 1,
         "manifest": str(manifest_path),
         "extraction": {"n_bins": n_bins, "wavelet": wavelet},
         "normalization": {"zscore": zscore, "whitestripe": whitestripe},
-        "rows": len(merged),
+        "rows": n_rows,
         "failures": failures,
     }
     (out / "features.json").write_text(json.dumps(sidecar, indent=2) + "\n")
-    click.echo(f"wrote {len(merged)} rows to {csv_path}" + (f" ({len(failures)} failed)" if failures else ""))
+    click.echo(f"wrote {n_rows} rows to {csv_path}" + (f" ({len(failures)} failed)" if failures else ""))
     if failures:
         raise DataError(f"{len(failures)} image(s) failed extraction: {failures[:3]}")
+
+
+def _resumable_rows(path: Path, settings: dict) -> FeatureStore | None:
+    """The rows of an earlier extraction into ``path``, or None when every image must be re-extracted:
+    the table is unreadable, or its ``# config:`` line does not show the same settings."""
+    try:
+        store = read_features_csv(path)
+    except DataError as exc:
+        log.warning("%s is unreadable, re-extracting every image: %s", path, exc)
+        return None
+    with path.open() as fh:
+        line = fh.readline()
+    try:
+        previous = json.loads(line.removeprefix("# config: ")) if line.startswith("# config: ") else None
+    except json.JSONDecodeError:
+        previous = None
+    if not isinstance(previous, dict) or any(previous.get(key) != value for key, value in settings.items()):
+        log.warning("%s was extracted with other settings, re-extracting every image: found %r, now %s",
+                    path, line.strip(), json.dumps(settings, sort_keys=True))
+        return None
+    return store
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +529,7 @@ def run(ctx, manifest, features_path, sets, out_dir, config_path, **flags):
         )
         store = extract_cohort(records, ext_cfg, norm_cfg, base_dir=manifest_path.parent,
                                threads=merged["threads"])
-        job_keys = [(j[0], j[1], j[2]) for j in _image_jobs(records)]
-        write_features_csv(out / "features.csv", store, job_keys, cfg.comment())
+        write_features_csv(out / "features.csv", store, [job[:3] for job in image_jobs(records)], cfg.comment())
 
     set_rows = []
     reports = {}

@@ -218,19 +218,6 @@ def strip_image_tag(name: str) -> str:
     raise DataError(f"feature name {name!r} does not follow the <tag>-<filter>-<class>-<name> grammar")
 
 
-def _untagged(vector: dict[str, float]) -> list[str]:
-    """One image's feature names without the image tag they all share."""
-    names = list(vector)
-    if not names:
-        return []
-    prefix = names[0][: len(names[0]) - len(strip_image_tag(names[0]))]
-    suffixes = [n[len(prefix) :] for n in names]
-    bad = [n for n, s in zip(names, suffixes) if not (n.startswith(prefix) and s.startswith(FILTER_PREFIXES))]
-    if bad:
-        raise DataError(f"feature name {bad[0]!r} does not follow the {prefix}<filter>-<class>-<name> grammar")
-    return suffixes
-
-
 def delta_rows(followup: np.ndarray, planning: np.ndarray, days) -> np.ndarray:
     """Per-day change of aligned feature values: ``days`` is a scalar or a column of day counts."""
     return (followup - planning) / days
@@ -240,16 +227,16 @@ def delta_features(followup: dict[str, float], planning: dict[str, float], days:
     """Per-day feature change between follow-up and planning MRI."""
     if days <= 0:
         raise DataError(f"elapsed days must be > 0, got {days}")
-    fu_names, plan_names = _untagged(followup), _untagged(planning)
-    plan_col = dict(zip(plan_names, range(len(plan_names))))
-    missing = [name for name, suffix in zip(followup, fu_names) if suffix not in plan_col]
+    plan = {strip_image_tag(name): value for name, value in planning.items()}
+    suffixes = [strip_image_tag(name) for name in followup]
+    missing = [name for name, suffix in zip(followup, suffixes) if suffix not in plan]
     if missing:
         raise DataError(f"no planning counterpart for feature {missing[0]!r}")
-    if len(plan_col) != len(fu_names):
+    if len(plan) != len(suffixes):
         raise DataError("planning vector has features missing from the follow-up vector")
     fu = np.fromiter(followup.values(), np.float64, len(followup))
-    plan = np.fromiter(planning.values(), np.float64, len(planning))[[plan_col[s] for s in fu_names]]
-    return dict(zip([f"{TAG_DELTA}-{s}" for s in fu_names], delta_rows(fu, plan, days).tolist()))
+    plan_values = np.fromiter((plan[suffix] for suffix in suffixes), np.float64, len(suffixes))
+    return dict(zip([f"{TAG_DELTA}-{s}" for s in suffixes], delta_rows(fu, plan_values, days).tolist()))
 
 
 # Table 1 of the paper: the six feature blocks in column order, with their titles
@@ -311,34 +298,22 @@ def column_block(name: str) -> str:
     return "wavelet" if block != "clinical" and "-wavelet-" in name else block
 
 
-def assemble(
-    spec: FeatureSetSpec,
-    clinical: dict[str, float],
-    followup_mr: dict[str, float] | None = None,
-    delta: dict[str, float] | None = None,
-    planning_mr: dict[str, float] | None = None,
-    planning_ct: dict[str, float] | None = None,
-) -> dict[str, float]:
-    """Concatenate the set's feature blocks in a stable column order.
+def assemble(spec: FeatureSetSpec, names: list[str]) -> list[tuple[str, list[int]]]:
+    """The set's columns in a stable order, as segments (block, column indices).
 
-    Original-filter columns come first (per block, in canonical block order);
-    when the set has the wavelet block, the wavelet-filter columns of every
-    included image block are appended as one trailing block.
+    The clinical segment indexes ``CLINICAL_FEATURE_NAMES``; an image block's
+    segment (follow-up, delta, planning MR or CT) indexes ``names``, the
+    tag-free feature names that every image block shares. Original-filter
+    columns come first (per block, in canonical block order); when the set has
+    the wavelet block, the wavelet-filter columns of every included image
+    block are appended as one trailing block.
     """
-    given = {"followup_mr": followup_mr, "delta": delta, "planning_mr": planning_mr, "planning_ct": planning_ct}
-    out: dict[str, float] = {}
-    if "clinical" in spec.blocks:
-        if len(clinical) != len(CLINICAL_FEATURE_NAMES):
-            raise DataError(f"clinical block has {len(clinical)} columns, expected 12")
-        out.update(clinical)
-    images = [name for name in spec.blocks if name in given]
-    for name in images:
-        if given[name] is None:
-            raise DataError(f"feature set {spec.set_id} requires the {name} block")
-    for marker in _FILTER_MARKERS if "wavelet" in spec.blocks else _FILTER_MARKERS[:1]:
-        for name in images:
-            out.update({n: v for n, v in given[name].items() if marker in n})
-    return out
+    images = [block for block in spec.blocks if block not in ("clinical", "wavelet")]
+    segments = [("clinical", list(range(len(CLINICAL_FEATURE_NAMES))))] if "clinical" in spec.blocks else []
+    for prefix in FILTER_PREFIXES if "wavelet" in spec.blocks else FILTER_PREFIXES[:1]:
+        cols = [k for k, name in enumerate(names) if name.startswith(prefix)]
+        segments += [(block, cols) for block in images]
+    return segments
 
 
 # ---------------------------------------------------------------------------

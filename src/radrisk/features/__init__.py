@@ -1,6 +1,6 @@
 """Radiomic feature extraction: shape, first-order, and texture-matrix classes."""
 
-from .extract import ExtractionConfig, extract_all
+from .extract import ExtractionConfig, extract_all, feature_names
 from .firstorder import ENTROPY_BINS, FIRSTORDER_FEATURES, bin_levels, firstorder_features
 from .shape import SHAPE_FEATURES, shape_features
 from .texture import (
@@ -19,6 +19,7 @@ from .texture import (
 __all__ = [
     "ExtractionConfig",
     "extract_all",
+    "feature_names",
     "ENTROPY_BINS",
     "FIRSTORDER_FEATURES",
     "bin_levels",

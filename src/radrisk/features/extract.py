@@ -1,5 +1,6 @@
-"""Full per-image feature extraction with the naming grammar
-``<image-tag>-<filter>-<class>-<feature>``.
+"""Full per-image feature extraction: one float row per image, in the order
+of ``feature_names(config)``, named by the grammar ``<filter>-<class>-<feature>``.
+The image tag (``Plan-mr`` ...) is attached where the rows are assembled.
 
 An original-only run emits 98 features per image (14 shape + 16 first-order +
 22 GLCM + 16 GLRLM + 16 GLSZM + 14 GLDM). With wavelet subbands enabled, the
@@ -26,7 +27,7 @@ from ..volume import RoiMask, VolumeImage, check_aligned, require_nonempty
 from ..wavelet import SUBBAND_LABELS, decompose, get_bank
 from .firstorder import FIRSTORDER_FEATURES, firstorder_features
 from .shape import SHAPE_FEATURES, shape_features
-from .texture import TEXTURE_FAMILIES, discretize, texture_features
+from .texture import FAMILY_FEATURES, TEXTURE_FAMILIES, discretize, texture_features
 
 
 @dataclass(frozen=True)
@@ -35,15 +36,29 @@ class ExtractionConfig:
     wavelet: str | None = "haar"  # a bank name ("haar", "coif1"), or None for no wavelet
 
 
-def _intensity_block(img: VolumeImage, mask: RoiMask, n_bins: int, prefix: str, out: dict) -> None:
+_INTENSITY_CLASSES = (("firstorder", FIRSTORDER_FEATURES),) + tuple(
+    (family, FAMILY_FEATURES[family]) for family in TEXTURE_FAMILIES
+)
+_INTENSITY_WIDTH = sum(len(names) for _, names in _INTENSITY_CLASSES)
+
+
+def feature_names(config: ExtractionConfig) -> list[str]:
+    """The tag-free names of ``extract_all``'s row: shape, then the intensity
+    classes of the original image, then of each subband in LLL..HHH order."""
+    filters = ["original"] + ([f"wavelet-{label}" for label in SUBBAND_LABELS] if config.wavelet else [])
+    return [f"original-shape-{name}" for name in SHAPE_FEATURES] + [
+        f"{prefix}-{cls}-{name}" for prefix in filters for cls, names in _INTENSITY_CLASSES for name in names
+    ]
+
+
+def _intensity_block(img: VolumeImage, mask: RoiMask, n_bins: int, out: np.ndarray) -> None:
     fo = firstorder_features(img, mask)
-    for name in FIRSTORDER_FEATURES:
-        out[f"{prefix}-firstorder-{name}"] = fo[name]
+    values = [fo[name] for name in FIRSTORDER_FEATURES]
     droi = discretize(img, mask, n_bins)
     for family in TEXTURE_FAMILIES:
         feats = texture_features(droi, family)
-        for name, value in feats.items():
-            out[f"{prefix}-{family}-{name}"] = value
+        values.extend(feats[name] for name in FAMILY_FEATURES[family])
+    out[:] = values
 
 
 def _roi_box(mask: RoiMask, margin: int) -> tuple[slice, ...]:
@@ -53,29 +68,28 @@ def _roi_box(mask: RoiMask, margin: int) -> tuple[slice, ...]:
     return tuple(slice(int(l), int(h)) if l >= 0 else slice(None) for l, h in zip(lo, hi))
 
 
-def extract_all(img: VolumeImage, mask: RoiMask, config: ExtractionConfig, tag: str) -> dict[str, float]:
-    """Extract the full feature vector of one (volume, mask) pair.
-
-    ``tag`` is the image-role prefix, e.g. "follow-up-mr", "Plan-mr", "Plan-ct".
-    Output order is deterministic: shape, then original intensity classes, then
-    subband intensity classes in LLL..HHH order.
-    """
+def extract_all(img: VolumeImage, mask: RoiMask, config: ExtractionConfig) -> np.ndarray:
+    """Extract the full feature row of one (volume, mask) pair, in ``feature_names(config)`` order."""
     check_aligned(img, mask)
     require_nonempty(mask)
-    out: dict[str, float] = {}
-    sh = shape_features(mask, img.spacing)
-    for name in SHAPE_FEATURES:
-        out[f"{tag}-original-shape-{name}"] = sh[name]
     bank = None if config.wavelet is None else get_bank(config.wavelet)
+    images = 1 + (len(SUBBAND_LABELS) if bank else 0)  # the original image and its subbands
+    row = np.empty(len(SHAPE_FEATURES) + images * _INTENSITY_WIDTH)
+    sh = shape_features(mask, img.spacing)
+    row[: len(SHAPE_FEATURES)] = [sh[name] for name in SHAPE_FEATURES]
     box = _roi_box(mask, max(bank.low.size, bank.high.size) - 1 if bank else 0)
     img = VolumeImage(img.voxels[box], img.spacing, img.modality)
     mask = RoiMask(mask.voxels[box])
-    _intensity_block(img, mask, config.n_bins, f"{tag}-original", out)
+    blocks = row[len(SHAPE_FEATURES) :].reshape(-1, _INTENSITY_WIDTH)
+    _intensity_block(img, mask, config.n_bins, blocks[0])
     if bank:
         subbands = decompose(img, bank)
-        for label in SUBBAND_LABELS:
-            _intensity_block(subbands[label], mask, config.n_bins, f"{tag}-wavelet-{label}", out)
-    bad = [name for name, value in out.items() if not np.isfinite(value)]
-    if bad:
-        raise NumericalError(f"non-finite feature values: {bad[:5]}{'...' if len(bad) > 5 else ''}")
-    return out
+        for label, out in zip(SUBBAND_LABELS, blocks[1:]):
+            _intensity_block(subbands[label], mask, config.n_bins, out)
+    bad = np.flatnonzero(~np.isfinite(row))
+    if bad.size:
+        names = feature_names(config)
+        raise NumericalError(
+            f"non-finite feature values: {[names[k] for k in bad[:5]]}{'...' if bad.size > 5 else ''}"
+        )
+    return row

@@ -2,9 +2,9 @@
 
 A ``FeatureStore`` holds every extracted image as one row of a float64
 matrix. Its columns are the tag-free feature names (``original-shape-Volume``
-...), written once; its rows are keyed by (lesion_id, role, date). The role's
-image tag (``Plan-mr`` ...) is attached to the names once per use, not once
-per value, so a single dense header serves MR and CT rows alike.
+...), written once; its rows are keyed by (lesion_id, role, date). The image
+tag of a block (``Plan-mr`` ...) is attached where a feature set is assembled,
+so a single dense header serves MR and CT rows alike.
 
 CSV layout: the key columns followed by the feature columns, one row per
 image, with csv quoting where a key needs it. Lines starting with ``#``
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cohort import FILTER_PREFIXES, TAG_FOLLOWUP, TAG_PLAN_CT, TAG_PLAN_MR
+from .cohort import FILTER_PREFIXES
 from .errors import DataError
 
 KEY_COLUMNS = ("lesion_id", "role", "date")
@@ -29,7 +29,7 @@ ROLE_FOLLOWUP = "followup"
 ROLE_PLAN_MR = "planning_mr"
 ROLE_PLAN_CT = "planning_ct"
 
-ROLE_TAGS = {ROLE_FOLLOWUP: TAG_FOLLOWUP, ROLE_PLAN_MR: TAG_PLAN_MR, ROLE_PLAN_CT: TAG_PLAN_CT}
+ROLES = (ROLE_FOLLOWUP, ROLE_PLAN_MR, ROLE_PLAN_CT)
 
 
 class FeatureStore:
@@ -49,26 +49,12 @@ class FeatureStore:
         bad = [n for n in self.names if not n.startswith(FILTER_PREFIXES)]
         if bad:
             raise DataError(f"feature column {bad[0]!r} does not start with a filter {FILTER_PREFIXES}")
-        roles = {key[1] for key in self.keys} - ROLE_TAGS.keys()
+        roles = {key[1] for key in self.keys} - set(ROLES)
         if roles:
             raise DataError(f"unknown role {sorted(roles)[0]!r}")
         self.index = dict(zip(self.keys, range(len(self.keys))))
         if len(self.index) != len(self.keys):
             raise DataError(f"duplicate row for image {_first_duplicate(self.keys)}")
-
-    @classmethod
-    def from_vectors(cls, vectors: list[tuple[tuple[str, str, str], dict[str, float]]]) -> FeatureStore:
-        """Stack ``extract_all`` outputs, each tagged with its key's role."""
-        if not vectors:
-            return cls([], [], np.empty((0, 0)))
-        (_, role, _), first = vectors[0]
-        names = [n[len(ROLE_TAGS[role]) + 1 :] for n in first]
-        tagged = {r: tag_names(tag, names) for r, tag in ROLE_TAGS.items()}
-        for key, fv in vectors:
-            if list(fv) != tagged[key[1]]:
-                raise DataError(f"inconsistent feature columns for {key}")
-        values = np.array([list(fv.values()) for _, fv in vectors], dtype=np.float64)
-        return cls(names, [key for key, _ in vectors], values)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -95,11 +81,6 @@ class FeatureStore:
 
 def _first_duplicate(items: list):
     return next(item for item, count in Counter(items).items() if count > 1)
-
-
-def tag_names(tag: str, names: list[str]) -> list[str]:
-    """Attach an image tag: 'original-shape-Volume' -> 'Plan-mr-original-shape-Volume'."""
-    return [f"{tag}-{n}" for n in names]
 
 
 def write_features_csv(path: str | Path, store: FeatureStore, job_keys: list, config_comment: str) -> Path:

@@ -29,8 +29,8 @@ from .cohort import (
     label_samples,
 )
 from .errors import DataError
-from .features import ExtractionConfig, extract_all
-from .featurestore import ROLE_FOLLOWUP, ROLE_PLAN_CT, ROLE_PLAN_MR, ROLE_TAGS, FeatureStore, tag_names
+from .features import ExtractionConfig, extract_all, feature_names
+from .featurestore import ROLE_FOLLOWUP, ROLE_PLAN_CT, ROLE_PLAN_MR, FeatureStore
 from .volume import RoiMask, VolumeImage, WhiteStripeConfig, white_stripe_normalize, z_normalize
 
 log = logging.getLogger(__name__)
@@ -52,7 +52,8 @@ def normalize_volume(img: VolumeImage, mask: RoiMask, cfg: NormalizationConfig) 
     return out
 
 
-def _image_jobs(records: list[MetastasisRecord]):
+def image_jobs(records: list[MetastasisRecord]):
+    """Every image of the cohort as (lesion_id, role, date_iso, source), in feature-table row order."""
     for rec in records:
         yield (rec.lesion_id, ROLE_PLAN_MR, rec.planning_date.isoformat(), rec.planning_mr)
         if rec.planning_ct is not None:
@@ -78,14 +79,14 @@ def extract_cohort(
     rows are omitted. The result is deterministic and independent of
     ``threads``.
     """
-    jobs = [j for j in _image_jobs(records) if not (skip_keys and (j[0], j[1], j[2]) in skip_keys)]
+    jobs = [job for job in image_jobs(records) if not (skip_keys and job[:3] in skip_keys)]
 
     def run(job):
         lesion_id, role, date_iso, source = job
         try:
             img, mask = source.load(base_dir)
             img = normalize_volume(img, mask, normalization)
-            return extract_all(img, mask, extraction, ROLE_TAGS[role])
+            return extract_all(img, mask, extraction)
         except DataError as exc:
             message = f"[extract {lesion_id}/{role}/{date_iso}] {exc}"
             if failures is None:
@@ -99,7 +100,8 @@ def extract_cohort(
             results = list(pool.map(run, jobs))
     else:
         results = [run(j) for j in jobs]
-    return FeatureStore.from_vectors([(job[:3], fv) for job, fv in zip(jobs, results) if fv is not None])
+    done = [(job[:3], row) for job, row in zip(jobs, results) if row is not None]
+    return FeatureStore(feature_names(extraction), [key for key, _ in done], np.array([row for _, row in done]))
 
 
 @dataclass
@@ -132,8 +134,8 @@ def build_dataset(
 
     Lesions without planning-CT data are excluded (with a record of the
     exclusion) when the set requires the CT block. Each block is gathered
-    from the store's matrix by row, and the set's column order comes from
-    one ``assemble`` call on name -> column maps.
+    from the store's matrix by row, and the set's columns are the segments
+    that ``assemble`` picks from those blocks.
     """
     labeling = label_samples(records, horizon_days)
 
@@ -165,41 +167,34 @@ def build_dataset(
             raise DataError(f"feature store is missing images for {sample.lesion_id}")
         if bad_gap[first_bad[0]]:
             raise DataError(f"elapsed days must be > 0, got {sample.gap_days}")
-
-    # name -> column maps of the set's blocks, offset as the blocks are stacked below
-    stacked = [name for name in spec.blocks if name in BLOCK_TAGS]
-    maps: dict[str, dict[str, int] | None] = {}
-    offset = 0
-    for name in stacked:
-        names = CLINICAL_FEATURE_NAMES if name == "clinical" else tag_names(BLOCK_TAGS[name], store.names)
-        maps[name] = dict(zip(names, range(offset, offset + len(names))))
-        offset += len(names)
-    if first_bad.size:  # the sample's lesion has no planning-CT row
-        maps["planning_ct"] = None
-    try:
-        columns = assemble(spec, **maps)
-    except DataError as exc:
-        sample = kept[first_bad[0]] if first_bad.size else kept[0]
-        raise DataError(f"[assemble {sample.lesion_id}/{sample.imaging_date}] {exc}") from exc
+        # the sample's lesion has no planning-CT row
+        raise DataError(f"[assemble {sample.lesion_id}/{sample.imaging_date}] "
+                        f"feature set {spec.set_id} requires the planning_ct block")
 
     # the clinical columns are per lesion, except the planning -> follow-up gap
     clinical = np.array([list(clinical_features(rec.clinical, 0).values()) for rec in records])[lesion]
     clinical[:, CLINICAL_FEATURE_NAMES.index("clinical-gap_days")] = gap
     blocks = {"clinical": clinical}
-    for name in stacked:
+    for name in spec.blocks:
         if name == "delta":
             fu, plan = store.values[rows["followup_mr"]], store.values[rows["planning_mr"]]
             blocks[name] = delta_rows(fu, plan, gap[:, None])
-        elif name != "clinical":
+        elif name in rows:
             blocks[name] = store.values[rows[name]]
+    segments = assemble(spec, store.names)
     # np.take keeps X C-ordered, as the selection and fit results depend on the layout
-    X = np.take(np.concatenate([blocks[name] for name in stacked], axis=1), list(columns.values()), axis=1)
+    X = np.concatenate([np.take(blocks[name], cols, axis=1) for name, cols in segments], axis=1)
+    names = [
+        CLINICAL_FEATURE_NAMES[k] if name == "clinical" else f"{BLOCK_TAGS[name]}-{store.names[k]}"
+        for name, cols in segments
+        for k in cols
+    ]
     y = np.asarray([1 if s.label == "HRM" else 0 for s in kept], dtype=np.int64)
     times = np.asarray([s.days_to_event_or_censor for s in kept], dtype=np.float64)
     events = np.asarray([not s.censored for s in kept], dtype=bool)
     return Dataset(
         set_id=spec.set_id,
-        feature_names=list(columns),
+        feature_names=names,
         X=X,
         y=y,
         lesion_ids=[s.lesion_id for s in kept],

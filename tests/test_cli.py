@@ -77,6 +77,57 @@ def test_extract_warns_when_it_discards_an_unreadable_table(cohort_dir, tmp_path
     assert json.loads((out / "features.json").read_text())["rows"] == 48  # every image re-extracted
 
 
+def _data_lines(csv_path: Path) -> list[str]:
+    return [line for line in csv_path.read_text().splitlines() if not line.startswith("#")]
+
+
+def test_extract_reextracts_when_the_settings_change(cohort_dir, tmp_path, caplog):
+    manifest = str(cohort_dir / "manifest.json")
+    fresh, resumed = tmp_path / "fresh", tmp_path / "resumed"
+    assert main(["extract", "--manifest", manifest, "--out", str(fresh), "--ng", "16", "--wavelet", "none"]) == 0
+    assert main(["extract", "--manifest", manifest, "--out", str(resumed), "--ng", "8", "--wavelet", "none"]) == 0
+    with caplog.at_level("WARNING"):
+        assert main(["extract", "--manifest", manifest, "--out", str(resumed), "--ng", "16",
+                     "--wavelet", "none"]) == 0
+    warnings = [m for m in caplog.messages if "other settings" in m]
+    assert len(warnings) == 1 and str(resumed / "features.csv") in warnings[0]
+    assert _data_lines(resumed / "features.csv") == _data_lines(fresh / "features.csv")
+    assert json.loads((resumed / "features.json").read_text())["rows"] == 48
+
+    # a config line that does not parse is handled the same way, and a value it hid is recomputed
+    lines = (resumed / "features.csv").read_text().splitlines()
+    lines[0] = "# config: {"
+    lines[2] = lines[2][: lines[2].rindex(",") + 1] + "12345.0"
+    (resumed / "features.csv").write_text("\n".join(lines) + "\n")
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        assert main(["extract", "--manifest", manifest, "--out", str(resumed), "--ng", "16",
+                     "--wavelet", "none"]) == 0
+    assert len([m for m in caplog.messages if "other settings" in m]) == 1
+    assert (resumed / "features.csv").read_bytes() == (fresh / "features.csv").read_bytes()
+
+
+def test_extract_reports_the_rows_it_wrote(cohort_dir, tmp_path, capsys):
+    manifest = json.loads((cohort_dir / "manifest.json").read_text())
+    for patient in manifest["patients"]:  # absolute image paths, so the manifest can live elsewhere
+        for lesion in patient["lesions"]:
+            for ref in [lesion["planning_mr"], lesion["planning_ct"], *lesion["followups"]]:
+                if ref:
+                    ref["image"], ref["mask"] = str(cohort_dir / ref["image"]), str(cohort_dir / ref["mask"])
+    manifest["patients"] = manifest["patients"][:9]
+    (tmp_path / "subset.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "features.csv").write_bytes((cohort_dir / "features.csv").read_bytes())  # all 12 patients
+    capsys.readouterr()
+    assert main(["extract", "--manifest", str(tmp_path / "subset.json"), "--out", str(out),
+                 "--ng", "8", "--wavelet", "haar"]) == 0
+    written = len(_data_lines(out / "features.csv")) - 1  # less the header
+    assert 0 < written < 48
+    assert json.loads((out / "features.json").read_text())["rows"] == written
+    assert f"wrote {written} rows to" in capsys.readouterr().out
+
+
 def test_exit_code_config_error(tmp_path):
     assert main(["extract", "--manifest", str(tmp_path / "missing.json"), "--out", str(tmp_path)]) == 2
     assert main(["run", "--manifest", str(tmp_path / "missing.json")]) == 2

@@ -14,6 +14,7 @@ from radrisk import (
     ImageSource,
     MetastasisRecord,
     assemble,
+    build_dataset,
     clinical_features,
     delta_features,
     feature_set,
@@ -29,6 +30,7 @@ from radrisk.cohort import (
     column_block,
     strip_image_tag,
 )
+from radrisk.featurestore import FeatureStore
 from radrisk.synth import EffectConfig, SynthConfig
 from helpers import field_paths, with_field_of_another_json_type
 
@@ -159,56 +161,54 @@ def test_delta_errors():
 # feature sets and assembly
 
 
-def _blocks():
-    clin = clinical_features(CLINICAL, gap_days=90)
-    fu = {
-        "follow-up-mr-original-shape-Volume": 3.0,
-        "follow-up-mr-wavelet-LLL-firstorder-Mean": 4.0,
-    }
-    plan_mr = {
-        "Plan-mr-original-shape-Volume": 2.0,
-        "Plan-mr-wavelet-LLL-firstorder-Mean": 1.0,
-    }
-    plan_ct = {
-        "Plan-ct-original-shape-Volume": 9.0,
-        "Plan-ct-wavelet-LLL-firstorder-Mean": 5.0,
-    }
-    delta = delta_features(fu, plan_mr, 10)
-    return clin, fu, delta, plan_mr, plan_ct
+TOY_NAMES = ["original-shape-Volume", "wavelet-LLL-firstorder-Mean"]
+CLINICAL_COLS = list(range(len(CLINICAL_FEATURE_NAMES)))
+
+
+def _toy_dataset(set_id, ct_row=True, scale=1.0, followup="2010-04-11"):
+    """One lesion with planning CT and one follow-up, assembled from a two-feature store."""
+    rec = dataclasses.replace(record([followup], event="2010-05-01"), planning_ct=ImageSource("x", "y"))
+    keys = [("P1-L1", "followup", followup), ("P1-L1", "planning_mr", "2010-01-01"),
+            ("P1-L1", "planning_ct", "2010-01-01")]
+    values = scale * np.array([[3.0, 4.0], [2.0, 1.0], [9.0, 5.0]])
+    n = 3 if ct_row else 2
+    return build_dataset([rec], FeatureStore(TOY_NAMES, keys[:n], values[:n]), feature_set(set_id))
 
 
 def test_clinical_block_is_exactly_12_columns():
     clin = clinical_features(CLINICAL, gap_days=90)
     assert tuple(clin) == CLINICAL_FEATURE_NAMES
     assert len(clin) == 12
-    out = assemble(feature_set(1), clin)
-    assert tuple(out) == CLINICAL_FEATURE_NAMES
+    assert assemble(feature_set(1), TOY_NAMES) == [("clinical", CLINICAL_COLS)]
+    assert _toy_dataset(1).feature_names == list(CLINICAL_FEATURE_NAMES)
 
 
 def test_set3_is_clinical_plus_delta_only():
-    clin, fu, delta, plan_mr, plan_ct = _blocks()
-    out = assemble(feature_set(3), clin, followup_mr=fu, delta=delta,
-                   planning_mr=plan_mr, planning_ct=plan_ct)
-    names = list(out)
-    assert all(n.startswith("clinical-") or n.startswith("Delta-mr-original-") for n in names)
-    assert len(names) == 12 + 1  # one original delta feature in the toy blocks
+    assert assemble(feature_set(3), TOY_NAMES) == [("clinical", CLINICAL_COLS), ("delta", [0])]
+    ds = _toy_dataset(3)
+    assert all(n.startswith("clinical-") or n.startswith("Delta-mr-original-") for n in ds.feature_names)
+    assert len(ds.feature_names) == 12 + 1  # one original delta feature in the toy blocks
+    assert ds.X[0, 12] == (3.0 - 2.0) / 100  # per day over the 100-day gap
 
 
 def test_set7_extends_set6_with_wavelet_block():
-    clin, fu, delta, plan_mr, plan_ct = _blocks()
-    kwargs = dict(followup_mr=fu, delta=delta, planning_mr=plan_mr, planning_ct=plan_ct)
-    set6 = assemble(feature_set(6), clin, **kwargs)
-    set7 = assemble(feature_set(7), clin, **kwargs)
-    assert list(set7)[: len(set6)] == list(set6)
-    wavelet_tail = list(set7)[len(set6):]
+    set6 = assemble(feature_set(6), TOY_NAMES)
+    set7 = assemble(feature_set(7), TOY_NAMES)
+    assert set7[: len(set6)] == set6
+    assert set7[len(set6):] == [(block, [1]) for block in ("followup_mr", "delta", "planning_mr", "planning_ct")]
+    ds6, ds7 = _toy_dataset(6), _toy_dataset(7)
+    assert ds7.feature_names[: len(ds6.feature_names)] == ds6.feature_names
+    wavelet_tail = ds7.feature_names[len(ds6.feature_names):]
     assert wavelet_tail and all("-wavelet-" in n for n in wavelet_tail)
-    assert len(set7) == len(set6) + len(wavelet_tail)
+    assert np.array_equal(ds7.X[:, : ds6.X.shape[1]], ds6.X)
+    assert ds7.X[0, -4:].tolist() == [4.0, (4.0 - 1.0) / 100, 1.0, 5.0]
 
 
 def test_missing_required_block_errors():
-    clin, fu, delta, plan_mr, plan_ct = _blocks()
-    with pytest.raises(DataError, match="planning_ct"):
-        assemble(feature_set(5), clin, planning_ct=None)
+    match = r"^\[assemble P1-L1/2010-04-11\] feature set 5 requires the planning_ct block"
+    with pytest.raises(DataError, match=match):
+        _toy_dataset(5, ct_row=False)
+    assert _toy_dataset(4, ct_row=False).feature_names[12:] == ["Plan-mr-original-shape-Volume"]
 
 
 def test_feature_set_table_is_locked():
@@ -224,27 +224,20 @@ def test_feature_set_table_is_locked():
 def test_column_block_follows_the_table():
     for blocks in FEATURE_SETS.values():
         assert list(blocks) == [b for b in BLOCK_TITLES if b in blocks]
-    clin, fu, delta, plan_mr, plan_ct = _blocks()
-    out = assemble(feature_set(7), clin, followup_mr=fu, delta=delta,
-                   planning_mr=plan_mr, planning_ct=plan_ct)
-    blocks = [column_block(name) for name in out]
+    names = _toy_dataset(7).feature_names
+    blocks = [column_block(name) for name in names]
     assert blocks == sorted(blocks, key=list(BLOCK_TITLES).index)  # contiguous, in Table 1 order
     assert set(blocks) == set(BLOCK_TITLES)
-    assert all(("-wavelet-" in name) == (block == "wavelet") for name, block in zip(out, blocks))
+    assert all(("-wavelet-" in name) == (block == "wavelet") for name, block in zip(names, blocks))
     with pytest.raises(DataError, match="no feature-block tag"):
         column_block("Plan-pet-original-shape-Volume")
 
 
 def test_assembly_columns_depend_only_on_spec():
-    clin, fu, delta, plan_mr, plan_ct = _blocks()
-    out1 = assemble(feature_set(6), clin, followup_mr=fu, delta=delta,
-                    planning_mr=plan_mr, planning_ct=plan_ct)
-    clin2 = clinical_features(CLINICAL, gap_days=33)
-    fu2 = {k: v * 2 for k, v in fu.items()}
-    out2 = assemble(feature_set(6), clin2, followup_mr=fu2,
-                    delta=delta_features(fu2, plan_mr, 4),
-                    planning_mr=plan_mr, planning_ct=plan_ct)
-    assert list(out1) == list(out2)
+    ds1 = _toy_dataset(6)
+    ds2 = _toy_dataset(6, scale=2.0, followup="2010-02-01")
+    assert not np.array_equal(ds1.X, ds2.X)
+    assert ds1.feature_names == ds2.feature_names
 
 
 # ---------------------------------------------------------------------------

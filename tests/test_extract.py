@@ -5,17 +5,18 @@ import pytest
 
 import radrisk.features.extract as extract_module
 from radrisk import SUBBAND_LABELS, RoiMask, VolumeImage, decompose, get_bank
-from radrisk.errors import DataError
+from radrisk.errors import DataError, NumericalError
 from radrisk.features import (
     TEXTURE_FAMILIES,
     ExtractionConfig,
     discretize,
     extract_all,
+    feature_names,
     firstorder_features,
     shape_features,
     texture_features,
 )
-from radrisk.featurestore import ROLE_TAGS, FeatureStore, read_features_csv, tag_names, write_features_csv
+from radrisk.featurestore import FeatureStore, read_features_csv, write_features_csv
 
 
 @pytest.fixture(scope="module")
@@ -30,90 +31,100 @@ def pair():
 
 def test_original_only_count_is_98(pair):
     img, mask = pair
-    fv = extract_all(img, mask, ExtractionConfig(n_bins=16, wavelet=None), "follow-up-mr")
-    assert len(fv) == 98
+    cfg = ExtractionConfig(n_bins=16, wavelet=None)
+    row = extract_all(img, mask, cfg)
+    assert row.shape == (98,) and row.dtype == np.float64
+    assert len(feature_names(cfg)) == 98
 
 
 def test_wavelet_count_is_770(pair):
     img, mask = pair
-    fv = extract_all(img, mask, ExtractionConfig(n_bins=16, wavelet="haar"), "follow-up-mr")
-    assert len(fv) == 98 + 8 * (16 + 22 + 16 + 16 + 14)
-    assert len(fv) == 770
+    cfg = ExtractionConfig(n_bins=16, wavelet="haar")
+    row = extract_all(img, mask, cfg)
+    assert row.shape == (98 + 8 * (16 + 22 + 16 + 16 + 14),)
+    assert row.shape == (770,)
+    assert len(feature_names(cfg)) == 770
 
 
-def test_naming_grammar(pair):
-    img, mask = pair
-    fv = extract_all(img, mask, ExtractionConfig(n_bins=16, wavelet="haar"), "follow-up-mr")
-    grammar = re.compile(
-        r"^follow-up-mr-(original|wavelet-[LH]{3})-(shape|firstorder|glcm|glrlm|glszm|gldm)-\w+$"
-    )
-    assert all(grammar.match(name) for name in fv)
+def test_naming_grammar():
+    names = feature_names(ExtractionConfig(n_bins=16, wavelet="haar"))
+    grammar = re.compile(r"^(original|wavelet-[LH]{3})-(shape|firstorder|glcm|glrlm|glszm|gldm)-\w+$")
+    assert all(grammar.match(name) for name in names)
+    assert len(set(names)) == len(names)
     # names used in published correlation rankings must exist verbatim
     for name in (
-        "follow-up-mr-original-shape-SurfaceVolumeRatio",
-        "follow-up-mr-original-shape-MajorAxisLength",
-        "follow-up-mr-original-shape-Maximum2DDiameterRow",
-        "follow-up-mr-wavelet-LHL-firstorder-Range",
-        "follow-up-mr-wavelet-HHL-firstorder-Maximum",
-        "follow-up-mr-wavelet-HHL-firstorder-Range",
+        "original-shape-SurfaceVolumeRatio",
+        "original-shape-MajorAxisLength",
+        "original-shape-Maximum2DDiameterRow",
+        "wavelet-LHL-firstorder-Range",
+        "wavelet-HHL-firstorder-Maximum",
+        "wavelet-HHL-firstorder-Range",
     ):
-        assert name in fv
-    fv_ct = extract_all(img, mask, ExtractionConfig(n_bins=16, wavelet=None), "Plan-ct")
+        assert name in names
+    original = feature_names(ExtractionConfig(n_bins=16, wavelet=None))
+    assert names[: len(original)] == original
     for name in (
-        "Plan-ct-original-shape-Sphericity",
-        "Plan-ct-original-shape-Elongation",
-        "Plan-ct-original-glszm-SizeZoneNonUniformityNormalized",
+        "original-shape-Sphericity",
+        "original-shape-Elongation",
+        "original-glszm-SizeZoneNonUniformityNormalized",
     ):
-        assert name in fv_ct
+        assert name in original
 
 
-def test_gldm_table_names(pair):
-    img, mask = pair
-    fv = extract_all(img, mask, ExtractionConfig(n_bins=16, wavelet=None), "Plan-mr")
+def test_gldm_table_names():
+    names = feature_names(ExtractionConfig(n_bins=16, wavelet=None))
     for name in (
-        "Plan-mr-original-gldm-LargeDependenceLowGrayLevelEmphasis",
-        "Plan-mr-original-gldm-SmallDependenceHighGrayLevelEmphasis",
-        "Plan-mr-original-gldm-SmallDependenceEmphasis",
+        "original-gldm-LargeDependenceLowGrayLevelEmphasis",
+        "original-gldm-SmallDependenceHighGrayLevelEmphasis",
+        "original-gldm-SmallDependenceEmphasis",
     ):
-        assert name in fv
+        assert name in names
 
 
 def test_determinism_bitwise(pair):
     img, mask = pair
     cfg = ExtractionConfig(n_bins=16, wavelet="coif1")
-    a = extract_all(img, mask, cfg, "follow-up-mr")
-    b = extract_all(img, mask, cfg, "follow-up-mr")
-    assert list(a) == list(b)
-    assert all(a[k] == b[k] for k in a)
+    a = extract_all(img, mask, cfg)
+    b = extract_all(img, mask, cfg)
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_all_values_finite(pair):
     img, mask = pair
-    fv = extract_all(img, mask, ExtractionConfig(n_bins=16, wavelet="haar"), "follow-up-mr")
-    assert all(np.isfinite(v) for v in fv.values())
+    row = extract_all(img, mask, ExtractionConfig(n_bins=16, wavelet="haar"))
+    assert np.isfinite(row).all()
+
+
+def test_non_finite_values_named_by_feature(pair, monkeypatch):
+    img, mask = pair
+
+    def nan_glcm(droi, family):
+        feats = texture_features(droi, family)
+        return {**feats, "Contrast": float("nan")} if family == "glcm" else feats
+
+    monkeypatch.setattr(extract_module, "texture_features", nan_glcm)
+    with pytest.raises(NumericalError, match=r"'original-glcm-Contrast', 'wavelet-LLL-glcm-Contrast'.*\.\.\."):
+        extract_all(img, mask, ExtractionConfig(n_bins=16, wavelet="haar"))
 
 
 def test_misaligned_mask_rejected(pair):
     img, _ = pair
     with pytest.raises(DataError, match="match"):
-        extract_all(img, RoiMask(np.ones((3, 3, 3), bool)), ExtractionConfig(), "follow-up-mr")
+        extract_all(img, RoiMask(np.ones((3, 3, 3), bool)), ExtractionConfig())
 
 
 def test_feature_csv_roundtrip(tmp_path, pair):
     img, mask = pair
     cfg = ExtractionConfig(n_bins=8, wavelet=None)
-    vectors = [
-        (("L1", "followup", "2010-01-01"), extract_all(img, mask, cfg, "follow-up-mr")),
-        (("L1", "planning_mr", "2009-10-01"), extract_all(img, mask, cfg, "Plan-mr")),
-        (("L1", "planning_ct", "2009-10-01"), extract_all(img, mask, cfg, "Plan-ct")),
-    ]
-    store = FeatureStore.from_vectors(vectors)
-    assert [tag_names(ROLE_TAGS[key[1]], store.names) for key, _ in vectors] == [list(fv) for _, fv in vectors]
+    keys = [("L1", "followup", "2010-01-01"), ("L1", "planning_mr", "2009-10-01"),
+            ("L1", "planning_ct", "2009-10-01")]
+    rows = [extract_all(img, mask, cfg) for _ in keys]
+    store = FeatureStore(feature_names(cfg), keys, np.array(rows))
     path = write_features_csv(tmp_path / "f.csv", store, store.keys, "config: {}")
     back = read_features_csv(path)
-    assert back.keys == store.keys and back.names == store.names
-    for (key, fv), row in zip(vectors, back.values.tolist()):
-        assert row == list(fv.values())  # repr round-trip is exact
+    assert back.keys == keys and back.names == feature_names(cfg)
+    for row, back_row in zip(rows, back.values.tolist()):
+        assert back_row == row.tolist()  # repr round-trip is exact
 
 
 def _store(keys, names=("original-shape-Volume", "wavelet-LLL-firstorder-Mean")):
@@ -159,21 +170,31 @@ def test_feature_store_merge_and_columns():
     with pytest.raises(DataError, match="inconsistent feature columns"):
         old.merged(_store(new.keys, names=("original-shape-Volume",)))
     with pytest.raises(DataError, match="inconsistent feature columns"):
-        FeatureStore.from_vectors([(("L1", "followup", "d"), {"follow-up-mr-original-shape-Volume": 1.0}),
-                                   (("L1", "planning_mr", "d"), {"Plan-mr-original-shape-Sphericity": 1.0})])
+        old.merged(_store(new.keys, names=("original-shape-Volume", "wavelet-LLH-firstorder-Mean")))
 
 
-def full_volume_reference(img, mask, cfg, tag):
-    """extract_all's features, with every subband computed on the whole volume."""
-    out = {f"{tag}-original-shape-{name}": value for name, value in shape_features(mask, img.spacing).items()}
-    subbands = decompose(img, get_bank(cfg.wavelet))
-    images = {"original": img, **{f"wavelet-{label}": subbands[label] for label in SUBBAND_LABELS}}
+def full_volume_reference(img, mask, cfg):
+    """extract_all's features by name, with every subband computed on the whole volume."""
+    out = {f"original-shape-{name}": value for name, value in shape_features(mask, img.spacing).items()}
+    images = {"original": img}
+    if cfg.wavelet:
+        subbands = decompose(img, get_bank(cfg.wavelet))
+        images.update({f"wavelet-{label}": subbands[label] for label in SUBBAND_LABELS})
     for prefix, image in images.items():
-        out.update({f"{tag}-{prefix}-firstorder-{k}": v for k, v in firstorder_features(image, mask).items()})
+        out.update({f"{prefix}-firstorder-{k}": v for k, v in firstorder_features(image, mask).items()})
         droi = discretize(image, mask, cfg.n_bins)
         for family in TEXTURE_FAMILIES:
-            out.update({f"{tag}-{prefix}-{family}-{k}": v for k, v in texture_features(droi, family).items()})
+            out.update({f"{prefix}-{family}-{k}": v for k, v in texture_features(droi, family).items()})
     return out
+
+
+@pytest.mark.parametrize("wavelet", ["haar", "coif1", None])
+def test_feature_names_follow_the_reference_order(pair, wavelet):
+    img, mask = pair
+    cfg = ExtractionConfig(n_bins=16, wavelet=wavelet)
+    ref = full_volume_reference(img, mask, cfg)
+    assert feature_names(cfg) == list(ref)
+    assert np.array_equal(extract_all(img, mask, cfg).view(np.int64), np.array(list(ref.values())).view(np.int64))
 
 
 @pytest.mark.parametrize("wavelet", ["haar", "coif1"])
@@ -198,8 +219,8 @@ def test_roi_box_matches_full_volume_exactly(wavelet, monkeypatch):
         fg[tuple(s.start for s in box)] = True
         mask = RoiMask(fg)
         cfg = ExtractionConfig(n_bins=16, wavelet=wavelet)
-        got = extract_all(img, mask, cfg, "Plan-mr")
-        ref = full_volume_reference(img, mask, cfg, "Plan-mr")
+        got = dict(zip(feature_names(cfg), extract_all(img, mask, cfg).tolist()))
+        ref = full_volume_reference(img, mask, cfg)
         assert list(got) == list(ref)
         assert all(got[k] == ref[k] for k in ref), [k for k in ref if got[k] != ref[k]][:5]
         coords = mask.coords

@@ -46,16 +46,16 @@ log = logging.getLogger("radrisk")
 ENV_OUT = "RADRISK_OUT"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PipelineConfig:
-    """Resolved configuration of one pipeline run (embedded in artifacts)."""
+    """Resolved configuration of one pipeline run, as artifacts echo it."""
 
     manifest: str
     sets: tuple[int, ...]
-    n_bins: int | None  # the extraction settings are None for evaluate, which takes none
-    wavelet: str | None
-    whitestripe: str | None
-    zscore: bool | None
+    n_bins: int | None = None  # the extraction settings stay None for evaluate, which takes none
+    wavelet: str | None = None
+    whitestripe: str | None = None
+    zscore: bool | None = None
     per_samples: int
     per_fold: bool
     C: float
@@ -65,17 +65,9 @@ class PipelineConfig:
     test_frac: float
     seed: int
     horizon_days: int
-    threads: int
-    out_dir: str
 
     def public_dict(self) -> dict:
-        # threads and out_dir are execution details: artifacts must be
-        # byte-identical across them, so they stay out of the embedded echo,
-        # as do settings the command did not use
-        d = asdict(self)
-        d.pop("threads")
-        d.pop("out_dir")
-        return {key: value for key, value in d.items() if value is not None}
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
     def comment(self) -> str:
         return "config: " + json.dumps(self.public_dict(), sort_keys=True)
@@ -85,11 +77,14 @@ def _default_out() -> str:
     return os.environ.get(ENV_OUT, "radrisk-out")
 
 
-def _require_manifest(path: str) -> Path:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"manifest not found: {p}")
-    return p
+def _paths(manifest: str, out_dir: str | None) -> tuple[Path, Path]:
+    """The manifest's path, checked to exist, and the output directory, created."""
+    manifest_path = Path(manifest)
+    if not manifest_path.exists():
+        raise ConfigError(f"manifest not found: {manifest_path}")
+    out = Path(out_dir or _default_out())
+    out.mkdir(parents=True, exist_ok=True)
+    return manifest_path, out
 
 
 def _parse_sets(text: str) -> tuple[int, ...]:
@@ -121,7 +116,7 @@ def _config_value(ctx: click.Context, param: click.Parameter, value, path: Path)
         raise ConfigError(f"config file {path}: {param.name}: {exc.format_message()}") from exc
 
 
-def _merge_config(ctx: click.Context, config_path: str | None, **flags) -> dict:
+def _merge_config(ctx: click.Context, config_path: str | None, flags: dict) -> dict:
     """Config-file values fill in for flags the user left at their defaults."""
     merged = dict(flags)
     if config_path:
@@ -130,7 +125,7 @@ def _merge_config(ctx: click.Context, config_path: str | None, **flags) -> dict:
             raise ConfigError(f"config file not found: {p}")
         try:
             file_cfg = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"malformed config file {p}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config file {p} must be a JSON object")
@@ -146,10 +141,8 @@ def _merge_config(ctx: click.Context, config_path: str | None, **flags) -> dict:
     return merged
 
 
-def _write_json(path: Path, payload: dict, config: PipelineConfig) -> Path:
-    payload = {"config": config.public_dict(), **payload}
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
+def _write_json(path: Path, payload: dict, config: PipelineConfig) -> None:
+    path.write_text(json.dumps({"config": config.public_dict(), **payload}, indent=2) + "\n")
 
 
 @click.group()
@@ -157,6 +150,61 @@ def _write_json(path: Path, payload: dict, config: PipelineConfig) -> Path:
 def cli():
     """Radiomics + delta-radiomics risk classification pipeline."""
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+
+
+# ---------------------------------------------------------------------------
+# options that several commands share, each declared once
+
+
+def _with_options(options):
+    def wrap(fn):
+        for opt in reversed(options):
+            fn = opt(fn)
+        return fn
+
+    return wrap
+
+
+_MANIFEST = click.option("--manifest", required=True)
+_OUT = click.option("--out", "out_dir", default=None)
+_FEATURES = click.option("--features", "features_path", required=True)
+_SET = click.option("--set", "set_id", type=int, default=7, show_default=True)
+_HORIZON = click.option("--horizon", "horizon_days", type=int, default=100, show_default=True)
+_THREADS = click.option("--threads", type=int, default=1, show_default=True)
+_DATASET_OPTIONS = [_MANIFEST, _FEATURES, _SET, _HORIZON]
+
+_EXTRACTION_OPTIONS = [
+    click.option("--ng", "n_bins", type=int, default=32, show_default=True),
+    click.option("--wavelet", type=click.Choice(["haar", "coif1", "none"]), default="haar", show_default=True),
+    click.option("--whitestripe", type=click.Choice(["mr", "none"]), default="mr", show_default=True),
+    click.option("--zscore/--no-zscore", default=True, show_default=True),
+]
+
+_CLASSIFIER_OPTIONS = [
+    click.option("--c", "-C", "c_value", type=float, default=1.0, show_default=True),
+    click.option("--sensitivity-weight", type=float, default=2.0, show_default=True),
+    click.option("--theta", type=float, default=0.0, show_default=True),
+]
+
+_COMMON_CV_OPTIONS = [
+    click.option("--repeats", type=int, default=100, show_default=True),
+    click.option("--test-frac", type=float, default=1.0 / 3.0, show_default=True),
+    click.option("--seed", type=int, default=0, show_default=True),
+    *_CLASSIFIER_OPTIONS,
+    click.option("--per-samples", type=int, default=10, show_default=True, help="selection cap divisor"),
+    click.option("--global-selection", is_flag=True, help="select once before CV (leaky; for comparison)"),
+    click.option("--horizon-days", type=int, default=100, show_default=True),
+    _THREADS,
+]
+
+
+def _extraction(values: dict) -> tuple[dict, ExtractionConfig, NormalizationConfig]:
+    """The extraction settings among the parameter ``values``, as artifacts echo them, and the
+    extraction and normalization configs they select."""
+    settings = {key: values[key] for key in ("n_bins", "wavelet", "whitestripe", "zscore")}
+    wavelet = None if settings["wavelet"] == "none" else settings["wavelet"]
+    return (settings, ExtractionConfig(n_bins=settings["n_bins"], wavelet=wavelet),
+            NormalizationConfig(zscore=settings["zscore"], whitestripe=settings["whitestripe"]))
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +238,7 @@ def synth(seed, lesions, out_dir, hrm_fraction, growth, texture, ct_missing, fol
     images.mkdir(parents=True, exist_ok=True)
     ext = ".json" if fmt == "rawjson" else ".nii"
     source_paths: dict = {}
-
-    def dump(lesion_id, role, date, source):
+    for lesion_id, role, date, source in image_jobs(records):
         stem = f"{lesion_id}_{role}_{date}"
         img_path = images / f"{stem}_img{ext}"
         mask_path = images / f"{stem}_mask{ext}"
@@ -202,9 +249,6 @@ def synth(seed, lesions, out_dir, hrm_fraction, growth, texture, ct_missing, fol
             "image": str(img_path.relative_to(out)),
             "mask": str(mask_path.relative_to(out)),
         }
-
-    for lesion_id, role, date, source in image_jobs(records):
-        dump(lesion_id, role, date, source)
     manifest = manifest_dict(records, source_paths)
     manifest["synth"] = {
         "seed": seed,
@@ -224,33 +268,20 @@ def synth(seed, lesions, out_dir, hrm_fraction, growth, texture, ct_missing, fol
 # extract
 
 
-def _extraction_configs(n_bins, wavelet, whitestripe, zscore):
-    return (
-        ExtractionConfig(n_bins=n_bins, wavelet=None if wavelet == "none" else wavelet),
-        NormalizationConfig(zscore=zscore, whitestripe=whitestripe),
-    )
-
-
 @cli.command()
-@click.option("--manifest", required=True)
-@click.option("--out", "out_dir", default=None)
-@click.option("--ng", "n_bins", type=int, default=32, show_default=True)
-@click.option("--wavelet", type=click.Choice(["haar", "coif1", "none"]), default="haar", show_default=True)
-@click.option("--whitestripe", type=click.Choice(["mr", "none"]), default="mr", show_default=True)
-@click.option("--zscore/--no-zscore", default=True, show_default=True)
+@_MANIFEST
+@_OUT
+@_with_options(_EXTRACTION_OPTIONS)
 @click.option("--force", is_flag=True, help="recompute rows that already exist")
-@click.option("--threads", type=int, default=1, show_default=True)
-def extract(manifest, out_dir, n_bins, wavelet, whitestripe, zscore, force, threads):
+@_THREADS
+def extract(manifest, out_dir, force, threads, **values):
     """Extract per-image radiomic features into features.csv (+ JSON sidecar)."""
-    manifest_path = _require_manifest(manifest)
-    out = Path(out_dir or _default_out())
-    out.mkdir(parents=True, exist_ok=True)
+    manifest_path, out = _paths(manifest, out_dir)
     records = load_manifest(manifest_path)
     job_keys = [job[:3] for job in image_jobs(records)]
-    ext_cfg, norm_cfg = _extraction_configs(n_bins, wavelet, whitestripe, zscore)
+    settings, ext_cfg, norm_cfg = _extraction(values)
 
     csv_path = out / "features.csv"
-    settings = {"n_bins": n_bins, "wavelet": wavelet, "whitestripe": whitestripe, "zscore": zscore}
     comment = "config: " + json.dumps({"manifest": str(manifest_path), **settings}, sort_keys=True)
     existing = _resumable_rows(csv_path, settings) if csv_path.exists() and not force else None
 
@@ -271,8 +302,8 @@ def extract(manifest, out_dir, n_bins, wavelet, whitestripe, zscore, force, thre
     sidecar = {
         "format_version": 1,
         "manifest": str(manifest_path),
-        "extraction": {"n_bins": n_bins, "wavelet": wavelet},
-        "normalization": {"zscore": zscore, "whitestripe": whitestripe},
+        "extraction": asdict(ext_cfg) | {"wavelet": settings["wavelet"]},  # "none" as typed
+        "normalization": asdict(norm_cfg),
         "rows": n_rows,
         "failures": failures,
     }
@@ -309,29 +340,26 @@ def _resumable_rows(path: Path, settings: dict) -> FeatureStore | None:
 
 def _dataset_from_files(manifest_path, features_path, set_id, horizon_days):
     records = load_manifest(manifest_path)
-    store = read_features_csv(features_path)
-    return records, build_dataset(records, store, feature_set(set_id), horizon_days)
+    return build_dataset(records, read_features_csv(features_path), feature_set(set_id), horizon_days)
 
 
-def _correlation_blocks(dataset):
+def _full_cohort_selection(dataset):
+    """The selection cap of the whole cohort, and MRMR's pick at that cap."""
+    cap = selection_cap(dataset.n_samples)
+    return cap, mrmr_select(dataset.X, dataset.y, cap, dataset.feature_names)
+
+
+def _write_correlation_tables(dataset, out: Path, comment: str, top: int = 10) -> None:
     groups: dict[str, list[int]] = {}
     for k, name in enumerate(dataset.feature_names):
         groups.setdefault(column_block(name), []).append(k)
-    return groups
-
-
-def _write_correlation_tables(dataset, out: Path, comment: str, top: int = 10) -> list[Path]:
-    written = []
-    for block, cols in _correlation_blocks(dataset).items():
+    for block, cols in groups.items():
         names = [dataset.feature_names[k] for k in cols]
         report = correlation_report(dataset.X[:, cols], dataset.y, names)
         lines = [f"# {comment}", "rank,feature,r"]
         for rank, (name, r) in enumerate(report.ranked()[:top], start=1):
             lines.append(f"{rank},{name},{r!r}")
-        p = out / f"table2_{block}.csv"
-        p.write_text("\n".join(lines) + "\n")
-        written.append(p)
-    return written
+        (out / f"table2_{block}.csv").write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -339,19 +367,13 @@ def _write_correlation_tables(dataset, out: Path, comment: str, top: int = 10) -
 
 
 @cli.command()
-@click.option("--manifest", required=True)
-@click.option("--features", "features_path", required=True)
-@click.option("--set", "set_id", type=int, default=7, show_default=True)
-@click.option("--horizon", "horizon_days", type=int, default=100, show_default=True)
-@click.option("--out", "out_dir", default=None)
+@_with_options(_DATASET_OPTIONS)
+@_OUT
 def select(manifest, features_path, set_id, horizon_days, out_dir):
     """One-shot MRMR selection on the full assembled matrix (+ ranked correlations)."""
-    manifest_path = _require_manifest(manifest)
-    out = Path(out_dir or _default_out())
-    out.mkdir(parents=True, exist_ok=True)
-    _, dataset = _dataset_from_files(manifest_path, features_path, set_id, horizon_days)
-    cap = selection_cap(dataset.n_samples)
-    result = mrmr_select(dataset.X, dataset.y, cap, dataset.feature_names)
+    manifest_path, out = _paths(manifest, out_dir)
+    dataset = _dataset_from_files(manifest_path, features_path, set_id, horizon_days)
+    cap, result = _full_cohort_selection(dataset)
     comment = f"select set={set_id} cap={cap} horizon={horizon_days}"
     payload = {"set_id": set_id, "n_samples": dataset.n_samples, **result.to_dict()}
     (out / "selection.json").write_text(json.dumps(payload, indent=2) + "\n")
@@ -364,22 +386,14 @@ def select(manifest, features_path, set_id, horizon_days, out_dir):
 
 
 @cli.command()
-@click.option("--manifest", required=True)
-@click.option("--features", "features_path", required=True)
-@click.option("--set", "set_id", type=int, default=7, show_default=True)
-@click.option("--horizon", "horizon_days", type=int, default=100, show_default=True)
-@click.option("--c", "-C", "c_value", type=float, default=1.0, show_default=True)
-@click.option("--sensitivity-weight", type=float, default=2.0, show_default=True)
-@click.option("--theta", type=float, default=0.0, show_default=True)
-@click.option("--out", "out_dir", default=None)
+@_with_options(_DATASET_OPTIONS)
+@_with_options(_CLASSIFIER_OPTIONS)
+@_OUT
 def train(manifest, features_path, set_id, horizon_days, c_value, sensitivity_weight, theta, out_dir):
     """Select features and fit one model on the whole cohort."""
-    manifest_path = _require_manifest(manifest)
-    out = Path(out_dir or _default_out())
-    out.mkdir(parents=True, exist_ok=True)
-    _, dataset = _dataset_from_files(manifest_path, features_path, set_id, horizon_days)
-    cap = selection_cap(dataset.n_samples)
-    selection = mrmr_select(dataset.X, dataset.y, cap, dataset.feature_names)
+    manifest_path, out = _paths(manifest, out_dir)
+    dataset = _dataset_from_files(manifest_path, features_path, set_id, horizon_days)
+    _, selection = _full_cohort_selection(dataset)
     cols = selection.indices(dataset.feature_names)
     cfg = clf.ClassifierConfig(C=c_value, sensitivity_weight=sensitivity_weight, threshold=theta)
     model = clf.fit(dataset.X[:, cols], dataset.y, selection.selected, cfg)
@@ -391,22 +405,19 @@ def train(manifest, features_path, set_id, horizon_days, c_value, sensitivity_we
 # evaluate
 
 
-def _run_cv(dataset, cfg: PipelineConfig):
-    cv_cfg = CvConfig(repeats=cfg.repeats, test_frac=cfg.test_frac, seed=cfg.seed, threads=cfg.threads)
+def _run_cv(dataset, cfg: PipelineConfig, threads: int):
+    cv_cfg = CvConfig(repeats=cfg.repeats, test_frac=cfg.test_frac, seed=cfg.seed, threads=threads)
     sel_cfg = SelectionConfig(per_samples=cfg.per_samples, per_fold=cfg.per_fold)
     clf_cfg = clf.ClassifierConfig(C=cfg.C, sensitivity_weight=cfg.sensitivity_weight,
                                    threshold=cfg.threshold)
     return monte_carlo_cv(dataset, cv_cfg, sel_cfg, clf_cfg)
 
 
-def _pipeline_config(manifest, sets, merged, out) -> PipelineConfig:
+def _pipeline_config(manifest, sets, merged, **settings) -> PipelineConfig:
     return PipelineConfig(
         manifest=str(manifest),
         sets=tuple(sets),
-        n_bins=merged.get("n_bins"),
-        wavelet=merged.get("wavelet"),
-        whitestripe=merged.get("whitestripe"),
-        zscore=merged.get("zscore"),
+        **settings,
         per_samples=merged["per_samples"],
         per_fold=not merged["global_selection"],
         C=merged["c_value"],
@@ -416,48 +427,21 @@ def _pipeline_config(manifest, sets, merged, out) -> PipelineConfig:
         test_frac=merged["test_frac"],
         seed=merged["seed"],
         horizon_days=merged["horizon_days"],
-        threads=merged["threads"],
-        out_dir=str(out),
     )
 
 
-_COMMON_CV_OPTIONS = [
-    click.option("--repeats", type=int, default=100, show_default=True),
-    click.option("--test-frac", type=float, default=1.0 / 3.0, show_default=True),
-    click.option("--seed", type=int, default=0, show_default=True),
-    click.option("--c", "-C", "c_value", type=float, default=1.0, show_default=True),
-    click.option("--sensitivity-weight", type=float, default=2.0, show_default=True),
-    click.option("--theta", type=float, default=0.0, show_default=True),
-    click.option("--per-samples", type=int, default=10, show_default=True, help="selection cap divisor"),
-    click.option("--global-selection", is_flag=True, help="select once before CV (leaky; for comparison)"),
-    click.option("--horizon-days", type=int, default=100, show_default=True),
-    click.option("--threads", type=int, default=1, show_default=True),
-]
-
-
-def _with_options(options):
-    def wrap(fn):
-        for opt in reversed(options):
-            fn = opt(fn)
-        return fn
-
-    return wrap
-
-
 @cli.command()
-@click.option("--manifest", required=True)
-@click.option("--features", "features_path", required=True)
-@click.option("--set", "set_id", type=int, default=7, show_default=True)
+@_MANIFEST
+@_FEATURES
+@_SET
 @_with_options(_COMMON_CV_OPTIONS)
-@click.option("--out", "out_dir", default=None)
+@_OUT
 def evaluate(manifest, features_path, set_id, out_dir, **flags):
     """Monte-Carlo cross-validation of one feature set."""
-    manifest_path = _require_manifest(manifest)
-    out = Path(out_dir or _default_out())
-    out.mkdir(parents=True, exist_ok=True)
-    cfg = _pipeline_config(manifest_path, (set_id,), flags, out)
-    _, dataset = _dataset_from_files(manifest_path, features_path, set_id, cfg.horizon_days)
-    report = _run_cv(dataset, cfg)
+    manifest_path, out = _paths(manifest, out_dir)
+    cfg = _pipeline_config(manifest_path, (set_id,), flags)
+    dataset = _dataset_from_files(manifest_path, features_path, set_id, cfg.horizon_days)
+    report = _run_cv(dataset, cfg, flags["threads"])
     _write_json(out / "cv_report.json", report.to_dict(), cfg)
     scored = report.oof_counts > 0
     if scored.any() and len(np.unique(dataset.y[scored])) == 2:
@@ -473,14 +457,12 @@ def evaluate(manifest, features_path, set_id, out_dir, **flags):
 
 
 @cli.command()
-@click.option("--manifest", required=True)
-@click.option("--horizon", "horizon_days", type=int, default=100, show_default=True)
-@click.option("--out", "out_dir", default=None)
+@_MANIFEST
+@_HORIZON
+@_OUT
 def km(manifest, horizon_days, out_dir):
     """Cohort-level freedom-from-progression curve (no features needed)."""
-    manifest_path = _require_manifest(manifest)
-    out = Path(out_dir or _default_out())
-    out.mkdir(parents=True, exist_ok=True)
+    manifest_path, out = _paths(manifest, out_dir)
     records = load_manifest(manifest_path)
     labeling = label_samples(records, horizon_days)
     times = [s.days_to_event_or_censor for s in labeling.samples] + [p.days for p in labeling.km_censored]
@@ -499,50 +481,38 @@ def km(manifest, horizon_days, out_dir):
 
 
 @cli.command()
-@click.option("--manifest", required=True)
+@_MANIFEST
 @click.option("--features", "features_path", default=None, help="existing features.csv (else auto-extract)")
 @click.option("--sets", default="7", show_default=True, help="e.g. '1-7' or '1,3,7'")
-@click.option("--ng", "n_bins", type=int, default=32, show_default=True)
-@click.option("--wavelet", type=click.Choice(["haar", "coif1", "none"]), default="haar", show_default=True)
-@click.option("--whitestripe", type=click.Choice(["mr", "none"]), default="mr", show_default=True)
-@click.option("--zscore/--no-zscore", default=True, show_default=True)
+@_with_options(_EXTRACTION_OPTIONS)
 @_with_options(_COMMON_CV_OPTIONS)
 @click.option("--config", "config_path", default=None, help="JSON config file (flags win)")
-@click.option("--out", "out_dir", default=None)
+@_OUT
 @click.pass_context
-def run(ctx, manifest, features_path, sets, out_dir, config_path, **flags):
+def run(ctx, config_path, **params):
     """Full pipeline: extract (if needed), CV per feature set, risk-split report."""
-    merged = _merge_config(ctx, config_path, manifest=manifest, features_path=features_path,
-                           sets=sets, out_dir=out_dir, **flags)
-    manifest_path = _require_manifest(merged["manifest"])
+    merged = _merge_config(ctx, config_path, params)
     set_ids = _parse_sets(merged["sets"])
-    out = Path(merged["out_dir"] or _default_out())
-    out.mkdir(parents=True, exist_ok=True)
-    cfg = _pipeline_config(manifest_path, set_ids, merged, out)
+    manifest_path, out = _paths(merged["manifest"], merged["out_dir"])
+    settings, ext_cfg, norm_cfg = _extraction(merged)
+    cfg = _pipeline_config(manifest_path, set_ids, merged, **settings)
 
     records = load_manifest(manifest_path)
     if merged["features_path"]:
         store = read_features_csv(merged["features_path"])
     else:
-        ext_cfg, norm_cfg = _extraction_configs(
-            merged["n_bins"], merged["wavelet"], merged["whitestripe"], merged["zscore"]
-        )
         store = extract_cohort(records, ext_cfg, norm_cfg, base_dir=manifest_path.parent,
                                threads=merged["threads"])
         write_features_csv(out / "features.csv", store, [job[:3] for job in image_jobs(records)], cfg.comment())
 
-    set_rows = []
     reports = {}
     datasets = {}
     for set_id in set_ids:
-        dataset = build_dataset(records, store, feature_set(set_id), cfg.horizon_days)
-        report = _run_cv(dataset, cfg)
-        datasets[set_id] = dataset
-        reports[set_id] = report
-        set_rows.append((set_id, report))
+        datasets[set_id] = build_dataset(records, store, feature_set(set_id), cfg.horizon_days)
+        report = reports[set_id] = _run_cv(datasets[set_id], cfg, merged["threads"])
         click.echo(f"set {set_id}: mean AUC {report.mean_auc:.3f} (std {report.std_auc:.3f})")
 
-    _write_table1(out, set_rows, cfg)
+    _write_table1(out, reports, cfg)
     top_set = max(set_ids)
     _write_correlation_tables(datasets[top_set], out, cfg.comment())
     top_report = reports[top_set]
@@ -561,7 +531,7 @@ def run(ctx, manifest, features_path, sets, out_dir, config_path, **flags):
                 "nonconverged_fits": rep.nonconverged_fits,
                 "max_kkt_residual": rep.max_kkt_residual,
             }
-            for set_id, rep in set_rows
+            for set_id, rep in reports.items()
         },
         "risk_split": {
             "set_id": top_set,
@@ -578,10 +548,10 @@ def run(ctx, manifest, features_path, sets, out_dir, config_path, **flags):
         click.echo(line)
 
 
-def _write_table1(out: Path, set_rows, cfg: PipelineConfig) -> None:
+def _write_table1(out: Path, reports: dict, cfg: PipelineConfig) -> None:
     lines = [f"# {cfg.comment()}"]
     lines.append(",".join(["set", *BLOCK_TITLES, "mean_auc", "std_auc", "pooled_auc"]))
-    for set_id, rep in set_rows:
+    for set_id, rep in reports.items():
         blocks = feature_set(set_id).blocks
         lines.append(
             f"Set {set_id}," + ",".join("x" if block in blocks else "" for block in BLOCK_TITLES)
@@ -590,16 +560,15 @@ def _write_table1(out: Path, set_rows, cfg: PipelineConfig) -> None:
     (out / "table1.csv").write_text("\n".join(lines) + "\n")
 
     # transposed text rendering: blocks as rows, sets as columns
-    cols = [set_id for set_id, _ in set_rows]
     width = 36
-    text = [" " * width + "".join(f"Set {c:<4}" for c in cols)]
+    text = [" " * width + "".join(f"Set {c:<4}" for c in reports)]
     for block, title in BLOCK_TITLES.items():
         row = title.ljust(width)
-        for set_id, _ in set_rows:
+        for set_id in reports:
             row += ("x" if block in feature_set(set_id).blocks else " ").ljust(8)
         text.append(row)
     row = "AUC score".ljust(width)
-    for _, rep in set_rows:
+    for rep in reports.values():
         row += f"{rep.mean_auc:.2f}".ljust(8)
     text.append(row)
     (out / "table1.txt").write_text("\n".join(text) + "\n")

@@ -399,7 +399,7 @@ def load_manifest(path: str | Path) -> list[MetastasisRecord]:
         raise DataError(f"manifest not found: {path}")
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"malformed manifest JSON {path}: {exc}") from exc
     if not isinstance(data, dict) or "patients" not in data:
         raise DataError(f"manifest {path} must be an object with a 'patients' array")

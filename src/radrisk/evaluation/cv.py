@@ -13,14 +13,13 @@ tolerance, with the largest KKT residual of any fit.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import classifier as clf
 from ..errors import ConfigError, DataError
-from ..pipeline import Dataset
+from ..pipeline import Dataset, parallel_map
 from ..selection import SelectionResult, mrmr_select, selection_cap
 from .roc import confusion_at, roc_curve
 
@@ -160,11 +159,7 @@ def monte_carlo_cv(
     def job(seed):
         return _one_repeat(dataset, lesions, flags, seed, cv_cfg.test_frac, sel_cfg, clf_cfg, global_selection)
 
-    if cv_cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cv_cfg.threads) as pool:
-            results = list(pool.map(job, repeat_seeds))
-    else:
-        results = [job(s) for s in repeat_seeds]
+    results = parallel_map(job, repeat_seeds, cv_cfg.threads)
 
     n = dataset.n_samples
     oof_sum = np.zeros(n)

@@ -105,6 +105,13 @@ def read_features_csv(path: str | Path) -> FeatureStore:
     path = Path(path)
     if not path.exists():
         raise DataError(f"feature CSV not found: {path}")
+    try:
+        return _read_store(path)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"feature CSV {path} is not UTF-8 text: {exc}") from exc
+
+
+def _read_store(path: Path) -> FeatureStore:
     with path.open(newline="") as fh:
         line = fh.readline()
         while line.startswith("#"):

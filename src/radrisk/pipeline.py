@@ -35,6 +35,16 @@ from .volume import RoiMask, VolumeImage, WhiteStripeConfig, white_stripe_normal
 
 log = logging.getLogger(__name__)
 
+
+def parallel_map(fn, items, threads: int = 1) -> list:
+    """``[fn(item) for item in items]`` on up to ``threads`` threads. The results come in item
+    order, and so does the error: it is that of the first item that raised."""
+    if threads <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
 @dataclass(frozen=True)
 class NormalizationConfig:
     zscore: bool = True
@@ -75,13 +85,14 @@ def extract_cohort(
 
     ``skip_keys`` supports resumable extraction: jobs whose (lesion, role,
     date) key is listed are not recomputed. When ``failures`` is given,
-    per-image errors are collected there instead of raised and the failing
-    rows are omitted. The result is deterministic and independent of
-    ``threads``.
+    per-image errors are logged and collected there in job order instead of
+    raised, and the failing rows are omitted. The result, the failures
+    included, is deterministic and independent of ``threads``.
     """
     jobs = [job for job in image_jobs(records) if not (skip_keys and job[:3] in skip_keys)]
 
     def run(job):
+        """The image's feature row, or its failure message when ``failures`` collects them."""
         lesion_id, role, date_iso, source = job
         try:
             img, mask = source.load(base_dir)
@@ -91,16 +102,15 @@ def extract_cohort(
             message = f"[extract {lesion_id}/{role}/{date_iso}] {exc}"
             if failures is None:
                 raise DataError(message) from exc
-            log.warning("%s", message)
-            failures.append(message)
-            return None
+            return message
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
-    done = [(job[:3], row) for job, row in zip(jobs, results) if row is not None]
+    done = []
+    for job, result in zip(jobs, parallel_map(run, jobs, threads)):
+        if isinstance(result, str):
+            log.warning("%s", result)
+            failures.append(result)
+        else:
+            done.append((job[:3], result))
     return FeatureStore(feature_names(extraction), [key for key, _ in done], np.array([row for _, row in done]))
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from radrisk.cli import main
+from radrisk.cli import cli, main
 
 
 @pytest.fixture(scope="module")
@@ -299,3 +299,117 @@ def test_env_var_default_out(cohort_dir, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["km", "--manifest", str(cohort_dir / "manifest.json")]) == 0
     assert (tmp_path / "envout" / "km_cohort.svg").exists()
+
+
+# Every command's parameters as (name, flags, default, required). The names are also the keys
+# that `run --config` accepts, so a change here changes the config-file format.
+CLI_SURFACE = {
+    "synth": [
+        ("seed", ("--seed",), 0, False),
+        ("lesions", ("--lesions",), 40, False),
+        ("out_dir", ("--out",), None, False),
+        ("hrm_fraction", ("--hrm-fraction",), 0.1, False),
+        ("growth", ("--growth",), 0.5, False),
+        ("texture", ("--texture",), 2.0, False),
+        ("ct_missing", ("--ct-missing",), 0.0, False),
+        ("followups", ("--followups",), "2,2", False),
+        ("fmt", ("--format",), "rawjson", False),
+    ],
+    "extract": [
+        ("manifest", ("--manifest",), None, True),
+        ("out_dir", ("--out",), None, False),
+        ("n_bins", ("--ng",), 32, False),
+        ("wavelet", ("--wavelet",), "haar", False),
+        ("whitestripe", ("--whitestripe",), "mr", False),
+        ("zscore", ("--zscore", "--no-zscore"), True, False),
+        ("force", ("--force",), False, False),
+        ("threads", ("--threads",), 1, False),
+    ],
+    "select": [
+        ("manifest", ("--manifest",), None, True),
+        ("features_path", ("--features",), None, True),
+        ("set_id", ("--set",), 7, False),
+        ("horizon_days", ("--horizon",), 100, False),
+        ("out_dir", ("--out",), None, False),
+    ],
+    "train": [
+        ("manifest", ("--manifest",), None, True),
+        ("features_path", ("--features",), None, True),
+        ("set_id", ("--set",), 7, False),
+        ("horizon_days", ("--horizon",), 100, False),
+        ("c_value", ("--c", "-C"), 1.0, False),
+        ("sensitivity_weight", ("--sensitivity-weight",), 2.0, False),
+        ("theta", ("--theta",), 0.0, False),
+        ("out_dir", ("--out",), None, False),
+    ],
+    "evaluate": [
+        ("manifest", ("--manifest",), None, True),
+        ("features_path", ("--features",), None, True),
+        ("set_id", ("--set",), 7, False),
+        ("repeats", ("--repeats",), 100, False),
+        ("test_frac", ("--test-frac",), 0.3333333333333333, False),
+        ("seed", ("--seed",), 0, False),
+        ("c_value", ("--c", "-C"), 1.0, False),
+        ("sensitivity_weight", ("--sensitivity-weight",), 2.0, False),
+        ("theta", ("--theta",), 0.0, False),
+        ("per_samples", ("--per-samples",), 10, False),
+        ("global_selection", ("--global-selection",), False, False),
+        ("horizon_days", ("--horizon-days",), 100, False),
+        ("threads", ("--threads",), 1, False),
+        ("out_dir", ("--out",), None, False),
+    ],
+    "km": [
+        ("manifest", ("--manifest",), None, True),
+        ("horizon_days", ("--horizon",), 100, False),
+        ("out_dir", ("--out",), None, False),
+    ],
+    "run": [
+        ("manifest", ("--manifest",), None, True),
+        ("features_path", ("--features",), None, False),
+        ("sets", ("--sets",), "7", False),
+        ("n_bins", ("--ng",), 32, False),
+        ("wavelet", ("--wavelet",), "haar", False),
+        ("whitestripe", ("--whitestripe",), "mr", False),
+        ("zscore", ("--zscore", "--no-zscore"), True, False),
+        ("repeats", ("--repeats",), 100, False),
+        ("test_frac", ("--test-frac",), 0.3333333333333333, False),
+        ("seed", ("--seed",), 0, False),
+        ("c_value", ("--c", "-C"), 1.0, False),
+        ("sensitivity_weight", ("--sensitivity-weight",), 2.0, False),
+        ("theta", ("--theta",), 0.0, False),
+        ("per_samples", ("--per-samples",), 10, False),
+        ("global_selection", ("--global-selection",), False, False),
+        ("horizon_days", ("--horizon-days",), 100, False),
+        ("threads", ("--threads",), 1, False),
+        ("config_path", ("--config",), None, False),
+        ("out_dir", ("--out",), None, False),
+    ],
+}
+
+
+def test_cli_surface_is_locked():
+    surface = {
+        name: [(d["name"], tuple(d["opts"] + d["secondary_opts"]), d["default"], d["required"])
+               for d in (param.to_info_dict() for param in command.params)]
+        for name, command in cli.commands.items()
+    }
+    assert surface == CLI_SURFACE
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["run", "--manifest", "{bad}", "--features", "{features}"], 3),
+    (["run", "--config", "{bad}", "--manifest", "{manifest}", "--features", "{features}"], 2),
+    (["run", "--features", "{bad}", "--manifest", "{manifest}"], 3),
+    (["extract", "--manifest", "{manifest}", "--ng", "8"], 0),  # {bad} is the table it would resume
+], ids=["manifest", "config", "features", "resumed-table"])
+def test_non_utf8_input_files_end_in_their_exit_code(cohort_dir, tmp_path, caplog, argv, code):
+    out = tmp_path / "out"
+    out.mkdir()
+    bad = out / "features.csv"
+    bad.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    paths = {"bad": bad, "manifest": cohort_dir / "manifest.json", "features": cohort_dir / "features.csv"}
+    with caplog.at_level("WARNING"):
+        assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == code
+    if argv[0] == "extract":  # the table is unreadable, so every image is extracted again
+        assert any("unreadable" in m and "UTF-8" in m for m in caplog.messages)
+        assert json.loads((out / "features.json").read_text())["rows"] == 48

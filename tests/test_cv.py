@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from radrisk import (
     risk_split_report,
     synth_cohort,
 )
+from radrisk import pipeline
 from radrisk.cohort import FEATURE_SETS, label_samples
 from radrisk.errors import DataError
 from radrisk.featurestore import FeatureStore
@@ -50,6 +53,31 @@ def test_cv_threads_do_not_change_results(small_cohort):
     b = monte_carlo_cv(ds, CvConfig(repeats=6, seed=5, threads=3))
     assert a.aucs == b.aucs
     assert np.array_equal(a.oof_scores, b.oof_scores)
+
+
+def test_extraction_failures_come_in_job_order_at_any_threads(monkeypatch):
+    records = synth_cohort(seed=3, n_lesions=3, effect=EffectConfig(), config=SynthConfig())
+    jobs = list(pipeline.image_jobs(records))
+    first, second = (source.load()[0].voxels for *_, source in jobs[:2])
+    normalize = pipeline.normalize_volume
+
+    def slow_first_two_fail(img, mask, cfg):  # the first job finishes last, the second first
+        if np.array_equal(img.voxels, first):
+            time.sleep(0.3)
+            raise DataError("first image")
+        if np.array_equal(img.voxels, second):
+            raise DataError("second image")
+        return normalize(img, mask, cfg)
+
+    monkeypatch.setattr(pipeline, "normalize_volume", slow_first_two_fail)
+    config = ExtractionConfig(n_bins=8, wavelet=None)
+    runs = {}
+    for threads in (1, 4):
+        failures: list[str] = []
+        store = extract_cohort(records, config, threads=threads, failures=failures)
+        runs[threads] = failures, store.keys
+    assert runs[4] == runs[1]
+    assert [f.split("]")[0] for f in runs[1][0]] == [f"[extract {'/'.join(job[:3])}" for job in jobs[:2]]
 
 
 def test_cv_lesion_grouping_guard(small_cohort):

@@ -14,6 +14,26 @@ reaches filter length - 1 voxels below the ROI on each axis, which makes every
 subband value in the ROI bit-identical to the full-volume one. Where that
 margin would cross index 0, the full-volume convolution wraps around the
 volume edge, and the box keeps the whole axis.
+
+The intensity classes of one mask run once over a ``(k, n_roi)`` stack: the
+ROI values of the original image and of its subbands, one image per row.
+First-order takes one ``np.median`` and one ``np.percentile`` call over the
+stack; discretization bins each row by its own range; GLCM counts every
+row's pairs in one ``bincount`` and evaluates its features on the occupied
+cells only; GLRLM's run walk, GLSZM's label propagation and GLDM's dependence
+counts run over the mask's shared neighbor pairs with a per-image offset.
+Each ``(k, 84)`` result is written straight into its rows of the feature row.
+
+A row of a stack is the same bits as that image extracted alone: every
+reduction runs along one row (an elementwise sum, never a BLAS product, whose
+blocking can depend on the number of rows), and every count matrix's width is
+fixed by the mask (GLRLM the ROI box's largest extent, GLSZM the ROI's voxel
+count, GLDM 27), never by the stack's largest value. The stack is cut into
+chunks whose images together hold at most ``_CHUNK_CELLS`` = 2**17 entries of
+the largest per-image array (the mask's neighbor pairs, or a count matrix),
+about the pairs of one 10k-voxel ROI. So a large ROI runs one image at a
+time, with the memory of the per-image path, while a 30-90-voxel ROI runs all
+9 images in one chunk.
 """
 
 from __future__ import annotations
@@ -22,12 +42,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NumericalError
-from ..volume import RoiMask, VolumeImage, check_aligned, require_nonempty
+from ..errors import ConfigError, NumericalError
+from ..volume import DIRECTIONS_13, RoiMask, VolumeImage, check_aligned, require_nonempty
 from ..wavelet import SUBBAND_LABELS, decompose, get_bank
-from .firstorder import FIRSTORDER_FEATURES, firstorder_features
+from .firstorder import FIRSTORDER_FEATURES, firstorder_features, firstorder_rows
 from .shape import SHAPE_FEATURES, shape_features
-from .texture import FAMILY_FEATURES, TEXTURE_FAMILIES, discretize, texture_features
+from .texture import (
+    FAMILY_FEATURES,
+    TEXTURE_FAMILIES,
+    discretize,
+    discretize_rows,
+    max_run_length,
+    texture_features,
+    texture_rows,
+)
+
+# The per-image entry points stay reachable from this module, where callers
+# that wrap extraction's layers by module attribute look them up
+# (bench/layers.py); extract_all itself runs the stacked kernels.
+__all__ = ["ExtractionConfig", "discretize", "extract_all", "feature_names", "firstorder_features", "texture_features"]
 
 
 @dataclass(frozen=True)
@@ -51,14 +84,25 @@ def feature_names(config: ExtractionConfig) -> list[str]:
     ]
 
 
-def _intensity_block(img: VolumeImage, mask: RoiMask, n_bins: int, out: np.ndarray) -> None:
-    fo = firstorder_features(img, mask)
-    values = [fo[name] for name in FIRSTORDER_FEATURES]
-    droi = discretize(img, mask, n_bins)
-    for family in TEXTURE_FAMILIES:
-        feats = texture_features(droi, family)
-        values.extend(feats[name] for name in FAMILY_FEATURES[family])
-    out[:] = values
+_CHUNK_CELLS = 1 << 17
+
+
+def _chunk_rows(mask: RoiMask, n_bins: int) -> int:
+    """How many images of one mask an intensity chunk holds: ``_CHUNK_CELLS``
+    over the largest per-image array, the mask's neighbor pairs or a count
+    matrix (GLCM 13 * Ng^2, GLRLM 13 * Ng * extent, GLSZM Ng * n_roi)."""
+    per_image = max(
+        mask.neighbor_pairs.a.size,
+        len(DIRECTIONS_13) * n_bins * max(n_bins, max_run_length(mask.coords)),
+        n_bins * mask.count,
+    )
+    return max(1, _CHUNK_CELLS // per_image)
+
+
+def _intensity_rows(values: np.ndarray, mask: RoiMask, n_bins: int) -> np.ndarray:
+    """The 84 intensity features of each row of a ``(k, n_roi)`` stack."""
+    droi = discretize_rows(values, mask, n_bins)
+    return np.hstack([firstorder_rows(values)] + [texture_rows(droi, family) for family in TEXTURE_FAMILIES])
 
 
 def _roi_box(mask: RoiMask, margin: int) -> tuple[slice, ...]:
@@ -70,22 +114,26 @@ def _roi_box(mask: RoiMask, margin: int) -> tuple[slice, ...]:
 
 def extract_all(img: VolumeImage, mask: RoiMask, config: ExtractionConfig) -> np.ndarray:
     """Extract the full feature row of one (volume, mask) pair, in ``feature_names(config)`` order."""
+    if config.n_bins < 2:
+        raise ConfigError(f"n_bins must be >= 2, got {config.n_bins}")
     check_aligned(img, mask)
     require_nonempty(mask)
     bank = None if config.wavelet is None else get_bank(config.wavelet)
-    images = 1 + (len(SUBBAND_LABELS) if bank else 0)  # the original image and its subbands
-    row = np.empty(len(SHAPE_FEATURES) + images * _INTENSITY_WIDTH)
     sh = shape_features(mask, img.spacing)
-    row[: len(SHAPE_FEATURES)] = [sh[name] for name in SHAPE_FEATURES]
     box = _roi_box(mask, max(bank.low.size, bank.high.size) - 1 if bank else 0)
     img = VolumeImage(img.voxels[box], img.spacing, img.modality)
     mask = RoiMask(mask.voxels[box])
-    blocks = row[len(SHAPE_FEATURES) :].reshape(-1, _INTENSITY_WIDTH)
-    _intensity_block(img, mask, config.n_bins, blocks[0])
+    images = [img]  # the original image and its subbands
     if bank:
         subbands = decompose(img, bank)
-        for label, out in zip(SUBBAND_LABELS, blocks[1:]):
-            _intensity_block(subbands[label], mask, config.n_bins, out)
+        images += [subbands[label] for label in SUBBAND_LABELS]
+    values = np.stack([image.voxels[mask.voxels] for image in images])
+    row = np.empty(len(SHAPE_FEATURES) + len(images) * _INTENSITY_WIDTH)
+    row[: len(SHAPE_FEATURES)] = [sh[name] for name in SHAPE_FEATURES]
+    blocks = row[len(SHAPE_FEATURES) :].reshape(len(images), _INTENSITY_WIDTH)
+    step = _chunk_rows(mask, config.n_bins)
+    for lo in range(0, len(images), step):
+        blocks[lo : lo + step] = _intensity_rows(values[lo : lo + step], mask, config.n_bins)
     bad = np.flatnonzero(~np.isfinite(row))
     if bad.size:
         names = feature_names(config)

@@ -4,28 +4,43 @@ One engine serves all four families. Its geometry is the ROI's 26-neighbor
 index pairs (voxel, voxel + d) for the 13 directions d of ``DIRECTIONS_13``.
 The pairs depend on the mask alone, so they are built once per mask
 (:attr:`RoiMask.neighbor_pairs`) and shared by the original image and its
-wavelet subbands. Each family is then a few whole-array numpy operations over
-the pairs, with no loop over directions or gray levels, and features are
-evaluated as arrays over a leading axis (the 13 directions for GLCM and GLRLM),
-as in pyradiomics (van Griethuysen et al., Cancer Research 2017):
+wavelet subbands. The kernels take a stack: the gray levels of k images
+under one mask as a ``(k, n_roi)`` array (:func:`discretize_rows`), and
+:func:`texture_rows` returns one row of features per image. Each family is a
+few whole-array numpy operations over the pairs of every row at once, with no
+loop over images, directions or gray levels; voxel v of row r is node
+``r * n_roi + v``. Features follow pyradiomics (van Griethuysen et al.,
+Cancer Research 2017):
 
-* GLCM: one ``bincount`` of the pairs gives the 13 symmetric co-occurrence
-  matrices as one (13, Ng, Ng) array. The 22 features are averaged over the
-  directions that have a voxel pair; if no direction has one, every GLCM
-  feature is 0 by convention. ``Correlation`` is 1 by convention when either
-  marginal is degenerate.
+* GLCM: one ``bincount`` of every row's pairs at (i, j), plus its
+  transpose, gives the symmetric co-occurrence matrices of all rows and
+  directions, (k * 13, Ng, Ng) less the directions without a voxel pair.
+  Its features are evaluated on the occupied cells only: sums over cells are
+  weighted ``bincount``s per matrix, and the marginals (px, p_{x+y},
+  p_{x-y}) are summed from the cells. They are averaged over the directions
+  that have a voxel pair, which depends on the mask alone; if no direction
+  has one, every GLCM feature is 0 by convention. ``Correlation`` is 1 by
+  convention when the marginal has zero variance.
 * GLRLM: a run is a chain of equal-level pairs along one direction. One walk
-  along the successor links measures every run of all 13 directions at once;
-  the features are averaged over the 13 directions.
+  along the successor links measures every run of every row and all 13
+  directions at once; the features are averaged over the 13 directions.
 * GLSZM: zones are 26-connected components of equal gray level, labeled by
-  min-label propagation over the equal-level pairs.
+  min-label propagation over the equal-level pairs of all rows.
 * GLDM: dependence counts the center voxel plus its 26-neighbors within the
-  ROI whose level differs by at most alpha = 0, i.e. its equal-level pairs.
+  ROI whose level differs by at most alpha = 0, i.e. its equal-level pairs:
+  two ``bincount``s.
 
-GLRLM, GLSZM and GLDM share one feature function over (gray level i, run
-length / zone size / dependence j) count matrices, with a name map per
-family. Only numpy is used. Gray levels are 1-based (1..Ng) as produced by
-:func:`discretize`.
+GLRLM, GLSZM and GLDM share one feature function over the occupied cells of
+(gray level i, run length / zone size / dependence j) count matrices, with a
+name map per family. Their widths are fixed by the mask: GLRLM the ROI box's
+largest extent, GLSZM the ROI's voxel count, GLDM 27.
+
+A row of a stack gives the same bits as the image alone (the k = 1 case,
+which :func:`discretize` and :func:`texture_features` are): every sum is
+either a weighted ``bincount`` over one matrix's cells in their fixed order or
+an elementwise sum along the last axis of a row (never a BLAS product), and
+no width depends on the other rows. Only numpy is used. Gray levels are
+1-based (1..Ng).
 """
 
 from __future__ import annotations
@@ -45,7 +60,7 @@ from ..volume import (
     neighbor_pairs_of,
     require_nonempty,
 )
-from .firstorder import bin_levels
+from .firstorder import bin_levels, entropy_bits
 
 TEXTURE_FAMILIES = ("glcm", "glrlm", "glszm", "gldm")
 
@@ -144,21 +159,24 @@ FAMILY_FEATURES = {
 
 @dataclass(frozen=True)
 class DiscretizedRoi:
-    """Quantized ROI: integer gray level per ROI voxel, voxel coordinates, and
-    the voxels' neighbor pairs (built from ``coords`` when not given)."""
+    """Quantized ROI: integer gray levels of one image (``(n_roi,)``) or of a
+    stack of images under one mask (``(k, n_roi)``), the mask's voxel
+    coordinates, and its neighbor pairs (built from ``coords`` when not given)."""
 
     levels: np.ndarray
     n_bins: int
     coords: np.ndarray
-    spacing: tuple[float, float, float]
     pairs: NeighborPairs | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.n_bins < 2:
+            raise ConfigError(f"n_bins must be >= 2, got {self.n_bins}")
         levels = np.asarray(self.levels, dtype=np.int64)
         coords = np.asarray(self.coords, dtype=np.int64)
         if levels.size == 0:
             raise DataError("discretized ROI is empty")
-        if levels.shape[0] != coords.shape[0] or coords.ndim != 2 or coords.shape[1] != 3:
+        shapes_fit = coords.ndim == 2 and coords.shape[1] == 3 and levels.ndim in (1, 2)
+        if not (shapes_fit and levels.shape[-1] == coords.shape[0]):
             raise DataError("levels and coords disagree")
         if levels.min() < 1 or levels.max() > self.n_bins:
             raise DataError(f"levels out of range 1..{self.n_bins}")
@@ -166,69 +184,131 @@ class DiscretizedRoi:
         coords.flags.writeable = False
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
         if self.pairs is None:
             object.__setattr__(self, "pairs", neighbor_pairs_of(coords))
 
+    @property
+    def rows(self) -> np.ndarray:
+        """The levels as a ``(k, n_roi)`` stack, one image per row."""
+        return self.levels.reshape(-1, self.coords.shape[0])
+
     @cached_property
     def equal_pairs(self) -> NeighborPairs:
-        """The neighbor pairs whose two voxels share a gray level."""
+        """The neighbor pairs whose two voxels share a gray level, as indices
+        into the flattened stack: voxel v of row r is ``r * n_roi + v``."""
         a, b, direction = self.pairs
-        same = self.levels[a] == self.levels[b]
-        return NeighborPairs(a[same], b[same], direction[same])
+        rows = self.rows
+        row, pair = np.nonzero(rows[:, a] == rows[:, b])
+        offset = row * rows.shape[1]
+        return NeighborPairs(a[pair] + offset, b[pair] + offset, direction[pair])
+
+
+def discretize_rows(values: np.ndarray, mask: RoiMask, n_bins: int) -> DiscretizedRoi:
+    """Fixed-bin-count quantization of the ROI values of one image
+    (``(n_roi,)``) or of each row of a ``(k, n_roi)`` stack into levels 1..n_bins.
+
+    level = min(n_bins, 1 + floor(n_bins * (v - vmin) / (vmax - vmin))) with
+    vmin, vmax the row's; a constant row maps every voxel to level 1.
+    """
+    return DiscretizedRoi(bin_levels(values, n_bins), n_bins, mask.coords, mask.neighbor_pairs)
 
 
 def discretize(img: VolumeImage, mask: RoiMask, n_bins: int) -> DiscretizedRoi:
-    """Fixed-bin-count quantization of ROI intensities into levels 1..n_bins.
-
-    level = min(n_bins, 1 + floor(n_bins * (v - vmin) / (vmax - vmin))); a
-    constant ROI maps every voxel to level 1.
-    """
-    if n_bins < 2:
-        raise ConfigError(f"n_bins must be >= 2, got {n_bins}")
+    """Quantize one image's ROI intensities (see :func:`discretize_rows`)."""
     check_aligned(img, mask)
     require_nonempty(mask)
-    values = img.voxels[mask.voxels]
-    return DiscretizedRoi(bin_levels(values, n_bins), n_bins, mask.coords, img.spacing, mask.neighbor_pairs)
+    return discretize_rows(img.voxels[mask.voxels], mask, n_bins)
 
 
-def _entropy(p: np.ndarray) -> np.ndarray:
-    """Base-2 entropy over the last axis."""
-    logp = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
-    return -(p * logp).sum(axis=-1)
+@dataclass(frozen=True)
+class _Cells:
+    """The occupied cells of m count matrices (:func:`_counts`), in row-major
+    order, so grouped by matrix. The chunk budget of ``extract_all`` bounds
+    the cells of a stack, GLSZM's Ng * n_roi per image included."""
+
+    m: int
+    matrix: np.ndarray
+    i: np.ndarray  # 0-based row (gray level - 1)
+    j: np.ndarray  # 0-based column
+    count: np.ndarray  # float64
+
+    @classmethod
+    def of(cls, count: np.ndarray) -> _Cells:
+        m, height, width = count.shape
+        occupied = np.flatnonzero(count)
+        matrix, ij = np.divmod(occupied, height * width)
+        i, j = np.divmod(ij, width)
+        return cls(m, matrix, i, j, count.ravel()[occupied].astype(np.float64))
+
+    def per_matrix(self, weights: np.ndarray) -> np.ndarray:
+        """Sum of ``weights`` (one per cell) over each matrix's cells, in cell order."""
+        return np.bincount(self.matrix, weights=weights, minlength=self.m)
+
+    def marginal(self, index: np.ndarray, width: int) -> np.ndarray:
+        """``(m, width)`` sums of the cell counts by ``index``; integer counts,
+        so exact in any order."""
+        return np.bincount(self.matrix * width + index, weights=self.count, minlength=self.m * width).reshape(
+            self.m, width
+        )
 
 
 def _counts(codes: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Histogram of flat indices into an array of ``shape``."""
-    return np.bincount(codes, minlength=int(np.prod(shape))).reshape(shape).astype(np.float64)
+    return np.bincount(codes.ravel(), minlength=int(np.prod(shape))).reshape(shape)
+
+
+def _dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum of x * w along the last axis: an elementwise sum, not a BLAS
+    product, so each row's result does not depend on the other rows."""
+    return (x * w).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # GLCM
 
 
-def _glcm_features(p: np.ndarray, p_sum: np.ndarray, p_diff: np.ndarray) -> dict[str, np.ndarray]:
-    """The 22 GLCM features of each normalized symmetric matrix p[k] (Ng x Ng).
+def _diff_weights(ng: int) -> np.ndarray:
+    """Weights of |i - j| = 0..Ng-1 of the features that are sums over p_diff:
+    Contrast, DifferenceAverage, Id, Idm, Idmn, Idn, InverseVariance."""
+    k = np.arange(0, ng, dtype=np.float64)
+    inverse_square = np.zeros(ng)
+    inverse_square[1:] = 1.0 / k[1:] ** 2
+    idmn = 1.0 / (1.0 + (k / ng) ** 2)
+    idn = 1.0 / (1.0 + k / ng)
+    return np.stack([k**2, k, 1.0 / (1.0 + k), 1.0 / (1.0 + k**2), idmn, idn, inverse_square])
 
-    ``p_sum[k]`` is its distribution of i + j (2..2Ng), ``p_diff[k]`` that of
-    |i - j| (0..Ng-1). Symmetry makes the two marginals equal: px = py, so
-    ux = uy, sigx = sigy and HX = HY.
+
+def _glcm_features(cells: _Cells, ng: int, total: np.ndarray) -> dict[str, np.ndarray]:
+    """The 22 GLCM features of each of m symmetric count matrices (Ng x Ng),
+    matrix k summing to ``total[k]``.
+
+    px is a matrix's marginal over levels 1..Ng, p_sum its distribution of
+    i + j (2..2Ng) and p_diff that of |i - j| (0..Ng-1). Symmetry makes the
+    two marginals equal: px = py, so ux = uy, sigx = sigy and HX = HY. The
+    features that read single cells are sums and maxima over the occupied
+    cells, not over all Ng x Ng of them.
     """
-    m, ng, _ = p.shape
+    m = cells.m
     iv = np.arange(1, ng + 1, dtype=np.float64)
     k_sum = np.arange(2, 2 * ng + 1, dtype=np.float64)
     k_diff = np.arange(0, ng, dtype=np.float64)
-    flat = p.reshape(m, ng * ng)
-    px = p.sum(axis=2)
-    ux = px @ iv
-    var_x = (px * (iv - ux[:, None]) ** 2).sum(axis=1)
-    hx = _entropy(px)
-    hxy = _entropy(flat)
+    scale = total[:, None]
+    px = cells.marginal(cells.i, ng) / scale
+    p_sum = cells.marginal(cells.i + cells.j, 2 * ng - 1) / scale
+    p_diff = cells.marginal(np.abs(cells.i - cells.j), ng) / scale
+    p = cells.count / total[cells.matrix]
+
+    ux = _dot(px, iv)
+    var_x = _dot(px, np.square(iv - ux[:, None]))
+    hx = entropy_bits(px)
+    hxy = -cells.per_matrix(p * np.log2(p))
     # HXY1 = -sum p log2(px py) and HXY2 = -sum px py log2(px py) both equal HX + HY
     hxy12 = 2.0 * hx
-    diff_avg = p_diff @ k_diff
-    autocorr = (p @ iv) @ iv
+    autocorr = cells.per_matrix(p * ((cells.i + 1) * (cells.j + 1)))
     shifted = k_sum - 2.0 * ux[:, None]
+    p_shift2 = p_sum * np.square(shifted)
+    by_diff = _dot(p_diff[:, None, :], _diff_weights(ng))
+    diff_avg = by_diff[:, 1]
     correlation = np.ones(m)
     np.divide(autocorr - ux * ux, var_x, out=correlation, where=var_x > 0.0)
     imc1 = np.zeros(m)
@@ -240,103 +320,117 @@ def _glcm_features(p: np.ndarray, p_sum: np.ndarray, p_diff: np.ndarray) -> dict
 
     return {
         "Autocorrelation": autocorr,
-        "ClusterProminence": (p_sum * shifted**4).sum(axis=1),
-        "ClusterShade": (p_sum * shifted**3).sum(axis=1),
-        "ClusterTendency": (p_sum * shifted**2).sum(axis=1),
-        "Contrast": p_diff @ k_diff**2,
+        "ClusterProminence": _dot(p_shift2, np.square(shifted)),
+        "ClusterShade": _dot(p_shift2, shifted),
+        "ClusterTendency": p_shift2.sum(axis=-1),
+        "Contrast": by_diff[:, 0],
         "Correlation": correlation,
         "DifferenceAverage": diff_avg,
-        "DifferenceEntropy": _entropy(p_diff),
-        "DifferenceVariance": (p_diff * (k_diff - diff_avg[:, None]) ** 2).sum(axis=1),
-        "Id": p_diff @ (1.0 / (1.0 + k_diff)),
-        "Idm": p_diff @ (1.0 / (1.0 + k_diff**2)),
-        "Idmn": p_diff @ (1.0 / (1.0 + (k_diff / ng) ** 2)),
-        "Idn": p_diff @ (1.0 / (1.0 + k_diff / ng)),
+        "DifferenceEntropy": entropy_bits(p_diff),
+        "DifferenceVariance": _dot(p_diff, np.square(k_diff - diff_avg[:, None])),
+        "Id": by_diff[:, 2],
+        "Idm": by_diff[:, 3],
+        "Idmn": by_diff[:, 4],
+        "Idn": by_diff[:, 5],
         "Imc1": imc1,
         "Imc2": imc2,
-        "InverseVariance": p_diff[:, 1:] @ (1.0 / k_diff[1:] ** 2),
+        "InverseVariance": by_diff[:, 6],
         "JointAverage": ux,
-        "JointEnergy": (flat**2).sum(axis=1),
+        "JointEnergy": cells.per_matrix(p * p),
         "JointEntropy": hxy,
-        "MaximumProbability": flat.max(axis=1),
-        "SumEntropy": _entropy(p_sum),
+        "MaximumProbability": np.maximum.reduceat(p, np.flatnonzero(np.diff(cells.matrix, prepend=-1))),
+        "SumEntropy": entropy_bits(p_sum),
         "SumSquares": var_x,
     }
 
 
-def _glcm(droi: DiscretizedRoi) -> dict[str, np.ndarray]:
+def _cooccurrence(droi: DiscretizedRoi, has_pair: np.ndarray) -> np.ndarray:
+    """The symmetric co-occurrence counts of every (row, direction with a
+    pair), in that order, as (m, Ng, Ng): a pair is counted at (la, lb) and
+    at (lb, la)."""
     ng = droi.n_bins
+    rows = droi.rows
     n_dir = len(DIRECTIONS_13)
     a, b, direction = droi.pairs
-    n_pairs = np.bincount(direction, minlength=n_dir)
+    codes = ((np.arange(rows.shape[0])[:, None] * n_dir + direction) * ng + rows[:, a] - 1) * ng + rows[:, b] - 1
+    count = _counts(codes, (rows.shape[0], n_dir, ng, ng))[:, has_pair]
+    count += count.transpose(0, 1, 3, 2)  # numpy buffers the overlapping operand
+    return count.reshape(-1, ng, ng)
+
+
+def _glcm(droi: DiscretizedRoi) -> dict[str, np.ndarray]:
+    ng = droi.n_bins
+    k = droi.rows.shape[0]
+    n_pairs = np.bincount(droi.pairs.direction, minlength=len(DIRECTIONS_13))
+    # which directions have a pair depends on the mask alone, so it is the
+    # same for every row; directions without one are left out of the mean
     has_pair = n_pairs > 0
     if not has_pair.any():
-        return {name: np.zeros(1) for name in GLCM_FEATURES}
-    la = droi.levels[a] - 1
-    lb = droi.levels[b] - 1
-    # the symmetric matrix counts each pair at (la, lb) and at (lb, la), so it
-    # sums to 2 * n_pairs; both entries share the pair's i + j and |i - j|
-    mat = _counts((direction * ng + la) * ng + lb, (n_dir, ng, ng))
-    mat += mat.transpose(0, 2, 1)
-    n = n_pairs[has_pair, None]
-    p_sum = _counts(direction * (2 * ng - 1) + la + lb, (n_dir, 2 * ng - 1))[has_pair] / n
-    p_diff = _counts(direction * ng + np.abs(la - lb), (n_dir, ng))[has_pair] / n
-    return _glcm_features(mat[has_pair] / (2.0 * n[:, :, None]), p_sum, p_diff)
+        return {name: np.zeros(k) for name in GLCM_FEATURES}
+    cells = _Cells.of(_cooccurrence(droi, has_pair))
+    # each matrix sums to twice its direction's pair count
+    return _glcm_features(cells, ng, np.tile(2.0 * n_pairs[has_pair], k))
 
 
 # ---------------------------------------------------------------------------
 # GLRLM, GLSZM, GLDM
 
 
-def _ilm_features(mat: np.ndarray, n_voxels: int) -> dict[str, np.ndarray]:
-    """Statistics of (gray level i, run/size/dependence j) count matrices.
+def _ilm_features(cells: _Cells, ng: int, width: int, n_voxels: int) -> dict[str, np.ndarray]:
+    """Statistics of (gray level i, run/size/dependence j) count matrices of
+    ``width`` columns, from their occupied cells.
 
-    ``mat[k, i - 1, j - 1]`` counts the entries of matrix k; every statistic
-    is an array over k. ``percentage`` is the entry count over ``n_voxels``.
+    Every statistic is an array over the matrices. ``percentage`` is the entry
+    count over ``n_voxels``.
     """
-    n = mat.sum(axis=(1, 2))
-    gi = np.arange(1, mat.shape[1] + 1, dtype=np.float64)
-    sj = np.arange(1, mat.shape[2] + 1, dtype=np.float64)
+    gi = np.arange(1, ng + 1, dtype=np.float64)
+    sj = np.arange(1, width + 1, dtype=np.float64)
     gi2 = gi**2
     sj2 = sj**2
-    pg = mat.sum(axis=2)
-    pj = mat.sum(axis=1)
-    mu_g = pg @ gi / n
-    mu_j = pj @ sj / n
-    by_small = mat @ (1.0 / sj2)
-    by_large = mat @ sj2
+    pg = cells.marginal(cells.i, ng)
+    pj = cells.marginal(cells.j, width)
+    n = pg.sum(axis=1)
+    mu_g = _dot(pg, gi) / n
+    mu_j = _dot(pj, sj) / n
+    by_small = cells.count / sj2[cells.j]
+    by_large = cells.count * sj2[cells.j]
+    q = cells.count / n[cells.matrix]
     return {
-        "gln": (pg**2).sum(axis=1) / n,
-        "glnn": (pg**2).sum(axis=1) / n**2,
-        "jn": (pj**2).sum(axis=1) / n,
-        "jnn": (pj**2).sum(axis=1) / n**2,
-        "glv": (pg * (gi - mu_g[:, None]) ** 2).sum(axis=1) / n,
-        "jv": (pj * (sj - mu_j[:, None]) ** 2).sum(axis=1) / n,
-        "entropy": _entropy(mat.reshape(mat.shape[0], -1) / n[:, None]),
-        "low": pg @ (1.0 / gi2) / n,
-        "high": pg @ gi2 / n,
-        "small": pj @ (1.0 / sj2) / n,
-        "large": pj @ sj2 / n,
-        "small_low": by_small @ (1.0 / gi2) / n,
-        "small_high": by_small @ gi2 / n,
-        "large_low": by_large @ (1.0 / gi2) / n,
-        "large_high": by_large @ gi2 / n,
+        "gln": _dot(pg, pg) / n,
+        "glnn": _dot(pg, pg) / n**2,
+        "jn": _dot(pj, pj) / n,
+        "jnn": _dot(pj, pj) / n**2,
+        "glv": _dot(pg, np.square(gi - mu_g[:, None])) / n,
+        "jv": _dot(pj, np.square(sj - mu_j[:, None])) / n,
+        "entropy": -cells.per_matrix(q * np.log2(q)),
+        "low": _dot(pg, 1.0 / gi2) / n,
+        "high": _dot(pg, gi2) / n,
+        "small": _dot(pj, 1.0 / sj2) / n,
+        "large": _dot(pj, sj2) / n,
+        "small_low": cells.per_matrix(by_small / gi2[cells.i]) / n,
+        "small_high": cells.per_matrix(by_small * gi2[cells.i]) / n,
+        "large_low": cells.per_matrix(by_large / gi2[cells.i]) / n,
+        "large_high": cells.per_matrix(by_large * gi2[cells.i]) / n,
         "percentage": n / n_voxels,
     }
 
 
+def max_run_length(coords: np.ndarray) -> int:
+    """The longest run a ROI can hold in any direction: its box's largest extent."""
+    return int((coords.max(axis=0) - coords.min(axis=0)).max()) + 1
+
+
 def _glrlm(droi: DiscretizedRoi) -> dict[str, np.ndarray]:
-    # node k * n + v is voxel v seen along direction k; succ links it to the
-    # next voxel of its run, and a run starts at every node nothing links to
-    n = droi.levels.size
-    n_nodes = len(DIRECTIONS_13) * n
+    # node d * k * n + u is voxel u of the flattened stack seen along
+    # direction d; succ links it to the next voxel of its run, and a run
+    # starts at every node nothing links to
+    k, n = droi.rows.shape
+    n_dir = len(DIRECTIONS_13)
     a, b, direction = droi.equal_pairs
-    node_a = direction * n + a
-    node_b = direction * n + b
-    succ = np.full(n_nodes, -1, dtype=np.intp)
-    succ[node_a] = node_b
-    linked = np.zeros(n_nodes, dtype=bool)
-    linked[node_b] = True
+    succ = np.full(n_dir * k * n, -1, dtype=np.intp)
+    succ[direction * (k * n) + a] = direction * (k * n) + b
+    linked = np.zeros(succ.size, dtype=bool)
+    linked[direction * (k * n) + b] = True
     starts = np.flatnonzero(~linked)
     lengths = np.ones(starts.size, dtype=np.intp)
     running = np.arange(starts.size)
@@ -348,19 +442,21 @@ def _glrlm(droi: DiscretizedRoi) -> dict[str, np.ndarray]:
             break
         lengths[running] += 1
         nxt = succ[nxt[on]]
-    n_len = int(lengths.max())
+    n_len = max_run_length(droi.coords)
     ng = droi.n_bins
-    codes = ((starts // n) * ng + droi.levels[starts % n] - 1) * n_len + lengths - 1
-    return _ilm_features(_counts(codes, (len(DIRECTIONS_13), ng, n_len)), n)
+    d, voxel = np.divmod(starts, k * n)
+    matrix = voxel // n * n_dir + d  # one matrix per (row, direction)
+    codes = (matrix * ng + droi.levels.ravel()[voxel] - 1) * n_len + lengths - 1
+    return _ilm_features(_Cells.of(_counts(codes, (k * n_dir, ng, n_len))), ng, n_len, n)
 
 
 def _glszm(droi: DiscretizedRoi) -> dict[str, np.ndarray]:
     # every label names a voxel of its own zone; lowering it to the smallest
     # label across each equal-level pair, then following it once, converges
-    # to one label per zone
-    n = droi.levels.size
+    # to one label per zone; the pairs never cross rows, nor do the labels
+    k, n = droi.rows.shape
     a, b, _ = droi.equal_pairs
-    label = np.arange(n)
+    label = np.arange(k * n)
     while True:
         low = np.minimum(label[a], label[b])
         new = label.copy()
@@ -370,28 +466,33 @@ def _glszm(droi: DiscretizedRoi) -> dict[str, np.ndarray]:
         if np.array_equal(new, label):
             break
         label = new
-    sizes = np.bincount(label, minlength=n)
+    sizes = np.bincount(label, minlength=k * n)
     zones = np.flatnonzero(sizes)
-    max_size = int(sizes.max())
-    codes = (droi.levels[zones] - 1) * max_size + sizes[zones] - 1
-    return _ilm_features(_counts(codes, (1, droi.n_bins, max_size)), n)
+    ng = droi.n_bins
+    # no zone is larger than the ROI
+    codes = (zones // n * ng + droi.levels.ravel()[zones] - 1) * n + sizes[zones] - 1
+    return _ilm_features(_Cells.of(_counts(codes, (k, ng, n))), ng, n, n)
+
+
+_MAX_DEPENDENCE = 1 + 2 * len(DIRECTIONS_13)  # the voxel and its 26 neighbors
 
 
 def _gldm(droi: DiscretizedRoi) -> dict[str, np.ndarray]:
-    n = droi.levels.size
+    k, n = droi.rows.shape
     a, b, _ = droi.equal_pairs
-    dependence = 1 + np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
-    max_dep = int(dependence.max())
-    codes = (droi.levels - 1) * max_dep + dependence - 1
-    return _ilm_features(_counts(codes, (1, droi.n_bins, max_dep)), n)
+    dependence = 1 + np.bincount(a, minlength=k * n) + np.bincount(b, minlength=k * n)
+    ng = droi.n_bins
+    codes = (np.arange(k * n) // n * ng + droi.levels.ravel() - 1) * _MAX_DEPENDENCE + dependence - 1
+    return _ilm_features(_Cells.of(_counts(codes, (k, ng, _MAX_DEPENDENCE))), ng, _MAX_DEPENDENCE, n)
 
 
 _DISPATCH = {"glcm": _glcm, "glrlm": _glrlm, "glszm": _glszm, "gldm": _gldm}
 _NAMES = {"glcm": {name: name for name in GLCM_FEATURES}, **_ILM_NAMES}
 
 
-def texture_features(droi: DiscretizedRoi, family: str) -> dict[str, float]:
-    """Compute one texture family's feature set for a discretized ROI.
+def texture_rows(droi: DiscretizedRoi, family: str) -> np.ndarray:
+    """One texture family's features for each row of a discretized stack, as
+    ``(k, n_features)`` in ``FAMILY_FEATURES[family]`` order.
 
     GLCM and GLRLM report each feature's mean over directions.
     """
@@ -399,6 +500,14 @@ def texture_features(droi: DiscretizedRoi, family: str) -> dict[str, float]:
     if family not in _DISPATCH:
         raise ConfigError(f"unknown texture family {family!r} (expected one of {TEXTURE_FAMILIES})")
     values = _DISPATCH[family](droi)
-    names = _NAMES[family]
-    means = np.stack([values[key] for key in names.values()]).mean(axis=1)
-    return dict(zip(names, means.tolist()))
+    k = droi.rows.shape[0]
+    # (features, k, matrices per row): each mean runs along one row's matrices
+    return np.stack([values[key].reshape(k, -1) for key in _NAMES[family].values()]).mean(axis=-1).T
+
+
+def texture_features(droi: DiscretizedRoi, family: str) -> dict[str, float]:
+    """Compute one texture family's feature set for one image's discretized ROI."""
+    if droi.levels.ndim != 1:
+        raise DataError("texture_features takes one image; use texture_rows for a stack")
+    row = texture_rows(droi, family)[0]
+    return dict(zip(_NAMES[family.lower()], row.tolist()))

@@ -5,8 +5,9 @@ import pytest
 
 import radrisk.features.extract as extract_module
 from radrisk import SUBBAND_LABELS, RoiMask, VolumeImage, decompose, get_bank
-from radrisk.errors import DataError, NumericalError
+from radrisk.errors import ConfigError, DataError, NumericalError
 from radrisk.features import (
+    GLCM_FEATURES,
     TEXTURE_FAMILIES,
     ExtractionConfig,
     discretize,
@@ -16,6 +17,7 @@ from radrisk.features import (
     shape_features,
     texture_features,
 )
+from radrisk.features.texture import texture_rows
 from radrisk.featurestore import FeatureStore, read_features_csv, write_features_csv
 
 
@@ -99,10 +101,12 @@ def test_non_finite_values_named_by_feature(pair, monkeypatch):
     img, mask = pair
 
     def nan_glcm(droi, family):
-        feats = texture_features(droi, family)
-        return {**feats, "Contrast": float("nan")} if family == "glcm" else feats
+        rows = texture_rows(droi, family)
+        if family == "glcm":
+            rows[:, GLCM_FEATURES.index("Contrast")] = np.nan
+        return rows
 
-    monkeypatch.setattr(extract_module, "texture_features", nan_glcm)
+    monkeypatch.setattr(extract_module, "texture_rows", nan_glcm)
     with pytest.raises(NumericalError, match=r"'original-glcm-Contrast', 'wavelet-LLL-glcm-Contrast'.*\.\.\."):
         extract_all(img, mask, ExtractionConfig(n_bins=16, wavelet="haar"))
 
@@ -111,6 +115,16 @@ def test_misaligned_mask_rejected(pair):
     img, _ = pair
     with pytest.raises(DataError, match="match"):
         extract_all(img, RoiMask(np.ones((3, 3, 3), bool)), ExtractionConfig())
+
+
+@pytest.mark.parametrize("n_bins", [1, 0, -3])
+def test_bin_count_below_two_rejected_on_a_one_voxel_roi(n_bins):
+    # a one-voxel ROI has no neighbor pair, so n_bins alone sizes the chunk
+    mask = np.zeros((4, 4, 4), bool)
+    mask[2, 2, 2] = True
+    img = VolumeImage(np.random.default_rng(0).normal(size=(4, 4, 4)))
+    with pytest.raises(ConfigError, match="n_bins must be >= 2"):
+        extract_all(img, RoiMask(mask), ExtractionConfig(n_bins=n_bins, wavelet="haar"))
 
 
 def test_feature_csv_roundtrip(tmp_path, pair):
@@ -229,3 +243,28 @@ def test_roi_box_matches_full_volume_exactly(wavelet, monkeypatch):
             for n, lo, hi in zip(dims, coords.min(axis=0), coords.max(axis=0))
         )
         assert seen.pop() == expected
+
+
+def test_chunked_stack_matches_per_image_and_one_chunk(monkeypatch):
+    dims = (16, 16, 16)
+    ball = ((np.indices(dims) - 7.5) ** 2).sum(axis=0) <= 6.2**2
+    img = VolumeImage(np.random.default_rng(82).normal(60, 10, size=dims).cumsum(axis=0))
+    mask = RoiMask(ball)
+    cfg = ExtractionConfig(n_bins=32, wavelet="haar")
+    chunks = []
+
+    def recording_rows(values, mask, n_bins):
+        chunks.append(len(values))
+        return intensity_rows(values, mask, n_bins)
+
+    intensity_rows = extract_module._intensity_rows
+    monkeypatch.setattr(extract_module, "_intensity_rows", recording_rows)
+    row = extract_all(img, mask, cfg)
+    assert len(chunks) >= 2 and sum(chunks) == 9
+    ref = np.array(list(full_volume_reference(img, mask, cfg).values()))
+    assert np.array_equal(row.view(np.int64), ref.view(np.int64))
+    # the same nine images in one chunk give the same bits
+    chunks.clear()
+    monkeypatch.setattr(extract_module, "_CHUNK_CELLS", 1 << 30)
+    assert np.array_equal(extract_all(img, mask, cfg).view(np.int64), row.view(np.int64))
+    assert chunks == [9]

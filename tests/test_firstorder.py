@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from radrisk.features import FIRSTORDER_FEATURES, bin_levels, firstorder_features
+from radrisk.features.firstorder import firstorder_rows
 from helpers import full_mask, mask_of, vol, vol3d
 
 
@@ -87,3 +88,22 @@ def test_bin_levels_rules():
     # vmax maps to n_bins, never n_bins + 1
     levels = bin_levels(np.array([0.0, 10.0]), 7)
     assert levels.tolist() == [1, 7]
+
+
+def test_stacked_order_statistics_match_numpy_per_row():
+    rng = np.random.default_rng(22)
+    columns = [FIRSTORDER_FEATURES.index(name) for name in
+               ("Median", "10Percentile", "90Percentile", "InterquartileRange", "Minimum", "Maximum")]
+    for n in (1, 2, 3, 4, 7, 10, 64, 91):
+        values = rng.normal(50, 10, size=(9, n))
+        values[3] = 5.0  # a constant row among the others
+        got = firstorder_rows(values)[:, columns]
+        p10, p25, p75, p90 = np.percentile(values, [10, 25, 75, 90], axis=1)
+        want = np.stack([np.median(values, axis=1), p10, p90, p75 - p25, values.min(axis=1), values.max(axis=1)],
+                        axis=1)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_bin_levels_per_row():
+    values = np.array([[0.0, 1.0, 2.0, 3.0], [4.0, 4.0, 4.0, 4.0], [3.0, 2.0, 1.0, 0.0]])
+    assert bin_levels(values, 2).tolist() == [[1, 1, 2, 2], [1, 1, 1, 1], [2, 2, 1, 1]]

@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 
 from radrisk import RoiMask, VolumeImage
-from radrisk.errors import ConfigError
+from radrisk.errors import ConfigError, DataError
 from radrisk.features import (
     FAMILY_FEATURES,
+    FIRSTORDER_FEATURES,
+    GLCM_FEATURES,
+    GLDM_FEATURES,
     TEXTURE_FAMILIES,
     discretize,
+    firstorder_features,
     texture_features,
 )
+from radrisk.features.firstorder import firstorder_rows
+from radrisk.features.texture import discretize_rows, texture_rows
 from helpers import full_mask, mask_of, vol
 from oracles import BF_FAMILIES, bf_glrlm_runs, bf_glszm_zones, roi_dict
 
@@ -158,3 +164,108 @@ def test_determinism_bitwise():
         f1 = texture_features(d1, fam)
         f2 = texture_features(d2, fam)
         assert f1 == f2
+
+
+def _roi_set(rng, n_rois):
+    """The ROI shapes of test_oracle_equivalence_random_rois: tiny ROIs with few
+    bins, then larger ones with many bins."""
+    cases = [((1, 5), (2, 4))] * n_rois + [((6, 9), (16, 32))] * (n_rois // 10)
+    for (dim_lo, dim_hi), (bins_lo, bins_hi) in cases:
+        dims = tuple(int(rng.integers(dim_lo, dim_hi + 1)) for _ in range(3))
+        mask_arr = rng.uniform(size=dims) < rng.uniform(0.3, 0.95)
+        if not mask_arr.any():
+            mask_arr[0, 0, 0] = True
+        yield dims, mask_arr, int(rng.integers(bins_lo, bins_hi + 1))
+
+
+def _stack_of(rng, dims, mask_arr, k):
+    """k images on one grid (some smoothed, so they have long runs and large
+    zones) and their ROI values as a (k, n_roi) stack."""
+    images = [rng.normal(size=dims) for _ in range(k)]
+    images = [img.cumsum(axis=0).cumsum(axis=1) if r % 2 else img for r, img in enumerate(images)]
+    return images, np.stack([img[mask_arr] for img in images])
+
+
+def test_stack_rows_equal_single_image_calls_bitwise():
+    rng = np.random.default_rng(34)
+    for k in range(1, 10):
+        for dims, mask_arr, n_bins in _roi_set(rng, 10):
+            mask = RoiMask(mask_arr)
+            images, values = _stack_of(rng, dims, mask_arr, k)
+            droi = discretize_rows(values, mask, n_bins)
+            stacked = [firstorder_rows(values)] + [texture_rows(droi, family) for family in TEXTURE_FAMILIES]
+            for r, img in enumerate(images):
+                single = discretize(VolumeImage(img), mask, n_bins)
+                assert np.array_equal(droi.rows[r], single.levels)
+                alone = [list(firstorder_features(VolumeImage(img), mask).values())] + [
+                    list(texture_features(single, family).values()) for family in TEXTURE_FAMILIES
+                ]
+                for got, want in zip(stacked, alone):
+                    assert np.array_equal(got[r].view(np.int64), np.array(want).view(np.int64)), (k, r)
+
+
+def test_stack_rows_match_oracles():
+    rng = np.random.default_rng(35)
+    for dims, mask_arr, n_bins in _roi_set(rng, 10):
+        k = int(rng.integers(2, 10))
+        images, values = _stack_of(rng, dims, mask_arr, k)
+        droi = discretize_rows(values, RoiMask(mask_arr), n_bins)
+        with pytest.raises(DataError, match="one image"):
+            texture_features(droi, "glcm")
+        for family in TEXTURE_FAMILIES:
+            rows = texture_rows(droi, family)
+            assert rows.shape == (k, len(FAMILY_FEATURES[family]))
+            for r, img in enumerate(images):
+                ref = BF_FAMILIES[family](roi_dict(mask_arr, values=img, n_bins=n_bins), n_bins)
+                for name, value in zip(FAMILY_FEATURES[family], rows[r]):
+                    assert value == pytest.approx(ref[name], abs=1e-10), (family, name, r)
+
+
+def _feature(rows, names, r, name):
+    return rows[r, names.index(name)]
+
+
+def test_stack_conventions_hold_row_by_row():
+    # a line of 6 voxels along x: only direction (1, 0, 0) has voxel pairs
+    dims = (6, 1, 1)
+    mask = full_mask(dims)
+    constant = np.full(6, 3.5)
+    two_level = np.array([0.0, 0.0, 0.0, 9.0, 9.0, 9.0])
+    noisy = np.random.default_rng(36).normal(size=6)
+    values = np.stack([constant, two_level, noisy])
+    first = firstorder_rows(values)
+    for name in ("Skewness", "Kurtosis"):
+        assert _feature(first, FIRSTORDER_FEATURES, 0, name) == 0.0  # m2 == 0
+        assert _feature(first, FIRSTORDER_FEATURES, 2, name) != 0.0
+    assert _feature(first, FIRSTORDER_FEATURES, 1, "Kurtosis") == pytest.approx(1.0, abs=1e-12)
+
+    droi = discretize_rows(values, mask, 4)
+    assert droi.rows[0].tolist() == [1] * 6  # a constant ROI quantizes to level 1
+    assert droi.rows[1].tolist() == [1, 1, 1, 4, 4, 4]
+    assert len(set(droi.rows[2].tolist())) > 2
+
+    glcm = texture_rows(droi, "glcm")
+    assert _feature(glcm, GLCM_FEATURES, 0, "Correlation") == 1.0  # zero variance
+    assert _feature(glcm, GLCM_FEATURES, 1, "Correlation") != 1.0
+    # the 12 directions without a pair are left out of the mean: the two-level
+    # row's one direction has pairs (1,1) x2, (1,4), (4,4) x2, so its
+    # symmetric matrix sums to 10 and Contrast is 2 * 3^2 / 10
+    assert _feature(glcm, GLCM_FEATURES, 1, "Contrast") == pytest.approx(1.8, abs=1e-12)
+    assert _feature(glcm, GLCM_FEATURES, 0, "Contrast") == 0.0
+    for r in range(len(values)):
+        ref = BF_FAMILIES["glcm"](roi_dict(np.ones(dims, bool), levels=droi.rows[r].tolist()), 4)
+        for name, value in zip(GLCM_FEATURES, glcm[r]):
+            assert value == pytest.approx(ref[name], abs=1e-12), (name, r)
+
+    # no direction has a pair: one voxel, and voxels that touch no other
+    isolated = np.zeros((5, 5, 5), bool)
+    isolated[0, 0, 0] = isolated[2, 2, 2] = isolated[4, 0, 4] = True
+    for mask_arr in (np.ones((1, 1, 1), bool), isolated):
+        n = int(mask_arr.sum())
+        stack = np.stack([np.full(n, 2.0), np.arange(n, dtype=float), -np.arange(n, dtype=float)])
+        single = discretize_rows(stack, RoiMask(mask_arr), 4)
+        assert not texture_rows(single, "glcm").any()
+        assert _feature(firstorder_rows(stack), FIRSTORDER_FEATURES, 0, "Skewness") == 0.0
+        # every voxel depends on itself alone
+        gldm = texture_rows(single, "gldm")
+        assert gldm[:, GLDM_FEATURES.index("SmallDependenceEmphasis")].tolist() == [1.0] * 3

@@ -404,11 +404,16 @@ def load_manifest(path: str | Path) -> list[MetastasisRecord]:
     if not isinstance(data, dict) or "patients" not in data:
         raise DataError(f"manifest {path} must be an object with a 'patients' array")
     records: list[MetastasisRecord] = []
+    patient_of: dict[str, str] = {}  # lesion_id -> patient_id; the feature table keys images by lesion
     for j, p in enumerate(_entries(data, "patients", f"manifest {path}")):
         pid = _identifier(p, "patient_id", f"manifest {path}: patient {j}")
         clinical = _parse_clinical(_required(p, "clinical", pid), pid)
         for i, lesion in enumerate(_entries(p, "lesions", pid)):
             lid = _identifier(lesion, "lesion_id", f"{pid}: lesion {i}")
+            if lid in patient_of:
+                raise DataError(f"manifest {path}: lesion_id {lid!r} appears twice, "
+                                f"under patients {patient_of[lid]!r} and {pid!r}")
+            patient_of[lid] = pid
             ctx = f"{pid}/{lid}"
             followups = tuple(
                 Followup(

@@ -28,10 +28,10 @@ from .cohort import (
     delta_rows,
     label_samples,
 )
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .features import ExtractionConfig, extract_all, feature_names
 from .featurestore import ROLE_FOLLOWUP, ROLE_PLAN_CT, ROLE_PLAN_MR, FeatureStore
-from .volume import RoiMask, VolumeImage, WhiteStripeConfig, white_stripe_normalize, z_normalize
+from .volume import VolumeImage, white_stripe_stats, zscore_stats
 
 log = logging.getLogger(__name__)
 
@@ -48,18 +48,27 @@ def parallel_map(fn, items, threads: int = 1) -> list:
 @dataclass(frozen=True)
 class NormalizationConfig:
     zscore: bool = True
-    whitestripe: str = "mr"  # "mr" = all MR volumes, "none" = disabled
+    whitestripe: str = "mr"  # "mr" = the manifest's MR roles (planning MR, follow-up), "none" = disabled
+
+    def __post_init__(self):
+        if not isinstance(self.zscore, bool):
+            raise ConfigError(f"zscore must be a bool, got {self.zscore!r}")
+        if self.whitestripe not in ("mr", "none"):
+            raise ConfigError(f"whitestripe must be 'mr' or 'none', got {self.whitestripe!r}")
 
 
-def normalize_volume(img: VolumeImage, mask: RoiMask, cfg: NormalizationConfig) -> VolumeImage:
-    """Apply the configured intensity normalizations (white-stripe on MR only)."""
-    out = img
+def normalize_volume(img: VolumeImage, role: str, cfg: NormalizationConfig) -> VolumeImage:
+    """Apply the configured intensity normalizations: z-score, then white-stripe
+    on every role but the planning CT. Each step is ``(v - mu) / sigma``, its
+    statistics taken over the whole volume as the step before left it."""
+    v = img.voxels
     if cfg.zscore:
-        out, _ = z_normalize(out)
-    if cfg.whitestripe == "mr" and img.modality == "MR":
-        brain = RoiMask(np.ones(img.dims, dtype=bool))
-        out, _ = white_stripe_normalize(out, brain, WhiteStripeConfig())
-    return out
+        mu, sigma = zscore_stats(v.ravel())
+        v = (v - mu) / sigma
+    if cfg.whitestripe == "mr" and role != ROLE_PLAN_CT:
+        mu, sigma = white_stripe_stats(v.ravel())
+        v = (v - mu) / sigma
+    return VolumeImage(v, img.spacing, img.modality)
 
 
 def image_jobs(records: list[MetastasisRecord]):
@@ -96,7 +105,7 @@ def extract_cohort(
         lesion_id, role, date_iso, source = job
         try:
             img, mask = source.load(base_dir)
-            img = normalize_volume(img, mask, normalization)
+            img = normalize_volume(img, role, normalization)
             return extract_all(img, mask, extraction)
         except DataError as exc:
             message = f"[extract {lesion_id}/{role}/{date_iso}] {exc}"

@@ -12,6 +12,12 @@ Two on-disk formats are supported:
 Volumes are immutable after construction; voxel arrays are indexed ``[x, y, z]``
 and marked read-only. A mask computes its foreground coordinates and their
 26-neighbor pairs once, on first use.
+
+Intensity normalization is two statistics over a flat array of voxel values,
+each an offset and a scale ``(mu, sigma)``: ``zscore_stats`` (mean and
+population std) and ``white_stripe_stats`` (Shinohara et al., NeuroImage:
+Clinical 2014). ``radrisk.pipeline.normalize_volume`` applies them as
+``(v - mu) / sigma`` and decides which apply to which image.
 """
 
 from __future__ import annotations
@@ -143,24 +149,6 @@ class RoiMask:
         the same pairs.
         """
         return neighbor_pairs_of(self.coords)
-
-
-@dataclass(frozen=True)
-class NormalizationParams:
-    method: str  # "zscore" or "whitestripe"
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise DataError(f"normalization sigma must be > 0, got {self.sigma}")
-
-
-@dataclass(frozen=True)
-class WhiteStripeConfig:
-    tau: float = 0.05
-    bins: int = 256
-    min_window_voxels: int = 10
 
 
 def check_aligned(img: VolumeImage, mask: RoiMask) -> None:
@@ -330,62 +318,49 @@ def _write_nifti(img: VolumeImage, path: Path) -> Path:
 # ---------------------------------------------------------------------------
 # Intensity normalization
 
+# white-stripe: quantile half-width around the peak, histogram bins, fewest window voxels
+WHITE_STRIPE_TAU = 0.05
+WHITE_STRIPE_BINS = 256
+WHITE_STRIPE_MIN_WINDOW = 10
 
-def z_normalize(img: VolumeImage, mask: RoiMask | None = None) -> tuple[VolumeImage, NormalizationParams]:
-    """Center and scale by mean / population std over the reference region.
 
-    The reference region is the mask foreground when a mask is given, the whole
-    volume otherwise. A zero-variance reference is an error ("constant image").
-    """
-    if mask is not None:
-        check_aligned(img, mask)
-        require_nonempty(mask)
-        ref = img.voxels[mask.voxels]
-    else:
-        ref = img.voxels.ravel()
-    mu = float(ref.mean())
-    sigma = float(ref.std())
+def zscore_stats(values: np.ndarray) -> tuple[float, float]:
+    """Mean and population std of ``values``; a zero std is an error ("constant image")."""
+    mu = float(values.mean())
+    sigma = float(values.std())
     if sigma == 0.0:
         raise DataError("constant image: zero variance over the normalization region")
-    out = VolumeImage((img.voxels - mu) / sigma, img.spacing, img.modality)
-    return out, NormalizationParams("zscore", mu, sigma)
+    return mu, sigma
 
 
-def white_stripe_normalize(
-    img: VolumeImage, brain_mask: RoiMask, config: WhiteStripeConfig = WhiteStripeConfig()
-) -> tuple[VolumeImage, NormalizationParams]:
-    """Normalize against the dominant bright-tissue histogram peak.
+def white_stripe_stats(values: np.ndarray) -> tuple[float, float]:
+    """Offset and scale of the dominant bright-tissue histogram peak of ``values``.
 
     The offset is the center of the largest smoothed-histogram peak strictly
-    above the masked median (256 bins, 7-bin binomial smoothing); the scale is
-    the population std of masked voxels inside the quantile window
+    above the median (256 bins, 7-bin binomial smoothing); the scale is the
+    population std of the values inside the quantile window
     ``[q(p_peak - tau), q(p_peak + tau)]`` around that peak.
     """
-    check_aligned(img, brain_mask)
-    require_nonempty(brain_mask)
-    vals = img.voxels[brain_mask.voxels]
-    lo, hi = float(vals.min()), float(vals.max())
+    lo, hi = float(values.min()), float(values.max())
     if lo == hi:
         raise DataError("no histogram peak above the masked median (constant region)")
-    hist, edges = np.histogram(vals, bins=config.bins, range=(lo, hi))
+    hist, edges = np.histogram(values, bins=WHITE_STRIPE_BINS, range=(lo, hi))
     centers = (edges[:-1] + edges[1:]) / 2.0
     kernel = np.array([1, 6, 15, 20, 15, 6, 1], dtype=np.float64) / 64.0
     smoothed = np.convolve(hist.astype(np.float64), kernel, mode="same")
-    med = float(np.median(vals))
+    med = float(np.median(values))
     candidates = np.nonzero(centers > med)[0]
     if candidates.size == 0 or smoothed[candidates].max() == 0.0:
         raise DataError("no histogram peak above the masked median")
     peak_idx = int(candidates[np.argmax(smoothed[candidates])])
     mu_ws = float(centers[peak_idx])
-    p_peak = float(np.mean(vals <= mu_ws))
-    q_lo, q_hi = np.quantile(vals, [max(0.0, p_peak - config.tau), min(1.0, p_peak + config.tau)])
-    window = vals[(vals >= q_lo) & (vals <= q_hi)]
-    if window.size < config.min_window_voxels:
-        raise DataError(
-            f"white-stripe window contains {window.size} voxels (< {config.min_window_voxels})"
-        )
+    p_peak = float(np.mean(values <= mu_ws))
+    p_lo, p_hi = max(0.0, p_peak - WHITE_STRIPE_TAU), min(1.0, p_peak + WHITE_STRIPE_TAU)
+    q_lo, q_hi = np.quantile(values, [p_lo, p_hi])
+    window = values[(values >= q_lo) & (values <= q_hi)]
+    if window.size < WHITE_STRIPE_MIN_WINDOW:
+        raise DataError(f"white-stripe window contains {window.size} voxels (< {WHITE_STRIPE_MIN_WINDOW})")
     sigma_ws = float(window.std())
     if sigma_ws == 0.0:
         raise DataError("constant image: zero variance in the white-stripe window")
-    out = VolumeImage((img.voxels - mu_ws) / sigma_ws, img.spacing, img.modality)
-    return out, NormalizationParams("whitestripe", mu_ws, sigma_ws)
+    return mu_ws, sigma_ws

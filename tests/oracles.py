@@ -9,12 +9,16 @@ numpy blocks, since plain loops over a few thousand voxels would be too slow.
 The classifier's dual is solved by enumerating every active set of a small
 problem and solving each one's KKT system. A feature set's dataset is
 assembled one sample at a time, as one dict per image and per sample.
+``bf_normalize`` keeps the first intensity normalization as written, one
+intermediate volume per step, as the reference for the single-array one.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from radrisk.errors import DataError
 
 OFFSETS_13 = [
     (1, 0, 0), (0, 1, 0), (0, 0, 1),
@@ -466,6 +470,55 @@ def bf_whitestripe_peak(values, bins=256):
     if best is None:
         return None
     return lo + (best + 0.5) * width
+
+
+def _bf_volume(voxels):
+    """A volume's voxels as a volume constructor stores them: a finite float64 copy."""
+    vox = np.asarray(voxels, dtype=np.float64).copy()
+    if not np.all(np.isfinite(vox)):
+        raise DataError("volume contains non-finite voxels")
+    return vox
+
+
+def bf_normalize(voxels, zscore=True, whitestripe=True):
+    """The normalization as first written: a z-scored volume over the whole
+    grid, then a white-striped volume over an all-ones brain mask, each built
+    as a new volume. White-stripe runs at tau 0.05, 256 bins and a 10-voxel
+    window. Returns the normalized voxels."""
+    out = _bf_volume(voxels)
+    if zscore:
+        ref = out.ravel()
+        mu = float(ref.mean())
+        sigma = float(ref.std())
+        if sigma == 0.0:
+            raise DataError("constant image: zero variance over the normalization region")
+        out = _bf_volume((out - mu) / sigma)
+    if whitestripe:
+        brain = np.ones(out.shape, dtype=bool)
+        vals = out[brain]
+        lo, hi = float(vals.min()), float(vals.max())
+        if lo == hi:
+            raise DataError("no histogram peak above the masked median (constant region)")
+        hist, edges = np.histogram(vals, bins=256, range=(lo, hi))
+        centers = (edges[:-1] + edges[1:]) / 2.0
+        kernel = np.array([1, 6, 15, 20, 15, 6, 1], dtype=np.float64) / 64.0
+        smoothed = np.convolve(hist.astype(np.float64), kernel, mode="same")
+        med = float(np.median(vals))
+        candidates = np.nonzero(centers > med)[0]
+        if candidates.size == 0 or smoothed[candidates].max() == 0.0:
+            raise DataError("no histogram peak above the masked median")
+        peak_idx = int(candidates[np.argmax(smoothed[candidates])])
+        mu_ws = float(centers[peak_idx])
+        p_peak = float(np.mean(vals <= mu_ws))
+        q_lo, q_hi = np.quantile(vals, [max(0.0, p_peak - 0.05), min(1.0, p_peak + 0.05)])
+        window = vals[(vals >= q_lo) & (vals <= q_hi)]
+        if window.size < 10:
+            raise DataError(f"white-stripe window contains {window.size} voxels (< 10)")
+        sigma_ws = float(window.std())
+        if sigma_ws == 0.0:
+            raise DataError("constant image: zero variance in the white-stripe window")
+        out = _bf_volume((out - mu_ws) / sigma_ws)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from radrisk.cli import cli, main
+from radrisk.featurestore import ROLE_FOLLOWUP, ROLE_PLAN_CT, ROLE_PLAN_MR, read_features_csv
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +249,34 @@ def test_synth_nifti_format_roundtrip(tmp_path):
     lines = (out / "features.csv").read_text().splitlines()
     header = [l for l in lines if l.startswith("lesion_id")][0]
     assert len(header.split(",")) == 3 + 98
+    # the file format changes no value: NIfTI stores no modality, and the manifest role
+    # alone decides which images are white-striped
+    raw = tmp_path / "rawjson"
+    assert main(["synth", "--seed", "2", "--lesions", "3", "--format", "rawjson",
+                 "--out", str(raw)]) == 0
+    assert main(["extract", "--manifest", str(raw / "manifest.json"),
+                 "--out", str(raw), "--ng", "8", "--wavelet", "none"]) == 0
+    nifti, rawjson = read_features_csv(out / "features.csv"), read_features_csv(raw / "features.csv")
+    assert nifti.keys == rawjson.keys
+    roles = np.array([role for _, role, _ in nifti.keys])
+    for role in (ROLE_PLAN_MR, ROLE_PLAN_CT, ROLE_FOLLOWUP):
+        assert (roles == role).any()
+        assert np.array_equal(nifti.values[roles == role], rawjson.values[roles == role]), role
+
+
+def test_lesion_id_under_two_patients_is_a_data_error(tmp_path, capsys):
+    assert main(["synth", "--seed", "3", "--lesions", "4", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    first, second = (p["lesions"][0] for p in manifest["patients"][:2])
+    second["lesion_id"] = first["lesion_id"]
+    path.write_text(json.dumps(manifest))
+    assert main(["extract", "--manifest", str(path), "--out", str(tmp_path), "--ng", "8",
+                 "--wavelet", "none"]) == 3
+    err = capsys.readouterr().err
+    assert repr(first["lesion_id"]) in err
+    assert all(repr(p["patient_id"]) in err for p in manifest["patients"][:2])
+    assert not (tmp_path / "features.csv").exists()
 
 
 def test_run_with_config_file(cohort_dir, tmp_path):

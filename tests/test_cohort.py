@@ -453,3 +453,28 @@ def test_manifest_field_of_another_json_type(tmp_path, path, data):
             if src is not None:
                 assert isinstance(src.image_path, str) and isinstance(src.mask_path, str)
         clinical_features(rec.clinical, 1)
+
+
+def test_manifest_rejects_a_lesion_id_repeated_across_patients(tmp_path):
+    # the feature table keys images by lesion_id: a repeat would pair one patient's
+    # follow-ups with another's planning images and clinical block
+    def patient(pid, lids):
+        lesions = [{
+            "lesion_id": lid,
+            "planning_date": "2010-01-01",
+            "planning_mr": {"image": "mr.json", "mask": "mr_mask.json"},
+            "followups": [],
+            "censor_date": "2011-12-31",
+        } for lid in lids]
+        return {"patient_id": pid, "clinical": dataclasses.asdict(CLINICAL), "lesions": lesions}
+
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"patients": [patient("P0", ["L1"]), patient("P1", ["L2"])]}))
+    assert [r.lesion_id for r in load_manifest(path)] == ["L1", "L2"]
+    for patients, owners in (
+        ([patient("P0", ["L1"]), patient("P1", ["L2", "L1"])], "'P0' and 'P1'"),
+        ([patient("P0", ["L1", "L1"])], "'P0' and 'P0'"),
+    ):
+        path.write_text(json.dumps({"patients": patients}))
+        with pytest.raises(DataError, match=f"lesion_id 'L1' appears twice, under patients {owners}"):
+            load_manifest(path)

@@ -61,13 +61,13 @@ def test_extraction_failures_come_in_job_order_at_any_threads(monkeypatch):
     first, second = (source.load()[0].voxels for *_, source in jobs[:2])
     normalize = pipeline.normalize_volume
 
-    def slow_first_two_fail(img, mask, cfg):  # the first job finishes last, the second first
+    def slow_first_two_fail(img, role, cfg):  # the first job finishes last, the second first
         if np.array_equal(img.voxels, first):
             time.sleep(0.3)
             raise DataError("first image")
         if np.array_equal(img.voxels, second):
             raise DataError("second image")
-        return normalize(img, mask, cfg)
+        return normalize(img, role, cfg)
 
     monkeypatch.setattr(pipeline, "normalize_volume", slow_first_two_fail)
     config = ExtractionConfig(n_bins=8, wavelet=None)

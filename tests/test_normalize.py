@@ -3,121 +3,132 @@ import math
 import numpy as np
 import pytest
 
-from radrisk import (
-    DataError,
-    RoiMask,
-    WhiteStripeConfig,
-    white_stripe_normalize,
-    z_normalize,
-)
-from helpers import full_mask, vol, vol3d
-from oracles import bf_whitestripe_peak
+from radrisk import ConfigError, DataError, NormalizationConfig, white_stripe_stats, zscore_stats
+from radrisk.featurestore import ROLE_FOLLOWUP, ROLE_PLAN_CT, ROLE_PLAN_MR
+from radrisk.pipeline import normalize_volume
+from helpers import vol3d
+from oracles import bf_normalize, bf_whitestripe_peak
+
+
+def _apply(values, stats):
+    mu, sigma = stats(values)
+    return (values - mu) / sigma
+
+
+def _bimodal(rng, n, bright=0.7):
+    values = np.concatenate([
+        rng.normal(100.0, 3.0, size=int(n * bright)),
+        rng.normal(40.0, 3.0, size=n - int(n * bright)),
+    ])
+    rng.shuffle(values)
+    return values
 
 
 def test_z_normalize_hand_values():
-    img = vol([2, 4, 6, 8], (4, 1, 1))
-    out, params = z_normalize(img)
+    mu, sigma = zscore_stats(np.array([2.0, 4.0, 6.0, 8.0]))
     s5 = math.sqrt(5.0)
-    assert params.mu == 5.0
-    assert params.sigma == pytest.approx(s5, abs=1e-15)
+    assert mu == 5.0
+    assert sigma == pytest.approx(s5, abs=1e-15)
     expected = np.array([-3 / s5, -1 / s5, 1 / s5, 3 / s5])
-    assert np.allclose(out.voxels.ravel(order="F"), expected, atol=1e-12)
+    assert np.allclose((np.array([2.0, 4.0, 6.0, 8.0]) - mu) / sigma, expected, atol=1e-12)
 
 
 def test_z_normalize_constant_errors():
     with pytest.raises(DataError, match="constant image"):
-        z_normalize(vol([3, 3, 3, 3], (4, 1, 1)))
+        zscore_stats(np.full(4, 3.0))
 
 
 def test_z_normalize_output_statistics():
     rng = np.random.default_rng(2)
-    img = vol3d(rng.normal(40, 7, size=(6, 5, 4)))
-    out, _ = z_normalize(img)
-    assert abs(out.voxels.mean()) < 1e-9
-    assert abs(out.voxels.std() - 1.0) < 1e-9
+    out = _apply(rng.normal(40, 7, size=120), zscore_stats)
+    assert abs(out.mean()) < 1e-9
+    assert abs(out.std() - 1.0) < 1e-9
     # idempotence: renormalizing changes nothing
-    again, params = z_normalize(out)
-    assert np.allclose(again.voxels, out.voxels, atol=1e-9)
-    assert params.mu == pytest.approx(0.0, abs=1e-12)
-    assert params.sigma == pytest.approx(1.0, abs=1e-12)
-
-
-def test_z_normalize_with_mask_reference():
-    rng = np.random.default_rng(3)
-    img = vol3d(rng.normal(size=(5, 5, 5)) + 10)
-    mask = RoiMask(rng.uniform(size=(5, 5, 5)) < 0.4)
-    out, params = z_normalize(img, mask)
-    ref = out.voxels[mask.voxels]
-    assert abs(ref.mean()) < 1e-9
-    assert abs(ref.std() - 1.0) < 1e-9
-    assert out.dims == img.dims and out.spacing == img.spacing
+    mu, sigma = zscore_stats(out)
+    assert np.allclose((out - mu) / sigma, out, atol=1e-9)
+    assert mu == pytest.approx(0.0, abs=1e-12)
+    assert sigma == pytest.approx(1.0, abs=1e-12)
 
 
 def test_whitestripe_bimodal_against_histogram_scan():
-    rng = np.random.default_rng(4)
-    n = 4000
-    values = np.concatenate([
-        rng.normal(100.0, 3.0, size=int(n * 0.7)),
-        rng.normal(40.0, 3.0, size=int(n * 0.3)),
-    ])
-    rng.shuffle(values)
-    img = vol3d(values.reshape((20, 20, 10)))
-    out, params = white_stripe_normalize(img, full_mask((20, 20, 10)))
-    expected_peak = bf_whitestripe_peak(values.tolist())
-    assert params.mu == pytest.approx(expected_peak, abs=1e-9)
-    assert abs(params.mu - 100.0) < 2.0
+    values = _bimodal(np.random.default_rng(4), 4000)
+    mu, sigma = white_stripe_stats(values)
+    assert mu == pytest.approx(bf_whitestripe_peak(values.tolist()), abs=1e-9)
+    assert abs(mu - 100.0) < 2.0
     # sigma per definition: population std inside the +-tau quantile window
-    p_peak = float(np.mean(values <= params.mu))
+    p_peak = float(np.mean(values <= mu))
     q_lo, q_hi = np.quantile(values, [max(0.0, p_peak - 0.05), min(1.0, p_peak + 0.05)])
     window = values[(values >= q_lo) & (values <= q_hi)]
-    assert params.sigma == pytest.approx(float(window.std()), rel=1e-12)
-    assert 0.0 < params.sigma < 3.0  # a stripe slice is tighter than the full cluster
+    assert sigma == pytest.approx(float(window.std()), rel=1e-12)
+    assert 0.0 < sigma < 3.0  # a stripe slice is tighter than the full cluster
 
 
 def test_whitestripe_unimodal_single_candidate():
     # diffuse 0..99 plus one tight cluster above the median: the only peak
-    values = np.array([float(v) for v in range(100)] + [70.3] * 30)
-    img = vol3d(values.reshape((13, 10, 1)))
-    out, params = white_stripe_normalize(img, full_mask((13, 10, 1)))
-    assert abs(params.mu - 70.3) < 0.5
+    mu, _ = white_stripe_stats(np.array([float(v) for v in range(100)] + [70.3] * 30))
+    assert abs(mu - 70.3) < 0.5
 
 
 def test_whitestripe_no_peak_above_median():
-    values = np.array([5.0] * 99 + [4.0])  # max == median
-    img = vol3d(values.reshape((10, 10, 1)))
     with pytest.raises(DataError, match="no histogram peak"):
-        white_stripe_normalize(img, full_mask((10, 10, 1)))
+        white_stripe_stats(np.array([5.0] * 99 + [4.0]))  # max == median
 
 
 def test_whitestripe_small_window_errors():
-    values = np.concatenate([np.full(6, 10.0), np.full(6, 20.0)])
-    img = vol3d(values.reshape((12, 1, 1)))
-    with pytest.raises(DataError, match="window"):
-        white_stripe_normalize(img, full_mask((12, 1, 1)), WhiteStripeConfig(tau=0.01))
+    with pytest.raises(DataError, match="window contains 0 voxels"):
+        white_stripe_stats(np.array([10.0] * 4 + [20.0] * 4))
 
 
 def test_normalizations_affine_equivariant():
-    rng = np.random.default_rng(5)
-    n = 3000
-    values = np.concatenate([
-        rng.normal(100.0, 4.0, size=int(n * 0.65)),
-        rng.normal(40.0, 5.0, size=n - int(n * 0.65)),
-    ])
-    rng.shuffle(values)
-    dims = (15, 20, 10)
-    img = vol3d(values.reshape(dims))
-    scaled = vol3d((2.5 * values + 17.0).reshape(dims))
-    mask = full_mask(dims)
-    for normalize in (lambda v: z_normalize(v)[0], lambda v: white_stripe_normalize(v, mask)[0]):
-        a = normalize(img)
-        b = normalize(scaled)
-        assert np.allclose(a.voxels, b.voxels, atol=1e-6)
+    values = _bimodal(np.random.default_rng(5), 3000, bright=0.65)
+    for stats in (zscore_stats, white_stripe_stats):
+        assert np.allclose(_apply(values, stats), _apply(2.5 * values + 17.0, stats), atol=1e-6)
 
 
 def test_normalization_preserves_geometry():
     rng = np.random.default_rng(6)
     img = vol3d(rng.normal(50, 10, size=(4, 5, 6)), spacing=(0.5, 2.0, 3.0))
-    out, _ = z_normalize(img)
+    out = normalize_volume(img, ROLE_PLAN_MR, NormalizationConfig())
     assert out.dims == (4, 5, 6)
     assert out.spacing == (0.5, 2.0, 3.0)
     assert out.modality == img.modality
+
+
+@pytest.mark.parametrize("zscore", [True, False])
+@pytest.mark.parametrize("whitestripe", ["mr", "none"])
+def test_normalize_volume_matches_two_pass_oracle(zscore, whitestripe):
+    rng = np.random.default_rng(7)
+    cfg = NormalizationConfig(zscore=zscore, whitestripe=whitestripe)
+    for dims in ((20, 20, 10), (13, 7, 5), (9, 1, 40)):
+        n = dims[0] * dims[1] * dims[2]
+        img = vol3d(_bimodal(rng, n).reshape(dims) * rng.uniform(0.5, 3.0))
+        for role in (ROLE_PLAN_MR, ROLE_FOLLOWUP):
+            want = bf_normalize(img.voxels, zscore, whitestripe == "mr")
+            assert np.array_equal(normalize_volume(img, role, cfg).voxels, want)
+        # the planning CT is never white-striped, whatever its header says
+        ct = normalize_volume(img, ROLE_PLAN_CT, cfg).voxels
+        assert np.array_equal(ct, bf_normalize(img.voxels, zscore, False))
+
+
+@pytest.mark.parametrize("zscore", [True, False])
+@pytest.mark.parametrize("values", [
+    [3.0] * 8,  # constant image
+    [5.0] * 99 + [4.0],  # no peak above the median
+    [10.0] * 4 + [20.0] * 4,  # white-stripe window too small
+], ids=["constant", "no-peak", "small-window"])
+def test_normalize_volume_errors_match_oracle(values, zscore):
+    img = vol3d(np.array(values).reshape((len(values), 1, 1)))
+    with pytest.raises(DataError) as want:
+        bf_normalize(img.voxels, zscore, True)
+    with pytest.raises(DataError) as got:
+        normalize_volume(img, ROLE_PLAN_MR, NormalizationConfig(zscore=zscore))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"whitestripe": "MR"}, {"whitestripe": "ct"}, {"whitestripe": None},
+    {"zscore": 1}, {"zscore": "yes"}, {"zscore": None},
+])
+def test_normalization_config_rejects_unknown_values(kwargs):
+    with pytest.raises(ConfigError):
+        NormalizationConfig(**kwargs)

@@ -530,6 +530,7 @@ def run(ctx, config_path, **params):
                 "confusion": rep.confusion,
                 "nonconverged_fits": rep.nonconverged_fits,
                 "max_kkt_residual": rep.max_kkt_residual,
+                "max_solver_iterations": rep.max_solver_iterations,
             }
             for set_id, rep in reports.items()
         },

@@ -5,9 +5,9 @@ train or test (stratified on the lesion-level "ever high-risk" flag), fits the
 feature selection and the classifier on the training fold only, and scores the
 test fold. The report carries per-repeat AUCs, the mean/std AUC, a pooled
 confusion at the decision threshold, per-sample out-of-fold mean scores, a
-leakage guard (count of lesions straddling train/test, asserted zero), and how
-many classifier fits stopped at their iteration cap before reaching the KKT
-tolerance, with the largest KKT residual of any fit.
+leakage guard (count of lesions straddling train/test, asserted zero), how many
+classifier fits did not reach the KKT tolerance, the largest KKT residual of
+any fit, and the largest number of solver iterations any fit took.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ class CvReport:
     straddle_counts: list[int]
     nonconverged_fits: int  # fits whose KKT residual stayed >= the classifier's tol
     max_kkt_residual: float
+    max_solver_iterations: int  # the largest epochs_run of the fits
     selected_first_repeat: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -77,6 +78,7 @@ class CvReport:
             "straddle_counts": self.straddle_counts,
             "nonconverged_fits": self.nonconverged_fits,
             "max_kkt_residual": self.max_kkt_residual,
+            "max_solver_iterations": self.max_solver_iterations,
             "selected_first_repeat": self.selected_first_repeat,
         }
 
@@ -132,7 +134,7 @@ def _one_repeat(
     model = clf.fit(X_train[:, cols], y_train, selection.selected, clf_cfg)
     scores = clf.decision_scores(model, X_test[:, cols])
     auc_value = roc_curve(scores, y_test).auc
-    return auc_value, in_test, scores, straddle, selection.selected, model.kkt_residual
+    return auc_value, in_test, scores, straddle, selection.selected, model.kkt_residual, model.epochs_run
 
 
 def monte_carlo_cv(
@@ -171,8 +173,10 @@ def monte_carlo_cv(
     pooled_labels: list[np.ndarray] = []
     selected_first: list[str] = []
     residuals = []
-    for k, (auc_value, in_test, scores, straddle, selected, residual) in enumerate(results):
+    iterations = []
+    for k, (auc_value, in_test, scores, straddle, selected, residual, epochs) in enumerate(results):
         residuals.append(residual)
+        iterations.append(epochs)
         aucs.append(float(auc_value))
         straddles.append(straddle)
         oof_sum[in_test] += scores
@@ -187,8 +191,8 @@ def monte_carlo_cv(
 
     nonconverged = sum(r >= clf_cfg.tol for r in residuals)
     if nonconverged:
-        log.warning("set %d: %d of %d classifier fits stopped at max_epochs=%d with a KKT residual "
-                    "up to %.3g (tol %g)", dataset.set_id, nonconverged, len(residuals),
+        log.warning("set %d: %d of %d classifier fits did not reach the KKT tolerance (iteration cap %d): "
+                    "KKT residual up to %.3g (tol %g)", dataset.set_id, nonconverged, len(residuals),
                     clf_cfg.max_epochs, max(residuals), clf_cfg.tol)
     oof = np.divide(oof_sum, oof_counts, out=np.zeros(n), where=oof_counts > 0)
     pooled = roc_curve(np.concatenate(pooled_scores), np.concatenate(pooled_labels)).auc
@@ -205,5 +209,6 @@ def monte_carlo_cv(
         straddle_counts=straddles,
         nonconverged_fits=nonconverged,
         max_kkt_residual=max(residuals),
+        max_solver_iterations=max(iterations),
         selected_first_repeat=selected_first,
     )

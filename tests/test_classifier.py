@@ -210,3 +210,65 @@ def test_errors():
         decision_scores(model, np.zeros((1, 1)), ["wrong"])
     with pytest.raises(DataError, match="width"):
         decision_scores(model, np.zeros((1, 3)))
+
+
+def test_degenerate_faces_match_oracle():
+    # duplicated rows and integer-valued columns: ties in the margins, faces
+    # where Z_F is rank-deficient, and optimal duals that are not unique
+    rng = np.random.default_rng(57)
+    for trial in range(40):
+        n = int(rng.integers(3, 8))
+        d = int(rng.integers(1, 4))
+        X = rng.integers(-1, 2, size=(n, d)).astype(float)
+        y = rng.integers(0, 2, size=n)
+        y[:2] = [0, 1]
+        copies = rng.integers(2, n, size=n // 2)
+        sources = rng.integers(0, n, size=n // 2)
+        X[copies] = X[sources]
+        if trial % 2:  # exact duplicates; otherwise some copies carry the other label
+            y[copies] = y[sources]
+        cfg = ClassifierConfig(C=float(10 ** rng.uniform(-1, 2)),
+                               sensitivity_weight=float(rng.uniform(0.5, 3.0)),
+                               max_epochs=1_000_000, tol=1e-12)
+        model = fit(X, y, [f"f{j}" for j in range(d)], cfg)
+        assert model.kkt_residual < 1e-12, trial
+        w = bf_svm_dual(*_dual_problem(model, X, y))
+        assert np.allclose(model.w, w[:d], rtol=0.0, atol=1e-9), (trial, model.w, w)
+        assert model.b == pytest.approx(w[d], rel=0.0, abs=1e-9), trial
+
+
+def test_rank_deficient_face_certifies():
+    # 4 columns on {0, 1, 2}: many samples share a row, so more samples sit on
+    # the margin than the d + 1 = 5 columns of Z can pin down
+    rng = np.random.default_rng(60)
+    X = rng.integers(0, 3, size=(190, 4)).astype(float)
+    y = (X @ np.array([1.0, -1.0, 0.5, 0.0]) + rng.normal(size=190) > 0.5).astype(int)
+    model = fit(X, y, ["a", "b", "c", "d"], ClassifierConfig())
+    assert model.kkt_residual < model.config.tol
+    margins = np.where(y == 1, 1.0, -1.0) * model.training_scores
+    assert int((np.abs(margins - 1.0) < 1e-8).sum()) > X.shape[1] + 1
+
+
+def _noisy_problem(seed, n=190, d=20):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    y = (X[:, 0] + 2.0 * rng.normal(size=n) > 0.8).astype(int)  # not separable
+    return X, y, [f"f{j}" for j in range(d)]
+
+
+def test_interior_point_iteration_count():
+    # an interior-point solve takes tens of iterations; a first-order method
+    # takes thousands on this problem
+    model = fit(*_noisy_problem(61), ClassifierConfig())
+    assert model.kkt_residual < model.config.tol
+    assert model.epochs_run <= 50
+
+
+@pytest.mark.parametrize("C", [1e-4, 1e6, 1e8])
+def test_extreme_C_ends_with_an_honest_fit(C):
+    # at C = 1e8 the Newton directions are lost to rounding before the face is
+    # certified: the solve must stop there and report, not run to max_epochs
+    model = fit(*_noisy_problem(62), ClassifierConfig(C=C))
+    assert np.isfinite(model.w).all() and np.isfinite(model.b)
+    assert 0.0 <= model.kkt_residual < np.inf
+    assert model.epochs_run <= 100

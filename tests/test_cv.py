@@ -14,7 +14,7 @@ from radrisk import (
     risk_split_report,
     synth_cohort,
 )
-from radrisk import pipeline
+from radrisk import classifier, pipeline
 from radrisk.cohort import FEATURE_SETS, label_samples
 from radrisk.errors import DataError
 from radrisk.featurestore import FeatureStore
@@ -103,6 +103,29 @@ def test_nonconverged_fits_reported(small_cohort, caplog):
     assert capped.to_dict()["max_kkt_residual"] == capped.max_kkt_residual
     warnings = [m for m in caplog.messages if "classifier fits" in m]
     assert len(warnings) == 1 and "set 2: 4 of 4" in warnings[0]
+
+
+def test_max_solver_iterations_reported(small_cohort, monkeypatch, caplog):
+    records, store = small_cohort
+    ds = build_dataset(records, store, feature_set(2))
+    iterations = []
+    real_fit = classifier.fit
+
+    def recording_fit(*args, **kwargs):
+        model = real_fit(*args, **kwargs)
+        iterations.append(model.epochs_run)
+        return model
+
+    monkeypatch.setattr(classifier, "fit", recording_fit)
+    report = monte_carlo_cv(ds, CvConfig(repeats=4, seed=3))
+    assert len(iterations) == 4
+    assert report.max_solver_iterations == max(iterations) > 1
+    assert report.to_dict()["max_solver_iterations"] == report.max_solver_iterations
+    with caplog.at_level("WARNING"):
+        capped = monte_carlo_cv(ds, CvConfig(repeats=4, seed=3), clf_cfg=ClassifierConfig(max_epochs=1))
+    assert capped.max_solver_iterations == 1
+    warnings = [m for m in caplog.messages if "classifier fits" in m]
+    assert len(warnings) == 1 and "did not reach the KKT tolerance (iteration cap 1)" in warnings[0]
 
 
 def test_cv_requires_two_lesions_per_class(small_cohort):

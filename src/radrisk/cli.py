@@ -355,7 +355,7 @@ def _write_correlation_tables(dataset, out: Path, comment: str, top: int = 10) -
         groups.setdefault(column_block(name), []).append(k)
     for block, cols in groups.items():
         names = [dataset.feature_names[k] for k in cols]
-        report = correlation_report(dataset.X[:, cols], dataset.y, names)
+        report = correlation_report(np.take(dataset.X, cols, axis=1), dataset.y, names)
         lines = [f"# {comment}", "rank,feature,r"]
         for rank, (name, r) in enumerate(report.ranked()[:top], start=1):
             lines.append(f"{rank},{name},{r!r}")
@@ -394,7 +394,7 @@ def train(manifest, features_path, set_id, horizon_days, c_value, sensitivity_we
     manifest_path, out = _paths(manifest, out_dir)
     dataset = _dataset_from_files(manifest_path, features_path, set_id, horizon_days)
     _, selection = _full_cohort_selection(dataset)
-    cols = selection.indices(dataset.feature_names)
+    cols = selection.indices
     cfg = clf.ClassifierConfig(C=c_value, sensitivity_weight=sensitivity_weight, threshold=theta)
     model = clf.fit(dataset.X[:, cols], dataset.y, selection.selected, cfg)
     model.save(out / "model.json")

@@ -33,6 +33,10 @@ class SelectionConfig:
     per_samples: int = 10  # cap = n_train // per_samples
     per_fold: bool = True  # False = one global (leaky) selection before CV
 
+    def __post_init__(self):
+        if self.per_samples < 1:
+            raise ConfigError(f"per_samples must be >= 1, got {self.per_samples}")
+
 
 @dataclass(frozen=True)
 class CvConfig:
@@ -130,7 +134,7 @@ def _one_repeat(
     else:
         cap = selection_cap(X_train.shape[0], sel_cfg.per_samples)
         selection = mrmr_select(X_train, y_train, cap, dataset.feature_names)
-    cols = selection.indices(dataset.feature_names)
+    cols = selection.indices
     model = clf.fit(X_train[:, cols], y_train, selection.selected, clf_cfg)
     scores = clf.decision_scores(model, X_test[:, cols])
     auc_value = roc_curve(scores, y_test).auc

@@ -6,9 +6,11 @@ first pick maximizes ``|r(f, label)|`` alone. Ties break on the
 lexicographically smallest feature name. Selection stops at the cap, or once
 every remaining score is non-positive (after at least one pick).
 
-Every correlation goes through one kernel over a matrix centered once. Each
-column's r is an elementwise column sum, so bit-identical columns get
-bit-identical r and tie exactly. A constant column has r = 0 instead of failing.
+Every correlation goes through one kernel over a C-ordered matrix centered
+once. Each column's r is one ``einsum`` contraction that accumulates row by
+row, never a BLAS product, so bit-identical columns get bit-identical r and tie
+exactly, and a column's r does not depend on the other columns or on the
+layout of the input. A constant column has r = 0 instead of failing.
 """
 
 from __future__ import annotations
@@ -24,8 +26,11 @@ def _centered(X: np.ndarray):
     """Center the columns once: (centered matrix, column norms, constant mask).
 
     Constancy is tested exactly: the float mean of a constant column is not
-    exact, so its norm need not be 0.
+    exact, so its norm need not be 0. The matrix is made C-ordered first: the
+    column sums of an F-ordered matrix are pairwise and would move r in its
+    last bits.
     """
+    X = np.ascontiguousarray(X)
     Xc = X - X.mean(axis=0)
     norm = np.sqrt((Xc**2).sum(axis=0))
     constant = np.all(X == X[0], axis=0) | (norm == 0.0)
@@ -33,11 +38,15 @@ def _centered(X: np.ndarray):
 
 
 def _corr(Xc: np.ndarray, norm: np.ndarray, constant: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pearson r of every centered column with ``y``; 0 where either side is constant."""
+    """Pearson r of every centered column with ``y``; 0 where either side is constant.
+
+    On the C-ordered ``Xc`` the contraction adds ``Xc[i, j] * yc[i]`` into each
+    column's sum row by row, with no n x d temporary.
+    """
     yc, yn, y_constant = _centered(y[:, None])
     r = np.zeros(Xc.shape[1])
     if not y_constant[0]:
-        np.divide((Xc * yc).sum(axis=0), norm * yn, out=r, where=~constant)
+        np.divide(np.einsum("ij,i->j", Xc, yc[:, 0]), norm * yn, out=r, where=~constant)
     return r
 
 
@@ -54,6 +63,8 @@ def pearson(x, y) -> float:
 
 def selection_cap(n_samples: int, per: int = 10) -> int:
     """One feature per ``per`` samples, never below 1."""
+    if per < 1:
+        raise ConfigError(f"per_samples must be >= 1, got {per}")
     return max(1, n_samples // per)
 
 
@@ -87,12 +98,9 @@ class SelectionStep:
 @dataclass(frozen=True)
 class SelectionResult:
     selected: list[str]
+    indices: list[int]  # the column of each selected name, in pick order
     trace: list[SelectionStep]
     cap: int
-
-    def indices(self, names: list[str]) -> list[int]:
-        lookup = {n: k for k, n in enumerate(names)}
-        return [lookup[n] for n in self.selected]
 
     def to_dict(self) -> dict:
         return {
@@ -142,4 +150,4 @@ def mrmr_select(X, y, k: int, names: list[str] | None = None) -> SelectionResult
         picked[best] = True
         trace.append(SelectionStep(names[best], float(relevance[best]), float(redund[best]), float(scores[best])))
 
-    return SelectionResult([names[s] for s in selected], trace, k)
+    return SelectionResult([names[s] for s in selected], selected, trace, k)

@@ -11,6 +11,9 @@ problem and solving each one's KKT system. A feature set's dataset is
 assembled one sample at a time, as one dict per image and per sample.
 ``bf_normalize`` keeps the first intensity normalization as written, one
 intermediate volume per step, as the reference for the single-array one.
+``bf_corr_elementwise`` keeps the first selection correlation kernel, an
+elementwise product summed down each column, as the bit-for-bit reference for
+the contraction that replaced it.
 """
 
 import itertools
@@ -380,6 +383,22 @@ def bf_pearson(x, y):
     if dx == 0.0 or dy == 0.0:
         return 0.0
     return num / (dx * dy)
+
+
+def bf_corr_elementwise(X, y):
+    """Pearson r of every column of a C-ordered ``X`` with ``y``, as the product
+    ``Xc * yc`` summed down axis 0; 0 where either side is exactly constant."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    yc = (y - y.mean())[:, None]
+    Xc = X - X.mean(axis=0)
+    r = np.zeros(X.shape[1])
+    if np.all(y == y[0]):
+        return r
+    product = (Xc * yc).sum(axis=0)
+    norm = np.sqrt((Xc**2).sum(axis=0))
+    live = ~np.all(X == X[0], axis=0) & (norm != 0.0)
+    r[live] = product[live] / (norm * np.sqrt((yc**2).sum(axis=0)))[live]
+    return r
 
 
 def bf_mrmr(X_rows, y, k, names):

@@ -136,6 +136,15 @@ def test_exit_code_config_error(tmp_path):
     assert main(["nonsense-command"]) == 2
 
 
+@pytest.mark.parametrize("per_samples", ["0", "-5"])
+def test_per_samples_below_one_is_a_config_error(cohort_dir, tmp_path, per_samples):
+    out = tmp_path / "run"
+    assert main(["run", "--manifest", str(cohort_dir / "manifest.json"),
+                 "--features", str(cohort_dir / "features.csv"), "--sets", "2", "--repeats", "2",
+                 "--per-samples", per_samples, "--out", str(out)]) == 2
+    assert not (out / "report.json").exists()
+
+
 def test_exit_code_data_error(tmp_path, cohort_dir):
     manifest = json.loads((cohort_dir / "manifest.json").read_text())
     lesion = manifest["patients"][0]["lesions"][0]

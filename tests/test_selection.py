@@ -8,7 +8,9 @@ from radrisk import (
     selection_cap,
 )
 from radrisk.errors import ConfigError, DataError
-from oracles import bf_mrmr, bf_pearson
+from radrisk.evaluation.cv import SelectionConfig
+from radrisk.selection import _centered, _corr
+from oracles import bf_corr_elementwise, bf_mrmr, bf_pearson
 
 
 def test_pearson_hand_values():
@@ -50,6 +52,15 @@ def test_selection_cap_rule():
     assert selection_cap(932) == 93
     assert selection_cap(9) == 1
     assert selection_cap(0) == 1
+    assert selection_cap(932, 1) == 932
+
+
+@pytest.mark.parametrize("per", [0, -5])
+def test_per_samples_below_one_is_a_config_error(per):
+    with pytest.raises(ConfigError, match="per_samples"):
+        selection_cap(100, per)
+    with pytest.raises(ConfigError, match="per_samples"):
+        SelectionConfig(per_samples=per)
 
 
 def test_label_column_selected_first():
@@ -172,3 +183,62 @@ def test_correlation_report_ranking():
     assert ranked[0][1] == pytest.approx(1.0, abs=1e-12)
     assert report.degenerate.tolist() == [False, False, True]
     assert dict(ranked)["flat"] == 0.0
+
+
+def test_corr_matches_the_elementwise_reference_bit_for_bit():
+    # d == 1 (pearson) is left out: a single column reduces as one contiguous
+    # run and may move by a few ulp; the 1e-12 pearson tests above cover it.
+    rng = np.random.default_rng(47)
+    sizes = [(2, 2), (3, 4000), (400, 2), (399, 3), (40, 503), (192, 3092)]
+    sizes += [(int(rng.integers(2, 401)), int(rng.integers(2, 4001))) for _ in range(24)]
+    for trial, (n, d) in enumerate(sizes):
+        X = rng.normal(size=(n, d)) * rng.uniform(0.01, 100.0, size=d) + rng.normal(size=d)
+        if trial % 3 == 0:
+            X[:, rng.integers(d)] = 2.5  # constant column
+        y = rng.integers(0, 2, size=n).astype(float)
+        y[:2] = (0.0, 1.0)
+        assert np.array_equal(_corr(*_centered(X), y), bf_corr_elementwise(X, y)), (n, d)
+        z = X[:, int(rng.integers(d))]  # a redundancy step correlates with a column
+        assert np.array_equal(_corr(*_centered(X), z), bf_corr_elementwise(X, z)), (n, d)
+
+
+def test_wide_duplicate_ties_match_the_oracle():
+    # exact copies of the best column at the first, middle and last index: the
+    # einsum sums them in its vector body and in its tail, and the tie must
+    # still be exact and break on the smallest name (the last column)
+    rng = np.random.default_rng(48)
+    n, d = 40, 503
+    y = rng.integers(0, 2, size=n).astype(float)
+    y[:2] = (0.0, 1.0)
+    X = rng.normal(size=(n, d))
+    best = y * 2.0 + rng.normal(0, 0.3, size=n)
+    second = y + rng.normal(0, 0.8, size=n)
+    X[:, [0, d // 2, d - 1]] = best[:, None]
+    X[:, [1, d // 2 + 1, d - 2]] = second[:, None]
+    names = [f"f{d - 1 - j:03d}" for j in range(d)]
+    result = mrmr_select(X, y, 5, names)
+    assert result.selected[0] == "f000"
+    assert result.indices[0] == d - 1
+    assert [names[j] for j in result.indices] == result.selected
+    assert result.selected == bf_mrmr(X.tolist(), y.tolist(), 5, names)
+
+
+def test_r_does_not_depend_on_the_matrix_layout():
+    rng = np.random.default_rng(49)
+    n, d = 60, 300
+    y = rng.integers(0, 2, size=n).astype(float)
+    y[:2] = (0.0, 1.0)
+    X = rng.normal(size=(n, d)) * rng.uniform(0.01, 1000.0, size=d)
+    X[:, :10] += y[:, None] * rng.uniform(0.5, 3.0, size=10)
+    names = [f"f{j:03d}" for j in range(d)]
+    c_order = mrmr_select(np.ascontiguousarray(X), y, 8, names)
+    f_order = mrmr_select(np.asfortranarray(X), y, 8, names)
+    assert c_order.trace == f_order.trace
+    full = correlation_report(X, y, names).r
+    cols = sorted(rng.choice(d, size=37, replace=False))
+    sub = X[:, cols]  # fancy indexing returns an F-ordered matrix
+    assert not sub.flags.c_contiguous
+    sub_r = correlation_report(sub, y, [names[j] for j in cols]).r
+    assert np.array_equal(sub_r, full[cols])
+    # the table's r is the relevance that selection reports, bit for bit
+    assert c_order.trace[0].relevance == abs(full[c_order.indices[0]])

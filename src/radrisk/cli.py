@@ -275,7 +275,7 @@ def synth(seed, lesions, out_dir, hrm_fraction, growth, texture, ct_missing, fol
 @click.option("--force", is_flag=True, help="recompute rows that already exist")
 @_THREADS
 def extract(manifest, out_dir, force, threads, **values):
-    """Extract per-image radiomic features into features.csv (+ JSON sidecar)."""
+    """Extract per-image radiomic features into features.csv (+ its binary sidecar and features.json)."""
     manifest_path, out = _paths(manifest, out_dir)
     records = load_manifest(manifest_path)
     job_keys = [job[:3] for job in image_jobs(records)]
@@ -405,12 +405,12 @@ def train(manifest, features_path, set_id, horizon_days, c_value, sensitivity_we
 # evaluate
 
 
-def _run_cv(dataset, cfg: PipelineConfig, threads: int):
-    cv_cfg = CvConfig(repeats=cfg.repeats, test_frac=cfg.test_frac, seed=cfg.seed, threads=threads)
-    sel_cfg = SelectionConfig(per_samples=cfg.per_samples, per_fold=cfg.per_fold)
-    clf_cfg = clf.ClassifierConfig(C=cfg.C, sensitivity_weight=cfg.sensitivity_weight,
-                                   threshold=cfg.threshold)
-    return monte_carlo_cv(dataset, cv_cfg, sel_cfg, clf_cfg)
+def _cv_configs(cfg: PipelineConfig, threads: int) -> tuple[CvConfig, SelectionConfig, clf.ClassifierConfig]:
+    """The CV, selection and classifier configs of ``cfg``; built before any extraction or table read,
+    so that a bad setting exits 2 before any work is done."""
+    return (CvConfig(repeats=cfg.repeats, test_frac=cfg.test_frac, seed=cfg.seed, threads=threads),
+            SelectionConfig(per_samples=cfg.per_samples, per_fold=cfg.per_fold),
+            clf.ClassifierConfig(C=cfg.C, sensitivity_weight=cfg.sensitivity_weight, threshold=cfg.threshold))
 
 
 def _pipeline_config(manifest, sets, merged, **settings) -> PipelineConfig:
@@ -440,8 +440,9 @@ def evaluate(manifest, features_path, set_id, out_dir, **flags):
     """Monte-Carlo cross-validation of one feature set."""
     manifest_path, out = _paths(manifest, out_dir)
     cfg = _pipeline_config(manifest_path, (set_id,), flags)
+    cv_configs = _cv_configs(cfg, flags["threads"])
     dataset = _dataset_from_files(manifest_path, features_path, set_id, cfg.horizon_days)
-    report = _run_cv(dataset, cfg, flags["threads"])
+    report = monte_carlo_cv(dataset, *cv_configs)
     _write_json(out / "cv_report.json", report.to_dict(), cfg)
     scored = report.oof_counts > 0
     if scored.any() and len(np.unique(dataset.y[scored])) == 2:
@@ -496,6 +497,7 @@ def run(ctx, config_path, **params):
     manifest_path, out = _paths(merged["manifest"], merged["out_dir"])
     settings, ext_cfg, norm_cfg = _extraction(merged)
     cfg = _pipeline_config(manifest_path, set_ids, merged, **settings)
+    cv_configs = _cv_configs(cfg, merged["threads"])
 
     records = load_manifest(manifest_path)
     if merged["features_path"]:
@@ -509,7 +511,7 @@ def run(ctx, config_path, **params):
     datasets = {}
     for set_id in set_ids:
         datasets[set_id] = build_dataset(records, store, feature_set(set_id), cfg.horizon_days)
-        report = reports[set_id] = _run_cv(datasets[set_id], cfg, merged["threads"])
+        report = reports[set_id] = monte_carlo_cv(datasets[set_id], *cv_configs)
         click.echo(f"set {set_id}: mean AUC {report.mean_auc:.3f} (std {report.std_auc:.3f})")
 
     _write_table1(out, reports, cfg)

@@ -10,11 +10,21 @@ CSV layout: the key columns followed by the feature columns, one row per
 image, with csv quoting where a key needs it. Lines starting with ``#``
 before the header carry the embedded run configuration and are skipped on
 read. Floats round-trip exactly via ``repr``.
+
+Binary sidecar: next to ``features.csv`` the writer puts ``features.csv.npy``,
+four consecutive ``np.save`` records: the CSV's CRC-32 and byte length, the
+names, the keys as an (n, 3) ``str`` array, and the float64 matrix, each as
+the text parse of that CSV returns it. A read whose CSV has that CRC-32 and
+length builds the store from the sidecar (``allow_pickle=False``) and skips
+the text parse. A missing, stale, truncated or malformed sidecar, or one whose
+store fails validation, is ignored: the text parse runs and reports any error.
+A read never writes a sidecar, and deleting one is always safe.
 """
 
 from __future__ import annotations
 
 import csv
+import zlib
 from collections import Counter
 from pathlib import Path
 
@@ -84,16 +94,62 @@ def _first_duplicate(items: list):
 
 
 def write_features_csv(path: str | Path, store: FeatureStore, job_keys: list, config_comment: str) -> Path:
-    """Write the store's rows in the given key order (deterministic bytes)."""
+    """Write the store's rows in the given key order (deterministic bytes), and the binary sidecar."""
     path = Path(path)
     rows = store.rows([key for key in job_keys if key in store.index])
+    names, values = (store.names, store.values[rows]) if rows.size else ([], np.empty((0, 0)))
     with path.open("w", newline="") as fh:
         fh.write(f"# {config_comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(KEY_COLUMNS + (tuple(store.names) if rows.size else ()))
+        writer.writerow(KEY_COLUMNS + tuple(names))
         # .tolist() gives Python floats, which csv writes as their repr
-        writer.writerows(list(store.keys[k]) + v for k, v in zip(rows.tolist(), store.values[rows].tolist()))
+        writer.writerows(list(store.keys[k]) + v for k, v in zip(rows.tolist(), values.tolist()))
+    keys = np.array([store.keys[k] for k in rows.tolist()], dtype=str).reshape(len(rows), len(KEY_COLUMNS))
+    with _sidecar(path).open("wb") as fh:
+        np.save(fh, _digest(path))
+        np.save(fh, np.array(names, dtype=str))
+        np.save(fh, keys)
+        # every NaN is written as "nan", which parses back as the one canonical NaN
+        np.save(fh, np.where(np.isnan(values), np.nan, values))
     return path
+
+
+def _sidecar(path: Path) -> Path:
+    return path.with_name(path.name + ".npy")
+
+
+def _digest(path: Path) -> np.ndarray:
+    """CRC-32 and byte length of the file, read in 1 MiB chunks."""
+    crc = size = 0
+    with path.open("rb") as fh:
+        while chunk := fh.read(1 << 20):
+            crc = zlib.crc32(chunk, crc)
+            size += len(chunk)
+    return np.array([crc, size], dtype=np.int64)
+
+
+def _read_sidecar(path: Path) -> FeatureStore | None:
+    """The store that the sidecar of the CSV at ``path`` holds, or None when it is missing, stale,
+    malformed or invalid."""
+    try:
+        with _sidecar(path).open("rb") as fh:
+            # np.load's reader of one .npy record: it never unpickles nor opens an archive
+            digest = np.lib.format.read_array(fh, allow_pickle=False)
+            if digest.dtype != np.int64 or not np.array_equal(digest, _digest(path)):
+                return None
+            names, keys, values = (np.lib.format.read_array(fh, allow_pickle=False) for _ in range(3))
+            if fh.read(1):
+                return None
+    except (OSError, ValueError, MemoryError):
+        return None
+    if (names.ndim != 1 or keys.ndim != 2 or names.dtype.kind != "U" or keys.dtype.kind != "U"
+            or keys.shape[1] != len(KEY_COLUMNS) or values.dtype != np.float64
+            or values.shape != (len(keys), len(names))):
+        return None
+    try:
+        return FeatureStore(names.tolist(), list(map(tuple, keys.tolist())), values)
+    except DataError:
+        return None
 
 
 def _zero(field: str) -> float:
@@ -101,10 +157,16 @@ def _zero(field: str) -> float:
 
 
 def read_features_csv(path: str | Path) -> FeatureStore:
-    """Load a feature CSV written by ``write_features_csv``."""
+    """Load a feature CSV written by ``write_features_csv``: from its sidecar when that matches, else
+    by the text parse."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"feature CSV not found: {path}")
+    if not path.is_file():
+        raise DataError(f"feature CSV {path} is not a file")
+    store = _read_sidecar(path)
+    if store is not None:
+        return store
     try:
         return _read_store(path)
     except UnicodeDecodeError as exc:

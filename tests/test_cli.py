@@ -143,6 +143,17 @@ def test_per_samples_below_one_is_a_config_error(cohort_dir, tmp_path, per_sampl
                  "--features", str(cohort_dir / "features.csv"), "--sets", "2", "--repeats", "2",
                  "--per-samples", per_samples, "--out", str(out)]) == 2
     assert not (out / "report.json").exists()
+    # without --features, a bad CV setting exits before the cohort is extracted
+    for bad in (["--per-samples", per_samples], ["--repeats", "0"]):
+        assert main(["run", "--manifest", str(cohort_dir / "manifest.json"), "--sets", "2",
+                     *bad, "--out", str(out)]) == 2
+        assert not (out / "features.csv").exists() and not (out / "features.csv.npy").exists()
+
+
+def test_features_naming_a_directory_is_a_data_error(cohort_dir, tmp_path, capsys):
+    assert main(["run", "--manifest", str(cohort_dir / "manifest.json"), "--features", str(tmp_path),
+                 "--sets", "2", "--repeats", "2", "--out", str(tmp_path / "run")]) == 3
+    assert "is not a file" in capsys.readouterr().err
 
 
 def test_exit_code_data_error(tmp_path, cohort_dir):
@@ -330,6 +341,7 @@ def test_run_auto_extracts_when_no_features_given(tmp_path):
                  "--out", str(out)])
     assert code == 0
     assert (out / "features.csv").exists()  # auto-extraction artifact
+    assert (out / "features.csv.npy").exists()  # and its binary sidecar
     assert (out / "report.json").exists()
 
 

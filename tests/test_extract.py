@@ -1,10 +1,11 @@
+import io
 import re
 
 import numpy as np
 import pytest
 
 import radrisk.features.extract as extract_module
-from radrisk import SUBBAND_LABELS, RoiMask, VolumeImage, decompose, get_bank
+from radrisk import SUBBAND_LABELS, RoiMask, VolumeImage, decompose, featurestore, get_bank
 from radrisk.errors import ConfigError, DataError, NumericalError
 from radrisk.features import (
     GLCM_FEATURES,
@@ -127,14 +128,31 @@ def test_bin_count_below_two_rejected_on_a_one_voxel_roi(n_bins):
         extract_all(img, RoiMask(mask), ExtractionConfig(n_bins=n_bins, wavelet="haar"))
 
 
-def test_feature_csv_roundtrip(tmp_path, pair):
+def _sidecar(path):
+    return path.with_name(path.name + ".npy")
+
+
+# "text" deletes the binary sidecar, so that the CSV text parse keeps its own round-trip coverage
+READ_PATHS = pytest.mark.parametrize("read_path", ["sidecar", "text"])
+
+
+def _written(tmp_path, store, keys, read_path):
+    path = write_features_csv(tmp_path / "f.csv", store, keys, "config: {}")
+    assert _sidecar(path).is_file()
+    if read_path == "text":
+        _sidecar(path).unlink()
+    return path
+
+
+@READ_PATHS
+def test_feature_csv_roundtrip(tmp_path, pair, read_path):
     img, mask = pair
     cfg = ExtractionConfig(n_bins=8, wavelet=None)
     keys = [("L1", "followup", "2010-01-01"), ("L1", "planning_mr", "2009-10-01"),
             ("L1", "planning_ct", "2009-10-01")]
     rows = [extract_all(img, mask, cfg) for _ in keys]
     store = FeatureStore(feature_names(cfg), keys, np.array(rows))
-    path = write_features_csv(tmp_path / "f.csv", store, store.keys, "config: {}")
+    path = _written(tmp_path, store, store.keys, read_path)
     back = read_features_csv(path)
     assert back.keys == keys and back.names == feature_names(cfg)
     for row, back_row in zip(rows, back.values.tolist()):
@@ -146,16 +164,81 @@ def _store(keys, names=("original-shape-Volume", "wavelet-LLL-firstorder-Mean"))
     return FeatureStore(list(names), keys, values)
 
 
-def test_feature_csv_quotes_keys(tmp_path):
+@READ_PATHS
+def test_feature_csv_quotes_keys(tmp_path, read_path):
     keys = [("P,0001-L1", "followup", "2010-01-01"), ('P"2-L1', "planning_mr", "2009-10-01"),
             ("#3,\n", "planning_ct", "2009-10-01"), ("P4-L1", "followup", "2010-02-01")]
     store = _store(keys)
-    path = write_features_csv(tmp_path / "f.csv", store, keys, "config: {}")
+    path = _written(tmp_path, store, keys, read_path)
     lines = path.read_text().splitlines()
     assert lines[-1].startswith("P4-L1,followup,2010-02-01,")  # plain ids keep their bytes
     back = read_features_csv(path)
     assert back.keys == keys and back.names == store.names
     assert np.array_equal(back.values.view(np.int64), store.values.view(np.int64))
+
+
+def _same_store(a, b):
+    return a.names == b.names and a.keys == b.keys and a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.mark.parametrize("keys", [[], [("L1", "followup", "2010-01-01"), ("L1", "planning_ct", "2009-10-01")]],
+                         ids=["header-only", "two-rows"])
+def test_feature_csv_sidecar_read_equals_the_text_parse(tmp_path, monkeypatch, keys):
+    store = _store([("L1", "followup", "2010-01-01"), ("L1", "planning_ct", "2009-10-01")])
+    with np.errstate(invalid="ignore"):
+        store.values[0] = [-0.0, 0.0 * np.inf]  # a NaN with its sign bit set, written as "nan"
+    store.values[1] = [np.inf, 5e-324]
+    path = write_features_csv(tmp_path / "f.csv", store, keys, "config: {}")
+    listing = sorted(tmp_path.iterdir())
+    with monkeypatch.context() as patch:
+        patch.setattr(featurestore, "_read_store", None)  # the sidecar serves the read alone
+        from_sidecar = read_features_csv(path)
+    assert sorted(tmp_path.iterdir()) == listing  # a read writes nothing
+    _sidecar(path).unlink()
+    from_text = read_features_csv(path)
+    assert sorted(tmp_path.iterdir()) == [path]  # not even the sidecar it could have used
+    assert _same_store(from_sidecar, from_text)
+    assert from_text.keys == keys and len(from_text.names) == (2 if keys else 0)
+
+
+def test_feature_csv_text_parse_wins_over_a_sidecar_that_does_not_match(tmp_path):
+    keys = [("L1", "followup", "2010-01-01"), ("L2", "followup", "2010-01-01")]
+    path = write_features_csv(tmp_path / "f.csv", _store(keys), keys, "config: {}")
+    sidecar = _sidecar(path).read_bytes()
+
+    # the CSV edited after writing: the edited value is read
+    text = path.read_text()
+    path.write_text(text.replace("\nL2,followup,2010-01-01,0.6666666666666666,", "\nL2,followup,2010-01-01,12345.0,"))
+    assert path.read_text() != text
+    assert read_features_csv(path).values[1, 0] == 12345.0
+    path.write_text(text)
+    assert read_features_csv(path).values[1, 0] == 2 / 3
+
+    # a truncated or garbage sidecar is ignored
+    huge = io.BytesIO()  # a record that claims 80 TB, which numpy refuses to allocate
+    np.lib.format.write_array_header_1_0(huge, {"descr": "<i8", "fortran_order": False, "shape": (10**13,)})
+    for junk in (sidecar[:-8], sidecar[: len(sidecar) // 2], b"", b"PK\x03\x04 not an archive", sidecar + b"\0",
+                 huge.getvalue() + bytes(16)):
+        _sidecar(path).write_bytes(junk)
+        assert _same_store(read_features_csv(path), _store(keys))
+        assert _sidecar(path).read_bytes() == junk  # and left as it is
+
+    # a sidecar next to a hand-written table: the table is read, and its errors are reported
+    _sidecar(path).write_bytes(sidecar)
+    path.write_text("lesion_id,role,date,original-shape-Volume\nL9,followup,2011-01-01,7.0\n")
+    back = read_features_csv(path)
+    assert back.keys == [("L9", "followup", "2011-01-01")] and back.values.tolist() == [[7.0]]
+    path.write_text("lesion_id,role,date,original-shape-Volume\nL9,followup,2011-01-01,x\n")
+    with pytest.raises(DataError, match="bad value"):
+        read_features_csv(path)
+
+
+def test_feature_csv_sidecar_store_that_fails_validation_falls_back(tmp_path):
+    keys = [("L1", "followup", "2010-01-01"), ("L1", "followup", "2010-01-01")]
+    path = write_features_csv(tmp_path / "f.csv", _store(keys[:1]), keys, "config: {}")
+    assert len(path.read_text().splitlines()) == 4  # the duplicated job key wrote one row twice
+    with pytest.raises(DataError, match="duplicate row"):  # the text parse names the fault
+        read_features_csv(path)
 
 
 @pytest.mark.parametrize("header, rows, match", [

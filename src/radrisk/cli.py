@@ -78,13 +78,17 @@ def _default_out() -> str:
 
 
 def _paths(manifest: str, out_dir: str | None) -> tuple[Path, Path]:
-    """The manifest's path, checked to exist, and the output directory, created."""
+    """The manifest's path, checked to exist, and the output directory's. A command creates the
+    directory (:func:`_made`) once its settings are checked, so a bad setting leaves none behind."""
     manifest_path = Path(manifest)
     if not manifest_path.exists():
         raise ConfigError(f"manifest not found: {manifest_path}")
-    out = Path(out_dir or _default_out())
+    return manifest_path, Path(out_dir or _default_out())
+
+
+def _made(out: Path) -> Path:
     out.mkdir(parents=True, exist_ok=True)
-    return manifest_path, out
+    return out
 
 
 def _parse_sets(text: str) -> tuple[int, ...]:
@@ -281,7 +285,7 @@ def extract(manifest, out_dir, force, threads, **values):
     job_keys = [job[:3] for job in image_jobs(records)]
     settings, ext_cfg, norm_cfg = _extraction(values)
 
-    csv_path = out / "features.csv"
+    csv_path = _made(out) / "features.csv"
     comment = "config: " + json.dumps({"manifest": str(manifest_path), **settings}, sort_keys=True)
     existing = _resumable_rows(csv_path, settings) if csv_path.exists() and not force else None
 
@@ -376,7 +380,7 @@ def select(manifest, features_path, set_id, horizon_days, out_dir):
     cap, result = _full_cohort_selection(dataset)
     comment = f"select set={set_id} cap={cap} horizon={horizon_days}"
     payload = {"set_id": set_id, "n_samples": dataset.n_samples, **result.to_dict()}
-    (out / "selection.json").write_text(json.dumps(payload, indent=2) + "\n")
+    (_made(out) / "selection.json").write_text(json.dumps(payload, indent=2) + "\n")
     _write_correlation_tables(dataset, out, comment)
     click.echo(f"selected {len(result.selected)}/{cap} features from set {set_id}")
 
@@ -392,12 +396,12 @@ def select(manifest, features_path, set_id, horizon_days, out_dir):
 def train(manifest, features_path, set_id, horizon_days, c_value, sensitivity_weight, theta, out_dir):
     """Select features and fit one model on the whole cohort."""
     manifest_path, out = _paths(manifest, out_dir)
+    cfg = clf.ClassifierConfig(C=c_value, sensitivity_weight=sensitivity_weight, threshold=theta)
     dataset = _dataset_from_files(manifest_path, features_path, set_id, horizon_days)
     _, selection = _full_cohort_selection(dataset)
     cols = selection.indices
-    cfg = clf.ClassifierConfig(C=c_value, sensitivity_weight=sensitivity_weight, threshold=theta)
     model = clf.fit(dataset.X[:, cols], dataset.y, selection.selected, cfg)
-    model.save(out / "model.json")
+    model.save(_made(out) / "model.json")
     click.echo(f"trained on {dataset.n_samples} samples, {len(cols)} features -> {out / 'model.json'}")
 
 
@@ -441,6 +445,7 @@ def evaluate(manifest, features_path, set_id, out_dir, **flags):
     manifest_path, out = _paths(manifest, out_dir)
     cfg = _pipeline_config(manifest_path, (set_id,), flags)
     cv_configs = _cv_configs(cfg, flags["threads"])
+    _made(out)
     dataset = _dataset_from_files(manifest_path, features_path, set_id, cfg.horizon_days)
     report = monte_carlo_cv(dataset, *cv_configs)
     _write_json(out / "cv_report.json", report.to_dict(), cfg)
@@ -470,8 +475,8 @@ def km(manifest, horizon_days, out_dir):
     events = [not s.censored for s in labeling.samples] + [False] * len(labeling.km_censored)
     curve = kaplan_meier(times, events)
     comment = f"config: {json.dumps({'manifest': str(manifest_path), 'horizon_days': horizon_days})}"
-    (out / "km_cohort.svg").write_text(km_plot([("cohort", "#3060c0", curve, False)],
-                                               "freedom from progression", comment))
+    (_made(out) / "km_cohort.svg").write_text(km_plot([("cohort", "#3060c0", curve, False)],
+                                                      "freedom from progression", comment))
     (out / "km_cohort.csv").write_text(f"# {comment}\n" + curve_csv(curve))
     median = "not reached" if curve.median is None else f"{curve.median:.0f} days"
     click.echo(f"cohort KM over {curve.n} samples, median {median}")
@@ -498,6 +503,7 @@ def run(ctx, config_path, **params):
     settings, ext_cfg, norm_cfg = _extraction(merged)
     cfg = _pipeline_config(manifest_path, set_ids, merged, **settings)
     cv_configs = _cv_configs(cfg, merged["threads"])
+    _made(out)
 
     records = load_manifest(manifest_path)
     if merged["features_path"]:

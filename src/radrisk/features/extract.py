@@ -7,20 +7,21 @@ An original-only run emits 98 features per image (14 shape + 16 first-order +
 intensity classes are re-extracted on each of the 8 subbands under the
 original mask (shape is mask-only and extracted once), for 98 + 8*84 = 770.
 
-The intensity classes read ROI voxels only, so they run on the ROI's bounding
-box, cut out before the wavelet. Each subband filter is causal: output voxel n
-reads input voxels n - k, 0 <= k < filter length, along each axis. The box
-reaches filter length - 1 voxels below the ROI on each axis, which makes every
-subband value in the ROI bit-identical to the full-volume one. Where that
-margin would cross index 0, the full-volume convolution wraps around the
-volume edge, and the box keeps the whole axis.
+Every class reads ROI voxels only, so it runs on the ROI's bounding box, cut
+out before the wavelet; shape gets the box's offset in the image grid, so its
+physical coordinates are those of the whole grid. Each subband filter is
+causal: output voxel n reads input voxels n - k, 0 <= k < filter length,
+along each axis. The box reaches filter length - 1 voxels below the ROI on
+each axis, which makes every subband value in the ROI bit-identical to the
+full-volume one. Where that margin would cross index 0, the full-volume
+convolution wraps around the volume edge, and the box keeps the whole axis.
 
 The intensity classes of one mask run once over a ``(k, n_roi)`` stack: the
 ROI values of the original image and of its subbands, one image per row.
 First-order takes one ``np.median`` and one ``np.percentile`` call over the
 stack; discretization bins each row by its own range; GLCM counts every
 row's pairs in one ``bincount`` and evaluates its features on the occupied
-cells only; GLRLM's run walk, GLSZM's label propagation and GLDM's dependence
+cells only; GLRLM's chain walk, GLSZM's root hooking and GLDM's dependence
 counts run over the mask's shared neighbor pairs with a per-image offset.
 Each ``(k, 84)`` result is written straight into its rows of the feature row.
 
@@ -68,6 +69,12 @@ class ExtractionConfig:
     n_bins: int = 32
     wavelet: str | None = "haar"  # a bank name ("haar", "coif1"), or None for no wavelet
 
+    def __post_init__(self):
+        # checked here, before a chunk is sized (--ng 0 on a one-voxel ROI
+        # would divide by zero there) or an output directory is made
+        if self.n_bins < 2:
+            raise ConfigError(f"n_bins must be >= 2, got {self.n_bins}")
+
 
 _INTENSITY_CLASSES = (("firstorder", FIRSTORDER_FEATURES),) + tuple(
     (family, FAMILY_FEATURES[family]) for family in TEXTURE_FAMILIES
@@ -114,12 +121,9 @@ def _roi_box(mask: RoiMask, margin: int) -> tuple[slice, ...]:
 
 def extract_all(img: VolumeImage, mask: RoiMask, config: ExtractionConfig) -> np.ndarray:
     """Extract the full feature row of one (volume, mask) pair, in ``feature_names(config)`` order."""
-    if config.n_bins < 2:
-        raise ConfigError(f"n_bins must be >= 2, got {config.n_bins}")
     check_aligned(img, mask)
     require_nonempty(mask)
     bank = None if config.wavelet is None else get_bank(config.wavelet)
-    sh = shape_features(mask, img.spacing)
     box = _roi_box(mask, max(bank.low.size, bank.high.size) - 1 if bank else 0)
     img = VolumeImage(img.voxels[box], img.spacing, img.modality)
     mask = RoiMask(mask.voxels[box])
@@ -129,11 +133,13 @@ def extract_all(img: VolumeImage, mask: RoiMask, config: ExtractionConfig) -> np
         images += [subbands[label] for label in SUBBAND_LABELS]
     values = np.stack([image.voxels[mask.voxels] for image in images])
     row = np.empty(len(SHAPE_FEATURES) + len(images) * _INTENSITY_WIDTH)
-    row[: len(SHAPE_FEATURES)] = [sh[name] for name in SHAPE_FEATURES]
     blocks = row[len(SHAPE_FEATURES) :].reshape(len(images), _INTENSITY_WIDTH)
     step = _chunk_rows(mask, config.n_bins)
     for lo in range(0, len(images), step):
         blocks[lo : lo + step] = _intensity_rows(values[lo : lo + step], mask, config.n_bins)
+    # after the texture pass, whose neighbor pairs of the box mask shape reads
+    sh = shape_features(mask, img.spacing, offset=[axis.start or 0 for axis in box])
+    row[: len(SHAPE_FEATURES)] = [sh[name] for name in SHAPE_FEATURES]
     bad = np.flatnonzero(~np.isfinite(row))
     if bad.size:
         names = feature_names(config)

@@ -11,12 +11,14 @@ Conventions (documented because they differ from mesh-based tools):
 * Diameters are maximal pairwise distances between voxel centers;
   ``Maximum2DDiameterRow/Column/Slice`` restrict pairs to planes orthogonal to
   the x / y / z axis respectively (0 when every such plane holds one voxel).
-* Diameters are searched over line-end voxels only, and the result is exact.
-  The farthest pair of a point set lies on vertices of its convex hull. A
-  voxel whose two neighbors along some grid axis are both in the ROI is the
-  midpoint of those two, so it is no hull vertex. The 3D search keeps voxels
-  that end their run along all three axes; the search in planes orthogonal to
-  an axis keeps voxels that end their run along the other two.
+* Diameters are searched over hull-candidate voxels only, and the result is
+  exact. The farthest pair of a point set lies on vertices of its convex
+  hull. A voxel whose two 26-neighbors along some direction d are both in
+  the ROI is the midpoint of those two, so it is no hull vertex. The 3D
+  search keeps voxels that are no such midpoint along any of the 13
+  directions; the search in planes orthogonal to an axis keeps voxels that
+  are none along the 4 directions within the plane. Both read the mask's
+  neighbor pairs (:attr:`RoiMask.neighbor_pairs`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 import numpy as np
 
 from ..errors import DataError
-from ..volume import RoiMask, require_nonempty
+from ..volume import DIRECTIONS_13, RoiMask, require_nonempty
 
 SHAPE_FEATURES = (
     "Volume",
@@ -66,18 +68,18 @@ def _surface_area(fg: np.ndarray, spacing) -> float:
     return area
 
 
-def _line_ends(fg: np.ndarray, coords: np.ndarray) -> list[np.ndarray]:
-    """Per axis, whether each voxel of ``coords`` ends its run of ROI voxels along that axis."""
-    padded = np.pad(fg, 1)
-    ends = []
-    for axis in range(3):
-        prev = [slice(1, -1)] * 3
-        nxt = [slice(1, -1)] * 3
-        prev[axis] = slice(None, -2)
-        nxt[axis] = slice(2, None)
-        inner = padded[tuple(prev)] & padded[tuple(nxt)]
-        ends.append(~inner[tuple(coords.T)])
-    return ends
+def _hull_candidates(mask: RoiMask) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Whether each ROI voxel may be a hull vertex: of the whole ROI, and of
+    its planes orthogonal to each axis. A voxel is not when it is the midpoint
+    of a neighbor pair along a direction (within the plane)."""
+    a, b, direction = mask.neighbor_pairs
+    has_next = np.zeros((len(DIRECTIONS_13), mask.coords.shape[0]), dtype=bool)
+    has_next[direction, a] = True
+    has_prev = np.zeros_like(has_next)
+    has_prev[direction, b] = True
+    midpoint = has_next & has_prev
+    in_plane = np.asarray(DIRECTIONS_13) == 0  # [d, axis]: d lies in the planes orthogonal to axis
+    return ~midpoint.any(axis=0), [~midpoint[in_plane[:, axis]].any(axis=0) for axis in range(3)]
 
 
 def _max_pairwise(points: np.ndarray) -> float:
@@ -93,8 +95,12 @@ def _max_pairwise(points: np.ndarray) -> float:
     return math.sqrt(best)
 
 
-def shape_features(mask: RoiMask, spacing) -> dict[str, float]:
-    """Compute the 14 shape features for one ROI."""
+def shape_features(mask: RoiMask, spacing, offset=(0, 0, 0)) -> dict[str, float]:
+    """Compute the 14 shape features for one ROI.
+
+    ``offset`` is the index of the mask's first voxel in the image grid, when
+    the mask is a box cut out of it. It is added to the voxel indices before
+    they are scaled, so the values are the whole grid's, bit for bit."""
     require_nonempty(mask)
     spacing = tuple(float(s) for s in spacing)
     if len(spacing) != 3 or any(s <= 0 for s in spacing):
@@ -102,7 +108,7 @@ def shape_features(mask: RoiMask, spacing) -> dict[str, float]:
     fg = mask.voxels
     coords = mask.coords
     n = coords.shape[0]
-    phys = coords.astype(np.float64) * np.asarray(spacing)
+    phys = (coords + np.asarray(offset, dtype=coords.dtype)).astype(np.float64) * np.asarray(spacing)
 
     volume = n * spacing[0] * spacing[1] * spacing[2]
     area = _surface_area(fg, spacing)
@@ -120,12 +126,11 @@ def shape_features(mask: RoiMask, spacing) -> dict[str, float]:
         elongation = 0.0
         flatness = 0.0
 
-    ends = _line_ends(fg, coords)
-    diam3d = _max_pairwise(phys[ends[0] & ends[1] & ends[2]])
+    hull3d, hull2d = _hull_candidates(mask)
+    diam3d = _max_pairwise(phys[hull3d])
     plane_diams = []
-    for axis in range(3):
+    for axis, candidates in enumerate(hull2d):
         keep = [a for a in range(3) if a != axis]
-        candidates = ends[keep[0]] & ends[keep[1]]
         pts = phys[candidates][:, keep]
         planes = coords[candidates, axis]
         best = 0.0

@@ -21,11 +21,19 @@ Cancer Research 2017):
   that have a voxel pair, which depends on the mask alone; if no direction
   has one, every GLCM feature is 0 by convention. ``Correlation`` is 1 by
   convention when the marginal has zero variance.
-* GLRLM: a run is a chain of equal-level pairs along one direction. One walk
-  along the successor links measures every run of every row and all 13
-  directions at once; the features are averaged over the 13 directions.
-* GLSZM: zones are 26-connected components of equal gray level, labeled by
-  min-label propagation over the equal-level pairs of all rows.
+* GLRLM: a run of two or more voxels is a chain of equal-level pairs along
+  one direction. One walk along those chains measures them for every row and
+  all 13 directions at once; it visits the voxels in chains only, not all
+  13 * n_roi (voxel, direction) nodes. Every other voxel is a run of length
+  1, so that column is a level's voxel count less the voxels in chains (a
+  chain's pairs plus its first voxel): integer counts, exact. The features
+  are averaged over the 13 directions.
+* GLSZM: zones are 26-connected components of equal gray level, found by
+  root hooking and shortcutting over the equal-level pairs of all rows
+  (Shiloach and Vishkin, J. Algorithms 1982): each round hooks every root to
+  the smallest root across its pairs, then points every voxel at its root.
+  An 11k-voxel ROI and its wavelet subbands take 3-5 rounds, where min-label
+  propagation took 15-48. Each zone is labeled by its smallest voxel.
 * GLDM: dependence counts the center voxel plus its 26-neighbors within the
   ROI whose level differs by at most alpha = 0, i.e. its equal-level pairs:
   two ``bincount``s.
@@ -420,58 +428,84 @@ def max_run_length(coords: np.ndarray) -> int:
     return int((coords.max(axis=0) - coords.min(axis=0)).max()) + 1
 
 
-def _glrlm(droi: DiscretizedRoi) -> dict[str, np.ndarray]:
+def run_length_counts(droi: DiscretizedRoi) -> np.ndarray:
+    """The (gray level, run length) counts of every (row, direction), as
+    ``(k * 13, Ng, max_run_length)`` in that order."""
     # node d * k * n + u is voxel u of the flattened stack seen along
-    # direction d; succ links it to the next voxel of its run, and a run
-    # starts at every node nothing links to
+    # direction d; a chain of equal-level pairs starts at a node no pair reaches
     k, n = droi.rows.shape
     n_dir = len(DIRECTIONS_13)
     a, b, direction = droi.equal_pairs
-    succ = np.full(n_dir * k * n, -1, dtype=np.intp)
-    succ[direction * (k * n) + a] = direction * (k * n) + b
-    linked = np.zeros(succ.size, dtype=bool)
-    linked[direction * (k * n) + b] = True
-    starts = np.flatnonzero(~linked)
-    lengths = np.ones(starts.size, dtype=np.intp)
-    running = np.arange(starts.size)
-    nxt = succ[starts]
+    src = direction * (k * n) + a
+    dst = direction * (k * n) + b
+    link_from = np.full(n_dir * k * n, -1, dtype=np.intp)  # the pair leaving each node
+    link_from[src] = np.arange(src.size)
+    reached = np.zeros(n_dir * k * n, dtype=bool)
+    reached[dst] = True
+    first = np.flatnonzero(~reached[src])
+    lengths = np.full(first.size, 2, dtype=np.intp)
+    running = np.arange(first.size)
+    nxt = link_from[dst[first]]
     while True:
         on = nxt >= 0
         running = running[on]
         if not running.size:
             break
         lengths[running] += 1
-        nxt = succ[nxt[on]]
+        nxt = link_from[dst[nxt[on]]]
     n_len = max_run_length(droi.coords)
     ng = droi.n_bins
-    d, voxel = np.divmod(starts, k * n)
-    matrix = voxel // n * n_dir + d  # one matrix per (row, direction)
-    codes = (matrix * ng + droi.levels.ravel()[voxel] - 1) * n_len + lengths - 1
-    return _ilm_features(_Cells.of(_counts(codes, (k * n_dir, ng, n_len))), ng, n_len, n)
+    levels = droi.levels.ravel()
+    # one matrix per (row, direction); the pairs never cross rows
+    start = a[first]
+    key = (start // n * n_dir + direction[first]) * ng + levels[start] - 1
+    count = _counts(key * n_len + lengths - 1, (k * n_dir, ng, n_len))
+    # length 1: a row's voxels of each level less those in chains
+    in_chains = _counts((a // n * n_dir + direction) * ng + levels[a] - 1, (k * n_dir, ng))
+    in_chains += _counts(key, (k * n_dir, ng))
+    per_level = _counts(np.arange(k * n) // n * ng + levels - 1, (k, 1, ng))
+    count[:, :, 0] = (per_level - in_chains.reshape(k, n_dir, ng)).reshape(k * n_dir, ng)
+    return count
 
 
-def _glszm(droi: DiscretizedRoi) -> dict[str, np.ndarray]:
-    # every label names a voxel of its own zone; lowering it to the smallest
-    # label across each equal-level pair, then following it once, converges
-    # to one label per zone; the pairs never cross rows, nor do the labels
+def _glrlm(droi: DiscretizedRoi) -> dict[str, np.ndarray]:
+    count = run_length_counts(droi)
+    return _ilm_features(_Cells.of(count), droi.n_bins, count.shape[2], droi.rows.shape[1])
+
+
+def size_zone_counts(droi: DiscretizedRoi) -> np.ndarray:
+    """The (gray level, zone size) counts of every row, as ``(k, Ng, n_roi)``."""
+    # parent[x] <= x is a voxel of x's zone, so each zone's tree ends rooted
+    # at its smallest voxel; the pairs never cross rows, nor do the trees
     k, n = droi.rows.shape
     a, b, _ = droi.equal_pairs
-    label = np.arange(k * n)
+    parent = np.arange(k * n)
     while True:
-        low = np.minimum(label[a], label[b])
-        new = label.copy()
-        np.minimum.at(new, a, low)
-        np.minimum.at(new, b, low)
-        new = new[new]
-        if np.array_equal(new, label):
+        ra = parent[a]
+        rb = parent[b]
+        apart = ra != rb
+        if not apart.any():
             break
-        label = new
-    sizes = np.bincount(label, minlength=k * n)
+        # a pair whose roots met stays joined: drop it
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(parent, ra, rb)
+        np.minimum.at(parent, rb, ra)
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+    sizes = np.bincount(parent, minlength=k * n)
     zones = np.flatnonzero(sizes)
     ng = droi.n_bins
     # no zone is larger than the ROI
     codes = (zones // n * ng + droi.levels.ravel()[zones] - 1) * n + sizes[zones] - 1
-    return _ilm_features(_Cells.of(_counts(codes, (k, ng, n))), ng, n, n)
+    return _counts(codes, (k, ng, n))
+
+
+def _glszm(droi: DiscretizedRoi) -> dict[str, np.ndarray]:
+    n = droi.rows.shape[1]
+    return _ilm_features(_Cells.of(size_zone_counts(droi)), droi.n_bins, n, n)
 
 
 _MAX_DEPENDENCE = 1 + 2 * len(DIRECTIONS_13)  # the voxel and its 26 neighbors

@@ -150,6 +150,22 @@ def test_per_samples_below_one_is_a_config_error(cohort_dir, tmp_path, per_sampl
         assert not (out / "features.csv").exists() and not (out / "features.csv.npy").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--repeats", "0"],
+    ["run", "--repeats", "0", "--features", "{features}"],
+    ["run", "--per-samples", "0", "--features", "{features}"],
+    ["run", "--ng", "0"],
+    ["evaluate", "--repeats", "0", "--features", "{features}"],
+    ["train", "--c", "-1", "--features", "{features}"],
+    ["extract", "--ng", "1"],
+])
+def test_invalid_settings_leave_no_output_directory(cohort_dir, tmp_path, argv):
+    out = tmp_path / "new" / "out"
+    argv = [arg.format(features=cohort_dir / "features.csv") for arg in argv]
+    assert main([*argv, "--manifest", str(cohort_dir / "manifest.json"), "--out", str(out)]) == 2
+    assert not (tmp_path / "new").exists()
+
+
 def test_features_naming_a_directory_is_a_data_error(cohort_dir, tmp_path, capsys):
     assert main(["run", "--manifest", str(cohort_dir / "manifest.json"), "--features", str(tmp_path),
                  "--sets", "2", "--repeats", "2", "--out", str(tmp_path / "run")]) == 3

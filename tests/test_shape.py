@@ -176,3 +176,21 @@ def test_diameters_match_all_pairs_oracle_on_ellipsoid():
 def test_empty_mask_rejected():
     with pytest.raises(DataError, match="foreground"):
         shape_features(mask_of([0], (1, 1, 1)), (1, 1, 1))
+
+
+def test_box_with_its_offset_gives_the_bits_of_the_whole_grid():
+    rng = np.random.default_rng(15)
+    for _ in range(40):
+        grid = np.zeros(tuple(int(rng.integers(8, 16)) for _ in range(3)), dtype=bool)
+        lo = [int(rng.integers(0, d - 4)) for d in grid.shape]
+        box = tuple(slice(l, l + int(rng.integers(1, 5))) for l in lo)
+        grid[box] = rng.uniform(size=grid[box].shape) < 0.7
+        grid[tuple(l for l in lo)] = True
+        spacing = tuple(float(rng.uniform(0.3, 3.0)) for _ in range(3))
+        whole = shape_features(RoiMask(grid), spacing)
+        # the box cut as extraction cuts it: reaching below the ROI, or not
+        margin = int(rng.integers(0, 3))
+        cut = tuple(slice(max(0, s.start - margin), s.stop) for s in box)
+        cropped = shape_features(RoiMask(grid[cut]), spacing, offset=[s.start for s in cut])
+        assert np.array_equal(np.array(list(cropped.values())).view(np.int64),
+                              np.array(list(whole.values())).view(np.int64))

@@ -14,9 +14,15 @@ from radrisk.features import (
     texture_features,
 )
 from radrisk.features.firstorder import firstorder_rows
-from radrisk.features.texture import discretize_rows, texture_rows
+from radrisk.features.texture import (
+    DiscretizedRoi,
+    discretize_rows,
+    run_length_counts,
+    size_zone_counts,
+    texture_rows,
+)
 from helpers import full_mask, mask_of, vol
-from oracles import BF_FAMILIES, bf_glrlm_runs, bf_glszm_zones, roi_dict
+from oracles import BF_FAMILIES, OFFSETS_13, bf_glrlm_runs, bf_glszm_zones, roi_dict
 
 
 def droi_of(values, dims, n_bins, mask_values=None):
@@ -269,3 +275,104 @@ def test_stack_conventions_hold_row_by_row():
         # every voxel depends on itself alone
         gldm = texture_rows(single, "gldm")
         assert gldm[:, GLDM_FEATURES.index("SmallDependenceEmphasis")].tolist() == [1.0] * 3
+
+
+def _serpentine(k):
+    """A 1-voxel-wide zone snaking through a 9 x 9 x 3 box: along y on the
+    even x of plane z = 0, up through z = 1 at its end, and back on plane
+    z = 2. Its smallest voxel is one end, the far end 98 steps away. The
+    other voxels take other levels, so it is one zone in every row."""
+    path = []
+    for z, xs in ((0, range(0, 9)), (2, range(8, -1, -1))):
+        for x in xs:
+            if x % 2 == 0:
+                ys = range(9) if (x // 2) % 2 == 0 else range(8, -1, -1)
+                path += [(x, y, z) for y in ys]
+            else:  # the one voxel that joins two rows
+                path.append((x, 8 if (x // 2) % 2 == 0 else 0, z))
+        if z == 0:
+            path.append((8, 8, 1))
+    on_path = np.zeros((9, 9, 3), bool)
+    on_path[tuple(np.transpose(path))] = True
+    rng = np.random.default_rng(37)
+    rows = []
+    for r in range(k):
+        level = 1 + r % 4
+        other = rng.choice([v for v in range(1, 6) if v != level], size=on_path.shape)
+        rows.append(np.where(on_path, level, other).ravel())
+    return np.ones_like(on_path), np.stack(rows), 5
+
+
+def _checkerboard(k):
+    """A 4 x 4 x 4 3D checkerboard: each parity is one 26-connected zone,
+    joined across face diagonals, although no two of its voxels share a face."""
+    parity = np.indices((4, 4, 4)).sum(axis=0) % 2
+    rows = [np.where(parity == r % 2, 1 + r % 3, 4 + r % 2).ravel() for r in range(k)]
+    return np.ones((4, 4, 4), bool), np.stack(rows), 6
+
+
+def _single_plane(k):
+    """A 7 x 5 x 1 ROI with holes: the 9 directions with a z step have no pair."""
+    rng = np.random.default_rng(38)
+    mask = rng.uniform(size=(7, 5, 1)) < 0.8
+    mask[0, 0, 0] = True
+    return mask, rng.integers(1, 4, size=(k, int(mask.sum()))), 3
+
+
+def _longest_run(k):
+    """A 9 x 3 x 2 box whose first x-line is one level: a run of 9, the box's
+    largest extent, which fills the last column of its matrix."""
+    rng = np.random.default_rng(39)
+    mask = np.ones((9, 3, 2), bool)
+    levels = rng.integers(2, 5, size=(k,) + mask.shape)
+    levels[:, :, 0, 0] = 1
+    return mask, levels.reshape(k, -1), 4
+
+
+def _unused_level(k):
+    """Levels 1, 3 and 6 of Ng = 6 only, so three gray levels have no voxel."""
+    rng = np.random.default_rng(40)
+    mask = rng.uniform(size=(5, 4, 4)) < 0.7
+    mask[0, 0, 0] = True
+    return mask, rng.choice([1, 3, 6], size=(k, int(mask.sum()))), 6
+
+
+def _cell_counts(matrix):
+    """{(gray level, run length or zone size): count} of one count matrix."""
+    return {(int(i) + 1, int(j) + 1): int(matrix[i, j]) for i, j in zip(*np.nonzero(matrix))}
+
+
+def _tally(entries):
+    counts = {}
+    for entry in entries:
+        counts[entry] = counts.get(entry, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("case", [_serpentine, _checkerboard, _single_plane, _longest_run, _unused_level])
+@pytest.mark.parametrize("k", [1, 9])
+def test_zone_and_run_counts_equal_the_oracles(case, k):
+    mask, levels, n_bins = case(k)
+    coords = RoiMask(mask).coords
+    droi = DiscretizedRoi(levels[0] if k == 1 else levels, n_bins, coords)
+    zones = size_zone_counts(droi)
+    runs = run_length_counts(droi)
+    assert zones.shape == (k, n_bins, len(coords))
+    assert runs.shape == (k * len(OFFSETS_13), n_bins, max(mask.shape))
+    for r in range(k):
+        roi = roi_dict(mask, levels=levels[r].tolist())
+        assert _cell_counts(zones[r]) == _tally(bf_glszm_zones(roi)), r
+        for d, offset in enumerate(OFFSETS_13):
+            assert _cell_counts(runs[r * len(OFFSETS_13) + d]) == _tally(bf_glrlm_runs(roi, offset)), (r, offset)
+
+
+def test_count_cases_reach_their_extremes():
+    mask, levels, _ = _serpentine(1)
+    zones = bf_glszm_zones(roi_dict(mask, levels=levels[0].tolist()))
+    assert max(size for _, size in zones) == 2 * (5 * 9 + 4) + 1
+    mask, levels, _ = _checkerboard(1)
+    assert sorted(size for _, size in bf_glszm_zones(roi_dict(mask, levels=levels[0].tolist()))) == [32, 32]
+    mask, levels, _ = _longest_run(1)
+    assert max(n for _, n in bf_glrlm_runs(roi_dict(mask, levels=levels[0].tolist()), (1, 0, 0))) == 9
+    mask, levels, n_bins = _unused_level(9)
+    assert set(levels.ravel().tolist()) == {1, 3, 6} and n_bins == 6

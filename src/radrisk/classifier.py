@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -76,14 +76,7 @@ class TrainedModel:
             "b": self.b,
             "class_weights": list(self.class_weights),
             "threshold": self.threshold,
-            "config": {
-                "C": self.config.C,
-                "sensitivity_weight": self.config.sensitivity_weight,
-                "threshold": self.config.threshold,
-                "seed": self.config.seed,
-                "max_epochs": self.config.max_epochs,
-                "tol": self.config.tol,
-            },
+            "config": asdict(self.config),
             "kkt_residual": self.kkt_residual,
             "epochs_run": self.epochs_run,
         }

@@ -173,7 +173,7 @@ _MANIFEST = click.option("--manifest", required=True)
 _OUT = click.option("--out", "out_dir", default=None)
 _FEATURES = click.option("--features", "features_path", required=True)
 _SET = click.option("--set", "set_id", type=int, default=7, show_default=True)
-_HORIZON = click.option("--horizon", "horizon_days", type=int, default=100, show_default=True)
+_HORIZON = click.option("--horizon", "horizon_days", type=click.IntRange(min=1), default=100, show_default=True)
 _THREADS = click.option("--threads", type=int, default=1, show_default=True)
 _DATASET_OPTIONS = [_MANIFEST, _FEATURES, _SET, _HORIZON]
 
@@ -197,7 +197,7 @@ _COMMON_CV_OPTIONS = [
     *_CLASSIFIER_OPTIONS,
     click.option("--per-samples", type=int, default=10, show_default=True, help="selection cap divisor"),
     click.option("--global-selection", is_flag=True, help="select once before CV (leaky; for comparison)"),
-    click.option("--horizon-days", type=int, default=100, show_default=True),
+    click.option("--horizon-days", type=click.IntRange(min=1), default=100, show_default=True),
     _THREADS,
 ]
 

@@ -16,7 +16,7 @@ import datetime
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -459,16 +459,7 @@ def manifest_dict(records: list[MetastasisRecord], source_paths: dict) -> dict:
             rec.patient_id,
             {
                 "patient_id": rec.patient_id,
-                "clinical": {
-                    "rpa_class": rec.clinical.rpa_class,
-                    "eqd": rec.clinical.eqd,
-                    "n_metastases": rec.clinical.n_metastases,
-                    "age": rec.clinical.age,
-                    "sex": rec.clinical.sex,
-                    "karnofsky": rec.clinical.karnofsky,
-                    "primary_site": rec.clinical.primary_site,
-                    "extracranial": rec.clinical.extracranial,
-                },
+                "clinical": asdict(rec.clinical),
                 "lesions": [],
             },
         )

@@ -88,36 +88,40 @@ class CvReport:
 
 
 def _lesion_table(dataset: Dataset):
-    """Lesion ids in order of first appearance, and whether each is ever HRM."""
-    ever_hrm: dict[str, bool] = {}
-    for lid, label in zip(dataset.lesion_ids, dataset.y):
-        ever_hrm[lid] = ever_hrm.get(lid, False) or label == 1
-    return list(ever_hrm), np.asarray(list(ever_hrm.values()), dtype=bool)
+    """Each sample's lesion, as an index into its lesions in order of first appearance, and
+    whether each lesion is ever HRM."""
+    index: dict[str, int] = {}
+    lesion_of = np.asarray([index.setdefault(lid, len(index)) for lid in dataset.lesion_ids], dtype=np.intp)
+    ever_hrm = np.zeros(len(index), dtype=bool)
+    ever_hrm[lesion_of[dataset.y == 1]] = True
+    return lesion_of, ever_hrm
 
 
-def _split_lesions(lesions, flags, test_frac, rng):
-    test: set[str] = set()
+def _split_lesions(flags, test_frac, rng):
+    """Which lesions go to the test fold: ``test_frac`` of each stratum of ``flags``."""
+    test = np.zeros(flags.size, dtype=bool)
     for flag in (True, False):
-        stratum = [l for l, f in zip(lesions, flags) if f == flag]
-        if not stratum:
+        stratum = np.flatnonzero(flags == flag)
+        if not stratum.size:
             continue
-        if len(stratum) < 2:
-            raise DataError(f"stratum with flag={flag} has {len(stratum)} lesion(s); need >= 2")
-        n_test = int(round(test_frac * len(stratum)))
-        n_test = min(max(n_test, 1), len(stratum) - 1)
-        order = rng.permutation(len(stratum))
-        test.update(stratum[i] for i in order[:n_test])
+        if stratum.size < 2:
+            raise DataError(f"stratum with flag={flag} has {stratum.size} lesion(s); need >= 2")
+        n_test = int(round(test_frac * stratum.size))
+        n_test = min(max(n_test, 1), stratum.size - 1)
+        order = rng.permutation(stratum.size)
+        test[stratum[order[:n_test]]] = True
     return test
 
 
 def _one_repeat(
-    dataset: Dataset, lesions, flags, seed: int, test_frac: float, sel_cfg: SelectionConfig, clf_cfg, global_selection
+    dataset: Dataset, lesion_of, flags, seed: int, test_frac: float, sel_cfg: SelectionConfig, clf_cfg,
+    global_selection
 ):
-    lesion_ids = np.asarray(dataset.lesion_ids)
+    """One split, fit and scoring. Returns the AUC, the test fold's sample indices (ascending) and
+    scores, the straddle count, the selected names, the fit's KKT residual and its iterations."""
     rng = np.random.default_rng(seed)
     for attempt in range(MAX_SPLIT_RETRIES):
-        test_lesions = _split_lesions(lesions, flags, test_frac, rng)
-        in_test = np.asarray([lid in test_lesions for lid in lesion_ids])
+        in_test = _split_lesions(flags, test_frac, rng)[lesion_of]
         y_train = dataset.y[~in_test]
         y_test = dataset.y[in_test]
         if len(np.unique(y_train)) == 2 and len(np.unique(y_test)) == 2:
@@ -125,7 +129,7 @@ def _one_repeat(
     else:
         raise DataError(f"no valid stratified split after {MAX_SPLIT_RETRIES} retries (seed {seed})")
 
-    straddle = int(len(set(lesion_ids[in_test]) & set(lesion_ids[~in_test])))
+    straddle = int(np.intersect1d(lesion_of[in_test], lesion_of[~in_test]).size)
 
     X_train = dataset.X[~in_test]
     X_test = dataset.X[in_test]
@@ -138,7 +142,8 @@ def _one_repeat(
     model = clf.fit(X_train[:, cols], y_train, selection.selected, clf_cfg)
     scores = clf.decision_scores(model, X_test[:, cols])
     auc_value = roc_curve(scores, y_test).auc
-    return auc_value, in_test, scores, straddle, selection.selected, model.kkt_residual, model.epochs_run
+    return (auc_value, np.flatnonzero(in_test), scores, straddle, selection.selected, model.kkt_residual,
+            model.epochs_run)
 
 
 def monte_carlo_cv(
@@ -148,7 +153,7 @@ def monte_carlo_cv(
     clf_cfg: clf.ClassifierConfig = clf.ClassifierConfig(),
 ) -> CvReport:
     """Repeated lesion-grouped stratified train/test evaluation of one feature set."""
-    lesions, flags = _lesion_table(dataset)
+    lesion_of, flags = _lesion_table(dataset)
     if flags.sum() < 2 or (~flags).sum() < 2:
         raise DataError(
             f"need >= 2 lesions per class, got {int(flags.sum())} ever-HRM / {int((~flags).sum())} LRM"
@@ -163,56 +168,39 @@ def monte_carlo_cv(
     repeat_seeds = [int(s) for s in master.integers(0, 2**31 - 1, size=cv_cfg.repeats)]
 
     def job(seed):
-        return _one_repeat(dataset, lesions, flags, seed, cv_cfg.test_frac, sel_cfg, clf_cfg, global_selection)
+        return _one_repeat(dataset, lesion_of, flags, seed, cv_cfg.test_frac, sel_cfg, clf_cfg, global_selection)
 
     results = parallel_map(job, repeat_seeds, cv_cfg.threads)
 
+    aucs, tests, scores, straddles, selected, residuals, iterations = zip(*results)
     n = dataset.n_samples
-    oof_sum = np.zeros(n)
-    oof_counts = np.zeros(n, dtype=np.int64)
-    aucs = []
-    straddles = []
-    confusion = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
-    pooled_scores: list[np.ndarray] = []
-    pooled_labels: list[np.ndarray] = []
-    selected_first: list[str] = []
-    residuals = []
-    iterations = []
-    for k, (auc_value, in_test, scores, straddle, selected, residual, epochs) in enumerate(results):
-        residuals.append(residual)
-        iterations.append(epochs)
-        aucs.append(float(auc_value))
-        straddles.append(straddle)
-        oof_sum[in_test] += scores
-        oof_counts[in_test] += 1
-        y_test = dataset.y[in_test]
-        for key, count in confusion_at(scores, y_test, clf_cfg.threshold).items():
-            confusion[key] += count
-        pooled_scores.append(scores)
-        pooled_labels.append(y_test)
-        if k == 0:
-            selected_first = list(selected)
+    test_idx = np.concatenate(tests)
+    pooled_scores = np.concatenate(scores)
+    pooled_labels = dataset.y[test_idx]
+    # bincount adds in the order of its input: each sample's scores in repeat order, as a running sum
+    oof_sum = np.bincount(test_idx, weights=pooled_scores, minlength=n)
+    oof_counts = np.bincount(test_idx, minlength=n)
 
-    nonconverged = sum(r >= clf_cfg.tol for r in residuals)
+    nonconverged = int(np.count_nonzero(np.asarray(residuals) >= clf_cfg.tol))
     if nonconverged:
         log.warning("set %d: %d of %d classifier fits did not reach the KKT tolerance (iteration cap %d): "
                     "KKT residual up to %.3g (tol %g)", dataset.set_id, nonconverged, len(residuals),
                     clf_cfg.max_epochs, max(residuals), clf_cfg.tol)
     oof = np.divide(oof_sum, oof_counts, out=np.zeros(n), where=oof_counts > 0)
-    pooled = roc_curve(np.concatenate(pooled_scores), np.concatenate(pooled_labels)).auc
+    pooled = roc_curve(pooled_scores, pooled_labels).auc
     return CvReport(
         set_id=dataset.set_id,
-        aucs=aucs,
+        aucs=list(aucs),
         mean_auc=float(np.mean(aucs)),
         std_auc=float(np.std(aucs)),
         pooled_auc=float(pooled),
         repeat_seeds=repeat_seeds,
-        confusion=confusion,
+        confusion=confusion_at(pooled_scores, pooled_labels, clf_cfg.threshold),
         oof_scores=oof,
         oof_counts=oof_counts,
-        straddle_counts=straddles,
+        straddle_counts=list(straddles),
         nonconverged_fits=nonconverged,
         max_kkt_residual=max(residuals),
         max_solver_iterations=max(iterations),
-        selected_first_repeat=selected_first,
+        selected_first_repeat=list(selected[0]),
     )

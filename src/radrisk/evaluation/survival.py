@@ -49,40 +49,21 @@ def kaplan_meier(times, events) -> SurvivalCurve:
     if np.any(times < 0):
         raise DataError("negative survival time")
 
-    order = np.argsort(times, kind="stable")
-    t = times[order]
-    e = events[order]
-    n = t.size
+    n = times.size
+    # each event time's tie group starts at its first index in the stably sorted times; the grid
+    # takes the time found there, so a tie of 0.0 and -0.0 keeps the member that comes first
+    t = times[np.argsort(times, kind="stable")]
+    event_times, d = np.unique(times[events], return_counts=True)
+    start = np.searchsorted(t, event_times)
+    grid = t[start]
+    at_risk = n - start
+    surv = np.cumprod(1.0 - d / at_risk)
+    # np.cumsum adds left to right (np.sum adds pairwise), so each Greenwood sum is a running total
+    greenwood = np.cumsum(np.divide(d, at_risk * (at_risk - d), out=np.zeros(d.size), where=at_risk > d))
 
-    grid = []
-    surv = []
-    at_risk = []
-    d_at = []
-    var_sum = 0.0
-    greenwood = []
-    s = 1.0
-    i = 0
-    while i < n:
-        j = i
-        while j < n and t[j] == t[i]:
-            j += 1
-        d = int(e[i:j].sum())
-        if d > 0:
-            n_i = n - i
-            s *= 1.0 - d / n_i
-            if n_i > d:
-                var_sum += d / (n_i * (n_i - d))
-            grid.append(float(t[i]))
-            surv.append(s)
-            at_risk.append(n_i)
-            d_at.append(d)
-            greenwood.append(var_sum)
-        i = j
-
-    grid = np.asarray(grid)
-    surv = np.asarray(surv)
     ci_low = np.zeros_like(surv)
     ci_high = np.ones_like(surv)
+    # the band stays in scalar math: numpy's SIMD exp/log/pow can differ from libm in the last bit
     for k, s_k in enumerate(surv):
         if s_k <= 0.0:
             ci_low[k] = ci_high[k] = 0.0
@@ -101,8 +82,8 @@ def kaplan_meier(times, events) -> SurvivalCurve:
     return SurvivalCurve(
         times=grid,
         surv=surv,
-        at_risk=np.asarray(at_risk, dtype=np.int64),
-        events=np.asarray(d_at, dtype=np.int64),
+        at_risk=at_risk,
+        events=d,
         ci_low=ci_low,
         ci_high=ci_high,
         censor_times=np.sort(times[~events]),
@@ -119,6 +100,13 @@ class LogRankResult:
     expected_a: float
 
 
+def _risk_table(times, events, grid):
+    """How many of ``times`` are at risk (>= t) at each time t of ``grid``, and how many events fall on t."""
+    dead = np.sort(times[events])
+    at_risk = times.size - np.searchsorted(np.sort(times), grid)
+    return at_risk, np.searchsorted(dead, grid, side="right") - np.searchsorted(dead, grid)
+
+
 def log_rank(times_a, events_a, times_b, events_b) -> LogRankResult:
     """Two-group log-rank statistic; p from chi-square with 1 df."""
     ta = np.asarray(times_a, dtype=np.float64)
@@ -133,25 +121,18 @@ def log_rank(times_a, events_a, times_b, events_b) -> LogRankResult:
         raise DataError("log-rank needs at least one event")
 
     event_times = np.unique(np.concatenate([ta[ea], tb[eb]]))
-    observed = 0.0
-    expected = 0.0
-    variance = 0.0
-    for t in event_times:
-        n_a = int((ta >= t).sum())
-        n_b = int((tb >= t).sum())
-        n_t = n_a + n_b
-        d_a = int(((ta == t) & ea).sum())
-        d_b = int(((tb == t) & eb).sum())
-        d = d_a + d_b
-        if n_t == 0 or d == 0:
-            continue
-        observed += d_a
-        expected += d * n_a / n_t
-        if n_t > 1:
-            variance += d * (n_a / n_t) * (n_b / n_t) * (n_t - d) / (n_t - 1)
+    n_a, d_a = _risk_table(ta, ea, event_times)
+    n_b, d_b = _risk_table(tb, eb, event_times)
+    n_t = n_a + n_b
+    d = d_a + d_b
+    # running totals over the event times: np.cumsum adds left to right, np.sum pairwise
+    observed = float(d_a.sum())
+    expected = float(np.cumsum(d * n_a / n_t)[-1])
+    spread = d * (n_a / n_t) * (n_b / n_t) * (n_t - d)
+    variance = float(np.cumsum(np.divide(spread, n_t - 1, out=np.zeros(d.size), where=n_t > 1))[-1])
 
     if variance == 0.0:
         return LogRankResult(0.0, 1.0, observed, expected)
     chi2 = (observed - expected) ** 2 / variance
     p = math.erfc(math.sqrt(chi2 / 2.0))
-    return LogRankResult(float(chi2), float(p), float(observed), float(expected))
+    return LogRankResult(chi2, p, observed, expected)

@@ -51,20 +51,11 @@ SHAPE_FEATURES = (
 def _surface_area(fg: np.ndarray, spacing) -> float:
     sx, sy, sz = spacing
     face = (sy * sz, sx * sz, sx * sy)
+    padded = np.pad(fg, 1)
     area = 0.0
     for axis in range(3):
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[axis] = slice(0, 1)
-        hi[axis] = slice(fg.shape[axis] - 1, fg.shape[axis])
-        exposed = int(fg[tuple(lo)].sum()) + int(fg[tuple(hi)].sum())
-        a = [slice(None)] * 3
-        b = [slice(None)] * 3
-        a[axis] = slice(1, None)
-        b[axis] = slice(None, -1)
-        exposed += int((fg[tuple(a)] & ~fg[tuple(b)]).sum())
-        exposed += int((fg[tuple(b)] & ~fg[tuple(a)]).sum())
-        area += exposed * face[axis]
+        # exposed faces: where the zero-padded mask changes along the axis
+        area += int(np.count_nonzero(np.diff(padded, axis=axis))) * face[axis]
     return area
 
 

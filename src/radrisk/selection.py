@@ -15,7 +15,7 @@ layout of the input. A constant column has r = 0 instead of failing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -106,10 +106,7 @@ class SelectionResult:
         return {
             "cap": self.cap,
             "selected": list(self.selected),
-            "trace": [
-                {"name": s.name, "relevance": s.relevance, "redundancy": s.redundancy, "score": s.score}
-                for s in self.trace
-            ],
+            "trace": [asdict(step) for step in self.trace],
         }
 
 

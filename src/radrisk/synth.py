@@ -36,6 +36,13 @@ class SynthConfig:
     horizon_days: int = 100
     ct_missing_fraction: float = 0.0
 
+    def __post_init__(self):
+        if not 1 <= self.followups[0] <= self.followups[1]:
+            raise ConfigError(f"follow-ups (min, max) must satisfy 1 <= min <= max, got {self.followups}")
+        for name in ("hrm_fraction", "exclude_fraction", "ct_missing_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+
 
 _PRIMARY_SITES = ("lung", "melanoma", "breast", "other")
 

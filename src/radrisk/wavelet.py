@@ -68,20 +68,14 @@ def get_bank(name: str) -> WaveletBank:
         raise ConfigError(f"unknown wavelet bank {name!r} (available: {sorted(BANKS)})") from None
 
 
-def _conv_periodic(arr: np.ndarray, filt: np.ndarray, axis: int) -> np.ndarray:
-    # out[n] = sum_k filt[k] * arr[(n - k) mod N]; np.roll keeps shift
-    # equivariance bit-exact because the accumulation order is index-free.
+def _periodic(arr: np.ndarray, filt: np.ndarray, axis: int, step: int = 1) -> np.ndarray:
+    # step 1 convolves: out[n] = sum_k filt[k] * arr[(n - k) mod N]; step -1
+    # correlates (the adjoint): out[n] = sum_k filt[k] * arr[(n + k) mod N].
+    # np.roll keeps shift equivariance bit-exact because the accumulation order
+    # is index-free.
     out = np.zeros_like(arr)
     for k, c in enumerate(filt):
-        out += c * np.roll(arr, k, axis=axis)
-    return out
-
-
-def _corr_periodic(arr: np.ndarray, filt: np.ndarray, axis: int) -> np.ndarray:
-    # adjoint of _conv_periodic: out[n] = sum_k filt[k] * arr[(n + k) mod N]
-    out = np.zeros_like(arr)
-    for k, c in enumerate(filt):
-        out += c * np.roll(arr, -k, axis=axis)
+        out += c * np.roll(arr, step * k, axis=axis)
     return out
 
 
@@ -95,7 +89,7 @@ def decompose(img: VolumeImage, bank: WaveletBank) -> dict[str, VolumeImage]:
     partial = {"": img.voxels}
     for axis in range(3):
         partial = {
-            prefix + letter: _conv_periodic(arr, filt, axis)
+            prefix + letter: _periodic(arr, filt, axis)
             for prefix, arr in partial.items()
             for letter, filt in (("L", bank.low), ("H", bank.high))
         }
@@ -109,7 +103,7 @@ def reconstruct(subbands: dict[str, VolumeImage], bank: WaveletBank) -> VolumeIm
         arr = np.array(subbands[label].voxels, dtype=np.float64)
         for axis, letter in enumerate(label):
             filt = bank.low if letter == "L" else bank.high
-            arr = _corr_periodic(arr, filt, axis)
+            arr = _periodic(arr, filt, axis, step=-1)
         total = arr if total is None else total + arr
     ref = subbands["LLL"]
     return VolumeImage(total / 8.0, ref.spacing, ref.modality)

@@ -13,7 +13,11 @@ assembled one sample at a time, as one dict per image and per sample.
 intermediate volume per step, as the reference for the single-array one.
 ``bf_corr_elementwise`` keeps the first selection correlation kernel, an
 elementwise product summed down each column, as the bit-for-bit reference for
-the contraction that replaced it.
+the contraction that replaced it. ``loop_kaplan_meier``, ``loop_log_rank`` and
+``loop_cv_tallies`` keep the first survival statistics and cross-validation
+tallies, loops over tie groups, event times and repeats, as the bit-for-bit
+references for the array code that replaced them; they build the package's
+result types, so that every field compares with ``==``.
 """
 
 import itertools
@@ -22,6 +26,8 @@ import math
 import numpy as np
 
 from radrisk.errors import DataError
+from radrisk.evaluation import confusion_at
+from radrisk.evaluation.survival import LogRankResult, SurvivalCurve
 
 OFFSETS_13 = [
     (1, 0, 0), (0, 1, 0), (0, 0, 1),
@@ -619,3 +625,176 @@ def bf_dataset(records, samples, vectors, blocks):
     times = [float(s.days_to_event_or_censor) for s in kept]
     events = [not s.censored for s in kept]
     return names, rows, y, times, events, [s.lesion_id for s in kept]
+
+
+# ---------------------------------------------------------------------------
+# survival statistics and CV tallies, as first written
+
+Z95 = 1.959963984540054
+
+
+def loop_kaplan_meier(times, events):
+    """The first ``kaplan_meier``: tie groups by two pointers, five list accumulators."""
+    times = np.asarray(times, dtype=np.float64)
+    events = np.asarray(events, dtype=bool)
+    if times.shape != events.shape or times.ndim != 1 or times.size == 0:
+        raise DataError(f"times {times.shape} and events {events.shape} disagree or are empty")
+    if np.any(times < 0):
+        raise DataError("negative survival time")
+
+    order = np.argsort(times, kind="stable")
+    t = times[order]
+    e = events[order]
+    n = t.size
+
+    grid = []
+    surv = []
+    at_risk = []
+    d_at = []
+    var_sum = 0.0
+    greenwood = []
+    s = 1.0
+    i = 0
+    while i < n:
+        j = i
+        while j < n and t[j] == t[i]:
+            j += 1
+        d = int(e[i:j].sum())
+        if d > 0:
+            n_i = n - i
+            s *= 1.0 - d / n_i
+            if n_i > d:
+                var_sum += d / (n_i * (n_i - d))
+            grid.append(float(t[i]))
+            surv.append(s)
+            at_risk.append(n_i)
+            d_at.append(d)
+            greenwood.append(var_sum)
+        i = j
+
+    grid = np.asarray(grid)
+    surv = np.asarray(surv)
+    ci_low = np.zeros_like(surv)
+    ci_high = np.ones_like(surv)
+    for k, s_k in enumerate(surv):
+        if s_k <= 0.0:
+            ci_low[k] = ci_high[k] = 0.0
+        elif s_k >= 1.0:
+            ci_low[k] = ci_high[k] = 1.0
+        else:
+            se_ll = math.sqrt(greenwood[k]) / abs(math.log(s_k))
+            ci_low[k] = s_k ** math.exp(Z95 * se_ll)
+            ci_high[k] = s_k ** math.exp(-Z95 * se_ll)
+
+    median = None
+    below = np.nonzero(surv <= 0.5)[0]
+    if below.size:
+        median = float(grid[below[0]])
+
+    return SurvivalCurve(
+        times=grid,
+        surv=surv,
+        at_risk=np.asarray(at_risk, dtype=np.int64),
+        events=np.asarray(d_at, dtype=np.int64),
+        ci_low=ci_low,
+        ci_high=ci_high,
+        censor_times=np.sort(times[~events]),
+        median=median,
+        n=n,
+    )
+
+
+def loop_log_rank(times_a, events_a, times_b, events_b):
+    """The first ``log_rank``: a scan of both groups per event time."""
+    ta = np.asarray(times_a, dtype=np.float64)
+    ea = np.asarray(events_a, dtype=bool)
+    tb = np.asarray(times_b, dtype=np.float64)
+    eb = np.asarray(events_b, dtype=bool)
+    if ta.size == 0 or tb.size == 0:
+        raise DataError("log-rank needs both groups nonempty")
+    if np.any(ta < 0) or np.any(tb < 0):
+        raise DataError("negative survival time")
+    if not (ea.any() or eb.any()):
+        raise DataError("log-rank needs at least one event")
+
+    event_times = np.unique(np.concatenate([ta[ea], tb[eb]]))
+    observed = 0.0
+    expected = 0.0
+    variance = 0.0
+    for t in event_times:
+        n_a = int((ta >= t).sum())
+        n_b = int((tb >= t).sum())
+        n_t = n_a + n_b
+        d_a = int(((ta == t) & ea).sum())
+        d_b = int(((tb == t) & eb).sum())
+        d = d_a + d_b
+        if n_t == 0 or d == 0:
+            continue
+        observed += d_a
+        expected += d * n_a / n_t
+        if n_t > 1:
+            variance += d * (n_a / n_t) * (n_b / n_t) * (n_t - d) / (n_t - 1)
+
+    if variance == 0.0:
+        return LogRankResult(0.0, 1.0, observed, expected)
+    chi2 = (observed - expected) ** 2 / variance
+    p = math.erfc(math.sqrt(chi2 / 2.0))
+    return LogRankResult(float(chi2), float(p), float(observed), float(expected))
+
+
+def loop_lesion_table(dataset):
+    """Lesion ids in order of first appearance, and whether each is ever HRM."""
+    ever_hrm: dict[str, bool] = {}
+    for lid, label in zip(dataset.lesion_ids, dataset.y):
+        ever_hrm[lid] = ever_hrm.get(lid, False) or label == 1
+    return list(ever_hrm), np.asarray(list(ever_hrm.values()), dtype=bool)
+
+
+def loop_split_lesions(lesions, flags, test_frac, rng):
+    """The first lesion-grouped split: a set of test lesion ids."""
+    test: set[str] = set()
+    for flag in (True, False):
+        stratum = [l for l, f in zip(lesions, flags) if f == flag]
+        if not stratum:
+            continue
+        if len(stratum) < 2:
+            raise DataError(f"stratum with flag={flag} has {len(stratum)} lesion(s); need >= 2")
+        n_test = int(round(test_frac * len(stratum)))
+        n_test = min(max(n_test, 1), len(stratum) - 1)
+        order = rng.permutation(len(stratum))
+        test.update(stratum[i] for i in order[:n_test])
+    return test
+
+
+def loop_cv_tallies(results, y, threshold):
+    """The first tallies of ``monte_carlo_cv``: per-repeat accumulators over its repeats' results.
+
+    Returns (oof_scores, oof_counts, confusion)."""
+    n = y.size
+    oof_sum = np.zeros(n)
+    oof_counts = np.zeros(n, dtype=np.int64)
+    aucs = []
+    straddles = []
+    confusion = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
+    pooled_scores: list[np.ndarray] = []
+    pooled_labels: list[np.ndarray] = []
+    selected_first: list[str] = []
+    residuals = []
+    iterations = []
+    for k, (auc_value, in_test, scores, straddle, selected, residual, epochs) in enumerate(results):
+        residuals.append(residual)
+        iterations.append(epochs)
+        aucs.append(float(auc_value))
+        straddles.append(straddle)
+        oof_sum[in_test] += scores
+        oof_counts[in_test] += 1
+        y_test = y[in_test]
+        for key, count in confusion_at(scores, y_test, threshold).items():
+            confusion[key] += count
+        pooled_scores.append(scores)
+        pooled_labels.append(y_test)
+        if k == 0:
+            selected_first = list(selected)
+
+    oof = np.divide(oof_sum, oof_counts, out=np.zeros(n), where=oof_counts > 0)
+    return oof, oof_counts, confusion

@@ -158,6 +158,11 @@ def test_per_samples_below_one_is_a_config_error(cohort_dir, tmp_path, per_sampl
     ["evaluate", "--repeats", "0", "--features", "{features}"],
     ["train", "--c", "-1", "--features", "{features}"],
     ["extract", "--ng", "1"],
+    ["run", "--horizon-days", "0"],
+    ["run", "--horizon-days", "0", "--features", "{features}"],
+    ["evaluate", "--horizon-days", "-1", "--features", "{features}"],
+    ["select", "--horizon", "0", "--features", "{features}"],
+    ["km", "--horizon", "0"],
 ])
 def test_invalid_settings_leave_no_output_directory(cohort_dir, tmp_path, argv):
     out = tmp_path / "new" / "out"
@@ -273,6 +278,21 @@ def test_run_emits_seven_row_table(cohort_dir, tmp_path):
     assert len([c for c in txt[1] if c == "x"]) == 7  # clinical row all sets
 
 
+@pytest.mark.parametrize("argv", [
+    ["--followups", "0,0"],
+    ["--followups", "3,1"],
+    ["--followups", "-1,2"],
+    ["--hrm-fraction", "1.5"],
+    ["--hrm-fraction", "-1"],
+    ["--ct-missing", "2"],
+])
+def test_synth_settings_out_of_range_are_config_errors(tmp_path, capsys, argv):
+    out = tmp_path / "cohort"
+    assert main(["synth", "--lesions", "3", *argv, "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_nifti_format_roundtrip(tmp_path):
     out = tmp_path / "nifti"
     assert main(["synth", "--seed", "2", "--lesions", "3", "--format", "nifti1",
@@ -340,7 +360,7 @@ def test_run_with_config_file(cohort_dir, tmp_path):
     bad = tmp_path / "bad.json"
     for value in ({"unknown_key": 1}, {"n_bins": None}, {"repeats": "three"}, {"repeats": 2.5},
                   {"repeats": True}, {"c_value": None}, {"zscore": [1]}, {"wavelet": "db4"},
-                  {"test_frac": {"value": 0.3}}, {"sets": None}, [1, 2]):
+                  {"test_frac": {"value": 0.3}}, {"sets": None}, {"horizon_days": 0}, [1, 2]):
         bad.write_text(json.dumps(value))
         assert main(["run", "--manifest", str(cohort_dir / "manifest.json"),
                      "--config", str(bad), "--out", str(tmp_path / "x")]) == 2, value

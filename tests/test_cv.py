@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -18,10 +19,11 @@ from radrisk import classifier, pipeline
 from radrisk.cohort import FEATURE_SETS, label_samples
 from radrisk.errors import DataError
 from radrisk.featurestore import FeatureStore
+from radrisk.evaluation import cv
 from radrisk.evaluation.report import write_risk_split
 from radrisk.features import ExtractionConfig
 from radrisk.synth import EffectConfig, SynthConfig
-from oracles import bf_dataset, bf_vectors
+from oracles import bf_dataset, bf_vectors, loop_cv_tallies, loop_lesion_table, loop_split_lesions
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +89,40 @@ def test_cv_lesion_grouping_guard(small_cohort):
     assert report.straddle_counts == [0] * 8
     assert len(report.aucs) == 8
     assert report.mean_auc == pytest.approx(float(np.mean(report.aucs)), abs=1e-15)
+
+
+def test_split_equals_the_lesion_set_loop(small_cohort):
+    records, store = small_cohort
+    ds = build_dataset(records, store, feature_set(2))
+    order = np.random.default_rng(4).permutation(ds.n_samples)  # lesions no longer contiguous
+    shuffled = dataclasses.replace(ds, X=ds.X[order], y=ds.y[order], lesion_ids=[ds.lesion_ids[i] for i in order])
+    for data in (ds, shuffled):
+        lesion_of, flags = cv._lesion_table(data)
+        lesions, ref_flags = loop_lesion_table(data)
+        assert [lesions[k] for k in lesion_of] == data.lesion_ids
+        assert np.array_equal(flags, ref_flags)
+        for seed in range(40):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):  # the retries of one repeat draw on from the same generator
+                in_test = cv._split_lesions(flags, 1.0 / 3.0, rng)[lesion_of]
+                test = loop_split_lesions(lesions, ref_flags, 1.0 / 3.0, ref_rng)
+                assert np.array_equal(in_test, [lid in test for lid in data.lesion_ids]), seed
+
+
+def test_cv_tallies_equal_the_per_repeat_loop(small_cohort):
+    records, store = small_cohort
+    ds = build_dataset(records, store, feature_set(2))
+    cv_cfg, sel_cfg, clf_cfg = CvConfig(repeats=8, seed=13), SelectionConfig(), ClassifierConfig(threshold=0.2)
+    report = monte_carlo_cv(ds, cv_cfg, sel_cfg, clf_cfg)
+    lesion_of, flags = cv._lesion_table(ds)
+    results = [cv._one_repeat(ds, lesion_of, flags, seed, cv_cfg.test_frac, sel_cfg, clf_cfg, None)
+               for seed in report.repeat_seeds]
+    assert [r[0] for r in results] == report.aucs
+    oof, counts, confusion = loop_cv_tallies(results, ds.y, clf_cfg.threshold)
+    assert oof.dtype == report.oof_scores.dtype and oof.tobytes() == report.oof_scores.tobytes()
+    assert counts.dtype == report.oof_counts.dtype and counts.tobytes() == report.oof_counts.tobytes()
+    assert list(confusion.items()) == list(report.confusion.items())
+    assert counts.max() > 1 and (counts == 0).any()  # samples scored in several repeats, and in none
 
 
 def test_nonconverged_fits_reported(small_cohort, caplog):

@@ -4,7 +4,7 @@ import pytest
 from radrisk import kaplan_meier, log_rank, roc_curve
 from radrisk.errors import DataError
 from radrisk.evaluation import confusion_at, format_confusion, format_median_split
-from oracles import bf_auc, bf_kaplan_meier
+from oracles import bf_auc, bf_kaplan_meier, loop_kaplan_meier, loop_log_rank
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +132,40 @@ def test_km_negative_time_rejected():
         kaplan_meier([-1.0], [True])
 
 
+def _durations(rng, n, shape):
+    """n survival times of one of four shapes: heavy ties, distinct, whole days, or a few values
+    with both zeros (whose sorted order is kept)."""
+    if shape == 0:
+        return rng.integers(0, 4, size=n).astype(float)
+    if shape == 1:
+        return rng.exponential(300.0, size=n)
+    if shape == 2:
+        return np.round(rng.exponential(30.0, size=n))
+    return rng.choice([0.0, -0.0, 1.0, 2.5], size=n)
+
+
+SURVIVAL_ARRAYS = ("times", "surv", "at_risk", "events", "ci_low", "ci_high", "censor_times")
+
+
+def test_km_equals_the_loop_bit_for_bit():
+    rng = np.random.default_rng(65)
+    seen = {"ties": 0, "n=1": 0, "all censored": 0, "all events": 0}
+    for trial in range(2400):
+        n = 1 if trial % 10 == 0 else int(rng.integers(2, 50))
+        times = _durations(rng, n, trial % 4)
+        events = rng.uniform(size=n) < (0.0 if trial % 9 == 0 else rng.uniform(0.1, 1.0))
+        mine, ref = kaplan_meier(times, events), loop_kaplan_meier(times, events)
+        for name in SURVIVAL_ARRAYS:
+            a, b = getattr(mine, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (trial, name)
+        assert mine.median == ref.median and mine.n == ref.n, trial
+        seen["ties"] += bool(np.any(mine.events > 1))
+        seen["n=1"] += n == 1
+        seen["all censored"] += not events.any()
+        seen["all events"] += bool(events.all())
+    assert min(seen.values()) >= 200, seen
+
+
 # ---------------------------------------------------------------------------
 # log-rank
 
@@ -187,6 +221,32 @@ def test_chi2_to_p_calibration():
     # chi-square(1) critical value at p = 0.05 is 3.841458...
     result = log_rank([1.0] * 30, [True] * 30, [1.0, 2.0] * 15, [True, False] * 15)
     assert 0.0 <= result.p <= 1.0
+
+
+def test_logrank_equals_the_loop_bit_for_bit():
+    rng = np.random.default_rng(66)
+    seen = {"ties": 0, "n=1": 0, "a group without events": 0, "no events": 0}
+    for trial in range(2400):
+        groups = []
+        for g in range(2):
+            n = 1 if (trial + g) % 10 == 0 else int(rng.integers(2, 40))
+            times = _durations(rng, n, trial % 4)
+            none = trial % 5 == g or trial % 50 == 49
+            groups += [times, rng.uniform(size=n) < (0.0 if none else rng.uniform(0.1, 1.0))]
+        if not (groups[1].any() or groups[3].any()):
+            seen["no events"] += 1
+            for fn in (log_rank, loop_log_rank):
+                with pytest.raises(DataError, match="at least one event"):
+                    fn(*groups)
+            continue
+        mine, ref = log_rank(*groups), loop_log_rank(*groups)
+        assert mine == ref, (trial, mine, ref)
+        for name in ("chi2", "p", "observed_a", "expected_a"):
+            assert type(getattr(mine, name)) is float, name
+        seen["ties"] += len(np.unique(np.concatenate(groups[::2]))) < groups[0].size + groups[2].size
+        seen["n=1"] += min(groups[0].size, groups[2].size) == 1
+        seen["a group without events"] += not (groups[1].any() and groups[3].any())
+    assert min(seen.values()) >= 40, seen
 
 
 # ---------------------------------------------------------------------------

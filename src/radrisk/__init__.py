@@ -11,7 +11,7 @@ cross-validation and survival-style evaluation (AUC, Kaplan-Meier, log-rank).
 __version__ = "0.1.0"
 
 from .errors import ConfigError, DataError, NumericalError, RadriskError
-from .volume import RoiMask, VolumeImage, read_volume, white_stripe_stats, write_volume, zscore_stats
+from .volume import RoiMask, VolumeImage, read_mask, read_volume, white_stripe_stats, write_volume, zscore_stats
 from .wavelet import SUBBAND_LABELS, WaveletBank, decompose, get_bank, reconstruct
 from .features import (
     DiscretizedRoi,

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .volume import RoiMask, VolumeImage, read_volume
+from .volume import RoiMask, VolumeImage, read_mask, read_volume
 
 log = logging.getLogger(__name__)
 
@@ -110,9 +110,7 @@ class ImageSource:
         if self.image_path is None or self.mask_path is None:
             raise DataError("image source has neither in-memory data nor paths")
         base = base_dir or Path(".")
-        img = read_volume(base / self.image_path)
-        mask_vol = read_volume(base / self.mask_path)
-        return img, RoiMask(mask_vol.voxels > 0.5)
+        return read_volume(base / self.image_path), read_mask(base / self.mask_path)
 
 
 @dataclass(frozen=True)

@@ -40,14 +40,21 @@ class SurvivalCurve:
         return 1.0 if idx < 0 else float(self.surv[idx])
 
 
+def _check_times(times: np.ndarray) -> None:
+    """Survival times are finite and not negative; a NaN compares False with everything."""
+    if not np.all(np.isfinite(times)):
+        raise DataError("non-finite survival time")
+    if np.any(times < 0):
+        raise DataError("negative survival time")
+
+
 def kaplan_meier(times, events) -> SurvivalCurve:
     """Product-limit estimate from durations and event flags (False = censored)."""
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=bool)
     if times.shape != events.shape or times.ndim != 1 or times.size == 0:
         raise DataError(f"times {times.shape} and events {events.shape} disagree or are empty")
-    if np.any(times < 0):
-        raise DataError("negative survival time")
+    _check_times(times)
 
     n = times.size
     # each event time's tie group starts at its first index in the stably sorted times; the grid
@@ -115,8 +122,8 @@ def log_rank(times_a, events_a, times_b, events_b) -> LogRankResult:
     eb = np.asarray(events_b, dtype=bool)
     if ta.size == 0 or tb.size == 0:
         raise DataError("log-rank needs both groups nonempty")
-    if np.any(ta < 0) or np.any(tb < 0):
-        raise DataError("negative survival time")
+    _check_times(ta)
+    _check_times(tb)
     if not (ea.any() or eb.any()):
         raise DataError("log-rank needs at least one event")
 

@@ -96,12 +96,12 @@ _CHUNK_CELLS = 1 << 17
 
 def _chunk_rows(mask: RoiMask, n_bins: int) -> int:
     """How many images of one mask an intensity chunk holds: ``_CHUNK_CELLS``
-    over the largest per-image array, the mask's neighbor pairs or a count
-    matrix (GLCM 13 * Ng^2, GLRLM 13 * Ng * extent, GLSZM Ng * n_roi)."""
+    over the largest per-image array, the mask's neighbor pairs or a dense
+    count matrix (GLCM 13 * Ng^2, GLRLM 13 * Ng * extent). GLSZM counts its
+    cells from its zones, never more than the voxels."""
     per_image = max(
         mask.neighbor_pairs.a.size,
         len(DIRECTIONS_13) * n_bins * max(n_bins, max_run_length(mask.coords)),
-        n_bins * mask.count,
     )
     return max(1, _CHUNK_CELLS // per_image)
 

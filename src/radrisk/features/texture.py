@@ -231,8 +231,7 @@ def discretize(img: VolumeImage, mask: RoiMask, n_bins: int) -> DiscretizedRoi:
 @dataclass(frozen=True)
 class _Cells:
     """The occupied cells of m count matrices (:func:`_counts`), in row-major
-    order, so grouped by matrix. The chunk budget of ``extract_all`` bounds
-    the cells of a stack, GLSZM's Ng * n_roi per image included."""
+    order, so grouped by matrix."""
 
     m: int
     matrix: np.ndarray
@@ -247,6 +246,15 @@ class _Cells:
         matrix, ij = np.divmod(occupied, height * width)
         i, j = np.divmod(ij, width)
         return cls(m, matrix, i, j, count.ravel()[occupied].astype(np.float64))
+
+    @classmethod
+    def from_codes(cls, codes: np.ndarray, shape: tuple[int, int, int]) -> _Cells:
+        """The cells of ``_counts(codes, shape)``, counted without the dense matrices."""
+        m, height, width = shape
+        occupied, count = np.unique(codes, return_counts=True)
+        matrix, ij = np.divmod(occupied, height * width)
+        i, j = np.divmod(ij, width)
+        return cls(m, matrix, i, j, count.astype(np.float64))
 
     def per_matrix(self, weights: np.ndarray) -> np.ndarray:
         """Sum of ``weights`` (one per cell) over each matrix's cells, in cell order."""
@@ -475,6 +483,13 @@ def _glrlm(droi: DiscretizedRoi) -> dict[str, np.ndarray]:
 
 def size_zone_counts(droi: DiscretizedRoi) -> np.ndarray:
     """The (gray level, zone size) counts of every row, as ``(k, Ng, n_roi)``."""
+    return _counts(*_zone_codes(droi))
+
+
+def _zone_codes(droi: DiscretizedRoi) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """Each zone's flat index into the ``(k, Ng, n_roi)`` (gray level, zone
+    size) counts, and that shape. The zones are never more than the voxels,
+    so these codes are fewer than the matrices' cells."""
     # parent[x] <= x is a voxel of x's zone, so each zone's tree ends rooted
     # at its smallest voxel; the pairs never cross rows, nor do the trees
     k, n = droi.rows.shape
@@ -500,12 +515,12 @@ def size_zone_counts(droi: DiscretizedRoi) -> np.ndarray:
     ng = droi.n_bins
     # no zone is larger than the ROI
     codes = (zones // n * ng + droi.levels.ravel()[zones] - 1) * n + sizes[zones] - 1
-    return _counts(codes, (k, ng, n))
+    return codes, (k, ng, n)
 
 
 def _glszm(droi: DiscretizedRoi) -> dict[str, np.ndarray]:
     n = droi.rows.shape[1]
-    return _ilm_features(_Cells.of(size_zone_counts(droi)), droi.n_bins, n, n)
+    return _ilm_features(_Cells.from_codes(*_zone_codes(droi)), droi.n_bins, n, n)
 
 
 _MAX_DEPENDENCE = 1 + 2 * len(DIRECTIONS_13)  # the voxel and its 26 neighbors

@@ -9,8 +9,10 @@ Two on-disk formats are supported:
   magic ``n+1\\0``, datatype int16 or float32, spacing taken from pixdim.
   No affine handling, no compression, no resampling.
 
-Volumes are immutable after construction; voxel arrays are indexed ``[x, y, z]``
-and marked read-only. A mask computes its foreground coordinates and their
+Volumes are immutable after construction; voxel arrays are indexed ``[x, y, z]``,
+C-ordered and marked read-only. ``read_volume`` and ``read_mask`` share one
+header and payload parser; a mask is the payload thresholded at 0.5, with no
+float64 volume in between. A mask computes its foreground coordinates and their
 26-neighbor pairs once, on first use.
 
 Intensity normalization is two statistics over a flat array of voxel values,
@@ -94,14 +96,7 @@ class VolumeImage:
             raise DataError(f"volume must be 3D with positive dims, got shape {vox.shape}")
         if not np.all(np.isfinite(vox)):
             raise DataError("volume contains non-finite voxels")
-        try:
-            spacing = tuple(float(s) for s in self.spacing)
-        except (TypeError, ValueError, OverflowError):
-            spacing = ()  # not three numbers: rejected below
-        if len(spacing) != 3 or not all(math.isfinite(s) and s > 0 for s in spacing):
-            raise DataError(f"spacing must be three finite positive floats, got {self.spacing}")
-        if self.modality not in ("MR", "CT"):
-            raise DataError(f"unknown modality {self.modality!r} (expected MR or CT)")
+        spacing = _checked_header(self.spacing, self.modality)
         vox = vox.copy()
         vox.flags.writeable = False
         object.__setattr__(self, "voxels", vox)
@@ -110,6 +105,19 @@ class VolumeImage:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.voxels.shape
+
+
+def _checked_header(spacing, modality: str) -> tuple[float, float, float]:
+    """A volume's spacing as three floats, after the checks of spacing and modality."""
+    try:
+        floats = tuple(float(s) for s in spacing)
+    except (TypeError, ValueError, OverflowError):
+        floats = ()  # not three numbers: rejected below
+    if len(floats) != 3 or not all(math.isfinite(s) and s > 0 for s in floats):
+        raise DataError(f"spacing must be three finite positive floats, got {spacing}")
+    if modality not in ("MR", "CT"):
+        raise DataError(f"unknown modality {modality!r} (expected MR or CT)")
+    return floats
 
 
 @dataclass(frozen=True)
@@ -174,17 +182,72 @@ def _infer_format(path: Path) -> str:
     raise DataError(f"cannot infer volume format from {path.name!r} (expected .json or .nii)")
 
 
+class _Payload(NamedTuple):
+    """A volume file's header fields and its voxel values, flat and x-fastest as stored."""
+
+    values: np.ndarray  # the payload's dtype, or float64 once NIfTI scaling applies
+    dims: tuple[int, int, int]
+    spacing: tuple[float, float, float]
+    modality: str
+
+
+# bytes of output per block of the transposing copy: small enough for a core's L2 cache
+_BLOCK_BYTES = 1 << 18
+
+
+def _c_order(values: np.ndarray, dims: tuple[int, int, int], dtype) -> np.ndarray:
+    """The x-fastest flat ``values`` as a C-ordered ``[x, y, z]`` array of ``dtype``.
+
+    The copy runs one block of y planes at a time: a whole-volume transposed
+    copy reads or writes with the stride of a z plane, and thrashes the cache.
+    """
+    nx, ny, nz = dims
+    src = values.reshape(nz, ny, nx)
+    out = np.empty(dims, dtype)
+    step = max(1, _BLOCK_BYTES // (nx * nz * out.itemsize))
+    for y in range(0, ny, step):
+        out[:, y : y + step] = src[:, y : y + step].T
+    return out
+
+
 def read_volume(path: str | Path, format: str | None = None, modality: str | None = None) -> VolumeImage:
-    """Load a volume from disk. Voxel order is normalized to x-fastest."""
+    """Load a volume from disk.
+
+    The file stores its voxels x-fastest; the array is C-ordered ``[x, y, z]``
+    float64 (z fastest), as every volume is. The order matters beyond speed:
+    whole-volume sums such as the normalization statistics run in memory
+    order, and that order sets the bits of their results.
+    """
+    payload = _read_payload(path, format, modality)
+    return VolumeImage(_c_order(payload.values, payload.dims, np.float64), payload.spacing, payload.modality)
+
+
+def read_mask(path: str | Path, format: str | None = None) -> RoiMask:
+    """Load a mask: the voxels of a volume file above 0.5.
+
+    The file is parsed and checked as by :func:`read_volume`, with the same
+    errors, but no float64 volume is built.
+    """
+    payload = _read_payload(path, format, None)
+    return RoiMask(_c_order(payload.values > 0.5, payload.dims, bool))
+
+
+def _read_payload(path: str | Path, format: str | None, modality: str | None) -> _Payload:
+    """A volume file's payload, its values and header checked as a VolumeImage checks its own."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"volume file not found: {path}")
     fmt = format or _infer_format(path)
     if fmt == FORMAT_RAWJSON:
-        return _read_rawjson(path, modality)
-    if fmt == FORMAT_NIFTI:
-        return _read_nifti(path, modality)
-    raise DataError(f"unsupported volume format {fmt!r}")
+        payload, nonfinite = _read_rawjson(path, modality)
+    elif fmt == FORMAT_NIFTI:
+        payload, nonfinite = _read_nifti(path, modality)
+    else:
+        raise DataError(f"unsupported volume format {fmt!r}")
+    # VolumeImage's checks, in its order
+    if payload.values.dtype.kind == "f" and not np.all(np.isfinite(payload.values)):
+        raise DataError(nonfinite)
+    return payload._replace(spacing=_checked_header(payload.spacing, payload.modality))
 
 
 def write_volume(img: VolumeImage, path: str | Path, format: str | None = None) -> Path:
@@ -198,7 +261,8 @@ def write_volume(img: VolumeImage, path: str | Path, format: str | None = None) 
     raise DataError(f"unsupported volume format {fmt!r}")
 
 
-def _read_rawjson(path: Path, modality: str | None) -> VolumeImage:
+def _read_rawjson(path: Path, modality: str | None) -> tuple[_Payload, str]:
+    """A RAWJSON file's payload, spacing unchecked, and its error text for a non-finite voxel."""
     try:
         meta = json.loads(path.read_bytes())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -225,8 +289,8 @@ def _read_rawjson(path: Path, modality: str | None) -> VolumeImage:
     nvox = dims[0] * dims[1] * dims[2]
     if len(raw) != nvox * 4:
         raise DataError(f"RAWJSON payload size {len(raw)} != {nvox * 4} bytes for dims {dims}")
-    vox = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(dims, order="F")
-    return VolumeImage(vox, spacing, modality or meta.get("modality", "MR"))
+    payload = _Payload(np.frombuffer(raw, dtype="<f4"), tuple(dims), spacing, modality or meta.get("modality", "MR"))
+    return payload, "volume contains non-finite voxels"
 
 
 def _json_triple(value, kinds) -> bool:
@@ -255,7 +319,8 @@ def _write_rawjson(img: VolumeImage, path: Path) -> Path:
     return path
 
 
-def _read_nifti(path: Path, modality: str | None) -> VolumeImage:
+def _read_nifti(path: Path, modality: str | None) -> tuple[_Payload, str]:
+    """A NIfTI-1 file's payload and its error text for a non-finite voxel."""
     buf = path.read_bytes()
     if len(buf) < 352:
         raise DataError(f"NIfTI file too short ({len(buf)} bytes): {path}")
@@ -288,12 +353,10 @@ def _read_nifti(path: Path, modality: str | None) -> VolumeImage:
     end = start + nvox * dtype.itemsize
     if len(buf) < end:
         raise DataError(f"NIfTI payload truncated ({len(buf)} < {end} bytes)")
-    vox = np.frombuffer(buf[start:end], dtype=dtype).astype(np.float64)
+    values = np.frombuffer(buf, dtype=dtype, count=nvox, offset=start)
     if slope not in (0.0, 1.0) or inter != 0.0:
-        vox = vox * float(slope) + float(inter)
-    if not np.all(np.isfinite(vox)):
-        raise DataError(f"NIfTI volume contains non-finite voxels: {path}")
-    return VolumeImage(vox.reshape(dims, order="F"), spacing, modality or "MR")
+        values = values.astype(np.float64) * float(slope) + float(inter)
+    return _Payload(values, dims, spacing, modality or "MR"), f"NIfTI volume contains non-finite voxels: {path}"
 
 
 def _write_nifti(img: VolumeImage, path: Path) -> Path:
@@ -340,23 +403,33 @@ def white_stripe_stats(values: np.ndarray) -> tuple[float, float]:
     above the median (256 bins, 7-bin binomial smoothing); the scale is the
     population std of the values inside the quantile window
     ``[q(p_peak - tau), q(p_peak + tau)]`` around that peak.
+
+    The histogram, the median, ``p_peak`` and the quantiles all come from one
+    sort of ``values``, with the arithmetic of ``np.histogram``, ``np.median``
+    and ``np.quantile``; the window's std sums in the order of ``values``.
     """
-    lo, hi = float(values.min()), float(values.max())
+    ordered = np.sort(values)
+    n = ordered.size
+    lo, hi = float(ordered[0]), float(ordered[-1])
     if lo == hi:
         raise DataError("no histogram peak above the masked median (constant region)")
-    hist, edges = np.histogram(values, bins=WHITE_STRIPE_BINS, range=(lo, hi))
+    edges = np.histogram_bin_edges(ordered, bins=WHITE_STRIPE_BINS, range=(lo, hi))
+    # np.histogram's bins are half-open but the last, which holds the maximum
+    hist = np.diff(np.searchsorted(ordered, edges[:-1], side="left"), append=n)
     centers = (edges[:-1] + edges[1:]) / 2.0
     kernel = np.array([1, 6, 15, 20, 15, 6, 1], dtype=np.float64) / 64.0
     smoothed = np.convolve(hist.astype(np.float64), kernel, mode="same")
-    med = float(np.median(values))
+    half = n // 2
+    med = float(ordered[half]) if n % 2 else (float(ordered[half - 1]) + float(ordered[half])) / 2.0
     candidates = np.nonzero(centers > med)[0]
     if candidates.size == 0 or smoothed[candidates].max() == 0.0:
         raise DataError("no histogram peak above the masked median")
     peak_idx = int(candidates[np.argmax(smoothed[candidates])])
     mu_ws = float(centers[peak_idx])
-    p_peak = float(np.mean(values <= mu_ws))
+    p_peak = int(np.searchsorted(ordered, mu_ws, side="right")) / n
     p_lo, p_hi = max(0.0, p_peak - WHITE_STRIPE_TAU), min(1.0, p_peak + WHITE_STRIPE_TAU)
-    q_lo, q_hi = np.quantile(values, [p_lo, p_hi])
+    q_lo, q_hi = _sorted_quantile(ordered, p_lo), _sorted_quantile(ordered, p_hi)
+    del ordered  # a whole-volume copy: not held through the window's mask and gather
     window = values[(values >= q_lo) & (values <= q_hi)]
     if window.size < WHITE_STRIPE_MIN_WINDOW:
         raise DataError(f"white-stripe window contains {window.size} voxels (< {WHITE_STRIPE_MIN_WINDOW})")
@@ -364,3 +437,15 @@ def white_stripe_stats(values: np.ndarray) -> tuple[float, float]:
     if sigma_ws == 0.0:
         raise DataError("constant image: zero variance in the white-stripe window")
     return mu_ws, sigma_ws
+
+
+def _sorted_quantile(ordered: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` (linear method) from the sorted values, in its arithmetic."""
+    index = (ordered.size - 1) * q
+    if index >= ordered.size - 1:
+        return float(ordered[-1])
+    below = math.floor(index)
+    t = index - below
+    a, b = float(ordered[below]), float(ordered[below + 1])
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t

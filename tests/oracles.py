@@ -18,16 +18,24 @@ the contraction that replaced it. ``loop_kaplan_meier``, ``loop_log_rank`` and
 tallies, loops over tie groups, event times and repeats, as the bit-for-bit
 references for the array code that replaced them; they build the package's
 result types, so that every field compares with ``==``.
+``strided_read_volume`` and ``quantile_white_stripe_stats`` keep the first
+volume reader (a strided copy of an F-ordered view) and the first white-stripe
+statistic (a pass or a partitioned copy per statistic) as the bit-for-bit
+references for the blocked reader, the mask loader and the one-sort statistic.
 """
 
 import itertools
+import json
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 
 from radrisk.errors import DataError
 from radrisk.evaluation import confusion_at
 from radrisk.evaluation.survival import LogRankResult, SurvivalCurve
+from radrisk.volume import VolumeImage
 
 OFFSETS_13 = [
     (1, 0, 0), (0, 1, 0), (0, 0, 1),
@@ -798,3 +806,138 @@ def loop_cv_tallies(results, y, threshold):
 
     oof = np.divide(oof_sum, oof_counts, out=np.zeros(n), where=oof_counts > 0)
     return oof, oof_counts, confusion
+
+
+# ---------------------------------------------------------------------------
+# volume reading and white-stripe, as first written
+
+
+def strided_read_volume(path, format=None, modality=None):
+    """The first ``read_volume``: the payload as float64, reshaped x-fastest
+    (an F-ordered view), and copied to C order by the volume constructor."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"volume file not found: {path}")
+    fmt = format or _infer_format(path)
+    if fmt == "rawjson":
+        return _strided_read_rawjson(path, modality)
+    if fmt == "nifti1":
+        return _strided_read_nifti(path, modality)
+    raise DataError(f"unsupported volume format {fmt!r}")
+
+
+def _infer_format(path):
+    if path.suffix == ".json":
+        return "rawjson"
+    if path.suffix == ".nii":
+        return "nifti1"
+    raise DataError(f"cannot infer volume format from {path.name!r} (expected .json or .nii)")
+
+
+def _json_triple(value, kinds):
+    return (
+        isinstance(value, list)
+        and len(value) == 3
+        and all(isinstance(v, kinds) and not isinstance(v, bool) for v in value)
+    )
+
+
+def _strided_read_rawjson(path, modality):
+    try:
+        meta = json.loads(path.read_bytes())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"malformed RAWJSON header {path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise DataError(f"RAWJSON header {path} must be an object")
+    for key in ("dims", "spacing", "dtype", "data_file"):
+        if key not in meta:
+            raise DataError(f"RAWJSON header {path} missing field {key!r}")
+    if meta["dtype"] != "f32":
+        raise DataError(f"unsupported scalar type {meta['dtype']!r} in {path} (only f32)")
+    dims = meta["dims"]
+    if not _json_triple(dims, int) or any(d < 1 for d in dims):
+        raise DataError(f"RAWJSON dims must be 3 positive ints, got {dims!r}")
+    spacing = meta["spacing"]
+    if not _json_triple(spacing, (int, float)):
+        raise DataError(f"RAWJSON spacing must be 3 numbers, got {spacing!r}")
+    if not isinstance(meta["data_file"], str):
+        raise DataError(f"RAWJSON data_file must be a string, got {meta['data_file']!r}")
+    raw_path = path.parent / meta["data_file"]
+    if not raw_path.is_file():
+        raise DataError(f"RAWJSON data file not found: {raw_path}")
+    raw = raw_path.read_bytes()
+    nvox = dims[0] * dims[1] * dims[2]
+    if len(raw) != nvox * 4:
+        raise DataError(f"RAWJSON payload size {len(raw)} != {nvox * 4} bytes for dims {dims}")
+    vox = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(dims, order="F")
+    return VolumeImage(vox, spacing, modality or meta.get("modality", "MR"))
+
+
+def _strided_read_nifti(path, modality):
+    buf = path.read_bytes()
+    if len(buf) < 352:
+        raise DataError(f"NIfTI file too short ({len(buf)} bytes): {path}")
+    (sizeof_hdr,) = struct.unpack_from("<i", buf, 0)
+    if sizeof_hdr != 348:
+        raise DataError(f"malformed NIfTI header (sizeof_hdr={sizeof_hdr}; big-endian unsupported)")
+    if buf[344:348] != b"n+1\x00":
+        raise DataError(f"malformed NIfTI header (bad magic {buf[344:348]!r})")
+    dim = struct.unpack_from("<8h", buf, 40)
+    ndim = dim[0]
+    if not 3 <= ndim <= 7 or any(d != 1 for d in dim[4 : ndim + 1]):
+        raise DataError(f"unsupported NIfTI dimensionality dim={list(dim)} (need 3D)")
+    dims = tuple(int(d) for d in dim[1:4])
+    if any(d < 1 for d in dims):
+        raise DataError(f"malformed NIfTI header (dims {dims})")
+    (datatype,) = struct.unpack_from("<h", buf, 70)
+    dtypes = {4: np.dtype("<i2"), 16: np.dtype("<f4")}
+    if datatype not in dtypes:
+        raise DataError(f"unsupported scalar type (NIfTI datatype code {datatype}; only int16/float32)")
+    dtype = dtypes[datatype]
+    pixdim = struct.unpack_from("<8f", buf, 76)
+    spacing = tuple(float(p) for p in pixdim[1:4])
+    if not all(math.isfinite(s) and s > 0 for s in spacing):
+        raise DataError(f"malformed NIfTI header (pixdim {spacing})")
+    (vox_offset,) = struct.unpack_from("<f", buf, 108)
+    if not math.isfinite(vox_offset) or vox_offset < 352 or vox_offset != int(vox_offset):
+        raise DataError(f"malformed NIfTI header (vox_offset {vox_offset})")
+    slope, inter = struct.unpack_from("<2f", buf, 112)
+    nvox = dims[0] * dims[1] * dims[2]
+    start = int(vox_offset)
+    end = start + nvox * dtype.itemsize
+    if len(buf) < end:
+        raise DataError(f"NIfTI payload truncated ({len(buf)} < {end} bytes)")
+    vox = np.frombuffer(buf[start:end], dtype=dtype).astype(np.float64)
+    if slope not in (0.0, 1.0) or inter != 0.0:
+        vox = vox * float(slope) + float(inter)
+    if not np.all(np.isfinite(vox)):
+        raise DataError(f"NIfTI volume contains non-finite voxels: {path}")
+    return VolumeImage(vox.reshape(dims, order="F"), spacing, modality or "MR")
+
+
+def quantile_white_stripe_stats(values):
+    """The first ``white_stripe_stats``: min, max, ``np.histogram``, ``np.median``
+    and ``np.quantile``, each its own pass or partitioned copy of ``values``."""
+    lo, hi = float(values.min()), float(values.max())
+    if lo == hi:
+        raise DataError("no histogram peak above the masked median (constant region)")
+    hist, edges = np.histogram(values, bins=256, range=(lo, hi))
+    centers = (edges[:-1] + edges[1:]) / 2.0
+    kernel = np.array([1, 6, 15, 20, 15, 6, 1], dtype=np.float64) / 64.0
+    smoothed = np.convolve(hist.astype(np.float64), kernel, mode="same")
+    med = float(np.median(values))
+    candidates = np.nonzero(centers > med)[0]
+    if candidates.size == 0 or smoothed[candidates].max() == 0.0:
+        raise DataError("no histogram peak above the masked median")
+    peak_idx = int(candidates[np.argmax(smoothed[candidates])])
+    mu_ws = float(centers[peak_idx])
+    p_peak = float(np.mean(values <= mu_ws))
+    p_lo, p_hi = max(0.0, p_peak - 0.05), min(1.0, p_peak + 0.05)
+    q_lo, q_hi = np.quantile(values, [p_lo, p_hi])
+    window = values[(values >= q_lo) & (values <= q_hi)]
+    if window.size < 10:
+        raise DataError(f"white-stripe window contains {window.size} voxels (< 10)")
+    sigma_ws = float(window.std())
+    if sigma_ws == 0.0:
+        raise DataError("constant image: zero variance in the white-stripe window")
+    return mu_ws, sigma_ws

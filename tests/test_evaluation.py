@@ -217,6 +217,17 @@ def test_logrank_errors():
         log_rank([1.0], [False], [2.0], [False])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_survival_time_is_a_data_error(bad):
+    # the loop oracles are never given NaN: their tie pointers never advance past it
+    with pytest.raises(DataError, match="non-finite survival time"):
+        kaplan_meier([bad, 1.0, 2.0], [True, True, False])
+    with pytest.raises(DataError, match="non-finite survival time"):
+        log_rank([bad, 1.0], [True, True], [2.0, 3.0], [True, False])
+    with pytest.raises(DataError, match="non-finite survival time"):
+        log_rank([2.0, 3.0], [True, False], [1.0, bad], [False, False])
+
+
 def test_chi2_to_p_calibration():
     # chi-square(1) critical value at p = 0.05 is 3.841458...
     result = log_rank([1.0] * 30, [True] * 30, [1.0, 2.0] * 15, [True, False] * 15)

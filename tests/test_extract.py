@@ -342,6 +342,8 @@ def test_chunked_stack_matches_per_image_and_one_chunk(monkeypatch):
 
     intensity_rows = extract_module._intensity_rows
     monkeypatch.setattr(extract_module, "_intensity_rows", recording_rows)
+    # a budget of two of this ROI's images per chunk: its largest array is GLCM's 13 * 32^2 cells
+    monkeypatch.setattr(extract_module, "_CHUNK_CELLS", 1 << 15)
     row = extract_all(img, mask, cfg)
     assert len(chunks) >= 2 and sum(chunks) == 9
     ref = np.array(list(full_volume_reference(img, mask, cfg).values()))

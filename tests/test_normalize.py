@@ -6,8 +6,9 @@ import pytest
 from radrisk import ConfigError, DataError, NormalizationConfig, white_stripe_stats, zscore_stats
 from radrisk.featurestore import ROLE_FOLLOWUP, ROLE_PLAN_CT, ROLE_PLAN_MR
 from radrisk.pipeline import normalize_volume
+from radrisk.volume import _sorted_quantile
 from helpers import vol3d
-from oracles import bf_normalize, bf_whitestripe_peak
+from oracles import bf_normalize, bf_whitestripe_peak, quantile_white_stripe_stats
 
 
 def _apply(values, stats):
@@ -77,6 +78,60 @@ def test_whitestripe_no_peak_above_median():
 def test_whitestripe_small_window_errors():
     with pytest.raises(DataError, match="window contains 0 voxels"):
         white_stripe_stats(np.array([10.0] * 4 + [20.0] * 4))
+
+
+def _stats_or_error(stats, values):
+    try:
+        return stats(values)
+    except DataError as exc:
+        return str(exc)
+
+
+def _tied_peaks(rng, n):
+    """Two equal spikes above the median: the histogram's largest bins tie."""
+    spike = n // 4
+    values = np.concatenate([rng.uniform(0.0, 50.0, size=n - 2 * spike), np.full(spike, 70.0), np.full(spike, 90.0)])
+    rng.shuffle(values)
+    return values
+
+
+def _at_bin_centers(rng, n):
+    """Values on the 256 bin centers of [0, 256], so the peak's center is itself a value."""
+    values = np.floor(rng.normal(170.0, 30.0, size=n)).clip(0, 255) + 0.5
+    values[:2] = 0.0, 256.0
+    rng.shuffle(values)
+    return values
+
+
+_WHITE_STRIPE_INPUTS = {
+    "normal": lambda rng, n: rng.normal(rng.uniform(-5, 5), rng.uniform(0.1, 10.0), size=n),
+    "7 levels": lambda rng, n: rng.integers(0, 7, size=n).astype(np.float64),
+    "rounded gamma": lambda rng, n: np.round(rng.gamma(rng.uniform(0.5, 4.0), 3.0, size=n)),
+    "bimodal": lambda rng, n: _bimodal(rng, n, bright=rng.uniform(0.3, 0.8)),
+    "tied peaks": _tied_peaks,
+    "at bin centers": _at_bin_centers,
+}
+
+
+@pytest.mark.parametrize("kind", list(_WHITE_STRIPE_INPUTS))
+def test_white_stripe_equals_the_quantile_oracle(kind):
+    rng = np.random.default_rng(list(_WHITE_STRIPE_INPUTS).index(kind))
+    errors = 0
+    for trial in range(150):
+        n = int(rng.integers(10, 5001)) if trial % 3 else int(rng.integers(10, 40))
+        values = _WHITE_STRIPE_INPUTS[kind](rng, n)
+        want = _stats_or_error(quantile_white_stripe_stats, values)
+        assert _stats_or_error(white_stripe_stats, values) == want, (kind, trial, n)
+        errors += isinstance(want, str)
+    assert errors < 150  # most inputs have a white stripe
+
+
+def test_sorted_quantile_is_numpys_linear_quantile():
+    rng = np.random.default_rng(12)
+    for trial in range(400):
+        ordered = np.sort(np.round(rng.normal(size=int(rng.integers(1, 300))) * 8.0) / 8.0 * rng.uniform(0.1, 1e3))
+        for q in (0.0, 1.0, rng.uniform(), rng.uniform(0.9, 1.0), float(rng.integers(0, 20)) / 20):
+            assert _sorted_quantile(ordered, q) == np.quantile(ordered, q), (trial, q)
 
 
 def test_normalizations_affine_equivariant():

@@ -16,6 +16,9 @@ from radrisk.features import (
 from radrisk.features.firstorder import firstorder_rows
 from radrisk.features.texture import (
     DiscretizedRoi,
+    _Cells,
+    _counts,
+    _zone_codes,
     discretize_rows,
     run_length_counts,
     size_zone_counts,
@@ -364,6 +367,19 @@ def test_zone_and_run_counts_equal_the_oracles(case, k):
         assert _cell_counts(zones[r]) == _tally(bf_glszm_zones(roi)), r
         for d, offset in enumerate(OFFSETS_13):
             assert _cell_counts(runs[r * len(OFFSETS_13) + d]) == _tally(bf_glrlm_runs(roi, offset)), (r, offset)
+
+
+@pytest.mark.parametrize("case", [_serpentine, _checkerboard, _single_plane, _longest_run, _unused_level])
+@pytest.mark.parametrize("k", [1, 9])
+def test_zone_cells_from_codes_equal_the_dense_cells(case, k):
+    mask, levels, n_bins = case(k)
+    coords = RoiMask(mask).coords
+    codes, shape = _zone_codes(DiscretizedRoi(levels[0] if k == 1 else levels, n_bins, coords))
+    sparse, dense = _Cells.from_codes(codes, shape), _Cells.of(_counts(codes, shape))
+    assert sparse.m == dense.m == k
+    for name in ("matrix", "i", "j", "count"):
+        got, want = getattr(sparse, name), getattr(dense, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def test_count_cases_reach_their_extremes():

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from radrisk import DataError, VolumeImage, read_volume, write_volume
+from radrisk import DataError, VolumeImage, read_mask, read_volume, write_volume
+from radrisk import volume as volume_module
 from helpers import field_paths, vol, with_field_of_another_json_type
+from oracles import strided_read_volume
 
 
 def test_rawjson_identity_roundtrip(tmp_path):
@@ -37,7 +39,7 @@ def test_rawjson_write_read_bit_identical(tmp_path):
     assert (tmp_path / "a.raw").read_bytes() == (tmp_path / "b.raw").read_bytes()
 
 
-def _independent_nifti(path, dims, spacing, voxels, datatype=16):
+def _independent_nifti(path, dims, spacing, voxels, datatype=16, slope=1.0, inter=0.0):
     """Header writer kept independent of the library (field-by-field struct)."""
     hdr = bytearray(352)
     struct.pack_into("<i", hdr, 0, 348)
@@ -46,7 +48,7 @@ def _independent_nifti(path, dims, spacing, voxels, datatype=16):
     struct.pack_into("<h", hdr, 72, {4: 16, 16: 32}[datatype])
     struct.pack_into("<8f", hdr, 76, 1.0, spacing[0], spacing[1], spacing[2], 0, 0, 0, 0)
     struct.pack_into("<f", hdr, 108, 352.0)
-    struct.pack_into("<2f", hdr, 112, 1.0, 0.0)
+    struct.pack_into("<2f", hdr, 112, slope, inter)
     hdr[344:348] = b"n+1\x00"
     np_dtype = {4: "<i2", 16: "<f4"}[datatype]
     path.write_bytes(bytes(hdr) + np.asarray(voxels, dtype=np_dtype).tobytes())
@@ -207,3 +209,66 @@ def test_nifti_float_header_field_nonfinite(tmp_path, fields):
         struct.pack_into("<f", data, offset, value)
     (tmp_path / "f.nii").write_bytes(bytes(data))
     _data_error_or_valid(tmp_path / "f.nii")
+
+
+def _outcome(read, path):
+    """What ``read(path)`` returns, or the text of the DataError it raises."""
+    try:
+        return read(path)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+def _random_volume_file(rng, directory, case):
+    """A RAWJSON or NIfTI file of random dims and payload, some with a NaN or inf voxel."""
+    dims = tuple(int(d) for d in rng.integers(1, 10, size=3))
+    dims = tuple(1 if rng.uniform() < 0.1 else d for d in dims)
+    n = dims[0] * dims[1] * dims[2]
+    kind = ("rawjson", "f32", "i16", "i16-scaled", "f32-scaled")[case % 5]
+    if kind.startswith("i16"):
+        payload = rng.integers(-3, 4, size=n).astype("<i2")
+    else:
+        # values at and around the 0.5 threshold, as a mask's payload may hold
+        payload = rng.choice([0.0, 0.5, np.nextafter(np.float32(0.5), 1, dtype=np.float32), 1.0], size=n)
+        payload = np.where(rng.uniform(size=n) < 0.5, rng.normal(0.5, 2.0, size=n), payload).astype("<f4")
+        if rng.uniform() < 0.25:
+            payload[rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf])
+    spacing = tuple(float(s) for s in rng.choice([0.5, 0.75, 1.0, 1.5, 3.0], size=3))
+    path = directory / f"{case}.json" if kind == "rawjson" else directory / f"{case}.nii"
+    if kind == "rawjson":
+        (directory / f"{case}.raw").write_bytes(payload.tobytes())
+        path.write_text(json.dumps({"dims": list(dims), "spacing": list(spacing), "dtype": "f32",
+                                    "data_file": f"{case}.raw", "modality": str(rng.choice(["MR", "CT"]))}))
+    else:
+        scaled = kind.endswith("scaled")
+        slope = float(rng.choice([0.25, 2.0, -1.5, np.nan])) if scaled else 1.0
+        inter = float(rng.choice([0.0, 0.5, -3.0])) if scaled else 0.0
+        _independent_nifti(path, dims, spacing, payload, datatype=4 if kind.startswith("i16") else 16,
+                           slope=slope, inter=inter)
+    return path, dims
+
+
+def test_readers_equal_the_strided_reader(tmp_path, monkeypatch):
+    rng = np.random.default_rng(20261019)
+    seen = {"ragged block": 0, "length-1 axis": 0, "non-finite": 0, "read": 0}
+    for case in range(300):
+        path, (nx, ny, nz) = _random_volume_file(rng, tmp_path, case)
+        # the image copy's y planes per block: from one to more than the volume has
+        step = int(rng.integers(1, ny + 2))
+        monkeypatch.setattr(volume_module, "_BLOCK_BYTES", step * nx * nz * 8)
+        seen["ragged block"] += step < ny and ny % step != 0
+        seen["length-1 axis"] += min(nx, ny, nz) == 1
+        want = _outcome(strided_read_volume, path)
+        got = _outcome(read_volume, path)
+        mask = _outcome(read_mask, path)
+        if isinstance(want, str):
+            seen["non-finite"] += "non-finite" in want
+            assert got == want and mask == want, case
+            continue
+        seen["read"] += 1
+        assert np.array_equal(got.voxels, want.voxels), case
+        assert (got.spacing, got.modality) == (want.spacing, want.modality)
+        assert np.array_equal(mask.voxels, want.voxels > 0.5), case
+        for array in (got.voxels, mask.voxels):
+            assert array.flags.c_contiguous and not array.flags.writeable
+    assert min(seen.values()) >= 20, seen

@@ -42,10 +42,11 @@ class ClassifierConfig:
     tol: float = 1e-6  # a fit converged when its KKT residual is below this
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise ConfigError(f"C must be > 0, got {self.C}")
-        if self.sensitivity_weight <= 0:
-            raise ConfigError(f"sensitivity weight must be > 0, got {self.sensitivity_weight}")
+        for name, value in (("C", self.C), ("sensitivity weight", self.sensitivity_weight)):
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be a finite number > 0, got {value}")
+        if math.isnan(self.threshold):
+            raise ConfigError("threshold must be a number, got nan")
         if isinstance(self.max_epochs, bool) or not isinstance(self.max_epochs, int) or self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be an integer >= 1, got {self.max_epochs!r}")
         if isinstance(self.tol, bool) or not isinstance(self.tol, (int, float)) or not 0 < self.tol < math.inf:

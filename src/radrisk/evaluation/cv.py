@@ -64,7 +64,7 @@ class CvReport:
     oof_scores: np.ndarray
     oof_counts: np.ndarray
     straddle_counts: list[int]
-    nonconverged_fits: int  # fits whose KKT residual stayed >= the classifier's tol
+    nonconverged_fits: int  # fits whose KKT residual did not fall below the classifier's tol
     max_kkt_residual: float
     max_solver_iterations: int  # the largest epochs_run of the fits
     selected_first_repeat: list[str] = field(default_factory=list)
@@ -181,7 +181,7 @@ def monte_carlo_cv(
     oof_sum = np.bincount(test_idx, weights=pooled_scores, minlength=n)
     oof_counts = np.bincount(test_idx, minlength=n)
 
-    nonconverged = int(np.count_nonzero(np.asarray(residuals) >= clf_cfg.tol))
+    nonconverged = int(np.count_nonzero(~(np.asarray(residuals) < clf_cfg.tol)))  # a NaN residual counts
     if nonconverged:
         log.warning("set %d: %d of %d classifier fits did not reach the KKT tolerance (iteration cap %d): "
                     "KKT residual up to %.3g (tol %g)", dataset.set_id, nonconverged, len(residuals),

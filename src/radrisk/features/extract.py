@@ -7,9 +7,10 @@ An original-only run emits 98 features per image (14 shape + 16 first-order +
 intensity classes are re-extracted on each of the 8 subbands under the
 original mask (shape is mask-only and extracted once), for 98 + 8*84 = 770.
 
-Every class reads ROI voxels only, so it runs on the ROI's bounding box, cut
-out before the wavelet; shape gets the box's offset in the image grid, so its
-physical coordinates are those of the whole grid. Each subband filter is
+Every class reads ROI voxels only, so the wavelet runs on the ROI's bounding
+box, and the ROI's values are read from the box at the mask's coordinates,
+shifted into it. Texture and shape read the caller's mask, whose voxel order
+and neighbor pairs do not depend on where the grid starts. Each filter is
 causal: output voxel n reads input voxels n - k, 0 <= k < filter length,
 along each axis. The box reaches filter length - 1 voxels below the ROI on
 each axis, which makes every subband value in the ROI bit-identical to the
@@ -45,7 +46,7 @@ import numpy as np
 
 from ..errors import ConfigError, NumericalError
 from ..volume import DIRECTIONS_13, RoiMask, VolumeImage, check_aligned, require_nonempty
-from ..wavelet import SUBBAND_LABELS, decompose, get_bank
+from ..wavelet import SUBBAND_LABELS, decompose, get_bank, subbands
 from .firstorder import FIRSTORDER_FEATURES, firstorder_features, firstorder_rows
 from .shape import SHAPE_FEATURES, shape_features
 from .texture import (
@@ -58,10 +59,11 @@ from .texture import (
     texture_rows,
 )
 
-# The per-image entry points stay reachable from this module, where callers
-# that wrap extraction's layers by module attribute look them up
-# (bench/layers.py); extract_all itself runs the stacked kernels.
-__all__ = ["ExtractionConfig", "discretize", "extract_all", "feature_names", "firstorder_features", "texture_features"]
+# The per-image entry points and ``decompose`` stay reachable from this module,
+# where callers that wrap extraction's layers by module attribute look them up
+# (bench/layers.py); extract_all itself runs the stacked and array kernels.
+__all__ = ["ExtractionConfig", "decompose", "discretize", "extract_all", "feature_names", "firstorder_features",
+           "texture_features"]
 
 
 @dataclass(frozen=True)
@@ -112,33 +114,25 @@ def _intensity_rows(values: np.ndarray, mask: RoiMask, n_bins: int) -> np.ndarra
     return np.hstack([firstorder_rows(values)] + [texture_rows(droi, family) for family in TEXTURE_FAMILIES])
 
 
-def _roi_box(mask: RoiMask, margin: int) -> tuple[slice, ...]:
-    """The ROI's bounding box, extended ``margin`` voxels on the low side of each axis."""
-    lo = mask.coords.min(axis=0) - margin
-    hi = mask.coords.max(axis=0) + 1
-    return tuple(slice(int(l), int(h)) if l >= 0 else slice(None) for l, h in zip(lo, hi))
-
-
 def extract_all(img: VolumeImage, mask: RoiMask, config: ExtractionConfig) -> np.ndarray:
     """Extract the full feature row of one (volume, mask) pair, in ``feature_names(config)`` order."""
     check_aligned(img, mask)
     require_nonempty(mask)
     bank = None if config.wavelet is None else get_bank(config.wavelet)
-    box = _roi_box(mask, max(bank.low.size, bank.high.size) - 1 if bank else 0)
-    img = VolumeImage(img.voxels[box], img.spacing, img.modality)
-    mask = RoiMask(mask.voxels[box])
-    images = [img]  # the original image and its subbands
+    start = mask.coords.min(axis=0) - (max(bank.low.size, bank.high.size) - 1 if bank else 0)
+    box = tuple(slice(l, h) if l >= 0 else slice(None) for l, h in zip(start.tolist(), mask.coords.max(axis=0) + 1))
+    volumes = [img.voxels[box]]  # the original image and its subbands, on the box
     if bank:
-        subbands = decompose(img, bank)
-        images += [subbands[label] for label in SUBBAND_LABELS]
-    values = np.stack([image.voxels[mask.voxels] for image in images])
-    row = np.empty(len(SHAPE_FEATURES) + len(images) * _INTENSITY_WIDTH)
-    blocks = row[len(SHAPE_FEATURES) :].reshape(len(images), _INTENSITY_WIDTH)
+        volumes += subbands(volumes[0], bank).values()
+    at = tuple((mask.coords - np.maximum(start, 0)).T)
+    values = np.stack([volume[at] for volume in volumes])
+    row = np.empty(len(SHAPE_FEATURES) + len(volumes) * _INTENSITY_WIDTH)
+    blocks = row[len(SHAPE_FEATURES) :].reshape(len(volumes), _INTENSITY_WIDTH)
     step = _chunk_rows(mask, config.n_bins)
-    for lo in range(0, len(images), step):
+    for lo in range(0, len(volumes), step):
         blocks[lo : lo + step] = _intensity_rows(values[lo : lo + step], mask, config.n_bins)
-    # after the texture pass, whose neighbor pairs of the box mask shape reads
-    sh = shape_features(mask, img.spacing, offset=[axis.start or 0 for axis in box])
+    # after the texture pass, whose neighbor pairs of the mask shape reads
+    sh = shape_features(mask, img.spacing)
     row[: len(SHAPE_FEATURES)] = [sh[name] for name in SHAPE_FEATURES]
     bad = np.flatnonzero(~np.isfinite(row))
     if bad.size:

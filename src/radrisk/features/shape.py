@@ -3,7 +3,8 @@
 Conventions (documented because they differ from mesh-based tools):
 
 * ``Volume`` is voxel count times voxel volume; ``SurfaceArea`` counts exposed
-  voxel faces. Both are exact on the voxel grid.
+  voxel faces, along each axis two per voxel less two per neighbor pair along
+  it, with no pass over the voxel grid. Both are exact on the voxel grid.
 * Axis lengths are ``4 * sqrt(lambda)`` of the physical-coordinate covariance
   eigenvalues of voxel centers (population covariance, descending eigenvalues).
 * For a single-voxel ROI the covariance vanishes: axis lengths are 0 and
@@ -18,7 +19,7 @@ Conventions (documented because they differ from mesh-based tools):
   search keeps voxels that are no such midpoint along any of the 13
   directions; the search in planes orthogonal to an axis keeps voxels that
   are none along the 4 directions within the plane. Both read the mask's
-  neighbor pairs (:attr:`RoiMask.neighbor_pairs`).
+  neighbor pairs (:attr:`RoiMask.neighbor_pairs`), as the surface area does.
 """
 
 from __future__ import annotations
@@ -48,14 +49,15 @@ SHAPE_FEATURES = (
 )
 
 
-def _surface_area(fg: np.ndarray, spacing) -> float:
+def _surface_area(mask: RoiMask, spacing) -> float:
     sx, sy, sz = spacing
     face = (sy * sz, sx * sz, sx * sy)
-    padded = np.pad(fg, 1)
+    n = mask.coords.shape[0]
+    # DIRECTIONS_13 begins with the unit steps along the three axes
+    along = np.bincount(mask.neighbor_pairs.direction, minlength=3)
     area = 0.0
     for axis in range(3):
-        # exposed faces: where the zero-padded mask changes along the axis
-        area += int(np.count_nonzero(np.diff(padded, axis=axis))) * face[axis]
+        area += int(2 * (n - along[axis])) * face[axis]
     return area
 
 
@@ -86,23 +88,18 @@ def _max_pairwise(points: np.ndarray) -> float:
     return math.sqrt(best)
 
 
-def shape_features(mask: RoiMask, spacing, offset=(0, 0, 0)) -> dict[str, float]:
-    """Compute the 14 shape features for one ROI.
-
-    ``offset`` is the index of the mask's first voxel in the image grid, when
-    the mask is a box cut out of it. It is added to the voxel indices before
-    they are scaled, so the values are the whole grid's, bit for bit."""
+def shape_features(mask: RoiMask, spacing) -> dict[str, float]:
+    """Compute the 14 shape features for one ROI."""
     require_nonempty(mask)
     spacing = tuple(float(s) for s in spacing)
     if len(spacing) != 3 or any(s <= 0 for s in spacing):
         raise DataError(f"spacing must be three positive floats, got {spacing}")
-    fg = mask.voxels
     coords = mask.coords
     n = coords.shape[0]
-    phys = (coords + np.asarray(offset, dtype=coords.dtype)).astype(np.float64) * np.asarray(spacing)
+    phys = coords.astype(np.float64) * np.asarray(spacing)
 
     volume = n * spacing[0] * spacing[1] * spacing[2]
-    area = _surface_area(fg, spacing)
+    area = _surface_area(mask, spacing)
     sphericity = (36.0 * math.pi * volume**2) ** (1.0 / 3.0) / area
 
     centered = phys - phys.mean(axis=0)

@@ -25,6 +25,12 @@ class EffectConfig:
     growth: float = 0.5  # fractional radius increase of high-risk follow-ups
     texture: float = 2.0  # lesion noise-std multiplier of high-risk follow-ups
 
+    def __post_init__(self):
+        if not -1.0 < self.growth < np.inf:
+            raise ConfigError(f"growth must be a finite number > -1, got {self.growth}")
+        if not 0.0 <= self.texture < np.inf:
+            raise ConfigError(f"texture must be a finite number >= 0, got {self.texture}")
+
 
 @dataclass(frozen=True)
 class SynthConfig:

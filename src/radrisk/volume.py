@@ -140,7 +140,7 @@ class RoiMask:
 
     @property
     def count(self) -> int:
-        return int(self.voxels.sum())
+        return len(self.coords)
 
     @cached_property
     def coords(self) -> np.ndarray:
@@ -151,11 +151,8 @@ class RoiMask:
 
     @cached_property
     def neighbor_pairs(self) -> NeighborPairs:
-        """26-neighbor pairs of the foreground voxels, computed once per mask.
-
-        Every image on this mask (an original and its wavelet subbands) reads
-        the same pairs.
-        """
+        """26-neighbor pairs of the foreground voxels, computed once per mask: shape
+        and every image on the mask (an original and its wavelet subbands) read them."""
         return neighbor_pairs_of(self.coords)
 
 

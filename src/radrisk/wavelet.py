@@ -79,21 +79,26 @@ def _periodic(arr: np.ndarray, filt: np.ndarray, axis: int, step: int = 1) -> np
     return out
 
 
-def decompose(img: VolumeImage, bank: WaveletBank) -> dict[str, VolumeImage]:
-    """Compute all 8 undecimated subbands of a volume, keyed LLL..HHH.
+def subbands(voxels: np.ndarray, bank: WaveletBank) -> dict[str, np.ndarray]:
+    """Compute all 8 undecimated subbands of a volume array, keyed LLL..HHH.
 
     Labels that share a prefix share its passes: L and H on axis 0, then on
     axis 1, then on axis 2: 2 + 4 + 8 = 14 convolutions, not 8 x 3 = 24. Each
     subband voxel sums the same terms in the same order either way.
     """
-    partial = {"": img.voxels}
+    partial = {"": voxels}
     for axis in range(3):
         partial = {
             prefix + letter: _periodic(arr, filt, axis)
             for prefix, arr in partial.items()
             for letter, filt in (("L", bank.low), ("H", bank.high))
         }
-    return {label: VolumeImage(partial[label], img.spacing, img.modality) for label in SUBBAND_LABELS}
+    return partial
+
+
+def decompose(img: VolumeImage, bank: WaveletBank) -> dict[str, VolumeImage]:
+    """The :func:`subbands` of an image, each as an image on its grid."""
+    return {label: VolumeImage(arr, img.spacing, img.modality) for label, arr in subbands(img.voxels, bank).items()}
 
 
 def reconstruct(subbands: dict[str, VolumeImage], bank: WaveletBank) -> VolumeImage:

@@ -22,6 +22,9 @@ result types, so that every field compares with ``==``.
 volume reader (a strided copy of an F-ordered view) and the first white-stripe
 statistic (a pass or a partitioned copy per statistic) as the bit-for-bit
 references for the blocked reader, the mask loader and the one-sort statistic.
+``padded_surface_area`` keeps the first surface area, a count of the changes
+along each axis of the zero-padded voxel grid, as the bit-for-bit reference
+for the count from the mask's neighbor pairs.
 """
 
 import itertools
@@ -327,6 +330,17 @@ def _bf_max_pairwise(points):
         d2 = np.sum((chunk[:, None, :] - points[None, :, :]) ** 2, axis=2)
         best = max(best, float(d2.max()))
     return math.sqrt(best)
+
+
+def padded_surface_area(fg, spacing):
+    """The exposed voxel faces of a boolean mask: where the zero-padded grid changes along each axis."""
+    sx, sy, sz = spacing
+    face = (sy * sz, sx * sz, sx * sy)
+    padded = np.pad(fg, 1)
+    area = 0.0
+    for axis in range(3):
+        area += int(np.count_nonzero(np.diff(padded, axis=axis))) * face[axis]
+    return area
 
 
 def bf_diameters(mask, spacing):

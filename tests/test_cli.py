@@ -163,6 +163,10 @@ def test_per_samples_below_one_is_a_config_error(cohort_dir, tmp_path, per_sampl
     ["evaluate", "--horizon-days", "-1", "--features", "{features}"],
     ["select", "--horizon", "0", "--features", "{features}"],
     ["km", "--horizon", "0"],
+    # NaN passes every comparison check, so each classifier setting needs its own
+    *[[command, *bad, "--features", "{features}"]
+      for command in ("run", "evaluate", "train")
+      for bad in (["--c", "nan"], ["--c", "inf"], ["--sensitivity-weight", "nan"], ["--theta", "nan"])],
 ])
 def test_invalid_settings_leave_no_output_directory(cohort_dir, tmp_path, argv):
     out = tmp_path / "new" / "out"
@@ -285,6 +289,12 @@ def test_run_emits_seven_row_table(cohort_dir, tmp_path):
     ["--hrm-fraction", "1.5"],
     ["--hrm-fraction", "-1"],
     ["--ct-missing", "2"],
+    ["--texture", "-1"],
+    ["--texture", "nan"],
+    ["--texture", "inf"],
+    ["--growth", "-1"],
+    ["--growth", "nan"],
+    ["--growth", "inf"],
 ])
 def test_synth_settings_out_of_range_are_config_errors(tmp_path, capsys, argv):
     out = tmp_path / "cohort"

@@ -164,6 +164,20 @@ def test_max_solver_iterations_reported(small_cohort, monkeypatch, caplog):
     assert len(warnings) == 1 and "did not reach the KKT tolerance (iteration cap 1)" in warnings[0]
 
 
+def test_nan_kkt_residual_counts_as_nonconverged(small_cohort, monkeypatch):
+    records, store = small_cohort
+    ds = build_dataset(records, store, feature_set(2))
+    real_fit = classifier.fit
+
+    def nan_residual_fit(*args, **kwargs):
+        model = real_fit(*args, **kwargs)
+        model.kkt_residual = float("nan")
+        return model
+
+    monkeypatch.setattr(classifier, "fit", nan_residual_fit)
+    assert monte_carlo_cv(ds, CvConfig(repeats=4, seed=3)).nonconverged_fits == 4
+
+
 def test_cv_requires_two_lesions_per_class(small_cohort):
     records, store = small_cohort
     few = [r for r in records if r.event_date is None][:6]

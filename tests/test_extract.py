@@ -298,19 +298,24 @@ def test_feature_names_follow_the_reference_order(pair, wavelet):
 def test_roi_box_matches_full_volume_exactly(wavelet, monkeypatch):
     seen = []
 
-    def recording_decompose(img, bank):
-        seen.append(img.dims)
-        return decompose(img, bank)
+    def recording_subbands(voxels, bank):
+        seen.append(voxels.shape)
+        return subbands(voxels, bank)
 
-    monkeypatch.setattr(extract_module, "decompose", recording_decompose)
+    subbands = extract_module.subbands
+    monkeypatch.setattr(extract_module, "subbands", recording_subbands)
     rng = np.random.default_rng(81)
     dims = (14, 13, 12)
     img = VolumeImage(rng.normal(60, 10, size=dims), (0.8, 1.1, 2.0))
     margin = get_bank(wavelet).low.size - 1
     interior = (slice(6, 10), slice(6, 10), slice(7, 11))
-    # a ROI on the low face of each axis, where the box keeps that whole axis
+    # a ROI on the low face of each axis, where the box keeps that whole axis, on
+    # the high face, where the box ends at the grid's edge, and in two corners
     faces = [tuple(slice(0, 3) if a == axis else slice(5, 9) for a in range(3)) for axis in range(3)]
-    for box in [interior] + faces:
+    high_faces = [tuple(slice(n - 3, n) if a == axis else slice(5, 9) for a, n in enumerate(dims))
+                  for axis in range(3)]
+    corners = [(slice(0, 3),) * 3, tuple(slice(n - 3, n) for n in dims)]
+    for box in [interior] + faces + high_faces + corners:
         fg = np.zeros(dims, dtype=bool)
         fg[box] = rng.uniform(size=fg[box].shape) < 0.7
         fg[tuple(s.start for s in box)] = True

@@ -8,7 +8,7 @@ from radrisk import RoiMask
 from radrisk.errors import DataError
 from radrisk.features import SHAPE_FEATURES, shape_features
 from helpers import mask_of
-from oracles import bf_diameters
+from oracles import bf_diameters, padded_surface_area
 
 DIAMETERS = ("Maximum3DDiameter", "Maximum2DDiameterRow", "Maximum2DDiameterColumn",
              "Maximum2DDiameterSlice")
@@ -178,19 +178,37 @@ def test_empty_mask_rejected():
         shape_features(mask_of([0], (1, 1, 1)), (1, 1, 1))
 
 
-def test_box_with_its_offset_gives_the_bits_of_the_whole_grid():
+def _surface_masks(rng):
+    """Random masks of 1-12 voxels per axis, most touching the grid border, then
+    single voxels, lines and planes, and solid boxes that fill the grid."""
+    for _ in range(1400):
+        dims = tuple(int(rng.integers(1, 13)) for _ in range(3))
+        fg = rng.uniform(size=dims) < rng.uniform(0.05, 0.95)
+        fg[tuple(int(rng.integers(0, d)) for d in dims)] = True
+        yield fg
+    for _ in range(200):
+        fg = np.zeros(tuple(int(rng.integers(1, 13)) for _ in range(3)), dtype=bool)
+        fg[tuple(int(rng.integers(0, d)) for d in fg.shape)] = True
+        yield fg
+    for _ in range(300):
+        fg = np.zeros(tuple(int(rng.integers(1, 13)) for _ in range(3)), dtype=bool)
+        flat = rng.choice(3, size=int(rng.integers(1, 3)), replace=False)
+        cut = [slice(None)] * 3
+        for axis in flat:  # one flat axis gives a plane, two give a line
+            cut[axis] = int(rng.integers(0, fg.shape[axis]))
+        fg[tuple(cut)] = rng.uniform(size=fg[tuple(cut)].shape) < rng.uniform(0.5, 1.0)
+        fg[tuple(c if isinstance(c, int) else 0 for c in cut)] = True
+        yield fg
+    for _ in range(100):
+        yield np.ones(tuple(int(rng.integers(1, 13)) for _ in range(3)), dtype=bool)
+
+
+def test_surface_area_from_pairs_equals_the_padded_grid_count():
     rng = np.random.default_rng(15)
-    for _ in range(40):
-        grid = np.zeros(tuple(int(rng.integers(8, 16)) for _ in range(3)), dtype=bool)
-        lo = [int(rng.integers(0, d - 4)) for d in grid.shape]
-        box = tuple(slice(l, l + int(rng.integers(1, 5))) for l in lo)
-        grid[box] = rng.uniform(size=grid[box].shape) < 0.7
-        grid[tuple(l for l in lo)] = True
+    checked = 0
+    for fg in _surface_masks(rng):
         spacing = tuple(float(rng.uniform(0.3, 3.0)) for _ in range(3))
-        whole = shape_features(RoiMask(grid), spacing)
-        # the box cut as extraction cuts it: reaching below the ROI, or not
-        margin = int(rng.integers(0, 3))
-        cut = tuple(slice(max(0, s.start - margin), s.stop) for s in box)
-        cropped = shape_features(RoiMask(grid[cut]), spacing, offset=[s.start for s in cut])
-        assert np.array_equal(np.array(list(cropped.values())).view(np.int64),
-                              np.array(list(whole.values())).view(np.int64))
+        area = shape_features(RoiMask(fg), spacing)["SurfaceArea"]
+        assert area == padded_surface_area(fg, spacing), (checked, fg.shape, spacing)
+        checked += 1
+    assert checked == 2000

@@ -20,9 +20,9 @@ convolution wraps around the volume edge, and the box keeps the whole axis.
 The intensity classes of one mask run once over a ``(k, n_roi)`` stack: the
 ROI values of the original image and of its subbands, one image per row.
 First-order takes one ``np.median`` and one ``np.percentile`` call over the
-stack; discretization bins each row by its own range; GLCM counts every
-row's pairs in one ``bincount`` and evaluates its features on the occupied
-cells only; GLRLM's chain walk, GLSZM's root hooking and GLDM's dependence
+stack; discretization bins each row by its own range; GLCM finds the
+occupied cells of every row's pairs at once and evaluates its features on
+them only; GLRLM's chain walk, GLSZM's root hooking and GLDM's dependence
 counts run over the mask's shared neighbor pairs with a per-image offset.
 Each ``(k, 84)`` result is written straight into its rows of the feature row.
 
@@ -35,7 +35,10 @@ chunks whose images together hold at most ``_CHUNK_CELLS`` = 2**17 entries of
 the largest per-image array (the mask's neighbor pairs, or a count matrix),
 about the pairs of one 10k-voxel ROI. So a large ROI runs one image at a
 time, with the memory of the per-image path, while a 30-90-voxel ROI runs all
-9 images in one chunk.
+9 images in one chunk. GLCM and GLDM build dense count matrices only where
+their codes fill them, as on a large ROI; a small ROI's codes are sorted
+instead. The chunk rule still counts GLCM's 13 * Ng^2 dense cells, the
+bound of that dense branch.
 """
 
 from __future__ import annotations
@@ -99,8 +102,11 @@ _CHUNK_CELLS = 1 << 17
 def _chunk_rows(mask: RoiMask, n_bins: int) -> int:
     """How many images of one mask an intensity chunk holds: ``_CHUNK_CELLS``
     over the largest per-image array, the mask's neighbor pairs or a dense
-    count matrix (GLCM 13 * Ng^2, GLRLM 13 * Ng * extent). GLSZM counts its
-    cells from its zones, never more than the voxels."""
+    count matrix (GLCM 13 * Ng^2, GLRLM 13 * Ng * extent). GLCM builds its
+    dense matrices only when its pairs fill them; otherwise it sorts two
+    codes per pair, fewer than the dense cells, so the dense size stays the
+    bound. GLSZM counts its cells from its zones, never more than the
+    voxels, and GLDM's 27 * Ng cells per image are fewer than GLCM's."""
     per_image = max(
         mask.neighbor_pairs.a.size,
         len(DIRECTIONS_13) * n_bins * max(n_bins, max_run_length(mask.coords)),

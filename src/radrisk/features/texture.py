@@ -12,15 +12,20 @@ loop over images, directions or gray levels; voxel v of row r is node
 ``r * n_roi + v``. Features follow pyradiomics (van Griethuysen et al.,
 Cancer Research 2017):
 
-* GLCM: one ``bincount`` of every row's pairs at (i, j), plus its
-  transpose, gives the symmetric co-occurrence matrices of all rows and
-  directions, (k * 13, Ng, Ng) less the directions without a voxel pair.
-  Its features are evaluated on the occupied cells only: sums over cells are
-  weighted ``bincount``s per matrix, and the marginals (px, p_{x+y},
-  p_{x-y}) are summed from the cells. They are averaged over the directions
-  that have a voxel pair, which depends on the mask alone; if no direction
-  has one, every GLCM feature is 0 by convention. ``Correlation`` is 1 by
-  convention when the marginal has zero variance.
+* GLCM: the symmetric co-occurrence matrices (Ng x Ng) of every row and
+  every direction with a voxel pair, each pair counted at (i, j) and at
+  (j, i); the matrices are numbered over those directions only. When the two
+  codes per pair are fewer than the matrices' cells (small ROIs), the
+  occupied cells are their sorted distinct codes (:meth:`_Cells.from_codes`);
+  otherwise (large ROIs) one ``bincount`` of one orientation plus its
+  transpose, which costs less than sorting both. Either way the cells come
+  in the same order with the same counts. The features are evaluated on
+  the occupied cells only: sums over cells are weighted ``bincount``s per
+  matrix, and the marginals (px, p_{x+y}, p_{x-y}) are summed from the
+  cells. They are averaged over the directions that have a voxel pair,
+  which depends on the mask alone; if no direction has one, every GLCM
+  feature is 0 by convention. ``Correlation`` is 1 by convention when the
+  marginal has zero variance.
 * GLRLM: a run of two or more voxels is a chain of equal-level pairs along
   one direction. One walk along those chains measures them for every row and
   all 13 directions at once; it visits the voxels in chains only, not all
@@ -36,7 +41,7 @@ Cancer Research 2017):
   propagation took 15-48. Each zone is labeled by its smallest voxel.
 * GLDM: dependence counts the center voxel plus its 26-neighbors within the
   ROI whose level differs by at most alpha = 0, i.e. its equal-level pairs:
-  two ``bincount``s.
+  two ``bincount``s. Its cells, like GLSZM's, come from the voxels' codes.
 
 GLRLM, GLSZM and GLDM share one feature function over the occupied cells of
 (gray level i, run length / zone size / dependence j) count matrices, with a
@@ -179,7 +184,14 @@ class DiscretizedRoi:
     def __post_init__(self):
         if self.n_bins < 2:
             raise ConfigError(f"n_bins must be >= 2, got {self.n_bins}")
-        levels = np.asarray(self.levels, dtype=np.int64)
+        levels = np.asarray(self.levels)
+        if levels.dtype.kind not in "iu":
+            # a cast would truncate 1.9 to level 1 without a word
+            with np.errstate(invalid="ignore"):
+                whole = levels.astype(np.int64)
+            if not np.array_equal(whole, levels):
+                raise DataError("levels must be integer values")
+        levels = levels.astype(np.int64, copy=False)
         coords = np.asarray(self.coords, dtype=np.int64)
         if levels.size == 0:
             raise DataError("discretized ROI is empty")
@@ -193,6 +205,10 @@ class DiscretizedRoi:
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "coords", coords)
         if self.pairs is None:
+            # the pairs' index grid keeps one voxel per position: a second copy
+            # would lose its pairs yet still count in GLSZM and GLDM
+            if len(np.unique(coords, axis=0)) < len(coords):
+                raise DataError("coords repeat a voxel")
             object.__setattr__(self, "pairs", neighbor_pairs_of(coords))
 
     @property
@@ -243,18 +259,28 @@ class _Cells:
     def of(cls, count: np.ndarray) -> _Cells:
         m, height, width = count.shape
         occupied = np.flatnonzero(count)
-        matrix, ij = np.divmod(occupied, height * width)
-        i, j = np.divmod(ij, width)
-        return cls(m, matrix, i, j, count.ravel()[occupied].astype(np.float64))
+        return cls(m, *_unravel(occupied, height, width), count.ravel()[occupied].astype(np.float64))
 
     @classmethod
     def from_codes(cls, codes: np.ndarray, shape: tuple[int, int, int]) -> _Cells:
-        """The cells of ``_counts(codes, shape)``, counted without the dense matrices."""
+        """The cells of ``_counts(codes, shape)``: from the sorted codes when
+        they are fewer than the cells, else from the dense counts. Both give
+        the same cells in the same order with the same counts, so the choice
+        cannot move a bit."""
         m, height, width = shape
-        occupied, count = np.unique(codes, return_counts=True)
-        matrix, ij = np.divmod(occupied, height * width)
-        i, j = np.divmod(ij, width)
-        return cls(m, matrix, i, j, count.astype(np.float64))
+        n_cells = m * height * width
+        if codes.size >= n_cells:
+            return cls.of(_counts(codes, shape))
+        # the sort is most of the cost, and int32 halves it where the cells fit
+        codes = codes.astype(np.int32 if n_cells <= 1 << 31 else np.int64).ravel()
+        codes.sort()
+        # the cells' bounds: where the sorted codes change, and both ends
+        bound = np.empty(codes.size + 1, dtype=bool)
+        bound[[0, -1]] = True
+        np.not_equal(codes[1:], codes[:-1], out=bound[1:-1])
+        bound = np.flatnonzero(bound)
+        count = (bound[1:] - bound[:-1]).astype(np.float64)
+        return cls(m, *_unravel(codes[bound[:-1]].astype(np.intp), height, width), count)
 
     def per_matrix(self, weights: np.ndarray) -> np.ndarray:
         """Sum of ``weights`` (one per cell) over each matrix's cells, in cell order."""
@@ -266,6 +292,15 @@ class _Cells:
         return np.bincount(self.matrix * width + index, weights=self.count, minlength=self.m * width).reshape(
             self.m, width
         )
+
+
+def _unravel(flat: np.ndarray, height: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (matrix, i, j) of flat indices into ``(m, height, width)`` arrays.
+    Floor division by a scalar is fast in numpy, ``%`` and ``divmod`` are
+    not, so each remainder is taken by a product."""
+    row = flat // width  # matrix * height + i
+    matrix = row // height
+    return matrix, row - matrix * height, flat - row * width
 
 
 def _counts(codes: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -354,28 +389,48 @@ def _glcm_features(cells: _Cells, ng: int, total: np.ndarray) -> dict[str, np.nd
         "JointAverage": ux,
         "JointEnergy": cells.per_matrix(p * p),
         "JointEntropy": hxy,
-        "MaximumProbability": np.maximum.reduceat(p, np.flatnonzero(np.diff(cells.matrix, prepend=-1))),
+        # every matrix has a cell, so matrix k's cells start where k sorts in
+        "MaximumProbability": np.maximum.reduceat(p, np.searchsorted(cells.matrix, np.arange(m))),
         "SumEntropy": entropy_bits(p_sum),
         "SumSquares": var_x,
     }
 
 
-def _cooccurrence(droi: DiscretizedRoi, has_pair: np.ndarray) -> np.ndarray:
-    """The symmetric co-occurrence counts of every (row, direction with a
-    pair), in that order, as (m, Ng, Ng): a pair is counted at (la, lb) and
-    at (lb, la)."""
+def _cooccurrence_cells(droi: DiscretizedRoi, has_pair: np.ndarray) -> _Cells:
+    """The occupied cells of the symmetric co-occurrence matrices of every
+    (row, direction with a pair), in that order: a pair is counted at
+    (la, lb) and at (lb, la)."""
     ng = droi.n_bins
-    rows = droi.rows
-    n_dir = len(DIRECTIONS_13)
+    levels = droi.rows - 1
+    k = levels.shape[0]
     a, b, direction = droi.pairs
-    codes = ((np.arange(rows.shape[0])[:, None] * n_dir + direction) * ng + rows[:, a] - 1) * ng + rows[:, b] - 1
-    count = _counts(codes, (rows.shape[0], n_dir, ng, ng))[:, has_pair]
-    count += count.transpose(0, 1, 3, 2)  # numpy buffers the overlapping operand
-    return count.reshape(-1, ng, ng)
+    n_dir = np.count_nonzero(has_pair)
+    rank = np.zeros(len(DIRECTIONS_13), dtype=np.intp)
+    rank[has_pair] = np.arange(n_dir)
+    shape = (k * n_dir, ng, ng)
+    # cell (i, j) of matrix r * n_dir + (the rank of the pair's direction
+    # among those with a pair) has code (matrix * ng + i) * ng + j. The codes
+    # are built in place: fresh temporaries of a large ROI's pairs cost page
+    # faults.
+    lead = np.take((np.arange(k)[:, None] * n_dir + rank) * ng, direction, axis=1)
+    if 2 * lead.size < shape[0] * ng * ng:
+        # fewer codes than cells: sort the codes of both orientations
+        la, lb = levels[:, a], levels[:, b]
+        codes = np.empty((2,) + lead.shape, dtype=np.int64)
+        for out, i, j in ((codes[0], la, lb), (codes[1], lb, la)):
+            np.add(lead, i, out=out)
+            out *= ng
+            out += j
+        return _Cells.from_codes(codes, shape)
+    lead += levels[:, a]
+    lead *= ng
+    lead += levels[:, b]
+    count = _counts(lead, shape)
+    count += count.transpose(0, 2, 1)  # numpy buffers the overlapping operand
+    return _Cells.of(count)
 
 
 def _glcm(droi: DiscretizedRoi) -> dict[str, np.ndarray]:
-    ng = droi.n_bins
     k = droi.rows.shape[0]
     n_pairs = np.bincount(droi.pairs.direction, minlength=len(DIRECTIONS_13))
     # which directions have a pair depends on the mask alone, so it is the
@@ -383,9 +438,10 @@ def _glcm(droi: DiscretizedRoi) -> dict[str, np.ndarray]:
     has_pair = n_pairs > 0
     if not has_pair.any():
         return {name: np.zeros(k) for name in GLCM_FEATURES}
-    cells = _Cells.of(_cooccurrence(droi, has_pair))
     # each matrix sums to twice its direction's pair count
-    return _glcm_features(cells, ng, np.tile(2.0 * n_pairs[has_pair], k))
+    total = np.empty((k, np.count_nonzero(has_pair)))
+    total[:] = 2.0 * n_pairs[has_pair]
+    return _glcm_features(_cooccurrence_cells(droi, has_pair), droi.n_bins, total.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -526,13 +582,20 @@ def _glszm(droi: DiscretizedRoi) -> dict[str, np.ndarray]:
 _MAX_DEPENDENCE = 1 + 2 * len(DIRECTIONS_13)  # the voxel and its 26 neighbors
 
 
-def _gldm(droi: DiscretizedRoi) -> dict[str, np.ndarray]:
+def _dependence_codes(droi: DiscretizedRoi) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """Each voxel's flat index into the ``(k, Ng, 27)`` (gray level,
+    dependence) counts, and that shape."""
     k, n = droi.rows.shape
     a, b, _ = droi.equal_pairs
     dependence = 1 + np.bincount(a, minlength=k * n) + np.bincount(b, minlength=k * n)
     ng = droi.n_bins
     codes = (np.arange(k * n) // n * ng + droi.levels.ravel() - 1) * _MAX_DEPENDENCE + dependence - 1
-    return _ilm_features(_Cells.of(_counts(codes, (k, ng, _MAX_DEPENDENCE))), ng, _MAX_DEPENDENCE, n)
+    return codes, (k, ng, _MAX_DEPENDENCE)
+
+
+def _gldm(droi: DiscretizedRoi) -> dict[str, np.ndarray]:
+    cells = _Cells.from_codes(*_dependence_codes(droi))
+    return _ilm_features(cells, droi.n_bins, _MAX_DEPENDENCE, droi.rows.shape[1])
 
 
 _DISPATCH = {"glcm": _glcm, "glrlm": _glrlm, "glszm": _glszm, "gldm": _gldm}

@@ -17,7 +17,9 @@ from radrisk.features.firstorder import firstorder_rows
 from radrisk.features.texture import (
     DiscretizedRoi,
     _Cells,
+    _cooccurrence_cells,
     _counts,
+    _dependence_codes,
     _zone_codes,
     discretize_rows,
     run_length_counts,
@@ -25,7 +27,15 @@ from radrisk.features.texture import (
     texture_rows,
 )
 from helpers import full_mask, mask_of, vol
-from oracles import BF_FAMILIES, OFFSETS_13, bf_glrlm_runs, bf_glszm_zones, roi_dict
+from oracles import (
+    BF_FAMILIES,
+    OFFSETS_13,
+    bf_gldm_entries,
+    bf_glcm_direction,
+    bf_glrlm_runs,
+    bf_glszm_zones,
+    roi_dict,
+)
 
 
 def droi_of(values, dims, n_bins, mask_values=None):
@@ -380,6 +390,87 @@ def test_zone_cells_from_codes_equal_the_dense_cells(case, k):
     for name in ("matrix", "i", "j", "count"):
         got, want = getattr(sparse, name), getattr(dense, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def _matrix_cells(cells, matrix):
+    """{(row level, column level or dependence): count} of one matrix's cells."""
+    on = cells.matrix == matrix
+    return {(int(i) + 1, int(j) + 1): int(c) for i, j, c in zip(cells.i[on], cells.j[on], cells.count[on])}
+
+
+# Ng 32 leaves every case's codes fewer than its cells, so they are sorted;
+# at Ng 2 GLCM's pairs fill the 2 x 2 matrices and are counted densely
+@pytest.mark.parametrize("case", [_serpentine, _checkerboard, _single_plane, _longest_run, _unused_level])
+@pytest.mark.parametrize("k", [1, 9])
+@pytest.mark.parametrize("ng", [32, 2])
+def test_cooccurrence_and_dependence_counts_equal_the_oracles(case, k, ng):
+    mask, levels, n_bins = case(k)
+    levels = (levels - 1) % ng + 1  # unchanged at Ng 32
+    coords = RoiMask(mask).coords
+    droi = DiscretizedRoi(levels[0] if k == 1 else levels, ng, coords)
+    has_pair = np.bincount(droi.pairs.direction, minlength=len(OFFSETS_13)) > 0
+    directions = np.flatnonzero(has_pair)
+    assert (2 * droi.pairs.a.size < len(directions) * ng * ng) == (ng == 32)
+    glcm = _cooccurrence_cells(droi, has_pair)
+    gldm = _Cells.from_codes(*_dependence_codes(droi))
+    assert glcm.m == k * len(directions) and gldm.m == k
+    for r in range(k):
+        roi = roi_dict(mask, levels=levels[r].tolist())
+        for d, offset in enumerate(OFFSETS_13):
+            want = bf_glcm_direction(roi, offset, ng)
+            if has_pair[d]:
+                assert _matrix_cells(glcm, r * len(directions) + np.searchsorted(directions, d)) == want, (r, offset)
+            else:
+                assert want == {}, offset
+        assert _matrix_cells(gldm, r) == _tally(bf_gldm_entries(roi)), r
+
+
+def test_dependence_counts_take_both_branches():
+    """At Ng 2 the voxels of _serpentine outnumber a row's 2 x 27 cells, so
+    they are counted densely; those of _single_plane are sorted."""
+    for case, dense in ((_serpentine, True), (_single_plane, False)):
+        mask, levels, _ = case(1)
+        codes, shape = _dependence_codes(DiscretizedRoi((levels[0] - 1) % 2 + 1, 2, RoiMask(mask).coords))
+        assert (codes.size >= np.prod(shape)) == dense, case.__name__
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: [],
+        lambda rng: [17],
+        lambda rng: [23] * 40,
+        lambda rng: [59] * 10,
+        lambda rng: np.append(rng.integers(0, 59, size=20), [59, 59]),
+        lambda rng: rng.integers(0, 60, size=59),
+        lambda rng: rng.integers(0, 60, size=60),
+        lambda rng: rng.integers(0, 60, size=61),
+        lambda rng: rng.integers(0, 60, size=(2, 3, 7)),
+    ],
+    ids=["empty", "single", "all-equal", "all-in-last-cell", "last-cell", "below", "at", "above", "2d"],
+)
+def test_cells_from_codes_equal_the_dense_cells_on_random_codes(make):
+    shape = (3, 4, 5)  # 60 cells
+    codes = np.asarray(make(np.random.default_rng(41)), dtype=np.int64)
+    sparse, dense = _Cells.from_codes(codes, shape), _Cells.of(_counts(codes, shape))
+    assert sparse.m == dense.m == 3
+    for name in ("matrix", "i", "j", "count"):
+        got, want = getattr(sparse, name), getattr(dense, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_discretized_roi_rejects_non_integer_levels():
+    coords = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
+    for levels in ([1.9, 2.5, 1.2], [1.0, 2.0, np.nan], [1.0, np.inf, 2.0]):
+        with pytest.raises(DataError, match="integer"):
+            DiscretizedRoi(np.array(levels), 3, coords)
+    # integer values are levels, whatever the dtype
+    assert DiscretizedRoi(np.array([1.0, 3.0, 2.0]), 3, coords).levels.tolist() == [1, 3, 2]
+
+
+def test_discretized_roi_rejects_repeated_coords():
+    with pytest.raises(DataError, match="repeat"):
+        DiscretizedRoi(np.array([1, 2, 2]), 2, np.array([[0, 0, 0], [1, 0, 0], [1, 0, 0]]))
 
 
 def test_count_cases_reach_their_extremes():

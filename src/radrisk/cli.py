@@ -13,7 +13,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -44,33 +44,6 @@ from .volume import VolumeImage, write_volume
 log = logging.getLogger("radrisk")
 
 ENV_OUT = "RADRISK_OUT"
-
-
-@dataclass(frozen=True, kw_only=True)
-class PipelineConfig:
-    """Resolved configuration of one pipeline run, as artifacts echo it."""
-
-    manifest: str
-    sets: tuple[int, ...]
-    n_bins: int | None = None  # the extraction settings stay None for evaluate, which takes none
-    wavelet: str | None = None
-    whitestripe: str | None = None
-    zscore: bool | None = None
-    per_samples: int
-    per_fold: bool
-    C: float
-    sensitivity_weight: float
-    threshold: float
-    repeats: int
-    test_frac: float
-    seed: int
-    horizon_days: int
-
-    def public_dict(self) -> dict:
-        return {key: value for key, value in asdict(self).items() if value is not None}
-
-    def comment(self) -> str:
-        return "config: " + json.dumps(self.public_dict(), sort_keys=True)
 
 
 def _default_out() -> str:
@@ -145,8 +118,12 @@ def _merge_config(ctx: click.Context, config_path: str | None, flags: dict) -> d
     return merged
 
 
-def _write_json(path: Path, payload: dict, config: PipelineConfig) -> None:
-    path.write_text(json.dumps({"config": config.public_dict(), **payload}, indent=2) + "\n")
+def _comment(config: dict) -> str:
+    return "config: " + json.dumps(config, sort_keys=True)
+
+
+def _write_json(path: Path, payload: dict, config: dict) -> None:
+    path.write_text(json.dumps({"config": config, **payload}, indent=2) + "\n")
 
 
 @click.group()
@@ -174,7 +151,7 @@ _OUT = click.option("--out", "out_dir", default=None)
 _FEATURES = click.option("--features", "features_path", required=True)
 _SET = click.option("--set", "set_id", type=int, default=7, show_default=True)
 _HORIZON = click.option("--horizon", "horizon_days", type=click.IntRange(min=1), default=100, show_default=True)
-_THREADS = click.option("--threads", type=int, default=1, show_default=True)
+_THREADS = click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True)
 _DATASET_OPTIONS = [_MANIFEST, _FEATURES, _SET, _HORIZON]
 
 _EXTRACTION_OPTIONS = [
@@ -209,6 +186,37 @@ def _extraction(values: dict) -> tuple[dict, ExtractionConfig, NormalizationConf
     wavelet = None if settings["wavelet"] == "none" else settings["wavelet"]
     return (settings, ExtractionConfig(n_bins=settings["n_bins"], wavelet=wavelet),
             NormalizationConfig(zscore=settings["zscore"], whitestripe=settings["whitestripe"]))
+
+
+def _classifier(values: dict) -> clf.ClassifierConfig:
+    return clf.ClassifierConfig(C=values["c_value"], sensitivity_weight=values["sensitivity_weight"],
+                                threshold=values["theta"])
+
+
+def _cv_setup(manifest_path: Path, sets, values: dict, settings: dict):
+    """The configuration of a CV run as its artifacts echo it, then the CV, selection and classifier
+    configs that the parameter ``values`` select. The echo holds the extraction ``settings``
+    (:func:`_extraction`, or none) after the sets. A command builds these before any extraction or
+    table read, so a bad setting exits 2 before any work is done."""
+    cv = CvConfig(repeats=values["repeats"], test_frac=values["test_frac"], seed=values["seed"],
+                  threads=values["threads"])
+    selection = SelectionConfig(per_samples=values["per_samples"], per_fold=not values["global_selection"])
+    classifier = _classifier(values)
+    echo = {
+        "manifest": str(manifest_path),
+        "sets": list(sets),
+        **settings,
+        "per_samples": selection.per_samples,
+        "per_fold": selection.per_fold,
+        "C": classifier.C,
+        "sensitivity_weight": classifier.sensitivity_weight,
+        "threshold": classifier.threshold,
+        "repeats": cv.repeats,
+        "test_frac": cv.test_frac,
+        "seed": cv.seed,
+        "horizon_days": values["horizon_days"],
+    }
+    return echo, cv, selection, classifier
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +294,7 @@ def extract(manifest, out_dir, force, threads, **values):
     settings, ext_cfg, norm_cfg = _extraction(values)
 
     csv_path = _made(out) / "features.csv"
-    comment = "config: " + json.dumps({"manifest": str(manifest_path), **settings}, sort_keys=True)
+    comment = _comment({"manifest": str(manifest_path), **settings})
     existing = _resumable_rows(csv_path, settings) if csv_path.exists() and not force else None
 
     failures: list[str] = []
@@ -393,10 +401,10 @@ def select(manifest, features_path, set_id, horizon_days, out_dir):
 @_with_options(_DATASET_OPTIONS)
 @_with_options(_CLASSIFIER_OPTIONS)
 @_OUT
-def train(manifest, features_path, set_id, horizon_days, c_value, sensitivity_weight, theta, out_dir):
+def train(manifest, features_path, set_id, horizon_days, out_dir, **values):
     """Select features and fit one model on the whole cohort."""
     manifest_path, out = _paths(manifest, out_dir)
-    cfg = clf.ClassifierConfig(C=c_value, sensitivity_weight=sensitivity_weight, threshold=theta)
+    cfg = _classifier(values)
     dataset = _dataset_from_files(manifest_path, features_path, set_id, horizon_days)
     _, selection = _full_cohort_selection(dataset)
     cols = selection.indices
@@ -409,53 +417,27 @@ def train(manifest, features_path, set_id, horizon_days, c_value, sensitivity_we
 # evaluate
 
 
-def _cv_configs(cfg: PipelineConfig, threads: int) -> tuple[CvConfig, SelectionConfig, clf.ClassifierConfig]:
-    """The CV, selection and classifier configs of ``cfg``; built before any extraction or table read,
-    so that a bad setting exits 2 before any work is done."""
-    return (CvConfig(repeats=cfg.repeats, test_frac=cfg.test_frac, seed=cfg.seed, threads=threads),
-            SelectionConfig(per_samples=cfg.per_samples, per_fold=cfg.per_fold),
-            clf.ClassifierConfig(C=cfg.C, sensitivity_weight=cfg.sensitivity_weight, threshold=cfg.threshold))
-
-
-def _pipeline_config(manifest, sets, merged, **settings) -> PipelineConfig:
-    return PipelineConfig(
-        manifest=str(manifest),
-        sets=tuple(sets),
-        **settings,
-        per_samples=merged["per_samples"],
-        per_fold=not merged["global_selection"],
-        C=merged["c_value"],
-        sensitivity_weight=merged["sensitivity_weight"],
-        threshold=merged["theta"],
-        repeats=merged["repeats"],
-        test_frac=merged["test_frac"],
-        seed=merged["seed"],
-        horizon_days=merged["horizon_days"],
-    )
-
-
 @cli.command()
 @_MANIFEST
 @_FEATURES
 @_SET
 @_with_options(_COMMON_CV_OPTIONS)
 @_OUT
-def evaluate(manifest, features_path, set_id, out_dir, **flags):
+def evaluate(manifest, features_path, set_id, out_dir, **values):
     """Monte-Carlo cross-validation of one feature set."""
     manifest_path, out = _paths(manifest, out_dir)
-    cfg = _pipeline_config(manifest_path, (set_id,), flags)
-    cv_configs = _cv_configs(cfg, flags["threads"])
+    config, *cv_configs = _cv_setup(manifest_path, (set_id,), values, {})  # no extraction settings
     _made(out)
-    dataset = _dataset_from_files(manifest_path, features_path, set_id, cfg.horizon_days)
+    dataset = _dataset_from_files(manifest_path, features_path, set_id, values["horizon_days"])
     report = monte_carlo_cv(dataset, *cv_configs)
-    _write_json(out / "cv_report.json", report.to_dict(), cfg)
+    _write_json(out / "cv_report.json", report.to_dict(), config)
     scored = report.oof_counts > 0
     if scored.any() and len(np.unique(dataset.y[scored])) == 2:
         roc = roc_curve(report.oof_scores[scored], dataset.y[scored])
         (out / "roc_oof.svg").write_text(
-            roc_plot(roc.fpr, roc.tpr, roc.auc, f"set {set_id} out-of-fold ROC", cfg.comment())
+            roc_plot(roc.fpr, roc.tpr, roc.auc, f"set {set_id} out-of-fold ROC", _comment(config))
         )
-    click.echo(f"set {set_id}: mean AUC {report.mean_auc:.3f} (std {report.std_auc:.3f}) over {cfg.repeats} repeats")
+    click.echo(f"set {set_id}: mean AUC {report.mean_auc:.3f} (std {report.std_auc:.3f}) over {values['repeats']} repeats")
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +483,8 @@ def run(ctx, config_path, **params):
     set_ids = _parse_sets(merged["sets"])
     manifest_path, out = _paths(merged["manifest"], merged["out_dir"])
     settings, ext_cfg, norm_cfg = _extraction(merged)
-    cfg = _pipeline_config(manifest_path, set_ids, merged, **settings)
-    cv_configs = _cv_configs(cfg, merged["threads"])
+    config, *cv_configs = _cv_setup(manifest_path, set_ids, merged, settings)
+    comment = _comment(config)
     _made(out)
 
     records = load_manifest(manifest_path)
@@ -511,22 +493,22 @@ def run(ctx, config_path, **params):
     else:
         store = extract_cohort(records, ext_cfg, norm_cfg, base_dir=manifest_path.parent,
                                threads=merged["threads"])
-        write_features_csv(out / "features.csv", store, [job[:3] for job in image_jobs(records)], cfg.comment())
+        write_features_csv(out / "features.csv", store, [job[:3] for job in image_jobs(records)], comment)
 
     reports = {}
     datasets = {}
     for set_id in set_ids:
-        datasets[set_id] = build_dataset(records, store, feature_set(set_id), cfg.horizon_days)
+        datasets[set_id] = build_dataset(records, store, feature_set(set_id), merged["horizon_days"])
         report = reports[set_id] = monte_carlo_cv(datasets[set_id], *cv_configs)
         click.echo(f"set {set_id}: mean AUC {report.mean_auc:.3f} (std {report.std_auc:.3f})")
 
-    _write_table1(out, reports, cfg)
+    _write_table1(out, reports, comment)
     top_set = max(set_ids)
-    _write_correlation_tables(datasets[top_set], out, cfg.comment())
+    _write_correlation_tables(datasets[top_set], out, comment)
     top_report = reports[top_set]
     split = risk_split_report(datasets[top_set], top_report.oof_scores, top_report.oof_counts,
-                              cfg.threshold)
-    write_risk_split(split, out, cfg.comment())
+                              config["threshold"])
+    write_risk_split(split, out, comment)
 
     payload = {
         "sets": {
@@ -552,13 +534,13 @@ def run(ctx, config_path, **params):
         },
         "excluded_lesions": {str(s): datasets[s].excluded_lesions for s in set_ids},
     }
-    _write_json(out / "report.json", payload, cfg)
+    _write_json(out / "report.json", payload, config)
     for line in split.summary_lines():
         click.echo(line)
 
 
-def _write_table1(out: Path, reports: dict, cfg: PipelineConfig) -> None:
-    lines = [f"# {cfg.comment()}"]
+def _write_table1(out: Path, reports: dict, comment: str) -> None:
+    lines = [f"# {comment}"]
     lines.append(",".join(["set", *BLOCK_TITLES, "mean_auc", "std_auc", "pooled_auc"]))
     for set_id, rep in reports.items():
         blocks = feature_set(set_id).blocks

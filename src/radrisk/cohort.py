@@ -79,20 +79,10 @@ def clinical_features(clinical: ClinicalData, gap_days: int) -> dict[str, float]
     """Flatten clinical covariates into the 12 feature columns for one sample."""
     n = clinical.n_metastases
     count_class = 1 if n == 1 else (2 if n <= 3 else 3)
-    return {
-        "clinical-rpa_class": float(clinical.rpa_class),
-        "clinical-eqd": float(clinical.eqd),
-        "clinical-n_metastases": float(n),
-        "clinical-age": float(clinical.age),
-        "clinical-sex": float(clinical.sex),
-        "clinical-karnofsky": float(clinical.karnofsky),
-        "clinical-primary_lung": 1.0 if clinical.primary_site == "lung" else 0.0,
-        "clinical-primary_melanoma": 1.0 if clinical.primary_site == "melanoma" else 0.0,
-        "clinical-primary_breast": 1.0 if clinical.primary_site == "breast" else 0.0,
-        "clinical-gap_days": float(gap_days),
-        "clinical-lesion_count_class": float(count_class),
-        "clinical-extracranial": float(clinical.extracranial),
-    }
+    site = clinical.primary_site
+    values = [clinical.rpa_class, clinical.eqd, n, clinical.age, clinical.sex, clinical.karnofsky,
+              site == "lung", site == "melanoma", site == "breast", gap_days, count_class, clinical.extracranial]
+    return dict(zip(CLINICAL_FEATURE_NAMES, map(float, values), strict=True))
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,14 @@ One engine serves all four families. Its geometry is the ROI's 26-neighbor
 index pairs (voxel, voxel + d) for the 13 directions d of ``DIRECTIONS_13``.
 The pairs depend on the mask alone, so they are built once per mask
 (:attr:`RoiMask.neighbor_pairs`) and shared by the original image and its
-wavelet subbands. The kernels take a stack: the gray levels of k images
-under one mask as a ``(k, n_roi)`` array (:func:`discretize_rows`), and
-:func:`texture_rows` returns one row of features per image. Each family is a
-few whole-array numpy operations over the pairs of every row at once, with no
-loop over images, directions or gray levels; voxel v of row r is node
-``r * n_roi + v``. Features follow pyradiomics (van Griethuysen et al.,
-Cancer Research 2017):
+wavelet subbands; a :class:`DiscretizedRoi` holds its mask and reads the
+coordinates, voxel count and pairs from there. The kernels take a stack: the
+gray levels of k images under one mask as a ``(k, n_roi)`` array
+(:func:`discretize_rows`), and :func:`texture_rows` returns one row of
+features per image. Each family is a few whole-array numpy operations over
+the pairs of every row at once, with no loop over images, directions or gray
+levels; voxel v of row r is node ``r * n_roi + v``. Features follow
+pyradiomics (van Griethuysen et al., Cancer Research 2017):
 
 * GLCM: the symmetric co-occurrence matrices (Ng x Ng) of every row and
   every direction with a voxel pair, each pair counted at (i, j) and at
@@ -58,7 +59,7 @@ no width depends on the other rows. Only numpy is used. Gray levels are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -70,7 +71,6 @@ from ..volume import (
     RoiMask,
     VolumeImage,
     check_aligned,
-    neighbor_pairs_of,
     require_nonempty,
 )
 from .firstorder import bin_levels, entropy_bits
@@ -172,14 +172,14 @@ FAMILY_FEATURES = {
 
 @dataclass(frozen=True)
 class DiscretizedRoi:
-    """Quantized ROI: integer gray levels of one image (``(n_roi,)``) or of a
-    stack of images under one mask (``(k, n_roi)``), the mask's voxel
-    coordinates, and its neighbor pairs (built from ``coords`` when not given)."""
+    """Quantized ROI: integer gray levels 1..n_bins of one image (``(n_roi,)``)
+    or of a stack of images under one mask (``(k, n_roi)``), with voxel v of a
+    row at ``mask.coords[v]``. The texture families read the ROI's geometry,
+    its coordinates and neighbor pairs, from ``mask``."""
 
     levels: np.ndarray
     n_bins: int
-    coords: np.ndarray
-    pairs: NeighborPairs | None = field(default=None, repr=False, compare=False)
+    mask: RoiMask
 
     def __post_init__(self):
         if self.n_bins < 2:
@@ -192,35 +192,25 @@ class DiscretizedRoi:
             if not np.array_equal(whole, levels):
                 raise DataError("levels must be integer values")
         levels = levels.astype(np.int64, copy=False)
-        coords = np.asarray(self.coords, dtype=np.int64)
         if levels.size == 0:
             raise DataError("discretized ROI is empty")
-        shapes_fit = coords.ndim == 2 and coords.shape[1] == 3 and levels.ndim in (1, 2)
-        if not (shapes_fit and levels.shape[-1] == coords.shape[0]):
-            raise DataError("levels and coords disagree")
+        if not (levels.ndim in (1, 2) and levels.shape[-1] == self.mask.count):
+            raise DataError("levels and mask disagree")
         if levels.min() < 1 or levels.max() > self.n_bins:
             raise DataError(f"levels out of range 1..{self.n_bins}")
         levels.flags.writeable = False
-        coords.flags.writeable = False
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "coords", coords)
-        if self.pairs is None:
-            # the pairs' index grid keeps one voxel per position: a second copy
-            # would lose its pairs yet still count in GLSZM and GLDM
-            if len(np.unique(coords, axis=0)) < len(coords):
-                raise DataError("coords repeat a voxel")
-            object.__setattr__(self, "pairs", neighbor_pairs_of(coords))
 
     @property
     def rows(self) -> np.ndarray:
         """The levels as a ``(k, n_roi)`` stack, one image per row."""
-        return self.levels.reshape(-1, self.coords.shape[0])
+        return self.levels.reshape(-1, self.mask.count)
 
     @cached_property
     def equal_pairs(self) -> NeighborPairs:
         """The neighbor pairs whose two voxels share a gray level, as indices
         into the flattened stack: voxel v of row r is ``r * n_roi + v``."""
-        a, b, direction = self.pairs
+        a, b, direction = self.mask.neighbor_pairs
         rows = self.rows
         row, pair = np.nonzero(rows[:, a] == rows[:, b])
         offset = row * rows.shape[1]
@@ -234,7 +224,7 @@ def discretize_rows(values: np.ndarray, mask: RoiMask, n_bins: int) -> Discretiz
     level = min(n_bins, 1 + floor(n_bins * (v - vmin) / (vmax - vmin))) with
     vmin, vmax the row's; a constant row maps every voxel to level 1.
     """
-    return DiscretizedRoi(bin_levels(values, n_bins), n_bins, mask.coords, mask.neighbor_pairs)
+    return DiscretizedRoi(bin_levels(values, n_bins), n_bins, mask)
 
 
 def discretize(img: VolumeImage, mask: RoiMask, n_bins: int) -> DiscretizedRoi:
@@ -403,7 +393,7 @@ def _cooccurrence_cells(droi: DiscretizedRoi, has_pair: np.ndarray) -> _Cells:
     ng = droi.n_bins
     levels = droi.rows - 1
     k = levels.shape[0]
-    a, b, direction = droi.pairs
+    a, b, direction = droi.mask.neighbor_pairs
     n_dir = np.count_nonzero(has_pair)
     rank = np.zeros(len(DIRECTIONS_13), dtype=np.intp)
     rank[has_pair] = np.arange(n_dir)
@@ -432,7 +422,7 @@ def _cooccurrence_cells(droi: DiscretizedRoi, has_pair: np.ndarray) -> _Cells:
 
 def _glcm(droi: DiscretizedRoi) -> dict[str, np.ndarray]:
     k = droi.rows.shape[0]
-    n_pairs = np.bincount(droi.pairs.direction, minlength=len(DIRECTIONS_13))
+    n_pairs = np.bincount(droi.mask.neighbor_pairs.direction, minlength=len(DIRECTIONS_13))
     # which directions have a pair depends on the mask alone, so it is the
     # same for every row; directions without one are left out of the mean
     has_pair = n_pairs > 0
@@ -517,7 +507,7 @@ def run_length_counts(droi: DiscretizedRoi) -> np.ndarray:
             break
         lengths[running] += 1
         nxt = link_from[dst[nxt[on]]]
-    n_len = max_run_length(droi.coords)
+    n_len = max_run_length(droi.mask.coords)
     ng = droi.n_bins
     levels = droi.levels.ravel()
     # one matrix per (row, direction); the pairs never cross rows

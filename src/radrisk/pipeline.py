@@ -98,6 +98,8 @@ def extract_cohort(
     raised, and the failing rows are omitted. The result, the failures
     included, is deterministic and independent of ``threads``.
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     jobs = [job for job in image_jobs(records) if not (skip_keys and job[:3] in skip_keys)]
 
     def run(job):
@@ -154,7 +156,9 @@ def build_dataset(
     Lesions without planning-CT data are excluded (with a record of the
     exclusion) when the set requires the CT block. Each block is gathered
     from the store's matrix by row, and the set's columns are the segments
-    that ``assemble`` picks from those blocks.
+    that ``assemble`` picks from those blocks. A non-finite value in the
+    assembled matrix is a ``DataError`` that names the first sample, in
+    sample order, and column that hold one.
     """
     labeling = label_samples(records, horizon_days)
 
@@ -208,6 +212,11 @@ def build_dataset(
         for name, cols in segments
         for k in cols
     ]
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        sample = kept[row]
+        raise DataError(f"[assemble {sample.lesion_id}/{sample.imaging_date}] "
+                        f"non-finite value {X[row, col]} in column {names[col]}")
     y = np.asarray([1 if s.label == "HRM" else 0 for s in kept], dtype=np.int64)
     times = np.asarray([s.days_to_event_or_censor for s in kept], dtype=np.float64)
     events = np.asarray([not s.censored for s in kept], dtype=bool)

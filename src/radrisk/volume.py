@@ -68,20 +68,6 @@ class NeighborPairs(NamedTuple):
     direction: np.ndarray
 
 
-def neighbor_pairs_of(coords: np.ndarray) -> NeighborPairs:
-    """Every 26-neighbor pair of a voxel set, once per unordered pair, as row indices into ``coords``."""
-    coords = np.asarray(coords, dtype=np.intp)
-    origin = coords.min(axis=0) - 1
-    pos = coords - origin
-    shape = pos.max(axis=0) + 2  # a one-voxel margin keeps every neighbor in bounds
-    index = np.full(shape, -1, dtype=np.intp)
-    index[tuple(pos.T)] = np.arange(coords.shape[0])
-    strides = np.array([shape[1] * shape[2], shape[2], 1])
-    neighbor = index.ravel()[(pos @ strides)[:, None] + np.asarray(DIRECTIONS_13) @ strides]
-    a, direction = np.nonzero(neighbor >= 0)
-    return NeighborPairs(a, neighbor[a, direction], direction)
-
-
 @dataclass(frozen=True)
 class VolumeImage:
     """3D scalar grid with physical voxel spacing in mm."""
@@ -152,8 +138,17 @@ class RoiMask:
     @cached_property
     def neighbor_pairs(self) -> NeighborPairs:
         """26-neighbor pairs of the foreground voxels, computed once per mask: shape
-        and every image on the mask (an original and its wavelet subbands) read them."""
-        return neighbor_pairs_of(self.coords)
+        and every image on the mask (an original and its wavelet subbands) read them.
+        Each unordered pair comes once, as row indices into ``coords``."""
+        origin = self.coords.min(axis=0) - 1
+        pos = self.coords - origin
+        shape = pos.max(axis=0) + 2  # a one-voxel margin keeps every neighbor in bounds
+        index = np.full(shape, -1, dtype=np.intp)
+        index[tuple(pos.T)] = np.arange(self.count)
+        strides = np.array([shape[1] * shape[2], shape[2], 1])
+        neighbor = index.ravel()[(pos @ strides)[:, None] + np.asarray(DIRECTIONS_13) @ strides]
+        a, direction = np.nonzero(neighbor >= 0)
+        return NeighborPairs(a, neighbor[a, direction], direction)
 
 
 def check_aligned(img: VolumeImage, mask: RoiMask) -> None:
@@ -207,7 +202,7 @@ def _c_order(values: np.ndarray, dims: tuple[int, int, int], dtype) -> np.ndarra
     return out
 
 
-def read_volume(path: str | Path, format: str | None = None, modality: str | None = None) -> VolumeImage:
+def read_volume(path: str | Path) -> VolumeImage:
     """Load a volume from disk.
 
     The file stores its voxels x-fastest; the array is C-ordered ``[x, y, z]``
@@ -215,32 +210,29 @@ def read_volume(path: str | Path, format: str | None = None, modality: str | Non
     whole-volume sums such as the normalization statistics run in memory
     order, and that order sets the bits of their results.
     """
-    payload = _read_payload(path, format, modality)
+    payload = _read_payload(path)
     return VolumeImage(_c_order(payload.values, payload.dims, np.float64), payload.spacing, payload.modality)
 
 
-def read_mask(path: str | Path, format: str | None = None) -> RoiMask:
+def read_mask(path: str | Path) -> RoiMask:
     """Load a mask: the voxels of a volume file above 0.5.
 
     The file is parsed and checked as by :func:`read_volume`, with the same
     errors, but no float64 volume is built.
     """
-    payload = _read_payload(path, format, None)
+    payload = _read_payload(path)
     return RoiMask(_c_order(payload.values > 0.5, payload.dims, bool))
 
 
-def _read_payload(path: str | Path, format: str | None, modality: str | None) -> _Payload:
+def _read_payload(path: str | Path) -> _Payload:
     """A volume file's payload, its values and header checked as a VolumeImage checks its own."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"volume file not found: {path}")
-    fmt = format or _infer_format(path)
-    if fmt == FORMAT_RAWJSON:
-        payload, nonfinite = _read_rawjson(path, modality)
-    elif fmt == FORMAT_NIFTI:
-        payload, nonfinite = _read_nifti(path, modality)
+    if _infer_format(path) == FORMAT_RAWJSON:
+        payload, nonfinite = _read_rawjson(path)
     else:
-        raise DataError(f"unsupported volume format {fmt!r}")
+        payload, nonfinite = _read_nifti(path)
     # VolumeImage's checks, in its order
     if payload.values.dtype.kind == "f" and not np.all(np.isfinite(payload.values)):
         raise DataError(nonfinite)
@@ -258,7 +250,7 @@ def write_volume(img: VolumeImage, path: str | Path, format: str | None = None) 
     raise DataError(f"unsupported volume format {fmt!r}")
 
 
-def _read_rawjson(path: Path, modality: str | None) -> tuple[_Payload, str]:
+def _read_rawjson(path: Path) -> tuple[_Payload, str]:
     """A RAWJSON file's payload, spacing unchecked, and its error text for a non-finite voxel."""
     try:
         meta = json.loads(path.read_bytes())
@@ -286,7 +278,7 @@ def _read_rawjson(path: Path, modality: str | None) -> tuple[_Payload, str]:
     nvox = dims[0] * dims[1] * dims[2]
     if len(raw) != nvox * 4:
         raise DataError(f"RAWJSON payload size {len(raw)} != {nvox * 4} bytes for dims {dims}")
-    payload = _Payload(np.frombuffer(raw, dtype="<f4"), tuple(dims), spacing, modality or meta.get("modality", "MR"))
+    payload = _Payload(np.frombuffer(raw, dtype="<f4"), tuple(dims), spacing, meta.get("modality", "MR"))
     return payload, "volume contains non-finite voxels"
 
 
@@ -316,7 +308,7 @@ def _write_rawjson(img: VolumeImage, path: Path) -> Path:
     return path
 
 
-def _read_nifti(path: Path, modality: str | None) -> tuple[_Payload, str]:
+def _read_nifti(path: Path) -> tuple[_Payload, str]:
     """A NIfTI-1 file's payload and its error text for a non-finite voxel."""
     buf = path.read_bytes()
     if len(buf) < 352:
@@ -353,7 +345,7 @@ def _read_nifti(path: Path, modality: str | None) -> tuple[_Payload, str]:
     values = np.frombuffer(buf, dtype=dtype, count=nvox, offset=start)
     if slope not in (0.0, 1.0) or inter != 0.0:
         values = values.astype(np.float64) * float(slope) + float(inter)
-    return _Payload(values, dims, spacing, modality or "MR"), f"NIfTI volume contains non-finite voxels: {path}"
+    return _Payload(values, dims, spacing, "MR"), f"NIfTI volume contains non-finite voxels: {path}"
 
 
 def _write_nifti(img: VolumeImage, path: Path) -> Path:

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from radrisk.cli import cli, main
-from radrisk.featurestore import ROLE_FOLLOWUP, ROLE_PLAN_CT, ROLE_PLAN_MR, read_features_csv
+from radrisk.cohort import BLOCK_TAGS, label_samples, load_manifest
+from radrisk.featurestore import (
+    ROLE_FOLLOWUP,
+    ROLE_PLAN_CT,
+    ROLE_PLAN_MR,
+    FeatureStore,
+    read_features_csv,
+    write_features_csv,
+)
 
 
 @pytest.fixture(scope="module")
@@ -167,12 +175,36 @@ def test_per_samples_below_one_is_a_config_error(cohort_dir, tmp_path, per_sampl
     *[[command, *bad, "--features", "{features}"]
       for command in ("run", "evaluate", "train")
       for bad in (["--c", "nan"], ["--c", "inf"], ["--sensitivity-weight", "nan"], ["--theta", "nan"])],
+    # only values that start no thread: a large --threads would start that many
+    *[[*command, "--threads", threads]
+      for command in (["extract"], ["evaluate", "--features", "{features}"], ["run"])
+      for threads in ("0", "-1")],
 ])
 def test_invalid_settings_leave_no_output_directory(cohort_dir, tmp_path, argv):
     out = tmp_path / "new" / "out"
     argv = [arg.format(features=cohort_dir / "features.csv") for arg in argv]
     assert main([*argv, "--manifest", str(cohort_dir / "manifest.json"), "--out", str(out)]) == 2
     assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("command", ["select", "evaluate", "train", "run"])
+def test_non_finite_feature_value_is_a_data_error(cohort_dir, tmp_path, capsys, command):
+    manifest = cohort_dir / "manifest.json"
+    sample = label_samples(load_manifest(manifest)).samples[0]
+    store = read_features_csv(cohort_dir / "features.csv")
+    values = store.values.copy()
+    values[store.keys.index((sample.lesion_id, ROLE_FOLLOWUP, sample.imaging_date.isoformat())), 0] = np.nan
+    features = write_features_csv(tmp_path / "features.csv", FeatureStore(store.names, store.keys, values),
+                                  store.keys, "config: {}")
+    argv = [command, "--manifest", str(manifest), "--features", str(features), "--out", str(tmp_path / "out")]
+    argv += {"run": ["--sets", "2", "--repeats", "2"], "evaluate": ["--set", "2", "--repeats", "2"]}.get(
+        command, ["--set", "2"])
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"[assemble {sample.lesion_id}/{sample.imaging_date}] non-finite value nan" in err
+    assert f"in column {BLOCK_TAGS['followup_mr']}-{store.names[0]}" in err
+    assert not (tmp_path / "out" / "selection.json").exists()
 
 
 def test_features_naming_a_directory_is_a_data_error(cohort_dir, tmp_path, capsys):
@@ -263,6 +295,47 @@ def test_run_bundle_and_reproducibility(cohort_dir, tmp_path):
     assert "Set 1," in table1 and "Set 2," in table1
     txt = (out1 / "table1.txt").read_text()
     assert "Clinical data" in txt and "AUC score" in txt
+
+
+def test_config_echo_is_pinned(tmp_path):
+    """The whole config echo of a run and an evaluation on criterion 10's cohort, key order
+    included, in the JSON reports and in every ``# config:`` line and SVG comment."""
+    cohort = tmp_path / "cohort"
+    assert main(["synth", "--seed", "77", "--lesions", "14", "--hrm-fraction", "0.25", "--out", str(cohort)]) == 0
+    manifest = str(cohort / "manifest.json")
+    assert main(["extract", "--manifest", manifest, "--out", str(cohort), "--ng", "8"]) == 0
+
+    run_out = tmp_path / "run"
+    assert main(["run", "--manifest", manifest, "--ng", "8", "--sets", "1,7", "--repeats", "4", "--seed", "5",
+                 "--out", str(run_out)]) == 0
+    run_config = [
+        ("manifest", manifest), ("sets", [1, 7]),
+        ("n_bins", 8), ("wavelet", "haar"), ("whitestripe", "mr"), ("zscore", True),
+        ("per_samples", 10), ("per_fold", True), ("C", 1.0), ("sensitivity_weight", 2.0), ("threshold", 0.0),
+        ("repeats", 4), ("test_frac", 1.0 / 3.0), ("seed", 5), ("horizon_days", 100),
+    ]
+    eval_out = tmp_path / "eval"
+    assert main(["evaluate", "--manifest", manifest, "--features", str(cohort / "features.csv"), "--set", "7",
+                 "--repeats", "3", "--seed", "9", "--test-frac", "0.25", "--c", "0.5", "--sensitivity-weight", "3",
+                 "--theta", "0.25", "--per-samples", "5", "--global-selection", "--horizon-days", "120",
+                 "--out", str(eval_out)]) == 0
+    eval_config = [
+        ("manifest", manifest), ("sets", [7]),
+        ("per_samples", 5), ("per_fold", False), ("C", 0.5), ("sensitivity_weight", 3.0), ("threshold", 0.25),
+        ("repeats", 3), ("test_frac", 0.25), ("seed", 9), ("horizon_days", 120),
+    ]
+
+    for out, report, config, commented, svgs in (
+        (run_out, "report.json", run_config, ["table1.csv", "features.csv"], ["km_split.svg"]),
+        (eval_out, "cv_report.json", eval_config, [], ["roc_oof.svg"]),
+    ):
+        echo = json.loads((out / report).read_text())["config"]
+        assert list(echo.items()) == config
+        comment = "config: " + json.dumps(dict(config), sort_keys=True)
+        for name in commented:
+            assert (out / name).read_text().splitlines()[0] == f"# {comment}", name
+        for name in svgs:
+            assert f"<!-- {comment} -->" in (out / name).read_text(), name
 
 
 def test_run_emits_seven_row_table(cohort_dir, tmp_path):

@@ -16,8 +16,8 @@ from radrisk import (
     synth_cohort,
 )
 from radrisk import classifier, pipeline
-from radrisk.cohort import FEATURE_SETS, label_samples
-from radrisk.errors import DataError
+from radrisk.cohort import BLOCK_TAGS, FEATURE_SETS, label_samples
+from radrisk.errors import ConfigError, DataError
 from radrisk.featurestore import FeatureStore
 from radrisk.evaluation import cv
 from radrisk.evaluation.report import write_risk_split
@@ -55,6 +55,15 @@ def test_cv_threads_do_not_change_results(small_cohort):
     b = monte_carlo_cv(ds, CvConfig(repeats=6, seed=5, threads=3))
     assert a.aucs == b.aucs
     assert np.array_equal(a.oof_scores, b.oof_scores)
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_are_config_errors(threads):
+    with pytest.raises(ConfigError, match="threads must be >= 1"):
+        CvConfig(threads=threads)
+    records = synth_cohort(seed=3, n_lesions=3, effect=EffectConfig(), config=SynthConfig())
+    with pytest.raises(ConfigError, match="threads must be >= 1"):
+        extract_cohort(records, ExtractionConfig(n_bins=8, wavelet=None), threads=threads)
 
 
 def test_extraction_failures_come_in_job_order_at_any_threads(monkeypatch):
@@ -266,6 +275,14 @@ def test_build_dataset_errors(ct_missing_cohort):
     only_missing_ct = [r for r in records if r.planning_ct is None]
     with pytest.raises(DataError, match="no usable samples"):
         build_dataset(only_missing_ct, store, feature_set(5))
+    # a non-finite value names the first sample and the column that hold one
+    nan_store = FeatureStore(store.names, store.keys, store.values.copy())
+    nan_store.values[store.keys.index(fu_key), 3] = np.nan
+    fu_date = with_ct.followups[0].date
+    with pytest.raises(DataError, match=rf"^\[assemble {with_ct.lesion_id}/{fu_date}\] non-finite value nan "
+                                        rf"in column {BLOCK_TAGS['followup_mr']}-{store.names[3]}$"):
+        build_dataset(records, nan_store, feature_set(2))
+    assert build_dataset(records, nan_store, feature_set(1)).n_samples > 0  # the column is not in set 1
 
 
 def test_risk_split_report_and_files(small_cohort, tmp_path):

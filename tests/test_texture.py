@@ -147,7 +147,7 @@ def test_oracle_equivalence_random_rois():
         n_bins = int(rng.integers(bins_lo, bins_hi + 1))
         d = discretize(VolumeImage(values), RoiMask(mask_arr), n_bins)
         roi = roi_dict(mask_arr, values=values, n_bins=n_bins)
-        assert sorted(map(tuple, d.coords.tolist())) == sorted(roi)
+        assert sorted(map(tuple, d.mask.coords.tolist())) == sorted(roi)
         if smooth:
             longest_run = max(longest_run, max(n for _, n in bf_glrlm_runs(roi, (1, 0, 0))))
             largest_zone = max(largest_zone, max(n for _, n in bf_glszm_zones(roi)))
@@ -366,11 +366,10 @@ def _tally(entries):
 @pytest.mark.parametrize("k", [1, 9])
 def test_zone_and_run_counts_equal_the_oracles(case, k):
     mask, levels, n_bins = case(k)
-    coords = RoiMask(mask).coords
-    droi = DiscretizedRoi(levels[0] if k == 1 else levels, n_bins, coords)
+    droi = DiscretizedRoi(levels[0] if k == 1 else levels, n_bins, RoiMask(mask))
     zones = size_zone_counts(droi)
     runs = run_length_counts(droi)
-    assert zones.shape == (k, n_bins, len(coords))
+    assert zones.shape == (k, n_bins, droi.mask.count)
     assert runs.shape == (k * len(OFFSETS_13), n_bins, max(mask.shape))
     for r in range(k):
         roi = roi_dict(mask, levels=levels[r].tolist())
@@ -383,8 +382,7 @@ def test_zone_and_run_counts_equal_the_oracles(case, k):
 @pytest.mark.parametrize("k", [1, 9])
 def test_zone_cells_from_codes_equal_the_dense_cells(case, k):
     mask, levels, n_bins = case(k)
-    coords = RoiMask(mask).coords
-    codes, shape = _zone_codes(DiscretizedRoi(levels[0] if k == 1 else levels, n_bins, coords))
+    codes, shape = _zone_codes(DiscretizedRoi(levels[0] if k == 1 else levels, n_bins, RoiMask(mask)))
     sparse, dense = _Cells.from_codes(codes, shape), _Cells.of(_counts(codes, shape))
     assert sparse.m == dense.m == k
     for name in ("matrix", "i", "j", "count"):
@@ -406,11 +404,11 @@ def _matrix_cells(cells, matrix):
 def test_cooccurrence_and_dependence_counts_equal_the_oracles(case, k, ng):
     mask, levels, n_bins = case(k)
     levels = (levels - 1) % ng + 1  # unchanged at Ng 32
-    coords = RoiMask(mask).coords
-    droi = DiscretizedRoi(levels[0] if k == 1 else levels, ng, coords)
-    has_pair = np.bincount(droi.pairs.direction, minlength=len(OFFSETS_13)) > 0
+    droi = DiscretizedRoi(levels[0] if k == 1 else levels, ng, RoiMask(mask))
+    pairs = droi.mask.neighbor_pairs
+    has_pair = np.bincount(pairs.direction, minlength=len(OFFSETS_13)) > 0
     directions = np.flatnonzero(has_pair)
-    assert (2 * droi.pairs.a.size < len(directions) * ng * ng) == (ng == 32)
+    assert (2 * pairs.a.size < len(directions) * ng * ng) == (ng == 32)
     glcm = _cooccurrence_cells(droi, has_pair)
     gldm = _Cells.from_codes(*_dependence_codes(droi))
     assert glcm.m == k * len(directions) and gldm.m == k
@@ -430,7 +428,7 @@ def test_dependence_counts_take_both_branches():
     they are counted densely; those of _single_plane are sorted."""
     for case, dense in ((_serpentine, True), (_single_plane, False)):
         mask, levels, _ = case(1)
-        codes, shape = _dependence_codes(DiscretizedRoi((levels[0] - 1) % 2 + 1, 2, RoiMask(mask).coords))
+        codes, shape = _dependence_codes(DiscretizedRoi((levels[0] - 1) % 2 + 1, 2, RoiMask(mask)))
         assert (codes.size >= np.prod(shape)) == dense, case.__name__
 
 
@@ -460,17 +458,25 @@ def test_cells_from_codes_equal_the_dense_cells_on_random_codes(make):
 
 
 def test_discretized_roi_rejects_non_integer_levels():
-    coords = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
+    line = full_mask((3, 1, 1))
     for levels in ([1.9, 2.5, 1.2], [1.0, 2.0, np.nan], [1.0, np.inf, 2.0]):
         with pytest.raises(DataError, match="integer"):
-            DiscretizedRoi(np.array(levels), 3, coords)
+            DiscretizedRoi(np.array(levels), 3, line)
     # integer values are levels, whatever the dtype
-    assert DiscretizedRoi(np.array([1.0, 3.0, 2.0]), 3, coords).levels.tolist() == [1, 3, 2]
+    assert DiscretizedRoi(np.array([1.0, 3.0, 2.0]), 3, line).levels.tolist() == [1, 3, 2]
 
 
-def test_discretized_roi_rejects_repeated_coords():
-    with pytest.raises(DataError, match="repeat"):
-        DiscretizedRoi(np.array([1, 2, 2]), 2, np.array([[0, 0, 0], [1, 0, 0], [1, 0, 0]]))
+@pytest.mark.parametrize("levels, match", [
+    ([0, 1, 2], "out of range"),
+    ([1, 4, 2], "out of range"),
+    ([1, 2], "disagree"),
+    ([[1, 2, 3, 1]], "disagree"),
+    ([[[1, 2, 3]]], "disagree"),
+    ([], "empty"),
+])
+def test_discretized_roi_checks_levels_against_its_mask(levels, match):
+    with pytest.raises(DataError, match=match):
+        DiscretizedRoi(np.array(levels, dtype=np.int64), 3, full_mask((3, 1, 1)))
 
 
 def test_count_cases_reach_their_extremes():

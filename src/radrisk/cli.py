@@ -149,7 +149,7 @@ def _with_options(options):
 _MANIFEST = click.option("--manifest", required=True)
 _OUT = click.option("--out", "out_dir", default=None)
 _FEATURES = click.option("--features", "features_path", required=True)
-_SET = click.option("--set", "set_id", type=int, default=7, show_default=True)
+_SET = click.option("--set", "set_id", type=click.IntRange(1, 7), default=7, show_default=True)
 _HORIZON = click.option("--horizon", "horizon_days", type=click.IntRange(min=1), default=100, show_default=True)
 _THREADS = click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True)
 _DATASET_OPTIONS = [_MANIFEST, _FEATURES, _SET, _HORIZON]

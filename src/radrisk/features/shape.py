@@ -4,7 +4,8 @@ Conventions (documented because they differ from mesh-based tools):
 
 * ``Volume`` is voxel count times voxel volume; ``SurfaceArea`` counts exposed
   voxel faces, along each axis two per voxel less two per neighbor pair along
-  it, with no pass over the voxel grid. Both are exact on the voxel grid.
+  it (:attr:`RoiMask.pairs_per_direction`, which GLCM reads too), with no pass
+  over the voxel grid. Both are exact on the voxel grid.
 * Axis lengths are ``4 * sqrt(lambda)`` of the physical-coordinate covariance
   eigenvalues of voxel centers (population covariance, descending eigenvalues).
 * For a single-voxel ROI the covariance vanishes: axis lengths are 0 and
@@ -20,6 +21,9 @@ Conventions (documented because they differ from mesh-based tools):
   directions; the search in planes orthogonal to an axis keeps voxels that
   are none along the 4 directions within the plane. Both read the mask's
   neighbor pairs (:attr:`RoiMask.neighbor_pairs`), as the surface area does.
+* A squared distance is summed one axis at a time, in axis order: the order,
+  and so the bits, of ``np.sum`` over a 3-wide axis, without its temporary of
+  every pair's three squares.
 """
 
 from __future__ import annotations
@@ -52,12 +56,11 @@ SHAPE_FEATURES = (
 def _surface_area(mask: RoiMask, spacing) -> float:
     sx, sy, sz = spacing
     face = (sy * sz, sx * sz, sx * sy)
-    n = mask.coords.shape[0]
     # DIRECTIONS_13 begins with the unit steps along the three axes
-    along = np.bincount(mask.neighbor_pairs.direction, minlength=3)
+    along = mask.pairs_per_direction
     area = 0.0
     for axis in range(3):
-        area += int(2 * (n - along[axis])) * face[axis]
+        area += int(2 * (mask.count - along[axis])) * face[axis]
     return area
 
 
@@ -83,7 +86,13 @@ def _max_pairwise(points: np.ndarray) -> float:
     step = 512
     for i in range(0, points.shape[0], step):
         chunk = points[i : i + step]
-        d2 = np.sum((chunk[:, None, :] - points[None, :, :]) ** 2, axis=2)
+        # one axis at a time, in np.sum's order over the axis: the same bits
+        diff = np.subtract.outer(chunk[:, 0], points[:, 0])
+        d2 = diff * diff
+        for axis in range(1, points.shape[1]):
+            np.subtract.outer(chunk[:, axis], points[:, axis], out=diff)
+            diff *= diff
+            d2 += diff
         best = max(best, float(d2.max()))
     return math.sqrt(best)
 

@@ -71,11 +71,19 @@ def get_bank(name: str) -> WaveletBank:
 def _periodic(arr: np.ndarray, filt: np.ndarray, axis: int, step: int = 1) -> np.ndarray:
     # step 1 convolves: out[n] = sum_k filt[k] * arr[(n - k) mod N]; step -1
     # correlates (the adjoint): out[n] = sum_k filt[k] * arr[(n + k) mod N].
-    # np.roll keeps shift equivariance bit-exact because the accumulation order
-    # is index-free.
+    # Tap k writes filt[k] * arr, shifted circularly by s, into one buffer in
+    # two slices (tap[s:] from arr[:N - s], tap[:s] from arr[N - s:]), and
+    # adds it. Every voxel sums its taps in tap order whatever its index, so
+    # shift equivariance is bit-exact.
+    n = arr.shape[axis]
     out = np.zeros_like(arr)
+    tap = np.empty_like(arr)
+    lead = (slice(None),) * axis
     for k, c in enumerate(filt):
-        out += c * np.roll(arr, step * k, axis=axis)
+        s = (step * k) % n
+        np.multiply(arr[lead + (slice(None, n - s),)], c, out=tap[lead + (slice(s, None),)])
+        np.multiply(arr[lead + (slice(n - s, None),)], c, out=tap[lead + (slice(None, s),)])
+        out += tap
     return out
 
 

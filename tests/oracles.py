@@ -24,7 +24,13 @@ statistic (a pass or a partitioned copy per statistic) as the bit-for-bit
 references for the blocked reader, the mask loader and the one-sort statistic.
 ``padded_surface_area`` keeps the first surface area, a count of the changes
 along each axis of the zero-padded voxel grid, as the bit-for-bit reference
-for the count from the mask's neighbor pairs.
+for the count from the mask's neighbor pairs. ``pow_moments`` keeps the
+first Skewness and Kurtosis, the centered values raised with ``**3`` and
+``**4``, as the reference for the moments from products. ``bf_max_pairwise``
+sums the squared coordinate differences with one ``np.sum`` over the axis, as
+the bit-for-bit reference for the diameters summed one axis at a time.
+``masked_entropy_bits`` keeps the first entropy, a ``log2`` masked by
+``where=``, as the bit-for-bit reference for the one over ``np.where``.
 """
 
 import itertools
@@ -64,6 +70,24 @@ def roi_dict(mask, values=None, levels=None, n_bins=None):
 
 def _entropy(probabilities):
     return -sum(p * math.log2(p) for p in probabilities if p > 0.0)
+
+
+def masked_entropy_bits(p):
+    """Base-2 entropy along the last axis, log2 taken only where p > 0."""
+    logp = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    return -(p * logp).sum(axis=-1)
+
+
+def pow_moments(values):
+    """Skewness and Kurtosis of each row of a ``(k, n)`` stack from the
+    centered values raised to the 3rd and 4th power; 0 for a constant row."""
+    centered = values - values.mean(axis=-1, keepdims=True)
+    m2 = (centered**2).mean(axis=-1)
+    flat = m2 == 0.0
+    m2 = np.where(flat, 1.0, m2)
+    skewness = np.where(flat, 0.0, (centered**3).mean(axis=-1) / m2**1.5)
+    kurtosis = np.where(flat, 0.0, (centered**4).mean(axis=-1) / m2**2)
+    return skewness, kurtosis
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +344,7 @@ BF_FAMILIES = {"glcm": bf_glcm, "glrlm": bf_glrlm, "glszm": bf_glszm, "gldm": bf
 # Shape diameters
 
 
-def _bf_max_pairwise(points):
+def bf_max_pairwise(points):
     if points.shape[0] < 2:
         return 0.0
     best = 0.0
@@ -347,11 +371,11 @@ def bf_diameters(mask, spacing):
     """The four shape diameters of a boolean mask, over every pair of ROI voxels."""
     coords = np.argwhere(mask)
     phys = coords.astype(np.float64) * np.asarray(spacing, dtype=np.float64)
-    out = {"Maximum3DDiameter": _bf_max_pairwise(phys)}
+    out = {"Maximum3DDiameter": bf_max_pairwise(phys)}
     for axis, name in enumerate(("Row", "Column", "Slice")):
         keep = [a for a in range(3) if a != axis]
         out[f"Maximum2DDiameter{name}"] = max(
-            _bf_max_pairwise(phys[coords[:, axis] == value][:, keep])
+            bf_max_pairwise(phys[coords[:, axis] == value][:, keep])
             for value in np.unique(coords[:, axis])
         )
     return out

@@ -179,6 +179,10 @@ def test_per_samples_below_one_is_a_config_error(cohort_dir, tmp_path, per_sampl
     *[[*command, "--threads", threads]
       for command in (["extract"], ["evaluate", "--features", "{features}"], ["run"])
       for threads in ("0", "-1")],
+    # a feature set id outside 1..7 is a usage error, caught before any directory is made
+    *[[command, "--set", set_id, "--features", "{features}"]
+      for command in ("select", "evaluate", "train")
+      for set_id in ("0", "8")],
 ])
 def test_invalid_settings_leave_no_output_directory(cohort_dir, tmp_path, argv):
     out = tmp_path / "new" / "out"

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from radrisk.features import FIRSTORDER_FEATURES, bin_levels, firstorder_features
-from radrisk.features.firstorder import firstorder_rows
+from radrisk.features.firstorder import entropy_bits, firstorder_rows
 from helpers import full_mask, mask_of, vol, vol3d
+from oracles import masked_entropy_bits, pow_moments
 
 
 def test_feature_roster():
@@ -107,3 +108,36 @@ def test_stacked_order_statistics_match_numpy_per_row():
 def test_bin_levels_per_row():
     values = np.array([[0.0, 1.0, 2.0, 3.0], [4.0, 4.0, 4.0, 4.0], [3.0, 2.0, 1.0, 0.0]])
     assert bin_levels(values, 2).tolist() == [[1, 1, 2, 2], [1, 1, 1, 1], [2, 2, 1, 1]]
+
+
+def test_moments_from_products_match_the_pow_moments():
+    rng = np.random.default_rng(23)
+    columns = [FIRSTORDER_FEATURES.index(name) for name in ("Skewness", "Kurtosis")]
+    for n in (1, 2, 3, 5, 64, 1000, 11041):
+        values = rng.normal(0, 1, size=(12, n)) * rng.uniform(1e-3, 1e3, size=(12, 1))
+        values[1] = rng.exponential(2.0, size=n)
+        values[2] = rng.integers(0, 4, size=n)
+        values[3] = 7.25  # constant: both moments are 0 by convention
+        values[4] = 1e6 + rng.normal(0, 1e-7, size=n)  # near-constant
+        values[5] = 3.0
+        values[5, 0] = 3.0 + 2.0**-40  # one voxel off a constant
+        skewness, kurtosis = firstorder_rows(values)[:, columns].T
+        want_skewness, want_kurtosis = pow_moments(values)
+        np.testing.assert_allclose(kurtosis, want_kurtosis, rtol=1e-12, atol=0)
+        # a skewness whose terms cancel (to 0 for n = 2) is rounding noise, so
+        # its error is relative to the same moment of the absolute deviations
+        centered = np.abs(values - values.mean(axis=1, keepdims=True))
+        m2 = (centered**2).mean(axis=1)
+        scale = np.divide((centered**3).mean(axis=1), m2**1.5, out=np.zeros(len(m2)), where=m2 > 0.0)
+        assert np.all(np.abs(skewness - want_skewness) <= 1e-12 * scale), n
+        assert skewness[3] == 0.0 and kurtosis[3] == 0.0
+
+
+def test_entropy_bits_equal_the_masked_log2():
+    rng = np.random.default_rng(24)
+    for zeros in np.linspace(0.0, 0.95, 20):
+        for shape in ((32,), (9, 32), (13, 63)):
+            p = rng.exponential(size=shape) * (rng.uniform(size=shape) >= zeros)
+            p /= np.maximum(p.sum(axis=-1, keepdims=True), 1e-300)
+            got, want = entropy_bits(p), masked_entropy_bits(p)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (zeros, shape)

@@ -7,8 +7,9 @@ import pytest
 from radrisk import RoiMask
 from radrisk.errors import DataError
 from radrisk.features import SHAPE_FEATURES, shape_features
+from radrisk.features.shape import _max_pairwise
 from helpers import mask_of
-from oracles import bf_diameters, padded_surface_area
+from oracles import bf_diameters, bf_max_pairwise, padded_surface_area
 
 DIAMETERS = ("Maximum3DDiameter", "Maximum2DDiameterRow", "Maximum2DDiameterColumn",
              "Maximum2DDiameterSlice")
@@ -212,3 +213,14 @@ def test_surface_area_from_pairs_equals_the_padded_grid_count():
         assert area == padded_surface_area(fg, spacing), (checked, fg.shape, spacing)
         checked += 1
     assert checked == 2000
+
+
+def test_max_pairwise_equals_the_summed_axis_oracle():
+    # the squares summed one axis at a time give np.sum's bits, across the 512-point blocks too
+    rng = np.random.default_rng(15)
+    for n in (0, 1, 2, 3, 17, 511, 512, 513, 1100):
+        for width in (2, 3):
+            points = rng.normal(size=(n, width)) * rng.uniform(0.1, 10.0, size=width)
+            assert _max_pairwise(points) == bf_max_pairwise(points), (n, width)
+            grid = rng.integers(0, 40, size=(n, width)) * rng.uniform(0.3, 3.0, size=width)
+            assert _max_pairwise(grid) == bf_max_pairwise(grid), (n, width)

@@ -489,3 +489,22 @@ def test_count_cases_reach_their_extremes():
     assert max(n for _, n in bf_glrlm_runs(roi_dict(mask, levels=levels[0].tolist()), (1, 0, 0))) == 9
     mask, levels, n_bins = _unused_level(9)
     assert set(levels.ravel().tolist()) == {1, 3, 6} and n_bins == 6
+
+
+def test_equal_pairs_are_the_row_major_equal_level_pairs():
+    rng = np.random.default_rng(32)
+    for _ in range(30):
+        dims = tuple(int(rng.integers(1, 7)) for _ in range(3))
+        fg = rng.uniform(size=dims) < 0.7
+        fg[0, 0, 0] = True
+        mask = RoiMask(fg)
+        levels = rng.integers(1, 4, size=(int(rng.integers(1, 5)), mask.count))
+        droi = DiscretizedRoi(levels, 3, mask)
+        a, b, direction = mask.neighbor_pairs
+        la, lb = droi.pair_levels
+        assert np.array_equal(la, levels[:, a]) and np.array_equal(lb, levels[:, b])
+        row, pair = np.nonzero(levels[:, a] == levels[:, b])
+        got = droi.equal_pairs
+        assert np.array_equal(got.a, a[pair] + row * mask.count)
+        assert np.array_equal(got.b, b[pair] + row * mask.count)
+        assert np.array_equal(got.direction, direction[pair])

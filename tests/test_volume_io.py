@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from radrisk import DataError, VolumeImage, read_mask, read_volume, write_volume
+from radrisk import DataError, RoiMask, VolumeImage, read_mask, read_volume, write_volume
 from radrisk import volume as volume_module
 from helpers import field_paths, vol, with_field_of_another_json_type
 from oracles import strided_read_volume
@@ -272,3 +272,31 @@ def test_readers_equal_the_strided_reader(tmp_path, monkeypatch):
         for array in (got.voxels, mask.voxels):
             assert array.flags.c_contiguous and not array.flags.writeable
     assert min(seen.values()) >= 20, seen
+
+
+def _masks(rng):
+    yield np.zeros((3, 4, 5), dtype=bool)
+    yield np.ones((3, 4, 5), dtype=bool)
+    yield np.ones((1, 1, 1), dtype=bool)
+    for _ in range(20):
+        dims = tuple(int(rng.integers(1, 12)) for _ in range(3))
+        yield rng.uniform(size=dims) < rng.uniform(0.0, 1.0)
+
+
+def test_mask_coords_equal_argwhere():
+    # values, dtype, shape and layout: the float sums of shape's covariance follow the layout
+    for fg in _masks(np.random.default_rng(16)):
+        coords = RoiMask(fg).coords
+        want = np.argwhere(fg)
+        assert coords.dtype == want.dtype and coords.shape == want.shape and coords.strides == want.strides
+        assert np.array_equal(coords, want)
+        assert not coords.flags.writeable
+
+
+def test_pairs_per_direction_counts_the_neighbor_pairs():
+    # the pairs are read only from a nonempty mask, as extraction requires one
+    for fg in filter(np.any, _masks(np.random.default_rng(17))):
+        mask = RoiMask(fg)
+        counts = mask.pairs_per_direction
+        assert counts.tolist() == np.bincount(mask.neighbor_pairs.direction, minlength=13).tolist()
+        assert counts.sum() == mask.neighbor_pairs.a.size and not counts.flags.writeable

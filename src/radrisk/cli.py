@@ -66,18 +66,21 @@ def _made(out: Path) -> Path:
 
 def _parse_sets(text: str) -> tuple[int, ...]:
     out: list[int] = []
+    bad = ConfigError(f"feature sets must be within 1..7, got {text!r}")
     try:
         for part in text.split(","):
             part = part.strip()
             if "-" in part:
-                a, b = part.split("-", 1)
-                out.extend(range(int(a), int(b) + 1))
+                a, b = (int(end) for end in part.split("-", 1))
+                if not (1 <= a <= 7 and 1 <= b <= 7):  # before the range is expanded
+                    raise bad
+                out.extend(range(a, b + 1))
             elif part:
                 out.append(int(part))
     except ValueError as exc:
         raise ConfigError(f"cannot parse feature sets {text!r}: {exc}") from exc
     if not out or any(s not in range(1, 8) for s in out):
-        raise ConfigError(f"feature sets must be within 1..7, got {text!r}")
+        raise bad
     return tuple(dict.fromkeys(out))
 
 

@@ -8,6 +8,10 @@ confusion at the decision threshold, per-sample out-of-fold mean scores, a
 leakage guard (count of lesions straddling train/test, asserted zero), how many
 classifier fits did not reach the KKT tolerance, the largest KKT residual of
 any fit, and the largest number of solver iterations any fit took.
+
+A repeat does not copy its folds: selection gathers the training rows into
+the one matrix it centers, and the fit and the test scores read only the
+picked columns of their rows.
 """
 
 from __future__ import annotations
@@ -115,6 +119,15 @@ def _split_lesions(flags, test_frac, rng):
     return test
 
 
+def _picked(X, rows, cols):
+    """The picked columns of a fold, ``X[rows][:, cols]`` without copying the whole fold first.
+
+    F-ordered, as that slice is: the fit's column means and deviations sum in
+    memory order, so a C-ordered copy would move their last bits.
+    """
+    return np.asfortranarray(X[np.ix_(rows, cols)])
+
+
 def _one_repeat(
     dataset: Dataset, lesion_of, flags, seed: int, test_frac: float, sel_cfg: SelectionConfig, clf_cfg,
     global_selection
@@ -133,19 +146,17 @@ def _one_repeat(
 
     straddle = int(np.intersect1d(lesion_of[in_test], lesion_of[~in_test]).size)
 
-    X_train = dataset.X[~in_test]
-    X_test = dataset.X[in_test]
+    train, test = np.flatnonzero(~in_test), np.flatnonzero(in_test)
     if global_selection is not None:
         selection = global_selection
     else:
-        cap = selection_cap(X_train.shape[0], sel_cfg.per_samples)
-        selection = mrmr_select(X_train, y_train, cap, dataset.feature_names)
+        cap = selection_cap(train.size, sel_cfg.per_samples)
+        selection = mrmr_select(dataset.X, y_train, cap, dataset.feature_names, rows=train)
     cols = selection.indices
-    model = clf.fit(X_train[:, cols], y_train, selection.selected, clf_cfg)
-    scores = clf.decision_scores(model, X_test[:, cols])
+    model = clf.fit(_picked(dataset.X, train, cols), y_train, selection.selected, clf_cfg)
+    scores = clf.decision_scores(model, _picked(dataset.X, test, cols))
     auc_value = roc_curve(scores, y_test).auc
-    return (auc_value, np.flatnonzero(in_test), scores, straddle, selection.selected, model.kkt_residual,
-            model.epochs_run)
+    return (auc_value, test, scores, straddle, selection.selected, model.kkt_residual, model.epochs_run)
 
 
 def monte_carlo_cv(

@@ -11,6 +11,10 @@ once. Each column's r is one ``einsum`` contraction that accumulates row by
 row, never a BLAS product, so bit-identical columns get bit-identical r and tie
 exactly, and a column's r does not depend on the other columns or on the
 layout of the input. A constant column has r = 0 instead of failing.
+
+Selection on a cross-validation fold takes the whole matrix and the fold's
+rows: the rows are gathered into one C-ordered copy, which is then centered in
+place, so a fold costs one fold-sized array.
 """
 
 from __future__ import annotations
@@ -22,18 +26,27 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 
-def _centered(X: np.ndarray):
+def _centered(X: np.ndarray, rows: np.ndarray | None = None):
     """Center the columns once: (centered matrix, column norms, constant mask).
 
-    Constancy is tested exactly: the float mean of a constant column is not
-    exact, so its norm need not be 0. The matrix is made C-ordered first: the
-    column sums of an F-ordered matrix are pairwise and would move r in its
-    last bits.
+    The centered matrix is a C-ordered float64 copy of ``X``, or of its
+    ``rows`` when given, gathered once and centered in place; ``X`` is never
+    written. It is C-ordered because the column sums of an F-ordered matrix are
+    pairwise and would move r in its last bits. Constancy is tested exactly, on
+    the raw copy: the float mean of a constant column is not exact, so its norm
+    need not be 0. The norms contract the matrix with itself row by row, the
+    same adds as ``(Xc**2).sum(axis=0)`` on two or more columns; a single
+    column sums as one contiguous run, pairwise, and keeps that formula.
     """
-    X = np.ascontiguousarray(X)
-    Xc = X - X.mean(axis=0)
-    norm = np.sqrt((Xc**2).sum(axis=0))
-    constant = np.all(X == X[0], axis=0) | (norm == 0.0)
+    if rows is None:
+        Xc = np.array(X, dtype=np.float64, order="C")
+    else:
+        Xc = np.ascontiguousarray(X[rows], dtype=np.float64)
+    constant = np.all(Xc == Xc[0], axis=0)
+    Xc -= Xc.mean(axis=0)
+    sq = (Xc**2).sum(axis=0) if Xc.shape[1] == 1 else np.einsum("ij,ij->j", Xc, Xc)
+    norm = np.sqrt(sq)
+    constant |= norm == 0.0
     return Xc, norm, constant
 
 
@@ -110,14 +123,19 @@ class SelectionResult:
         }
 
 
-def mrmr_select(X, y, k: int, names: list[str] | None = None) -> SelectionResult:
-    """Greedy relevance-minus-redundancy selection of at most ``k`` features."""
+def mrmr_select(X, y, k: int, names: list[str] | None = None, rows=None) -> SelectionResult:
+    """Greedy relevance-minus-redundancy selection of at most ``k`` features.
+
+    With ``rows``, an array of sample indices, it selects on ``X[rows]`` (``y``
+    then holds the labels of those rows) without the caller copying them: the
+    one copy is the centered matrix.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.size == 0:
         raise DataError(f"feature matrix must be nonempty 2D, got shape {X.shape}")
     if k < 1:
         raise ConfigError(f"selection cap must be >= 1, got {k}")
-    n, d = X.shape
+    n, d = X.shape if rows is None else (len(rows), X.shape[1])
     if n < 2:
         raise DataError(f"selection needs >= 2 samples, got {n}")
     y = np.asarray(y, dtype=np.float64)
@@ -126,7 +144,7 @@ def mrmr_select(X, y, k: int, names: list[str] | None = None) -> SelectionResult
     if len(names) != d or len(set(names)) != d:
         raise DataError("feature names must be unique and match the matrix width")
 
-    Xc, norm, constant = _centered(X)
+    Xc, norm, constant = _centered(X, rows)
     relevance = np.abs(_corr(Xc, norm, constant, y))
     redundancy_sum = np.zeros(d)
     # scores read in name order: the first maximum is the smallest name
@@ -137,7 +155,8 @@ def mrmr_select(X, y, k: int, names: list[str] | None = None) -> SelectionResult
 
     for step in range(min(k, d)):
         if step:
-            redundancy_sum += np.abs(_corr(Xc, norm, constant, X[:, selected[-1]]))
+            pick = X[:, selected[-1]] if rows is None else X[rows, selected[-1]]
+            redundancy_sum += np.abs(_corr(Xc, norm, constant, pick))
         redund = redundancy_sum / max(step, 1)
         scores = np.where(picked, -np.inf, relevance - redund)
         best = int(by_name[np.argmax(scores[by_name])])

@@ -141,7 +141,10 @@ class RoiMask:
     def neighbor_pairs(self) -> NeighborPairs:
         """26-neighbor pairs of the foreground voxels, computed once per mask: shape
         and every image on the mask (an original and its wavelet subbands) read them.
-        Each unordered pair comes once, as row indices into ``coords``."""
+        Each unordered pair comes once, as row indices into ``coords``; an empty
+        mask has none."""
+        if not self.count:
+            return NeighborPairs(*np.zeros((3, 0), dtype=np.intp))
         origin = self.coords.min(axis=0) - 1
         pos = self.coords - origin
         shape = pos.max(axis=0) + 2  # a one-voxel margin keeps every neighbor in bounds

@@ -31,6 +31,11 @@ sums the squared coordinate differences with one ``np.sum`` over the axis, as
 the bit-for-bit reference for the diameters summed one axis at a time.
 ``masked_entropy_bits`` keeps the first entropy, a ``log2`` masked by
 ``where=``, as the bit-for-bit reference for the one over ``np.where``.
+``subtracted_centered`` keeps the first centering for selection (a new array
+for ``X - mean`` and for its squares), and ``copied_fold_repeat`` the first
+cross-validation repeat (the training and test folds copied whole, the fit on
+``X_train[:, cols]``), as the bit-for-bit references for the fold gathered
+once and centered in place.
 """
 
 import itertools
@@ -41,8 +46,9 @@ from pathlib import Path
 
 import numpy as np
 
+from radrisk import classifier, mrmr_select, selection_cap
 from radrisk.errors import DataError
-from radrisk.evaluation import confusion_at
+from radrisk.evaluation import confusion_at, cv, roc_curve
 from radrisk.evaluation.survival import LogRankResult, SurvivalCurve
 from radrisk.volume import VolumeImage
 
@@ -451,6 +457,45 @@ def bf_corr_elementwise(X, y):
     live = ~np.all(X == X[0], axis=0) & (norm != 0.0)
     r[live] = product[live] / (norm * np.sqrt((yc**2).sum(axis=0)))[live]
     return r
+
+
+def subtracted_centered(X):
+    """The first ``selection._centered``: (centered matrix, column norms, constant mask)."""
+    X = np.ascontiguousarray(X)
+    Xc = X - X.mean(axis=0)
+    norm = np.sqrt((Xc**2).sum(axis=0))
+    constant = np.all(X == X[0], axis=0) | (norm == 0.0)
+    return Xc, norm, constant
+
+
+def copied_fold_repeat(dataset, lesion_of, flags, seed, test_frac, sel_cfg, clf_cfg, global_selection):
+    """The first ``cv._one_repeat``: the same split, with both folds copied whole,
+    selection on the training copy, and the fit and scores on their picked columns."""
+    rng = np.random.default_rng(seed)
+    for attempt in range(cv.MAX_SPLIT_RETRIES):
+        in_test = cv._split_lesions(flags, test_frac, rng)[lesion_of]
+        y_train = dataset.y[~in_test]
+        y_test = dataset.y[in_test]
+        if len(np.unique(y_train)) == 2 and len(np.unique(y_test)) == 2:
+            break
+    else:
+        raise DataError(f"no valid stratified split after {cv.MAX_SPLIT_RETRIES} retries (seed {seed})")
+
+    straddle = int(np.intersect1d(lesion_of[in_test], lesion_of[~in_test]).size)
+
+    X_train = dataset.X[~in_test]
+    X_test = dataset.X[in_test]
+    if global_selection is not None:
+        selection = global_selection
+    else:
+        cap = selection_cap(X_train.shape[0], sel_cfg.per_samples)
+        selection = mrmr_select(X_train, y_train, cap, dataset.feature_names)
+    cols = selection.indices
+    model = classifier.fit(X_train[:, cols], y_train, selection.selected, clf_cfg)
+    scores = classifier.decision_scores(model, X_test[:, cols])
+    auc_value = roc_curve(scores, y_test).auc
+    return (auc_value, np.flatnonzero(in_test), scores, straddle, selection.selected, model.kkt_residual,
+            model.epochs_run)
 
 
 def bf_mrmr(X_rows, y, k, names):

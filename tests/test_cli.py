@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radrisk.cli import cli, main
+from radrisk.cli import _parse_sets, cli, main
 from radrisk.cohort import BLOCK_TAGS, label_samples, load_manifest
 from radrisk.featurestore import (
     ROLE_FOLLOWUP,
@@ -587,3 +587,16 @@ def test_non_utf8_input_files_end_in_their_exit_code(cohort_dir, tmp_path, caplo
     if argv[0] == "extract":  # the table is unreadable, so every image is extracted again
         assert any("unreadable" in m and "UTF-8" in m for m in caplog.messages)
         assert json.loads((out / "features.json").read_text())["rows"] == 48
+
+
+@pytest.mark.parametrize("sets", ["1-1000000000000", "1000000000000-1", "0-3", "2,5-8", "7-0"])
+def test_set_ranges_are_bounded_before_they_are_expanded(tmp_path, capsys, sets):
+    # a range is checked at both ends first: the first bound would not fit in memory as a list
+    out = tmp_path / "out"
+    assert main(["run", "--manifest", str(tmp_path / "manifest.json"), "--sets", sets, "--out", str(out)]) == 2
+    assert "feature sets must be within 1..7" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_set_ranges_expand_within_bounds():
+    assert _parse_sets("2-4, 7,3-3") == (2, 3, 4, 7)

@@ -12,7 +12,9 @@ from radrisk import (
     extract_cohort,
     feature_set,
     monte_carlo_cv,
+    mrmr_select,
     risk_split_report,
+    selection_cap,
     synth_cohort,
 )
 from radrisk import classifier, pipeline
@@ -23,7 +25,9 @@ from radrisk.evaluation import cv
 from radrisk.evaluation.report import write_risk_split
 from radrisk.features import ExtractionConfig
 from radrisk.synth import EffectConfig, SynthConfig
-from oracles import bf_dataset, bf_vectors, loop_cv_tallies, loop_lesion_table, loop_split_lesions
+from oracles import (
+    bf_dataset, bf_vectors, copied_fold_repeat, loop_cv_tallies, loop_lesion_table, loop_split_lesions,
+)
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +136,28 @@ def test_cv_tallies_equal_the_per_repeat_loop(small_cohort):
     assert counts.dtype == report.oof_counts.dtype and counts.tobytes() == report.oof_counts.tobytes()
     assert list(confusion.items()) == list(report.confusion.items())
     assert counts.max() > 1 and (counts == 0).any()  # samples scored in several repeats, and in none
+
+
+@pytest.mark.parametrize("set_id", [1, 7])
+def test_fold_path_equals_the_copied_folds(small_cohort, set_id):
+    # selection on the fold's rows, the fit and the scores on the picked columns
+    # only: every result of a repeat is the same bits as with the folds copied whole
+    records, store = small_cohort
+    ds = build_dataset(records, store, feature_set(set_id))
+    f_ordered = dataclasses.replace(ds, X=np.asfortranarray(ds.X))
+    sel_cfg, clf_cfg = SelectionConfig(), ClassifierConfig()
+    for data in (ds, f_ordered):
+        lesion_of, flags = cv._lesion_table(data)
+        cap = selection_cap(data.n_samples, sel_cfg.per_samples)
+        for global_selection in (None, mrmr_select(data.X, data.y, cap, data.feature_names)):
+            for seed in range(6):
+                args = (data, lesion_of, flags, seed, 1.0 / 3.0, sel_cfg, clf_cfg, global_selection)
+                got, want = cv._one_repeat(*args), copied_fold_repeat(*args)
+                for k in (0, 2, 5):  # AUC, scores, KKT residual
+                    assert np.array_equal(_bits(got[k]), _bits(want[k])), (seed, k)
+                assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1]), seed  # test rows
+                # straddle count, selected names, iterations
+                assert [got[k] for k in (3, 4, 6)] == [want[k] for k in (3, 4, 6)], seed
 
 
 def test_nonconverged_fits_reported(small_cohort, caplog):

@@ -10,7 +10,7 @@ from radrisk import (
 from radrisk.errors import ConfigError, DataError
 from radrisk.evaluation.cv import SelectionConfig
 from radrisk.selection import _centered, _corr
-from oracles import bf_corr_elementwise, bf_mrmr, bf_pearson
+from oracles import bf_corr_elementwise, bf_mrmr, bf_pearson, subtracted_centered
 
 
 def test_pearson_hand_values():
@@ -242,3 +242,54 @@ def test_r_does_not_depend_on_the_matrix_layout():
     assert np.array_equal(sub_r, full[cols])
     # the table's r is the relevance that selection reports, bit for bit
     assert c_order.trace[0].relevance == abs(full[c_order.indices[0]])
+
+
+def _same_bits(got, want):
+    return all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_centered_equals_the_subtracted_copy_bit_for_bit():
+    # the norms contract the matrix with itself, the same adds as the squares summed
+    # down each column; a single column keeps the squared sum (pearson, a label)
+    rng = np.random.default_rng(50)
+    sizes = [(2, 2), (2, 4000), (400, 2), (400, 4000), (3, 1), (400, 1), (289, 3092)]
+    sizes += [(int(rng.integers(2, 401)), int(rng.integers(2, 4001))) for _ in range(40)]
+    sizes += [(int(rng.integers(2, 401)), int(rng.integers(2, 40))) for _ in range(40)]
+    sizes += [(n, 1) for n in range(2, 41)]
+    for trial, (n, d) in enumerate(sizes):
+        X = rng.normal(size=(n, d)) * rng.uniform(0.01, 100.0, size=d) + rng.normal(size=d) * 10.0
+        if d > 1:
+            X[:, rng.integers(d, size=1 + d // 50)] = 2.5  # constant columns
+        if trial % 2:
+            X = np.asfortranarray(X)
+        before = X.copy()
+        assert _same_bits(_centered(X), subtracted_centered(X)), (n, d)
+        rows = rng.permutation(n)[: max(2, 2 * n // 3)]
+        assert _same_bits(_centered(X, rows), subtracted_centered(X[rows])), (n, d)
+        assert np.array_equal(X, before)  # centered in place on its own copy
+
+
+def test_rows_select_as_the_gathered_fold():
+    rng = np.random.default_rng(51)
+    for trial in range(12):
+        n, d = int(rng.integers(12, 120)), int(rng.integers(2, 600))
+        X = rng.normal(size=(n, d)) * rng.uniform(0.01, 1000.0, size=d)
+        y = rng.integers(0, 2, size=n).astype(float)
+        X[:, : min(d, 6)] += y[:, None] * rng.uniform(0.5, 3.0, size=min(d, 6))
+        X[:, rng.integers(d, size=3)] = -1.25  # constant columns
+        X[:, rng.integers(d, size=3)] = X[:, rng.integers(d, size=3)]  # duplicate columns
+        if trial % 2:
+            X = np.asfortranarray(X)
+        before = X.copy()
+        rows = np.sort(rng.choice(n, size=int(rng.integers(4, n)), replace=False))
+        if trial % 3 == 0:
+            rows = rng.permutation(rows)
+        y_rows = y[rows]
+        y_rows[:2] = (0.0, 1.0)
+        names = [f"f{j:04d}" for j in rng.permutation(d)]
+        k = int(rng.integers(1, 12))
+        fold = mrmr_select(X, y_rows, k, names, rows=rows)
+        copied = mrmr_select(X[rows], y_rows, k, names)
+        assert fold.trace == copied.trace
+        assert fold.indices == copied.indices and fold.selected == copied.selected
+        assert np.array_equal(X, before)

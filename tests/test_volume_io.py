@@ -294,9 +294,15 @@ def test_mask_coords_equal_argwhere():
 
 
 def test_pairs_per_direction_counts_the_neighbor_pairs():
-    # the pairs are read only from a nonempty mask, as extraction requires one
-    for fg in filter(np.any, _masks(np.random.default_rng(17))):
+    for fg in _masks(np.random.default_rng(17)):
         mask = RoiMask(fg)
         counts = mask.pairs_per_direction
         assert counts.tolist() == np.bincount(mask.neighbor_pairs.direction, minlength=13).tolist()
         assert counts.sum() == mask.neighbor_pairs.a.size and not counts.flags.writeable
+
+
+def test_empty_mask_has_no_neighbor_pairs():
+    mask = RoiMask(np.zeros((3, 4, 5), dtype=bool))
+    for array in mask.neighbor_pairs:
+        assert array.dtype == np.intp and array.shape == (0,)
+    assert mask.pairs_per_direction.tolist() == [0] * 13

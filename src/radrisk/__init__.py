@@ -39,7 +39,6 @@ from .cohort import (
     load_manifest,
 )
 from .selection import (
-    CorrelationReport,
     SelectionResult,
     correlation_report,
     mrmr_select,

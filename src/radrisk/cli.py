@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from . import classifier as clf
-from .cohort import BLOCK_TITLES, column_block, feature_set, load_manifest, label_samples, manifest_dict
+from .cohort import BLOCK_TITLES, feature_set, load_manifest, label_samples, manifest_dict
 from .errors import ConfigError, DataError, RadriskError
 from .evaluation import (
     CvConfig,
@@ -60,7 +60,10 @@ def _paths(manifest: str, out_dir: str | None) -> tuple[Path, Path]:
 
 
 def _made(out: Path) -> Path:
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from exc
     return out
 
 
@@ -103,6 +106,8 @@ def _merge_config(ctx: click.Context, config_path: str | None, flags: dict) -> d
         p = Path(config_path)
         if not p.exists():
             raise ConfigError(f"config file not found: {p}")
+        if not p.is_file():
+            raise ConfigError(f"config file {p} is not a file")
         try:
             file_cfg = json.loads(p.read_text())
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -249,8 +254,7 @@ def synth(seed, lesions, out_dir, hrm_fraction, growth, texture, ct_missing, fol
         EffectConfig(growth=growth, texture=texture),
         SynthConfig(hrm_fraction=hrm_fraction, followups=(fu_min, fu_max), ct_missing_fraction=ct_missing),
     )
-    images = out / "images"
-    images.mkdir(parents=True, exist_ok=True)
+    images = _made(out / "images")
     ext = ".json" if fmt == "rawjson" else ".nii"
     source_paths: dict = {}
     for lesion_id, role, date, source in image_jobs(records):
@@ -365,15 +369,15 @@ def _full_cohort_selection(dataset):
 
 
 def _write_correlation_tables(dataset, out: Path, comment: str, top: int = 10) -> None:
-    groups: dict[str, list[int]] = {}
-    for k, name in enumerate(dataset.feature_names):
-        groups.setdefault(column_block(name), []).append(k)
-    for block, cols in groups.items():
-        names = [dataset.feature_names[k] for k in cols]
-        report = correlation_report(np.take(dataset.X, cols, axis=1), dataset.y, names)
+    """One ``table2_<block>.csv`` per Table 1 block of the set: its ``top`` columns by |r| with the
+    label, ties broken by name."""
+    r = correlation_report(dataset.X, dataset.y).tolist()
+    names, blocks = dataset.feature_names, dataset.column_blocks
+    ranked = sorted(range(len(names)), key=lambda k: (-abs(r[k]), names[k]))
+    for block in dict.fromkeys(blocks):
         lines = [f"# {comment}", "rank,feature,r"]
-        for rank, (name, r) in enumerate(report.ranked()[:top], start=1):
-            lines.append(f"{rank},{name},{r!r}")
+        ranks = enumerate([k for k in ranked if blocks[k] == block][:top], start=1)
+        lines += [f"{rank},{names[k]},{r[k]!r}" for rank, k in ranks]
         (out / f"table2_{block}.csv").write_text("\n".join(lines) + "\n")
 
 

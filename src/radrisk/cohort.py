@@ -248,8 +248,8 @@ FEATURE_SETS = {
     7: ("clinical", "followup_mr", "delta", "planning_mr", "planning_ct", "wavelet"),
 }
 
-# the tag each block's column names start with; the wavelet block is the
-# "-wavelet-" columns of every image block instead
+# the tag each block's column names start with; the wavelet block has none of
+# its own, as ``assemble`` gathers it from every image block with that block's tag
 BLOCK_TAGS = {
     "clinical": TAG_CLINICAL,
     "followup_mr": TAG_FOLLOWUP,
@@ -278,29 +278,23 @@ def feature_set(set_id: int) -> FeatureSetSpec:
     return FeatureSetSpec(set_id)
 
 
-def column_block(name: str) -> str:
-    """The block of an assembled column: 'Plan-ct-wavelet-LLL-...' -> 'wavelet'."""
-    block = next((b for b, tag in BLOCK_TAGS.items() if name.startswith(f"{tag}-")), None)
-    if block is None:
-        raise DataError(f"column {name!r} starts with no feature-block tag")
-    return "wavelet" if block != "clinical" and "-wavelet-" in name else block
-
-
-def assemble(spec: FeatureSetSpec, names: list[str]) -> list[tuple[str, list[int]]]:
-    """The set's columns in a stable order, as segments (block, column indices).
+def assemble(spec: FeatureSetSpec, names: list[str]) -> list[tuple[str, str, list[int]]]:
+    """The set's columns in a stable order, as segments (Table 1 block, source block, column indices).
 
     The clinical segment indexes ``CLINICAL_FEATURE_NAMES``; an image block's
     segment (follow-up, delta, planning MR or CT) indexes ``names``, the
-    tag-free feature names that every image block shares. Original-filter
-    columns come first (per block, in canonical block order); when the set has
-    the wavelet block, the wavelet-filter columns of every included image
-    block are appended as one trailing block.
+    tag-free feature names that every image block shares, and is gathered from
+    its source block. Original-filter columns come first (per block, in
+    canonical block order) and are their own Table 1 block; when the set has
+    the wavelet block, the wavelet-filter columns of every included image block
+    are appended, and form the Table 1 wavelet block.
     """
     images = [block for block in spec.blocks if block not in ("clinical", "wavelet")]
-    segments = [("clinical", list(range(len(CLINICAL_FEATURE_NAMES))))] if "clinical" in spec.blocks else []
+    clinical = list(range(len(CLINICAL_FEATURE_NAMES)))
+    segments = [("clinical", "clinical", clinical)] if "clinical" in spec.blocks else []
     for prefix in FILTER_PREFIXES if "wavelet" in spec.blocks else FILTER_PREFIXES[:1]:
         cols = [k for k, name in enumerate(names) if name.startswith(prefix)]
-        segments += [(block, cols) for block in images]
+        segments += [("wavelet" if prefix == "wavelet-" else block, block, cols) for block in images]
     return segments
 
 
@@ -385,6 +379,8 @@ def load_manifest(path: str | Path) -> list[MetastasisRecord]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"manifest not found: {path}")
+    if not path.is_file():
+        raise DataError(f"manifest {path} is not a file")
     try:
         data = json.loads(path.read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

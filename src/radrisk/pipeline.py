@@ -20,7 +20,6 @@ from .cohort import (
     BLOCK_TAGS,
     CLINICAL_FEATURE_NAMES,
     KmPoint,
-    LabeledSample,
     MetastasisRecord,
     FeatureSetSpec,
     assemble,
@@ -131,12 +130,12 @@ class Dataset:
 
     set_id: int
     feature_names: list[str]
+    column_blocks: list[str]  # the Table 1 block of each column
     X: np.ndarray
     y: np.ndarray  # 1 = HRM
     lesion_ids: list[str]
     times: np.ndarray  # days to event or censoring
     events: np.ndarray  # True = progression observed
-    samples: list[LabeledSample]
     km_censored: list[KmPoint] = field(default_factory=list)
     excluded_lesions: list[str] = field(default_factory=list)
 
@@ -156,9 +155,10 @@ def build_dataset(
     Lesions without planning-CT data are excluded (with a record of the
     exclusion) when the set requires the CT block. Each block is gathered
     from the store's matrix by row, and the set's columns are the segments
-    that ``assemble`` picks from those blocks. A non-finite value in the
-    assembled matrix is a ``DataError`` that names the first sample, in
-    sample order, and column that hold one.
+    that ``assemble`` picks from those blocks; a column's Table 1 block is
+    that of its segment. A non-finite value in the assembled matrix is a
+    ``DataError`` that names the first sample, in sample order, and column
+    that hold one.
     """
     labeling = label_samples(records, horizon_days)
 
@@ -206,10 +206,10 @@ def build_dataset(
             blocks[name] = store.values[rows[name]]
     segments = assemble(spec, store.names)
     # np.take keeps X C-ordered, as the selection and fit results depend on the layout
-    X = np.concatenate([np.take(blocks[name], cols, axis=1) for name, cols in segments], axis=1)
+    X = np.concatenate([np.take(blocks[source], cols, axis=1) for _, source, cols in segments], axis=1)
     names = [
-        CLINICAL_FEATURE_NAMES[k] if name == "clinical" else f"{BLOCK_TAGS[name]}-{store.names[k]}"
-        for name, cols in segments
+        CLINICAL_FEATURE_NAMES[k] if source == "clinical" else f"{BLOCK_TAGS[source]}-{store.names[k]}"
+        for _, source, cols in segments
         for k in cols
     ]
     if not np.isfinite(X).all():
@@ -223,12 +223,12 @@ def build_dataset(
     return Dataset(
         set_id=spec.set_id,
         feature_names=names,
+        column_blocks=[block for block, _, cols in segments for _ in cols],
         X=X,
         y=y,
         lesion_ids=[s.lesion_id for s in kept],
         times=times,
         events=events,
-        samples=kept,
         km_censored=[p for p in labeling.km_censored if p.lesion_id not in excluded_set],
         excluded_lesions=excluded,
     )

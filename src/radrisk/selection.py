@@ -10,7 +10,10 @@ Every correlation goes through one kernel over a C-ordered matrix centered
 once. Each column's r is one ``einsum`` contraction that accumulates row by
 row, never a BLAS product, so bit-identical columns get bit-identical r and tie
 exactly, and a column's r does not depend on the other columns or on the
-layout of the input. A constant column has r = 0 instead of failing.
+layout of the input. A constant column has r = 0 instead of failing. So the
+per-block correlation tables (Table 2) take every column's r from one
+``correlation_report`` over the whole assembled matrix, and each r is the
+relevance that selection reports, bit for bit.
 
 Selection on a cross-validation fold takes the whole matrix and the fold's
 rows: the rows are gathered into one C-ordered copy, which is then centered in
@@ -81,23 +84,9 @@ def selection_cap(n_samples: int, per: int = 10) -> int:
     return max(1, n_samples // per)
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
-    """Per-feature correlation to the label, ranked by |r| (descending)."""
-
-    names: list[str]
-    r: np.ndarray
-    degenerate: np.ndarray
-
-    def ranked(self) -> list[tuple[str, float]]:
-        order = sorted(range(len(self.names)), key=lambda k: (-abs(float(self.r[k])), self.names[k]))
-        return [(self.names[k], float(self.r[k])) for k in order]
-
-
-def correlation_report(X: np.ndarray, y, names: list[str]) -> CorrelationReport:
-    Xc, norm, constant = _centered(np.asarray(X, dtype=np.float64))
-    r = _corr(Xc, norm, constant, np.asarray(y, dtype=np.float64))
-    return CorrelationReport(list(names), r, constant)
+def correlation_report(X: np.ndarray, y) -> np.ndarray:
+    """Pearson r of every column of ``X`` with the label ``y``; its magnitude is MRMR's relevance."""
+    return _corr(*_centered(X), np.asarray(y, dtype=np.float64))
 
 
 @dataclass(frozen=True)

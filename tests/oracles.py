@@ -35,7 +35,9 @@ the bit-for-bit reference for the diameters summed one axis at a time.
 for ``X - mean`` and for its squares), and ``copied_fold_repeat`` the first
 cross-validation repeat (the training and test folds copied whole, the fit on
 ``X_train[:, cols]``), as the bit-for-bit references for the fold gathered
-once and centered in place.
+once and centered in place. ``per_block_correlation_tables`` keeps the first
+Table 2 writer, each column's block parsed from its name and one correlation
+per block, as the byte-for-byte reference for the one correlation pass.
 """
 
 import itertools
@@ -46,7 +48,8 @@ from pathlib import Path
 
 import numpy as np
 
-from radrisk import classifier, mrmr_select, selection_cap
+from radrisk import classifier, mrmr_select, selection, selection_cap
+from radrisk.cohort import BLOCK_TAGS
 from radrisk.errors import DataError
 from radrisk.evaluation import confusion_at, cv, roc_curve
 from radrisk.evaluation.survival import LogRankResult, SurvivalCurve
@@ -457,6 +460,25 @@ def bf_corr_elementwise(X, y):
     live = ~np.all(X == X[0], axis=0) & (norm != 0.0)
     r[live] = product[live] / (norm * np.sqrt((yc**2).sum(axis=0)))[live]
     return r
+
+
+def per_block_correlation_tables(dataset, out, comment, top=10):
+    """The first Table 2 writer: each column's block parsed from its name's tag (the
+    ``-wavelet-`` columns of every image block form the wavelet block), one correlation per
+    block over its columns gathered with ``np.take`` and centered on their own, each block
+    ranked by (-|r|, name) and cut at ``top`` rows."""
+    groups = {}
+    for k, name in enumerate(dataset.feature_names):
+        block = next(b for b, tag in BLOCK_TAGS.items() if name.startswith(f"{tag}-"))
+        groups.setdefault("wavelet" if block != "clinical" and "-wavelet-" in name else block, []).append(k)
+    for block, cols in groups.items():
+        block_X = np.take(dataset.X, cols, axis=1)
+        r = selection._corr(*selection._centered(block_X), np.asarray(dataset.y, dtype=np.float64))
+        names = [dataset.feature_names[k] for k in cols]
+        order = sorted(range(len(cols)), key=lambda j: (-abs(float(r[j])), names[j]))
+        lines = [f"# {comment}", "rank,feature,r"]
+        lines += [f"{rank},{names[j]},{float(r[j])!r}" for rank, j in enumerate(order[:top], start=1)]
+        (Path(out) / f"table2_{block}.csv").write_text("\n".join(lines) + "\n")
 
 
 def subtracted_centered(X):

@@ -1,11 +1,12 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from radrisk.cli import _parse_sets, cli, main
-from radrisk.cohort import BLOCK_TAGS, label_samples, load_manifest
+from radrisk.cli import _parse_sets, _write_correlation_tables, cli, main
+from radrisk.cohort import BLOCK_TAGS, feature_set, label_samples, load_manifest
 from radrisk.featurestore import (
     ROLE_FOLLOWUP,
     ROLE_PLAN_CT,
@@ -14,6 +15,9 @@ from radrisk.featurestore import (
     read_features_csv,
     write_features_csv,
 )
+from radrisk.pipeline import build_dataset, image_jobs
+from radrisk.selection import selection_cap
+from oracles import per_block_correlation_tables
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +272,61 @@ def test_select_train_evaluate_km(cohort_dir, tmp_path):
     assert main(["km", "--manifest", manifest, "--out", str(out)]) == 0
     assert (out / "km_cohort.svg").exists()
     assert (out / "km_cohort.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def criterion10_cohort(tmp_path_factory):
+    """Criterion 10's cohort: 14 synthetic lesions, extracted at 8 gray levels."""
+    out = tmp_path_factory.mktemp("criterion10")
+    assert main(["synth", "--seed", "77", "--lesions", "14", "--hrm-fraction", "0.25", "--out", str(out)]) == 0
+    assert main(["extract", "--manifest", str(out / "manifest.json"), "--out", str(out), "--ng", "8"]) == 0
+    return out
+
+
+def _table2(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out.glob("table2_*.csv"))}
+
+
+@pytest.mark.parametrize("set_id", range(1, 8))
+def test_select_table2_matches_the_per_block_writer(criterion10_cohort, tmp_path, set_id):
+    manifest, features = criterion10_cohort / "manifest.json", criterion10_cohort / "features.csv"
+    out = tmp_path / "select"
+    assert main(["select", "--manifest", str(manifest), "--features", str(features),
+                 "--set", str(set_id), "--out", str(out)]) == 0
+    dataset = build_dataset(load_manifest(manifest), read_features_csv(features), feature_set(set_id))
+    want = tmp_path / "oracle"
+    want.mkdir()
+    per_block_correlation_tables(dataset, want, f"select set={set_id} cap={selection_cap(dataset.n_samples)} "
+                                                "horizon=100")
+    blocks = feature_set(set_id).blocks
+    assert sorted(_table2(want)) == sorted(f"table2_{block}.csv" for block in blocks)
+    assert _table2(out) == _table2(want)
+
+
+def test_table2_ties_constants_and_negative_r_match_the_per_block_writer(criterion10_cohort, tmp_path):
+    """Exact |r| ties (a column, its negation and its power-of-two multiples), constant columns
+    (r = 0) and negative r, in blocks longer and shorter than the 10 rows a table keeps."""
+    records = load_manifest(criterion10_cohort / "manifest.json")
+    names = [f"{prefix}firstorder-{k}" for prefix in ("original-", "wavelet-LLL-") for k in "ABC"]
+    keys = [job[:3] for job in image_jobs(records)]
+    rng = np.random.default_rng(50)
+    store = FeatureStore(names, keys, rng.normal(size=(len(keys), len(names))))
+    dataset = build_dataset(records, store, feature_set(7))
+    n, d = dataset.X.shape
+    signal = dataset.y + rng.normal(0.0, 0.5, size=n)
+    X = rng.normal(size=(n, d))
+    for j in range(d):
+        X[:, j] = (signal * 2.0 ** (j % 3), -signal, np.full(n, 3.0), X[:, j])[j % 4]
+    dataset = dataclasses.replace(dataset, X=X)
+    got, want = tmp_path / "got", tmp_path / "want"
+    got.mkdir()
+    want.mkdir()
+    _write_correlation_tables(dataset, got, "ties")
+    per_block_correlation_tables(dataset, want, "ties")
+    assert len(_table2(want)) == 6
+    assert _table2(got) == _table2(want)
+    rows = [line.split(",") for table in _table2(got).values() for line in table.decode().splitlines()[2:]]
+    assert any(r == "0.0" for *_, r in rows) and any(r.startswith("-") for *_, r in rows)
 
 
 def test_run_bundle_and_reproducibility(cohort_dir, tmp_path):
@@ -587,6 +646,28 @@ def test_non_utf8_input_files_end_in_their_exit_code(cohort_dir, tmp_path, caplo
     if argv[0] == "extract":  # the table is unreadable, so every image is extracted again
         assert any("unreadable" in m and "UTF-8" in m for m in caplog.messages)
         assert json.loads((out / "features.json").read_text())["rows"] == 48
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["km", "--manifest", "{dir}", "--out", "{out}"], 3),
+    (["extract", "--manifest", "{dir}", "--out", "{out}"], 3),
+    (["select", "--manifest", "{dir}", "--features", "{features}", "--out", "{out}"], 3),
+    (["run", "--config", "{dir}", "--manifest", "{manifest}", "--features", "{features}", "--out", "{out}"], 2),
+    (["km", "--manifest", "{manifest}", "--out", "{file}"], 2),
+    (["run", "--manifest", "{manifest}", "--features", "{features}", "--sets", "1", "--repeats", "2",
+      "--out", "{file}"], 2),
+    (["synth", "--lesions", "2", "--out", "{file}"], 2),
+], ids=["km-manifest", "extract-manifest", "select-manifest", "run-config", "km-out", "run-out", "synth-out"])
+def test_paths_of_the_wrong_kind_end_in_their_exit_code(cohort_dir, tmp_path, capsys, argv, code):
+    # a directory where a file is read, or a file where the output directory goes
+    paths = {"dir": tmp_path / "a-dir", "file": tmp_path / "a-file", "out": tmp_path / "out",
+             "manifest": cohort_dir / "manifest.json", "features": cohort_dir / "features.csv"}
+    paths["dir"].mkdir()
+    paths["file"].write_text("")
+    bad = paths["dir"] if "{dir}" in argv else paths["file"]
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == code
+    assert any(line.startswith("error: ") and str(bad) in line for line in capsys.readouterr().err.splitlines())
 
 
 @pytest.mark.parametrize("sets", ["1-1000000000000", "1000000000000-1", "0-3", "2,5-8", "7-0"])

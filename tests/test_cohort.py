@@ -27,7 +27,6 @@ from radrisk.cohort import (
     CLINICAL_FEATURE_NAMES,
     FEATURE_SETS,
     FeatureSetSpec,
-    column_block,
     strip_image_tag,
 )
 from radrisk.featurestore import FeatureStore
@@ -179,12 +178,12 @@ def test_clinical_block_is_exactly_12_columns():
     clin = clinical_features(CLINICAL, gap_days=90)
     assert tuple(clin) == CLINICAL_FEATURE_NAMES
     assert len(clin) == 12
-    assert assemble(feature_set(1), TOY_NAMES) == [("clinical", CLINICAL_COLS)]
+    assert assemble(feature_set(1), TOY_NAMES) == [("clinical", "clinical", CLINICAL_COLS)]
     assert _toy_dataset(1).feature_names == list(CLINICAL_FEATURE_NAMES)
 
 
 def test_set3_is_clinical_plus_delta_only():
-    assert assemble(feature_set(3), TOY_NAMES) == [("clinical", CLINICAL_COLS), ("delta", [0])]
+    assert assemble(feature_set(3), TOY_NAMES) == [("clinical", "clinical", CLINICAL_COLS), ("delta", "delta", [0])]
     ds = _toy_dataset(3)
     assert all(n.startswith("clinical-") or n.startswith("Delta-mr-original-") for n in ds.feature_names)
     assert len(ds.feature_names) == 12 + 1  # one original delta feature in the toy blocks
@@ -195,7 +194,8 @@ def test_set7_extends_set6_with_wavelet_block():
     set6 = assemble(feature_set(6), TOY_NAMES)
     set7 = assemble(feature_set(7), TOY_NAMES)
     assert set7[: len(set6)] == set6
-    assert set7[len(set6):] == [(block, [1]) for block in ("followup_mr", "delta", "planning_mr", "planning_ct")]
+    assert set7[len(set6):] == [("wavelet", block, [1])
+                                for block in ("followup_mr", "delta", "planning_mr", "planning_ct")]
     ds6, ds7 = _toy_dataset(6), _toy_dataset(7)
     assert ds7.feature_names[: len(ds6.feature_names)] == ds6.feature_names
     wavelet_tail = ds7.feature_names[len(ds6.feature_names):]
@@ -224,13 +224,13 @@ def test_feature_set_table_is_locked():
 def test_column_block_follows_the_table():
     for blocks in FEATURE_SETS.values():
         assert list(blocks) == [b for b in BLOCK_TITLES if b in blocks]
-    names = _toy_dataset(7).feature_names
-    blocks = [column_block(name) for name in names]
-    assert blocks == sorted(blocks, key=list(BLOCK_TITLES).index)  # contiguous, in Table 1 order
-    assert set(blocks) == set(BLOCK_TITLES)
-    assert all(("-wavelet-" in name) == (block == "wavelet") for name, block in zip(names, blocks))
-    with pytest.raises(DataError, match="no feature-block tag"):
-        column_block("Plan-pet-original-shape-Volume")
+    for set_id in FEATURE_SETS:
+        ds = _toy_dataset(set_id)
+        names, blocks = ds.feature_names, ds.column_blocks
+        assert len(blocks) == len(names)
+        assert blocks == sorted(blocks, key=list(BLOCK_TITLES).index)  # contiguous, in Table 1 order
+        assert set(blocks) == set(feature_set(set_id).blocks)
+        assert all(("-wavelet-" in name) == (block == "wavelet") for name, block in zip(names, blocks))
 
 
 def test_assembly_columns_depend_only_on_spec():

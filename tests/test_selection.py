@@ -177,12 +177,12 @@ def test_correlation_report_ranking():
     rng = np.random.default_rng(46)
     y = rng.integers(0, 2, size=50).astype(float)
     X = np.column_stack([y * 2.0, rng.normal(size=50), np.full(50, 7.0)])
-    report = correlation_report(X, y, ["strong", "noise", "flat"])
-    ranked = report.ranked()
-    assert ranked[0][0] == "strong"
-    assert ranked[0][1] == pytest.approx(1.0, abs=1e-12)
-    assert report.degenerate.tolist() == [False, False, True]
-    assert dict(ranked)["flat"] == 0.0
+    r = correlation_report(X, y)
+    assert r.shape == (3,)
+    assert r[0] == pytest.approx(1.0, abs=1e-12)
+    assert abs(r[1]) < abs(r[0])
+    assert r[2] == 0.0  # a constant column
+    assert np.array_equal(correlation_report(-X, y), -r)
 
 
 def test_corr_matches_the_elementwise_reference_bit_for_bit():
@@ -234,11 +234,11 @@ def test_r_does_not_depend_on_the_matrix_layout():
     c_order = mrmr_select(np.ascontiguousarray(X), y, 8, names)
     f_order = mrmr_select(np.asfortranarray(X), y, 8, names)
     assert c_order.trace == f_order.trace
-    full = correlation_report(X, y, names).r
+    full = correlation_report(X, y)
     cols = sorted(rng.choice(d, size=37, replace=False))
     sub = X[:, cols]  # fancy indexing returns an F-ordered matrix
     assert not sub.flags.c_contiguous
-    sub_r = correlation_report(sub, y, [names[j] for j in cols]).r
+    sub_r = correlation_report(sub, y)
     assert np.array_equal(sub_r, full[cols])
     # the table's r is the relevance that selection reports, bit for bit
     assert c_order.trace[0].relevance == abs(full[c_order.indices[0]])

@@ -35,7 +35,7 @@ from .evaluation import (
 )
 from .features import ExtractionConfig
 from .featurestore import FeatureStore, read_features_csv, write_features_csv
-from .pipeline import NormalizationConfig, build_dataset, extract_cohort, image_jobs
+from .pipeline import NormalizationConfig, build_dataset, build_datasets, extract_cohort, image_jobs
 from .selection import correlation_report, mrmr_select, selection_cap
 from .svgplot import km_plot, roc_plot
 from .synth import EffectConfig, SynthConfig, synth_cohort
@@ -51,8 +51,8 @@ def _default_out() -> str:
 
 
 def _paths(manifest: str, out_dir: str | None) -> tuple[Path, Path]:
-    """The manifest's path, checked to exist, and the output directory's. A command creates the
-    directory (:func:`_made`) once its settings are checked, so a bad setting leaves none behind."""
+    """The manifest's path, checked to exist, and the output directory's. A command creates the directory
+    (:func:`_made`) once its settings are checked and its manifest read, so neither leaves one behind."""
     manifest_path = Path(manifest)
     if not manifest_path.exists():
         raise ConfigError(f"manifest not found: {manifest_path}")
@@ -434,8 +434,8 @@ def evaluate(manifest, features_path, set_id, out_dir, **values):
     """Monte-Carlo cross-validation of one feature set."""
     manifest_path, out = _paths(manifest, out_dir)
     config, *cv_configs = _cv_setup(manifest_path, (set_id,), values, {})  # no extraction settings
-    _made(out)
     dataset = _dataset_from_files(manifest_path, features_path, set_id, values["horizon_days"])
+    _made(out)
     report = monte_carlo_cv(dataset, *cv_configs)
     _write_json(out / "cv_report.json", report.to_dict(), config)
     scored = report.oof_counts > 0
@@ -492,9 +492,9 @@ def run(ctx, config_path, **params):
     settings, ext_cfg, norm_cfg = _extraction(merged)
     config, *cv_configs = _cv_setup(manifest_path, set_ids, merged, settings)
     comment = _comment(config)
-    _made(out)
 
     records = load_manifest(manifest_path)
+    _made(out)
     if merged["features_path"]:
         store = read_features_csv(merged["features_path"])
     else:
@@ -502,11 +502,11 @@ def run(ctx, config_path, **params):
                                threads=merged["threads"])
         write_features_csv(out / "features.csv", store, [job[:3] for job in image_jobs(records)], comment)
 
+    specs = [feature_set(set_id) for set_id in set_ids]
+    datasets = dict(zip(set_ids, build_datasets(records, store, specs, merged["horizon_days"])))
     reports = {}
-    datasets = {}
-    for set_id in set_ids:
-        datasets[set_id] = build_dataset(records, store, feature_set(set_id), merged["horizon_days"])
-        report = reports[set_id] = monte_carlo_cv(datasets[set_id], *cv_configs)
+    for set_id, dataset in datasets.items():
+        report = reports[set_id] = monte_carlo_cv(dataset, *cv_configs)
         click.echo(f"set {set_id}: mean AUC {report.mean_auc:.3f} (std {report.std_auc:.3f})")
 
     _write_table1(out, reports, comment)

@@ -1,10 +1,10 @@
 """Glue between cohort records, feature extraction, and evaluation.
 
 ``extract_cohort`` normalizes and extracts every image of every lesion into a
-feature store keyed by (lesion_id, role, date). ``build_dataset`` labels the
-follow-ups, computes delta features against the planning MRI, assembles the
-requested feature set, and returns a matrix-shaped dataset ready for
-cross-validation.
+feature store keyed by (lesion_id, role, date). ``build_datasets`` labels the
+follow-ups once, computes delta features against the planning MRI, and returns
+one matrix-shaped dataset per requested feature set, ready for
+cross-validation; ``build_dataset`` does the same for one set.
 """
 
 from __future__ import annotations
@@ -150,85 +150,88 @@ def build_dataset(
     spec: FeatureSetSpec,
     horizon_days: int = 100,
 ) -> Dataset:
-    """Label follow-ups and assemble the feature matrix for one feature set.
+    """Label follow-ups and assemble the feature matrix for one feature set (:func:`build_datasets`)."""
+    return build_datasets(records, store, [spec], horizon_days)[0]
 
-    Lesions without planning-CT data are excluded (with a record of the
-    exclusion) when the set requires the CT block. Each block is gathered
-    from the store's matrix by row, and the set's columns are the segments
-    that ``assemble`` picks from those blocks; a column's Table 1 block is
-    that of its segment. A non-finite value in the assembled matrix is a
-    ``DataError`` that names the first sample, in sample order, and column
-    that hold one.
+
+def build_datasets(
+    records: list[MetastasisRecord], store: FeatureStore, specs: list[FeatureSetSpec], horizon_days: int = 100,
+) -> list[Dataset]:
+    """Label follow-ups once and assemble the feature matrix of each feature set, in ``specs`` order.
+
+    The clinical and delta blocks are computed once, over every labeled sample. A set gathers the columns
+    that ``assemble`` picks, and every sample except, when it has the CT block, those of the lesions
+    without planning-CT data (recorded as excluded). Each set is checked on its own rows and columns; the
+    first set that fails raises, and a non-finite value names the first sample, in sample order, and column.
     """
     labeling = label_samples(records, horizon_days)
-
-    excluded = []
-    if "planning_ct" in spec.blocks:
-        excluded = [rec.lesion_id for rec in records if rec.planning_ct is None]
-    excluded_set = set(excluded)
-    kept = [s for s in labeling.samples if s.lesion_id not in excluded_set]
-    if not kept:
-        raise DataError("no usable samples after labeling and exclusions")
-
+    samples = labeling.samples
     lesion_row = {rec.lesion_id: k for k, rec in enumerate(records)}
-    lesion = np.array([lesion_row[s.lesion_id] for s in kept], dtype=np.intp)
-    gap = np.array([s.gap_days for s in kept], dtype=np.float64)
+    lesion = np.array([lesion_row[s.lesion_id] for s in samples], dtype=np.intp)
+    gap = np.array([s.gap_days for s in samples], dtype=np.float64)
     plan_keys = [(rec.lesion_id, rec.planning_date.isoformat()) for rec in records]
     rows = {
-        "followup_mr": store.rows([(s.lesion_id, ROLE_FOLLOWUP, s.imaging_date.isoformat()) for s in kept]),
+        "followup_mr": store.rows([(s.lesion_id, ROLE_FOLLOWUP, s.imaging_date.isoformat()) for s in samples]),
         "planning_mr": store.rows([(lid, ROLE_PLAN_MR, d) for lid, d in plan_keys])[lesion],
         "planning_ct": store.rows([(lid, ROLE_PLAN_CT, d) for lid, d in plan_keys])[lesion],
     }
-    # an error names the first sample, in sample order, that has one
     missing = (rows["followup_mr"] < 0) | (rows["planning_mr"] < 0)
-    bad_gap = (gap <= 0) & ("delta" in spec.blocks)
-    no_ct = (rows["planning_ct"] < 0) & ("planning_ct" in spec.blocks)
-    first_bad = np.flatnonzero(missing | bad_gap | no_ct)[:1]
-    if first_bad.size:
-        sample = kept[first_bad[0]]
-        if missing[first_bad[0]]:
-            raise DataError(f"feature store is missing images for {sample.lesion_id}")
-        if bad_gap[first_bad[0]]:
-            raise DataError(f"elapsed days must be > 0, got {sample.gap_days}")
-        # the sample's lesion has no planning-CT row
-        raise DataError(f"[assemble {sample.lesion_id}/{sample.imaging_date}] "
-                        f"feature set {spec.set_id} requires the planning_ct block")
+    ct_less = dict.fromkeys(rec.lesion_id for rec in records if rec.planning_ct is None)
 
-    # the clinical columns are per lesion, except the planning -> follow-up gap
-    clinical = np.array([list(clinical_features(rec.clinical, 0).values()) for rec in records])[lesion]
-    clinical[:, CLINICAL_FEATURE_NAMES.index("clinical-gap_days")] = gap
-    blocks = {"clinical": clinical}
-    for name in spec.blocks:
-        if name == "delta":
+    clinical = np.array([list(clinical_features(records[k].clinical, s.gap_days).values())
+                         for k, s in zip(lesion, samples)])
+    # each block's matrix and each sample's row in it; an image block's matrix is the store's
+    matrix = dict.fromkeys(rows, store.values) | {"clinical": clinical}
+    at = rows | dict.fromkeys(("clinical", "delta"), np.arange(len(samples)))
+    if any("delta" in spec.blocks for spec in specs):
+        with np.errstate(divide="ignore", invalid="ignore"):  # a row with a gap <= 0 fails each set that keeps it
             fu, plan = store.values[rows["followup_mr"]], store.values[rows["planning_mr"]]
-            blocks[name] = delta_rows(fu, plan, gap[:, None])
-        elif name in rows:
-            blocks[name] = store.values[rows[name]]
-    segments = assemble(spec, store.names)
-    # np.take keeps X C-ordered, as the selection and fit results depend on the layout
-    X = np.concatenate([np.take(blocks[source], cols, axis=1) for _, source, cols in segments], axis=1)
-    names = [
-        CLINICAL_FEATURE_NAMES[k] if source == "clinical" else f"{BLOCK_TAGS[source]}-{store.names[k]}"
-        for _, source, cols in segments
-        for k in cols
-    ]
-    if not np.isfinite(X).all():
-        row, col = np.argwhere(~np.isfinite(X))[0]
-        sample = kept[row]
-        raise DataError(f"[assemble {sample.lesion_id}/{sample.imaging_date}] "
-                        f"non-finite value {X[row, col]} in column {names[col]}")
-    y = np.asarray([1 if s.label == "HRM" else 0 for s in kept], dtype=np.int64)
-    times = np.asarray([s.days_to_event_or_censor for s in kept], dtype=np.float64)
-    events = np.asarray([not s.censored for s in kept], dtype=bool)
-    return Dataset(
-        set_id=spec.set_id,
-        feature_names=names,
-        column_blocks=[block for block, _, cols in segments for _ in cols],
-        X=X,
-        y=y,
-        lesion_ids=[s.lesion_id for s in kept],
-        times=times,
-        events=events,
-        km_censored=[p for p in labeling.km_censored if p.lesion_id not in excluded_set],
-        excluded_lesions=excluded,
-    )
+            matrix["delta"] = delta_rows(fu, plan, gap[:, None])
+
+    datasets = []
+    for spec in specs:
+        excluded = ct_less if "planning_ct" in spec.blocks else {}
+        # a CT-less lesion's CT row is -1, which reads the store's last row: its samples are never kept
+        kept = np.flatnonzero([s.lesion_id not in excluded for s in samples])
+        if not kept.size:
+            raise DataError("no usable samples after labeling and exclusions")
+        # an error names the first sample, in sample order, that has one
+        bad_gap = (gap <= 0) & ("delta" in spec.blocks)
+        no_ct = (rows["planning_ct"] < 0) & ("planning_ct" in spec.blocks)
+        first_bad = kept[(missing | bad_gap | no_ct)[kept]][:1]
+        if first_bad.size:
+            sample = samples[first_bad[0]]
+            if missing[first_bad[0]]:
+                raise DataError(f"feature store is missing images for {sample.lesion_id}")
+            if bad_gap[first_bad[0]]:
+                raise DataError(f"elapsed days must be > 0, got {sample.gap_days}")
+            # the sample's lesion has no planning-CT row
+            raise DataError(f"[assemble {sample.lesion_id}/{sample.imaging_date}] "
+                            f"feature set {spec.set_id} requires the planning_ct block")
+
+        segments = assemble(spec, store.names)
+        # the gather keeps X C-ordered, as the selection and fit results depend on the layout
+        X = np.concatenate([matrix[source][np.ix_(at[source][kept], cols)] for _, source, cols in segments], axis=1)
+        names = [
+            CLINICAL_FEATURE_NAMES[k] if source == "clinical" else f"{BLOCK_TAGS[source]}-{store.names[k]}"
+            for _, source, cols in segments
+            for k in cols
+        ]
+        if not np.isfinite(X).all():
+            row, col = np.argwhere(~np.isfinite(X))[0]
+            sample = samples[kept[row]]
+            raise DataError(f"[assemble {sample.lesion_id}/{sample.imaging_date}] "
+                            f"non-finite value {X[row, col]} in column {names[col]}")
+        datasets.append(Dataset(
+            set_id=spec.set_id,
+            feature_names=names,
+            column_blocks=[block for block, _, cols in segments for _ in cols],
+            X=X,
+            y=np.asarray([1 if samples[k].label == "HRM" else 0 for k in kept], dtype=np.int64),
+            lesion_ids=[samples[k].lesion_id for k in kept],
+            times=np.asarray([samples[k].days_to_event_or_censor for k in kept], dtype=np.float64),
+            events=np.asarray([not samples[k].censored for k in kept], dtype=bool),
+            km_censored=[p for p in labeling.km_censored if p.lesion_id not in excluded],
+            excluded_lesions=list(excluded),
+        ))
+    return datasets

@@ -657,7 +657,10 @@ def test_non_utf8_input_files_end_in_their_exit_code(cohort_dir, tmp_path, caplo
     (["run", "--manifest", "{manifest}", "--features", "{features}", "--sets", "1", "--repeats", "2",
       "--out", "{file}"], 2),
     (["synth", "--lesions", "2", "--out", "{file}"], 2),
-], ids=["km-manifest", "extract-manifest", "select-manifest", "run-config", "km-out", "run-out", "synth-out"])
+    (["run", "--manifest", "{dir}", "--features", "{features}", "--out", "{out}"], 3),
+    (["evaluate", "--manifest", "{dir}", "--features", "{features}", "--out", "{out}"], 3),
+], ids=["km-manifest", "extract-manifest", "select-manifest", "run-config", "km-out", "run-out", "synth-out",
+        "run-manifest", "evaluate-manifest"])
 def test_paths_of_the_wrong_kind_end_in_their_exit_code(cohort_dir, tmp_path, capsys, argv, code):
     # a directory where a file is read, or a file where the output directory goes
     paths = {"dir": tmp_path / "a-dir", "file": tmp_path / "a-file", "out": tmp_path / "out",
@@ -668,6 +671,8 @@ def test_paths_of_the_wrong_kind_end_in_their_exit_code(cohort_dir, tmp_path, ca
     capsys.readouterr()
     assert main([arg.format(**paths) for arg in argv]) == code
     assert any(line.startswith("error: ") and str(bad) in line for line in capsys.readouterr().err.splitlines())
+    if bad == paths["dir"]:  # an unreadable input leaves no output directory behind
+        assert not paths["out"].exists()
 
 
 @pytest.mark.parametrize("sets", ["1-1000000000000", "1000000000000-1", "0-3", "2,5-8", "7-0"])
@@ -681,3 +686,19 @@ def test_set_ranges_are_bounded_before_they_are_expanded(tmp_path, capsys, sets)
 
 def test_set_ranges_expand_within_bounds():
     assert _parse_sets("2-4, 7,3-3") == (2, 3, 4, 7)
+
+
+def test_run_logs_each_dropped_followup_once(cohort_dir, tmp_path, caplog):
+    manifest = json.loads((cohort_dir / "manifest.json").read_text())
+    for lesion in manifest["patients"][0]["lesions"] + manifest["patients"][1]["lesions"]:
+        lesion["event_date"] = lesion["followups"][-1]["date"]  # its last follow-up is on the event day
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    dropped = label_samples(load_manifest(path)).dropped
+    assert dropped
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        assert main(["run", "--manifest", str(path), "--features", str(cohort_dir / "features.csv"),
+                     "--sets", "1-7", "--repeats", "2", "--out", str(tmp_path / "out")]) == 0
+    logged = [m for m in caplog.messages if "dropped" in m]
+    assert sorted(logged) == sorted(f"{lesion_id} {date} dropped: {reason}" for lesion_id, date, reason in dropped)

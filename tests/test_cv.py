@@ -18,6 +18,7 @@ from radrisk import (
     synth_cohort,
 )
 from radrisk import classifier, pipeline
+from radrisk.pipeline import build_datasets
 from radrisk.cohort import BLOCK_TAGS, FEATURE_SETS, label_samples
 from radrisk.errors import ConfigError, DataError
 from radrisk.featurestore import FeatureStore
@@ -269,22 +270,41 @@ def _bits(a):
 def test_build_dataset_matches_oracle(cohort, set_id, request):
     records, store = request.getfixturevalue(cohort)
     ds = build_dataset(records, store, feature_set(set_id))
+    labeling = label_samples(records)
     names, rows, y, times, events, lesion_ids = bf_dataset(
-        records, label_samples(records).samples, bf_vectors(store.names, store.keys, store.values),
-        FEATURE_SETS[set_id])
-    assert ds.feature_names == names
-    assert np.array_equal(_bits(ds.X), _bits(rows))  # bit for bit
-    assert ds.X.flags.c_contiguous  # reductions over X round by its layout
-    assert ds.y.tolist() == y and ds.events.tolist() == events
-    assert np.array_equal(_bits(ds.times), _bits(times))
-    assert ds.lesion_ids == lesion_ids
+        records, labeling.samples, bf_vectors(store.names, store.keys, store.values), FEATURE_SETS[set_id])
+    # the same set taken from one call over every set, and from one over some sets out of order
+    together = [build_datasets(records, store, [feature_set(s) for s in order])[order.index(set_id)]
+                for order in (sorted(FEATURE_SETS), (5, 1, 7)) if set_id in order]
+    for got in [ds, *together]:
+        assert got.set_id == set_id and got.feature_names == names
+        assert np.array_equal(_bits(got.X), _bits(rows))  # bit for bit
+        assert got.X.flags.c_contiguous  # reductions over X round by its layout
+        assert got.y.tolist() == y and got.events.tolist() == events
+        assert np.array_equal(_bits(got.times), _bits(times))
+        assert got.lesion_ids == lesion_ids
+        assert got.column_blocks == ds.column_blocks
+        assert got.km_censored == ds.km_censored and got.excluded_lesions == ds.excluded_lesions
+    excluded = [r.lesion_id for r in records if r.planning_ct is None and "planning_ct" in FEATURE_SETS[set_id]]
+    assert ds.excluded_lesions == excluded and not set(excluded) & set(lesion_ids)
+    assert ds.km_censored == [p for p in labeling.km_censored if p.lesion_id not in excluded]
     if cohort == "ct_missing_cohort" and "planning_ct" in FEATURE_SETS[set_id]:
-        assert ds.excluded_lesions and not set(ds.excluded_lesions) & set(lesion_ids)
+        assert ds.excluded_lesions
 
 
 def _without(store, drop):
     keep = [k for k, key in enumerate(store.keys) if key not in drop]
     return FeatureStore(store.names, [store.keys[k] for k in keep], store.values[keep])
+
+
+def _planned_on_first_followup(records, store, lesion_id):
+    """The cohort and its store with the lesion's planning images dated on its first follow-up."""
+    rec = next(r for r in records if r.lesion_id == lesion_id)
+    day = rec.followups[0].date
+    keys = [(lid, role, day.isoformat() if lid == lesion_id and role != "followup" else date)
+            for lid, role, date in store.keys]
+    moved = [dataclasses.replace(r, planning_date=day) if r is rec else r for r in records]
+    return moved, FeatureStore(store.names, keys, store.values)
 
 
 def test_build_dataset_errors(ct_missing_cohort):
@@ -298,17 +318,39 @@ def test_build_dataset_errors(ct_missing_cohort):
     with pytest.raises(DataError, match=rf"^\[assemble {with_ct.lesion_id}/.*requires the planning_ct block"):
         build_dataset(records, no_ct, feature_set(5))
     assert build_dataset(records, no_ct, feature_set(4)).n_samples > 0
+    with pytest.raises(DataError, match=rf"^\[assemble {with_ct.lesion_id}/.*set 5 requires the planning_ct"):
+        build_datasets(records, no_ct, [feature_set(4), feature_set(5)])
     only_missing_ct = [r for r in records if r.planning_ct is None]
     with pytest.raises(DataError, match="no usable samples"):
         build_dataset(only_missing_ct, store, feature_set(5))
+    with pytest.raises(DataError, match="no usable samples"):
+        build_datasets(only_missing_ct, store, [feature_set(5)])
+    assert build_datasets(only_missing_ct, store, [feature_set(1)])[0].n_samples > 0
     # a non-finite value names the first sample and the column that hold one
     nan_store = FeatureStore(store.names, store.keys, store.values.copy())
     nan_store.values[store.keys.index(fu_key), 3] = np.nan
     fu_date = with_ct.followups[0].date
-    with pytest.raises(DataError, match=rf"^\[assemble {with_ct.lesion_id}/{fu_date}\] non-finite value nan "
-                                        rf"in column {BLOCK_TAGS['followup_mr']}-{store.names[3]}$"):
+    nan_error = (rf"^\[assemble {with_ct.lesion_id}/{fu_date}\] non-finite value nan "
+                 rf"in column {BLOCK_TAGS['followup_mr']}-{store.names[3]}$")
+    with pytest.raises(DataError, match=nan_error):
         build_dataset(records, nan_store, feature_set(2))
     assert build_dataset(records, nan_store, feature_set(1)).n_samples > 0  # the column is not in set 1
+    # several sets raise the error of the first one, in the order given, that fails alone
+    with pytest.raises(DataError, match=nan_error):
+        build_datasets(records, nan_store, [feature_set(1), feature_set(2)])
+    assert build_datasets(records, nan_store, [feature_set(1)])[0].n_samples > 0
+    nan_no_ct = _without(nan_store, {ct_key})
+    with pytest.raises(DataError, match=nan_error):
+        build_datasets(records, nan_no_ct, [feature_set(2), feature_set(5)])
+    with pytest.raises(DataError, match="set 5 requires the planning_ct block"):
+        build_datasets(records, nan_no_ct, [feature_set(5), feature_set(2)])
+    # a follow-up on the planning day has no elapsed days: only a set that keeps it with the delta block fails
+    for rec in (with_ct, next(r for r in records if r.planning_ct is None)):
+        same_day, same_day_store = _planned_on_first_followup(records, store, rec.lesion_id)
+        assert build_dataset(same_day, same_day_store, feature_set(2)).n_samples > 0
+        with pytest.raises(DataError, match="elapsed days must be > 0, got 0"):
+            build_datasets(same_day, same_day_store, [feature_set(2), feature_set(3)])
+    assert build_datasets(same_day, same_day_store, [feature_set(7)])[0].n_samples > 0  # the lesion has no CT
 
 
 def test_risk_split_report_and_files(small_cohort, tmp_path):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +65,6 @@ class TrainedModel:
     config: ClassifierConfig
     kkt_residual: float = 0.0
     epochs_run: int = 0
-    training_scores: np.ndarray | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -247,7 +246,7 @@ def fit(X, y, names: list[str], cfg: ClassifierConfig = ClassifierConfig()) -> T
     Z = ypm[:, None] * Xa
     w, residual, iterations = _solve_dual(Z, upper, cfg.max_epochs, cfg.tol)
 
-    model = TrainedModel(
+    return TrainedModel(
         feature_names=list(names),
         mu=mu,
         sigma=sigma,
@@ -259,8 +258,6 @@ def fit(X, y, names: list[str], cfg: ClassifierConfig = ClassifierConfig()) -> T
         kkt_residual=residual,
         epochs_run=iterations,
     )
-    model.training_scores = Xs @ model.w + model.b
-    return model
 
 
 def decision_scores(model: TrainedModel, X, names: list[str] | None = None) -> np.ndarray:

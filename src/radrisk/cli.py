@@ -33,7 +33,7 @@ from .evaluation import (
     roc_curve,
     write_risk_split,
 )
-from .features import ExtractionConfig
+from .features import ExtractionConfig, feature_names
 from .featurestore import FeatureStore, read_features_csv, write_features_csv
 from .pipeline import NormalizationConfig, build_dataset, build_datasets, extract_cohort, image_jobs
 from .selection import correlation_report, mrmr_select, selection_cap
@@ -297,12 +297,11 @@ def extract(manifest, out_dir, force, threads, **values):
     """Extract per-image radiomic features into features.csv (+ its binary sidecar and features.json)."""
     manifest_path, out = _paths(manifest, out_dir)
     records = load_manifest(manifest_path)
-    job_keys = [job[:3] for job in image_jobs(records)]
     settings, ext_cfg, norm_cfg = _extraction(values)
 
     csv_path = _made(out) / "features.csv"
     comment = _comment({"manifest": str(manifest_path), **settings})
-    existing = _resumable_rows(csv_path, settings) if csv_path.exists() and not force else None
+    reuse = _resumable_rows(csv_path, settings, feature_names(ext_cfg)) if csv_path.exists() and not force else None
 
     failures: list[str] = []
     store = extract_cohort(
@@ -311,30 +310,28 @@ def extract(manifest, out_dir, force, threads, **values):
         norm_cfg,
         base_dir=manifest_path.parent,
         threads=threads,
-        skip_keys=None if existing is None else set(existing.keys),
+        reuse=reuse,
         failures=failures,
     )
-    if existing is not None:
-        store = existing.merged(store)
-    write_features_csv(csv_path, store, job_keys, comment)
-    n_rows = sum(key in store.index for key in job_keys)
+    write_features_csv(csv_path, store, comment)
     sidecar = {
         "format_version": 1,
         "manifest": str(manifest_path),
         "extraction": asdict(ext_cfg) | {"wavelet": settings["wavelet"]},  # "none" as typed
         "normalization": asdict(norm_cfg),
-        "rows": n_rows,
+        "rows": len(store),
         "failures": failures,
     }
     (out / "features.json").write_text(json.dumps(sidecar, indent=2) + "\n")
-    click.echo(f"wrote {n_rows} rows to {csv_path}" + (f" ({len(failures)} failed)" if failures else ""))
+    click.echo(f"wrote {len(store)} rows to {csv_path}" + (f" ({len(failures)} failed)" if failures else ""))
     if failures:
         raise DataError(f"{len(failures)} image(s) failed extraction: {failures[:3]}")
 
 
-def _resumable_rows(path: Path, settings: dict) -> FeatureStore | None:
+def _resumable_rows(path: Path, settings: dict, names: list[str]) -> FeatureStore | None:
     """The rows of an earlier extraction into ``path``, or None when every image must be re-extracted:
-    the table is unreadable, or its ``# config:`` line does not show the same settings."""
+    the table is unreadable, its ``# config:`` line does not show the same settings, or its columns are
+    not ``names``. A table without rows has nothing to check."""
     try:
         store = read_features_csv(path)
     except DataError as exc:
@@ -349,6 +346,10 @@ def _resumable_rows(path: Path, settings: dict) -> FeatureStore | None:
     if not isinstance(previous, dict) or any(previous.get(key) != value for key, value in settings.items()):
         log.warning("%s was extracted with other settings, re-extracting every image: found %r, now %s",
                     path, line.strip(), json.dumps(settings, sort_keys=True))
+        return None
+    if store.keys and store.names != names:
+        log.warning("%s does not have the %d feature columns of these settings, re-extracting every image",
+                    path, len(names))
         return None
     return store
 
@@ -494,13 +495,14 @@ def run(ctx, config_path, **params):
     comment = _comment(config)
 
     records = load_manifest(manifest_path)
-    _made(out)
     if merged["features_path"]:
         store = read_features_csv(merged["features_path"])
+        _made(out)
     else:
+        csv_path = _made(out) / "features.csv"  # before the extraction, so that a bad --out fails first
         store = extract_cohort(records, ext_cfg, norm_cfg, base_dir=manifest_path.parent,
                                threads=merged["threads"])
-        write_features_csv(out / "features.csv", store, [job[:3] for job in image_jobs(records)], comment)
+        write_features_csv(csv_path, store, comment)
 
     specs = [feature_set(set_id) for set_id in set_ids]
     datasets = dict(zip(set_ids, build_datasets(records, store, specs, merged["horizon_days"])))

@@ -7,9 +7,10 @@ tag of a block (``Plan-mr`` ...) is attached where a feature set is assembled,
 so a single dense header serves MR and CT rows alike.
 
 CSV layout: the key columns followed by the feature columns, one row per
-image, with csv quoting where a key needs it. Lines starting with ``#``
-before the header carry the embedded run configuration and are skipped on
-read. Floats round-trip exactly via ``repr``.
+image in store order, with csv quoting where a key needs it; a store without
+rows writes the key columns alone. Lines starting with ``#`` before the
+header carry the embedded run configuration and are skipped on read. Floats
+round-trip exactly via ``repr``.
 
 Binary sidecar: next to ``features.csv`` the writer puts ``features.csv.npy``,
 four consecutive ``np.save`` records: the CSV's CRC-32 and byte length, the
@@ -73,38 +74,22 @@ class FeatureStore:
         """Row index of each key, -1 where the store has no such image."""
         return np.array([self.index.get(key, -1) for key in keys], dtype=np.intp)
 
-    def merged(self, newer: FeatureStore) -> FeatureStore:
-        """This store with ``newer``'s rows added; ``newer`` wins on a shared key."""
-        if not newer.keys:
-            return self
-        if not self.keys:
-            return newer
-        if newer.names != self.names:
-            raise DataError(f"inconsistent feature columns for {newer.keys[0]}")
-        keep = [k for k, key in enumerate(self.keys) if key not in newer.index]
-        return FeatureStore(
-            self.names,
-            [self.keys[k] for k in keep] + newer.keys,
-            np.concatenate([self.values[keep], newer.values]),
-        )
-
 
 def _first_duplicate(items: list):
     return next(item for item, count in Counter(items).items() if count > 1)
 
 
-def write_features_csv(path: str | Path, store: FeatureStore, job_keys: list, config_comment: str) -> Path:
-    """Write the store's rows in the given key order (deterministic bytes), and the binary sidecar."""
+def write_features_csv(path: str | Path, store: FeatureStore, config_comment: str) -> Path:
+    """Write the store's rows in store order (deterministic bytes), and the binary sidecar."""
     path = Path(path)
-    rows = store.rows([key for key in job_keys if key in store.index])
-    names, values = (store.names, store.values[rows]) if rows.size else ([], np.empty((0, 0)))
+    names, values = (store.names, store.values) if store.keys else ([], np.empty((0, 0)))
     with path.open("w", newline="") as fh:
         fh.write(f"# {config_comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(KEY_COLUMNS + tuple(names))
         # .tolist() gives Python floats, which csv writes as their repr
-        writer.writerows(list(store.keys[k]) + v for k, v in zip(rows.tolist(), values.tolist()))
-    keys = np.array([store.keys[k] for k in rows.tolist()], dtype=str).reshape(len(rows), len(KEY_COLUMNS))
+        writer.writerows(list(key) + row for key, row in zip(store.keys, values.tolist()))
+    keys = np.array(store.keys, dtype=str).reshape(len(store), len(KEY_COLUMNS))
     with _sidecar(path).open("wb") as fh:
         np.save(fh, _digest(path))
         np.save(fh, np.array(names, dtype=str))

@@ -1,7 +1,9 @@
 """Glue between cohort records, feature extraction, and evaluation.
 
 ``extract_cohort`` normalizes and extracts every image of every lesion into a
-feature store keyed by (lesion_id, role, date). ``build_datasets`` labels the
+feature store keyed by (lesion_id, role, date), one row per image in
+``image_jobs`` order; a resumed extraction reuses the rows of an earlier store
+and extracts only the images it lacks. ``build_datasets`` labels the
 follow-ups once, computes delta features against the planning MRI, and returns
 one matrix-shaped dataset per requested feature set, ready for
 cross-validation; ``build_dataset`` does the same for one set.
@@ -86,24 +88,31 @@ def extract_cohort(
     normalization: NormalizationConfig = NormalizationConfig(),
     base_dir: Path | None = None,
     threads: int = 1,
-    skip_keys: set | None = None,
+    reuse: FeatureStore | None = None,
     failures: list[str] | None = None,
 ) -> FeatureStore:
-    """Extract the full feature vector of every cohort image.
+    """Extract the full feature vector of every cohort image, one row per image in ``image_jobs`` order.
 
-    ``skip_keys`` supports resumable extraction: jobs whose (lesion, role,
-    date) key is listed are not recomputed. When ``failures`` is given,
-    per-image errors are logged and collected there in job order instead of
-    raised, and the failing rows are omitted. The result, the failures
-    included, is deterministic and independent of ``threads``.
+    ``reuse`` supports resumable extraction: a job whose (lesion, role, date)
+    key it holds takes that row as it is, without loading the image; its rows
+    of images not in ``records`` are dropped. A ``reuse`` with rows whose
+    names are not ``feature_names(extraction)`` raises ``DataError``. When
+    ``failures`` is given, per-image errors are logged and collected there in
+    job order instead of raised, and the failing rows are omitted. The result,
+    the failures included, is deterministic and independent of ``threads``.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    jobs = [job for job in image_jobs(records) if not (skip_keys and job[:3] in skip_keys)]
+    names = feature_names(extraction)
+    if reuse is not None and reuse.keys and reuse.names != names:
+        raise DataError(f"inconsistent feature columns for {reuse.keys[0]}")
+    jobs = list(image_jobs(records))
 
     def run(job):
         """The image's feature row, or its failure message when ``failures`` collects them."""
         lesion_id, role, date_iso, source = job
+        if reuse is not None and job[:3] in reuse.index:
+            return reuse.values[reuse.index[job[:3]]]
         try:
             img, mask = source.load(base_dir)
             img = normalize_volume(img, role, normalization)
@@ -121,7 +130,7 @@ def extract_cohort(
             failures.append(result)
         else:
             done.append((job[:3], result))
-    return FeatureStore(feature_names(extraction), [key for key, _ in done], np.array([row for _, row in done]))
+    return FeatureStore(names, [key for key, _ in done], np.array([row for _, row in done]))
 
 
 @dataclass

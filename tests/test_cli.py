@@ -47,10 +47,23 @@ def test_extract_outputs_and_rerun_identical(cohort_dir):
     sidecar = json.loads((cohort_dir / "features.json").read_text())
     assert sidecar["rows"] == 48  # 12 lesions x (plan mr + plan ct + 2 followups)
     first = csv_path.read_bytes()
-    code = main(["extract", "--manifest", str(cohort_dir / "manifest.json"),
-                 "--out", str(cohort_dir), "--ng", "8", "--wavelet", "haar"])
-    assert code == 0
+    argv = ["extract", "--manifest", str(cohort_dir / "manifest.json"), "--out", str(cohort_dir),
+            "--ng", "8", "--wavelet", "haar"]
+    assert main(argv) == 0
     assert csv_path.read_bytes() == first  # resume path rewrites identical bytes
+
+    # rows in another order, and a row of an image the manifest does not hold: the rows come in manifest order
+    config, header, *rows = first.decode().splitlines()
+    shuffled = [rows[k] for k in np.random.default_rng(0).permutation(len(rows))]
+    foreign = "L-gone" + rows[0][rows[0].index(","):]
+    csv_path.write_text("\n".join([config, header, *shuffled, foreign]) + "\n")
+    assert main(argv) == 0
+    assert csv_path.read_bytes() == first
+
+    # a header-only table, as an empty manifest writes it: every image is extracted
+    csv_path.write_text(f"{config}\nlesion_id,role,date\n")
+    assert main(argv) == 0
+    assert csv_path.read_bytes() == first
 
 
 def test_extract_empty_manifest_header_only(tmp_path):
@@ -89,6 +102,25 @@ def test_extract_warns_when_it_discards_an_unreadable_table(cohort_dir, tmp_path
     warnings = [m for m in caplog.messages if "unreadable" in m]
     assert len(warnings) == 1 and str(out / "features.csv") in warnings[0] and "bad value" in warnings[0]
     assert json.loads((out / "features.json").read_text())["rows"] == 48  # every image re-extracted
+
+
+@pytest.mark.parametrize("rows_kept", ["all", "all-but-one"])
+def test_extract_reextracts_a_table_with_other_feature_columns(cohort_dir, tmp_path, caplog, rows_kept):
+    # the last feature column deleted, its config line intact
+    config, *lines = (cohort_dir / "features.csv").read_text().splitlines()
+    lines = [line[: line.rindex(",")] for line in lines]
+    if rows_kept == "all-but-one":
+        del lines[5]
+    out = tmp_path / "ext"
+    out.mkdir()
+    (out / "features.csv").write_text("\n".join([config, *lines]) + "\n")
+    with caplog.at_level("WARNING"):
+        assert main(["extract", "--manifest", str(cohort_dir / "manifest.json"), "--out", str(out),
+                     "--ng", "8", "--wavelet", "haar"]) == 0
+    warnings = [m for m in caplog.messages if "feature columns" in m]
+    assert len(warnings) == 1 and str(out / "features.csv") in warnings[0]
+    for name in ("features.csv", "features.csv.npy"):  # every image extracted again
+        assert (out / name).read_bytes() == (cohort_dir / name).read_bytes()
 
 
 def _data_lines(csv_path: Path) -> list[str]:
@@ -203,7 +235,7 @@ def test_non_finite_feature_value_is_a_data_error(cohort_dir, tmp_path, capsys, 
     values = store.values.copy()
     values[store.keys.index((sample.lesion_id, ROLE_FOLLOWUP, sample.imaging_date.isoformat())), 0] = np.nan
     features = write_features_csv(tmp_path / "features.csv", FeatureStore(store.names, store.keys, values),
-                                  store.keys, "config: {}")
+                                  "config: {}")
     argv = [command, "--manifest", str(manifest), "--features", str(features), "--out", str(tmp_path / "out")]
     argv += {"run": ["--sets", "2", "--repeats", "2"], "evaluate": ["--set", "2", "--repeats", "2"]}.get(
         command, ["--set", "2"])
@@ -659,8 +691,9 @@ def test_non_utf8_input_files_end_in_their_exit_code(cohort_dir, tmp_path, caplo
     (["synth", "--lesions", "2", "--out", "{file}"], 2),
     (["run", "--manifest", "{dir}", "--features", "{features}", "--out", "{out}"], 3),
     (["evaluate", "--manifest", "{dir}", "--features", "{features}", "--out", "{out}"], 3),
+    (["run", "--manifest", "{manifest}", "--features", "{dir}", "--out", "{out}"], 3),
 ], ids=["km-manifest", "extract-manifest", "select-manifest", "run-config", "km-out", "run-out", "synth-out",
-        "run-manifest", "evaluate-manifest"])
+        "run-manifest", "evaluate-manifest", "run-features"])
 def test_paths_of_the_wrong_kind_end_in_their_exit_code(cohort_dir, tmp_path, capsys, argv, code):
     # a directory where a file is read, or a file where the output directory goes
     paths = {"dir": tmp_path / "a-dir", "file": tmp_path / "a-file", "out": tmp_path / "out",

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import radrisk.features.extract as extract_module
-from radrisk import SUBBAND_LABELS, RoiMask, VolumeImage, decompose, featurestore, get_bank
+from radrisk import (
+    SUBBAND_LABELS, RoiMask, VolumeImage, decompose, extract_cohort, featurestore, get_bank, pipeline, synth_cohort,
+)
 from radrisk.errors import ConfigError, DataError, NumericalError
 from radrisk.features import (
     GLCM_FEATURES,
@@ -20,6 +22,7 @@ from radrisk.features import (
 )
 from radrisk.features.texture import texture_rows
 from radrisk.featurestore import FeatureStore, read_features_csv, write_features_csv
+from radrisk.synth import EffectConfig, SynthConfig
 
 
 @pytest.fixture(scope="module")
@@ -136,8 +139,8 @@ def _sidecar(path):
 READ_PATHS = pytest.mark.parametrize("read_path", ["sidecar", "text"])
 
 
-def _written(tmp_path, store, keys, read_path):
-    path = write_features_csv(tmp_path / "f.csv", store, keys, "config: {}")
+def _written(tmp_path, store, read_path):
+    path = write_features_csv(tmp_path / "f.csv", store, "config: {}")
     assert _sidecar(path).is_file()
     if read_path == "text":
         _sidecar(path).unlink()
@@ -152,7 +155,7 @@ def test_feature_csv_roundtrip(tmp_path, pair, read_path):
             ("L1", "planning_ct", "2009-10-01")]
     rows = [extract_all(img, mask, cfg) for _ in keys]
     store = FeatureStore(feature_names(cfg), keys, np.array(rows))
-    path = _written(tmp_path, store, store.keys, read_path)
+    path = _written(tmp_path, store, read_path)
     back = read_features_csv(path)
     assert back.keys == keys and back.names == feature_names(cfg)
     for row, back_row in zip(rows, back.values.tolist()):
@@ -169,7 +172,7 @@ def test_feature_csv_quotes_keys(tmp_path, read_path):
     keys = [("P,0001-L1", "followup", "2010-01-01"), ('P"2-L1', "planning_mr", "2009-10-01"),
             ("#3,\n", "planning_ct", "2009-10-01"), ("P4-L1", "followup", "2010-02-01")]
     store = _store(keys)
-    path = _written(tmp_path, store, keys, read_path)
+    path = _written(tmp_path, store, read_path)
     lines = path.read_text().splitlines()
     assert lines[-1].startswith("P4-L1,followup,2010-02-01,")  # plain ids keep their bytes
     back = read_features_csv(path)
@@ -188,7 +191,8 @@ def test_feature_csv_sidecar_read_equals_the_text_parse(tmp_path, monkeypatch, k
     with np.errstate(invalid="ignore"):
         store.values[0] = [-0.0, 0.0 * np.inf]  # a NaN with its sign bit set, written as "nan"
     store.values[1] = [np.inf, 5e-324]
-    path = write_features_csv(tmp_path / "f.csv", store, keys, "config: {}")
+    store = FeatureStore(store.names, keys, store.values[: len(keys)])  # header-only: a store without rows
+    path = write_features_csv(tmp_path / "f.csv", store, "config: {}")
     listing = sorted(tmp_path.iterdir())
     with monkeypatch.context() as patch:
         patch.setattr(featurestore, "_read_store", None)  # the sidecar serves the read alone
@@ -203,7 +207,7 @@ def test_feature_csv_sidecar_read_equals_the_text_parse(tmp_path, monkeypatch, k
 
 def test_feature_csv_text_parse_wins_over_a_sidecar_that_does_not_match(tmp_path):
     keys = [("L1", "followup", "2010-01-01"), ("L2", "followup", "2010-01-01")]
-    path = write_features_csv(tmp_path / "f.csv", _store(keys), keys, "config: {}")
+    path = write_features_csv(tmp_path / "f.csv", _store(keys), "config: {}")
     sidecar = _sidecar(path).read_bytes()
 
     # the CSV edited after writing: the edited value is read
@@ -233,10 +237,26 @@ def test_feature_csv_text_parse_wins_over_a_sidecar_that_does_not_match(tmp_path
         read_features_csv(path)
 
 
-def test_feature_csv_sidecar_store_that_fails_validation_falls_back(tmp_path):
-    keys = [("L1", "followup", "2010-01-01"), ("L1", "followup", "2010-01-01")]
-    path = write_features_csv(tmp_path / "f.csv", _store(keys[:1]), keys, "config: {}")
-    assert len(path.read_text().splitlines()) == 4  # the duplicated job key wrote one row twice
+def _planted(path, keys):
+    """A table of ``keys`` and a sidecar that matches it, both written by hand: the writer writes only
+    a valid store."""
+    path.write_text("".join(["# config: {}\nlesion_id,role,date,original-shape-Volume\n",
+                             *(f"{','.join(key)},1.5\n" for key in keys)]))
+    with _sidecar(path).open("wb") as fh:
+        np.save(fh, featurestore._digest(path))
+        np.save(fh, np.array(["original-shape-Volume"]))
+        np.save(fh, np.array(keys, dtype=str))
+        np.save(fh, np.full((len(keys), 1), 1.5))
+    return path
+
+
+def test_feature_csv_sidecar_store_that_fails_validation_falls_back(tmp_path, monkeypatch):
+    keys = [("L1", "followup", "2010-01-01"), ("L2", "followup", "2010-01-01")]
+    with monkeypatch.context() as patch:
+        patch.setattr(featurestore, "_read_store", None)  # a planted sidecar of a valid store is read
+        back = read_features_csv(_planted(tmp_path / "f.csv", keys))
+    assert _same_store(back, FeatureStore(["original-shape-Volume"], keys, np.full((2, 1), 1.5)))
+    path = _planted(tmp_path / "f.csv", [keys[0], keys[0]])
     with pytest.raises(DataError, match="duplicate row"):  # the text parse names the fault
         read_features_csv(path)
 
@@ -258,16 +278,38 @@ def test_feature_csv_refuses_ambiguous_tables(tmp_path, header, rows, match):
         read_features_csv(path)
 
 
-def test_feature_store_merge_and_columns():
-    old = _store([("L1", "followup", "2010-01-01"), ("L2", "followup", "2010-01-01")])
-    new = _store([("L2", "followup", "2010-01-01"), ("L3", "followup", "2010-01-01")])
-    merged = old.merged(new)
-    assert merged.keys == [("L1", "followup", "2010-01-01")] + new.keys
-    assert merged.values[1:].tolist() == new.values.tolist()
+def test_extract_cohort_reuses_rows_in_job_order(monkeypatch):
+    records = synth_cohort(seed=3, n_lesions=3, effect=EffectConfig(), config=SynthConfig())
+    config = ExtractionConfig(n_bins=8, wavelet=None)
+    jobs = list(pipeline.image_jobs(records))
+    fresh = extract_cohort(records, config)
+    assert fresh.keys == [job[:3] for job in jobs]
+
+    # an earlier table: every other image in reverse order, marked by its sign, and an image since removed
+    picked = fresh.keys[::-2]
+    marked = -fresh.values[fresh.rows(picked)]
+    gone = ("L-gone", "followup", "2010-01-01")
+    reuse = FeatureStore(fresh.names, [*picked, gone], np.vstack([marked, np.ones(len(fresh.names))]))
+    reused_voxels = [source.load()[0].voxels for *key, source in jobs if tuple(key) in picked]
+    normalize = pipeline.normalize_volume
+
+    def refuse_reused(img, role, cfg):
+        assert not any(np.array_equal(img.voxels, voxels) for voxels in reused_voxels), "a reused image was loaded"
+        return normalize(img, role, cfg)
+
+    monkeypatch.setattr(pipeline, "normalize_volume", refuse_reused)
+    expected = fresh.values.copy()
+    expected[fresh.rows(picked)] = marked
+    for threads in (1, 3):
+        store = extract_cohort(records, config, threads=threads, reuse=reuse)
+        assert store.keys == fresh.keys  # job order, without the removed image
+        assert store.values.tobytes() == expected.tobytes()
     with pytest.raises(DataError, match="inconsistent feature columns"):
-        old.merged(_store(new.keys, names=("original-shape-Volume",)))
-    with pytest.raises(DataError, match="inconsistent feature columns"):
-        old.merged(_store(new.keys, names=("original-shape-Volume", "wavelet-LLH-firstorder-Mean")))
+        extract_cohort(records, config, reuse=FeatureStore(fresh.names[::-1], picked, marked[:, ::-1]))
+    monkeypatch.setattr(pipeline, "normalize_volume", normalize)
+    # a header-only table holds no rows and no names: nothing is reused
+    header_only = extract_cohort(records, config, reuse=FeatureStore([], [], np.empty((0, 0))))
+    assert header_only.keys == fresh.keys and header_only.values.tobytes() == fresh.values.tobytes()
 
 
 def full_volume_reference(img, mask, cfg):

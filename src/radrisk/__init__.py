@@ -49,7 +49,6 @@ from .classifier import ClassifierConfig, TrainedModel, decision_scores, fit, lo
 from .evaluation import (
     CvConfig,
     CvReport,
-    SelectionConfig,
     SurvivalCurve,
     auc,
     kaplan_meier,
@@ -57,6 +56,7 @@ from .evaluation import (
     monte_carlo_cv,
     risk_split_report,
     roc_curve,
+    select_features,
 )
 from .pipeline import Dataset, NormalizationConfig, build_dataset, extract_cohort
 from .synth import EffectConfig, SynthConfig, synth_cohort

@@ -25,18 +25,18 @@ from .cohort import BLOCK_TITLES, feature_set, load_manifest, label_samples, man
 from .errors import ConfigError, DataError, RadriskError
 from .evaluation import (
     CvConfig,
-    SelectionConfig,
     curve_csv,
     kaplan_meier,
     monte_carlo_cv,
     risk_split_report,
     roc_curve,
+    select_features,
     write_risk_split,
 )
 from .features import ExtractionConfig, feature_names
 from .featurestore import FeatureStore, read_features_csv, write_features_csv
 from .pipeline import NormalizationConfig, build_dataset, build_datasets, extract_cohort, image_jobs
-from .selection import correlation_report, mrmr_select, selection_cap
+from .selection import correlation_report
 from .svgplot import km_plot, roc_plot
 from .synth import EffectConfig, SynthConfig, synth_cohort
 from .volume import VolumeImage, write_volume
@@ -77,6 +77,8 @@ def _parse_sets(text: str) -> tuple[int, ...]:
                 a, b = (int(end) for end in part.split("-", 1))
                 if not (1 <= a <= 7 and 1 <= b <= 7):  # before the range is expanded
                     raise bad
+                if a > b:
+                    raise ConfigError(f"feature set range {part!r} is reversed, write it as '{b}-{a}'")
                 out.extend(range(a, b + 1))
             elif part:
                 out.append(int(part))
@@ -202,20 +204,20 @@ def _classifier(values: dict) -> clf.ClassifierConfig:
 
 
 def _cv_setup(manifest_path: Path, sets, values: dict, settings: dict):
-    """The configuration of a CV run as its artifacts echo it, then the CV, selection and classifier
-    configs that the parameter ``values`` select. The echo holds the extraction ``settings``
+    """The configuration of a CV run as its artifacts echo it, then the CV and classifier configs
+    that the parameter ``values`` select. The echo holds the extraction ``settings``
     (:func:`_extraction`, or none) after the sets. A command builds these before any extraction or
     table read, so a bad setting exits 2 before any work is done."""
     cv = CvConfig(repeats=values["repeats"], test_frac=values["test_frac"], seed=values["seed"],
-                  threads=values["threads"])
-    selection = SelectionConfig(per_samples=values["per_samples"], per_fold=not values["global_selection"])
+                  threads=values["threads"], per_samples=values["per_samples"],
+                  per_fold=not values["global_selection"])
     classifier = _classifier(values)
     echo = {
         "manifest": str(manifest_path),
         "sets": list(sets),
         **settings,
-        "per_samples": selection.per_samples,
-        "per_fold": selection.per_fold,
+        "per_samples": cv.per_samples,
+        "per_fold": cv.per_fold,
         "C": classifier.C,
         "sensitivity_weight": classifier.sensitivity_weight,
         "threshold": classifier.threshold,
@@ -224,7 +226,7 @@ def _cv_setup(manifest_path: Path, sets, values: dict, settings: dict):
         "seed": cv.seed,
         "horizon_days": values["horizon_days"],
     }
-    return echo, cv, selection, classifier
+    return echo, cv, classifier
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +365,6 @@ def _dataset_from_files(manifest_path, features_path, set_id, horizon_days):
     return build_dataset(records, read_features_csv(features_path), feature_set(set_id), horizon_days)
 
 
-def _full_cohort_selection(dataset):
-    """The selection cap of the whole cohort, and MRMR's pick at that cap."""
-    cap = selection_cap(dataset.n_samples)
-    return cap, mrmr_select(dataset.X, dataset.y, cap, dataset.feature_names)
-
-
 def _write_correlation_tables(dataset, out: Path, comment: str, top: int = 10) -> None:
     """One ``table2_<block>.csv`` per Table 1 block of the set: its ``top`` columns by |r| with the
     label, ties broken by name."""
@@ -393,12 +389,12 @@ def select(manifest, features_path, set_id, horizon_days, out_dir):
     """One-shot MRMR selection on the full assembled matrix (+ ranked correlations)."""
     manifest_path, out = _paths(manifest, out_dir)
     dataset = _dataset_from_files(manifest_path, features_path, set_id, horizon_days)
-    cap, result = _full_cohort_selection(dataset)
-    comment = f"select set={set_id} cap={cap} horizon={horizon_days}"
+    result = select_features(dataset)
+    comment = f"select set={set_id} cap={result.cap} horizon={horizon_days}"
     payload = {"set_id": set_id, "n_samples": dataset.n_samples, **result.to_dict()}
     (_made(out) / "selection.json").write_text(json.dumps(payload, indent=2) + "\n")
     _write_correlation_tables(dataset, out, comment)
-    click.echo(f"selected {len(result.selected)}/{cap} features from set {set_id}")
+    click.echo(f"selected {len(result.selected)}/{result.cap} features from set {set_id}")
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +410,7 @@ def train(manifest, features_path, set_id, horizon_days, out_dir, **values):
     manifest_path, out = _paths(manifest, out_dir)
     cfg = _classifier(values)
     dataset = _dataset_from_files(manifest_path, features_path, set_id, horizon_days)
-    _, selection = _full_cohort_selection(dataset)
+    selection = select_features(dataset)
     cols = selection.indices
     model = clf.fit(dataset.X[:, cols], dataset.y, selection.selected, cfg)
     model.save(_made(out) / "model.json")

@@ -1,7 +1,7 @@
 """Evaluation: ROC/AUC, Monte-Carlo cross-validation, survival statistics,
 and the predicted-risk split report."""
 
-from .cv import CvConfig, CvReport, SelectionConfig, monte_carlo_cv
+from .cv import CvConfig, CvReport, monte_carlo_cv, select_features
 from .report import (
     RiskSplitReport,
     curve_csv,
@@ -24,8 +24,8 @@ from .survival import (
 __all__ = [
     "CvConfig",
     "CvReport",
-    "SelectionConfig",
     "monte_carlo_cv",
+    "select_features",
     "RiskSplitReport",
     "curve_csv",
     "format_confusion",

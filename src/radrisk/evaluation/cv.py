@@ -9,9 +9,11 @@ leakage guard (count of lesions straddling train/test, asserted zero), how many
 classifier fits did not reach the KKT tolerance, the largest KKT residual of
 any fit, and the largest number of solver iterations any fit took.
 
-A repeat does not copy its folds: selection gathers the training rows into
-the one matrix it centers, and the fit and the test scores read only the
-picked columns of their rows.
+A repeat does not copy its folds: :func:`select_features`, the one selection
+step that the global (leaky) selection and the ``select`` and ``train``
+commands share, takes the fold's rows of ``X`` and ``y`` into the one matrix it
+centers, and the fit and the test scores read only the picked columns of their
+rows.
 """
 
 from __future__ import annotations
@@ -33,21 +35,13 @@ MAX_SPLIT_RETRIES = 100
 
 
 @dataclass(frozen=True)
-class SelectionConfig:
-    per_samples: int = 10  # cap = n_train // per_samples
-    per_fold: bool = True  # False = one global (leaky) selection before CV
-
-    def __post_init__(self):
-        if self.per_samples < 1:
-            raise ConfigError(f"per_samples must be >= 1, got {self.per_samples}")
-
-
-@dataclass(frozen=True)
 class CvConfig:
     repeats: int = 100
     test_frac: float = 1.0 / 3.0
     seed: int = 0
     threads: int = 1
+    per_samples: int = 10  # selection cap = n_train // per_samples
+    per_fold: bool = True  # False = one global (leaky) selection before CV
 
     def __post_init__(self):
         if not 0.0 < self.test_frac < 1.0:
@@ -56,6 +50,8 @@ class CvConfig:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        if self.per_samples < 1:
+            raise ConfigError(f"per_samples must be >= 1, got {self.per_samples}")
 
 
 @dataclass
@@ -128,15 +124,19 @@ def _picked(X, rows, cols):
     return np.asfortranarray(X[np.ix_(rows, cols)])
 
 
-def _one_repeat(
-    dataset: Dataset, lesion_of, flags, seed: int, test_frac: float, sel_cfg: SelectionConfig, clf_cfg,
-    global_selection
-):
+def select_features(dataset: Dataset, per_samples: int = 10, rows=None) -> SelectionResult:
+    """MRMR over the samples in ``rows`` (every sample when None), capped at one feature per
+    ``per_samples`` of them."""
+    n = dataset.n_samples if rows is None else len(rows)
+    return mrmr_select(dataset.X, dataset.y, selection_cap(n, per_samples), dataset.feature_names, rows)
+
+
+def _one_repeat(dataset: Dataset, lesion_of, flags, seed: int, cv_cfg: CvConfig, clf_cfg, global_selection):
     """One split, fit and scoring. Returns the AUC, the test fold's sample indices (ascending) and
     scores, the straddle count, the selected names, the fit's KKT residual and its iterations."""
     rng = np.random.default_rng(seed)
     for attempt in range(MAX_SPLIT_RETRIES):
-        in_test = _split_lesions(flags, test_frac, rng)[lesion_of]
+        in_test = _split_lesions(flags, cv_cfg.test_frac, rng)[lesion_of]
         y_train = dataset.y[~in_test]
         y_test = dataset.y[in_test]
         if len(np.unique(y_train)) == 2 and len(np.unique(y_test)) == 2:
@@ -150,8 +150,7 @@ def _one_repeat(
     if global_selection is not None:
         selection = global_selection
     else:
-        cap = selection_cap(train.size, sel_cfg.per_samples)
-        selection = mrmr_select(dataset.X, y_train, cap, dataset.feature_names, rows=train)
+        selection = select_features(dataset, cv_cfg.per_samples, train)
     cols = selection.indices
     model = clf.fit(_picked(dataset.X, train, cols), y_train, selection.selected, clf_cfg)
     scores = clf.decision_scores(model, _picked(dataset.X, test, cols))
@@ -162,7 +161,6 @@ def _one_repeat(
 def monte_carlo_cv(
     dataset: Dataset,
     cv_cfg: CvConfig = CvConfig(),
-    sel_cfg: SelectionConfig = SelectionConfig(),
     clf_cfg: clf.ClassifierConfig = clf.ClassifierConfig(),
 ) -> CvReport:
     """Repeated lesion-grouped stratified train/test evaluation of one feature set."""
@@ -172,16 +170,13 @@ def monte_carlo_cv(
             f"need >= 2 lesions per class, got {int(flags.sum())} ever-HRM / {int((~flags).sum())} LRM"
         )
 
-    global_selection: SelectionResult | None = None
-    if not sel_cfg.per_fold:
-        cap = selection_cap(dataset.n_samples, sel_cfg.per_samples)
-        global_selection = mrmr_select(dataset.X, dataset.y, cap, dataset.feature_names)
+    global_selection = None if cv_cfg.per_fold else select_features(dataset, cv_cfg.per_samples)
 
     master = np.random.default_rng(cv_cfg.seed)
     repeat_seeds = [int(s) for s in master.integers(0, 2**31 - 1, size=cv_cfg.repeats)]
 
     def job(seed):
-        return _one_repeat(dataset, lesion_of, flags, seed, cv_cfg.test_frac, sel_cfg, clf_cfg, global_selection)
+        return _one_repeat(dataset, lesion_of, flags, seed, cv_cfg, clf_cfg, global_selection)
 
     results = parallel_map(job, repeat_seeds, cv_cfg.threads)
 

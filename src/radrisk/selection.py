@@ -15,9 +15,9 @@ per-block correlation tables (Table 2) take every column's r from one
 ``correlation_report`` over the whole assembled matrix, and each r is the
 relevance that selection reports, bit for bit.
 
-Selection on a cross-validation fold takes the whole matrix and the fold's
-rows: the rows are gathered into one C-ordered copy, which is then centered in
-place, so a fold costs one fold-sized array.
+Selection on a cross-validation fold takes the whole matrix, every row's label
+and the fold's rows: the rows are gathered into one C-ordered copy, which is
+then centered in place, so a fold costs one fold-sized array.
 """
 
 from __future__ import annotations
@@ -84,9 +84,17 @@ def selection_cap(n_samples: int, per: int = 10) -> int:
     return max(1, n_samples // per)
 
 
+def _labels(X: np.ndarray, y) -> np.ndarray:
+    """``y`` as float64, checked to be a vector with one label per row of ``X``."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (len(X),):
+        raise DataError(f"labels must be one per row of the {len(X)}-row matrix, got shape {y.shape}")
+    return y
+
+
 def correlation_report(X: np.ndarray, y) -> np.ndarray:
     """Pearson r of every column of ``X`` with the label ``y``; its magnitude is MRMR's relevance."""
-    return _corr(*_centered(X), np.asarray(y, dtype=np.float64))
+    return _corr(*_centered(X), _labels(X, y))
 
 
 @dataclass(frozen=True)
@@ -115,19 +123,19 @@ class SelectionResult:
 def mrmr_select(X, y, k: int, names: list[str] | None = None, rows=None) -> SelectionResult:
     """Greedy relevance-minus-redundancy selection of at most ``k`` features.
 
-    With ``rows``, an array of sample indices, it selects on ``X[rows]`` (``y``
-    then holds the labels of those rows) without the caller copying them: the
-    one copy is the centered matrix.
+    ``y`` holds one label per row of ``X``. With ``rows``, an array of sample
+    indices, it selects on those rows of both without the caller copying them:
+    the one copy is the centered matrix.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.size == 0:
         raise DataError(f"feature matrix must be nonempty 2D, got shape {X.shape}")
     if k < 1:
         raise ConfigError(f"selection cap must be >= 1, got {k}")
-    n, d = X.shape if rows is None else (len(rows), X.shape[1])
+    y = _labels(X, y) if rows is None else _labels(X, y)[rows]
+    n, d = len(y), X.shape[1]
     if n < 2:
         raise DataError(f"selection needs >= 2 samples, got {n}")
-    y = np.asarray(y, dtype=np.float64)
     if names is None:
         names = [f"f{k:06d}" for k in range(d)]
     if len(names) != d or len(set(names)) != d:
@@ -136,8 +144,6 @@ def mrmr_select(X, y, k: int, names: list[str] | None = None, rows=None) -> Sele
     Xc, norm, constant = _centered(X, rows)
     relevance = np.abs(_corr(Xc, norm, constant, y))
     redundancy_sum = np.zeros(d)
-    # scores read in name order: the first maximum is the smallest name
-    by_name = np.array(sorted(range(d), key=names.__getitem__))
     picked = np.zeros(d, dtype=bool)
     selected: list[int] = []
     trace: list[SelectionStep] = []
@@ -148,7 +154,8 @@ def mrmr_select(X, y, k: int, names: list[str] | None = None, rows=None) -> Sele
             redundancy_sum += np.abs(_corr(Xc, norm, constant, pick))
         redund = redundancy_sum / max(step, 1)
         scores = np.where(picked, -np.inf, relevance - redund)
-        best = int(by_name[np.argmax(scores[by_name])])
+        # a NaN score ranks first, as under np.argmax
+        best = int(min(np.flatnonzero((scores == scores.max()) | np.isnan(scores)), key=names.__getitem__))
         if step and scores[best] <= 0.0:
             break
         selected.append(best)

@@ -490,12 +490,12 @@ def subtracted_centered(X):
     return Xc, norm, constant
 
 
-def copied_fold_repeat(dataset, lesion_of, flags, seed, test_frac, sel_cfg, clf_cfg, global_selection):
+def copied_fold_repeat(dataset, lesion_of, flags, seed, cv_cfg, clf_cfg, global_selection):
     """The first ``cv._one_repeat``: the same split, with both folds copied whole,
     selection on the training copy, and the fit and scores on their picked columns."""
     rng = np.random.default_rng(seed)
     for attempt in range(cv.MAX_SPLIT_RETRIES):
-        in_test = cv._split_lesions(flags, test_frac, rng)[lesion_of]
+        in_test = cv._split_lesions(flags, cv_cfg.test_frac, rng)[lesion_of]
         y_train = dataset.y[~in_test]
         y_test = dataset.y[in_test]
         if len(np.unique(y_train)) == 2 and len(np.unique(y_test)) == 2:
@@ -510,7 +510,7 @@ def copied_fold_repeat(dataset, lesion_of, flags, seed, test_frac, sel_cfg, clf_
     if global_selection is not None:
         selection = global_selection
     else:
-        cap = selection_cap(X_train.shape[0], sel_cfg.per_samples)
+        cap = selection_cap(X_train.shape[0], cv_cfg.per_samples)
         selection = mrmr_select(X_train, y_train, cap, dataset.feature_names)
     cols = selection.indices
     model = classifier.fit(X_train[:, cols], y_train, selection.selected, clf_cfg)

@@ -1,0 +1,35 @@
+import types
+
+import radrisk
+import radrisk.evaluation
+
+# The public names of each package, modules left out. Like CLI_SURFACE in test_cli.py, this pins the
+# importable API, so adding or removing a name is a visible edit here.
+PUBLIC_API = {
+    radrisk: [
+        "ClassifierConfig", "ClinicalData", "ConfigError", "CvConfig", "CvReport", "DataError", "Dataset",
+        "DiscretizedRoi", "EffectConfig", "ExtractionConfig", "FeatureSetSpec", "Followup", "ImageSource",
+        "KmPoint", "LabeledSample", "MetastasisRecord", "NormalizationConfig", "NumericalError",
+        "RadriskError", "RoiMask", "SUBBAND_LABELS", "SelectionResult", "SurvivalCurve", "SynthConfig",
+        "TrainedModel", "VolumeImage", "WaveletBank", "assemble", "auc", "build_dataset", "clinical_features",
+        "correlation_report", "decision_scores", "decompose", "delta_features", "discretize", "extract_all",
+        "extract_cohort", "feature_names", "feature_set", "firstorder_features", "fit", "get_bank",
+        "kaplan_meier", "label_samples", "load_manifest", "load_model", "log_rank", "monte_carlo_cv",
+        "mrmr_select", "pearson", "predict", "read_mask", "read_volume", "reconstruct", "risk_split_report",
+        "roc_curve", "select_features", "selection_cap", "shape_features", "synth_cohort", "texture_features",
+        "white_stripe_stats", "write_volume", "zscore_stats",
+    ],
+    radrisk.evaluation: [
+        "CvConfig", "CvReport", "DAYS_PER_MONTH", "LogRankResult", "RiskSplitReport", "RocCurve",
+        "SurvivalCurve", "auc", "confusion_at", "curve_csv", "days_to_months", "format_confusion",
+        "format_median_split", "format_months", "kaplan_meier", "log_rank", "monte_carlo_cv",
+        "risk_split_report", "roc_curve", "select_features", "write_risk_split",
+    ],
+}
+
+
+def test_public_api_is_locked():
+    for module, names in PUBLIC_API.items():
+        public = sorted(name for name in dir(module)
+                        if not name.startswith("_") and not isinstance(getattr(module, name), types.ModuleType))
+        assert public == names, module.__name__

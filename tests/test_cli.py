@@ -717,6 +717,13 @@ def test_set_ranges_are_bounded_before_they_are_expanded(tmp_path, capsys, sets)
     assert not out.exists()
 
 
+def test_a_reversed_set_range_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--manifest", str(tmp_path / "manifest.json"), "--sets", "7-1", "--out", str(out)]) == 2
+    assert "feature set range '7-1' is reversed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_set_ranges_expand_within_bounds():
     assert _parse_sets("2-4, 7,3-3") == (2, 3, 4, 7)
 

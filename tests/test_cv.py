@@ -7,7 +7,6 @@ import pytest
 from radrisk import (
     ClassifierConfig,
     CvConfig,
-    SelectionConfig,
     build_dataset,
     extract_cohort,
     feature_set,
@@ -126,10 +125,10 @@ def test_split_equals_the_lesion_set_loop(small_cohort):
 def test_cv_tallies_equal_the_per_repeat_loop(small_cohort):
     records, store = small_cohort
     ds = build_dataset(records, store, feature_set(2))
-    cv_cfg, sel_cfg, clf_cfg = CvConfig(repeats=8, seed=13), SelectionConfig(), ClassifierConfig(threshold=0.2)
-    report = monte_carlo_cv(ds, cv_cfg, sel_cfg, clf_cfg)
+    cv_cfg, clf_cfg = CvConfig(repeats=8, seed=13), ClassifierConfig(threshold=0.2)
+    report = monte_carlo_cv(ds, cv_cfg, clf_cfg)
     lesion_of, flags = cv._lesion_table(ds)
-    results = [cv._one_repeat(ds, lesion_of, flags, seed, cv_cfg.test_frac, sel_cfg, clf_cfg, None)
+    results = [cv._one_repeat(ds, lesion_of, flags, seed, cv_cfg, clf_cfg, None)
                for seed in report.repeat_seeds]
     assert [r[0] for r in results] == report.aucs
     oof, counts, confusion = loop_cv_tallies(results, ds.y, clf_cfg.threshold)
@@ -146,13 +145,13 @@ def test_fold_path_equals_the_copied_folds(small_cohort, set_id):
     records, store = small_cohort
     ds = build_dataset(records, store, feature_set(set_id))
     f_ordered = dataclasses.replace(ds, X=np.asfortranarray(ds.X))
-    sel_cfg, clf_cfg = SelectionConfig(), ClassifierConfig()
+    cv_cfg, clf_cfg = CvConfig(), ClassifierConfig()
     for data in (ds, f_ordered):
         lesion_of, flags = cv._lesion_table(data)
-        cap = selection_cap(data.n_samples, sel_cfg.per_samples)
+        cap = selection_cap(data.n_samples, cv_cfg.per_samples)
         for global_selection in (None, mrmr_select(data.X, data.y, cap, data.feature_names)):
             for seed in range(6):
-                args = (data, lesion_of, flags, seed, 1.0 / 3.0, sel_cfg, clf_cfg, global_selection)
+                args = (data, lesion_of, flags, seed, cv_cfg, clf_cfg, global_selection)
                 got, want = cv._one_repeat(*args), copied_fold_repeat(*args)
                 for k in (0, 2, 5):  # AUC, scores, KKT residual
                     assert np.array_equal(_bits(got[k]), _bits(want[k])), (seed, k)
@@ -236,7 +235,7 @@ def test_planted_signal_recovered(small_cohort):
 def test_global_selection_flag(small_cohort):
     records, store = small_cohort
     ds = build_dataset(records, store, feature_set(2))
-    rep = monte_carlo_cv(ds, CvConfig(repeats=3, seed=2), SelectionConfig(per_fold=False))
+    rep = monte_carlo_cv(ds, CvConfig(repeats=3, seed=2, per_fold=False))
     assert len(rep.aucs) == 3
 
 

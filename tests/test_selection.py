@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from radrisk import (
+    CvConfig,
     correlation_report,
     mrmr_select,
     pearson,
     selection_cap,
 )
 from radrisk.errors import ConfigError, DataError
-from radrisk.evaluation.cv import SelectionConfig
 from radrisk.selection import _centered, _corr
 from oracles import bf_corr_elementwise, bf_mrmr, bf_pearson, subtracted_centered
 
@@ -60,7 +60,7 @@ def test_per_samples_below_one_is_a_config_error(per):
     with pytest.raises(ConfigError, match="per_samples"):
         selection_cap(100, per)
     with pytest.raises(ConfigError, match="per_samples"):
-        SelectionConfig(per_samples=per)
+        CvConfig(per_samples=per)
 
 
 def test_label_column_selected_first():
@@ -171,6 +171,20 @@ def test_selection_errors():
         mrmr_select(np.zeros((0, 3)), np.zeros(0), 1)
     with pytest.raises(ConfigError):
         mrmr_select(np.zeros((4, 3)), np.zeros(4), 0)
+
+
+def test_labels_that_do_not_fit_the_matrix_are_refused():
+    # one label per row of X, also with rows: a short constant y once returned a
+    # selection, and the other cases ended in numpy's broadcast error
+    rng = np.random.default_rng(52)
+    X = rng.normal(size=(10, 4))
+    y = np.array([0.0, 1.0] * 5)
+    rows = np.arange(2, 8)
+    for labels, fold in ((np.ones(9), None), (y[:9], None), (y[rows], rows)):
+        with pytest.raises(DataError, match="one per row"):
+            mrmr_select(X, labels, 2, rows=fold)
+    with pytest.raises(DataError, match="one per row"):
+        correlation_report(X, y[:9])
 
 
 def test_correlation_report_ranking():
@@ -284,12 +298,11 @@ def test_rows_select_as_the_gathered_fold():
         rows = np.sort(rng.choice(n, size=int(rng.integers(4, n)), replace=False))
         if trial % 3 == 0:
             rows = rng.permutation(rows)
-        y_rows = y[rows]
-        y_rows[:2] = (0.0, 1.0)
+        y[rows[:2]] = (0.0, 1.0)
         names = [f"f{j:04d}" for j in rng.permutation(d)]
         k = int(rng.integers(1, 12))
-        fold = mrmr_select(X, y_rows, k, names, rows=rows)
-        copied = mrmr_select(X[rows], y_rows, k, names)
+        fold = mrmr_select(X, y, k, names, rows=rows)
+        copied = mrmr_select(X[rows], y[rows], k, names)
         assert fold.trace == copied.trace
         assert fold.indices == copied.indices and fold.selected == copied.selected
         assert np.array_equal(X, before)

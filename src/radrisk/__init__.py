@@ -50,7 +50,6 @@ from .evaluation import (
     CvConfig,
     CvReport,
     SurvivalCurve,
-    auc,
     kaplan_meier,
     log_rank,
     monte_carlo_cv,

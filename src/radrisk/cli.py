@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from . import classifier as clf
-from .cohort import BLOCK_TITLES, feature_set, load_manifest, label_samples, manifest_dict
+from .cohort import BLOCK_TITLES, HORIZON_DAYS, feature_set, load_manifest, label_samples, manifest_dict
 from .errors import ConfigError, DataError, RadriskError
 from .evaluation import (
     CvConfig,
@@ -160,7 +160,8 @@ _MANIFEST = click.option("--manifest", required=True)
 _OUT = click.option("--out", "out_dir", default=None)
 _FEATURES = click.option("--features", "features_path", required=True)
 _SET = click.option("--set", "set_id", type=click.IntRange(1, 7), default=7, show_default=True)
-_HORIZON = click.option("--horizon", "horizon_days", type=click.IntRange(min=1), default=100, show_default=True)
+_HORIZON = click.option("--horizon", "horizon_days", type=click.IntRange(min=1), default=HORIZON_DAYS,
+                        show_default=True)
 _THREADS = click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True)
 _DATASET_OPTIONS = [_MANIFEST, _FEATURES, _SET, _HORIZON]
 
@@ -184,7 +185,7 @@ _COMMON_CV_OPTIONS = [
     *_CLASSIFIER_OPTIONS,
     click.option("--per-samples", type=int, default=10, show_default=True, help="selection cap divisor"),
     click.option("--global-selection", is_flag=True, help="select once before CV (leaky; for comparison)"),
-    click.option("--horizon-days", type=click.IntRange(min=1), default=100, show_default=True),
+    click.option("--horizon-days", type=click.IntRange(min=1), default=HORIZON_DAYS, show_default=True),
     _THREADS,
 ]
 
@@ -365,15 +366,15 @@ def _dataset_from_files(manifest_path, features_path, set_id, horizon_days):
     return build_dataset(records, read_features_csv(features_path), feature_set(set_id), horizon_days)
 
 
-def _write_correlation_tables(dataset, out: Path, comment: str, top: int = 10) -> None:
-    """One ``table2_<block>.csv`` per Table 1 block of the set: its ``top`` columns by |r| with the
+def _write_correlation_tables(dataset, out: Path, comment: str) -> None:
+    """One ``table2_<block>.csv`` per Table 1 block of the set: its 10 columns by |r| with the
     label, ties broken by name."""
     r = correlation_report(dataset.X, dataset.y).tolist()
     names, blocks = dataset.feature_names, dataset.column_blocks
     ranked = sorted(range(len(names)), key=lambda k: (-abs(r[k]), names[k]))
     for block in dict.fromkeys(blocks):
         lines = [f"# {comment}", "rank,feature,r"]
-        ranks = enumerate([k for k in ranked if blocks[k] == block][:top], start=1)
+        ranks = enumerate([k for k in ranked if blocks[k] == block][:10], start=1)
         lines += [f"{rank},{names[k]},{r[k]!r}" for rank, k in ranks]
         (out / f"table2_{block}.csv").write_text("\n".join(lines) + "\n")
 

@@ -1,13 +1,13 @@
 """Longitudinal cohort model: patients, lesions, timepoints, risk labeling,
 delta features, and feature-set assembly.
 
-Labeling rule (horizon defaults to 100 days): a follow-up image is HRM when a
-progression event falls in ``(imaging_date, imaging_date + horizon]``, LRM when
-the lesion is observed at least ``horizon`` days past the image without an
-event (an event beyond the horizon also counts as observation). Follow-ups
-censored before the horizon with no event are excluded from classification but
-kept as censored points for survival plotting. Follow-ups dated on or after
-the event date are dropped with a warning.
+Labeling rule (horizon defaults to ``HORIZON_DAYS``): a follow-up image is HRM
+when a progression event falls in ``(imaging_date, imaging_date + horizon]``,
+LRM when the lesion is observed at least ``horizon`` days past the image
+without an event (an event beyond the horizon also counts as observation).
+Follow-ups censored before the horizon with no event are excluded from
+classification but kept as censored points for survival plotting. Follow-ups
+dated on or after the event date are dropped with a warning.
 """
 
 from __future__ import annotations
@@ -427,15 +427,13 @@ def manifest_dict(records: list[MetastasisRecord], source_paths: dict) -> dict:
     """Serialize records to the manifest schema.
 
     ``source_paths`` maps id(ImageSource) -> {"image": ..., "mask": ...} for
-    sources that were written to disk.
+    every source of ``records``, as written to disk.
     """
 
     def ref(src: ImageSource | None):
         if src is None:
             return None
-        if id(src) in source_paths:
-            return source_paths[id(src)]
-        return {"image": src.image_path, "mask": src.mask_path}
+        return source_paths[id(src)]
 
     patients: dict[str, dict] = {}
     for rec in records:

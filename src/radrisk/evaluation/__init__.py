@@ -11,7 +11,7 @@ from .report import (
     risk_split_report,
     write_risk_split,
 )
-from .roc import RocCurve, auc, confusion_at, roc_curve
+from .roc import RocCurve, confusion_at, roc_curve
 from .survival import (
     DAYS_PER_MONTH,
     LogRankResult,
@@ -34,7 +34,6 @@ __all__ = [
     "risk_split_report",
     "write_risk_split",
     "RocCurve",
-    "auc",
     "confusion_at",
     "roc_curve",
     "DAYS_PER_MONTH",

@@ -1,8 +1,8 @@
-"""ROC curves and AUC with grouped tie handling.
+"""ROC curves, each with its AUC, with grouped tie handling.
 
 The curve is built by a descending-threshold sweep where samples sharing a
-score enter together, so the AUC (trapezoidal) equals the Mann-Whitney pair
-statistic with half credit for score ties.
+score enter together, so the AUC (trapezoidal, :attr:`RocCurve.auc`) equals
+the Mann-Whitney pair statistic with half credit for score ties.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from ..errors import DataError
 class RocCurve:
     fpr: np.ndarray
     tpr: np.ndarray
-    thresholds: np.ndarray
     auc: float
 
 
@@ -44,13 +43,8 @@ def roc_curve(scores, labels) -> RocCurve:
     fp = (idx + 1) - tp
     tpr = np.concatenate([[0.0], tp / n_pos])
     fpr = np.concatenate([[0.0], fp / n_neg])
-    thresholds = np.concatenate([[np.inf], s[idx]])
     auc = float(np.trapezoid(tpr, fpr))
-    return RocCurve(fpr, tpr, thresholds, auc)
-
-
-def auc(scores, labels) -> float:
-    return roc_curve(scores, labels).auc
+    return RocCurve(fpr, tpr, auc)
 
 
 def confusion_at(scores, labels, threshold: float) -> dict[str, int]:

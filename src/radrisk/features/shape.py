@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, NumericalError
 from ..volume import DIRECTIONS_13, RoiMask, require_nonempty
 
 SHAPE_FEATURES = (
@@ -105,14 +105,23 @@ def shape_features(mask: RoiMask, spacing) -> dict[str, float]:
         raise DataError(f"spacing must be three positive floats, got {spacing}")
     coords = mask.coords
     n = coords.shape[0]
-    phys = coords.astype(np.float64) * np.asarray(spacing)
 
     volume = n * spacing[0] * spacing[1] * spacing[2]
     area = _surface_area(mask, spacing)
-    sphericity = (36.0 * math.pi * volume**2) ** (1.0 / 3.0) / area
+    try:
+        sphericity = (36.0 * math.pi * volume**2) ** (1.0 / 3.0) / area
+        disproportion = 1.0 / sphericity
+        surface_ratio = area / volume
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NumericalError(f"the volume or surface area leaves the float range at spacing {spacing}") from exc
 
-    centered = phys - phys.mean(axis=0)
-    cov = centered.T @ centered / n
+    # a spacing read from a file may be any finite size; an overflowing moment is raised here, not in eigvalsh
+    with np.errstate(over="ignore", invalid="ignore"):
+        phys = coords.astype(np.float64) * np.asarray(spacing)
+        centered = phys - phys.mean(axis=0)
+        cov = centered.T @ centered / n
+    if not np.isfinite(cov).all():
+        raise NumericalError(f"the covariance of voxel positions overflows at spacing {spacing}")
     eig = np.linalg.eigvalsh(cov)[::-1]
     eig = np.clip(eig, 0.0, None)
     major, minor, least = (4.0 * math.sqrt(v) for v in eig)
@@ -138,9 +147,9 @@ def shape_features(mask: RoiMask, spacing) -> dict[str, float]:
     return {
         "Volume": volume,
         "SurfaceArea": area,
-        "SurfaceVolumeRatio": area / volume,
+        "SurfaceVolumeRatio": surface_ratio,
         "Sphericity": sphericity,
-        "SphericalDisproportion": 1.0 / sphericity,
+        "SphericalDisproportion": disproportion,
         "MajorAxisLength": major,
         "MinorAxisLength": minor,
         "LeastAxisLength": least,

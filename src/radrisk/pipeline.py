@@ -21,6 +21,7 @@ import numpy as np
 from .cohort import (
     BLOCK_TAGS,
     CLINICAL_FEATURE_NAMES,
+    HORIZON_DAYS,
     KmPoint,
     MetastasisRecord,
     FeatureSetSpec,
@@ -29,7 +30,7 @@ from .cohort import (
     delta_rows,
     label_samples,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .features import ExtractionConfig, extract_all, feature_names
 from .featurestore import ROLE_FOLLOWUP, ROLE_PLAN_CT, ROLE_PLAN_MR, FeatureStore
 from .volume import VolumeImage, white_stripe_stats, zscore_stats
@@ -97,9 +98,10 @@ def extract_cohort(
     key it holds takes that row as it is, without loading the image; its rows
     of images not in ``records`` are dropped. A ``reuse`` with rows whose
     names are not ``feature_names(extraction)`` raises ``DataError``. When
-    ``failures`` is given, per-image errors are logged and collected there in
-    job order instead of raised, and the failing rows are omitted. The result,
-    the failures included, is deterministic and independent of ``threads``.
+    ``failures`` is given, per-image data and numerical errors are logged and
+    collected there in job order instead of raised, and the failing rows are
+    omitted. The result, the failures included, is deterministic and
+    independent of ``threads``.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -117,10 +119,10 @@ def extract_cohort(
             img, mask = source.load(base_dir)
             img = normalize_volume(img, role, normalization)
             return extract_all(img, mask, extraction)
-        except DataError as exc:
+        except (DataError, NumericalError) as exc:
             message = f"[extract {lesion_id}/{role}/{date_iso}] {exc}"
             if failures is None:
-                raise DataError(message) from exc
+                raise type(exc)(message) from exc
             return message
 
     done = []
@@ -157,14 +159,15 @@ def build_dataset(
     records: list[MetastasisRecord],
     store: FeatureStore,
     spec: FeatureSetSpec,
-    horizon_days: int = 100,
+    horizon_days: int = HORIZON_DAYS,
 ) -> Dataset:
     """Label follow-ups and assemble the feature matrix for one feature set (:func:`build_datasets`)."""
     return build_datasets(records, store, [spec], horizon_days)[0]
 
 
 def build_datasets(
-    records: list[MetastasisRecord], store: FeatureStore, specs: list[FeatureSetSpec], horizon_days: int = 100,
+    records: list[MetastasisRecord], store: FeatureStore, specs: list[FeatureSetSpec],
+    horizon_days: int = HORIZON_DAYS,
 ) -> list[Dataset]:
     """Label follow-ups once and assemble the feature matrix of each feature set, in ``specs`` order.
 

@@ -2,7 +2,8 @@
 
 No external plotting dependency: documents are assembled from strings, carry
 no timestamps, and embed the resolved run configuration as an XML comment so
-every artifact doubles as a reproducibility manifest.
+every artifact doubles as a reproducibility manifest. The Kaplan-Meier plot is
+640x440 and the ROC plot 440x440.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ def _fmt(x: float) -> str:
 
 class SvgCanvas:
     def __init__(self, width: int, height: int, comment: str | None = None):
-        self.width = width
-        self.height = height
         self.parts: list[str] = [
             '<?xml version="1.0" encoding="UTF-8"?>',
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -34,35 +33,32 @@ class SvgCanvas:
             f'stroke="{stroke}" stroke-width="{width}"{d}/>'
         )
 
-    def path(self, points, stroke="black", width=1.5, dash=None, fill="none", opacity=None):
-        if not points:
-            return
+    def path(self, points, stroke="black", width=1.5, dash=None):
         d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in points)
         extra = f' stroke-dasharray="{dash}"' if dash else ""
-        if opacity is not None:
-            extra += f' fill-opacity="{opacity}"'
         self.parts.append(
-            f'<path d="{d}" fill="{fill}" stroke="{stroke}" stroke-width="{width}"{extra}/>'
+            f'<path d="{d}" fill="none" stroke="{stroke}" stroke-width="{width}"{extra}/>'
         )
 
-    def polygon(self, points, fill, opacity=0.2):
+    def polygon(self, points, fill):
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
-        self.parts.append(f'<polygon points="{pts}" fill="{fill}" fill-opacity="{opacity}" stroke="none"/>')
+        self.parts.append(f'<polygon points="{pts}" fill="{fill}" fill-opacity="0.2" stroke="none"/>')
 
-    def text(self, x, y, content, size=12, anchor="start", color="black"):
+    def text(self, x, y, content, size=12, anchor="start"):
         self.parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" font-size="{size}" '
-            f'text-anchor="{anchor}" fill="{color}">{content}</text>'
+            f'text-anchor="{anchor}" fill="black">{content}</text>'
         )
 
     def render(self) -> str:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
-def _nice_ticks(vmax: float, n: int = 5) -> list[float]:
+def _nice_ticks(vmax: float) -> list[float]:
+    """About five ticks from 0 to ``vmax``, at a step of 1, 2 or 5 times a power of 10."""
     if vmax <= 0:
         return [0.0, 1.0]
-    raw = vmax / n
+    raw = vmax / 5
     mag = 10 ** math.floor(math.log10(raw))
     step = min(s for s in (1 * mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
     ticks = []
@@ -85,11 +81,12 @@ def _step_points(times, values, x_of, y_of, t_max):
     return pts
 
 
-def km_plot(curves, title: str, config_comment: str | None = None, width=640, height=440) -> str:
+def km_plot(curves, title: str, config_comment: str | None = None) -> str:
     """Render Kaplan-Meier curves with CI bands and censor ticks.
 
     ``curves`` is a list of (label, color, SurvivalCurve, dashed) tuples.
     """
+    width, height = 640, 440
     margin_l, margin_r, margin_t, margin_b = 60, 20, 36, 48
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
@@ -140,8 +137,8 @@ def km_plot(curves, title: str, config_comment: str | None = None, width=640, he
     return svg.render()
 
 
-def roc_plot(fpr, tpr, auc_value: float, title: str, config_comment: str | None = None,
-             width=440, height=440) -> str:
+def roc_plot(fpr, tpr, auc_value: float, title: str, config_comment: str | None = None) -> str:
+    width = height = 440
     margin = 50
     plot = width - 2 * margin
 

@@ -1,11 +1,11 @@
 """Deterministic synthetic cohorts with a plantable image-level risk signal.
 
-Each lesion is an ellipsoid on a two-compartment noisy background. Follow-up
-images whose label (computed with the same horizon rule used downstream) is
-high-risk are rendered with enlarged radii and extra intensity heterogeneity;
-clinical covariates are drawn independently of risk so they carry no signal.
-Event and censoring dates are placed to hit the configured sample-level
-high-risk prevalence (~5% with the defaults).
+Each lesion is an ellipsoid on a two-compartment noisy background in a 14^3
+volume of 1 mm voxels. Follow-up images whose label (by the labeling rule,
+horizon ``HORIZON_DAYS``) is high-risk are rendered with enlarged radii and
+extra intensity heterogeneity; clinical covariates are drawn independently of
+risk so they carry no signal. Event and censoring dates are placed to hit the
+configured sample-level high-risk prevalence (~5% with the defaults).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import ClinicalData, Followup, ImageSource, MetastasisRecord
+from .cohort import HORIZON_DAYS, ClinicalData, Followup, ImageSource, MetastasisRecord
 from .errors import ConfigError
 from .volume import RoiMask, VolumeImage
 
@@ -34,12 +34,9 @@ class EffectConfig:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    dims: tuple[int, int, int] = (14, 14, 14)
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
     hrm_fraction: float = 0.10  # lesion-level; ~5% sample prevalence with 2 follow-ups
     followups: tuple[int, int] = (2, 2)
     exclude_fraction: float = 0.05  # lesions censored before the horizon
-    horizon_days: int = 100
     ct_missing_fraction: float = 0.0
 
     def __post_init__(self):
@@ -50,6 +47,9 @@ class SynthConfig:
                 raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
 
 
+DIMS = (14, 14, 14)
+SPACING = (1.0, 1.0, 1.0)
+
 _PRIMARY_SITES = ("lung", "melanoma", "breast", "other")
 
 
@@ -58,26 +58,24 @@ def _ellipsoid_q(dims, center, radii) -> np.ndarray:
     return sum(((g - c) / r) ** 2 for g, c, r in zip(grids, center, radii))
 
 
-def _render_mr(rng, cfg: SynthConfig, center, radii, lesion_std) -> tuple[VolumeImage, RoiMask]:
-    dims = cfg.dims
-    xg = np.indices(dims)[0]
-    tissue = np.where(xg < int(0.4 * dims[0]), 45.0, 75.0)
-    img = tissue + rng.normal(0.0, 5.0, size=dims)
-    q = _ellipsoid_q(dims, center, radii)
+def _render_mr(rng, center, radii, lesion_std) -> tuple[VolumeImage, RoiMask]:
+    xg = np.indices(DIMS)[0]
+    tissue = np.where(xg < int(0.4 * DIMS[0]), 45.0, 75.0)
+    img = tissue + rng.normal(0.0, 5.0, size=DIMS)
+    q = _ellipsoid_q(DIMS, center, radii)
     mask = q <= 1.0
     core = 95.0 + 8.0 * (1.0 - q[mask])  # brighter toward the lesion center
     img[mask] = core + rng.normal(0.0, lesion_std, size=int(mask.sum()))
-    return VolumeImage(img, cfg.spacing, "MR"), RoiMask(mask)
+    return VolumeImage(img, SPACING, "MR"), RoiMask(mask)
 
 
-def _render_ct(rng, cfg: SynthConfig, center, radii) -> tuple[VolumeImage, RoiMask]:
-    dims = cfg.dims
-    img = 35.0 + rng.normal(0.0, 6.0, size=dims)
-    q = _ellipsoid_q(dims, center, radii)
+def _render_ct(rng, center, radii) -> tuple[VolumeImage, RoiMask]:
+    img = 35.0 + rng.normal(0.0, 6.0, size=DIMS)
+    q = _ellipsoid_q(DIMS, center, radii)
     lesion = q <= 1.0
     img[lesion] = 55.0 + 4.0 * (1.0 - q[lesion]) + rng.normal(0.0, 5.0, size=int(lesion.sum()))
-    ptv = _ellipsoid_q(dims, center, tuple(r + 1.0 for r in radii)) <= 1.0
-    return VolumeImage(img, cfg.spacing, "CT"), RoiMask(ptv)
+    ptv = _ellipsoid_q(DIMS, center, tuple(r + 1.0 for r in radii)) <= 1.0
+    return VolumeImage(img, SPACING, "CT"), RoiMask(ptv)
 
 
 def synth_cohort(
@@ -108,7 +106,7 @@ def synth_cohort(
             primary_site=str(rng.choice(_PRIMARY_SITES, p=[0.4, 0.2, 0.2, 0.2])),
             extracranial=int(rng.integers(0, 2)),
         )
-        center = tuple(d / 2.0 - 0.5 + rng.uniform(-0.8, 0.8) for d in config.dims)
+        center = tuple(d / 2.0 - 0.5 + rng.uniform(-0.8, 0.8) for d in DIMS)
         radii = tuple(rng.uniform(2.0, 2.8) for _ in range(3))
 
         planning_date = base_date + datetime.timedelta(days=int(rng.integers(0, 200)))
@@ -130,23 +128,23 @@ def synth_cohort(
         else:
             event_date = None
             if rng.uniform() < config.exclude_fraction:
-                gap = int(rng.integers(5, max(6, config.horizon_days - 5)))
+                gap = int(rng.integers(5, max(6, HORIZON_DAYS - 5)))
             else:
-                gap = int(rng.integers(config.horizon_days + 5, config.horizon_days + 200))
+                gap = int(rng.integers(HORIZON_DAYS + 5, HORIZON_DAYS + 200))
             censor_date = fu_dates[-1] + datetime.timedelta(days=gap)
 
-        vol_mr, mask_mr = _render_mr(rng, config, center, radii, lesion_std=8.0)
+        vol_mr, mask_mr = _render_mr(rng, center, radii, lesion_std=8.0)
         planning_mr = ImageSource(volume=vol_mr, mask=mask_mr)
         planning_ct = None
         if rng.uniform() >= config.ct_missing_fraction:
-            vol_ct, mask_ct = _render_ct(rng, config, center, radii)
+            vol_ct, mask_ct = _render_ct(rng, center, radii)
             planning_ct = ImageSource(volume=vol_ct, mask=mask_ct)
 
         followups = []
         for fu_date in fu_dates:
             hot = (
                 event_date is not None
-                and 0 < (event_date - fu_date).days <= config.horizon_days
+                and 0 < (event_date - fu_date).days <= HORIZON_DAYS
             )
             if hot:
                 fu_radii = tuple(r * (1.0 + effect.growth) for r in radii)
@@ -154,7 +152,7 @@ def synth_cohort(
             else:
                 fu_radii = tuple(r * (1.0 + rng.uniform(-0.05, 0.05)) for r in radii)
                 fu_std = 8.0
-            vol, mask = _render_mr(rng, config, center, fu_radii, lesion_std=fu_std)
+            vol, mask = _render_mr(rng, center, fu_radii, lesion_std=fu_std)
             followups.append(Followup(fu_date, ImageSource(volume=vol, mask=mask)))
 
         records.append(

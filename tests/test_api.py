@@ -1,3 +1,4 @@
+import dataclasses
 import types
 
 import radrisk
@@ -11,7 +12,7 @@ PUBLIC_API = {
         "DiscretizedRoi", "EffectConfig", "ExtractionConfig", "FeatureSetSpec", "Followup", "ImageSource",
         "KmPoint", "LabeledSample", "MetastasisRecord", "NormalizationConfig", "NumericalError",
         "RadriskError", "RoiMask", "SUBBAND_LABELS", "SelectionResult", "SurvivalCurve", "SynthConfig",
-        "TrainedModel", "VolumeImage", "WaveletBank", "assemble", "auc", "build_dataset", "clinical_features",
+        "TrainedModel", "VolumeImage", "WaveletBank", "assemble", "build_dataset", "clinical_features",
         "correlation_report", "decision_scores", "decompose", "delta_features", "discretize", "extract_all",
         "extract_cohort", "feature_names", "feature_set", "firstorder_features", "fit", "get_bank",
         "kaplan_meier", "label_samples", "load_manifest", "load_model", "log_rank", "monte_carlo_cv",
@@ -21,7 +22,7 @@ PUBLIC_API = {
     ],
     radrisk.evaluation: [
         "CvConfig", "CvReport", "DAYS_PER_MONTH", "LogRankResult", "RiskSplitReport", "RocCurve",
-        "SurvivalCurve", "auc", "confusion_at", "curve_csv", "days_to_months", "format_confusion",
+        "SurvivalCurve", "confusion_at", "curve_csv", "days_to_months", "format_confusion",
         "format_median_split", "format_months", "kaplan_meier", "log_rank", "monte_carlo_cv",
         "risk_split_report", "roc_curve", "select_features", "write_risk_split",
     ],
@@ -33,3 +34,23 @@ def test_public_api_is_locked():
         public = sorted(name for name in dir(module)
                         if not name.startswith("_") and not isinstance(getattr(module, name), types.ModuleType))
         assert public == names, module.__name__
+
+
+# The (field, default) pairs of each config. Each settable value doubles the configurations a test could have
+# to cover, so adding or removing one is a visible edit here, as a public name is above.
+CONFIG_FIELDS = {
+    radrisk.ExtractionConfig: [("n_bins", 32), ("wavelet", "haar")],
+    radrisk.NormalizationConfig: [("zscore", True), ("whitestripe", "mr")],
+    radrisk.CvConfig: [("repeats", 100), ("test_frac", 1.0 / 3.0), ("seed", 0), ("threads", 1),
+                       ("per_samples", 10), ("per_fold", True)],
+    radrisk.ClassifierConfig: [("C", 1.0), ("sensitivity_weight", 2.0), ("threshold", 0.0), ("seed", 0),
+                               ("max_epochs", 20000), ("tol", 1e-6)],
+    radrisk.SynthConfig: [("hrm_fraction", 0.1), ("followups", (2, 2)), ("exclude_fraction", 0.05),
+                          ("ct_missing_fraction", 0.0)],
+    radrisk.EffectConfig: [("growth", 0.5), ("texture", 2.0)],
+}
+
+
+def test_config_fields_are_locked():
+    for config, fields in CONFIG_FIELDS.items():
+        assert [(f.name, f.default) for f in dataclasses.fields(config)] == fields, config.__name__

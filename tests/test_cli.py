@@ -1,10 +1,15 @@
 import dataclasses
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import radrisk
 from radrisk.cli import _parse_sets, _write_correlation_tables, cli, main
 from radrisk.cohort import BLOCK_TAGS, feature_set, label_samples, load_manifest
 from radrisk.featurestore import (
@@ -272,6 +277,34 @@ def test_exit_code_data_error(tmp_path, cohort_dir):
         assert code == 0
 
 
+def test_a_spacing_that_overflows_a_shape_feature_fails_that_image_alone(tmp_path):
+    """A header's spacing may be any finite positive number. One at which a shape feature overflows, or its
+    volume underflows to 0, makes its image a recorded failure (exit 3), and every other row is that of a clean
+    extraction."""
+    cohort = tmp_path / "cohort"
+    assert main(["synth", "--seed", "1", "--lesions", "10", "--out", str(cohort)]) == 0
+    manifest = cohort / "manifest.json"
+    assert main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "clean"), "--ng", "8"]) == 0
+    clean = read_features_csv(tmp_path / "clean" / "features.csv")
+    lesion = json.loads(manifest.read_text())["patients"][0]["lesions"][0]
+    followup = lesion["followups"][0]
+    key = (lesion["lesion_id"], ROLE_FOLLOWUP, followup["date"])
+    kept = [k for k, row_key in enumerate(clean.keys) if row_key != key]
+    assert len(kept) == 39
+    for spacing in ([1e152, 1, 1], [1e200, 1, 1], [1e200, 1e200, 1], [1e-300, 1, 1], [1e-200, 1e-200, 1e-200]):
+        for part in ("image", "mask"):
+            header = cohort / followup[part]
+            header.write_text(json.dumps(json.loads(header.read_text()) | {"spacing": spacing}))
+        out = tmp_path / "broken"
+        assert main(["extract", "--manifest", str(manifest), "--out", str(out), "--ng", "8", "--force"]) == 3, spacing
+        store = read_features_csv(out / "features.csv")
+        assert store.keys == [clean.keys[k] for k in kept]
+        assert store.values.tobytes() == clean.values[kept].tobytes()
+        sidecar = json.loads((out / "features.json").read_text())
+        assert sidecar["rows"] == 39
+        assert [f.split("]")[0] for f in sidecar["failures"]] == [f"[extract {'/'.join(key)}"]
+
+
 def test_select_train_evaluate_km(cohort_dir, tmp_path):
     manifest = str(cohort_dir / "manifest.json")
     features = str(cohort_dir / "features.csv")
@@ -392,6 +425,31 @@ def test_run_bundle_and_reproducibility(cohort_dir, tmp_path):
     assert "Clinical data" in txt and "AUC score" in txt
 
 
+def test_outputs_do_not_depend_on_the_string_hash_seed(cohort_dir, tmp_path):
+    """Every output file is the same under two string hash seeds, so none depends on set or dict order."""
+    out = tmp_path / "out"
+    manifest = str(cohort_dir / "manifest.json")
+    commands = [
+        ["extract", "--manifest", manifest, "--out", str(out), "--force", "--ng", "8"],
+        ["run", "--manifest", manifest, "--features", str(out / "features.csv"), "--out", str(out),
+         "--sets", "1,7", "--repeats", "4", "--seed", "5"],
+    ]
+    src = str(Path(radrisk.__file__).parents[1])
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        stdout = [subprocess.run([sys.executable, "-m", "radrisk.cli", *argv], env=env, capture_output=True,
+                                 check=True).stdout for argv in commands]
+        runs.append((stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        shutil.rmtree(out)
+    assert "report.json" in runs[0][1] and "features.csv.npy" in runs[0][1]
+    assert runs[1][0] == runs[0][0]
+    assert runs[1][1].keys() == runs[0][1].keys()
+    for name, data in runs[0][1].items():
+        assert runs[1][1][name] == data, name
+
+
 def test_config_echo_is_pinned(tmp_path):
     """The whole config echo of a run and an evaluation on criterion 10's cohort, key order
     included, in the JSON reports and in every ``# config:`` line and SVG comment."""
@@ -496,6 +554,26 @@ def test_synth_nifti_format_roundtrip(tmp_path):
     for role in (ROLE_PLAN_MR, ROLE_PLAN_CT, ROLE_FOLLOWUP):
         assert (roles == role).any()
         assert np.array_equal(nifti.values[roles == role], rawjson.values[roles == role]), role
+
+
+def test_a_nifti_cohort_with_ct_less_lesions(tmp_path):
+    """Lesions without planning CT are written as null, extracted without a CT row, and excluded only from
+    the sets that hold the CT block."""
+    out = tmp_path / "cohort"
+    assert main(["synth", "--seed", "5", "--lesions", "24", "--hrm-fraction", "0.3", "--ct-missing", "0.3",
+                 "--format", "nifti1", "--out", str(out)]) == 0
+    lesions = [lesion for patient in json.loads((out / "manifest.json").read_text())["patients"]
+               for lesion in patient["lesions"]]
+    ct_less = [lesion["lesion_id"] for lesion in lesions if lesion["planning_ct"] is None]
+    assert len(ct_less) == 4
+    assert main(["extract", "--manifest", str(out / "manifest.json"), "--out", str(out), "--ng", "8"]) == 0
+    assert json.loads((out / "features.json").read_text())["rows"] == 92
+    roles = [role for _, role, _ in read_features_csv(out / "features.csv").keys]
+    assert [roles.count(role) for role in (ROLE_PLAN_MR, ROLE_PLAN_CT, ROLE_FOLLOWUP)] == [24, 20, 48]
+    assert main(["run", "--manifest", str(out / "manifest.json"), "--features", str(out / "features.csv"),
+                 "--sets", "1,5", "--repeats", "4", "--out", str(out / "run")]) == 0
+    excluded = json.loads((out / "run" / "report.json").read_text())["excluded_lesions"]
+    assert excluded == {"1": [], "5": ct_less}
 
 
 def test_lesion_id_under_two_patients_is_a_data_error(tmp_path, capsys):

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from radrisk import kaplan_meier, log_rank, roc_curve
 from radrisk.errors import DataError
 from radrisk.evaluation import confusion_at, format_confusion, format_median_split
+from radrisk.svgplot import km_plot, roc_plot
 from oracles import bf_auc, bf_kaplan_meier, loop_kaplan_meier, loop_log_rank
 
 
@@ -281,3 +284,14 @@ def test_median_split_format_contract():
     assert "LRM 17.3 months" in text
     assert "p < 0.01" in text
     assert "not reached" in format_median_split(None, 100.0, 0.5)
+
+
+def test_plots_render_pinned_bytes():
+    """The plots' text, pinned: two KM curves (one dashed) with CI bands and censor ticks, and a 5-point ROC."""
+    low = kaplan_meier([30, 60, 60, 90, 150, 210, 240, 300], [1, 1, 0, 1, 0, 1, 0, 0])
+    high = kaplan_meier([20, 45, 45, 70, 110, 130], [1, 1, 1, 0, 1, 0])
+    km = km_plot([("LRM", "#3060c0", low, False), ("HRM", "#c03030", high, True)], "km pin", "config: {}")
+    roc = roc_plot([0.0, 0.0, 0.5, 0.5, 1.0], [0.0, 0.5, 0.5, 1.0, 1.0], 0.75, "roc pin", "config: {}")
+    assert (km.count("<polygon"), km.count("stroke-dasharray")) == (2, 2)
+    assert hashlib.sha256(km.encode()).hexdigest() == "863302199b2f676dbc208f43c0c35921b8211bfca375b1fa7e58dc7fd685ee8c"
+    assert hashlib.sha256(roc.encode()).hexdigest() == "5b351302a969a45ef5f1144d222ce68fda6b2523bf2f338bda7dea91c229ea33"

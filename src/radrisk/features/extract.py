@@ -9,8 +9,11 @@ original mask (shape is mask-only and extracted once), for 98 + 8*84 = 770.
 
 Every class reads ROI voxels only, so the wavelet runs on the ROI's bounding
 box, and the ROI's values are read from the box at the mask's coordinates,
-shifted into it. Texture and shape read the caller's mask, whose voxel order
-and neighbor pairs do not depend on where the grid starts. Each filter is
+shifted into it. A normalized image (``NormalizedImage``) applies its
+intensity maps to that box only, each voxel with the arithmetic of the
+whole-volume map, so its values are the whole normalized volume's. Texture
+and shape read the caller's mask, whose voxel order and neighbor pairs do
+not depend on where the grid starts. Each filter is
 causal: output voxel n reads input voxels n - k, 0 <= k < filter length,
 along each axis. The box reaches filter length - 1 voxels below the ROI on
 each axis, which makes every subband value in the ROI bit-identical to the
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, NumericalError
-from ..volume import DIRECTIONS_13, RoiMask, VolumeImage, check_aligned, require_nonempty
+from ..volume import DIRECTIONS_13, NormalizedImage, RoiMask, VolumeImage, check_aligned, require_nonempty
 from ..wavelet import SUBBAND_LABELS, decompose, get_bank, subbands
 from .firstorder import FIRSTORDER_FEATURES, firstorder_features, firstorder_rows
 from .shape import SHAPE_FEATURES, shape_features
@@ -120,14 +123,14 @@ def _intensity_rows(values: np.ndarray, mask: RoiMask, n_bins: int) -> np.ndarra
     return np.hstack([firstorder_rows(values)] + [texture_rows(droi, family) for family in TEXTURE_FAMILIES])
 
 
-def extract_all(img: VolumeImage, mask: RoiMask, config: ExtractionConfig) -> np.ndarray:
+def extract_all(img: VolumeImage | NormalizedImage, mask: RoiMask, config: ExtractionConfig) -> np.ndarray:
     """Extract the full feature row of one (volume, mask) pair, in ``feature_names(config)`` order."""
     check_aligned(img, mask)
     require_nonempty(mask)
     bank = None if config.wavelet is None else get_bank(config.wavelet)
     start = mask.coords.min(axis=0) - (max(bank.low.size, bank.high.size) - 1 if bank else 0)
     box = tuple(slice(l, h) if l >= 0 else slice(None) for l, h in zip(start.tolist(), mask.coords.max(axis=0) + 1))
-    volumes = [img.voxels[box]]  # the original image and its subbands, on the box
+    volumes = [img.region(box)]  # the original image and its subbands, on the box
     if bank:
         volumes += subbands(volumes[0], bank).values()
     at = tuple((mask.coords - np.maximum(start, 0)).T)

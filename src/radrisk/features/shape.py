@@ -133,16 +133,20 @@ def shape_features(mask: RoiMask, spacing) -> dict[str, float]:
         flatness = 0.0
 
     hull3d, hull2d = _hull_candidates(mask)
-    diam3d = _max_pairwise(phys[hull3d])
-    plane_diams = []
-    for axis, candidates in enumerate(hull2d):
-        keep = [a for a in range(3) if a != axis]
-        pts = phys[candidates][:, keep]
-        planes = coords[candidates, axis]
-        best = 0.0
-        for value in np.unique(planes):
-            best = max(best, _max_pairwise(pts[planes == value]))
-        plane_diams.append(best)
+    # a squared distance may overflow at a large spacing: raised below, not warned by numpy
+    with np.errstate(over="ignore"):
+        diam3d = _max_pairwise(phys[hull3d])
+        plane_diams = []
+        for axis, candidates in enumerate(hull2d):
+            keep = [a for a in range(3) if a != axis]
+            pts = phys[candidates][:, keep]
+            planes = coords[candidates, axis]
+            best = 0.0
+            for value in np.unique(planes):
+                best = max(best, _max_pairwise(pts[planes == value]))
+            plane_diams.append(best)
+    if not math.isfinite(max(diam3d, *plane_diams)):
+        raise NumericalError(f"a squared diameter leaves the float range at spacing {spacing}")
 
     return {
         "Volume": volume,

@@ -226,6 +226,8 @@ class DiscretizedRoi:
         la, lb = self.pair_levels
         # row-major, as a 2-D np.nonzero would give them
         flat = np.flatnonzero(la == lb)
+        if la.shape[0] == 1:  # one row: the flat index is the pair's, and the offset 0
+            return NeighborPairs(a[flat], b[flat], direction[flat])
         row = flat // a.size
         pair = flat - row * a.size
         offset = row * self.mask.count
@@ -559,8 +561,8 @@ def _zone_codes(droi: DiscretizedRoi) -> tuple[np.ndarray, tuple[int, int, int]]
     while True:
         ra = parent[a]
         rb = parent[b]
-        apart = ra != rb
-        if not apart.any():
+        apart = np.flatnonzero(ra != rb)
+        if not apart.size:
             break
         # a pair whose roots met stays joined: drop it
         a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]

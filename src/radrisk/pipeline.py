@@ -2,8 +2,10 @@
 
 ``extract_cohort`` normalizes and extracts every image of every lesion into a
 feature store keyed by (lesion_id, role, date), one row per image in
-``image_jobs`` order; a resumed extraction reuses the rows of an earlier store
-and extracts only the images it lacks. ``build_datasets`` labels the
+``image_jobs`` order. ``normalize_volume`` computes each image's
+normalization statistics over the whole volume, and extraction applies their
+maps to the ROI's box only. A resumed extraction reuses the rows of an
+earlier store and extracts only the images it lacks. ``build_datasets`` labels the
 follow-ups once, computes delta features against the planning MRI, and returns
 one matrix-shaped dataset per requested feature set, ready for
 cross-validation; ``build_dataset`` does the same for one set.
@@ -33,7 +35,7 @@ from .cohort import (
 from .errors import ConfigError, DataError, NumericalError
 from .features import ExtractionConfig, extract_all, feature_names
 from .featurestore import ROLE_FOLLOWUP, ROLE_PLAN_CT, ROLE_PLAN_MR, FeatureStore
-from .volume import VolumeImage, white_stripe_stats, zscore_stats
+from .volume import NormalizedImage, VolumeImage, white_stripe_stats, zscore_stats
 
 log = logging.getLogger(__name__)
 
@@ -59,18 +61,18 @@ class NormalizationConfig:
             raise ConfigError(f"whitestripe must be 'mr' or 'none', got {self.whitestripe!r}")
 
 
-def normalize_volume(img: VolumeImage, role: str, cfg: NormalizationConfig) -> VolumeImage:
-    """Apply the configured intensity normalizations: z-score, then white-stripe
-    on every role but the planning CT. Each step is ``(v - mu) / sigma``, its
-    statistics taken over the whole volume as the step before left it."""
-    v = img.voxels
+def normalize_volume(img: VolumeImage, role: str, cfg: NormalizationConfig) -> NormalizedImage:
+    """The configured intensity normalizations of ``img``: z-score, then
+    white-stripe on every role but the planning CT. Each step is
+    ``(v - mu) / sigma``, its statistics taken over the whole volume as the
+    step before left it. Only the statistics are computed here: the image
+    returned holds ``img`` and the maps, which apply where voxels are read."""
+    maps = ()
     if cfg.zscore:
-        mu, sigma = zscore_stats(v.ravel())
-        v = (v - mu) / sigma
+        maps += (zscore_stats(img.voxels.ravel()),)
     if cfg.whitestripe == "mr" and role != ROLE_PLAN_CT:
-        mu, sigma = white_stripe_stats(v.ravel())
-        v = (v - mu) / sigma
-    return VolumeImage(v, img.spacing, img.modality)
+        maps += (white_stripe_stats(img.voxels.ravel(), maps),)
+    return NormalizedImage(img, maps)
 
 
 def image_jobs(records: list[MetastasisRecord]):

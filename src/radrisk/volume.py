@@ -15,11 +15,18 @@ header and payload parser; a mask is the payload thresholded at 0.5, with no
 float64 volume in between. A mask computes its foreground coordinates and their
 26-neighbor pairs once, on first use.
 
+The readers check a file's header and payload themselves and hand the array
+they built to the image or mask, which takes it without a second copy or scan.
+
 Intensity normalization is two statistics over a flat array of voxel values,
 each an offset and a scale ``(mu, sigma)``: ``zscore_stats`` (mean and
 population std) and ``white_stripe_stats`` (Shinohara et al., NeuroImage:
-Clinical 2014). ``radrisk.pipeline.normalize_volume`` applies them as
-``(v - mu) / sigma`` and decides which apply to which image.
+Clinical 2014). ``radrisk.pipeline.normalize_volume`` decides which apply to
+which image and returns a ``NormalizedImage``: the raw voxels and the affine
+maps ``(v - mu) / sigma``, which are applied only where voxels are read
+(feature extraction reads the ROI's box). The statistics take at most one
+whole-volume float64 buffer at a time: the z-score's deviations, then
+white-stripe's sorted copy of the raw values, mapped in place.
 """
 
 from __future__ import annotations
@@ -91,6 +98,66 @@ class VolumeImage:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.voxels.shape
+
+    def region(self, box: tuple[slice, ...]) -> np.ndarray:
+        """The voxels of ``box``, a tuple of slices."""
+        return self.voxels[box]
+
+
+@dataclass(frozen=True)
+class NormalizedImage:
+    """A volume under intensity normalization: its raw voxels and the affine
+    maps ``v -> (v - mu) / sigma`` that normalize them, applied in order.
+
+    The maps run only where voxels are read, with the elementwise operations
+    of a whole-volume map, so ``region(box)`` holds the bits of
+    ``voxels[box]``."""
+
+    raw: VolumeImage
+    maps: tuple[tuple[float, float], ...]
+
+    @property
+    def spacing(self) -> tuple[float, float, float]:
+        return self.raw.spacing
+
+    @property
+    def modality(self) -> str:
+        return self.raw.modality
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return self.raw.dims
+
+    @property
+    def voxels(self) -> np.ndarray:
+        """The whole normalized volume, built anew on each access."""
+        voxels = self.region(...)
+        voxels.flags.writeable = False
+        return voxels
+
+    def region(self, box) -> np.ndarray:
+        """The normalized voxels of ``box``, a tuple of slices."""
+        return _mapped(self.raw.voxels[box], self.maps)
+
+
+def _mapped(values: np.ndarray, maps) -> np.ndarray:
+    """``values`` under each map ``(v - mu) / sigma`` of ``maps`` in turn, in that
+    arithmetic: a subtraction into a new array, then a division in place."""
+    for mu, sigma in maps:
+        values = values - mu
+        values /= sigma
+    return values
+
+
+def _adopted(cls, voxels: np.ndarray, **fields):
+    """A ``cls`` holding ``voxels`` itself, read-only: a fresh array that no
+    one else holds, checked by the caller as ``cls`` checks its input, so it
+    is neither copied nor scanned again."""
+    obj = object.__new__(cls)
+    voxels.flags.writeable = False
+    for name, value in {"voxels": voxels, **fields}.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _checked_header(spacing, modality: str) -> tuple[float, float, float]:
@@ -224,7 +291,8 @@ def read_volume(path: str | Path) -> VolumeImage:
     order, and that order sets the bits of their results.
     """
     payload = _read_payload(path)
-    return VolumeImage(_c_order(payload.values, payload.dims, np.float64), payload.spacing, payload.modality)
+    voxels = _c_order(payload.values, payload.dims, np.float64)
+    return _adopted(VolumeImage, voxels, spacing=payload.spacing, modality=payload.modality)
 
 
 def read_mask(path: str | Path) -> RoiMask:
@@ -234,7 +302,7 @@ def read_mask(path: str | Path) -> RoiMask:
     errors, but no float64 volume is built.
     """
     payload = _read_payload(path)
-    return RoiMask(_c_order(payload.values > 0.5, payload.dims, bool))
+    return _adopted(RoiMask, _c_order(payload.values > 0.5, payload.dims, bool))
 
 
 def _read_payload(path: str | Path) -> _Payload:
@@ -391,15 +459,25 @@ WHITE_STRIPE_MIN_WINDOW = 10
 
 def zscore_stats(values: np.ndarray) -> tuple[float, float]:
     """Mean and population std of ``values``; a zero std is an error ("constant image")."""
-    mu = float(values.mean())
-    sigma = float(values.std())
+    mu, sigma = _mean_std(values)
     if sigma == 0.0:
         raise DataError("constant image: zero variance over the normalization region")
     return mu, sigma
 
 
-def white_stripe_stats(values: np.ndarray) -> tuple[float, float]:
-    """Offset and scale of the dominant bright-tissue histogram peak of ``values``.
+def _mean_std(values: np.ndarray) -> tuple[float, float]:
+    """``values.mean()`` and ``values.std()``, bit for bit, with the mean taken
+    once: the deviations from it are squared in place and summed as
+    ``np.std`` sums them, in memory order."""
+    mu = values.mean()
+    dev = np.subtract(values, mu)
+    np.square(dev, out=dev)
+    return float(mu), math.sqrt(float(dev.sum()) / values.size)
+
+
+def white_stripe_stats(values: np.ndarray, maps=()) -> tuple[float, float]:
+    """Offset and scale of the dominant bright-tissue histogram peak of
+    ``values``, or of ``values`` under ``maps`` (``NormalizedImage``'s maps).
 
     The offset is the center of the largest smoothed-histogram peak strictly
     above the median (256 bins, 7-bin binomial smoothing); the scale is the
@@ -409,8 +487,12 @@ def white_stripe_stats(values: np.ndarray) -> tuple[float, float]:
     The histogram, the median, ``p_peak`` and the quantiles all come from one
     sort of ``values``, with the arithmetic of ``np.histogram``, ``np.median``
     and ``np.quantile``; the window's std sums in the order of ``values``.
+    The sorted copy is the one buffer of ``values``' size; the window is
+    gathered block by block in the order of ``values``, each block mapped on
+    its own.
     """
-    ordered = np.sort(values)
+    values = values.ravel()
+    ordered = _sorted_under_maps(values, maps)
     n = ordered.size
     lo, hi = float(ordered[0]), float(ordered[-1])
     if lo == hi:
@@ -431,14 +513,52 @@ def white_stripe_stats(values: np.ndarray) -> tuple[float, float]:
     p_peak = int(np.searchsorted(ordered, mu_ws, side="right")) / n
     p_lo, p_hi = max(0.0, p_peak - WHITE_STRIPE_TAU), min(1.0, p_peak + WHITE_STRIPE_TAU)
     q_lo, q_hi = _sorted_quantile(ordered, p_lo), _sorted_quantile(ordered, p_hi)
-    del ordered  # a whole-volume copy: not held through the window's mask and gather
-    window = values[(values >= q_lo) & (values <= q_hi)]
+    del ordered  # a whole-volume copy: not held through the window's gather
+    step = _BLOCK_BYTES // values.itemsize
+    parts = []
+    for start in range(0, values.size, step):
+        block = _mapped(values[start : start + step], maps)
+        # the elements of block[mask], in a third of boolean indexing's time
+        parts.append(np.compress((block >= q_lo) & (block <= q_hi), block))
+    window = np.concatenate(parts)
     if window.size < WHITE_STRIPE_MIN_WINDOW:
         raise DataError(f"white-stripe window contains {window.size} voxels (< {WHITE_STRIPE_MIN_WINDOW})")
-    sigma_ws = float(window.std())
+    sigma_ws = _mean_std(window)[1]
     if sigma_ws == 0.0:
         raise DataError("constant image: zero variance in the white-stripe window")
     return mu_ws, sigma_ws
+
+
+def _sorted_under_maps(values: np.ndarray, maps) -> np.ndarray:
+    """``np.sort(_mapped(values, maps))`` as float64, built in one buffer of
+    ``values``' size.
+
+    A map ``(v - mu) / sigma`` with ``sigma > 0`` is monotone, rounding
+    included, so the sorted values mapped in place are the sorted mapped
+    values, bit for bit. Values that float32 holds exactly, as those of a
+    float32 or int16 file, are sorted as float32 in the buffer's first half,
+    half the bytes to sort, and then widened in place from the top: block
+    ``[bottom, top)`` of the float64 elements overlays float32 elements at
+    or above ``bottom`` only, which the blocks above it have already read.
+    """
+    ordered = np.empty(values.size)
+    narrow = ordered.view(np.float32)[: values.size]
+    with np.errstate(over="ignore"):  # a value beyond float32's range casts to inf: not exact
+        narrow[...] = values
+    if np.array_equal(narrow, values):
+        narrow.sort()
+        top = values.size
+        while top:
+            bottom = (top + 1) // 2 if top > 1 else 0
+            ordered[bottom:top] = narrow[bottom:top]
+            top = bottom
+    else:
+        ordered[...] = values
+        ordered.sort()
+    for mu, sigma in maps:  # the arithmetic of _mapped, in place
+        ordered -= mu
+        ordered /= sigma
+    return ordered
 
 
 def _sorted_quantile(ordered: np.ndarray, q: float) -> float:

@@ -2,6 +2,7 @@
 and the JSON field swap behind the manifest and volume-header fuzz tests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 from hypothesis import strategies as st
@@ -34,6 +35,19 @@ def random_roi(rng, max_dim=5, n_bins=4):
         mask[tuple(int(rng.integers(0, d)) for d in dims)] = True
     values = rng.normal(size=dims)
     return dims, mask, values
+
+
+def traced_peak(fn):
+    """``fn()`` and the most memory it held at once beyond what was held
+    before, as tracemalloc counts it: numpy reports its buffers there."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def _json_type(value):

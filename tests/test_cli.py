@@ -280,7 +280,8 @@ def test_exit_code_data_error(tmp_path, cohort_dir):
 def test_a_spacing_that_overflows_a_shape_feature_fails_that_image_alone(tmp_path):
     """A header's spacing may be any finite positive number. One at which a shape feature overflows, or its
     volume underflows to 0, makes its image a recorded failure (exit 3), and every other row is that of a clean
-    extraction."""
+    extraction. The last case cuts the ROI to two voxels along x: its covariance stays finite, and its squared
+    diameter overflows."""
     cohort = tmp_path / "cohort"
     assert main(["synth", "--seed", "1", "--lesions", "10", "--out", str(cohort)]) == 0
     manifest = cohort / "manifest.json"
@@ -291,7 +292,15 @@ def test_a_spacing_that_overflows_a_shape_feature_fails_that_image_alone(tmp_pat
     key = (lesion["lesion_id"], ROLE_FOLLOWUP, followup["date"])
     kept = [k for k, row_key in enumerate(clean.keys) if row_key != key]
     assert len(kept) == 39
-    for spacing in ([1e152, 1, 1], [1e200, 1, 1], [1e200, 1e200, 1], [1e-300, 1, 1], [1e-200, 1e-200, 1e-200]):
+    two_voxels = [1.5e154, 1e-100, 1e-100]
+    for spacing in ([1e152, 1, 1], [1e200, 1, 1], [1e200, 1e200, 1], [1e-300, 1, 1], [1e-200, 1e-200, 1e-200],
+                    two_voxels):
+        if spacing is two_voxels:
+            mask_header = cohort / followup["mask"]
+            raw = mask_header.parent / json.loads(mask_header.read_text())["data_file"]
+            payload = np.zeros(raw.stat().st_size // 4, dtype="<f4")
+            payload[:2] = 1.0  # x-fastest: neighbors along x
+            raw.write_bytes(payload.tobytes())
         for part in ("image", "mask"):
             header = cohort / followup[part]
             header.write_text(json.dumps(json.loads(header.read_text()) | {"spacing": spacing}))

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from radrisk import ConfigError, DataError, NormalizationConfig, white_stripe_stats, zscore_stats
+from radrisk import (
+    ConfigError, DataError, NormalizationConfig, RoiMask, VolumeImage, white_stripe_stats, zscore_stats,
+)
+from radrisk.features import ExtractionConfig, extract_all
 from radrisk.featurestore import ROLE_FOLLOWUP, ROLE_PLAN_CT, ROLE_PLAN_MR
 from radrisk.pipeline import normalize_volume
-from radrisk.volume import _sorted_quantile
-from helpers import vol3d
+from radrisk.volume import _mapped, _sorted_quantile, _sorted_under_maps
+from helpers import traced_peak, vol3d
 from oracles import bf_normalize, bf_whitestripe_peak, quantile_white_stripe_stats
 
 
@@ -163,6 +166,76 @@ def test_normalize_volume_matches_two_pass_oracle(zscore, whitestripe):
         # the planning CT is never white-striped, whatever its header says
         ct = normalize_volume(img, ROLE_PLAN_CT, cfg).voxels
         assert np.array_equal(ct, bf_normalize(img.voxels, zscore, False))
+
+
+_FILE_LIKE_VOLUMES = {
+    "float32 bimodal": lambda rng, n: _bimodal(rng, n).astype(np.float32).astype(np.float64),
+    "int16 levels": lambda rng, n: rng.integers(-1000, 1400, size=n).astype(np.float64),
+    "few levels with zeros": lambda rng, n: rng.integers(-2, 5, size=n).astype(np.float64),
+}
+
+
+@pytest.mark.parametrize("kind", list(_FILE_LIKE_VOLUMES))
+def test_normalize_volume_of_file_like_voxels_matches_the_oracle(kind):
+    """Voxels that float32 holds exactly, as a float32 or int16 file's, are sorted as float32."""
+    rng = np.random.default_rng(list(_FILE_LIKE_VOLUMES).index(kind) + 20)
+    for dims in ((20, 20, 10), (13, 7, 5)):
+        img = vol3d(_FILE_LIKE_VOLUMES[kind](rng, dims[0] * dims[1] * dims[2]).reshape(dims))
+        for zscore in (True, False):
+            want = bf_normalize(img.voxels, zscore, True)
+            assert np.array_equal(normalize_volume(img, ROLE_FOLLOWUP, NormalizationConfig(zscore=zscore)).voxels, want)
+
+
+def test_sorted_values_under_maps_are_the_sorted_mapped_values():
+    """Sorted raw and then mapped in place, as float32 when that is exact; the length sets the widening's
+    blocks, so lengths 1 to 400 cover odd and even tops."""
+    rng = np.random.default_rng(13)
+    for n in range(1, 401):
+        values = np.round(rng.normal(size=n) * rng.choice([1.0, 4.0, 1e3]))
+        if n % 3 == 0:
+            values += rng.normal(size=n) * 1e-3  # not exact in float32
+        if n % 7 == 0:
+            values[0] = 1e300  # beyond float32's range
+        maps = tuple((rng.normal() * 10, rng.uniform(1e-3, 1e3)) for _ in range(n % 3))
+        got = _sorted_under_maps(values, maps)
+        assert got.dtype == np.float64 and np.array_equal(got, np.sort(_mapped(values, maps))), n
+
+
+def _ellipsoid(dims, center, radii):
+    grid = np.indices(dims)
+    return RoiMask(sum(((g - c) / r) ** 2 for g, c, r in zip(grid, center, radii)) <= 1.0)
+
+
+@pytest.mark.parametrize("zscore", [True, False])
+@pytest.mark.parametrize("whitestripe", ["mr", "none"])
+def test_extraction_maps_the_roi_box_as_the_whole_volume(zscore, whitestripe):
+    """A normalized image maps only the box that extract_all reads. Its row is that of the whole normalized
+    volume, with the ROI inside the volume, touching index 0 on x (the box keeps the whole axis), and without
+    the wavelet."""
+    rng = np.random.default_rng(9)
+    dims = (40, 36, 28)
+    img = vol3d(_bimodal(rng, 40 * 36 * 28).reshape(dims) * 2.5 + 7.0)
+    inside, at_zero = _ellipsoid(dims, (20, 17, 14), (6, 5, 4)), _ellipsoid(dims, (2, 17, 14), (5, 5, 4))
+    assert at_zero.coords[:, 0].min() == 0
+    cfg = NormalizationConfig(zscore=zscore, whitestripe=whitestripe)
+    for role in (ROLE_PLAN_MR, ROLE_PLAN_CT, ROLE_FOLLOWUP):
+        normalized = normalize_volume(img, role, cfg)
+        whole = VolumeImage(normalized.voxels, img.spacing, img.modality)
+        for mask, wavelet in ((inside, "haar"), (at_zero, "haar"), (inside, None)):
+            config = ExtractionConfig(n_bins=8, wavelet=wavelet)
+            assert extract_all(normalized, mask, config).tobytes() == extract_all(whole, mask, config).tobytes()
+
+
+def test_normalize_volume_holds_one_whole_volume_buffer_at_most():
+    """On a 128x128x64 MR image the statistics take one float64 volume at a time (1.13 volumes measured,
+    with the exactness check's mask) and the image returned holds no new one. Mapping the whole volume and
+    copying the result took 2.0."""
+    values = _bimodal(np.random.default_rng(10), 128 * 128 * 64).reshape(128, 128, 64)
+    # white-stripe sorts float32 values as float32, and others at full width
+    for img in (vol3d(values), vol3d(values.astype(np.float32))):
+        for role in (ROLE_PLAN_MR, ROLE_PLAN_CT):
+            _, peak = traced_peak(lambda: normalize_volume(img, role, NormalizationConfig()))
+            assert peak <= 1.25 * img.voxels.nbytes, role
 
 
 @pytest.mark.parametrize("zscore", [True, False])

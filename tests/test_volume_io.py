@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from radrisk import DataError, RoiMask, VolumeImage, read_mask, read_volume, write_volume
 from radrisk import volume as volume_module
-from helpers import field_paths, vol, with_field_of_another_json_type
+from helpers import field_paths, traced_peak, vol, with_field_of_another_json_type
 from oracles import strided_read_volume
 
 
@@ -77,6 +77,15 @@ def test_nifti_roundtrip_value_exact(tmp_path):
     back = read_volume(p)
     assert np.array_equal(back.voxels, img.voxels)
     assert back.spacing == pytest.approx(img.spacing)
+
+
+def test_read_volume_builds_one_float64_volume_beside_the_file(tmp_path):
+    """Reading a 128x128x64 float32 NIfTI holds the file's bytes and one float64 volume (1.0002 volumes beyond
+    the file measured): the image takes the array the reader built. A second copy took 2.0."""
+    dims = (128, 128, 64)
+    path = write_volume(VolumeImage(np.random.default_rng(3).normal(size=dims)), tmp_path / "v.nii")
+    img, peak = traced_peak(lambda: read_volume(path))
+    assert peak <= path.stat().st_size + 1.25 * img.voxels.nbytes
 
 
 def test_nifti_bad_magic(tmp_path):

@@ -15,8 +15,8 @@ header and payload parser; a mask is the payload thresholded at 0.5, with no
 float64 volume in between. A mask computes its foreground coordinates and their
 26-neighbor pairs once, on first use.
 
-The readers check a file's header and payload themselves and hand the array
-they built to the image or mask, which takes it without a second copy or scan.
+An image holds a read-only float64 array that owns its C-ordered data (the
+one ``read_volume`` builds, or another image's) as it is, and copies any other.
 
 Intensity normalization is two statistics over a flat array of voxel values,
 each an offset and a scale ``(mu, sigma)``: ``zscore_stats`` (mean and
@@ -90,8 +90,11 @@ class VolumeImage:
         if not np.all(np.isfinite(vox)):
             raise DataError("volume contains non-finite voxels")
         spacing = _checked_header(self.spacing, self.modality)
-        vox = vox.copy()
-        vox.flags.writeable = False
+        # an array that owns its C-ordered data and is read-only (a reader's, or
+        # another image's) cannot change under the image: it is held as it is
+        if vox.flags.writeable or not (vox.flags.owndata and vox.flags.c_contiguous):
+            vox = vox.copy()
+            vox.flags.writeable = False
         object.__setattr__(self, "voxels", vox)
         object.__setattr__(self, "spacing", spacing)
 
@@ -147,17 +150,6 @@ def _mapped(values: np.ndarray, maps) -> np.ndarray:
         values = values - mu
         values /= sigma
     return values
-
-
-def _adopted(cls, voxels: np.ndarray, **fields):
-    """A ``cls`` holding ``voxels`` itself, read-only: a fresh array that no
-    one else holds, checked by the caller as ``cls`` checks its input, so it
-    is neither copied nor scanned again."""
-    obj = object.__new__(cls)
-    voxels.flags.writeable = False
-    for name, value in {"voxels": voxels, **fields}.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def _checked_header(spacing, modality: str) -> tuple[float, float, float]:
@@ -292,7 +284,8 @@ def read_volume(path: str | Path) -> VolumeImage:
     """
     payload = _read_payload(path)
     voxels = _c_order(payload.values, payload.dims, np.float64)
-    return _adopted(VolumeImage, voxels, spacing=payload.spacing, modality=payload.modality)
+    voxels.flags.writeable = False  # so the image holds it without a copy
+    return VolumeImage(voxels, payload.spacing, payload.modality)
 
 
 def read_mask(path: str | Path) -> RoiMask:
@@ -302,7 +295,7 @@ def read_mask(path: str | Path) -> RoiMask:
     errors, but no float64 volume is built.
     """
     payload = _read_payload(path)
-    return _adopted(RoiMask, _c_order(payload.values > 0.5, payload.dims, bool))
+    return RoiMask(_c_order(payload.values > 0.5, payload.dims, bool))
 
 
 def _read_payload(path: str | Path) -> _Payload:
@@ -466,13 +459,15 @@ def zscore_stats(values: np.ndarray) -> tuple[float, float]:
 
 
 def _mean_std(values: np.ndarray) -> tuple[float, float]:
-    """``values.mean()`` and ``values.std()``, bit for bit, with the mean taken
-    once: the deviations from it are squared in place and summed as
-    ``np.std`` sums them, in memory order."""
+    """``values.mean()`` and ``values.std()`` of an integer, float32 or float64
+    ``values``, bit for bit, with the mean taken once: the deviations from it
+    are squared in place, summed in memory order, divided and rooted as
+    ``np.std`` does, in the deviations' dtype."""
     mu = values.mean()
     dev = np.subtract(values, mu)
     np.square(dev, out=dev)
-    return float(mu), math.sqrt(float(dev.sum()) / values.size)
+    var = dev.dtype.type(dev.sum() / np.intp(values.size))
+    return float(mu), float(np.sqrt(var))
 
 
 def white_stripe_stats(values: np.ndarray, maps=()) -> tuple[float, float]:
@@ -487,12 +482,18 @@ def white_stripe_stats(values: np.ndarray, maps=()) -> tuple[float, float]:
     The histogram, the median, ``p_peak`` and the quantiles all come from one
     sort of ``values``, with the arithmetic of ``np.histogram``, ``np.median``
     and ``np.quantile``; the window's std sums in the order of ``values``.
-    The sorted copy is the one buffer of ``values``' size; the window is
-    gathered block by block in the order of ``values``, each block mapped on
-    its own.
+    The sorted copy is the one buffer of ``values``' size, sorted raw and then
+    mapped in place: a map ``(v - mu) / sigma`` with ``sigma > 0`` is monotone,
+    rounding included, so these are the sorted mapped values, bit for bit. The
+    window is gathered block by block in the order of ``values``, each block
+    mapped on its own.
     """
     values = values.ravel()
-    ordered = _sorted_under_maps(values, maps)
+    ordered = values.astype(np.result_type(values, 1.0))  # the dtype of a mapped value
+    ordered.sort()
+    for mu, sigma in maps:  # the arithmetic of _mapped, in place
+        ordered -= mu
+        ordered /= sigma
     n = ordered.size
     lo, hi = float(ordered[0]), float(ordered[-1])
     if lo == hi:
@@ -527,38 +528,6 @@ def white_stripe_stats(values: np.ndarray, maps=()) -> tuple[float, float]:
     if sigma_ws == 0.0:
         raise DataError("constant image: zero variance in the white-stripe window")
     return mu_ws, sigma_ws
-
-
-def _sorted_under_maps(values: np.ndarray, maps) -> np.ndarray:
-    """``np.sort(_mapped(values, maps))`` as float64, built in one buffer of
-    ``values``' size.
-
-    A map ``(v - mu) / sigma`` with ``sigma > 0`` is monotone, rounding
-    included, so the sorted values mapped in place are the sorted mapped
-    values, bit for bit. Values that float32 holds exactly, as those of a
-    float32 or int16 file, are sorted as float32 in the buffer's first half,
-    half the bytes to sort, and then widened in place from the top: block
-    ``[bottom, top)`` of the float64 elements overlays float32 elements at
-    or above ``bottom`` only, which the blocks above it have already read.
-    """
-    ordered = np.empty(values.size)
-    narrow = ordered.view(np.float32)[: values.size]
-    with np.errstate(over="ignore"):  # a value beyond float32's range casts to inf: not exact
-        narrow[...] = values
-    if np.array_equal(narrow, values):
-        narrow.sort()
-        top = values.size
-        while top:
-            bottom = (top + 1) // 2 if top > 1 else 0
-            ordered[bottom:top] = narrow[bottom:top]
-            top = bottom
-    else:
-        ordered[...] = values
-        ordered.sort()
-    for mu, sigma in maps:  # the arithmetic of _mapped, in place
-        ordered -= mu
-        ordered /= sigma
-    return ordered
 
 
 def _sorted_quantile(ordered: np.ndarray, q: float) -> float:

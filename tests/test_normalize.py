@@ -9,7 +9,7 @@ from radrisk import (
 from radrisk.features import ExtractionConfig, extract_all
 from radrisk.featurestore import ROLE_FOLLOWUP, ROLE_PLAN_CT, ROLE_PLAN_MR
 from radrisk.pipeline import normalize_volume
-from radrisk.volume import _mapped, _sorted_quantile, _sorted_under_maps
+from radrisk.volume import _mapped, _sorted_quantile
 from helpers import traced_peak, vol3d
 from oracles import bf_normalize, bf_whitestripe_peak, quantile_white_stripe_stats
 
@@ -40,6 +40,22 @@ def test_z_normalize_hand_values():
 def test_z_normalize_constant_errors():
     with pytest.raises(DataError, match="constant image"):
         zscore_stats(np.full(4, 3.0))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int16])
+def test_zscore_stats_are_numpys_mean_and_std(dtype):
+    """The mean once and the deviations once, with ``np.mean``'s and ``np.std``'s bits, the std's division and
+    root in the deviations' dtype (float32 for a float32 array); strided arrays sum in their own order."""
+    rng = np.random.default_rng(np.dtype(dtype).num)
+    for trial in range(300):
+        values = rng.normal(rng.uniform(-50, 50), rng.uniform(0.1, 300), size=int(rng.integers(2, 3000))).astype(dtype)
+        if trial % 4 == 1:
+            values = values[:: int(rng.integers(2, 5))]
+        if values.size < 2 or values.min() == values.max():
+            continue
+        mu, sigma = zscore_stats(values)
+        assert (mu, sigma) == (float(values.mean()), float(values.std())), trial
+        assert type(values.std()) is (np.float32 if dtype is np.float32 else np.float64)
 
 
 def test_z_normalize_output_statistics():
@@ -177,7 +193,7 @@ _FILE_LIKE_VOLUMES = {
 
 @pytest.mark.parametrize("kind", list(_FILE_LIKE_VOLUMES))
 def test_normalize_volume_of_file_like_voxels_matches_the_oracle(kind):
-    """Voxels that float32 holds exactly, as a float32 or int16 file's, are sorted as float32."""
+    """Voxels of a float32 or int16 file, many of them tied, give the two-pass oracle's volume."""
     rng = np.random.default_rng(list(_FILE_LIKE_VOLUMES).index(kind) + 20)
     for dims in ((20, 20, 10), (13, 7, 5)):
         img = vol3d(_FILE_LIKE_VOLUMES[kind](rng, dims[0] * dims[1] * dims[2]).reshape(dims))
@@ -186,19 +202,19 @@ def test_normalize_volume_of_file_like_voxels_matches_the_oracle(kind):
             assert np.array_equal(normalize_volume(img, ROLE_FOLLOWUP, NormalizationConfig(zscore=zscore)).voxels, want)
 
 
-def test_sorted_values_under_maps_are_the_sorted_mapped_values():
-    """Sorted raw and then mapped in place, as float32 when that is exact; the length sets the widening's
-    blocks, so lengths 1 to 400 cover odd and even tops."""
+def test_white_stripe_under_maps_is_white_stripe_of_the_mapped_values():
+    """White-stripe sorts the raw values and maps the sorted copy in place, and maps the window's blocks one by
+    one: the statistics of the mapped values, bit for bit, for float64, float32 and integer values."""
     rng = np.random.default_rng(13)
-    for n in range(1, 401):
-        values = np.round(rng.normal(size=n) * rng.choice([1.0, 4.0, 1e3]))
-        if n % 3 == 0:
-            values += rng.normal(size=n) * 1e-3  # not exact in float32
-        if n % 7 == 0:
-            values[0] = 1e300  # beyond float32's range
-        maps = tuple((rng.normal() * 10, rng.uniform(1e-3, 1e3)) for _ in range(n % 3))
-        got = _sorted_under_maps(values, maps)
-        assert got.dtype == np.float64 and np.array_equal(got, np.sort(_mapped(values, maps))), n
+    for trial in range(200):
+        n = int(rng.integers(10, 4000))
+        values = np.round(_bimodal(rng, n, bright=rng.uniform(0.3, 0.8)) * rng.choice([1.0, 4.0, 1e3]))
+        values = values.astype((np.float64, np.float32, np.int32)[trial % 3])
+        maps = tuple((rng.normal() * 10, rng.uniform(1e-3, 1e3)) for _ in range(trial % 3))
+        want = _stats_or_error(white_stripe_stats, _mapped(values, maps))
+        assert _stats_or_error(lambda v: white_stripe_stats(v, maps), values) == want, trial
+    values = _bimodal(rng, 3000).astype(np.float32)  # sorted, binned and windowed as float32, as the oracle does
+    assert white_stripe_stats(values) == quantile_white_stripe_stats(values)
 
 
 def _ellipsoid(dims, center, radii):
@@ -227,15 +243,12 @@ def test_extraction_maps_the_roi_box_as_the_whole_volume(zscore, whitestripe):
 
 
 def test_normalize_volume_holds_one_whole_volume_buffer_at_most():
-    """On a 128x128x64 MR image the statistics take one float64 volume at a time (1.13 volumes measured,
-    with the exactness check's mask) and the image returned holds no new one. Mapping the whole volume and
-    copying the result took 2.0."""
-    values = _bimodal(np.random.default_rng(10), 128 * 128 * 64).reshape(128, 128, 64)
-    # white-stripe sorts float32 values as float32, and others at full width
-    for img in (vol3d(values), vol3d(values.astype(np.float32))):
-        for role in (ROLE_PLAN_MR, ROLE_PLAN_CT):
-            _, peak = traced_peak(lambda: normalize_volume(img, role, NormalizationConfig()))
-            assert peak <= 1.25 * img.voxels.nbytes, role
+    """On a 128x128x64 MR image the statistics take one float64 volume at a time (1.002 volumes measured) and
+    the image returned holds no new one. Mapping the whole volume and copying the result took 2.0."""
+    img = vol3d(_bimodal(np.random.default_rng(10), 128 * 128 * 64).reshape(128, 128, 64))
+    for role in (ROLE_PLAN_MR, ROLE_PLAN_CT):
+        _, peak = traced_peak(lambda: normalize_volume(img, role, NormalizationConfig()))
+        assert peak <= 1.25 * img.voxels.nbytes, role
 
 
 @pytest.mark.parametrize("zscore", [True, False])

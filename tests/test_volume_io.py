@@ -80,12 +80,29 @@ def test_nifti_roundtrip_value_exact(tmp_path):
 
 
 def test_read_volume_builds_one_float64_volume_beside_the_file(tmp_path):
-    """Reading a 128x128x64 float32 NIfTI holds the file's bytes and one float64 volume (1.0002 volumes beyond
-    the file measured): the image takes the array the reader built. A second copy took 2.0."""
+    """Reading a 128x128x64 float32 NIfTI holds the file's bytes and one float64 volume (1.125 volumes beyond
+    the file measured, with the image's finiteness mask): the image holds the read-only array the reader built.
+    A second copy took 2.0."""
     dims = (128, 128, 64)
     path = write_volume(VolumeImage(np.random.default_rng(3).normal(size=dims)), tmp_path / "v.nii")
     img, peak = traced_peak(lambda: read_volume(path))
     assert peak <= path.stat().st_size + 1.25 * img.voxels.nbytes
+
+
+def test_an_image_copies_any_array_that_could_change_under_it():
+    """Only a read-only float64 array that owns its C-ordered data is held as it is."""
+    base = np.random.default_rng(4).normal(size=(4, 3, 2))
+    held = base.copy()
+    held.flags.writeable = False
+    assert VolumeImage(held).voxels is held
+    view = base.view()
+    view.flags.writeable = False
+    for voxels in (base, view, np.asfortranarray(held), held.astype(np.float32)):
+        img = VolumeImage(voxels)
+        assert img.voxels is not voxels and not img.voxels.flags.writeable and img.voxels.flags.c_contiguous
+    img, want = VolumeImage(view), base.copy()
+    base += 1.0
+    assert np.array_equal(img.voxels, want)
 
 
 def test_nifti_bad_magic(tmp_path):

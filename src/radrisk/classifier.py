@@ -88,22 +88,25 @@ class TrainedModel:
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    data = json.loads(Path(path).read_text())
-    if data.get("format_version") != MODEL_FORMAT_VERSION:
-        raise DataError(f"unsupported model format version {data.get('format_version')!r}")
-    cfg = ClassifierConfig(**data["config"])
-    return TrainedModel(
-        feature_names=list(data["feature_names"]),
-        mu=np.asarray(data["mu"], dtype=np.float64),
-        sigma=np.asarray(data["sigma"], dtype=np.float64),
-        w=np.asarray(data["w"], dtype=np.float64),
-        b=float(data["b"]),
-        class_weights=tuple(data["class_weights"]),
-        threshold=float(data["threshold"]),
-        config=cfg,
-        kkt_residual=float(data.get("kkt_residual", 0.0)),
-        epochs_run=int(data.get("epochs_run", 0)),
-    )
+    """The model that :meth:`TrainedModel.save` wrote to ``path``; ``DataError`` for a file that is not one."""
+    try:
+        data = json.loads(Path(path).read_text())
+        if data.get("format_version") != MODEL_FORMAT_VERSION:
+            raise DataError(f"unsupported model format version {data.get('format_version')!r}")
+        return TrainedModel(
+            feature_names=list(data["feature_names"]),
+            mu=np.asarray(data["mu"], dtype=np.float64),
+            sigma=np.asarray(data["sigma"], dtype=np.float64),
+            w=np.asarray(data["w"], dtype=np.float64),
+            b=float(data["b"]),
+            class_weights=tuple(data["class_weights"]),
+            threshold=float(data["threshold"]),
+            config=ClassifierConfig(**data["config"]),
+            kkt_residual=float(data.get("kkt_residual", 0.0)),
+            epochs_run=int(data.get("epochs_run", 0)),
+        )
+    except (ValueError, KeyError, TypeError, AttributeError, ConfigError) as exc:
+        raise DataError(f"malformed model file {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _crossover(Z, upper, a, face, tol: float, refine: bool):

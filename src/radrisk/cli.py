@@ -34,7 +34,7 @@ from .evaluation import (
     write_risk_split,
 )
 from .features import ExtractionConfig, feature_names
-from .featurestore import FeatureStore, read_features_csv, write_features_csv
+from .featurestore import SETTINGS_KEYS, FeatureStore, read_features_csv, write_features_csv
 from .pipeline import NormalizationConfig, build_dataset, build_datasets, extract_cohort, image_jobs
 from .selection import correlation_report
 from .svgplot import km_plot, roc_plot
@@ -101,9 +101,10 @@ def _config_value(ctx: click.Context, param: click.Parameter, value, path: Path)
         raise ConfigError(f"config file {path}: {param.name}: {exc.format_message()}") from exc
 
 
-def _merge_config(ctx: click.Context, config_path: str | None, flags: dict) -> dict:
-    """Config-file values fill in for flags the user left at their defaults."""
+def _merge_config(ctx: click.Context, config_path: str | None, flags: dict) -> tuple[dict, set]:
+    """Config-file values fill in for flags the user left at their defaults; also the names set in either."""
     merged = dict(flags)
+    given = {key for key in flags if ctx.get_parameter_source(key).name == "COMMANDLINE"}
     if config_path:
         p = Path(config_path)
         if not p.exists():
@@ -122,10 +123,10 @@ def _merge_config(ctx: click.Context, config_path: str | None, flags: dict) -> d
         params = {param.name: param for param in ctx.command.params}
         for key, value in file_cfg.items():
             value = _config_value(ctx, params[key], value, p)
-            src = ctx.get_parameter_source(key)
-            if src is not None and src.name != "COMMANDLINE":
+            if key not in given:
                 merged[key] = value
-    return merged
+        given |= file_cfg.keys()
+    return merged, given
 
 
 def _comment(config: dict) -> str:
@@ -160,8 +161,8 @@ _MANIFEST = click.option("--manifest", required=True)
 _OUT = click.option("--out", "out_dir", default=None)
 _FEATURES = click.option("--features", "features_path", required=True)
 _SET = click.option("--set", "set_id", type=click.IntRange(1, 7), default=7, show_default=True)
-_HORIZON = click.option("--horizon", "horizon_days", type=click.IntRange(min=1), default=HORIZON_DAYS,
-                        show_default=True)
+_HORIZON = click.option("--horizon", "--horizon-days", "horizon_days", type=click.IntRange(min=1),
+                        default=HORIZON_DAYS, show_default=True)
 _THREADS = click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True)
 _DATASET_OPTIONS = [_MANIFEST, _FEATURES, _SET, _HORIZON]
 
@@ -185,7 +186,7 @@ _COMMON_CV_OPTIONS = [
     *_CLASSIFIER_OPTIONS,
     click.option("--per-samples", type=int, default=10, show_default=True, help="selection cap divisor"),
     click.option("--global-selection", is_flag=True, help="select once before CV (leaky; for comparison)"),
-    click.option("--horizon-days", type=click.IntRange(min=1), default=HORIZON_DAYS, show_default=True),
+    _HORIZON,
     _THREADS,
 ]
 
@@ -193,7 +194,7 @@ _COMMON_CV_OPTIONS = [
 def _extraction(values: dict) -> tuple[dict, ExtractionConfig, NormalizationConfig]:
     """The extraction settings among the parameter ``values``, as artifacts echo them, and the
     extraction and normalization configs they select."""
-    settings = {key: values[key] for key in ("n_bins", "wavelet", "whitestripe", "zscore")}
+    settings = {key: values[key] for key in SETTINGS_KEYS}
     wavelet = None if settings["wavelet"] == "none" else settings["wavelet"]
     return (settings, ExtractionConfig(n_bins=settings["n_bins"], wavelet=wavelet),
             NormalizationConfig(zscore=settings["zscore"], whitestripe=settings["whitestripe"]))
@@ -205,10 +206,10 @@ def _classifier(values: dict) -> clf.ClassifierConfig:
 
 
 def _cv_setup(manifest_path: Path, sets, values: dict, settings: dict):
-    """The configuration of a CV run as its artifacts echo it, then the CV and classifier configs
-    that the parameter ``values`` select. The echo holds the extraction ``settings``
-    (:func:`_extraction`, or none) after the sets. A command builds these before any extraction or
-    table read, so a bad setting exits 2 before any work is done."""
+    """The configuration of a CV run as its artifacts echo it, with the extraction ``settings`` of its
+    table after the sets, then the CV and classifier configs that the parameter ``values`` select. A
+    command builds these after any table read (:func:`_read_table`) and before its manifest read,
+    extraction or CV, so a bad setting exits 2 before that work is done."""
     cv = CvConfig(repeats=values["repeats"], test_frac=values["test_frac"], seed=values["seed"],
                   threads=values["threads"], per_samples=values["per_samples"],
                   per_fold=not values["global_selection"])
@@ -228,6 +229,17 @@ def _cv_setup(manifest_path: Path, sets, values: dict, settings: dict):
         "horizon_days": values["horizon_days"],
     }
     return echo, cv, classifier
+
+
+def _read_table(path, given: dict) -> tuple[FeatureStore, dict]:
+    """The table at ``path`` and the extraction settings it records, or {}; a ``given`` one that differs exits 2."""
+    store = read_features_csv(path)
+    if store.settings is None:
+        log.warning("%s records no extraction settings, so the config echo holds none", path)
+    for key, value in given.items():
+        if store.settings and value != store.settings[key]:
+            raise ConfigError(f"{key} {value!r} disagrees with {path}, extracted with {key} {store.settings[key]!r}")
+    return store, store.settings or {}
 
 
 # ---------------------------------------------------------------------------
@@ -333,22 +345,16 @@ def extract(manifest, out_dir, force, threads, **values):
 
 def _resumable_rows(path: Path, settings: dict, names: list[str]) -> FeatureStore | None:
     """The rows of an earlier extraction into ``path``, or None when every image must be re-extracted:
-    the table is unreadable, its ``# config:`` line does not show the same settings, or its columns are
-    not ``names``. A table without rows has nothing to check."""
+    the table is unreadable, it does not record the same settings, or its columns are not ``names``. A
+    table without rows has nothing to check."""
     try:
         store = read_features_csv(path)
     except DataError as exc:
         log.warning("%s is unreadable, re-extracting every image: %s", path, exc)
         return None
-    with path.open() as fh:
-        line = fh.readline()
-    try:
-        previous = json.loads(line.removeprefix("# config: ")) if line.startswith("# config: ") else None
-    except json.JSONDecodeError:
-        previous = None
-    if not isinstance(previous, dict) or any(previous.get(key) != value for key, value in settings.items()):
-        log.warning("%s was extracted with other settings, re-extracting every image: found %r, now %s",
-                    path, line.strip(), json.dumps(settings, sort_keys=True))
+    if store.settings != settings:
+        log.warning("%s was extracted with other settings, re-extracting every image: found %s, now %s",
+                    path, json.dumps(store.settings, sort_keys=True), json.dumps(settings, sort_keys=True))
         return None
     if store.keys and store.names != names:
         log.warning("%s does not have the %d feature columns of these settings, re-extracting every image",
@@ -431,8 +437,9 @@ def train(manifest, features_path, set_id, horizon_days, out_dir, **values):
 def evaluate(manifest, features_path, set_id, out_dir, **values):
     """Monte-Carlo cross-validation of one feature set."""
     manifest_path, out = _paths(manifest, out_dir)
-    config, *cv_configs = _cv_setup(manifest_path, (set_id,), values, {})  # no extraction settings
-    dataset = _dataset_from_files(manifest_path, features_path, set_id, values["horizon_days"])
+    store, settings = _read_table(features_path, {})
+    config, *cv_configs = _cv_setup(manifest_path, (set_id,), values, settings)
+    dataset = build_dataset(load_manifest(manifest_path), store, feature_set(set_id), values["horizon_days"])
     _made(out)
     report = monte_carlo_cv(dataset, *cv_configs)
     _write_json(out / "cv_report.json", report.to_dict(), config)
@@ -484,22 +491,21 @@ def km(manifest, horizon_days, out_dir):
 @click.pass_context
 def run(ctx, config_path, **params):
     """Full pipeline: extract (if needed), CV per feature set, risk-split report."""
-    merged = _merge_config(ctx, config_path, params)
+    merged, given = _merge_config(ctx, config_path, params)
     set_ids = _parse_sets(merged["sets"])
     manifest_path, out = _paths(merged["manifest"], merged["out_dir"])
     settings, ext_cfg, norm_cfg = _extraction(merged)
+    if merged["features_path"]:
+        store, settings = _read_table(merged["features_path"], {k: v for k, v in settings.items() if k in given})
     config, *cv_configs = _cv_setup(manifest_path, set_ids, merged, settings)
     comment = _comment(config)
 
     records = load_manifest(manifest_path)
-    if merged["features_path"]:
-        store = read_features_csv(merged["features_path"])
-        _made(out)
-    else:
-        csv_path = _made(out) / "features.csv"  # before the extraction, so that a bad --out fails first
+    _made(out)  # before the extraction, so that a bad --out fails first
+    if not merged["features_path"]:
         store = extract_cohort(records, ext_cfg, norm_cfg, base_dir=manifest_path.parent,
                                threads=merged["threads"])
-        write_features_csv(csv_path, store, comment)
+        write_features_csv(out / "features.csv", store, comment)
 
     specs = [feature_set(set_id) for set_id in set_ids]
     datasets = dict(zip(set_ids, build_datasets(records, store, specs, merged["horizon_days"])))

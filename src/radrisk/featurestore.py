@@ -9,8 +9,8 @@ so a single dense header serves MR and CT rows alike.
 CSV layout: the key columns followed by the feature columns, one row per
 image in store order, with csv quoting where a key needs it; a store without
 rows writes the key columns alone. Lines starting with ``#`` before the
-header carry the embedded run configuration and are skipped on read. Floats
-round-trip exactly via ``repr``.
+header carry the embedded run configuration; the first gives a read's
+``FeatureStore.settings``. Floats round-trip exactly via ``repr``.
 
 Binary sidecar: next to ``features.csv`` the writer puts ``features.csv.npy``,
 four consecutive ``np.save`` records: the CSV's CRC-32 and byte length, the
@@ -25,6 +25,7 @@ A read never writes a sidecar, and deleting one is always safe.
 from __future__ import annotations
 
 import csv
+import json
 import zlib
 from collections import Counter
 from pathlib import Path
@@ -35,6 +36,7 @@ from .cohort import FILTER_PREFIXES
 from .errors import DataError
 
 KEY_COLUMNS = ("lesion_id", "role", "date")
+SETTINGS_KEYS = ("n_bins", "wavelet", "whitestripe", "zscore")  # the extraction settings a table records
 
 ROLE_FOLLOWUP = "followup"
 ROLE_PLAN_MR = "planning_mr"
@@ -55,6 +57,7 @@ class FeatureStore:
         self.names = list(names)
         self.keys = list(keys)
         self.values = np.asarray(values, dtype=np.float64).reshape(len(self.keys), len(self.names))
+        self.settings: dict | None = None  # the extraction settings of the table it was read from
         if len(set(self.names)) != len(self.names):
             raise DataError(f"duplicate feature column {_first_duplicate(self.names)!r}")
         bad = [n for n in self.names if not n.startswith(FILTER_PREFIXES)]
@@ -150,12 +153,23 @@ def read_features_csv(path: str | Path) -> FeatureStore:
     if not path.is_file():
         raise DataError(f"feature CSV {path} is not a file")
     store = _read_sidecar(path)
-    if store is not None:
-        return store
     try:
-        return _read_store(path)
+        if store is None:
+            store = _read_store(path)
+        with path.open() as fh:
+            store.settings = _settings(fh.readline())
     except UnicodeDecodeError as exc:
         raise DataError(f"feature CSV {path} is not UTF-8 text: {exc}") from exc
+    return store
+
+
+def _settings(line: str) -> dict | None:
+    """The extraction settings that a ``# config:`` line records, or None when it does not record them all."""
+    try:
+        config = json.loads(line.removeprefix("# config: ")) if line.startswith("# config: ") else {}
+        return {key: config[key] for key in SETTINGS_KEYS}
+    except (ValueError, KeyError, TypeError):  # not JSON, a missing key, or not an object
+        return None
 
 
 def _read_store(path: Path) -> FeatureStore:

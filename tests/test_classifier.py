@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,18 @@ def test_serialization_roundtrip(tmp_path):
     assert back.b == model.b
     assert back.class_weights == pytest.approx(model.class_weights)
     assert np.array_equal(predict(back, X), predict(model, X))
+    assert back.save(tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_a_malformed_model_file_is_a_data_error(tmp_path):
+    X, y, names = hand_instance()
+    path = fit(X, y, names).save(tmp_path / "model.json")
+    data = json.loads(path.read_text())
+    configs = (data["config"] | {"kernel": "rbf"}, data["config"] | {"C": -1.0}, [1.0])
+    for text in ("not json", '{"format_version": 1}', "[1, 2]", *(json.dumps(data | {"config": c}) for c in configs)):
+        path.write_text(text)
+        with pytest.raises(DataError, match="malformed model file"):
+            load_model(path)
 
 
 def test_errors():

@@ -338,10 +338,11 @@ def test_select_train_evaluate_km(cohort_dir, tmp_path):
     assert cv["repeats"] == 3
     assert cv["straddle_counts"] == [0, 0, 0]
     assert (out / "roc_oof.svg").exists()
-    # evaluate takes no extraction settings, so its config echo carries none
+    # evaluate echoes the extraction settings of the table it read
     svg = (out / "roc_oof.svg").read_text()
-    for key in ("n_bins", "wavelet", "whitestripe", "zscore"):
-        assert key not in cv["config"] and f'"{key}"' not in svg
+    table = {"n_bins": 8, "wavelet": "haar", "whitestripe": "mr", "zscore": True}
+    for key, value in table.items():
+        assert cv["config"][key] == value and f'"{key}": {json.dumps(value)}' in svg
 
     assert main(["km", "--manifest", manifest, "--out", str(out)]) == 0
     assert (out / "km_cohort.svg").exists()
@@ -483,6 +484,7 @@ def test_config_echo_is_pinned(tmp_path):
                  "--out", str(eval_out)]) == 0
     eval_config = [
         ("manifest", manifest), ("sets", [7]),
+        ("n_bins", 8), ("wavelet", "haar"), ("whitestripe", "mr"), ("zscore", True),
         ("per_samples", 5), ("per_fold", False), ("C", 0.5), ("sensitivity_weight", 3.0), ("threshold", 0.25),
         ("repeats", 3), ("test_frac", 0.25), ("seed", 9), ("horizon_days", 120),
     ]
@@ -498,6 +500,87 @@ def test_config_echo_is_pinned(tmp_path):
             assert (out / name).read_text().splitlines()[0] == f"# {comment}", name
         for name in svgs:
             assert f"<!-- {comment} -->" in (out / name).read_text(), name
+
+
+def _echoes(out: Path, report: str, svg: str) -> list[dict]:
+    """The config echo of a bundle in its JSON report, its ``table1.csv`` (when written) and its SVG."""
+    echoes = [json.loads((out / report).read_text())["config"]]
+    if (out / "table1.csv").exists():
+        echoes.append(json.loads((out / "table1.csv").read_text().splitlines()[0].removeprefix("# config: ")))
+    svg_comment = (out / svg).read_text().split("<!-- config: ", 1)[1].split(" -->", 1)[0]
+    return echoes + [json.loads(svg_comment)]
+
+
+def test_run_features_echoes_the_settings_of_its_table(criterion10_cohort, tmp_path):
+    """Criterion 10's flow: a table extracted at 8 gray levels gives a bundle that says so, with no flag
+    for it on the command line."""
+    manifest, features = criterion10_cohort / "manifest.json", criterion10_cohort / "features.csv"
+    out = tmp_path / "run"
+    assert main(["run", "--manifest", str(manifest), "--features", str(features), "--sets", "1,7",
+                 "--repeats", "4", "--seed", "5", "--out", str(out)]) == 0
+    table = {"n_bins": 8, "wavelet": "haar", "whitestripe": "mr", "zscore": True}
+    assert read_features_csv(features).settings == table
+    for echo in _echoes(out, "report.json", "km_split.svg"):
+        assert {key: echo[key] for key in table} == table
+
+
+def test_an_extraction_setting_that_disagrees_with_the_table_exits_2(criterion10_cohort, tmp_path, capsys):
+    manifest, features = criterion10_cohort / "manifest.json", criterion10_cohort / "features.csv"
+    argv = ["run", "--manifest", str(manifest), "--features", str(features), "--sets", "1", "--repeats", "2"]
+    out = tmp_path / "new" / "out"
+    capsys.readouterr()
+    assert main(argv + ["--ng", "16", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "n_bins 16" in err and "n_bins 8" in err and str(features) in err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"wavelet": "none"}))
+    assert main(argv + ["--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "wavelet 'none'" in err and "wavelet 'haar'" in err
+    assert not out.parent.exists()
+    # a setting given as the table has it runs
+    config.write_text(json.dumps({"wavelet": "haar", "zscore": True}))
+    assert main(argv + ["--ng", "8", "--config", str(config), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["config"]["n_bins"] == 8
+
+
+@pytest.mark.parametrize("first_line", [None, "# config: {", '# config: {"n_bins": 8}', "# config: [8]",
+                                        "# made by hand"], ids=["none", "not-json", "a-key-missing", "not-an-object",
+                                                                "another-comment"])
+def test_a_table_without_readable_settings_is_echoed_without_them(cohort_dir, tmp_path, caplog, first_line):
+    config, *lines = (cohort_dir / "features.csv").read_text().splitlines()
+    features = tmp_path / "features.csv"
+    features.write_text("\n".join(([first_line] if first_line else []) + lines) + "\n")
+    assert read_features_csv(features).settings is None
+    manifest = str(cohort_dir / "manifest.json")
+    runs = {"run": (["run", "--sets", "1", "--ng", "16"], "report.json", "km_split.svg"),
+            "evaluate": (["evaluate", "--set", "1"], "cv_report.json", "roc_oof.svg")}
+    for command, (argv, report, svg) in runs.items():
+        out = tmp_path / command
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert main(argv + ["--manifest", manifest, "--features", str(features), "--repeats", "2",
+                                "--out", str(out)]) == 0
+        logged = [m for m in caplog.messages if "records no extraction settings" in m]
+        assert len(logged) == 1 and str(features) in logged[0], command
+        for echo in _echoes(out, report, svg):
+            assert not echo.keys() & {"n_bins", "wavelet", "whitestripe", "zscore"}, command
+
+
+def test_a_run_on_a_table_leaves_it_resumable(tmp_path, caplog):
+    cohort = tmp_path / "cohort"
+    assert main(["synth", "--seed", "31", "--lesions", "8", "--hrm-fraction", "0.3", "--out", str(cohort)]) == 0
+    extract = ["extract", "--manifest", str(cohort / "manifest.json"), "--out", str(cohort), "--ng", "8",
+               "--wavelet", "none"]
+    assert main(extract) == 0
+    written = {name: (cohort / name).read_bytes() for name in ("features.csv", "features.csv.npy", "features.json")}
+    assert main(["run", "--manifest", str(cohort / "manifest.json"), "--features", str(cohort / "features.csv"),
+                 "--sets", "2", "--repeats", "2", "--out", str(tmp_path / "run")]) == 0
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        assert main(extract) == 0
+    assert not [m for m in caplog.messages if "re-extracting" in m]
+    assert {name: (cohort / name).read_bytes() for name in written} == written
 
 
 def test_run_emits_seven_row_table(cohort_dir, tmp_path):
@@ -681,14 +764,14 @@ CLI_SURFACE = {
         ("manifest", ("--manifest",), None, True),
         ("features_path", ("--features",), None, True),
         ("set_id", ("--set",), 7, False),
-        ("horizon_days", ("--horizon",), 100, False),
+        ("horizon_days", ("--horizon", "--horizon-days"), 100, False),
         ("out_dir", ("--out",), None, False),
     ],
     "train": [
         ("manifest", ("--manifest",), None, True),
         ("features_path", ("--features",), None, True),
         ("set_id", ("--set",), 7, False),
-        ("horizon_days", ("--horizon",), 100, False),
+        ("horizon_days", ("--horizon", "--horizon-days"), 100, False),
         ("c_value", ("--c", "-C"), 1.0, False),
         ("sensitivity_weight", ("--sensitivity-weight",), 2.0, False),
         ("theta", ("--theta",), 0.0, False),
@@ -706,13 +789,13 @@ CLI_SURFACE = {
         ("theta", ("--theta",), 0.0, False),
         ("per_samples", ("--per-samples",), 10, False),
         ("global_selection", ("--global-selection",), False, False),
-        ("horizon_days", ("--horizon-days",), 100, False),
+        ("horizon_days", ("--horizon", "--horizon-days"), 100, False),
         ("threads", ("--threads",), 1, False),
         ("out_dir", ("--out",), None, False),
     ],
     "km": [
         ("manifest", ("--manifest",), None, True),
-        ("horizon_days", ("--horizon",), 100, False),
+        ("horizon_days", ("--horizon", "--horizon-days"), 100, False),
         ("out_dir", ("--out",), None, False),
     ],
     "run": [
@@ -731,7 +814,7 @@ CLI_SURFACE = {
         ("theta", ("--theta",), 0.0, False),
         ("per_samples", ("--per-samples",), 10, False),
         ("global_selection", ("--global-selection",), False, False),
-        ("horizon_days", ("--horizon-days",), 100, False),
+        ("horizon_days", ("--horizon", "--horizon-days"), 100, False),
         ("threads", ("--threads",), 1, False),
         ("config_path", ("--config",), None, False),
         ("out_dir", ("--out",), None, False),

@@ -1,4 +1,5 @@
 import io
+import json
 import re
 
 import numpy as np
@@ -192,7 +193,8 @@ def test_feature_csv_sidecar_read_equals_the_text_parse(tmp_path, monkeypatch, k
         store.values[0] = [-0.0, 0.0 * np.inf]  # a NaN with its sign bit set, written as "nan"
     store.values[1] = [np.inf, 5e-324]
     store = FeatureStore(store.names, keys, store.values[: len(keys)])  # header-only: a store without rows
-    path = write_features_csv(tmp_path / "f.csv", store, "config: {}")
+    settings = {"n_bins": 8, "wavelet": "none", "whitestripe": "mr", "zscore": False}
+    path = write_features_csv(tmp_path / "f.csv", store, "config: " + json.dumps({"manifest": "m.json", **settings}))
     listing = sorted(tmp_path.iterdir())
     with monkeypatch.context() as patch:
         patch.setattr(featurestore, "_read_store", None)  # the sidecar serves the read alone
@@ -202,6 +204,7 @@ def test_feature_csv_sidecar_read_equals_the_text_parse(tmp_path, monkeypatch, k
     from_text = read_features_csv(path)
     assert sorted(tmp_path.iterdir()) == [path]  # not even the sidecar it could have used
     assert _same_store(from_sidecar, from_text)
+    assert from_sidecar.settings == from_text.settings == settings
     assert from_text.keys == keys and len(from_text.names) == (2 if keys else 0)
 
 

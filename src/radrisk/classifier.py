@@ -109,28 +109,44 @@ def load_model(path: str | Path) -> TrainedModel:
         raise DataError(f"malformed model file {path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _crossover(Z, upper, a, face, tol: float, refine: bool):
+FACTORED_FREE_SETS = 8  # the most free sets whose factors a fit keeps
+
+
+def _factored(Z, free, factors: dict):
+    """``Z_F`` for the ``free`` rows and its SVD at numerical rank, ``(Z_F, U, sv**2)``. ``factors`` keeps
+    those of the fit's last ``FACTORED_FREE_SETS`` free sets, keyed by the set's bytes, so a free set
+    seen again is not factored again; the factors of a set are the same either way."""
+    key = free.tobytes()
+    if key not in factors:
+        if len(factors) == FACTORED_FREE_SETS:
+            del factors[next(iter(factors))]
+        Zf = Z[free]
+        U, sv, _ = np.linalg.svd(Zf, full_matrices=False)
+        rank = int((sv > sv[0] * max(Zf.shape) * np.finfo(np.float64).eps).sum())
+        factors[key] = Zf, U[:, :rank], sv[:rank] * sv[:rank]
+    return factors[key]
+
+
+def _crossover(Z, upper, a, face, tol: float, refine: bool, factors: dict):
     """The exact point of the face that an interior iterate names: ``(w, kkt_residual)``.
 
     ``face`` puts each coordinate at 0 (-1), at ``upper`` (+1) or free (0).
     The free ones F move by the minimum-norm solution of
-    ``Z_F Z_F.T delta = -g_F``, from the SVD of ``Z_F`` at its numerical rank;
-    this zeroes their gradient whenever the face is the optimal one, also where
-    ``Z_F`` is rank-deficient. The point is projected onto the box. With
-    ``refine``, a point whose residual is not below ``tol`` is corrected once,
-    as in an active-set step: every coordinate whose projected gradient is
-    nonzero, or that lies strictly inside the box, is freed, and the face is
+    ``Z_F Z_F.T delta = -g_F``, from the SVD of ``Z_F`` at its numerical rank
+    (:func:`_factored`, which keeps the factors of the fit's last free sets);
+    this zeroes their gradient whenever the face is the optimal one,
+    also where ``Z_F`` is rank-deficient. The point is projected onto the box.
+    With ``refine``, a point whose residual is not below ``tol`` is corrected
+    once, as in an active-set step: every coordinate whose projected gradient
+    is nonzero, or that lies strictly inside the box, is freed, and the face is
     solved again.
     """
     a = np.where(face < 0, 0.0, np.where(face > 0, upper, a))
     free = face == 0
     for _ in range(1 + refine):
         if free.any():
-            Zf = Z[free]
-            U, sv, _ = np.linalg.svd(Zf, full_matrices=False)
-            rank = int((sv > sv[0] * max(Zf.shape) * np.finfo(np.float64).eps).sum())
-            U, sv = U[:, :rank], sv[:rank]
-            a[free] -= U @ ((U.T @ (Zf @ (Z.T @ a) - 1.0)) / (sv * sv))
+            Zf, U, sv2 = _factored(Z, free, factors)
+            a[free] -= U @ ((U.T @ (Zf @ (Z.T @ a) - 1.0)) / sv2)
             a = np.clip(a, 0.0, upper)
         w = Z.T @ a
         g = Z @ w - 1.0
@@ -169,6 +185,7 @@ def _solve_dual(Z, upper, max_iterations: int, tol: float):
     r = np.maximum(-g, 0.0) + 1.0  # so the dual residual g - s + r starts at 0
     eye = np.eye(m)
     face = None
+    factors = {}  # the crossover's factored free sets
     for iterations in range(1, max_iterations + 1):
         v = upper - a
         x = np.stack([a, v, s, r])
@@ -184,11 +201,10 @@ def _solve_dual(Z, upper, max_iterations: int, tol: float):
 
         def newton(cs, cr):
             """Direction of (a, v, s, r) for s da + a ds = cs, -r da + v dr = cr, Z Z.T da - ds + dr = -rd,
-            and whether its reduced system ``(D + Z Z.T) da = h`` holds better than ``da = 0`` would."""
+            and the right-hand side ``h`` of its reduced system ``(D + Z Z.T) da = h``."""
             h = cs / a - cr / v - rd
             da = dinv * (h - Z @ (M_inv @ (ZD.T @ h)))
-            held = np.abs(da / dinv + Z @ (Z.T @ da) - h).max() < np.abs(h).max()
-            return np.stack([da, -da, (cs - s * da) / a, (cr + r * da) / v]), held
+            return np.stack([da, -da, (cs - s * da) / a, (cr + r * da) / v]), h
 
         def max_step(dx):
             """Largest step in [0, 1] that keeps every entry of x + step * dx >= 0."""
@@ -199,7 +215,8 @@ def _solve_dual(Z, upper, max_iterations: int, tol: float):
         aff = x + max_step(dx) * dx
         mu_aff = float((aff[0] @ aff[2] + aff[1] @ aff[3]) / (2 * n))
         target = mu * (mu_aff / mu) ** 3
-        dx, held = newton(target - a * s - dx[0] * dx[2], target - v * r - dx[1] * dx[3])
+        dx, h = newton(target - a * s - dx[0] * dx[2], target - v * r - dx[1] * dx[3])
+        held = np.abs(dx[0] / dinv + Z @ (Z.T @ dx[0]) - h).max() < np.abs(h).max()
         step = 0.995 * max_step(dx)
         a_next = a + step * dx[0]
         # a direction that solves its system no better than 0 (lost to rounding) ends
@@ -209,7 +226,7 @@ def _solve_dual(Z, upper, max_iterations: int, tol: float):
         a, s, r = a_next, s + step * dx[2], r + step * dx[3]
         g = Z @ (Z.T @ a) - 1.0
         last_face, face = face, np.where(s > a, -1, np.where(r > upper - a, 1, 0))
-        w, residual = _crossover(Z, upper, a, face, tol, refine=np.array_equal(face, last_face))
+        w, residual = _crossover(Z, upper, a, face, tol, np.array_equal(face, last_face), factors)
         if residual < best_residual:
             best_w, best_residual = w, residual
         if residual < tol:

@@ -495,20 +495,27 @@ def run(ctx, config_path, **params):
     set_ids = _parse_sets(merged["sets"])
     manifest_path, out = _paths(merged["manifest"], merged["out_dir"])
     settings, ext_cfg, norm_cfg = _extraction(merged)
+    specs = [feature_set(set_id) for set_id in set_ids]
     if merged["features_path"]:
         store, settings = _read_table(merged["features_path"], {k: v for k, v in settings.items() if k in given})
+    elif ext_cfg.wavelet is None:
+        for spec in specs:
+            if "wavelet" in spec.blocks:
+                raise ConfigError(f"feature set {spec.set_id} has the wavelet block, which wavelet 'none' "
+                                  "does not extract")
     config, *cv_configs = _cv_setup(manifest_path, set_ids, merged, settings)
     comment = _comment(config)
 
     records = load_manifest(manifest_path)
-    _made(out)  # before the extraction, so that a bad --out fails first
     if not merged["features_path"]:
+        _made(out)  # before the extraction, so that a bad --out fails first
         store = extract_cohort(records, ext_cfg, norm_cfg, base_dir=manifest_path.parent,
                                threads=merged["threads"])
         write_features_csv(out / "features.csv", store, comment)
 
-    specs = [feature_set(set_id) for set_id in set_ids]
     datasets = dict(zip(set_ids, build_datasets(records, store, specs, merged["horizon_days"])))
+    del store  # the sets hold every value that the rest of the run reads
+    _made(out)
     reports = {}
     for set_id, dataset in datasets.items():
         report = reports[set_id] = monte_carlo_cv(dataset, *cv_configs)

@@ -88,10 +88,13 @@ def write_features_csv(path: str | Path, store: FeatureStore, config_comment: st
     names, values = (store.names, store.values) if store.keys else ([], np.empty((0, 0)))
     with path.open("w", newline="") as fh:
         fh.write(f"# {config_comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(KEY_COLUMNS + tuple(names))
-        # .tolist() gives Python floats, which csv writes as their repr
-        writer.writerows(list(key) + row for key, row in zip(store.keys, values.tolist()))
+        csv.writer(fh, lineterminator="\n").writerow(KEY_COLUMNS + tuple(names))
+        # csv quotes the keys where they need it and would write each float as its repr, so the floats
+        # (.tolist() gives Python floats) are joined as their repr after the keys and a comma, if any
+        key_writer = csv.writer(fh, lineterminator="," if names else "")
+        for key, row in zip(store.keys, values.tolist()):
+            key_writer.writerow(key)
+            fh.write(",".join(map(repr, row)) + "\n")
     keys = np.array(store.keys, dtype=str).reshape(len(store), len(KEY_COLUMNS))
     with _sidecar(path).open("wb") as fh:
         np.save(fh, _digest(path))

@@ -6,9 +6,9 @@ feature store keyed by (lesion_id, role, date), one row per image in
 normalization statistics over the whole volume, and extraction applies their
 maps to the ROI's box only. A resumed extraction reuses the rows of an
 earlier store and extracts only the images it lacks. ``build_datasets`` labels the
-follow-ups once, computes delta features against the planning MRI, and returns
-one matrix-shaped dataset per requested feature set, ready for
-cross-validation; ``build_dataset`` does the same for one set.
+follow-ups once and returns one matrix-shaped dataset per requested feature
+set, ready for cross-validation, its delta features computed against the
+planning MRI as its matrix is written; ``build_dataset`` does the same for one set.
 """
 
 from __future__ import annotations
@@ -157,6 +157,31 @@ class Dataset:
         return self.X.shape[0]
 
 
+def _columns(matrix: np.ndarray, rows: np.ndarray, cols: list[int]) -> np.ndarray:
+    """``matrix[rows][:, cols]`` for ascending ``cols``, as a row gather of one slice when they are a
+    contiguous range."""
+    if cols and cols[-1] - cols[0] == len(cols) - 1:
+        return matrix[rows, cols[0] : cols[-1] + 1]
+    return matrix[np.ix_(rows, cols)]
+
+
+def _set_matrix(segments, matrix: dict, rows: dict, gap: np.ndarray) -> np.ndarray:
+    """A set's C-ordered matrix, each of its ``assemble`` segments written in place: a block's columns
+    of ``matrix[source]`` at its ``rows[source]``, and the delta block computed from the follow-up and
+    planning-MR columns of the same rows, ``gap`` days apart."""
+    X = np.empty((len(gap), sum(len(cols) for _, _, cols in segments)))
+    end = 0
+    for _, source, cols in segments:
+        start, end = end, end + len(cols)
+        if source == "delta":
+            fu, plan = (_columns(matrix[block], rows[block], cols) for block in ("followup_mr", "planning_mr"))
+            with np.errstate(invalid="ignore"):  # a non-finite value fails the set's finite check
+                X[:, start:end] = delta_rows(fu, plan, gap)
+        else:
+            X[:, start:end] = _columns(matrix[source], rows[source], cols)
+    return X
+
+
 def build_dataset(
     records: list[MetastasisRecord],
     store: FeatureStore,
@@ -173,10 +198,13 @@ def build_datasets(
 ) -> list[Dataset]:
     """Label follow-ups once and assemble the feature matrix of each feature set, in ``specs`` order.
 
-    The clinical and delta blocks are computed once, over every labeled sample. A set gathers the columns
-    that ``assemble`` picks, and every sample except, when it has the CT block, those of the lesions
-    without planning-CT data (recorded as excluded). Each set is checked on its own rows and columns; the
+    The clinical block is computed once, over every labeled sample. A set writes the columns that
+    ``assemble`` picks straight into its matrix, for every sample except, when it has the CT block, those
+    of the lesions without planning-CT data (recorded as excluded); its delta columns are computed from
+    those rows alone. Each set is checked on its own rows and columns; the
     first set that fails raises, and a non-finite value names the first sample, in sample order, and column.
+    A set with a block for which the table has no columns, such as the wavelet block of a table extracted
+    without wavelet, fails.
     """
     labeling = label_samples(records, horizon_days)
     samples = labeling.samples
@@ -196,11 +224,7 @@ def build_datasets(
                          for k, s in zip(lesion, samples)])
     # each block's matrix and each sample's row in it; an image block's matrix is the store's
     matrix = dict.fromkeys(rows, store.values) | {"clinical": clinical}
-    at = rows | dict.fromkeys(("clinical", "delta"), np.arange(len(samples)))
-    if any("delta" in spec.blocks for spec in specs):
-        with np.errstate(divide="ignore", invalid="ignore"):  # a row with a gap <= 0 fails each set that keeps it
-            fu, plan = store.values[rows["followup_mr"]], store.values[rows["planning_mr"]]
-            matrix["delta"] = delta_rows(fu, plan, gap[:, None])
+    at = rows | {"clinical": np.arange(len(samples))}
 
     datasets = []
     for spec in specs:
@@ -224,8 +248,12 @@ def build_datasets(
                             f"feature set {spec.set_id} requires the planning_ct block")
 
         segments = assemble(spec, store.names)
-        # the gather keeps X C-ordered, as the selection and fit results depend on the layout
-        X = np.concatenate([matrix[source][np.ix_(at[source][kept], cols)] for _, source, cols in segments], axis=1)
+        empty = [block for block, _, cols in segments if not cols]
+        if empty:  # e.g. the wavelet block of a table extracted without wavelet
+            wavelet = f"wavelet {store.settings['wavelet']!r}" if store.settings else "no recorded wavelet"
+            raise DataError(f"feature set {spec.set_id} has the {empty[0]} block, but the feature table "
+                            f"({wavelet}) has no columns for it")
+        X = _set_matrix(segments, matrix, {source: at[source][kept] for source in at}, gap[kept, None])
         names = [
             CLINICAL_FEATURE_NAMES[k] if source == "clinical" else f"{BLOCK_TAGS[source]}-{store.names[k]}"
             for _, source, cols in segments

@@ -12,8 +12,9 @@ row, never a BLAS product, so bit-identical columns get bit-identical r and tie
 exactly, and a column's r does not depend on the other columns or on the
 layout of the input. A constant column has r = 0 instead of failing. So the
 per-block correlation tables (Table 2) take every column's r from one
-``correlation_report`` over the whole assembled matrix, and each r is the
-relevance that selection reports, bit for bit.
+``correlation_report`` over the whole assembled matrix, which it centers a
+block of columns at a time, and each r is the relevance that selection
+reports, bit for bit.
 
 Selection on a cross-validation fold takes the whole matrix, every row's label
 and the fold's rows: the rows are gathered into one C-ordered copy, which is
@@ -53,16 +54,20 @@ def _centered(X: np.ndarray, rows: np.ndarray | None = None):
     return Xc, norm, constant
 
 
-def _corr(Xc: np.ndarray, norm: np.ndarray, constant: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pearson r of every centered column with ``y``; 0 where either side is constant.
+def _corr(Xc: np.ndarray, norm: np.ndarray, constant: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """Pearson r of every centered column with ``y``, written into ``out`` when given; 0 where either
+    side is constant.
 
     On the C-ordered ``Xc`` the contraction adds ``Xc[i, j] * yc[i]`` into each
     column's sum row by row, with no n x d temporary.
     """
     yc, yn, y_constant = _centered(y[:, None])
-    r = np.zeros(Xc.shape[1])
-    if not y_constant[0]:
-        np.divide(np.einsum("ij,i->j", Xc, yc[:, 0]), norm * yn, out=r, where=~constant)
+    r = np.empty(Xc.shape[1]) if out is None else out
+    if y_constant[0]:
+        r.fill(0.0)
+    else:
+        np.divide(np.einsum("ij,i->j", Xc, yc[:, 0], out=r), norm * yn, out=r, where=~constant)
+        r[constant] = 0.0
     return r
 
 
@@ -92,9 +97,28 @@ def _labels(X: np.ndarray, y) -> np.ndarray:
     return y
 
 
+REPORT_BLOCK_BYTES = 1 << 20  # the budget of one block of columns that correlation_report centers
+
+
 def correlation_report(X: np.ndarray, y) -> np.ndarray:
-    """Pearson r of every column of ``X`` with the label ``y``; its magnitude is MRMR's relevance."""
-    return _corr(*_centered(X), _labels(X, y))
+    """Pearson r of every column of ``X`` with the label ``y``; its magnitude is MRMR's relevance.
+
+    The columns are centered and correlated a block of about ``REPORT_BLOCK_BYTES`` at a time, so no
+    copy of the whole matrix is made. A block has at least two columns, as a lone column would sum its
+    norm pairwise: a trailing single column joins the block before it. Each block is C-ordered and a
+    column's r does not depend on the other columns, so every r has the bits of one pass over ``X``.
+    """
+    X = np.asarray(X)
+    y = _labels(X, y)
+    d = X.shape[1]
+    step = max(2, REPORT_BLOCK_BYTES // (8 * max(len(X), 1)))
+    bounds = [*range(0, d, step), d]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    r = np.empty(d)
+    for start, stop in zip(bounds, bounds[1:]):
+        r[start:stop] = _corr(*_centered(X[:, start:stop]), y)
+    return r
 
 
 @dataclass(frozen=True)
@@ -144,22 +168,22 @@ def mrmr_select(X, y, k: int, names: list[str] | None = None, rows=None) -> Sele
     Xc, norm, constant = _centered(X, rows)
     relevance = np.abs(_corr(Xc, norm, constant, y))
     redundancy_sum = np.zeros(d)
-    picked = np.zeros(d, dtype=bool)
+    r, redund, scores = np.empty(d), np.zeros(d), np.empty(d)  # each step's buffers
     selected: list[int] = []
     trace: list[SelectionStep] = []
 
     for step in range(min(k, d)):
         if step:
             pick = X[:, selected[-1]] if rows is None else X[rows, selected[-1]]
-            redundancy_sum += np.abs(_corr(Xc, norm, constant, pick))
-        redund = redundancy_sum / max(step, 1)
-        scores = np.where(picked, -np.inf, relevance - redund)
+            redundancy_sum += np.abs(_corr(Xc, norm, constant, pick, r), out=r)
+            np.divide(redundancy_sum, step, out=redund)
+        np.subtract(relevance, redund, out=scores)
+        scores[selected] = -np.inf
         # a NaN score ranks first, as under np.argmax
         best = int(min(np.flatnonzero((scores == scores.max()) | np.isnan(scores)), key=names.__getitem__))
         if step and scores[best] <= 0.0:
             break
         selected.append(best)
-        picked[best] = True
         trace.append(SelectionStep(names[best], float(relevance[best]), float(redund[best]), float(scores[best])))
 
     return SelectionResult([names[s] for s in selected], selected, trace, k)

@@ -38,8 +38,19 @@ cross-validation repeat (the training and test folds copied whole, the fit on
 once and centered in place. ``per_block_correlation_tables`` keeps the first
 Table 2 writer, each column's block parsed from its name and one correlation
 per block, as the byte-for-byte reference for the one correlation pass.
+``concatenated_set_matrix`` keeps the first set assembly (every segment
+gathered, the delta block computed for every sample, then one
+``np.concatenate``) as the bit-for-bit reference for the matrix written in
+place. ``_crossover`` and ``_solve_dual`` are the classifier's solver as first
+written, copied verbatim (each free set factored at every crossover, and the
+predictor's system check computed and dropped), as the bit-for-bit reference
+for the fit. ``csv_features_text`` keeps the first feature-table writer, every
+row through ``csv.writer``, as the byte-for-byte reference for the floats
+joined as their ``repr``.
 """
 
+import csv
+import io
 import itertools
 import json
 import math
@@ -49,7 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from radrisk import classifier, mrmr_select, selection, selection_cap
-from radrisk.cohort import BLOCK_TAGS
+from radrisk.cohort import BLOCK_TAGS, assemble, clinical_features, delta_rows, label_samples
 from radrisk.errors import DataError
 from radrisk.evaluation import confusion_at, cv, roc_curve
 from radrisk.evaluation.survival import LogRankResult, SurvivalCurve
@@ -428,8 +439,128 @@ def bf_svm_dual(Z, upper, eps=1e-9):
     return best_w
 
 
+def _crossover(Z, upper, a, face, tol: float, refine: bool):
+    """The exact point of the face that an interior iterate names: ``(w, kkt_residual)``.
+
+    ``face`` puts each coordinate at 0 (-1), at ``upper`` (+1) or free (0).
+    The free ones F move by the minimum-norm solution of
+    ``Z_F Z_F.T delta = -g_F``, from the SVD of ``Z_F`` at its numerical rank;
+    this zeroes their gradient whenever the face is the optimal one, also where
+    ``Z_F`` is rank-deficient. The point is projected onto the box. With
+    ``refine``, a point whose residual is not below ``tol`` is corrected once,
+    as in an active-set step: every coordinate whose projected gradient is
+    nonzero, or that lies strictly inside the box, is freed, and the face is
+    solved again.
+    """
+    a = np.where(face < 0, 0.0, np.where(face > 0, upper, a))
+    free = face == 0
+    for _ in range(1 + refine):
+        if free.any():
+            Zf = Z[free]
+            U, sv, _ = np.linalg.svd(Zf, full_matrices=False)
+            rank = int((sv > sv[0] * max(Zf.shape) * np.finfo(np.float64).eps).sum())
+            U, sv = U[:, :rank], sv[:rank]
+            a[free] -= U @ ((U.T @ (Zf @ (Z.T @ a) - 1.0)) / (sv * sv))
+            a = np.clip(a, 0.0, upper)
+        w = Z.T @ a
+        g = Z @ w - 1.0
+        # projected gradient: the KKT residual of the box-constrained dual
+        pg = np.where(a == 0.0, np.minimum(g, 0.0), np.where(a == upper, np.maximum(g, 0.0), g))
+        residual = float(np.abs(pg).max())
+        if residual < tol:
+            break
+        free = (pg != 0.0) | ((a > 0.0) & (a < upper))
+    return w, residual
+
+
+def _solve_dual(Z, upper, max_iterations: int, tol: float):
+    """``(w, kkt_residual, iterations)`` for ``min 0.5 ||Z.T a||^2 - sum(a)`` over ``0 <= a <= upper``.
+
+    Mehrotra predictor-corrector primal-dual interior point, with multipliers
+    ``s`` of ``a >= 0`` and ``r`` of ``a <= upper``. Each Newton system
+    ``(D + Z Z.T) da = h`` (``D = s/a + r/(upper - a)``) is solved through
+    Woodbury with one Cholesky of ``I + Z.T D^-1 Z``. After each step the
+    crossover proposes an exact candidate on the face that the multipliers
+    name: a coordinate is at 0 when ``s`` exceeds its distance to 0, and at
+    ``upper`` when ``r`` exceeds its distance to ``upper``. A face named twice
+    in a row that fails is refined once. The first candidate whose KKT
+    residual is below ``tol`` is returned. Otherwise the best candidate is
+    returned at the iteration cap, or as soon as a step cannot stay strictly
+    inside the box or its direction is lost to rounding.
+    """
+    n, m = Z.shape
+    # a small interior start: from upper / 2 the first gap grows with C, and the
+    # fits of the planted cohort took ~5 more iterations
+    a = np.minimum(0.5 * upper, 1.0 / m)
+    w = Z.T @ a
+    g = Z @ w - 1.0
+    best_w, best_residual = w, float(np.abs(g).max())  # a is interior: its projected gradient is g
+    s = np.maximum(g, 0.0) + 1.0
+    r = np.maximum(-g, 0.0) + 1.0  # so the dual residual g - s + r starts at 0
+    eye = np.eye(m)
+    face = None
+    for iterations in range(1, max_iterations + 1):
+        v = upper - a
+        x = np.stack([a, v, s, r])
+        rd = g - s + r
+        mu = float((a @ s + v @ r) / (2 * n))
+        dinv = 1.0 / (s / a + r / v)
+        ZD = Z * dinv[:, None]
+        try:
+            L_inv = np.linalg.inv(np.linalg.cholesky(eye + Z.T @ ZD))
+        except np.linalg.LinAlgError:
+            break
+        M_inv = L_inv.T @ L_inv
+
+        def newton(cs, cr):
+            """Direction of (a, v, s, r) for s da + a ds = cs, -r da + v dr = cr, Z Z.T da - ds + dr = -rd,
+            and whether its reduced system ``(D + Z Z.T) da = h`` holds better than ``da = 0`` would."""
+            h = cs / a - cr / v - rd
+            da = dinv * (h - Z @ (M_inv @ (ZD.T @ h)))
+            held = np.abs(da / dinv + Z @ (Z.T @ da) - h).max() < np.abs(h).max()
+            return np.stack([da, -da, (cs - s * da) / a, (cr + r * da) / v]), held
+
+        def max_step(dx):
+            """Largest step in [0, 1] that keeps every entry of x + step * dx >= 0."""
+            shrink = dx < 0.0
+            return min(1.0, float((x[shrink] / -dx[shrink]).min())) if shrink.any() else 1.0
+
+        dx, _ = newton(-a * s, -v * r)  # predictor: the affine-scaling direction
+        aff = x + max_step(dx) * dx
+        mu_aff = float((aff[0] @ aff[2] + aff[1] @ aff[3]) / (2 * n))
+        target = mu * (mu_aff / mu) ** 3
+        dx, held = newton(target - a * s - dx[0] * dx[2], target - v * r - dx[1] * dx[3])
+        step = 0.995 * max_step(dx)
+        a_next = a + step * dx[0]
+        # a direction that solves its system no better than 0 (lost to rounding) ends
+        # the solve, like a step that cannot stay strictly inside the box
+        if not (held and np.all(a_next > 0.0) and np.all(a_next < upper)):
+            break
+        a, s, r = a_next, s + step * dx[2], r + step * dx[3]
+        g = Z @ (Z.T @ a) - 1.0
+        last_face, face = face, np.where(s > a, -1, np.where(r > upper - a, 1, 0))
+        w, residual = _crossover(Z, upper, a, face, tol, refine=np.array_equal(face, last_face))
+        if residual < best_residual:
+            best_w, best_residual = w, residual
+        if residual < tol:
+            break
+    return best_w, best_residual, iterations
+
+
 # ---------------------------------------------------------------------------
 # Other oracles
+
+
+def csv_features_text(store, config_comment):
+    """The first ``features.csv`` text: the comment, then the header and every row through one
+    ``csv.writer``, the floats as the Python floats of ``tolist``."""
+    fh = io.StringIO(newline="")
+    names, values = (store.names, store.values) if store.keys else ([], np.empty((0, 0)))
+    fh.write(f"# {config_comment}\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(("lesion_id", "role", "date") + tuple(names))
+    writer.writerows(list(key) + row for key, row in zip(store.keys, values.tolist()))
+    return fh.getvalue()
 
 
 def bf_pearson(x, y):
@@ -696,6 +827,32 @@ def _bf_clinical(c, gap_days):
         "clinical-lesion_count_class": float(1 if n == 1 else (2 if n <= 3 else 3)),
         "clinical-extracranial": float(c.extracranial),
     }
+
+
+def concatenated_set_matrix(records, store, spec):
+    """The first matrix of one feature set: the clinical and delta blocks computed for every
+    labeled sample, each segment gathered, and the gathers concatenated."""
+    samples = label_samples(records).samples
+    lesion_row = {rec.lesion_id: k for k, rec in enumerate(records)}
+    lesion = np.array([lesion_row[s.lesion_id] for s in samples], dtype=np.intp)
+    gap = np.array([s.gap_days for s in samples], dtype=np.float64)
+    plan_keys = [(rec.lesion_id, rec.planning_date.isoformat()) for rec in records]
+    rows = {
+        "followup_mr": store.rows([(s.lesion_id, "followup", s.imaging_date.isoformat()) for s in samples]),
+        "planning_mr": store.rows([(lid, "planning_mr", d) for lid, d in plan_keys])[lesion],
+        "planning_ct": store.rows([(lid, "planning_ct", d) for lid, d in plan_keys])[lesion],
+    }
+    clinical = np.array([list(clinical_features(records[k].clinical, s.gap_days).values())
+                         for k, s in zip(lesion, samples)])
+    matrix = dict.fromkeys(rows, store.values) | {"clinical": clinical}
+    at = rows | dict.fromkeys(("clinical", "delta"), np.arange(len(samples)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fu, plan = store.values[rows["followup_mr"]], store.values[rows["planning_mr"]]
+        matrix["delta"] = delta_rows(fu, plan, gap[:, None])
+    ct_less = {rec.lesion_id for rec in records if rec.planning_ct is None}
+    kept = np.flatnonzero([not ("planning_ct" in spec.blocks and s.lesion_id in ct_less) for s in samples])
+    return np.concatenate([matrix[source][np.ix_(at[source][kept], cols)]
+                           for _, source, cols in assemble(spec, store.names)], axis=1)
 
 
 def bf_dataset(records, samples, vectors, blocks):

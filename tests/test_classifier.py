@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from radrisk import ClassifierConfig, decision_scores, fit, load_model, predict
+import oracles
+from radrisk import ClassifierConfig, classifier, decision_scores, fit, load_model, predict
 from radrisk.errors import ConfigError, DataError
 
 from oracles import bf_svm_dual
@@ -284,3 +285,26 @@ def test_extreme_C_ends_with_an_honest_fit(C):
     assert np.isfinite(model.w).all() and np.isfinite(model.b)
     assert 0.0 <= model.kkt_residual < np.inf
     assert model.epochs_run <= 100
+
+
+def _same_fit(a, b):
+    same = [np.array_equal(a.w.view(np.int64), b.w.view(np.int64))]
+    same += [np.float64(x).view(np.int64) == np.float64(y).view(np.int64)
+             for x, y in ((a.b, b.b), (a.kkt_residual, b.kkt_residual))]
+    return all(same) and a.epochs_run == b.epochs_run
+
+
+@pytest.mark.parametrize("C", [1.0, 1e2, 1e4])
+@pytest.mark.parametrize("max_epochs", [2, 20000])
+def test_fits_keep_the_bits_of_the_first_solver(monkeypatch, C, max_epochs):
+    # the solver factors each free set of a fit once and skips the predictor's system check
+    rng = np.random.default_rng(63)
+    problems = [_noisy_problem(seed) for seed in (64, 65)]
+    X, y, names = _noisy_problem(66, n=60, d=6)
+    copies = rng.integers(0, 60, size=30)
+    problems.append((np.vstack([X, X[copies]]), np.concatenate([y, y[copies]]), names))  # duplicated rows
+    cfg = ClassifierConfig(C=C, max_epochs=max_epochs)
+    got = [fit(*problem, cfg) for problem in problems]
+    monkeypatch.setattr(classifier, "_solve_dual", oracles._solve_dual)
+    for problem, model in zip(problems, got):
+        assert _same_fit(model, fit(*problem, cfg))

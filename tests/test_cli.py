@@ -567,6 +567,28 @@ def test_a_table_without_readable_settings_is_echoed_without_them(cohort_dir, tm
             assert not echo.keys() & {"n_bins", "wavelet", "whitestripe", "zscore"}, command
 
 
+def test_a_set_with_the_wavelet_block_on_a_table_without_one_is_refused(tmp_path, capsys):
+    cohort = tmp_path / "cohort"
+    assert main(["synth", "--seed", "31", "--lesions", "16", "--hrm-fraction", "0.3", "--out", str(cohort)]) == 0
+    manifest = str(cohort / "manifest.json")
+    assert main(["extract", "--manifest", manifest, "--out", str(cohort), "--ng", "8", "--wavelet", "none"]) == 0
+    features = str(cohort / "features.csv")
+    out = tmp_path / "new" / "out"
+    capsys.readouterr()
+    for argv in (["run", "--sets", "6,7", "--repeats", "2"], ["evaluate", "--set", "7", "--repeats", "2"],
+                 ["select", "--set", "7"], ["train", "--set", "7"]):
+        assert main([*argv, "--manifest", manifest, "--features", features, "--out", str(out)]) == 3, argv
+        err = capsys.readouterr().err
+        assert "feature set 7 has the wavelet block" in err and "wavelet 'none'" in err, argv
+        assert not out.parent.exists(), argv
+    # an auto-extracting run would extract no wavelet columns for it
+    assert main(["run", "--manifest", manifest, "--wavelet", "none", "--sets", "1,7", "--out", str(out)]) == 2
+    assert "feature set 7 has the wavelet block" in capsys.readouterr().err
+    assert not out.parent.exists()
+    assert main(["run", "--manifest", manifest, "--features", features, "--sets", "1-6", "--repeats", "2",
+                 "--out", str(out)]) == 0
+
+
 def test_a_run_on_a_table_leaves_it_resumable(tmp_path, caplog):
     cohort = tmp_path / "cohort"
     assert main(["synth", "--seed", "31", "--lesions", "8", "--hrm-fraction", "0.3", "--out", str(cohort)]) == 0

@@ -18,15 +18,18 @@ from radrisk import (
 )
 from radrisk import classifier, pipeline
 from radrisk.pipeline import build_datasets
-from radrisk.cohort import BLOCK_TAGS, FEATURE_SETS, label_samples
+from radrisk.cohort import BLOCK_TAGS, FEATURE_SETS, assemble, label_samples
 from radrisk.errors import ConfigError, DataError
 from radrisk.featurestore import FeatureStore
 from radrisk.evaluation import cv
 from radrisk.evaluation.report import write_risk_split
-from radrisk.features import ExtractionConfig
+from radrisk.features import ExtractionConfig, feature_names
 from radrisk.synth import EffectConfig, SynthConfig
+import oracles
+from helpers import traced_peak
 from oracles import (
-    bf_dataset, bf_vectors, copied_fold_repeat, loop_cv_tallies, loop_lesion_table, loop_split_lesions,
+    bf_dataset, bf_vectors, concatenated_set_matrix, copied_fold_repeat, loop_cv_tallies, loop_lesion_table,
+    loop_split_lesions,
 )
 
 
@@ -350,6 +353,89 @@ def test_build_dataset_errors(ct_missing_cohort):
         with pytest.raises(DataError, match="elapsed days must be > 0, got 0"):
             build_datasets(same_day, same_day_store, [feature_set(2), feature_set(3)])
     assert build_datasets(same_day, same_day_store, [feature_set(7)])[0].n_samples > 0  # the lesion has no CT
+
+
+def _with_columns(store, cols):
+    """The store with the columns ``cols`` alone, in that order."""
+    return FeatureStore([store.names[k] for k in cols], store.keys, store.values[:, cols])
+
+
+def _prefixed(store, prefix):
+    return _with_columns(store, [k for k, name in enumerate(store.names) if name.startswith(prefix)])
+
+
+@pytest.mark.parametrize("cohort", ["small_cohort", "ct_missing_cohort"])
+@pytest.mark.parametrize("interleaved", [False, True], ids=["contiguous", "interleaved"])
+def test_set_matrix_has_the_bits_of_the_concatenated_gathers(cohort, interleaved, request):
+    records, store = request.getfixturevalue(cohort)
+    if interleaved:  # the columns shuffled, so original and wavelet columns interleave
+        store = _with_columns(store, np.random.default_rng(5).permutation(len(store.names)))
+    specs = [feature_set(s) for s in sorted(FEATURE_SETS)]
+    for spec, ds in zip(specs, build_datasets(records, store, specs)):
+        want = concatenated_set_matrix(records, store, spec)
+        assert ds.X.flags.c_contiguous and ds.X.shape == want.shape, spec.set_id
+        assert np.array_equal(_bits(ds.X), _bits(want)), spec.set_id
+    # the contiguous table's segments are slices of its columns; the interleaved one's are not
+    ranges = [cols[-1] - cols[0] == len(cols) - 1 for *_, cols in assemble(feature_set(7), store.names)]
+    assert all(ranges) != interleaved
+
+
+def test_the_widest_set_is_built_without_a_second_copy():
+    # planted-cohort size: 150 lesions, ~290 samples x 3092 columns
+    records = synth_cohort(seed=21, n_lesions=150)
+    keys = [job[:3] for job in pipeline.image_jobs(records)]
+    names = feature_names(ExtractionConfig(wavelet="haar"))
+    store = FeatureStore(names, keys, np.random.default_rng(0).normal(size=(len(keys), len(names))))
+    (ds,), peak = traced_peak(lambda: build_datasets(records, store, [feature_set(7)]))
+    assert ds.X.shape[1] == 3092
+    assert peak <= 2.25 * ds.X.nbytes, peak / ds.X.nbytes
+
+
+def test_a_set_needs_columns_for_each_of_its_blocks(ct_missing_cohort):
+    records, store = ct_missing_cohort
+    plain = _prefixed(store, "original-")
+    plain.settings = {"n_bins": 8, "wavelet": "none", "whitestripe": "mr", "zscore": True}
+    assert build_dataset(records, plain, feature_set(6)).n_samples > 0
+    with pytest.raises(DataError, match=r"^feature set 7 has the wavelet block.*wavelet 'none'"):
+        build_datasets(records, plain, [feature_set(6), feature_set(7)])
+    plain.settings = None
+    with pytest.raises(DataError, match="feature set 7 has the wavelet block.*no recorded wavelet"):
+        build_dataset(records, plain, feature_set(7))
+    # a hand-made table without the original columns
+    wavelet_only = _prefixed(store, "wavelet-")
+    assert build_dataset(records, wavelet_only, feature_set(1)).n_samples > 0
+    with pytest.raises(DataError, match="^feature set 3 has the delta block"):
+        build_dataset(records, wavelet_only, feature_set(3))
+
+
+def _recorded_fits(monkeypatch, dataset, cv_cfg, clf_cfg):
+    """Every model that the cross-validation fits, in fit order."""
+    models, fit = [], classifier.fit
+
+    def recording_fit(*args):
+        models.append(fit(*args))
+        return models[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(classifier, "fit", recording_fit)
+        monte_carlo_cv(dataset, cv_cfg, clf_cfg)
+    return models
+
+
+@pytest.mark.parametrize("C", [1.0, 1e2, 1e4])
+def test_fits_on_planted_folds_keep_the_bits_of_the_first_solver(small_cohort, monkeypatch, C):
+    records, store = small_cohort
+    specs = [feature_set(s) for s in sorted(FEATURE_SETS)]
+    for ds in build_datasets(records, store, specs):
+        cv_cfg, clf_cfg = CvConfig(repeats=3, seed=ds.set_id), ClassifierConfig(C=C)
+        got = _recorded_fits(monkeypatch, ds, cv_cfg, clf_cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(classifier, "_solve_dual", oracles._solve_dual)
+            want = _recorded_fits(monkeypatch, ds, cv_cfg, clf_cfg)
+        assert len(got) == len(want) == 3
+        for a, b in zip(got, want):
+            assert np.array_equal(_bits(a.w), _bits(b.w)) and _bits(a.b) == _bits(b.b), ds.set_id
+            assert _bits(a.kkt_residual) == _bits(b.kkt_residual) and a.epochs_run == b.epochs_run, ds.set_id
 
 
 def test_risk_split_report_and_files(small_cohort, tmp_path):

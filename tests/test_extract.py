@@ -24,6 +24,7 @@ from radrisk.features import (
 from radrisk.features.texture import texture_rows
 from radrisk.featurestore import FeatureStore, read_features_csv, write_features_csv
 from radrisk.synth import EffectConfig, SynthConfig
+from oracles import csv_features_text
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +180,20 @@ def test_feature_csv_quotes_keys(tmp_path, read_path):
     back = read_features_csv(path)
     assert back.keys == keys and back.names == store.names
     assert np.array_equal(back.values.view(np.int64), store.values.view(np.int64))
+
+
+@pytest.mark.parametrize("keys", [[], [("P,0001-L1", "followup", "2010-01-01"), ('P"2-L1', "planning_mr", "x"),
+                                        ("#3,\n", "planning_ct", "2009-10-01"), ("", "followup", "2010-02-01")]],
+                         ids=["no-rows", "keys-to-quote"])
+@pytest.mark.parametrize("width", [0, 1, 7])
+def test_feature_csv_text_is_what_csv_writer_writes(tmp_path, keys, width):
+    # the floats are joined as their repr after the csv-quoted keys: the bytes of csv.writer
+    names = [f"original-firstorder-F{j}" for j in range(width)]
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1]
+    values = np.resize(np.array(special), (len(keys), width))
+    store = FeatureStore(names, keys, values)
+    path = write_features_csv(tmp_path / "f.csv", store, 'config: {"a": "b,c"}')
+    assert path.read_bytes().decode() == csv_features_text(store, 'config: {"a": "b,c"}')
 
 
 def _same_store(a, b):

@@ -8,8 +8,10 @@ from radrisk import (
     pearson,
     selection_cap,
 )
+from radrisk import selection
 from radrisk.errors import ConfigError, DataError
 from radrisk.selection import _centered, _corr
+from helpers import traced_peak
 from oracles import bf_corr_elementwise, bf_mrmr, bf_pearson, subtracted_centered
 
 
@@ -197,6 +199,31 @@ def test_correlation_report_ranking():
     assert abs(r[1]) < abs(r[0])
     assert r[2] == 0.0  # a constant column
     assert np.array_equal(correlation_report(-X, y), -r)
+
+
+@pytest.mark.parametrize("columns_per_block", [1, 2, 3, 4])
+def test_correlation_report_by_column_blocks_keeps_every_bit(monkeypatch, columns_per_block):
+    # a budget of 1-4 columns per block; 7 and 10 columns leave a one-column remainder at 2 and 3,
+    # which joins the block before it, as a lone column would sum its norm pairwise
+    rng = np.random.default_rng(52)
+    for n, d in [(5, 1), (5, 2), (9, 7), (40, 10), (31, 13), (200, 64)]:
+        X = rng.normal(size=(n, d)) * rng.uniform(0.01, 100.0, size=d) + rng.normal(size=d) * 10.0
+        X[:, rng.integers(d)] = -3.5  # a constant column
+        y = rng.integers(0, 2, size=n).astype(float)
+        y[:2] = (0.0, 1.0)
+        whole = _corr(*_centered(X), y)
+        monkeypatch.setattr(selection, "REPORT_BLOCK_BYTES", 8 * n * columns_per_block)
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            assert np.array_equal(correlation_report(layout(X), y).view(np.int64), whole.view(np.int64)), (n, d)
+
+
+def test_correlation_report_holds_no_copy_of_the_matrix():
+    rng = np.random.default_rng(53)
+    X = rng.normal(size=(289, 3092))
+    y = (rng.uniform(size=289) < 0.3).astype(float)
+    r, peak = traced_peak(lambda: correlation_report(X, y))
+    assert np.array_equal(r, _corr(*_centered(X), y))
+    assert peak <= 0.25 * X.nbytes, peak / X.nbytes
 
 
 def test_corr_matches_the_elementwise_reference_bit_for_bit():

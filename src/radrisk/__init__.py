@@ -57,5 +57,5 @@ from .evaluation import (
     roc_curve,
     select_features,
 )
-from .pipeline import Dataset, NormalizationConfig, build_dataset, extract_cohort
+from .pipeline import Dataset, build_dataset, extract_cohort
 from .synth import EffectConfig, SynthConfig, synth_cohort

@@ -109,31 +109,12 @@ def load_model(path: str | Path) -> TrainedModel:
         raise DataError(f"malformed model file {path}: {type(exc).__name__}: {exc}") from exc
 
 
-FACTORED_FREE_SETS = 8  # the most free sets whose factors a fit keeps
-
-
-def _factored(Z, free, factors: dict):
-    """``Z_F`` for the ``free`` rows and its SVD at numerical rank, ``(Z_F, U, sv**2)``. ``factors`` keeps
-    those of the fit's last ``FACTORED_FREE_SETS`` free sets, keyed by the set's bytes, so a free set
-    seen again is not factored again; the factors of a set are the same either way."""
-    key = free.tobytes()
-    if key not in factors:
-        if len(factors) == FACTORED_FREE_SETS:
-            del factors[next(iter(factors))]
-        Zf = Z[free]
-        U, sv, _ = np.linalg.svd(Zf, full_matrices=False)
-        rank = int((sv > sv[0] * max(Zf.shape) * np.finfo(np.float64).eps).sum())
-        factors[key] = Zf, U[:, :rank], sv[:rank] * sv[:rank]
-    return factors[key]
-
-
-def _crossover(Z, upper, a, face, tol: float, refine: bool, factors: dict):
+def _crossover(Z, upper, a, face, tol: float, refine: bool):
     """The exact point of the face that an interior iterate names: ``(w, kkt_residual)``.
 
     ``face`` puts each coordinate at 0 (-1), at ``upper`` (+1) or free (0).
     The free ones F move by the minimum-norm solution of
-    ``Z_F Z_F.T delta = -g_F``, from the SVD of ``Z_F`` at its numerical rank
-    (:func:`_factored`, which keeps the factors of the fit's last free sets);
+    ``Z_F Z_F.T delta = -g_F``, from the SVD of ``Z_F`` at its numerical rank;
     this zeroes their gradient whenever the face is the optimal one,
     also where ``Z_F`` is rank-deficient. The point is projected onto the box.
     With ``refine``, a point whose residual is not below ``tol`` is corrected
@@ -145,8 +126,11 @@ def _crossover(Z, upper, a, face, tol: float, refine: bool, factors: dict):
     free = face == 0
     for _ in range(1 + refine):
         if free.any():
-            Zf, U, sv2 = _factored(Z, free, factors)
-            a[free] -= U @ ((U.T @ (Zf @ (Z.T @ a) - 1.0)) / sv2)
+            Zf = Z[free]
+            U, sv, _ = np.linalg.svd(Zf, full_matrices=False)
+            rank = int((sv > sv[0] * max(Zf.shape) * np.finfo(np.float64).eps).sum())
+            U, sv = U[:, :rank], sv[:rank]
+            a[free] -= U @ ((U.T @ (Zf @ (Z.T @ a) - 1.0)) / (sv * sv))
             a = np.clip(a, 0.0, upper)
         w = Z.T @ a
         g = Z @ w - 1.0
@@ -185,7 +169,6 @@ def _solve_dual(Z, upper, max_iterations: int, tol: float):
     r = np.maximum(-g, 0.0) + 1.0  # so the dual residual g - s + r starts at 0
     eye = np.eye(m)
     face = None
-    factors = {}  # the crossover's factored free sets
     for iterations in range(1, max_iterations + 1):
         v = upper - a
         x = np.stack([a, v, s, r])
@@ -226,7 +209,7 @@ def _solve_dual(Z, upper, max_iterations: int, tol: float):
         a, s, r = a_next, s + step * dx[2], r + step * dx[3]
         g = Z @ (Z.T @ a) - 1.0
         last_face, face = face, np.where(s > a, -1, np.where(r > upper - a, 1, 0))
-        w, residual = _crossover(Z, upper, a, face, tol, np.array_equal(face, last_face), factors)
+        w, residual = _crossover(Z, upper, a, face, tol, np.array_equal(face, last_face))
         if residual < best_residual:
             best_w, best_residual = w, residual
         if residual < tol:

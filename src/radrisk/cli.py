@@ -13,7 +13,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
@@ -34,8 +34,8 @@ from .evaluation import (
     write_risk_split,
 )
 from .features import ExtractionConfig, feature_names
-from .featurestore import SETTINGS_KEYS, FeatureStore, read_features_csv, write_features_csv
-from .pipeline import NormalizationConfig, build_dataset, build_datasets, extract_cohort, image_jobs
+from .featurestore import FeatureStore, read_features_csv, write_features_csv
+from .pipeline import build_dataset, build_datasets, extract_cohort, image_jobs
 from .selection import correlation_report
 from .svgplot import km_plot, roc_plot
 from .synth import EffectConfig, SynthConfig, synth_cohort
@@ -182,7 +182,7 @@ _CLASSIFIER_OPTIONS = [
 _COMMON_CV_OPTIONS = [
     click.option("--repeats", type=int, default=100, show_default=True),
     click.option("--test-frac", type=float, default=1.0 / 3.0, show_default=True),
-    click.option("--seed", type=int, default=0, show_default=True),
+    click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True),
     *_CLASSIFIER_OPTIONS,
     click.option("--per-samples", type=int, default=10, show_default=True, help="selection cap divisor"),
     click.option("--global-selection", is_flag=True, help="select once before CV (leaky; for comparison)"),
@@ -191,25 +191,16 @@ _COMMON_CV_OPTIONS = [
 ]
 
 
-def _extraction(values: dict) -> tuple[dict, ExtractionConfig, NormalizationConfig]:
-    """The extraction settings among the parameter ``values``, as artifacts echo them, and the
-    extraction and normalization configs they select."""
-    settings = {key: values[key] for key in SETTINGS_KEYS}
-    wavelet = None if settings["wavelet"] == "none" else settings["wavelet"]
-    return (settings, ExtractionConfig(n_bins=settings["n_bins"], wavelet=wavelet),
-            NormalizationConfig(zscore=settings["zscore"], whitestripe=settings["whitestripe"]))
-
-
 def _classifier(values: dict) -> clf.ClassifierConfig:
     return clf.ClassifierConfig(C=values["c_value"], sensitivity_weight=values["sensitivity_weight"],
                                 threshold=values["theta"])
 
 
-def _cv_setup(manifest_path: Path, sets, values: dict, settings: dict):
+def _cv_setup(manifest_path: Path, sets, values: dict, settings: ExtractionConfig | None):
     """The configuration of a CV run as its artifacts echo it, with the extraction ``settings`` of its
-    table after the sets, then the CV and classifier configs that the parameter ``values`` select. A
-    command builds these after any table read (:func:`_read_table`) and before its manifest read,
-    extraction or CV, so a bad setting exits 2 before that work is done."""
+    table, if known, after the sets, then the CV and classifier configs that the parameter ``values``
+    select. A command builds these after any table read (:func:`_read_table`) and before its manifest
+    read, extraction or CV, so a bad setting exits 2 before that work is done."""
     cv = CvConfig(repeats=values["repeats"], test_frac=values["test_frac"], seed=values["seed"],
                   threads=values["threads"], per_samples=values["per_samples"],
                   per_fold=not values["global_selection"])
@@ -217,7 +208,7 @@ def _cv_setup(manifest_path: Path, sets, values: dict, settings: dict):
     echo = {
         "manifest": str(manifest_path),
         "sets": list(sets),
-        **settings,
+        **(asdict(settings) if settings else {}),
         "per_samples": cv.per_samples,
         "per_fold": cv.per_fold,
         "C": classifier.C,
@@ -231,15 +222,16 @@ def _cv_setup(manifest_path: Path, sets, values: dict, settings: dict):
     return echo, cv, classifier
 
 
-def _read_table(path, given: dict) -> tuple[FeatureStore, dict]:
-    """The table at ``path`` and the extraction settings it records, or {}; a ``given`` one that differs exits 2."""
+def _read_table(path, given: dict) -> FeatureStore:
+    """The table at ``path``; a ``given`` extraction setting that differs from the one it records exits 2."""
     store = read_features_csv(path)
     if store.settings is None:
         log.warning("%s records no extraction settings, so the config echo holds none", path)
     for key, value in given.items():
-        if store.settings and value != store.settings[key]:
-            raise ConfigError(f"{key} {value!r} disagrees with {path}, extracted with {key} {store.settings[key]!r}")
-    return store, store.settings or {}
+        recorded = getattr(store.settings, key, value)  # a table that records none disagrees with nothing
+        if value != recorded:
+            raise ConfigError(f"{key} {value!r} disagrees with {path}, extracted with {key} {recorded!r}")
+    return store
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +239,7 @@ def _read_table(path, given: dict) -> tuple[FeatureStore, dict]:
 
 
 @cli.command()
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--lesions", type=int, default=40, show_default=True)
 @click.option("--out", "out_dir", default=None, help=f"output dir (default ${ENV_OUT} or ./radrisk-out)")
 @click.option("--hrm-fraction", type=float, default=0.10, show_default=True)
@@ -312,17 +304,16 @@ def extract(manifest, out_dir, force, threads, **values):
     """Extract per-image radiomic features into features.csv (+ its binary sidecar and features.json)."""
     manifest_path, out = _paths(manifest, out_dir)
     records = load_manifest(manifest_path)
-    settings, ext_cfg, norm_cfg = _extraction(values)
+    config = ExtractionConfig(**values)
 
     csv_path = _made(out) / "features.csv"
-    comment = _comment({"manifest": str(manifest_path), **settings})
-    reuse = _resumable_rows(csv_path, settings, feature_names(ext_cfg)) if csv_path.exists() and not force else None
+    comment = _comment({"manifest": str(manifest_path), **asdict(config)})
+    reuse = _resumable_rows(csv_path, config) if csv_path.exists() and not force else None
 
     failures: list[str] = []
     store = extract_cohort(
         records,
-        ext_cfg,
-        norm_cfg,
+        config,
         base_dir=manifest_path.parent,
         threads=threads,
         reuse=reuse,
@@ -332,8 +323,8 @@ def extract(manifest, out_dir, force, threads, **values):
     sidecar = {
         "format_version": 1,
         "manifest": str(manifest_path),
-        "extraction": asdict(ext_cfg) | {"wavelet": settings["wavelet"]},  # "none" as typed
-        "normalization": asdict(norm_cfg),
+        "extraction": {"n_bins": config.n_bins, "wavelet": config.wavelet},
+        "normalization": {"zscore": config.zscore, "whitestripe": config.whitestripe},
         "rows": len(store),
         "failures": failures,
     }
@@ -343,19 +334,20 @@ def extract(manifest, out_dir, force, threads, **values):
         raise DataError(f"{len(failures)} image(s) failed extraction: {failures[:3]}")
 
 
-def _resumable_rows(path: Path, settings: dict, names: list[str]) -> FeatureStore | None:
+def _resumable_rows(path: Path, config: ExtractionConfig) -> FeatureStore | None:
     """The rows of an earlier extraction into ``path``, or None when every image must be re-extracted:
-    the table is unreadable, it does not record the same settings, or its columns are not ``names``. A
-    table without rows has nothing to check."""
+    the table is unreadable, it does not record ``config``, or its columns are not the ones ``config``
+    makes. A table without rows has nothing to check."""
     try:
         store = read_features_csv(path)
     except DataError as exc:
         log.warning("%s is unreadable, re-extracting every image: %s", path, exc)
         return None
-    if store.settings != settings:
+    if store.settings != config:
         log.warning("%s was extracted with other settings, re-extracting every image: found %s, now %s",
-                    path, json.dumps(store.settings, sort_keys=True), json.dumps(settings, sort_keys=True))
+                    path, store.settings, config)
         return None
+    names = feature_names(config)
     if store.keys and store.names != names:
         log.warning("%s does not have the %d feature columns of these settings, re-extracting every image",
                     path, len(names))
@@ -437,8 +429,8 @@ def train(manifest, features_path, set_id, horizon_days, out_dir, **values):
 def evaluate(manifest, features_path, set_id, out_dir, **values):
     """Monte-Carlo cross-validation of one feature set."""
     manifest_path, out = _paths(manifest, out_dir)
-    store, settings = _read_table(features_path, {})
-    config, *cv_configs = _cv_setup(manifest_path, (set_id,), values, settings)
+    store = _read_table(features_path, {})
+    config, *cv_configs = _cv_setup(manifest_path, (set_id,), values, store.settings)
     dataset = build_dataset(load_manifest(manifest_path), store, feature_set(set_id), values["horizon_days"])
     _made(out)
     report = monte_carlo_cv(dataset, *cv_configs)
@@ -494,11 +486,13 @@ def run(ctx, config_path, **params):
     merged, given = _merge_config(ctx, config_path, params)
     set_ids = _parse_sets(merged["sets"])
     manifest_path, out = _paths(merged["manifest"], merged["out_dir"])
-    settings, ext_cfg, norm_cfg = _extraction(merged)
+    extraction = ExtractionConfig(**{f.name: merged[f.name] for f in fields(ExtractionConfig)})
     specs = [feature_set(set_id) for set_id in set_ids]
+    settings = extraction
     if merged["features_path"]:
-        store, settings = _read_table(merged["features_path"], {k: v for k, v in settings.items() if k in given})
-    elif ext_cfg.wavelet is None:
+        store = _read_table(merged["features_path"], {k: v for k, v in asdict(extraction).items() if k in given})
+        settings = store.settings
+    elif extraction.wavelet == "none":
         for spec in specs:
             if "wavelet" in spec.blocks:
                 raise ConfigError(f"feature set {spec.set_id} has the wavelet block, which wavelet 'none' "
@@ -509,8 +503,7 @@ def run(ctx, config_path, **params):
     records = load_manifest(manifest_path)
     if not merged["features_path"]:
         _made(out)  # before the extraction, so that a bad --out fails first
-        store = extract_cohort(records, ext_cfg, norm_cfg, base_dir=manifest_path.parent,
-                               threads=merged["threads"])
+        store = extract_cohort(records, extraction, base_dir=manifest_path.parent, threads=merged["threads"])
         write_features_csv(out / "features.csv", store, comment)
 
     datasets = dict(zip(set_ids, build_datasets(records, store, specs, merged["horizon_days"])))

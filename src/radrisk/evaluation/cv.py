@@ -48,6 +48,8 @@ class CvConfig:
             raise ConfigError(f"test_frac must be in (0, 1), got {self.test_frac}")
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.per_samples < 1:

@@ -52,7 +52,7 @@ import numpy as np
 
 from ..errors import ConfigError, NumericalError
 from ..volume import DIRECTIONS_13, NormalizedImage, RoiMask, VolumeImage, check_aligned, require_nonempty
-from ..wavelet import SUBBAND_LABELS, decompose, get_bank, subbands
+from ..wavelet import BANKS, SUBBAND_LABELS, decompose, get_bank, subbands
 from .firstorder import FIRSTORDER_FEATURES, firstorder_features, firstorder_rows
 from .shape import SHAPE_FEATURES, shape_features
 from .texture import (
@@ -74,14 +74,27 @@ __all__ = ["ExtractionConfig", "decompose", "discretize", "extract_all", "featur
 
 @dataclass(frozen=True)
 class ExtractionConfig:
+    """The four settings that fix what a feature table holds, in the order a table's ``# config:`` line
+    and a report's echo give them; ``asdict`` is that echo."""
+
     n_bins: int = 32
-    wavelet: str | None = "haar"  # a bank name ("haar", "coif1"), or None for no wavelet
+    wavelet: str = "haar"  # a bank name ("haar", "coif1"), or "none" for no wavelet block
+    whitestripe: str = "mr"  # "mr" = the manifest's MR roles (planning MR, follow-up), "none" = disabled
+    zscore: bool = True
 
     def __post_init__(self):
         # checked here, before a chunk is sized (--ng 0 on a one-voxel ROI
         # would divide by zero there) or an output directory is made
+        if isinstance(self.n_bins, bool) or not isinstance(self.n_bins, int):
+            raise ConfigError(f"n_bins must be an integer, got {self.n_bins!r}")
         if self.n_bins < 2:
             raise ConfigError(f"n_bins must be >= 2, got {self.n_bins}")
+        if self.wavelet not in ("none", *BANKS):
+            raise ConfigError(f"wavelet must be 'none' or one of {sorted(BANKS)}, got {self.wavelet!r}")
+        if self.whitestripe not in ("mr", "none"):
+            raise ConfigError(f"whitestripe must be 'mr' or 'none', got {self.whitestripe!r}")
+        if not isinstance(self.zscore, bool):
+            raise ConfigError(f"zscore must be a bool, got {self.zscore!r}")
 
 
 _INTENSITY_CLASSES = (("firstorder", FIRSTORDER_FEATURES),) + tuple(
@@ -93,7 +106,7 @@ _INTENSITY_WIDTH = sum(len(names) for _, names in _INTENSITY_CLASSES)
 def feature_names(config: ExtractionConfig) -> list[str]:
     """The tag-free names of ``extract_all``'s row: shape, then the intensity
     classes of the original image, then of each subband in LLL..HHH order."""
-    filters = ["original"] + ([f"wavelet-{label}" for label in SUBBAND_LABELS] if config.wavelet else [])
+    filters = ["original"] + ([f"wavelet-{label}" for label in SUBBAND_LABELS] if config.wavelet != "none" else [])
     return [f"original-shape-{name}" for name in SHAPE_FEATURES] + [
         f"{prefix}-{cls}-{name}" for prefix in filters for cls, names in _INTENSITY_CLASSES for name in names
     ]
@@ -127,7 +140,7 @@ def extract_all(img: VolumeImage | NormalizedImage, mask: RoiMask, config: Extra
     """Extract the full feature row of one (volume, mask) pair, in ``feature_names(config)`` order."""
     check_aligned(img, mask)
     require_nonempty(mask)
-    bank = None if config.wavelet is None else get_bank(config.wavelet)
+    bank = None if config.wavelet == "none" else get_bank(config.wavelet)
     start = mask.coords.min(axis=0) - (max(bank.low.size, bank.high.size) - 1 if bank else 0)
     box = tuple(slice(l, h) if l >= 0 else slice(None) for l, h in zip(start.tolist(), mask.coords.max(axis=0) + 1))
     volumes = [img.region(box)]  # the original image and its subbands, on the box

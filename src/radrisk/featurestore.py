@@ -28,15 +28,16 @@ import csv
 import json
 import zlib
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .cohort import FILTER_PREFIXES
-from .errors import DataError
+from .errors import ConfigError, DataError
+from .features import ExtractionConfig
 
 KEY_COLUMNS = ("lesion_id", "role", "date")
-SETTINGS_KEYS = ("n_bins", "wavelet", "whitestripe", "zscore")  # the extraction settings a table records
 
 ROLE_FOLLOWUP = "followup"
 ROLE_PLAN_MR = "planning_mr"
@@ -57,7 +58,7 @@ class FeatureStore:
         self.names = list(names)
         self.keys = list(keys)
         self.values = np.asarray(values, dtype=np.float64).reshape(len(self.keys), len(self.names))
-        self.settings: dict | None = None  # the extraction settings of the table it was read from
+        self.settings: ExtractionConfig | None = None  # the extraction settings of the table it was read from
         if len(set(self.names)) != len(self.names):
             raise DataError(f"duplicate feature column {_first_duplicate(self.names)!r}")
         bad = [n for n in self.names if not n.startswith(FILTER_PREFIXES)]
@@ -166,12 +167,13 @@ def read_features_csv(path: str | Path) -> FeatureStore:
     return store
 
 
-def _settings(line: str) -> dict | None:
-    """The extraction settings that a ``# config:`` line records, or None when it does not record them all."""
+def _settings(line: str) -> ExtractionConfig | None:
+    """The extraction settings that a ``# config:`` line records, or None when it does not record all four
+    as ``ExtractionConfig`` takes them."""
     try:
         config = json.loads(line.removeprefix("# config: ")) if line.startswith("# config: ") else {}
-        return {key: config[key] for key in SETTINGS_KEYS}
-    except (ValueError, KeyError, TypeError):  # not JSON, a missing key, or not an object
+        return ExtractionConfig(**{f.name: config[f.name] for f in fields(ExtractionConfig)})
+    except (ValueError, KeyError, TypeError, ConfigError):  # not JSON, a missing key, not an object, a bad value
         return None
 
 

@@ -2,7 +2,9 @@
 
 ``extract_cohort`` normalizes and extracts every image of every lesion into a
 feature store keyed by (lesion_id, role, date), one row per image in
-``image_jobs`` order. ``normalize_volume`` computes each image's
+``image_jobs`` order. One ``ExtractionConfig`` names both steps: its
+``zscore`` and ``whitestripe`` fields the normalization, its ``n_bins`` and
+``wavelet`` the features. ``normalize_volume`` computes each image's
 normalization statistics over the whole volume, and extraction applies their
 maps to the ROI's box only. A resumed extraction reuses the rows of an
 earlier store and extracts only the images it lacks. ``build_datasets`` labels the
@@ -49,28 +51,16 @@ def parallel_map(fn, items, threads: int = 1) -> list:
         return list(pool.map(fn, items))
 
 
-@dataclass(frozen=True)
-class NormalizationConfig:
-    zscore: bool = True
-    whitestripe: str = "mr"  # "mr" = the manifest's MR roles (planning MR, follow-up), "none" = disabled
-
-    def __post_init__(self):
-        if not isinstance(self.zscore, bool):
-            raise ConfigError(f"zscore must be a bool, got {self.zscore!r}")
-        if self.whitestripe not in ("mr", "none"):
-            raise ConfigError(f"whitestripe must be 'mr' or 'none', got {self.whitestripe!r}")
-
-
-def normalize_volume(img: VolumeImage, role: str, cfg: NormalizationConfig) -> NormalizedImage:
-    """The configured intensity normalizations of ``img``: z-score, then
+def normalize_volume(img: VolumeImage, role: str, config: ExtractionConfig) -> NormalizedImage:
+    """The intensity normalizations that ``config`` names for ``img``: z-score, then
     white-stripe on every role but the planning CT. Each step is
     ``(v - mu) / sigma``, its statistics taken over the whole volume as the
     step before left it. Only the statistics are computed here: the image
     returned holds ``img`` and the maps, which apply where voxels are read."""
     maps = ()
-    if cfg.zscore:
+    if config.zscore:
         maps += (zscore_stats(img.voxels.ravel()),)
-    if cfg.whitestripe == "mr" and role != ROLE_PLAN_CT:
+    if config.whitestripe == "mr" and role != ROLE_PLAN_CT:
         maps += (white_stripe_stats(img.voxels.ravel(), maps),)
     return NormalizedImage(img, maps)
 
@@ -87,8 +77,7 @@ def image_jobs(records: list[MetastasisRecord]):
 
 def extract_cohort(
     records: list[MetastasisRecord],
-    extraction: ExtractionConfig = ExtractionConfig(),
-    normalization: NormalizationConfig = NormalizationConfig(),
+    config: ExtractionConfig = ExtractionConfig(),
     base_dir: Path | None = None,
     threads: int = 1,
     reuse: FeatureStore | None = None,
@@ -99,7 +88,7 @@ def extract_cohort(
     ``reuse`` supports resumable extraction: a job whose (lesion, role, date)
     key it holds takes that row as it is, without loading the image; its rows
     of images not in ``records`` are dropped. A ``reuse`` with rows whose
-    names are not ``feature_names(extraction)`` raises ``DataError``. When
+    names are not ``feature_names(config)`` raises ``DataError``. When
     ``failures`` is given, per-image data and numerical errors are logged and
     collected there in job order instead of raised, and the failing rows are
     omitted. The result, the failures included, is deterministic and
@@ -107,7 +96,7 @@ def extract_cohort(
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    names = feature_names(extraction)
+    names = feature_names(config)
     if reuse is not None and reuse.keys and reuse.names != names:
         raise DataError(f"inconsistent feature columns for {reuse.keys[0]}")
     jobs = list(image_jobs(records))
@@ -119,8 +108,7 @@ def extract_cohort(
             return reuse.values[reuse.index[job[:3]]]
         try:
             img, mask = source.load(base_dir)
-            img = normalize_volume(img, role, normalization)
-            return extract_all(img, mask, extraction)
+            return extract_all(normalize_volume(img, role, config), mask, config)
         except (DataError, NumericalError) as exc:
             message = f"[extract {lesion_id}/{role}/{date_iso}] {exc}"
             if failures is None:
@@ -250,7 +238,7 @@ def build_datasets(
         segments = assemble(spec, store.names)
         empty = [block for block, _, cols in segments if not cols]
         if empty:  # e.g. the wavelet block of a table extracted without wavelet
-            wavelet = f"wavelet {store.settings['wavelet']!r}" if store.settings else "no recorded wavelet"
+            wavelet = f"wavelet {store.settings.wavelet!r}" if store.settings else "no recorded wavelet"
             raise DataError(f"feature set {spec.set_id} has the {empty[0]} block, but the feature table "
                             f"({wavelet}) has no columns for it")
         X = _set_matrix(segments, matrix, {source: at[source][kept] for source in at}, gap[kept, None])

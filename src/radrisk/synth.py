@@ -87,6 +87,8 @@ def synth_cohort(
     """Generate a deterministic cohort of ``n_lesions`` single-lesion patients."""
     if n_lesions < 2:
         raise ConfigError(f"need at least 2 lesions, got {n_lesions}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n_hrm = max(1, round(config.hrm_fraction * n_lesions))
     hrm_lesions = set(rng.permutation(n_lesions)[:n_hrm].tolist())

@@ -22,7 +22,8 @@ Intensity normalization is two statistics over a flat array of voxel values,
 each an offset and a scale ``(mu, sigma)``: ``zscore_stats`` (mean and
 population std) and ``white_stripe_stats`` (Shinohara et al., NeuroImage:
 Clinical 2014). ``radrisk.pipeline.normalize_volume`` decides which apply to
-which image and returns a ``NormalizedImage``: the raw voxels and the affine
+which image, from the ``zscore`` and ``whitestripe`` fields of the one
+``ExtractionConfig``, and returns a ``NormalizedImage``: the raw voxels and the affine
 maps ``(v - mu) / sigma``, which are applied only where voxels are read
 (feature extraction reads the ROI's box). The statistics take at most one
 whole-volume float64 buffer at a time: the z-score's deviations, then

@@ -10,7 +10,7 @@ PUBLIC_API = {
     radrisk: [
         "ClassifierConfig", "ClinicalData", "ConfigError", "CvConfig", "CvReport", "DataError", "Dataset",
         "DiscretizedRoi", "EffectConfig", "ExtractionConfig", "FeatureSetSpec", "Followup", "ImageSource",
-        "KmPoint", "LabeledSample", "MetastasisRecord", "NormalizationConfig", "NumericalError",
+        "KmPoint", "LabeledSample", "MetastasisRecord", "NumericalError",
         "RadriskError", "RoiMask", "SUBBAND_LABELS", "SelectionResult", "SurvivalCurve", "SynthConfig",
         "TrainedModel", "VolumeImage", "WaveletBank", "assemble", "build_dataset", "clinical_features",
         "correlation_report", "decision_scores", "decompose", "delta_features", "discretize", "extract_all",
@@ -39,8 +39,7 @@ def test_public_api_is_locked():
 # The (field, default) pairs of each config. Each settable value doubles the configurations a test could have
 # to cover, so adding or removing one is a visible edit here, as a public name is above.
 CONFIG_FIELDS = {
-    radrisk.ExtractionConfig: [("n_bins", 32), ("wavelet", "haar")],
-    radrisk.NormalizationConfig: [("zscore", True), ("whitestripe", "mr")],
+    radrisk.ExtractionConfig: [("n_bins", 32), ("wavelet", "haar"), ("whitestripe", "mr"), ("zscore", True)],
     radrisk.CvConfig: [("repeats", 100), ("test_frac", 1.0 / 3.0), ("seed", 0), ("threads", 1),
                        ("per_samples", 10), ("per_fold", True)],
     radrisk.ClassifierConfig: [("C", 1.0), ("sensitivity_weight", 2.0), ("threshold", 0.0), ("seed", 0),

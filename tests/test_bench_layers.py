@@ -47,7 +47,7 @@ def test_extraction_layer_hooks_count_every_image(layers, monkeypatch, tmp_path)
             return _layer(*args, **kwargs)
 
         monkeypatch.setattr(module, attr, counted)
-    store = extract_cohort(records, ExtractionConfig(n_bins=8, wavelet=None), base_dir=tmp_path)
+    store = extract_cohort(records, ExtractionConfig(n_bins=8, wavelet="none"), base_dir=tmp_path)
     images = len(list(image_jobs(records)))
     assert len(store.keys) == images
     assert calls == dict.fromkeys(calls, images)

@@ -297,7 +297,7 @@ def _same_fit(a, b):
 @pytest.mark.parametrize("C", [1.0, 1e2, 1e4])
 @pytest.mark.parametrize("max_epochs", [2, 20000])
 def test_fits_keep_the_bits_of_the_first_solver(monkeypatch, C, max_epochs):
-    # the solver factors each free set of a fit once and skips the predictor's system check
+    # the solver skips the predictor's system check, which the first one computed and threw away
     rng = np.random.default_rng(63)
     problems = [_noisy_problem(seed) for seed in (64, 65)]
     X, y, names = _noisy_problem(66, n=60, d=6)

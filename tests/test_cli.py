@@ -224,6 +224,10 @@ def test_per_samples_below_one_is_a_config_error(cohort_dir, tmp_path, per_sampl
     *[[command, "--set", set_id, "--features", "{features}"]
       for command in ("select", "evaluate", "train")
       for set_id in ("0", "8")],
+    # a seed that no random generator takes
+    ["run", "--seed", "-1"],
+    ["run", "--seed", "-1", "--features", "{features}"],
+    ["evaluate", "--seed", "-1", "--features", "{features}"],
 ])
 def test_invalid_settings_leave_no_output_directory(cohort_dir, tmp_path, argv):
     out = tmp_path / "new" / "out"
@@ -519,7 +523,7 @@ def test_run_features_echoes_the_settings_of_its_table(criterion10_cohort, tmp_p
     assert main(["run", "--manifest", str(manifest), "--features", str(features), "--sets", "1,7",
                  "--repeats", "4", "--seed", "5", "--out", str(out)]) == 0
     table = {"n_bins": 8, "wavelet": "haar", "whitestripe": "mr", "zscore": True}
-    assert read_features_csv(features).settings == table
+    assert dataclasses.asdict(read_features_csv(features).settings) == table
     for echo in _echoes(out, "report.json", "km_split.svg"):
         assert {key: echo[key] for key in table} == table
 
@@ -544,9 +548,15 @@ def test_an_extraction_setting_that_disagrees_with_the_table_exits_2(criterion10
     assert json.loads((out / "report.json").read_text())["config"]["n_bins"] == 8
 
 
-@pytest.mark.parametrize("first_line", [None, "# config: {", '# config: {"n_bins": 8}', "# config: [8]",
-                                        "# made by hand"], ids=["none", "not-json", "a-key-missing", "not-an-object",
-                                                                "another-comment"])
+_RECORDED = {"n_bins": 8, "wavelet": "haar", "whitestripe": "mr", "zscore": True}
+
+
+@pytest.mark.parametrize("first_line", [
+    None, "# config: {", '# config: {"n_bins": 8}', "# config: [8]", "# made by hand",
+    # values that ExtractionConfig refuses
+    *["# config: " + json.dumps(_RECORDED | bad) for bad in ({"n_bins": 1}, {"wavelet": "db4"}, {"zscore": 1})],
+], ids=["none", "not-json", "a-key-missing", "not-an-object", "another-comment", "n_bins-1", "wavelet-db4",
+        "zscore-1"])
 def test_a_table_without_readable_settings_is_echoed_without_them(cohort_dir, tmp_path, caplog, first_line):
     config, *lines = (cohort_dir / "features.csv").read_text().splitlines()
     features = tmp_path / "features.csv"
@@ -635,6 +645,7 @@ def test_run_emits_seven_row_table(cohort_dir, tmp_path):
     ["--growth", "-1"],
     ["--growth", "nan"],
     ["--growth", "inf"],
+    ["--seed", "-1"],
 ])
 def test_synth_settings_out_of_range_are_config_errors(tmp_path, capsys, argv):
     out = tmp_path / "cohort"
@@ -730,7 +741,7 @@ def test_run_with_config_file(cohort_dir, tmp_path):
     bad = tmp_path / "bad.json"
     for value in ({"unknown_key": 1}, {"n_bins": None}, {"repeats": "three"}, {"repeats": 2.5},
                   {"repeats": True}, {"c_value": None}, {"zscore": [1]}, {"wavelet": "db4"},
-                  {"test_frac": {"value": 0.3}}, {"sets": None}, {"horizon_days": 0}, [1, 2]):
+                  {"test_frac": {"value": 0.3}}, {"sets": None}, {"horizon_days": 0}, {"seed": -1}, [1, 2]):
         bad.write_text(json.dumps(value))
         assert main(["run", "--manifest", str(cohort_dir / "manifest.json"),
                      "--config", str(bad), "--out", str(tmp_path / "x")]) == 2, value

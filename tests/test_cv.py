@@ -70,7 +70,15 @@ def test_threads_below_one_are_config_errors(threads):
         CvConfig(threads=threads)
     records = synth_cohort(seed=3, n_lesions=3, effect=EffectConfig(), config=SynthConfig())
     with pytest.raises(ConfigError, match="threads must be >= 1"):
-        extract_cohort(records, ExtractionConfig(n_bins=8, wavelet=None), threads=threads)
+        extract_cohort(records, ExtractionConfig(n_bins=8, wavelet="none"), threads=threads)
+
+
+def test_a_negative_seed_is_a_config_error():
+    # numpy's generators refuse it with a ValueError, which would end a command in a traceback
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        CvConfig(seed=-1)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        synth_cohort(seed=-1, n_lesions=3)
 
 
 def test_extraction_failures_come_in_job_order_at_any_threads(monkeypatch):
@@ -88,7 +96,7 @@ def test_extraction_failures_come_in_job_order_at_any_threads(monkeypatch):
         return normalize(img, role, cfg)
 
     monkeypatch.setattr(pipeline, "normalize_volume", slow_first_two_fail)
-    config = ExtractionConfig(n_bins=8, wavelet=None)
+    config = ExtractionConfig(n_bins=8, wavelet="none")
     runs = {}
     for threads in (1, 4):
         failures: list[str] = []
@@ -245,7 +253,7 @@ def test_global_selection_flag(small_cohort):
 def test_ct_missing_lesions_excluded():
     records = synth_cohort(seed=22, n_lesions=16,
                            config=SynthConfig(hrm_fraction=0.25, ct_missing_fraction=0.3))
-    store = extract_cohort(records, ExtractionConfig(n_bins=8, wavelet=None))
+    store = extract_cohort(records, ExtractionConfig(n_bins=8, wavelet="none"))
     missing = [r.lesion_id for r in records if r.planning_ct is None]
     assert missing
     ds5 = build_dataset(records, store, feature_set(5))
@@ -394,7 +402,7 @@ def test_the_widest_set_is_built_without_a_second_copy():
 def test_a_set_needs_columns_for_each_of_its_blocks(ct_missing_cohort):
     records, store = ct_missing_cohort
     plain = _prefixed(store, "original-")
-    plain.settings = {"n_bins": 8, "wavelet": "none", "whitestripe": "mr", "zscore": True}
+    plain.settings = ExtractionConfig(n_bins=8, wavelet="none")
     assert build_dataset(records, plain, feature_set(6)).n_samples > 0
     with pytest.raises(DataError, match=r"^feature set 7 has the wavelet block.*wavelet 'none'"):
         build_datasets(records, plain, [feature_set(6), feature_set(7)])
@@ -472,7 +480,7 @@ def test_zero_effect_cohort_gives_chance_auc():
     records = synth_cohort(seed=27, n_lesions=36,
                            effect=EffectConfig(growth=0.0, texture=1.0),
                            config=SynthConfig(hrm_fraction=0.2))
-    store = extract_cohort(records, ExtractionConfig(n_bins=8, wavelet=None))
+    store = extract_cohort(records, ExtractionConfig(n_bins=8, wavelet="none"))
     ds = build_dataset(records, store, feature_set(2))
     rep = monte_carlo_cv(ds, CvConfig(repeats=20, seed=8))
     assert 0.35 <= rep.mean_auc <= 0.65

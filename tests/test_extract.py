@@ -39,7 +39,7 @@ def pair():
 
 def test_original_only_count_is_98(pair):
     img, mask = pair
-    cfg = ExtractionConfig(n_bins=16, wavelet=None)
+    cfg = ExtractionConfig(n_bins=16, wavelet="none")
     row = extract_all(img, mask, cfg)
     assert row.shape == (98,) and row.dtype == np.float64
     assert len(feature_names(cfg)) == 98
@@ -69,7 +69,7 @@ def test_naming_grammar():
         "wavelet-HHL-firstorder-Range",
     ):
         assert name in names
-    original = feature_names(ExtractionConfig(n_bins=16, wavelet=None))
+    original = feature_names(ExtractionConfig(n_bins=16, wavelet="none"))
     assert names[: len(original)] == original
     for name in (
         "original-shape-Sphericity",
@@ -80,7 +80,7 @@ def test_naming_grammar():
 
 
 def test_gldm_table_names():
-    names = feature_names(ExtractionConfig(n_bins=16, wavelet=None))
+    names = feature_names(ExtractionConfig(n_bins=16, wavelet="none"))
     for name in (
         "original-gldm-LargeDependenceLowGrayLevelEmphasis",
         "original-gldm-SmallDependenceHighGrayLevelEmphasis",
@@ -152,7 +152,7 @@ def _written(tmp_path, store, read_path):
 @READ_PATHS
 def test_feature_csv_roundtrip(tmp_path, pair, read_path):
     img, mask = pair
-    cfg = ExtractionConfig(n_bins=8, wavelet=None)
+    cfg = ExtractionConfig(n_bins=8, wavelet="none")
     keys = [("L1", "followup", "2010-01-01"), ("L1", "planning_mr", "2009-10-01"),
             ("L1", "planning_ct", "2009-10-01")]
     rows = [extract_all(img, mask, cfg) for _ in keys]
@@ -219,7 +219,7 @@ def test_feature_csv_sidecar_read_equals_the_text_parse(tmp_path, monkeypatch, k
     from_text = read_features_csv(path)
     assert sorted(tmp_path.iterdir()) == [path]  # not even the sidecar it could have used
     assert _same_store(from_sidecar, from_text)
-    assert from_sidecar.settings == from_text.settings == settings
+    assert from_sidecar.settings == from_text.settings == ExtractionConfig(**settings)
     assert from_text.keys == keys and len(from_text.names) == (2 if keys else 0)
 
 
@@ -298,7 +298,7 @@ def test_feature_csv_refuses_ambiguous_tables(tmp_path, header, rows, match):
 
 def test_extract_cohort_reuses_rows_in_job_order(monkeypatch):
     records = synth_cohort(seed=3, n_lesions=3, effect=EffectConfig(), config=SynthConfig())
-    config = ExtractionConfig(n_bins=8, wavelet=None)
+    config = ExtractionConfig(n_bins=8, wavelet="none")
     jobs = list(pipeline.image_jobs(records))
     fresh = extract_cohort(records, config)
     assert fresh.keys == [job[:3] for job in jobs]
@@ -334,7 +334,7 @@ def full_volume_reference(img, mask, cfg):
     """extract_all's features by name, with every subband computed on the whole volume."""
     out = {f"original-shape-{name}": value for name, value in shape_features(mask, img.spacing).items()}
     images = {"original": img}
-    if cfg.wavelet:
+    if cfg.wavelet != "none":
         subbands = decompose(img, get_bank(cfg.wavelet))
         images.update({f"wavelet-{label}": subbands[label] for label in SUBBAND_LABELS})
     for prefix, image in images.items():
@@ -345,7 +345,7 @@ def full_volume_reference(img, mask, cfg):
     return out
 
 
-@pytest.mark.parametrize("wavelet", ["haar", "coif1", None])
+@pytest.mark.parametrize("wavelet", ["haar", "coif1", "none"])
 def test_feature_names_follow_the_reference_order(pair, wavelet):
     img, mask = pair
     cfg = ExtractionConfig(n_bins=16, wavelet=wavelet)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from radrisk import (
-    ConfigError, DataError, NormalizationConfig, RoiMask, VolumeImage, white_stripe_stats, zscore_stats,
+    ConfigError, DataError, ExtractionConfig, RoiMask, VolumeImage, white_stripe_stats, zscore_stats,
 )
-from radrisk.features import ExtractionConfig, extract_all
+from radrisk.features import extract_all
 from radrisk.featurestore import ROLE_FOLLOWUP, ROLE_PLAN_CT, ROLE_PLAN_MR
 from radrisk.pipeline import normalize_volume
 from radrisk.volume import _mapped, _sorted_quantile
@@ -162,7 +162,7 @@ def test_normalizations_affine_equivariant():
 def test_normalization_preserves_geometry():
     rng = np.random.default_rng(6)
     img = vol3d(rng.normal(50, 10, size=(4, 5, 6)), spacing=(0.5, 2.0, 3.0))
-    out = normalize_volume(img, ROLE_PLAN_MR, NormalizationConfig())
+    out = normalize_volume(img, ROLE_PLAN_MR, ExtractionConfig())
     assert out.dims == (4, 5, 6)
     assert out.spacing == (0.5, 2.0, 3.0)
     assert out.modality == img.modality
@@ -172,7 +172,7 @@ def test_normalization_preserves_geometry():
 @pytest.mark.parametrize("whitestripe", ["mr", "none"])
 def test_normalize_volume_matches_two_pass_oracle(zscore, whitestripe):
     rng = np.random.default_rng(7)
-    cfg = NormalizationConfig(zscore=zscore, whitestripe=whitestripe)
+    cfg = ExtractionConfig(zscore=zscore, whitestripe=whitestripe)
     for dims in ((20, 20, 10), (13, 7, 5), (9, 1, 40)):
         n = dims[0] * dims[1] * dims[2]
         img = vol3d(_bimodal(rng, n).reshape(dims) * rng.uniform(0.5, 3.0))
@@ -199,7 +199,7 @@ def test_normalize_volume_of_file_like_voxels_matches_the_oracle(kind):
         img = vol3d(_FILE_LIKE_VOLUMES[kind](rng, dims[0] * dims[1] * dims[2]).reshape(dims))
         for zscore in (True, False):
             want = bf_normalize(img.voxels, zscore, True)
-            assert np.array_equal(normalize_volume(img, ROLE_FOLLOWUP, NormalizationConfig(zscore=zscore)).voxels, want)
+            assert np.array_equal(normalize_volume(img, ROLE_FOLLOWUP, ExtractionConfig(zscore=zscore)).voxels, want)
 
 
 def test_white_stripe_under_maps_is_white_stripe_of_the_mapped_values():
@@ -233,11 +233,10 @@ def test_extraction_maps_the_roi_box_as_the_whole_volume(zscore, whitestripe):
     img = vol3d(_bimodal(rng, 40 * 36 * 28).reshape(dims) * 2.5 + 7.0)
     inside, at_zero = _ellipsoid(dims, (20, 17, 14), (6, 5, 4)), _ellipsoid(dims, (2, 17, 14), (5, 5, 4))
     assert at_zero.coords[:, 0].min() == 0
-    cfg = NormalizationConfig(zscore=zscore, whitestripe=whitestripe)
     for role in (ROLE_PLAN_MR, ROLE_PLAN_CT, ROLE_FOLLOWUP):
-        normalized = normalize_volume(img, role, cfg)
+        normalized = normalize_volume(img, role, ExtractionConfig(zscore=zscore, whitestripe=whitestripe))
         whole = VolumeImage(normalized.voxels, img.spacing, img.modality)
-        for mask, wavelet in ((inside, "haar"), (at_zero, "haar"), (inside, None)):
+        for mask, wavelet in ((inside, "haar"), (at_zero, "haar"), (inside, "none")):
             config = ExtractionConfig(n_bins=8, wavelet=wavelet)
             assert extract_all(normalized, mask, config).tobytes() == extract_all(whole, mask, config).tobytes()
 
@@ -247,7 +246,7 @@ def test_normalize_volume_holds_one_whole_volume_buffer_at_most():
     the image returned holds no new one. Mapping the whole volume and copying the result took 2.0."""
     img = vol3d(_bimodal(np.random.default_rng(10), 128 * 128 * 64).reshape(128, 128, 64))
     for role in (ROLE_PLAN_MR, ROLE_PLAN_CT):
-        _, peak = traced_peak(lambda: normalize_volume(img, role, NormalizationConfig()))
+        _, peak = traced_peak(lambda: normalize_volume(img, role, ExtractionConfig()))
         assert peak <= 1.25 * img.voxels.nbytes, role
 
 
@@ -262,14 +261,17 @@ def test_normalize_volume_errors_match_oracle(values, zscore):
     with pytest.raises(DataError) as want:
         bf_normalize(img.voxels, zscore, True)
     with pytest.raises(DataError) as got:
-        normalize_volume(img, ROLE_PLAN_MR, NormalizationConfig(zscore=zscore))
+        normalize_volume(img, ROLE_PLAN_MR, ExtractionConfig(zscore=zscore))
     assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("kwargs", [
     {"whitestripe": "MR"}, {"whitestripe": "ct"}, {"whitestripe": None},
     {"zscore": 1}, {"zscore": "yes"}, {"zscore": None},
+    {"wavelet": None}, {"wavelet": "db4"}, {"n_bins": 1},
 ])
 def test_normalization_config_rejects_unknown_values(kwargs):
+    """The normalization settings are checked where the other two extraction settings are, in the one
+    ``ExtractionConfig``, and so are those two."""
     with pytest.raises(ConfigError):
-        NormalizationConfig(**kwargs)
+        ExtractionConfig(**kwargs)

@@ -225,8 +225,6 @@ def _cv_setup(manifest_path: Path, sets, values: dict, settings: ExtractionConfi
 def _read_table(path, given: dict) -> FeatureStore:
     """The table at ``path``; a ``given`` extraction setting that differs from the one it records exits 2."""
     store = read_features_csv(path)
-    if store.settings is None:
-        log.warning("%s records no extraction settings, so the config echo holds none", path)
     for key, value in given.items():
         recorded = getattr(store.settings, key, value)  # a table that records none disagrees with nothing
         if value != recorded:
@@ -303,8 +301,8 @@ def synth(seed, lesions, out_dir, hrm_fraction, growth, texture, ct_missing, fol
 def extract(manifest, out_dir, force, threads, **values):
     """Extract per-image radiomic features into features.csv (+ its binary sidecar and features.json)."""
     manifest_path, out = _paths(manifest, out_dir)
+    config = ExtractionConfig(**values)  # before the manifest read, so a bad setting exits 2 first
     records = load_manifest(manifest_path)
-    config = ExtractionConfig(**values)
 
     csv_path = _made(out) / "features.csv"
     comment = _comment({"manifest": str(manifest_path), **asdict(config)})

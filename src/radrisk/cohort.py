@@ -16,6 +16,7 @@ import datetime
 import json
 import logging
 import math
+import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -305,10 +306,14 @@ MANIFEST_FORMAT_VERSION = 1
 
 
 def _parse_date(value: str, context: str) -> datetime.date:
+    """A manifest date, written ``YYYY-MM-DD`` in ASCII digits, the spelling that its table keys take: the
+    other forms that ``date.fromisoformat`` reads (``20100313``, ``2010-W24-2``) are refused."""
     try:
+        if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", value):
+            raise ValueError
         return datetime.date.fromisoformat(value)
     except (TypeError, ValueError) as exc:
-        raise DataError(f"{context}: bad ISO date {value!r}") from exc
+        raise DataError(f"{context}: bad ISO date {value!r} (expected YYYY-MM-DD)") from exc
 
 
 def _parse_source(obj: dict | None, context: str) -> ImageSource | None:

@@ -9,16 +9,17 @@ original mask (shape is mask-only and extracted once), for 98 + 8*84 = 770.
 
 Every class reads ROI voxels only, so the wavelet runs on the ROI's bounding
 box, and the ROI's values are read from the box at the mask's coordinates,
-shifted into it. A normalized image (``NormalizedImage``) applies its
-intensity maps to that box only, each voxel with the arithmetic of the
-whole-volume map, so its values are the whole normalized volume's. Texture
-and shape read the caller's mask, whose voxel order and neighbor pairs do
-not depend on where the grid starts. Each filter is
-causal: output voxel n reads input voxels n - k, 0 <= k < filter length,
-along each axis. The box reaches filter length - 1 voxels below the ROI on
-each axis, which makes every subband value in the ROI bit-identical to the
-full-volume one. Where that margin would cross index 0, the full-volume
-convolution wraps around the volume edge, and the box keeps the whole axis.
+shifted into it. The intensity normalization's maps (``normalize_volume``'s
+``(mu, sigma)`` steps) are applied to that box only, by ``apply_maps``, each
+voxel with the arithmetic of the whole-volume map, so its values are the
+whole normalized volume's. Texture and shape read the caller's mask, whose
+voxel order and neighbor pairs do not depend on where the grid starts.
+Each filter is causal: output voxel n reads input voxels n - k,
+0 <= k < filter length, along each axis. The box reaches filter length - 1
+voxels below the ROI on each axis, which makes every subband value in the
+ROI bit-identical to the full-volume one. Where that margin would cross
+index 0, the full-volume convolution wraps around the volume edge, and the
+box keeps the whole axis.
 
 The intensity classes of one mask run once over a ``(k, n_roi)`` stack: the
 ROI values of the original image and of its subbands, one image per row.
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, NumericalError
-from ..volume import DIRECTIONS_13, NormalizedImage, RoiMask, VolumeImage, check_aligned, require_nonempty
+from ..volume import DIRECTIONS_13, RoiMask, VolumeImage, apply_maps, check_aligned, require_nonempty
 from ..wavelet import BANKS, SUBBAND_LABELS, decompose, get_bank, subbands
 from .firstorder import FIRSTORDER_FEATURES, firstorder_features, firstorder_rows
 from .shape import SHAPE_FEATURES, shape_features
@@ -136,14 +137,15 @@ def _intensity_rows(values: np.ndarray, mask: RoiMask, n_bins: int) -> np.ndarra
     return np.hstack([firstorder_rows(values)] + [texture_rows(droi, family) for family in TEXTURE_FAMILIES])
 
 
-def extract_all(img: VolumeImage | NormalizedImage, mask: RoiMask, config: ExtractionConfig) -> np.ndarray:
-    """Extract the full feature row of one (volume, mask) pair, in ``feature_names(config)`` order."""
+def extract_all(img: VolumeImage, mask: RoiMask, config: ExtractionConfig, maps=()) -> np.ndarray:
+    """Extract the full feature row of one (volume, mask) pair, in ``feature_names(config)`` order, from
+    ``img`` under the normalization ``maps``, the ``(mu, sigma)`` steps of ``apply_maps``."""
     check_aligned(img, mask)
     require_nonempty(mask)
     bank = None if config.wavelet == "none" else get_bank(config.wavelet)
     start = mask.coords.min(axis=0) - (max(bank.low.size, bank.high.size) - 1 if bank else 0)
     box = tuple(slice(l, h) if l >= 0 else slice(None) for l, h in zip(start.tolist(), mask.coords.max(axis=0) + 1))
-    volumes = [img.region(box)]  # the original image and its subbands, on the box
+    volumes = [apply_maps(img.voxels[box], maps)]  # the original image and its subbands, on the box
     if bank:
         volumes += subbands(volumes[0], bank).values()
     at = tuple((mask.coords - np.maximum(start, 0)).T)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import zlib
 from collections import Counter
 from dataclasses import fields
@@ -44,6 +45,8 @@ ROLE_PLAN_MR = "planning_mr"
 ROLE_PLAN_CT = "planning_ct"
 
 ROLES = (ROLE_FOLLOWUP, ROLE_PLAN_MR, ROLE_PLAN_CT)
+
+log = logging.getLogger(__name__)
 
 
 class FeatureStore:
@@ -161,19 +164,31 @@ def read_features_csv(path: str | Path) -> FeatureStore:
         if store is None:
             store = _read_store(path)
         with path.open() as fh:
-            store.settings = _settings(fh.readline())
+            store.settings = _settings(fh.readline(), path)
     except UnicodeDecodeError as exc:
         raise DataError(f"feature CSV {path} is not UTF-8 text: {exc}") from exc
     return store
 
 
-def _settings(line: str) -> ExtractionConfig | None:
-    """The extraction settings that a ``# config:`` line records, or None when it does not record all four
-    as ``ExtractionConfig`` takes them."""
+def _settings(line: str, path: Path) -> ExtractionConfig | None:
+    """The extraction settings that the first ``line`` of the table at ``path`` records. When it does not
+    record all four as ``ExtractionConfig`` takes them: None, and one warning that names the table and why."""
     try:
-        config = json.loads(line.removeprefix("# config: ")) if line.startswith("# config: ") else {}
-        return ExtractionConfig(**{f.name: config[f.name] for f in fields(ExtractionConfig)})
-    except (ValueError, KeyError, TypeError, ConfigError):  # not JSON, a missing key, not an object, a bad value
+        if not line.startswith("# config: "):
+            raise ConfigError("its first line is not a '# config:' line")
+        try:
+            config = json.loads(line.removeprefix("# config: "))
+        except ValueError:
+            config = None
+        if not isinstance(config, dict):
+            raise ConfigError("its '# config:' line is not a JSON object")
+        names = [f.name for f in fields(ExtractionConfig)]
+        missing = [name for name in names if name not in config]
+        if missing:
+            raise ConfigError(f"its '# config:' line has no {missing[0]!r}")
+        return ExtractionConfig(**{name: config[name] for name in names})
+    except ConfigError as exc:  # the reason, or the value that ExtractionConfig refuses
+        log.warning("%s records no extraction settings: %s", path, exc)
         return None
 
 

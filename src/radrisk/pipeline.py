@@ -37,7 +37,7 @@ from .cohort import (
 from .errors import ConfigError, DataError, NumericalError
 from .features import ExtractionConfig, extract_all, feature_names
 from .featurestore import ROLE_FOLLOWUP, ROLE_PLAN_CT, ROLE_PLAN_MR, FeatureStore
-from .volume import NormalizedImage, VolumeImage, white_stripe_stats, zscore_stats
+from .volume import VolumeImage, white_stripe_stats, zscore_stats
 
 log = logging.getLogger(__name__)
 
@@ -51,18 +51,18 @@ def parallel_map(fn, items, threads: int = 1) -> list:
         return list(pool.map(fn, items))
 
 
-def normalize_volume(img: VolumeImage, role: str, config: ExtractionConfig) -> NormalizedImage:
+def normalize_volume(img: VolumeImage, role: str, config: ExtractionConfig) -> tuple[tuple[float, float], ...]:
     """The intensity normalizations that ``config`` names for ``img``: z-score, then
-    white-stripe on every role but the planning CT. Each step is
+    white-stripe on every role but the planning CT. Each step is a map
     ``(v - mu) / sigma``, its statistics taken over the whole volume as the
-    step before left it. Only the statistics are computed here: the image
-    returned holds ``img`` and the maps, which apply where voxels are read."""
+    step before left it. Only the statistics are computed here: the
+    ``(mu, sigma)`` pairs are returned in order, and apply where voxels are read."""
     maps = ()
     if config.zscore:
         maps += (zscore_stats(img.voxels.ravel()),)
     if config.whitestripe == "mr" and role != ROLE_PLAN_CT:
         maps += (white_stripe_stats(img.voxels.ravel(), maps),)
-    return NormalizedImage(img, maps)
+    return maps
 
 
 def image_jobs(records: list[MetastasisRecord]):
@@ -108,7 +108,7 @@ def extract_cohort(
             return reuse.values[reuse.index[job[:3]]]
         try:
             img, mask = source.load(base_dir)
-            return extract_all(normalize_volume(img, role, config), mask, config)
+            return extract_all(img, mask, config, normalize_volume(img, role, config))
         except (DataError, NumericalError) as exc:
             message = f"[extract {lesion_id}/{role}/{date_iso}] {exc}"
             if failures is None:

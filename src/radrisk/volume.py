@@ -23,11 +23,11 @@ each an offset and a scale ``(mu, sigma)``: ``zscore_stats`` (mean and
 population std) and ``white_stripe_stats`` (Shinohara et al., NeuroImage:
 Clinical 2014). ``radrisk.pipeline.normalize_volume`` decides which apply to
 which image, from the ``zscore`` and ``whitestripe`` fields of the one
-``ExtractionConfig``, and returns a ``NormalizedImage``: the raw voxels and the affine
-maps ``(v - mu) / sigma``, which are applied only where voxels are read
-(feature extraction reads the ROI's box). The statistics take at most one
-whole-volume float64 buffer at a time: the z-score's deviations, then
-white-stripe's sorted copy of the raw values, mapped in place.
+``ExtractionConfig``, and returns them as a tuple of maps: the affine maps
+``(v - mu) / sigma`` in order, which ``apply_maps`` applies only where voxels
+are read (feature extraction reads the ROI's box). The statistics take at
+most one whole-volume float64 buffer at a time: the z-score's deviations,
+then white-stripe's sorted copy of the raw values, mapped in place.
 """
 
 from __future__ import annotations
@@ -103,50 +103,12 @@ class VolumeImage:
     def dims(self) -> tuple[int, int, int]:
         return self.voxels.shape
 
-    def region(self, box: tuple[slice, ...]) -> np.ndarray:
-        """The voxels of ``box``, a tuple of slices."""
-        return self.voxels[box]
 
-
-@dataclass(frozen=True)
-class NormalizedImage:
-    """A volume under intensity normalization: its raw voxels and the affine
-    maps ``v -> (v - mu) / sigma`` that normalize them, applied in order.
-
-    The maps run only where voxels are read, with the elementwise operations
-    of a whole-volume map, so ``region(box)`` holds the bits of
-    ``voxels[box]``."""
-
-    raw: VolumeImage
-    maps: tuple[tuple[float, float], ...]
-
-    @property
-    def spacing(self) -> tuple[float, float, float]:
-        return self.raw.spacing
-
-    @property
-    def modality(self) -> str:
-        return self.raw.modality
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.raw.dims
-
-    @property
-    def voxels(self) -> np.ndarray:
-        """The whole normalized volume, built anew on each access."""
-        voxels = self.region(...)
-        voxels.flags.writeable = False
-        return voxels
-
-    def region(self, box) -> np.ndarray:
-        """The normalized voxels of ``box``, a tuple of slices."""
-        return _mapped(self.raw.voxels[box], self.maps)
-
-
-def _mapped(values: np.ndarray, maps) -> np.ndarray:
+def apply_maps(values: np.ndarray, maps) -> np.ndarray:
     """``values`` under each map ``(v - mu) / sigma`` of ``maps`` in turn, in that
-    arithmetic: a subtraction into a new array, then a division in place."""
+    arithmetic: a subtraction into a new array, then a division in place. With
+    no maps, ``values`` itself. The maps are elementwise, so a box of a volume
+    mapped alone holds the bits of that box of the whole mapped volume."""
     for mu, sigma in maps:
         values = values - mu
         values /= sigma
@@ -419,7 +381,8 @@ def _read_nifti(path: Path) -> tuple[_Payload, str]:
         raise DataError(f"NIfTI payload truncated ({len(buf)} < {end} bytes)")
     values = np.frombuffer(buf, dtype=dtype, count=nvox, offset=start)
     if slope not in (0.0, 1.0) or inter != 0.0:
-        values = values.astype(np.float64) * float(slope) + float(inter)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite voxel fails the finite check
+            values = values.astype(np.float64) * float(slope) + float(inter)
     return _Payload(values, dims, spacing, "MR"), f"NIfTI volume contains non-finite voxels: {path}"
 
 
@@ -473,7 +436,7 @@ def _mean_std(values: np.ndarray) -> tuple[float, float]:
 
 def white_stripe_stats(values: np.ndarray, maps=()) -> tuple[float, float]:
     """Offset and scale of the dominant bright-tissue histogram peak of
-    ``values``, or of ``values`` under ``maps`` (``NormalizedImage``'s maps).
+    ``values``, or of ``values`` under ``maps``, the steps before it (as ``apply_maps`` takes them).
 
     The offset is the center of the largest smoothed-histogram peak strictly
     above the median (256 bins, 7-bin binomial smoothing); the scale is the
@@ -492,7 +455,7 @@ def white_stripe_stats(values: np.ndarray, maps=()) -> tuple[float, float]:
     values = values.ravel()
     ordered = values.astype(np.result_type(values, 1.0))  # the dtype of a mapped value
     ordered.sort()
-    for mu, sigma in maps:  # the arithmetic of _mapped, in place
+    for mu, sigma in maps:  # the arithmetic of apply_maps, in place
         ordered -= mu
         ordered /= sigma
     n = ordered.size
@@ -519,7 +482,7 @@ def white_stripe_stats(values: np.ndarray, maps=()) -> tuple[float, float]:
     step = _BLOCK_BYTES // values.itemsize
     parts = []
     for start in range(0, values.size, step):
-        block = _mapped(values[start : start + step], maps)
+        block = apply_maps(values[start : start + step], maps)
         # the elements of block[mask], in a third of boolean indexing's time
         parts.append(np.compress((block >= q_lo) & (block <= q_hi), block))
     window = np.concatenate(parts)

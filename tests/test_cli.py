@@ -548,16 +548,41 @@ def test_an_extraction_setting_that_disagrees_with_the_table_exits_2(criterion10
     assert json.loads((out / "report.json").read_text())["config"]["n_bins"] == 8
 
 
+def test_a_bad_setting_exits_2_before_the_manifest_is_read(tmp_path, capsys):
+    """extract and run check their extraction settings before they read the manifest: a bad --ng with a bad
+    manifest exits 2, naming the setting, and makes no output directory."""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"patients": 5}))
+    out = tmp_path / "new" / "out"
+    for command in ("extract", "run"):
+        capsys.readouterr()
+        assert main([command, "--manifest", str(manifest), "--ng", "1", "--out", str(out)]) == 2, command
+        assert "n_bins must be >= 2, got 1" in capsys.readouterr().err, command
+        assert not out.parent.exists(), command
+        # with a good setting, the manifest's own error
+        assert main([command, "--manifest", str(manifest), "--out", str(out)]) == 3, command
+        assert "'patients' must be an array" in capsys.readouterr().err, command
+        assert not out.parent.exists(), command
+
+
 _RECORDED = {"n_bins": 8, "wavelet": "haar", "whitestripe": "mr", "zscore": True}
 
 
-@pytest.mark.parametrize("first_line", [
-    None, "# config: {", '# config: {"n_bins": 8}', "# config: [8]", "# made by hand",
-    # values that ExtractionConfig refuses
-    *["# config: " + json.dumps(_RECORDED | bad) for bad in ({"n_bins": 1}, {"wavelet": "db4"}, {"zscore": 1})],
+@pytest.mark.parametrize("first_line, reason", [
+    (None, "its first line is not a '# config:' line"),
+    ("# config: {", "its '# config:' line is not a JSON object"),
+    ('# config: {"n_bins": 8}', "its '# config:' line has no 'wavelet'"),
+    ("# config: [8]", "its '# config:' line is not a JSON object"),
+    ("# made by hand", "its first line is not a '# config:' line"),
+    # values that ExtractionConfig refuses, with its reason
+    ("# config: " + json.dumps(_RECORDED | {"n_bins": 1}), "n_bins must be >= 2, got 1"),
+    ("# config: " + json.dumps(_RECORDED | {"wavelet": "db4"}),
+     "wavelet must be 'none' or one of ['coif1', 'haar'], got 'db4'"),
+    ("# config: " + json.dumps(_RECORDED | {"zscore": 1}), "zscore must be a bool, got 1"),
 ], ids=["none", "not-json", "a-key-missing", "not-an-object", "another-comment", "n_bins-1", "wavelet-db4",
         "zscore-1"])
-def test_a_table_without_readable_settings_is_echoed_without_them(cohort_dir, tmp_path, caplog, first_line):
+def test_a_table_without_readable_settings_is_echoed_without_them(cohort_dir, tmp_path, caplog, first_line,
+                                                                  reason):
     config, *lines = (cohort_dir / "features.csv").read_text().splitlines()
     features = tmp_path / "features.csv"
     features.write_text("\n".join(([first_line] if first_line else []) + lines) + "\n")
@@ -572,7 +597,7 @@ def test_a_table_without_readable_settings_is_echoed_without_them(cohort_dir, tm
             assert main(argv + ["--manifest", manifest, "--features", str(features), "--repeats", "2",
                                 "--out", str(out)]) == 0
         logged = [m for m in caplog.messages if "records no extraction settings" in m]
-        assert len(logged) == 1 and str(features) in logged[0], command
+        assert logged == [f"{features} records no extraction settings: {reason}"], command
         for echo in _echoes(out, report, svg):
             assert not echo.keys() & {"n_bins", "wavelet", "whitestripe", "zscore"}, command
 

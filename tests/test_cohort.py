@@ -347,15 +347,17 @@ def test_manifest_validation_errors(tmp_path):
     for event in (0, False, "", []):
         with pytest.raises(DataError, match="P1/P1-L1 event_date: bad ISO date"):
             load_manifest(write({**lesion(), "event_date": event}))
+    # the ISO basic and week forms, which date.fromisoformat reads, and non-ASCII digits: only YYYY-MM-DD loads
+    other_forms = ("20100313", "2010-W24-2", "2010W242", "\u0662\u0660\u0661\u0660-03-13")
     for field in ("planning_date", "censor_date"):
-        for value in ("x", 5, "2010-13-01"):
+        for value in ("x", 5, "2010-13-01", *other_forms):
             with pytest.raises(DataError, match=f"P1/P1-L1 {field}: bad ISO date"):
                 load_manifest(write({**lesion(), field: value}))
     les = lesion()
     del les["followups"][0]["date"]
     with pytest.raises(DataError, match="P1/P1-L1 follow-up 0: missing field 'date'"):
         load_manifest(write(les))
-    for value in ("x", 5, ""):
+    for value in ("x", 5, "", *other_forms):
         les = lesion()
         les["followups"].append({**les["followups"][0], "date": value})
         with pytest.raises(DataError, match="P1/P1-L1 follow-up 1 date: bad ISO date"):

@@ -9,7 +9,7 @@ from radrisk import (
 from radrisk.features import extract_all
 from radrisk.featurestore import ROLE_FOLLOWUP, ROLE_PLAN_CT, ROLE_PLAN_MR
 from radrisk.pipeline import normalize_volume
-from radrisk.volume import _mapped, _sorted_quantile
+from radrisk.volume import _sorted_quantile, apply_maps
 from helpers import traced_peak, vol3d
 from oracles import bf_normalize, bf_whitestripe_peak, quantile_white_stripe_stats
 
@@ -159,15 +159,6 @@ def test_normalizations_affine_equivariant():
         assert np.allclose(_apply(values, stats), _apply(2.5 * values + 17.0, stats), atol=1e-6)
 
 
-def test_normalization_preserves_geometry():
-    rng = np.random.default_rng(6)
-    img = vol3d(rng.normal(50, 10, size=(4, 5, 6)), spacing=(0.5, 2.0, 3.0))
-    out = normalize_volume(img, ROLE_PLAN_MR, ExtractionConfig())
-    assert out.dims == (4, 5, 6)
-    assert out.spacing == (0.5, 2.0, 3.0)
-    assert out.modality == img.modality
-
-
 @pytest.mark.parametrize("zscore", [True, False])
 @pytest.mark.parametrize("whitestripe", ["mr", "none"])
 def test_normalize_volume_matches_two_pass_oracle(zscore, whitestripe):
@@ -178,9 +169,9 @@ def test_normalize_volume_matches_two_pass_oracle(zscore, whitestripe):
         img = vol3d(_bimodal(rng, n).reshape(dims) * rng.uniform(0.5, 3.0))
         for role in (ROLE_PLAN_MR, ROLE_FOLLOWUP):
             want = bf_normalize(img.voxels, zscore, whitestripe == "mr")
-            assert np.array_equal(normalize_volume(img, role, cfg).voxels, want)
+            assert np.array_equal(apply_maps(img.voxels, normalize_volume(img, role, cfg)), want)
         # the planning CT is never white-striped, whatever its header says
-        ct = normalize_volume(img, ROLE_PLAN_CT, cfg).voxels
+        ct = apply_maps(img.voxels, normalize_volume(img, ROLE_PLAN_CT, cfg))
         assert np.array_equal(ct, bf_normalize(img.voxels, zscore, False))
 
 
@@ -199,7 +190,8 @@ def test_normalize_volume_of_file_like_voxels_matches_the_oracle(kind):
         img = vol3d(_FILE_LIKE_VOLUMES[kind](rng, dims[0] * dims[1] * dims[2]).reshape(dims))
         for zscore in (True, False):
             want = bf_normalize(img.voxels, zscore, True)
-            assert np.array_equal(normalize_volume(img, ROLE_FOLLOWUP, ExtractionConfig(zscore=zscore)).voxels, want)
+            maps = normalize_volume(img, ROLE_FOLLOWUP, ExtractionConfig(zscore=zscore))
+            assert np.array_equal(apply_maps(img.voxels, maps), want)
 
 
 def test_white_stripe_under_maps_is_white_stripe_of_the_mapped_values():
@@ -211,7 +203,7 @@ def test_white_stripe_under_maps_is_white_stripe_of_the_mapped_values():
         values = np.round(_bimodal(rng, n, bright=rng.uniform(0.3, 0.8)) * rng.choice([1.0, 4.0, 1e3]))
         values = values.astype((np.float64, np.float32, np.int32)[trial % 3])
         maps = tuple((rng.normal() * 10, rng.uniform(1e-3, 1e3)) for _ in range(trial % 3))
-        want = _stats_or_error(white_stripe_stats, _mapped(values, maps))
+        want = _stats_or_error(white_stripe_stats, apply_maps(values, maps))
         assert _stats_or_error(lambda v: white_stripe_stats(v, maps), values) == want, trial
     values = _bimodal(rng, 3000).astype(np.float32)  # sorted, binned and windowed as float32, as the oracle does
     assert white_stripe_stats(values) == quantile_white_stripe_stats(values)
@@ -225,25 +217,24 @@ def _ellipsoid(dims, center, radii):
 @pytest.mark.parametrize("zscore", [True, False])
 @pytest.mark.parametrize("whitestripe", ["mr", "none"])
 def test_extraction_maps_the_roi_box_as_the_whole_volume(zscore, whitestripe):
-    """A normalized image maps only the box that extract_all reads. Its row is that of the whole normalized
-    volume, with the ROI inside the volume, touching index 0 on x (the box keeps the whole axis), and without
-    the wavelet."""
+    """extract_all maps only the box that it reads. Its row is that of the whole normalized volume, with the
+    ROI inside the volume, touching index 0 on x (the box keeps the whole axis), and without the wavelet."""
     rng = np.random.default_rng(9)
     dims = (40, 36, 28)
     img = vol3d(_bimodal(rng, 40 * 36 * 28).reshape(dims) * 2.5 + 7.0)
     inside, at_zero = _ellipsoid(dims, (20, 17, 14), (6, 5, 4)), _ellipsoid(dims, (2, 17, 14), (5, 5, 4))
     assert at_zero.coords[:, 0].min() == 0
     for role in (ROLE_PLAN_MR, ROLE_PLAN_CT, ROLE_FOLLOWUP):
-        normalized = normalize_volume(img, role, ExtractionConfig(zscore=zscore, whitestripe=whitestripe))
-        whole = VolumeImage(normalized.voxels, img.spacing, img.modality)
+        maps = normalize_volume(img, role, ExtractionConfig(zscore=zscore, whitestripe=whitestripe))
+        whole = VolumeImage(apply_maps(img.voxels, maps), img.spacing, img.modality)
         for mask, wavelet in ((inside, "haar"), (at_zero, "haar"), (inside, "none")):
             config = ExtractionConfig(n_bins=8, wavelet=wavelet)
-            assert extract_all(normalized, mask, config).tobytes() == extract_all(whole, mask, config).tobytes()
+            assert extract_all(img, mask, config, maps).tobytes() == extract_all(whole, mask, config).tobytes()
 
 
 def test_normalize_volume_holds_one_whole_volume_buffer_at_most():
-    """On a 128x128x64 MR image the statistics take one float64 volume at a time (1.002 volumes measured) and
-    the image returned holds no new one. Mapping the whole volume and copying the result took 2.0."""
+    """On a 128x128x64 MR image the statistics take one float64 volume at a time (1.002 volumes measured), and
+    only the maps are returned. Mapping the whole volume and copying the result took 2.0."""
     img = vol3d(_bimodal(np.random.default_rng(10), 128 * 128 * 64).reshape(128, 128, 64))
     for role in (ROLE_PLAN_MR, ROLE_PLAN_CT):
         _, peak = traced_peak(lambda: normalize_volume(img, role, ExtractionConfig()))

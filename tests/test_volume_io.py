@@ -141,6 +141,60 @@ def test_truncated_payload(tmp_path):
         read_volume(tmp_path / "t.nii")
 
 
+def _patched_nifti(tmp_path, fmt, offset, *values):
+    """A 2x2x2 float32 NIfTI file with ``values`` packed into its header at ``offset``."""
+    path = tmp_path / "p.nii"
+    _independent_nifti(path, (2, 2, 2), (1, 1, 1), np.zeros(8, dtype=np.float32))
+    data = bytearray(path.read_bytes())
+    struct.pack_into(fmt, data, offset, *values)
+    path.write_bytes(bytes(data))
+    return path
+
+
+def _sized_rawjson(tmp_path, n_bytes):
+    (tmp_path / "s.raw").write_bytes(bytes(n_bytes))
+    (tmp_path / "s.json").write_text(json.dumps({"dims": [2, 2, 2], "spacing": [1, 1, 1], "dtype": "f32",
+                                                 "data_file": "s.raw"}))
+    return tmp_path / "s.json"
+
+
+def _written(path, data: bytes):
+    path.write_bytes(data)
+    return path
+
+
+# Each builds a file that both readers refuse, or a call that is refused, and the cause the error names.
+_IO_REFUSALS = {
+    "mask-not-3d": (lambda tmp: lambda: RoiMask(np.ones((2, 2), dtype=bool)), r"mask must be 3D .* \(2, 2\)"),
+    "unknown-suffix": (lambda tmp: _written(tmp / "v.txt", b"{}"), r"cannot infer volume format from 'v.txt'"),
+    "missing-file": (lambda tmp: tmp / "absent.nii", r"volume file not found"),
+    "write-unknown-format": (lambda tmp: lambda: write_volume(vol(np.zeros(8), (2, 2, 2)), tmp / "v.json", "analyze"),
+                             r"unsupported volume format 'analyze'"),
+    "rawjson-payload-size": (lambda tmp: _sized_rawjson(tmp, 28), r"RAWJSON payload size 28 != 32 bytes"),
+    "nifti-too-short": (lambda tmp: _written(tmp / "s.nii", bytes(351)), r"NIfTI file too short \(351 bytes\)"),
+    "nifti-big-endian": (lambda tmp: _patched_nifti(tmp, ">i", 0, 348), r"sizeof_hdr=1543569408; big-endian"),
+    "nifti-dim0-2": (lambda tmp: _patched_nifti(tmp, "<h", 40, 2), r"unsupported NIfTI dimensionality dim=\[2,"),
+    "nifti-dim0-8": (lambda tmp: _patched_nifti(tmp, "<h", 40, 8), r"unsupported NIfTI dimensionality dim=\[8,"),
+    "nifti-4d": (lambda tmp: _patched_nifti(tmp, "<8h", 40, 4, 2, 2, 2, 2, 1, 1, 1),
+                 r"unsupported NIfTI dimensionality dim=\[4, 2, 2, 2, 2,"),
+    "nifti-zero-dim": (lambda tmp: _patched_nifti(tmp, "<8h", 40, 3, 2, 0, 2, 1, 1, 1, 1),
+                       r"malformed NIfTI header \(dims \(2, 0, 2\)\)"),
+    # 0 * inf: the scaled voxels are NaN, refused with no numpy warning
+    "nifti-inf-scaling": (lambda tmp: _patched_nifti(tmp, "<2f", 112, math.inf, math.inf),
+                          r"NIfTI volume contains non-finite voxels"),
+}
+
+
+@pytest.mark.parametrize("case", list(_IO_REFUSALS))
+def test_io_refusals_name_their_cause(tmp_path, case):
+    build, cause = _IO_REFUSALS[case]
+    made = build(tmp_path)
+    calls = [made] if callable(made) else [lambda: read_volume(made), lambda: read_mask(made)]
+    for call in calls:
+        with pytest.raises(DataError, match=cause):
+            call()
+
+
 def test_rawjson_missing_field(tmp_path):
     (tmp_path / "m.json").write_text(json.dumps({"dims": [1, 1, 1], "spacing": [1, 1, 1], "dtype": "f32"}))
     with pytest.raises(DataError, match="data_file"):

@@ -16,6 +16,10 @@ cannot stay strictly inside the box or is lost to rounding. The model records
 the residual and the iteration count; the solve is deterministic. Feature columns are standardized to the training
 mean/std inside ``fit`` and the parameters are stored on the model, so
 scoring new data replays the exact transform.
+
+``fit`` and ``decision_scores`` compute on an F-ordered float64 copy of their
+matrix (none where it is one): its column sums and the scoring product round
+by memory order, so their bits depend on the values alone, not on the layout.
 """
 
 from __future__ import annotations
@@ -219,7 +223,7 @@ def _solve_dual(Z, upper, max_iterations: int, tol: float):
 
 def fit(X, y, names: list[str], cfg: ClassifierConfig = ClassifierConfig()) -> TrainedModel:
     """Train on a (samples x features) matrix with 0/1 labels (1 = positive class)."""
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asfortranarray(X, dtype=np.float64)
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise DataError(f"X {X.shape} and y {y.shape} disagree")
@@ -265,7 +269,7 @@ def fit(X, y, names: list[str], cfg: ClassifierConfig = ClassifierConfig()) -> T
 
 def decision_scores(model: TrainedModel, X, names: list[str] | None = None) -> np.ndarray:
     """Signed margins ``w . standardized(x) + b`` for each row of X."""
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asfortranarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.w.shape[0]:
         raise DataError(f"matrix width {X.shape[1] if X.ndim == 2 else '?'} does not match model")
     if names is not None and list(names) != list(model.feature_names):

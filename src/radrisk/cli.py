@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -205,6 +206,9 @@ def _cv_setup(manifest_path: Path, sets, values: dict, settings: ExtractionConfi
                   threads=values["threads"], per_samples=values["per_samples"],
                   per_fold=not values["global_selection"])
     classifier = _classifier(values)
+    if not cv.per_fold:
+        log.warning("--global-selection selects the features on every sample, test folds included: "
+                    "the CV AUC is optimistic (README, 'Leakage')")
     echo = {
         "manifest": str(manifest_path),
         "sets": list(sets),
@@ -341,6 +345,9 @@ def _resumable_rows(path: Path, config: ExtractionConfig) -> FeatureStore | None
     except DataError as exc:
         log.warning("%s is unreadable, re-extracting every image: %s", path, exc)
         return None
+    if store.settings is None:  # featurestore has logged why
+        log.warning("%s records no extraction settings, re-extracting every image", path)
+        return None
     if store.settings != config:
         log.warning("%s was extracted with other settings, re-extracting every image: found %s, now %s",
                     path, store.settings, config)
@@ -357,9 +364,19 @@ def _resumable_rows(path: Path, config: ExtractionConfig) -> FeatureStore | None
 # shared pipeline steps
 
 
+@contextmanager
+def _joining(table, manifest_path):
+    """A ``DataError`` raised inside, as in building a dataset, names the two files whose rows it joins."""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"feature CSV {table}, manifest {manifest_path}: {exc}") from exc
+
+
 def _dataset_from_files(manifest_path, features_path, set_id, horizon_days):
-    records = load_manifest(manifest_path)
-    return build_dataset(records, read_features_csv(features_path), feature_set(set_id), horizon_days)
+    records, store = load_manifest(manifest_path), read_features_csv(features_path)
+    with _joining(features_path, manifest_path):
+        return build_dataset(records, store, feature_set(set_id), horizon_days)
 
 
 def _write_correlation_tables(dataset, out: Path, comment: str) -> None:
@@ -429,7 +446,9 @@ def evaluate(manifest, features_path, set_id, out_dir, **values):
     manifest_path, out = _paths(manifest, out_dir)
     store = _read_table(features_path, {})
     config, *cv_configs = _cv_setup(manifest_path, (set_id,), values, store.settings)
-    dataset = build_dataset(load_manifest(manifest_path), store, feature_set(set_id), values["horizon_days"])
+    records = load_manifest(manifest_path)
+    with _joining(features_path, manifest_path):
+        dataset = build_dataset(records, store, feature_set(set_id), values["horizon_days"])
     _made(out)
     report = monte_carlo_cv(dataset, *cv_configs)
     _write_json(out / "cv_report.json", report.to_dict(), config)
@@ -504,7 +523,8 @@ def run(ctx, config_path, **params):
         store = extract_cohort(records, extraction, base_dir=manifest_path.parent, threads=merged["threads"])
         write_features_csv(out / "features.csv", store, comment)
 
-    datasets = dict(zip(set_ids, build_datasets(records, store, specs, merged["horizon_days"])))
+    with _joining(merged["features_path"] or out / "features.csv", manifest_path):
+        datasets = dict(zip(set_ids, build_datasets(records, store, specs, merged["horizon_days"])))
     del store  # the sets hold every value that the rest of the run reads
     _made(out)
     reports = {}

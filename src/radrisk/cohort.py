@@ -392,15 +392,24 @@ def load_manifest(path: str | Path) -> list[MetastasisRecord]:
         raise DataError(f"malformed manifest JSON {path}: {exc}") from exc
     if not isinstance(data, dict) or "patients" not in data:
         raise DataError(f"manifest {path} must be an object with a 'patients' array")
+    patients = _entries(data, "patients", f"manifest {path}")
+    try:  # a refusal names the file, then where in it
+        return _records(patients)
+    except DataError as exc:
+        raise DataError(f"manifest {path}: {exc}") from exc
+
+
+def _records(patients: list[dict]) -> list[MetastasisRecord]:
+    """The validated records of a manifest's ``patients`` entries."""
     records: list[MetastasisRecord] = []
     patient_of: dict[str, str] = {}  # lesion_id -> patient_id; the feature table keys images by lesion
-    for j, p in enumerate(_entries(data, "patients", f"manifest {path}")):
-        pid = _identifier(p, "patient_id", f"manifest {path}: patient {j}")
+    for j, p in enumerate(patients):
+        pid = _identifier(p, "patient_id", f"patient {j}")
         clinical = _parse_clinical(_required(p, "clinical", pid), pid)
         for i, lesion in enumerate(_entries(p, "lesions", pid)):
             lid = _identifier(lesion, "lesion_id", f"{pid}: lesion {i}")
             if lid in patient_of:
-                raise DataError(f"manifest {path}: lesion_id {lid!r} appears twice, "
+                raise DataError(f"lesion_id {lid!r} appears twice, "
                                 f"under patients {patient_of[lid]!r} and {pid!r}")
             patient_of[lid] = pid
             ctx = f"{pid}/{lid}"

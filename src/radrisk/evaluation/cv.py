@@ -117,15 +117,6 @@ def _split_lesions(flags, test_frac, rng):
     return test
 
 
-def _picked(X, rows, cols):
-    """The picked columns of a fold, ``X[rows][:, cols]`` without copying the whole fold first.
-
-    F-ordered, as that slice is: the fit's column means and deviations sum in
-    memory order, so a C-ordered copy would move their last bits.
-    """
-    return np.asfortranarray(X[np.ix_(rows, cols)])
-
-
 def select_features(dataset: Dataset, per_samples: int = 10, rows=None) -> SelectionResult:
     """MRMR over the samples in ``rows`` (every sample when None), capped at one feature per
     ``per_samples`` of them."""
@@ -154,8 +145,8 @@ def _one_repeat(dataset: Dataset, lesion_of, flags, seed: int, cv_cfg: CvConfig,
     else:
         selection = select_features(dataset, cv_cfg.per_samples, train)
     cols = selection.indices
-    model = clf.fit(_picked(dataset.X, train, cols), y_train, selection.selected, clf_cfg)
-    scores = clf.decision_scores(model, _picked(dataset.X, test, cols))
+    model = clf.fit(dataset.X[np.ix_(train, cols)], y_train, selection.selected, clf_cfg)
+    scores = clf.decision_scores(model, dataset.X[np.ix_(test, cols)])
     auc_value = roc_curve(scores, y_test).auc
     return (auc_value, test, scores, straddle, selection.selected, model.kkt_residual, model.epochs_run)
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import warnings
 import zlib
 from collections import Counter
 from dataclasses import fields
@@ -217,8 +218,10 @@ def _read_store(path: Path) -> FeatureStore:
             if values.shape[1] != len(header):
                 raise DataError(f"feature CSV {path}: row width {values.shape[1]} != header {len(header)}")
             fh.seek(body)
-            keys = np.loadtxt(fh, dtype=str, delimiter=",", quotechar='"', comments=None,
-                              usecols=range(len(KEY_COLUMNS)), ndmin=2).tolist()
+            with warnings.catch_warnings():  # a blank line holds no row here either, as in the value parse
+                warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
+                keys = np.loadtxt(fh, dtype=str, delimiter=",", quotechar='"', comments=None,
+                                  usecols=range(len(KEY_COLUMNS)), ndmin=2).tolist()
     try:
         return FeatureStore(header[3:], list(map(tuple, keys)), values[:, len(KEY_COLUMNS) :])
     except DataError as exc:

@@ -59,9 +59,9 @@ def normalize_volume(img: VolumeImage, role: str, config: ExtractionConfig) -> t
     ``(mu, sigma)`` pairs are returned in order, and apply where voxels are read."""
     maps = ()
     if config.zscore:
-        maps += (zscore_stats(img.voxels.ravel()),)
+        maps += (zscore_stats(img.voxels),)
     if config.whitestripe == "mr" and role != ROLE_PLAN_CT:
-        maps += (white_stripe_stats(img.voxels.ravel(), maps),)
+        maps += (white_stripe_stats(img.voxels, maps),)
     return maps
 
 

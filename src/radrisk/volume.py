@@ -415,8 +415,8 @@ WHITE_STRIPE_MIN_WINDOW = 10
 
 
 def zscore_stats(values: np.ndarray) -> tuple[float, float]:
-    """Mean and population std of ``values``; a zero std is an error ("constant image")."""
-    mu, sigma = _mean_std(values)
+    """Mean and population std of ``np.ravel(values)``, in its order; a zero std is an error ("constant image")."""
+    mu, sigma = _mean_std(np.ravel(values))
     if sigma == 0.0:
         raise DataError("constant image: zero variance over the normalization region")
     return mu, sigma

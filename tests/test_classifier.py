@@ -308,3 +308,37 @@ def test_fits_keep_the_bits_of_the_first_solver(monkeypatch, C, max_epochs):
     monkeypatch.setattr(classifier, "_solve_dual", oracles._solve_dual)
     for problem, model in zip(problems, got):
         assert _same_fit(model, fit(*problem, cfg))
+
+
+def _layouts(X):
+    """The values of X C-ordered, F-ordered, and as strided views into larger C- and F-ordered arrays."""
+    n, d = X.shape
+    views = []
+    for order in ("C", "F"):
+        wide = np.zeros((2 * n, 3 * d), order=order)
+        wide[1::2, ::3] = X
+        views.append(wide[1::2, ::3])
+    return [np.ascontiguousarray(X), np.asfortranarray(X), *views]
+
+
+@pytest.mark.parametrize("C", [1.0, 1e2])
+def test_fit_and_scores_do_not_depend_on_the_matrix_layout(C):
+    # the column sums and the scoring product round by memory order: each layout of the
+    # same values must give the bits of every other
+    cfg = ClassifierConfig(C=C)
+    for seed, (n, d) in [(70, (190, 20)), (71, (289, 12)), (72, (64, 40)), (73, (30, 3))]:
+        X, y, names = _noisy_problem(seed, n, d)
+        X = X * np.linspace(0.01, 100.0, d) + np.linspace(-50.0, 50.0, d)
+        held_out = np.random.default_rng(seed).normal(size=(97, d)) * 3.0
+        layouts = _layouts(X)
+        assert [a.flags.c_contiguous for a in layouts] == [True, False, False, False]
+        models = [fit(a, y, names, cfg) for a in layouts]
+        for model in models[1:]:
+            assert _same_fit(model, models[0]), seed
+            assert model.mu.tobytes() == models[0].mu.tobytes() and model.sigma.tobytes() == models[0].sigma.tobytes()
+        for model in models:
+            scores = [decision_scores(model, a) for a in _layouts(held_out)]
+            for got in scores[1:]:
+                assert got.tobytes() == scores[0].tobytes(), seed
+            labels = [predict(model, a) for a in _layouts(held_out)]
+            assert all(np.array_equal(got, labels[0]) for got in labels[1:])

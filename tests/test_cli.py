@@ -154,8 +154,39 @@ def test_extract_reextracts_when_the_settings_change(cohort_dir, tmp_path, caplo
     with caplog.at_level("WARNING"):
         assert main(["extract", "--manifest", manifest, "--out", str(resumed), "--ng", "16",
                      "--wavelet", "none"]) == 0
-    assert len([m for m in caplog.messages if "other settings" in m]) == 1
+    assert [m for m in caplog.messages if "re-extracting" in m] == [
+        f"{resumed / 'features.csv'} records no extraction settings, re-extracting every image"]
     assert (resumed / "features.csv").read_bytes() == (fresh / "features.csv").read_bytes()
+
+
+def test_a_resumed_extract_names_refused_settings_once(criterion10_cohort, tmp_path, caplog):
+    # a '# config:' line with a value ExtractionConfig refuses: its reason, then one re-extract line
+    out = tmp_path / "ext"
+    out.mkdir()
+    config, *lines = (criterion10_cohort / "features.csv").read_text().splitlines()
+    recorded = json.loads(config.removeprefix("# config: "))
+    (out / "features.csv").write_text("\n".join(["# config: " + json.dumps(recorded | {"n_bins": 1}), *lines]) + "\n")
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        assert main(["extract", "--manifest", str(criterion10_cohort / "manifest.json"), "--out", str(out),
+                     "--ng", "8"]) == 0
+    table = out / "features.csv"
+    assert caplog.messages == [f"{table} records no extraction settings: n_bins must be >= 2, got 1",
+                               f"{table} records no extraction settings, re-extracting every image"]
+    assert table.read_bytes() == (criterion10_cohort / "features.csv").read_bytes()
+
+
+def test_global_selection_warns_once_that_the_auc_is_optimistic(criterion10_cohort, tmp_path, caplog):
+    manifest, features = str(criterion10_cohort / "manifest.json"), str(criterion10_cohort / "features.csv")
+    runs = {"run": ["run", "--sets", "1,7"], "evaluate": ["evaluate", "--set", "7"]}
+    for command, argv in runs.items():
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert main(argv + ["--manifest", manifest, "--features", features, "--repeats", "2",
+                                "--global-selection", "--out", str(tmp_path / command)]) == 0
+        logged = [m for m in caplog.messages if "--global-selection" in m]
+        assert logged == ["--global-selection selects the features on every sample, test folds included: "
+                          "the CV AUC is optimistic (README, 'Leakage')"], command
 
 
 def test_extract_reports_the_rows_it_wrote(cohort_dir, tmp_path, capsys):

@@ -58,6 +58,22 @@ def test_zscore_stats_are_numpys_mean_and_std(dtype):
         assert type(values.std()) is (np.float32 if dtype is np.float32 else np.float64)
 
 
+def test_zscore_stats_do_not_depend_on_the_volume_layout():
+    # a volume read from disk is F-ordered: its statistics sum in the values' C order whatever the layout
+    rng = np.random.default_rng(8)
+    for trial in range(20):
+        dims = (24, 20, 16) if trial % 2 else tuple(int(k) for k in rng.integers(2, 30, size=3))
+        values = rng.normal(rng.uniform(-50, 50), rng.uniform(0.1, 300), size=dims)
+        padded = np.zeros((dims[0] + 3, 2 * dims[1], dims[2]), order="F")
+        padded[3:, ::2] = values
+        layouts = [np.ascontiguousarray(values), np.asfortranarray(values), padded[3:, ::2],
+                   np.ascontiguousarray(padded)[3:, ::2]]
+        want = zscore_stats(values.ravel())
+        assert want == (float(values.mean()), float(values.std()))  # a C-ordered volume keeps numpy's bits
+        for got in layouts:
+            assert zscore_stats(got) == want, trial
+
+
 def test_z_normalize_output_statistics():
     rng = np.random.default_rng(2)
     out = _apply(rng.normal(40, 7, size=120), zscore_stats)

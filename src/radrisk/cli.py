@@ -373,8 +373,9 @@ def _joining(table, manifest_path):
         raise DataError(f"feature CSV {table}, manifest {manifest_path}: {exc}") from exc
 
 
-def _dataset_from_files(manifest_path, features_path, set_id, horizon_days):
-    records, store = load_manifest(manifest_path), read_features_csv(features_path)
+def _dataset(manifest_path, features_path, store: FeatureStore, set_id, horizon_days):
+    """Set ``set_id`` of ``store``, the table read from ``features_path``, on the manifest's samples."""
+    records = load_manifest(manifest_path)
     with _joining(features_path, manifest_path):
         return build_dataset(records, store, feature_set(set_id), horizon_days)
 
@@ -402,12 +403,16 @@ def _write_correlation_tables(dataset, out: Path, comment: str) -> None:
 def select(manifest, features_path, set_id, horizon_days, out_dir):
     """One-shot MRMR selection on the full assembled matrix (+ ranked correlations)."""
     manifest_path, out = _paths(manifest, out_dir)
-    dataset = _dataset_from_files(manifest_path, features_path, set_id, horizon_days)
-    result = select_features(dataset)
-    comment = f"select set={set_id} cap={result.cap} horizon={horizon_days}"
+    store = _read_table(features_path, {})
+    per_samples = CvConfig.per_samples
+    settings = asdict(store.settings) if store.settings else {}
+    config = {"manifest": str(manifest_path), "sets": [set_id], **settings, "per_samples": per_samples,
+              "horizon_days": horizon_days}
+    dataset = _dataset(manifest_path, features_path, store, set_id, horizon_days)
+    result = select_features(dataset, per_samples)
     payload = {"set_id": set_id, "n_samples": dataset.n_samples, **result.to_dict()}
-    (_made(out) / "selection.json").write_text(json.dumps(payload, indent=2) + "\n")
-    _write_correlation_tables(dataset, out, comment)
+    _write_json(_made(out) / "selection.json", payload, config)
+    _write_correlation_tables(dataset, out, _comment(config))
     click.echo(f"selected {len(result.selected)}/{result.cap} features from set {set_id}")
 
 
@@ -423,7 +428,7 @@ def train(manifest, features_path, set_id, horizon_days, out_dir, **values):
     """Select features and fit one model on the whole cohort."""
     manifest_path, out = _paths(manifest, out_dir)
     cfg = _classifier(values)
-    dataset = _dataset_from_files(manifest_path, features_path, set_id, horizon_days)
+    dataset = _dataset(manifest_path, features_path, read_features_csv(features_path), set_id, horizon_days)
     selection = select_features(dataset)
     cols = selection.indices
     model = clf.fit(dataset.X[:, cols], dataset.y, selection.selected, cfg)
@@ -446,18 +451,15 @@ def evaluate(manifest, features_path, set_id, out_dir, **values):
     manifest_path, out = _paths(manifest, out_dir)
     store = _read_table(features_path, {})
     config, *cv_configs = _cv_setup(manifest_path, (set_id,), values, store.settings)
-    records = load_manifest(manifest_path)
-    with _joining(features_path, manifest_path):
-        dataset = build_dataset(records, store, feature_set(set_id), values["horizon_days"])
+    dataset = _dataset(manifest_path, features_path, store, set_id, values["horizon_days"])
     _made(out)
     report = monte_carlo_cv(dataset, *cv_configs)
     _write_json(out / "cv_report.json", report.to_dict(), config)
-    scored = report.oof_counts > 0
-    if scored.any() and len(np.unique(dataset.y[scored])) == 2:
-        roc = roc_curve(report.oof_scores[scored], dataset.y[scored])
-        (out / "roc_oof.svg").write_text(
-            roc_plot(roc.fpr, roc.tpr, roc.auc, f"set {set_id} out-of-fold ROC", _comment(config))
-        )
+    scored = report.oof_counts > 0  # every fold holds both classes, so the scored samples do too
+    roc = roc_curve(report.oof_scores[scored], dataset.y[scored])
+    (out / "roc_oof.svg").write_text(
+        roc_plot(roc.fpr, roc.tpr, roc.auc, f"set {set_id} out-of-fold ROC", _comment(config))
+    )
     click.echo(f"set {set_id}: mean AUC {report.mean_auc:.3f} (std {report.std_auc:.3f}) over {values['repeats']} repeats")
 
 

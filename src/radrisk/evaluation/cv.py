@@ -31,8 +31,6 @@ from .roc import confusion_at, roc_curve
 
 log = logging.getLogger(__name__)
 
-MAX_SPLIT_RETRIES = 100
-
 
 @dataclass(frozen=True)
 class CvConfig:
@@ -102,14 +100,16 @@ def _lesion_table(dataset: Dataset):
 
 
 def _split_lesions(flags, test_frac, rng):
-    """Which lesions go to the test fold: ``test_frac`` of each stratum of ``flags``."""
+    """Which lesions go to the test fold: ``test_frac`` of each stratum of ``flags``, rounded, but at
+    least one lesion and at most all but one.
+
+    With >= 2 lesions in each stratum, as :func:`monte_carlo_cv` requires, each fold then holds a
+    flagged lesion and an unflagged one. Stratified on the ever-HRM flag, so on any grouping of the
+    samples, that is an HRM sample and an LRM sample in each fold: no split needs a second draw.
+    """
     test = np.zeros(flags.size, dtype=bool)
     for flag in (True, False):
         stratum = np.flatnonzero(flags == flag)
-        if not stratum.size:
-            continue
-        if stratum.size < 2:
-            raise DataError(f"stratum with flag={flag} has {stratum.size} lesion(s); need >= 2")
         n_test = int(round(test_frac * stratum.size))
         n_test = min(max(n_test, 1), stratum.size - 1)
         order = rng.permutation(stratum.size)
@@ -127,15 +127,8 @@ def select_features(dataset: Dataset, per_samples: int = 10, rows=None) -> Selec
 def _one_repeat(dataset: Dataset, lesion_of, flags, seed: int, cv_cfg: CvConfig, clf_cfg, global_selection):
     """One split, fit and scoring. Returns the AUC, the test fold's sample indices (ascending) and
     scores, the straddle count, the selected names, the fit's KKT residual and its iterations."""
-    rng = np.random.default_rng(seed)
-    for attempt in range(MAX_SPLIT_RETRIES):
-        in_test = _split_lesions(flags, cv_cfg.test_frac, rng)[lesion_of]
-        y_train = dataset.y[~in_test]
-        y_test = dataset.y[in_test]
-        if len(np.unique(y_train)) == 2 and len(np.unique(y_test)) == 2:
-            break
-    else:
-        raise DataError(f"no valid stratified split after {MAX_SPLIT_RETRIES} retries (seed {seed})")
+    in_test = _split_lesions(flags, cv_cfg.test_frac, np.random.default_rng(seed))[lesion_of]
+    y_train, y_test = dataset.y[~in_test], dataset.y[in_test]
 
     straddle = int(np.intersect1d(lesion_of[in_test], lesion_of[~in_test]).size)
 

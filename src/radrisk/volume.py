@@ -416,22 +416,11 @@ WHITE_STRIPE_MIN_WINDOW = 10
 
 def zscore_stats(values: np.ndarray) -> tuple[float, float]:
     """Mean and population std of ``np.ravel(values)``, in its order; a zero std is an error ("constant image")."""
-    mu, sigma = _mean_std(np.ravel(values))
+    flat = np.ravel(values)
+    mu, sigma = float(flat.mean()), float(flat.std())
     if sigma == 0.0:
         raise DataError("constant image: zero variance over the normalization region")
     return mu, sigma
-
-
-def _mean_std(values: np.ndarray) -> tuple[float, float]:
-    """``values.mean()`` and ``values.std()`` of an integer, float32 or float64
-    ``values``, bit for bit, with the mean taken once: the deviations from it
-    are squared in place, summed in memory order, divided and rooted as
-    ``np.std`` does, in the deviations' dtype."""
-    mu = values.mean()
-    dev = np.subtract(values, mu)
-    np.square(dev, out=dev)
-    var = dev.dtype.type(dev.sum() / np.intp(values.size))
-    return float(mu), float(np.sqrt(var))
 
 
 def white_stripe_stats(values: np.ndarray, maps=()) -> tuple[float, float]:
@@ -488,7 +477,7 @@ def white_stripe_stats(values: np.ndarray, maps=()) -> tuple[float, float]:
     window = np.concatenate(parts)
     if window.size < WHITE_STRIPE_MIN_WINDOW:
         raise DataError(f"white-stripe window contains {window.size} voxels (< {WHITE_STRIPE_MIN_WINDOW})")
-    sigma_ws = _mean_std(window)[1]
+    sigma_ws = float(window.std())
     if sigma_ws == 0.0:
         raise DataError("constant image: zero variance in the white-stripe window")
     return mu_ws, sigma_ws

@@ -625,14 +625,14 @@ def copied_fold_repeat(dataset, lesion_of, flags, seed, cv_cfg, clf_cfg, global_
     """The first ``cv._one_repeat``: the same split, with both folds copied whole,
     selection on the training copy, and the fit and scores on their picked columns."""
     rng = np.random.default_rng(seed)
-    for attempt in range(cv.MAX_SPLIT_RETRIES):
+    for attempt in range(100):
         in_test = cv._split_lesions(flags, cv_cfg.test_frac, rng)[lesion_of]
         y_train = dataset.y[~in_test]
         y_test = dataset.y[in_test]
         if len(np.unique(y_train)) == 2 and len(np.unique(y_test)) == 2:
             break
     else:
-        raise DataError(f"no valid stratified split after {cv.MAX_SPLIT_RETRIES} retries (seed {seed})")
+        raise DataError(f"no valid stratified split after 100 retries (seed {seed})")
 
     straddle = int(np.intersect1d(lesion_of[in_test], lesion_of[~in_test]).size)
 

@@ -21,7 +21,6 @@ from radrisk.featurestore import (
     write_features_csv,
 )
 from radrisk.pipeline import build_dataset, image_jobs
-from radrisk.selection import selection_cap
 from oracles import per_block_correlation_tables
 
 
@@ -403,11 +402,14 @@ def test_select_table2_matches_the_per_block_writer(criterion10_cohort, tmp_path
     out = tmp_path / "select"
     assert main(["select", "--manifest", str(manifest), "--features", str(features),
                  "--set", str(set_id), "--out", str(out)]) == 0
+    # selection.json and each table echo the table's settings and select's own
+    config = {"manifest": str(manifest), "sets": [set_id], **_RECORDED, "per_samples": 10, "horizon_days": 100}
+    selection = json.loads((out / "selection.json").read_text())
+    assert next(iter(selection)) == "config" and list(selection["config"].items()) == list(config.items())
     dataset = build_dataset(load_manifest(manifest), read_features_csv(features), feature_set(set_id))
     want = tmp_path / "oracle"
     want.mkdir()
-    per_block_correlation_tables(dataset, want, f"select set={set_id} cap={selection_cap(dataset.n_samples)} "
-                                                "horizon=100")
+    per_block_correlation_tables(dataset, want, "config: " + json.dumps(config, sort_keys=True))
     blocks = feature_set(set_id).blocks
     assert sorted(_table2(want)) == sorted(f"table2_{block}.csv" for block in blocks)
     assert _table2(out) == _table2(want)
@@ -631,6 +633,12 @@ def test_a_table_without_readable_settings_is_echoed_without_them(cohort_dir, tm
         assert logged == [f"{features} records no extraction settings: {reason}"], command
         for echo in _echoes(out, report, svg):
             assert not echo.keys() & {"n_bins", "wavelet", "whitestripe", "zscore"}, command
+    out = tmp_path / "select"
+    assert main(["select", "--manifest", manifest, "--features", str(features), "--set", "1", "--out", str(out)]) == 0
+    echoes = [json.loads((out / "selection.json").read_text())["config"]]
+    echoes += [json.loads(p.read_text().splitlines()[0].removeprefix("# config: ")) for p in out.glob("table2_*")]
+    assert len(echoes) >= 2 and all(echo.keys() == {"manifest", "sets", "per_samples", "horizon_days"}
+                                    for echo in echoes)
 
 
 def test_a_set_with_the_wavelet_block_on_a_table_without_one_is_refused(tmp_path, capsys):

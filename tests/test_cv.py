@@ -1,8 +1,11 @@
 import dataclasses
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radrisk import (
     ClassifierConfig,
@@ -127,10 +130,38 @@ def test_split_equals_the_lesion_set_loop(small_cohort):
         assert np.array_equal(flags, ref_flags)
         for seed in range(40):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(3):  # the retries of one repeat draw on from the same generator
+            for _ in range(3):  # successive splits draw on from the same generator
                 in_test = cv._split_lesions(flags, 1.0 / 3.0, rng)[lesion_of]
                 test = loop_split_lesions(lesions, ref_flags, 1.0 / 3.0, ref_rng)
                 assert np.array_equal(in_test, [lid in test for lid in data.lesion_ids]), seed
+
+
+@st.composite
+def _lesion_tables(draw):
+    """A table that ``monte_carlo_cv`` accepts: 2-7 ever-HRM lesions (each with >= 1 HRM sample) and
+    2-39 other lesions, 1-4 samples each, in any sample order; and a ``test_frac`` in (0, 1)."""
+    n_hrm, n_lrm = draw(st.integers(2, 7)), draw(st.integers(2, 39))
+    lesion_ids, y = [], []
+    for k in range(n_hrm + n_lrm):
+        n = draw(st.integers(1, 4))
+        labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) if k < n_hrm else [0] * n
+        if k < n_hrm and not any(labels):
+            labels[draw(st.integers(0, n - 1))] = 1
+        lesion_ids += [f"L{k}"] * n
+        y += labels
+    order = draw(st.permutations(range(len(y))))
+    test_frac = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return [lesion_ids[i] for i in order], np.asarray([y[i] for i in order]), CvConfig(test_frac=test_frac)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(table=_lesion_tables(), seed=st.integers(0, 2**31 - 2))
+def test_every_split_holds_both_classes_in_both_folds(table, seed):
+    # the guarantee that lets a repeat draw its split once
+    lesion_ids, y, cv_cfg = table
+    lesion_of, flags = cv._lesion_table(SimpleNamespace(lesion_ids=lesion_ids, y=y))
+    in_test = cv._split_lesions(flags, cv_cfg.test_frac, np.random.default_rng(seed))[lesion_of]
+    assert set(y[in_test]) == set(y[~in_test]) == {0, 1}
 
 
 def test_cv_tallies_equal_the_per_repeat_loop(small_cohort):

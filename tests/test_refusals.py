@@ -1,4 +1,5 @@
-"""A seeded edge-input sweep over criterion 10's manifest and feature table.
+"""A seeded edge-input sweep over criterion 10's manifest and feature table, and
+the refusals of settings, files and models that it does not reach.
 
 Each mutated input goes through the commands that read it. Every run must end
 in exit 0, 2 or 3, never in a traceback; a refusal must print one error line
@@ -7,13 +8,17 @@ that names the mutated file, and leave no ``--out`` behind.
 
 import copy
 import json
+import shutil
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from radrisk import classifier
 from radrisk.cli import main
+from radrisk.errors import DataError
+from radrisk.volume import VolumeImage, read_volume, write_volume
 
 RETYPED = [None, 0, -1, 2.5, True, "", "x", "2010-02-30", [], [1], {}, {"a": 1}]
 
@@ -133,3 +138,81 @@ def test_mutated_tables_end_in_an_exit_code(cohort, tmp_path, capsys):
         codes.append(_check(["select", "--manifest", manifest, "--features", str(path), "--set", "7"], path,
                             tmp_path / f"select{k}", capsys, case))
     assert {0, 3} <= set(codes)
+
+
+# ---------------------------------------------------------------------------
+# refusals that name their cause: settings, missing files, an empty table, a constant image
+
+
+def _refused(argv, out: Path, capsys) -> tuple[int, str]:
+    """The exit code and the one error line of a CLI run that must refuse, which prints no traceback."""
+    capsys.readouterr()
+    code = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err, argv
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1, (argv, err)
+    return code, errors[0]
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["run", "--sets", "9"], "feature sets must be within 1..7, got '9'"),
+    (["run", "--sets", "1-x"], "cannot parse feature sets '1-x'"),
+    (["run", "--config", "{missing}"], "config file not found: {missing}"),
+    (["synth", "--followups", "2"], "--followups must be 'min,max', got '2'"),
+    (["evaluate", "--test-frac", "0"], "test_frac must be in (0, 1), got 0.0"),
+    (["evaluate", "--test-frac", "1"], "test_frac must be in (0, 1), got 1.0"),
+], ids=["sets-9", "sets-1-x", "config-missing", "followups-2", "test-frac-0", "test-frac-1"])
+def test_a_bad_setting_exits_2_and_leaves_no_out(cohort, tmp_path, capsys, argv, cause):
+    missing = str(tmp_path / "missing.json")
+    argv = [arg.format(missing=missing) for arg in argv]
+    cause = cause.format(missing=missing)
+    if argv[0] != "synth":
+        argv += ["--manifest", str(cohort / "manifest.json")]
+    if argv[0] == "evaluate":
+        argv += ["--features", str(cohort / "features.csv")]
+    out = tmp_path / "out"
+    code, error = _refused(argv, out, capsys)
+    assert code == 2 and cause in error, (code, error)
+    assert not out.exists()
+
+
+def test_a_missing_or_empty_table_exits_3_and_leaves_no_out(cohort, tmp_path, capsys):
+    missing, empty = tmp_path / "missing.csv", tmp_path / "empty.csv"
+    empty.write_text("\n".join((cohort / "features.csv").read_text().splitlines()[:1] + ["# another"]) + "\n")
+    for table, cause in ((missing, f"feature CSV not found: {missing}"), (empty, f"feature CSV {empty} is empty")):
+        out = tmp_path / "out"
+        code, error = _refused(["run", "--manifest", str(cohort / "manifest.json"), "--features", str(table)], out,
+                               capsys)
+        assert code == 3 and cause in error, (code, error)
+        assert not out.exists()
+
+
+def test_an_auto_extracting_run_names_a_constant_image(cohort, tmp_path, capsys):
+    copied = tmp_path / "cohort"
+    shutil.copytree(cohort / "images", copied / "images")
+    shutil.copy(cohort / "manifest.json", copied)
+    lesion = json.loads((cohort / "manifest.json").read_text())["patients"][0]["lesions"][0]
+    image = copied / lesion["planning_mr"]["image"]
+    voxels = read_volume(image)
+    write_volume(VolumeImage(np.full_like(voxels.voxels, 7.0), voxels.spacing, voxels.modality), image)
+    code, error = _refused(["run", "--manifest", str(copied / "manifest.json"), "--ng", "8"], tmp_path / "out", capsys)
+    key = f"{lesion['lesion_id']}/planning_mr/{lesion['planning_date']}"
+    assert code == 3, (code, error)
+    assert error.startswith(f"error: [extract {key}] constant image: zero variance"), error
+
+
+def test_load_model_refuses_another_format_version(tmp_path):
+    X, y = np.random.default_rng(5).normal(size=(12, 2)), np.array([0, 1] * 6)
+    path = classifier.fit(X, y, ["a", "b"]).save(tmp_path / "model.json")
+    path.write_text(json.dumps(json.loads(path.read_text()) | {"format_version": 2}))
+    with pytest.raises(DataError, match="unsupported model format version 2"):
+        classifier.load_model(path)
+
+
+def test_fit_refuses_rows_or_names_that_disagree_with_the_matrix():
+    X, y = np.random.default_rng(6).normal(size=(12, 2)), np.array([0, 1] * 6)
+    with pytest.raises(DataError, match=r"X \(12, 2\) and y \(11,\) disagree"):
+        classifier.fit(X, y[:11], ["a", "b"])
+    with pytest.raises(DataError, match="feature names must match the matrix width"):
+        classifier.fit(X, y, ["a", "b", "c"])

@@ -65,7 +65,6 @@ class TrainedModel:
     w: np.ndarray
     b: float
     class_weights: tuple[float, float]  # (c_pos, c_neg)
-    threshold: float
     config: ClassifierConfig
     kkt_residual: float = 0.0
     epochs_run: int = 0
@@ -79,7 +78,6 @@ class TrainedModel:
             "w": self.w.tolist(),
             "b": self.b,
             "class_weights": list(self.class_weights),
-            "threshold": self.threshold,
             "config": asdict(self.config),
             "kkt_residual": self.kkt_residual,
             "epochs_run": self.epochs_run,
@@ -87,14 +85,15 @@ class TrainedModel:
 
     def save(self, path: str | Path) -> Path:
         path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
         return path
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    """The model that :meth:`TrainedModel.save` wrote to ``path``; ``DataError`` for a file that is not one."""
+    """The model that :meth:`TrainedModel.save` wrote to ``path``; ``DataError`` for a file that is not one.
+    A top-level ``threshold``, a copy of ``config.threshold`` in files of earlier versions, is not read."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
         if data.get("format_version") != MODEL_FORMAT_VERSION:
             raise DataError(f"unsupported model format version {data.get('format_version')!r}")
         return TrainedModel(
@@ -104,7 +103,6 @@ def load_model(path: str | Path) -> TrainedModel:
             w=np.asarray(data["w"], dtype=np.float64),
             b=float(data["b"]),
             class_weights=tuple(data["class_weights"]),
-            threshold=float(data["threshold"]),
             config=ClassifierConfig(**data["config"]),
             kkt_residual=float(data.get("kkt_residual", 0.0)),
             epochs_run=int(data.get("epochs_run", 0)),
@@ -260,7 +258,6 @@ def fit(X, y, names: list[str], cfg: ClassifierConfig = ClassifierConfig()) -> T
         w=w[:d].copy(),
         b=float(w[d]),
         class_weights=(c_pos, c_neg),
-        threshold=cfg.threshold,
         config=cfg,
         kkt_residual=residual,
         epochs_run=iterations,
@@ -280,5 +277,5 @@ def decision_scores(model: TrainedModel, X, names: list[str] | None = None) -> n
 
 def predict(model: TrainedModel, X, names: list[str] | None = None, threshold: float | None = None) -> np.ndarray:
     """1 (positive / high-risk) where the decision score reaches the threshold."""
-    theta = model.threshold if threshold is None else threshold
+    theta = model.config.threshold if threshold is None else threshold
     return (decision_scores(model, X, names) >= theta).astype(np.int64)

@@ -113,7 +113,7 @@ def _merge_config(ctx: click.Context, config_path: str | None, flags: dict) -> t
         if not p.is_file():
             raise ConfigError(f"config file {p} is not a file")
         try:
-            file_cfg = json.loads(p.read_text())
+            file_cfg = json.loads(p.read_text(encoding="utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"malformed config file {p}: {exc}") from exc
         if not isinstance(file_cfg, dict):
@@ -135,7 +135,7 @@ def _comment(config: dict) -> str:
 
 
 def _write_json(path: Path, payload: dict, config: dict) -> None:
-    path.write_text(json.dumps({"config": config, **payload}, indent=2) + "\n")
+    path.write_text(json.dumps({"config": config, **payload}, indent=2) + "\n", encoding="utf-8")
 
 
 @click.group()
@@ -288,7 +288,7 @@ def synth(seed, lesions, out_dir, hrm_fraction, growth, texture, ct_missing, fol
         "ct_missing": ct_missing,
         "format": fmt,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     click.echo(f"wrote {len(records)} lesions to {out / 'manifest.json'}")
 
 
@@ -309,7 +309,7 @@ def extract(manifest, out_dir, force, threads, **values):
     records = load_manifest(manifest_path)
 
     csv_path = _made(out) / "features.csv"
-    comment = _comment({"manifest": str(manifest_path), **asdict(config)})
+    echo = {"manifest": str(manifest_path), **asdict(config)}
     reuse = _resumable_rows(csv_path, config) if csv_path.exists() and not force else None
 
     failures: list[str] = []
@@ -321,16 +321,8 @@ def extract(manifest, out_dir, force, threads, **values):
         reuse=reuse,
         failures=failures,
     )
-    write_features_csv(csv_path, store, comment)
-    sidecar = {
-        "format_version": 1,
-        "manifest": str(manifest_path),
-        "extraction": {"n_bins": config.n_bins, "wavelet": config.wavelet},
-        "normalization": {"zscore": config.zscore, "whitestripe": config.whitestripe},
-        "rows": len(store),
-        "failures": failures,
-    }
-    (out / "features.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    write_features_csv(csv_path, store, _comment(echo))
+    _write_json(out / "features.json", {"format_version": 1, "rows": len(store), "failures": failures}, echo)
     click.echo(f"wrote {len(store)} rows to {csv_path}" + (f" ({len(failures)} failed)" if failures else ""))
     if failures:
         raise DataError(f"{len(failures)} image(s) failed extraction: {failures[:3]}")
@@ -390,7 +382,7 @@ def _write_correlation_tables(dataset, out: Path, comment: str) -> None:
         lines = [f"# {comment}", "rank,feature,r"]
         ranks = enumerate([k for k in ranked if blocks[k] == block][:10], start=1)
         lines += [f"{rank},{names[k]},{r[k]!r}" for rank, k in ranks]
-        (out / f"table2_{block}.csv").write_text("\n".join(lines) + "\n")
+        (out / f"table2_{block}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +450,7 @@ def evaluate(manifest, features_path, set_id, out_dir, **values):
     scored = report.oof_counts > 0  # every fold holds both classes, so the scored samples do too
     roc = roc_curve(report.oof_scores[scored], dataset.y[scored])
     (out / "roc_oof.svg").write_text(
-        roc_plot(roc.fpr, roc.tpr, roc.auc, f"set {set_id} out-of-fold ROC", _comment(config))
+        roc_plot(roc.fpr, roc.tpr, roc.auc, f"set {set_id} out-of-fold ROC", _comment(config)), encoding="utf-8"
     )
     click.echo(f"set {set_id}: mean AUC {report.mean_auc:.3f} (std {report.std_auc:.3f}) over {values['repeats']} repeats")
 
@@ -479,10 +471,10 @@ def km(manifest, horizon_days, out_dir):
     times = [s.days_to_event_or_censor for s in labeling.samples] + [p.days for p in labeling.km_censored]
     events = [not s.censored for s in labeling.samples] + [False] * len(labeling.km_censored)
     curve = kaplan_meier(times, events)
-    comment = f"config: {json.dumps({'manifest': str(manifest_path), 'horizon_days': horizon_days})}"
+    comment = _comment({"manifest": str(manifest_path), "horizon_days": horizon_days})
     (_made(out) / "km_cohort.svg").write_text(km_plot([("cohort", "#3060c0", curve, False)],
-                                                      "freedom from progression", comment))
-    (out / "km_cohort.csv").write_text(f"# {comment}\n" + curve_csv(curve))
+                                                      "freedom from progression", comment), encoding="utf-8")
+    (out / "km_cohort.csv").write_text(f"# {comment}\n" + curve_csv(curve), encoding="utf-8")
     median = "not reached" if curve.median is None else f"{curve.median:.0f} days"
     click.echo(f"cohort KM over {curve.n} samples, median {median}")
 
@@ -580,7 +572,7 @@ def _write_table1(out: Path, reports: dict, comment: str) -> None:
             f"Set {set_id}," + ",".join("x" if block in blocks else "" for block in BLOCK_TITLES)
             + f",{rep.mean_auc!r},{rep.std_auc!r},{rep.pooled_auc!r}"
         )
-    (out / "table1.csv").write_text("\n".join(lines) + "\n")
+    (out / "table1.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     # transposed text rendering: blocks as rows, sets as columns
     width = 36
@@ -594,7 +586,7 @@ def _write_table1(out: Path, reports: dict, comment: str) -> None:
     for rep in reports.values():
         row += f"{rep.mean_auc:.2f}".ljust(8)
     text.append(row)
-    (out / "table1.txt").write_text("\n".join(text) + "\n")
+    (out / "table1.txt").write_text("\n".join(text) + "\n", encoding="utf-8")
 
 
 def main(argv=None) -> int:

@@ -387,7 +387,7 @@ def load_manifest(path: str | Path) -> list[MetastasisRecord]:
     if not path.is_file():
         raise DataError(f"manifest {path} is not a file")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"malformed manifest JSON {path}: {exc}") from exc
     if not isinstance(data, dict) or "patients" not in data:

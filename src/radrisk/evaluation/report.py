@@ -132,7 +132,7 @@ def write_risk_split(report: RiskSplitReport, out_dir: str | Path, config_commen
     curves.append(("full cohort", "#333333", report.curve_full, True))
     svg = km_plot(curves, "freedom from progression by predicted risk", config_comment)
     p = out_dir / "km_split.svg"
-    p.write_text(svg)
+    p.write_text(svg, encoding="utf-8")
     written.append(p)
 
     for name, curve in (
@@ -143,7 +143,7 @@ def write_risk_split(report: RiskSplitReport, out_dir: str | Path, config_commen
         if curve is None:
             continue
         p = out_dir / name
-        p.write_text(curve_csv(curve))
+        p.write_text(curve_csv(curve), encoding="utf-8")
         written.append(p)
 
     lines = ["metric,value"]
@@ -160,6 +160,6 @@ def write_risk_split(report: RiskSplitReport, out_dir: str | Path, config_commen
     lines.append(f"censored_excluded,{report.n_censored_excluded}")
     lines.append(f"unscored_samples,{report.n_unscored}")
     p = out_dir / "risk_split_metrics.csv"
-    p.write_text("\n".join(lines) + "\n")
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
     written.append(p)
     return written

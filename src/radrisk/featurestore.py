@@ -27,7 +27,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import warnings
 import zlib
 from collections import Counter
 from dataclasses import fields
@@ -91,7 +90,7 @@ def write_features_csv(path: str | Path, store: FeatureStore, config_comment: st
     """Write the store's rows in store order (deterministic bytes), and the binary sidecar."""
     path = Path(path)
     names, values = (store.names, store.values) if store.keys else ([], np.empty((0, 0)))
-    with path.open("w", newline="") as fh:
+    with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(f"# {config_comment}\n")
         csv.writer(fh, lineterminator="\n").writerow(KEY_COLUMNS + tuple(names))
         # csv quotes the keys where they need it and would write each float as its repr, so the floats
@@ -148,10 +147,6 @@ def _read_sidecar(path: Path) -> FeatureStore | None:
         return None
 
 
-def _zero(field: str) -> float:
-    return 0.0
-
-
 def read_features_csv(path: str | Path) -> FeatureStore:
     """Load a feature CSV written by ``write_features_csv``: from its sidecar when that matches, else
     by the text parse."""
@@ -164,7 +159,7 @@ def read_features_csv(path: str | Path) -> FeatureStore:
     try:
         if store is None:
             store = _read_store(path)
-        with path.open() as fh:
+        with path.open(encoding="utf-8") as fh:
             store.settings = _settings(fh.readline(), path)
     except UnicodeDecodeError as exc:
         raise DataError(f"feature CSV {path} is not UTF-8 text: {exc}") from exc
@@ -194,7 +189,7 @@ def _settings(line: str, path: Path) -> ExtractionConfig | None:
 
 
 def _read_store(path: Path) -> FeatureStore:
-    with path.open(newline="") as fh:
+    with path.open(encoding="utf-8", newline="") as fh:
         line = fh.readline()
         while line.startswith("#"):
             line = fh.readline()
@@ -205,25 +200,26 @@ def _read_store(path: Path) -> FeatureStore:
             raise DataError(f"feature CSV {path} must start with columns {KEY_COLUMNS}")
         body = fh.tell()
         values = np.empty((0, len(header)))
-        keys: list = []
+        texts: list[str] = []
+
+        def text_index(cell: str) -> int:
+            texts.append(cell)
+            return len(texts) - 1
+
         if fh.read(1):
             fh.seek(body)
             try:
-                # the key columns parse as zeros, so a row of the wrong width still fails here
+                # a key cell parses as its index into texts, so a row of the wrong width still fails here
                 values = np.loadtxt(fh, dtype=np.float64, delimiter=",", quotechar='"', comments=None,
-                                    converters={k: _zero for k in range(len(KEY_COLUMNS))}, ndmin=2)
+                                    converters={k: text_index for k in range(len(KEY_COLUMNS))}, ndmin=2)
             except ValueError as exc:
                 fh.seek(body)
                 raise _row_error(path, header, csv.reader(fh), exc) from exc
             if values.shape[1] != len(header):
                 raise DataError(f"feature CSV {path}: row width {values.shape[1]} != header {len(header)}")
-            fh.seek(body)
-            with warnings.catch_warnings():  # a blank line holds no row here either, as in the value parse
-                warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
-                keys = np.loadtxt(fh, dtype=str, delimiter=",", quotechar='"', comments=None,
-                                  usecols=range(len(KEY_COLUMNS)), ndmin=2).tolist()
+    keys = [tuple(texts[k] for k in row) for row in values[:, : len(KEY_COLUMNS)].astype(np.intp).tolist()]
     try:
-        return FeatureStore(header[3:], list(map(tuple, keys)), values[:, len(KEY_COLUMNS) :])
+        return FeatureStore(header[3:], keys, values[:, len(KEY_COLUMNS) :])
     except DataError as exc:
         raise DataError(f"feature CSV {path}: {exc}") from exc
 

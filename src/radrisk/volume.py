@@ -341,7 +341,7 @@ def _write_rawjson(img: VolumeImage, path: Path) -> Path:
         "data_file": raw_name,
         "modality": img.modality,
     }
-    path.write_text(json.dumps(meta, indent=2) + "\n")
+    path.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
     return path
 
 

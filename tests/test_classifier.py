@@ -201,6 +201,23 @@ def test_serialization_roundtrip(tmp_path):
     assert back.save(tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+def test_model_file_states_its_threshold_once(tmp_path):
+    """The threshold is the config's; a file with the top-level copy that earlier versions wrote still loads."""
+    X, y, names = hand_instance()
+    model = fit(X, y, names, ClassifierConfig(threshold=0.25))
+    path = model.save(tmp_path / "model.json")
+    data = json.loads(path.read_text())
+    assert "threshold" not in data and data["config"]["threshold"] == 0.25
+    items = list(data.items())
+    at = [key for key, _ in items].index("config")
+    path.write_text(json.dumps(dict(items[:at] + [("threshold", 0.25)] + items[at:]), indent=2) + "\n")
+    back = load_model(path)
+    assert back.config == model.config
+    assert np.array_equal(predict(back, X), predict(model, X))
+    assert np.array_equal(predict(back, X), (decision_scores(model, X) >= 0.25).astype(np.int64))
+    assert json.loads(back.save(tmp_path / "again.json").read_text()) == data
+
+
 def test_a_malformed_model_file_is_a_data_error(tmp_path):
     X, y, names = hand_instance()
     path = fit(X, y, names).save(tmp_path / "model.json")

@@ -472,6 +472,26 @@ def test_run_bundle_and_reproducibility(cohort_dir, tmp_path):
     assert "Clinical data" in txt and "AUC score" in txt
 
 
+def _same_outputs(commands, out: Path, envs: list[dict]) -> dict[str, bytes]:
+    """Run ``commands`` in subprocesses once per environment in ``envs``, each time into an empty ``out``;
+    every run must print the same stdout and write the same bytes to every file. Returns those files."""
+    src = str(Path(radrisk.__file__).parents[1])
+    runs = []
+    for extra in envs:
+        env = dict(os.environ, **extra,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        stdout = [subprocess.run([sys.executable, "-m", "radrisk.cli", *argv], env=env, capture_output=True,
+                                 check=True).stdout for argv in commands]
+        runs.append((stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        shutil.rmtree(out)
+    for stdout, files in runs[1:]:
+        assert stdout == runs[0][0]
+        assert files.keys() == runs[0][1].keys()
+        for name, data in runs[0][1].items():
+            assert files[name] == data, name
+    return runs[0][1]
+
+
 def test_outputs_do_not_depend_on_the_string_hash_seed(cohort_dir, tmp_path):
     """Every output file is the same under two string hash seeds, so none depends on set or dict order."""
     out = tmp_path / "out"
@@ -481,20 +501,29 @@ def test_outputs_do_not_depend_on_the_string_hash_seed(cohort_dir, tmp_path):
         ["run", "--manifest", manifest, "--features", str(out / "features.csv"), "--out", str(out),
          "--sets", "1,7", "--repeats", "4", "--seed", "5"],
     ]
-    src = str(Path(radrisk.__file__).parents[1])
-    runs = []
-    for hash_seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        stdout = [subprocess.run([sys.executable, "-m", "radrisk.cli", *argv], env=env, capture_output=True,
-                                 check=True).stdout for argv in commands]
-        runs.append((stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
-        shutil.rmtree(out)
-    assert "report.json" in runs[0][1] and "features.csv.npy" in runs[0][1]
-    assert runs[1][0] == runs[0][0]
-    assert runs[1][1].keys() == runs[0][1].keys()
-    for name, data in runs[0][1].items():
-        assert runs[1][1][name] == data, name
+    files = _same_outputs(commands, out, [{"PYTHONHASHSEED": "1"}, {"PYTHONHASHSEED": "2"}])
+    assert "report.json" in files and "features.csv.npy" in files
+
+
+def test_text_files_are_utf8_whatever_the_locale(criterion10_cohort, tmp_path):
+    """A manifest and a table with a non-ASCII lesion id give the same output in an ASCII locale as in
+    Python's UTF-8 mode: every text file radrisk reads or writes is UTF-8."""
+    cohort = tmp_path / "cohort"
+    shutil.copytree(criterion10_cohort / "images", cohort / "images")
+    manifest = json.loads((criterion10_cohort / "manifest.json").read_text(encoding="utf-8"))
+    lesion = manifest["patients"][0]["lesions"][0]
+    assert lesion["lesion_id"] == "P0000-L1"
+    lesion["lesion_id"] = "P0000-Lé1"
+    (cohort / "manifest.json").write_text(json.dumps(manifest, ensure_ascii=False), encoding="utf-8")
+    out = tmp_path / "out"
+    commands = [
+        ["extract", "--manifest", str(cohort / "manifest.json"), "--out", str(out), "--ng", "8"],
+        ["run", "--manifest", str(cohort / "manifest.json"), "--features", str(out / "features.csv"),
+         "--out", str(out), "--sets", "1,7", "--repeats", "4", "--seed", "5"],
+    ]
+    files = _same_outputs(commands, out, [{"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+                                          {"PYTHONUTF8": "1"}])
+    assert "P0000-Lé1,planning_mr,".encode() in files["features.csv"]
 
 
 def test_config_echo_is_pinned(tmp_path):
@@ -537,6 +566,23 @@ def test_config_echo_is_pinned(tmp_path):
             assert (out / name).read_text().splitlines()[0] == f"# {comment}", name
         for name in svgs:
             assert f"<!-- {comment} -->" in (out / name).read_text(), name
+
+
+def test_extract_and_km_echo_their_config(criterion10_cohort, tmp_path):
+    """``features.json`` opens with the object of the table's ``# config:`` line, and ``km`` writes its
+    echo with sorted keys, as every other ``# config:`` line."""
+    manifest = str(criterion10_cohort / "manifest.json")
+    table = json.loads((criterion10_cohort / "features.csv").read_text().splitlines()[0].removeprefix("# config: "))
+    assert table == {"manifest": manifest, "n_bins": 8, "wavelet": "haar", "whitestripe": "mr", "zscore": True}
+    sidecar = json.loads((criterion10_cohort / "features.json").read_text())
+    assert list(sidecar) == ["config", "format_version", "rows", "failures"]
+    assert list(sidecar["config"].items()) == list(table.items())
+    assert (sidecar["format_version"], sidecar["rows"], sidecar["failures"]) == (1, 56, [])
+
+    assert main(["km", "--manifest", manifest, "--out", str(tmp_path)]) == 0
+    comment = 'config: {"horizon_days": 100, "manifest": ' + json.dumps(manifest) + "}"
+    assert (tmp_path / "km_cohort.csv").read_text().splitlines()[0] == f"# {comment}"
+    assert f"<!-- {comment} -->" in (tmp_path / "km_cohort.svg").read_text()
 
 
 def _echoes(out: Path, report: str, svg: str) -> list[dict]:

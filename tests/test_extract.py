@@ -279,6 +279,24 @@ def test_feature_csv_sidecar_store_that_fails_validation_falls_back(tmp_path, mo
         read_features_csv(path)
 
 
+@pytest.mark.parametrize("fault", ["keys-of-2-columns", "float32-values", "values-wider-than-names"])
+def test_feature_csv_sidecar_records_of_the_wrong_type_or_shape_are_ignored(tmp_path, fault):
+    keys = [("L1", "followup", "2010-01-01"), ("L2", "followup", "2010-01-01")]
+    path = _planted(tmp_path / "f.csv", keys)
+    names, key_array, values = np.array(["original-shape-Volume"]), np.array(keys, dtype=str), np.full((2, 1), 2.5)
+    if fault == "keys-of-2-columns":
+        key_array = key_array[:, :2]
+    elif fault == "float32-values":
+        values = values.astype(np.float32)
+    else:
+        values = np.full((2, 2), 2.5)
+    with _sidecar(path).open("wb") as fh:
+        for record in (featurestore._digest(path), names, key_array, values):
+            np.save(fh, record)
+    back = read_features_csv(path)  # the text parse: its values are 1.5, the sidecar's 2.5
+    assert _same_store(back, FeatureStore(["original-shape-Volume"], keys, np.full((2, 1), 1.5)))
+
+
 @pytest.mark.parametrize("header, rows, match", [
     ("original-shape-Volume,original-shape-Volume", ["L1,followup,2010-01-01,1.0,2.0"], "duplicate feature"),
     ("original-shape-Volume", ["L1,followup,2010-01-01,1.0", "L1,followup,2010-01-01,2.0"], "duplicate row"),

@@ -1,5 +1,5 @@
 """A seeded edge-input sweep over criterion 10's manifest and feature table, and
-the refusals of settings, files and models that it does not reach.
+the refusals of settings, files, models and library calls that it does not reach.
 
 Each mutated input goes through the commands that read it. Every run must end
 in exit 0, 2 or 3, never in a traceback; a refusal must print one error line
@@ -17,8 +17,14 @@ import pytest
 
 from radrisk import classifier
 from radrisk.cli import main
-from radrisk.errors import DataError
-from radrisk.volume import VolumeImage, read_volume, write_volume
+from radrisk.cohort import ImageSource
+from radrisk.errors import ConfigError, DataError
+from radrisk.evaluation import kaplan_meier, risk_split_report, roc_curve
+from radrisk.features import ExtractionConfig, discretize, shape_features, texture_features
+from radrisk.pipeline import Dataset
+from radrisk.selection import mrmr_select, pearson
+from radrisk.synth import synth_cohort
+from radrisk.volume import RoiMask, VolumeImage, read_volume, write_volume
 
 RETYPED = [None, 0, -1, 2.5, True, "", "x", "2010-02-30", [], [1], {}, {"a": 1}]
 
@@ -216,3 +222,63 @@ def test_fit_refuses_rows_or_names_that_disagree_with_the_matrix():
         classifier.fit(X, y[:11], ["a", "b"])
     with pytest.raises(DataError, match="feature names must match the matrix width"):
         classifier.fit(X, y, ["a", "b", "c"])
+
+
+@pytest.mark.parametrize("field, value, cause", [
+    ("rpa_class", 4, "rpa_class must be 1..3, got 4"),
+    ("n_metastases", 0, "n_metastases must be >= 1, got 0"),
+])
+def test_a_clinical_value_out_of_range_exits_3_and_names_the_manifest(cohort, tmp_path, capsys, field, value,
+                                                                      cause):
+    manifest = json.loads((cohort / "manifest.json").read_text())
+    manifest["patients"][0]["clinical"][field] = value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    code, error = _refused(["km", "--manifest", str(path)], out, capsys)
+    assert code == 3 and error == f"error: manifest {path}: {cause}", (code, error)
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# library refusals and conventions that no command reaches
+
+
+def _droi():
+    image = VolumeImage(np.random.default_rng(7).normal(size=(3, 3, 3)))
+    return discretize(image, RoiMask(np.ones((3, 3, 3), dtype=bool)), 4)
+
+
+def _dataset(n: int) -> Dataset:
+    return Dataset(set_id=1, feature_names=["f"], column_blocks=["clinical"], X=np.zeros((n, 1)),
+                   y=np.array([0, 1] * (n // 2)), lesion_ids=[f"L{k}" for k in range(n)],
+                   times=np.full(n, 50.0), events=np.zeros(n, dtype=bool))
+
+
+@pytest.mark.parametrize("call, error, cause", [
+    (lambda: mrmr_select(np.ones((1, 2)), [1], 1, ["a", "b"]), DataError, "selection needs >= 2 samples, got 1"),
+    (lambda: mrmr_select(np.eye(3)[:, :2], [0, 1, 0], 1, ["a", "a"]), DataError,
+     "feature names must be unique and match the matrix width"),
+    (lambda: texture_features(_droi(), "glxm"), ConfigError, "unknown texture family 'glxm'"),
+    (lambda: ExtractionConfig(n_bins=8.0), ConfigError, "n_bins must be an integer, got 8.0"),
+    (lambda: shape_features(RoiMask(np.ones((2, 2, 2), dtype=bool)), (1.0, 0.0, 1.0)), DataError,
+     "spacing must be three positive floats, got (1.0, 0.0, 1.0)"),
+    (lambda: VolumeImage(np.ones((2, 2, 2)), ("a", 1, 1)), DataError,
+     "spacing must be three finite positive floats, got ('a', 1, 1)"),
+    (lambda: roc_curve([0.1, 0.2], [0, 1, 1]), DataError, "scores (2,) and labels (3,) disagree"),
+    (lambda: kaplan_meier([10.0, 20.0], [True]), DataError, "times (2,) and events (1,) disagree"),
+    (lambda: risk_split_report(_dataset(4), np.zeros(3), np.ones(3)), DataError,
+     "out-of-fold scores do not cover the dataset"),
+    (lambda: ImageSource().load(), DataError, "image source has neither in-memory data nor paths"),
+    (lambda: synth_cohort(0, 1), ConfigError, "need at least 2 lesions, got 1"),
+], ids=["mrmr-1-sample", "mrmr-duplicate-names", "texture-glxm", "n_bins-8.0", "shape-zero-spacing",
+        "volume-text-spacing", "roc-lengths", "km-lengths", "risk-split-scores", "image-source-empty",
+        "synth-1-lesion"])
+def test_a_library_refusal_names_its_cause(call, error, cause):
+    with pytest.raises(error) as refused:
+        call()
+    assert cause in str(refused.value)
+
+
+def test_pearson_with_a_constant_label_is_zero():
+    assert pearson([1.0, 2.0, 4.0], [5.0, 5.0, 5.0]) == 0.0

@@ -535,27 +535,8 @@ def run(ctx, config_path, **params):
     write_risk_split(split, out, comment)
 
     payload = {
-        "sets": {
-            str(set_id): {
-                "mean_auc": rep.mean_auc,
-                "std_auc": rep.std_auc,
-                "pooled_auc": rep.pooled_auc,
-                "repeats": len(rep.aucs),
-                "confusion": rep.confusion,
-                "nonconverged_fits": rep.nonconverged_fits,
-                "max_kkt_residual": rep.max_kkt_residual,
-                "max_solver_iterations": rep.max_solver_iterations,
-            }
-            for set_id, rep in reports.items()
-        },
-        "risk_split": {
-            "set_id": top_set,
-            "median_pred_hrm_days": split.median_hrm_days,
-            "median_pred_lrm_days": split.median_lrm_days,
-            "logrank_p": split.logrank.p if split.logrank else None,
-            "confusion": split.confusion,
-            "summary": split.summary_lines(),
-        },
+        "sets": {str(set_id): rep.summary() for set_id, rep in reports.items()},
+        "risk_split": {"set_id": top_set, **split.summary(), "summary": split.summary_lines()},
         "excluded_lesions": {str(s): datasets[s].excluded_lesions for s in set_ids},
     }
     _write_json(out / "report.json", payload, config)

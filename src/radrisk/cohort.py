@@ -338,6 +338,8 @@ def _identifier(obj: dict, key: str, context: str) -> str:
     value = obj.get(key)
     if not isinstance(value, str) or not value:
         raise DataError(f"{context}: {key!r} must be a non-empty string, got {value!r}")
+    if not value.isprintable():  # a newline or NUL would not survive features.csv, and could forge a log line
+        raise DataError(f"{context}: {key!r} must be printable text, got {value!r}")
     return value
 
 

@@ -71,20 +71,27 @@ class CvReport:
     max_solver_iterations: int  # the largest epochs_run of the fits
     selected_first_repeat: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
+    def summary(self) -> dict:
+        """The set's entry in ``report.json``; every file that reports the set renders this dict."""
         return {
-            "set_id": self.set_id,
-            "repeats": len(self.aucs),
             "mean_auc": self.mean_auc,
             "std_auc": self.std_auc,
             "pooled_auc": self.pooled_auc,
-            "aucs": self.aucs,
-            "repeat_seeds": self.repeat_seeds,
+            "repeats": len(self.aucs),
             "confusion": self.confusion,
-            "straddle_counts": self.straddle_counts,
             "nonconverged_fits": self.nonconverged_fits,
             "max_kkt_residual": self.max_kkt_residual,
             "max_solver_iterations": self.max_solver_iterations,
+        }
+
+    def to_dict(self) -> dict:
+        """``cv_report.json``: the summary and the per-repeat lists."""
+        return {
+            "set_id": self.set_id,
+            **self.summary(),
+            "aucs": self.aucs,
+            "repeat_seeds": self.repeat_seeds,
+            "straddle_counts": self.straddle_counts,
             "selected_first_repeat": self.selected_first_repeat,
         }
 

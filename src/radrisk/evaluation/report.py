@@ -2,11 +2,14 @@
 log-rank significance, and confusion counts with explicit censor accounting.
 
 Times are reported in days in CSV tables and additionally in months
-(days / 30.44) in the human-readable summary.
+(days / 30.44) in the human-readable summary. ``report.json`` and
+``risk_split_metrics.csv`` both render ``RiskSplitReport.summary``, each value
+in its JSON spelling: a median not reached or a missing log-rank is ``null``.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,21 +27,27 @@ class RiskSplitReport:
     curve_full: SurvivalCurve
     curve_hrm: SurvivalCurve | None
     curve_lrm: SurvivalCurve | None
-    logrank: LogRankResult | None
-    median_hrm_days: float | None
-    median_lrm_days: float | None
+    logrank: LogRankResult | None  # None when a group is empty or neither has an event
     confusion: dict[str, int]
     n_censored_excluded: int
     n_unscored: int
 
+    def summary(self) -> dict:
+        """The split's numbers in ``report.json`` order; a median not reached is None."""
+        return {
+            "median_pred_hrm_days": self.curve_hrm.median if self.curve_hrm else None,
+            "median_pred_lrm_days": self.curve_lrm.median if self.curve_lrm else None,
+            "logrank_chi2": self.logrank.chi2 if self.logrank else None,
+            "logrank_p": self.logrank.p if self.logrank else None,
+            "confusion": self.confusion,
+            "censored_excluded": self.n_censored_excluded,
+            "unscored_samples": self.n_unscored,
+        }
+
     def summary_lines(self) -> list[str]:
-        lines = []
-        lines.append(
-            format_median_split(self.median_hrm_days, self.median_lrm_days,
-                                self.logrank.p if self.logrank else None)
-        )
-        lines.append(format_confusion(self.confusion, self.n_censored_excluded))
-        return lines
+        s = self.summary()
+        return [format_median_split(s["median_pred_hrm_days"], s["median_pred_lrm_days"], s["logrank_p"]),
+                format_confusion(self.confusion, self.n_censored_excluded)]
 
 
 def format_months(days: float | None) -> str:
@@ -99,8 +108,6 @@ def risk_split_report(dataset: Dataset, oof_scores, oof_counts, threshold: float
         curve_hrm=curve_hrm,
         curve_lrm=curve_lrm,
         logrank=lr,
-        median_hrm_days=curve_hrm.median if curve_hrm else None,
-        median_lrm_days=curve_lrm.median if curve_lrm else None,
         confusion=confusion,
         n_censored_excluded=len(dataset.km_censored),
         n_unscored=n_unscored,
@@ -147,18 +154,9 @@ def write_risk_split(report: RiskSplitReport, out_dir: str | Path, config_commen
         written.append(p)
 
     lines = ["metric,value"]
-    lines.append(f"median_pred_hrm_days,{report.median_hrm_days!r}")
-    lines.append(f"median_pred_lrm_days,{report.median_lrm_days!r}")
-    if report.logrank is not None:
-        lines.append(f"logrank_chi2,{report.logrank.chi2!r}")
-        lines.append(f"logrank_p,{report.logrank.p!r}")
-    else:
-        lines.append("logrank_chi2,unavailable")
-        lines.append("logrank_p,unavailable")
-    for key in ("tp", "fn", "tn", "fp"):
-        lines.append(f"confusion_{key},{report.confusion[key]}")
-    lines.append(f"censored_excluded,{report.n_censored_excluded}")
-    lines.append(f"unscored_samples,{report.n_unscored}")
+    for key, value in report.summary().items():
+        cells = {f"{key}_{k}": v for k, v in value.items()} if isinstance(value, dict) else {key: value}
+        lines += [f"{metric},{json.dumps(v)}" for metric, v in cells.items()]
     p = out_dir / "risk_split_metrics.csv"
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
     written.append(p)

@@ -70,12 +70,11 @@ def kaplan_meier(times, events) -> SurvivalCurve:
 
     ci_low = np.zeros_like(surv)
     ci_high = np.ones_like(surv)
-    # the band stays in scalar math: numpy's SIMD exp/log/pow can differ from libm in the last bit
+    # the band stays in scalar math: numpy's SIMD exp/log/pow can differ from libm in the last bit.
+    # Every factor 1 - d/at_risk is below 1, as d >= 1 and at_risk <= n < 2**53, so every s_k is too.
     for k, s_k in enumerate(surv):
         if s_k <= 0.0:
             ci_low[k] = ci_high[k] = 0.0
-        elif s_k >= 1.0:
-            ci_low[k] = ci_high[k] = 1.0
         else:
             se_ll = math.sqrt(greenwood[k]) / abs(math.log(s_k))
             ci_low[k] = s_k ** math.exp(_Z95 * se_ll)

@@ -544,11 +544,6 @@ def _glrlm(droi: DiscretizedRoi) -> dict[str, np.ndarray]:
     return _ilm_features(_Cells.of(count), droi.n_bins, count.shape[2], droi.rows.shape[1])
 
 
-def size_zone_counts(droi: DiscretizedRoi) -> np.ndarray:
-    """The (gray level, zone size) counts of every row, as ``(k, Ng, n_roi)``."""
-    return _counts(*_zone_codes(droi))
-
-
 def _zone_codes(droi: DiscretizedRoi) -> tuple[np.ndarray, tuple[int, int, int]]:
     """Each zone's flat index into the ``(k, Ng, n_roi)`` (gray level, zone
     size) counts, and that shape. The zones are never more than the voxels,

@@ -55,9 +55,7 @@ class SvgCanvas:
 
 
 def _nice_ticks(vmax: float) -> list[float]:
-    """About five ticks from 0 to ``vmax``, at a step of 1, 2 or 5 times a power of 10."""
-    if vmax <= 0:
-        return [0.0, 1.0]
+    """About five ticks from 0 to ``vmax`` (> 0), at a step of 1, 2 or 5 times a power of 10."""
     raw = vmax / 5
     mag = 10 ** math.floor(math.log10(raw))
     step = min(s for s in (1 * mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
@@ -90,11 +88,12 @@ def km_plot(curves, title: str, config_comment: str | None = None) -> str:
     margin_l, margin_r, margin_t, margin_b = 60, 20, 36, 48
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
+    # at least 1 day, so the axis and its ticks have a positive length
     t_max = max([1.0] + [float(c.times[-1]) if c.times.size else 1.0 for _, _, c, _ in curves])
     t_max = max(t_max, max([0.0] + [float(c.censor_times[-1]) for _, _, c, _ in curves if c.censor_times.size]))
 
     def x_of(t):
-        return margin_l + plot_w * (t / t_max if t_max else 0.0)
+        return margin_l + plot_w * (t / t_max)
 
     def y_of(s):
         return margin_t + plot_h * (1.0 - s)

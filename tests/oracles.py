@@ -609,7 +609,7 @@ def per_block_correlation_tables(dataset, out, comment, top=10):
         order = sorted(range(len(cols)), key=lambda j: (-abs(float(r[j])), names[j]))
         lines = [f"# {comment}", "rank,feature,r"]
         lines += [f"{rank},{names[j]},{float(r[j])!r}" for rank, j in enumerate(order[:top], start=1)]
-        (Path(out) / f"table2_{block}.csv").write_text("\n".join(lines) + "\n")
+        (Path(out) / f"table2_{block}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def subtracted_centered(X):

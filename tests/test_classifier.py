@@ -206,25 +206,26 @@ def test_model_file_states_its_threshold_once(tmp_path):
     X, y, names = hand_instance()
     model = fit(X, y, names, ClassifierConfig(threshold=0.25))
     path = model.save(tmp_path / "model.json")
-    data = json.loads(path.read_text())
+    data = json.loads(path.read_text(encoding="utf-8"))
     assert "threshold" not in data and data["config"]["threshold"] == 0.25
     items = list(data.items())
     at = [key for key, _ in items].index("config")
-    path.write_text(json.dumps(dict(items[:at] + [("threshold", 0.25)] + items[at:]), indent=2) + "\n")
+    path.write_text(json.dumps(dict(items[:at] + [("threshold", 0.25)] + items[at:]), indent=2) + "\n",
+                    encoding="utf-8")
     back = load_model(path)
     assert back.config == model.config
     assert np.array_equal(predict(back, X), predict(model, X))
     assert np.array_equal(predict(back, X), (decision_scores(model, X) >= 0.25).astype(np.int64))
-    assert json.loads(back.save(tmp_path / "again.json").read_text()) == data
+    assert json.loads(back.save(tmp_path / "again.json").read_text(encoding="utf-8")) == data
 
 
 def test_a_malformed_model_file_is_a_data_error(tmp_path):
     X, y, names = hand_instance()
     path = fit(X, y, names).save(tmp_path / "model.json")
-    data = json.loads(path.read_text())
+    data = json.loads(path.read_text(encoding="utf-8"))
     configs = (data["config"] | {"kernel": "rbf"}, data["config"] | {"C": -1.0}, [1.0])
     for text in ("not json", '{"format_version": 1}', "[1, 2]", *(json.dumps(data | {"config": c}) for c in configs)):
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(DataError, match="malformed model file"):
             load_model(path)
 

@@ -39,7 +39,7 @@ def cohort_dir(tmp_path_factory):
 def test_synth_writes_manifest_and_images(tmp_path):
     code = main(["synth", "--seed", "3", "--lesions", "3", "--out", str(tmp_path)])
     assert code == 0
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
     assert len(manifest["patients"]) == 3
     assert (tmp_path / "images").is_dir()
     first = manifest["patients"][0]["lesions"][0]
@@ -48,7 +48,7 @@ def test_synth_writes_manifest_and_images(tmp_path):
 
 def test_extract_outputs_and_rerun_identical(cohort_dir):
     csv_path = cohort_dir / "features.csv"
-    sidecar = json.loads((cohort_dir / "features.json").read_text())
+    sidecar = json.loads((cohort_dir / "features.json").read_text(encoding="utf-8"))
     assert sidecar["rows"] == 48  # 12 lesions x (plan mr + plan ct + 2 followups)
     first = csv_path.read_bytes()
     argv = ["extract", "--manifest", str(cohort_dir / "manifest.json"), "--out", str(cohort_dir),
@@ -60,21 +60,21 @@ def test_extract_outputs_and_rerun_identical(cohort_dir):
     config, header, *rows = first.decode().splitlines()
     shuffled = [rows[k] for k in np.random.default_rng(0).permutation(len(rows))]
     foreign = "L-gone" + rows[0][rows[0].index(","):]
-    csv_path.write_text("\n".join([config, header, *shuffled, foreign]) + "\n")
+    csv_path.write_text("\n".join([config, header, *shuffled, foreign]) + "\n", encoding="utf-8")
     assert main(argv) == 0
     assert csv_path.read_bytes() == first
 
     # a header-only table, as an empty manifest writes it: every image is extracted
-    csv_path.write_text(f"{config}\nlesion_id,role,date\n")
+    csv_path.write_text(f"{config}\nlesion_id,role,date\n", encoding="utf-8")
     assert main(argv) == 0
     assert csv_path.read_bytes() == first
 
 
 def test_extract_empty_manifest_header_only(tmp_path):
-    (tmp_path / "empty.json").write_text(json.dumps({"patients": []}))
+    (tmp_path / "empty.json").write_text(json.dumps({"patients": []}), encoding="utf-8")
     code = main(["extract", "--manifest", str(tmp_path / "empty.json"), "--out", str(tmp_path)])
     assert code == 0
-    lines = [l for l in (tmp_path / "features.csv").read_text().splitlines() if not l.startswith("#")]
+    lines = [l for l in (tmp_path / "features.csv").read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
     assert lines == ["lesion_id,role,date"]
 
 
@@ -82,13 +82,13 @@ def test_ids_with_comma_and_quote_round_trip(tmp_path):
     cohort = tmp_path / "c"
     assert main(["synth", "--seed", "31", "--lesions", "8", "--hrm-fraction", "0.3",
                  "--out", str(cohort)]) == 0
-    manifest = json.loads((cohort / "manifest.json").read_text())
+    manifest = json.loads((cohort / "manifest.json").read_text(encoding="utf-8"))
     manifest["patients"][0]["lesions"][0]["lesion_id"] = "P,0001-L1"
     manifest["patients"][1]["lesions"][0]["lesion_id"] = 'P"0002-L1'
-    (cohort / "manifest.json").write_text(json.dumps(manifest))
+    (cohort / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     assert main(["extract", "--manifest", str(cohort / "manifest.json"), "--out", str(cohort),
                  "--ng", "8", "--wavelet", "none"]) == 0
-    text = (cohort / "features.csv").read_text()
+    text = (cohort / "features.csv").read_text(encoding="utf-8")
     assert '"P,0001-L1",' in text and '"P""0002-L1",' in text
     code = main(["run", "--manifest", str(cohort / "manifest.json"), "--features", str(cohort / "features.csv"),
                  "--sets", "2", "--repeats", "2", "--out", str(tmp_path / "run")])
@@ -98,26 +98,27 @@ def test_ids_with_comma_and_quote_round_trip(tmp_path):
 def test_extract_warns_when_it_discards_an_unreadable_table(cohort_dir, tmp_path, caplog):
     out = tmp_path / "ext"
     out.mkdir()
-    (out / "features.csv").write_text("lesion_id,role,date,original-shape-Volume\nL1,followup,2010-01-01,x\n")
+    (out / "features.csv").write_text("lesion_id,role,date,original-shape-Volume\nL1,followup,2010-01-01,x\n",
+                                      encoding="utf-8")
     with caplog.at_level("WARNING"):
         code = main(["extract", "--manifest", str(cohort_dir / "manifest.json"), "--out", str(out),
                      "--ng", "8", "--wavelet", "haar"])
     assert code == 0
     warnings = [m for m in caplog.messages if "unreadable" in m]
     assert len(warnings) == 1 and str(out / "features.csv") in warnings[0] and "bad value" in warnings[0]
-    assert json.loads((out / "features.json").read_text())["rows"] == 48  # every image re-extracted
+    assert json.loads((out / "features.json").read_text(encoding="utf-8"))["rows"] == 48  # every image re-extracted
 
 
 @pytest.mark.parametrize("rows_kept", ["all", "all-but-one"])
 def test_extract_reextracts_a_table_with_other_feature_columns(cohort_dir, tmp_path, caplog, rows_kept):
     # the last feature column deleted, its config line intact
-    config, *lines = (cohort_dir / "features.csv").read_text().splitlines()
+    config, *lines = (cohort_dir / "features.csv").read_text(encoding="utf-8").splitlines()
     lines = [line[: line.rindex(",")] for line in lines]
     if rows_kept == "all-but-one":
         del lines[5]
     out = tmp_path / "ext"
     out.mkdir()
-    (out / "features.csv").write_text("\n".join([config, *lines]) + "\n")
+    (out / "features.csv").write_text("\n".join([config, *lines]) + "\n", encoding="utf-8")
     with caplog.at_level("WARNING"):
         assert main(["extract", "--manifest", str(cohort_dir / "manifest.json"), "--out", str(out),
                      "--ng", "8", "--wavelet", "haar"]) == 0
@@ -128,7 +129,7 @@ def test_extract_reextracts_a_table_with_other_feature_columns(cohort_dir, tmp_p
 
 
 def _data_lines(csv_path: Path) -> list[str]:
-    return [line for line in csv_path.read_text().splitlines() if not line.startswith("#")]
+    return [line for line in csv_path.read_text(encoding="utf-8").splitlines() if not line.startswith("#")]
 
 
 def test_extract_reextracts_when_the_settings_change(cohort_dir, tmp_path, caplog):
@@ -142,13 +143,13 @@ def test_extract_reextracts_when_the_settings_change(cohort_dir, tmp_path, caplo
     warnings = [m for m in caplog.messages if "other settings" in m]
     assert len(warnings) == 1 and str(resumed / "features.csv") in warnings[0]
     assert _data_lines(resumed / "features.csv") == _data_lines(fresh / "features.csv")
-    assert json.loads((resumed / "features.json").read_text())["rows"] == 48
+    assert json.loads((resumed / "features.json").read_text(encoding="utf-8"))["rows"] == 48
 
     # a config line that does not parse is handled the same way, and a value it hid is recomputed
-    lines = (resumed / "features.csv").read_text().splitlines()
+    lines = (resumed / "features.csv").read_text(encoding="utf-8").splitlines()
     lines[0] = "# config: {"
     lines[2] = lines[2][: lines[2].rindex(",") + 1] + "12345.0"
-    (resumed / "features.csv").write_text("\n".join(lines) + "\n")
+    (resumed / "features.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     caplog.clear()
     with caplog.at_level("WARNING"):
         assert main(["extract", "--manifest", manifest, "--out", str(resumed), "--ng", "16",
@@ -162,9 +163,10 @@ def test_a_resumed_extract_names_refused_settings_once(criterion10_cohort, tmp_p
     # a '# config:' line with a value ExtractionConfig refuses: its reason, then one re-extract line
     out = tmp_path / "ext"
     out.mkdir()
-    config, *lines = (criterion10_cohort / "features.csv").read_text().splitlines()
+    config, *lines = (criterion10_cohort / "features.csv").read_text(encoding="utf-8").splitlines()
     recorded = json.loads(config.removeprefix("# config: "))
-    (out / "features.csv").write_text("\n".join(["# config: " + json.dumps(recorded | {"n_bins": 1}), *lines]) + "\n")
+    (out / "features.csv").write_text("\n".join(["# config: " + json.dumps(recorded | {"n_bins": 1}), *lines]) + "\n",
+                                      encoding="utf-8")
     caplog.clear()
     with caplog.at_level("WARNING"):
         assert main(["extract", "--manifest", str(criterion10_cohort / "manifest.json"), "--out", str(out),
@@ -189,14 +191,14 @@ def test_global_selection_warns_once_that_the_auc_is_optimistic(criterion10_coho
 
 
 def test_extract_reports_the_rows_it_wrote(cohort_dir, tmp_path, capsys):
-    manifest = json.loads((cohort_dir / "manifest.json").read_text())
+    manifest = json.loads((cohort_dir / "manifest.json").read_text(encoding="utf-8"))
     for patient in manifest["patients"]:  # absolute image paths, so the manifest can live elsewhere
         for lesion in patient["lesions"]:
             for ref in [lesion["planning_mr"], lesion["planning_ct"], *lesion["followups"]]:
                 if ref:
                     ref["image"], ref["mask"] = str(cohort_dir / ref["image"]), str(cohort_dir / ref["mask"])
     manifest["patients"] = manifest["patients"][:9]
-    (tmp_path / "subset.json").write_text(json.dumps(manifest))
+    (tmp_path / "subset.json").write_text(json.dumps(manifest), encoding="utf-8")
     out = tmp_path / "out"
     out.mkdir()
     (out / "features.csv").write_bytes((cohort_dir / "features.csv").read_bytes())  # all 12 patients
@@ -205,7 +207,7 @@ def test_extract_reports_the_rows_it_wrote(cohort_dir, tmp_path, capsys):
                  "--ng", "8", "--wavelet", "haar"]) == 0
     written = len(_data_lines(out / "features.csv")) - 1  # less the header
     assert 0 < written < 48
-    assert json.loads((out / "features.json").read_text())["rows"] == written
+    assert json.loads((out / "features.json").read_text(encoding="utf-8"))["rows"] == written
     assert f"wrote {written} rows to" in capsys.readouterr().out
 
 
@@ -293,17 +295,17 @@ def test_features_naming_a_directory_is_a_data_error(cohort_dir, tmp_path, capsy
 
 
 def test_exit_code_data_error(tmp_path, cohort_dir):
-    manifest = json.loads((cohort_dir / "manifest.json").read_text())
+    manifest = json.loads((cohort_dir / "manifest.json").read_text(encoding="utf-8"))
     lesion = manifest["patients"][0]["lesions"][0]
     img = cohort_dir / lesion["planning_mr"]["image"]
-    img.write_text("{broken")
+    img.write_text("{broken", encoding="utf-8")
     try:
         code = main(["extract", "--manifest", str(cohort_dir / "manifest.json"),
                      "--out", str(cohort_dir / "broken-out"), "--ng", "8", "--force"])
         assert code == 3  # per-image failure logged, run continues, nonzero exit
-        sidecar = json.loads((cohort_dir / "broken-out" / "features.json").read_text())
+        sidecar = json.loads((cohort_dir / "broken-out" / "features.json").read_text(encoding="utf-8"))
         assert len(sidecar["failures"]) == 1
-        rows = (cohort_dir / "broken-out" / "features.csv").read_text()
+        rows = (cohort_dir / "broken-out" / "features.csv").read_text(encoding="utf-8")
         assert rows.count("\n") >= 40  # other images still extracted
     finally:
         code = main(["synth", "--seed", "17", "--lesions", "12", "--hrm-fraction", "0.25",
@@ -321,7 +323,7 @@ def test_a_spacing_that_overflows_a_shape_feature_fails_that_image_alone(tmp_pat
     manifest = cohort / "manifest.json"
     assert main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "clean"), "--ng", "8"]) == 0
     clean = read_features_csv(tmp_path / "clean" / "features.csv")
-    lesion = json.loads(manifest.read_text())["patients"][0]["lesions"][0]
+    lesion = json.loads(manifest.read_text(encoding="utf-8"))["patients"][0]["lesions"][0]
     followup = lesion["followups"][0]
     key = (lesion["lesion_id"], ROLE_FOLLOWUP, followup["date"])
     kept = [k for k, row_key in enumerate(clean.keys) if row_key != key]
@@ -331,19 +333,20 @@ def test_a_spacing_that_overflows_a_shape_feature_fails_that_image_alone(tmp_pat
                     two_voxels):
         if spacing is two_voxels:
             mask_header = cohort / followup["mask"]
-            raw = mask_header.parent / json.loads(mask_header.read_text())["data_file"]
+            raw = mask_header.parent / json.loads(mask_header.read_text(encoding="utf-8"))["data_file"]
             payload = np.zeros(raw.stat().st_size // 4, dtype="<f4")
             payload[:2] = 1.0  # x-fastest: neighbors along x
             raw.write_bytes(payload.tobytes())
         for part in ("image", "mask"):
             header = cohort / followup[part]
-            header.write_text(json.dumps(json.loads(header.read_text()) | {"spacing": spacing}))
+            header.write_text(json.dumps(json.loads(header.read_text(encoding="utf-8")) | {"spacing": spacing}),
+                              encoding="utf-8")
         out = tmp_path / "broken"
         assert main(["extract", "--manifest", str(manifest), "--out", str(out), "--ng", "8", "--force"]) == 3, spacing
         store = read_features_csv(out / "features.csv")
         assert store.keys == [clean.keys[k] for k in kept]
         assert store.values.tobytes() == clean.values[kept].tobytes()
-        sidecar = json.loads((out / "features.json").read_text())
+        sidecar = json.loads((out / "features.json").read_text(encoding="utf-8"))
         assert sidecar["rows"] == 39
         assert [f.split("]")[0] for f in sidecar["failures"]] == [f"[extract {'/'.join(key)}"]
 
@@ -354,7 +357,7 @@ def test_select_train_evaluate_km(cohort_dir, tmp_path):
     out = tmp_path / "sel"
     assert main(["select", "--manifest", manifest, "--features", features,
                  "--set", "7", "--out", str(out)]) == 0
-    selection = json.loads((out / "selection.json").read_text())
+    selection = json.loads((out / "selection.json").read_text(encoding="utf-8"))
     assert selection["cap"] == max(1, selection["n_samples"] // 10)
     assert selection["selected"]
     assert (out / "table2_clinical.csv").exists()
@@ -362,18 +365,18 @@ def test_select_train_evaluate_km(cohort_dir, tmp_path):
 
     assert main(["train", "--manifest", manifest, "--features", features,
                  "--set", "2", "--out", str(out)]) == 0
-    model = json.loads((out / "model.json").read_text())
+    model = json.loads((out / "model.json").read_text(encoding="utf-8"))
     assert model["format_version"] == 1
     assert len(model["w"]) == len(model["feature_names"])
 
     assert main(["evaluate", "--manifest", manifest, "--features", features,
                  "--set", "2", "--repeats", "3", "--out", str(out)]) == 0
-    cv = json.loads((out / "cv_report.json").read_text())
+    cv = json.loads((out / "cv_report.json").read_text(encoding="utf-8"))
     assert cv["repeats"] == 3
     assert cv["straddle_counts"] == [0, 0, 0]
     assert (out / "roc_oof.svg").exists()
     # evaluate echoes the extraction settings of the table it read
-    svg = (out / "roc_oof.svg").read_text()
+    svg = (out / "roc_oof.svg").read_text(encoding="utf-8")
     table = {"n_bins": 8, "wavelet": "haar", "whitestripe": "mr", "zscore": True}
     for key, value in table.items():
         assert cv["config"][key] == value and f'"{key}": {json.dumps(value)}' in svg
@@ -392,6 +395,36 @@ def criterion10_cohort(tmp_path_factory):
     return out
 
 
+def test_every_report_file_renders_the_one_summary_of_its_result(criterion10_cohort, tmp_path):
+    """``report.json``'s set entry is ``cv_report.json`` less its id and per-repeat lists, and the rows of
+    ``risk_split_metrics.csv`` are ``report.json``'s risk split values, in their JSON spelling."""
+    common = ["--manifest", str(criterion10_cohort / "manifest.json"),
+              "--features", str(criterion10_cohort / "features.csv"), "--repeats", "4", "--seed", "5"]
+    assert main(["run", "--sets", "7", *common, "--out", str(tmp_path / "run")]) == 0
+    assert main(["evaluate", "--set", "7", *common, "--out", str(tmp_path / "eval")]) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text(encoding="utf-8"))
+    cv = json.loads((tmp_path / "eval" / "cv_report.json").read_text(encoding="utf-8"))
+    per_repeat = ["aucs", "repeat_seeds", "straddle_counts", "selected_first_repeat"]
+    assert cv.pop("config") == report["config"] and cv.pop("set_id") == 7
+    assert list(cv)[-4:] == per_repeat
+    summary = {key: value for key, value in cv.items() if key not in per_repeat}
+    assert list(report["sets"]["7"].items()) == list(summary.items())  # the same keys in the same order
+
+    split = report["risk_split"]
+    assert list(split)[0] == "set_id" and list(split)[-1] == "summary"
+    rows = []
+    for key, value in list(split.items())[1:-1]:
+        rows += [(f"{key}_{k}", v) for k, v in value.items()] if isinstance(value, dict) else [(key, value)]
+    metrics = (tmp_path / "run" / "risk_split_metrics.csv").read_text(encoding="utf-8").splitlines()
+    assert metrics[0] == "metric,value"
+    assert [(metric, json.loads(value)) for metric, value in (line.split(",") for line in metrics[1:])] == rows
+
+    # the command layer names no field of either result: Table 1 renders the three AUCs, and repeats is an option
+    source = Path(radrisk.cli.__file__).read_text(encoding="utf-8")
+    for name in {*summary, *split} - {"set_id", "summary", "mean_auc", "std_auc", "pooled_auc", "repeats"}:
+        assert name not in source, name
+
+
 def _table2(out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out.glob("table2_*.csv"))}
 
@@ -404,7 +437,7 @@ def test_select_table2_matches_the_per_block_writer(criterion10_cohort, tmp_path
                  "--set", str(set_id), "--out", str(out)]) == 0
     # selection.json and each table echo the table's settings and select's own
     config = {"manifest": str(manifest), "sets": [set_id], **_RECORDED, "per_samples": 10, "horizon_days": 100}
-    selection = json.loads((out / "selection.json").read_text())
+    selection = json.loads((out / "selection.json").read_text(encoding="utf-8"))
     assert next(iter(selection)) == "config" and list(selection["config"].items()) == list(config.items())
     dataset = build_dataset(load_manifest(manifest), read_features_csv(features), feature_set(set_id))
     want = tmp_path / "oracle"
@@ -463,12 +496,12 @@ def test_run_bundle_and_reproducibility(cohort_dir, tmp_path):
         assert a[name] == b[name], name  # identical run -> identical bytes
         assert a[name] == c[name], name  # thread count must not matter
 
-    report = json.loads((out1 / "report.json").read_text())
+    report = json.loads((out1 / "report.json").read_text(encoding="utf-8"))
     assert set(report["sets"]) == {"1", "2"}
     assert "mean_auc" in report["sets"]["1"]
-    table1 = (out1 / "table1.csv").read_text()
+    table1 = (out1 / "table1.csv").read_text(encoding="utf-8")
     assert "Set 1," in table1 and "Set 2," in table1
-    txt = (out1 / "table1.txt").read_text()
+    txt = (out1 / "table1.txt").read_text(encoding="utf-8")
     assert "Clinical data" in txt and "AUC score" in txt
 
 
@@ -559,38 +592,40 @@ def test_config_echo_is_pinned(tmp_path):
         (run_out, "report.json", run_config, ["table1.csv", "features.csv"], ["km_split.svg"]),
         (eval_out, "cv_report.json", eval_config, [], ["roc_oof.svg"]),
     ):
-        echo = json.loads((out / report).read_text())["config"]
+        echo = json.loads((out / report).read_text(encoding="utf-8"))["config"]
         assert list(echo.items()) == config
         comment = "config: " + json.dumps(dict(config), sort_keys=True)
         for name in commented:
-            assert (out / name).read_text().splitlines()[0] == f"# {comment}", name
+            assert (out / name).read_text(encoding="utf-8").splitlines()[0] == f"# {comment}", name
         for name in svgs:
-            assert f"<!-- {comment} -->" in (out / name).read_text(), name
+            assert f"<!-- {comment} -->" in (out / name).read_text(encoding="utf-8"), name
 
 
 def test_extract_and_km_echo_their_config(criterion10_cohort, tmp_path):
     """``features.json`` opens with the object of the table's ``# config:`` line, and ``km`` writes its
     echo with sorted keys, as every other ``# config:`` line."""
     manifest = str(criterion10_cohort / "manifest.json")
-    table = json.loads((criterion10_cohort / "features.csv").read_text().splitlines()[0].removeprefix("# config: "))
+    first = (criterion10_cohort / "features.csv").read_text(encoding="utf-8").splitlines()[0]
+    table = json.loads(first.removeprefix("# config: "))
     assert table == {"manifest": manifest, "n_bins": 8, "wavelet": "haar", "whitestripe": "mr", "zscore": True}
-    sidecar = json.loads((criterion10_cohort / "features.json").read_text())
+    sidecar = json.loads((criterion10_cohort / "features.json").read_text(encoding="utf-8"))
     assert list(sidecar) == ["config", "format_version", "rows", "failures"]
     assert list(sidecar["config"].items()) == list(table.items())
     assert (sidecar["format_version"], sidecar["rows"], sidecar["failures"]) == (1, 56, [])
 
     assert main(["km", "--manifest", manifest, "--out", str(tmp_path)]) == 0
     comment = 'config: {"horizon_days": 100, "manifest": ' + json.dumps(manifest) + "}"
-    assert (tmp_path / "km_cohort.csv").read_text().splitlines()[0] == f"# {comment}"
-    assert f"<!-- {comment} -->" in (tmp_path / "km_cohort.svg").read_text()
+    assert (tmp_path / "km_cohort.csv").read_text(encoding="utf-8").splitlines()[0] == f"# {comment}"
+    assert f"<!-- {comment} -->" in (tmp_path / "km_cohort.svg").read_text(encoding="utf-8")
 
 
 def _echoes(out: Path, report: str, svg: str) -> list[dict]:
     """The config echo of a bundle in its JSON report, its ``table1.csv`` (when written) and its SVG."""
-    echoes = [json.loads((out / report).read_text())["config"]]
+    echoes = [json.loads((out / report).read_text(encoding="utf-8"))["config"]]
     if (out / "table1.csv").exists():
-        echoes.append(json.loads((out / "table1.csv").read_text().splitlines()[0].removeprefix("# config: ")))
-    svg_comment = (out / svg).read_text().split("<!-- config: ", 1)[1].split(" -->", 1)[0]
+        first = (out / "table1.csv").read_text(encoding="utf-8").splitlines()[0]
+        echoes.append(json.loads(first.removeprefix("# config: ")))
+    svg_comment = (out / svg).read_text(encoding="utf-8").split("<!-- config: ", 1)[1].split(" -->", 1)[0]
     return echoes + [json.loads(svg_comment)]
 
 
@@ -616,22 +651,22 @@ def test_an_extraction_setting_that_disagrees_with_the_table_exits_2(criterion10
     err = capsys.readouterr().err
     assert "n_bins 16" in err and "n_bins 8" in err and str(features) in err
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"wavelet": "none"}))
+    config.write_text(json.dumps({"wavelet": "none"}), encoding="utf-8")
     assert main(argv + ["--config", str(config), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "wavelet 'none'" in err and "wavelet 'haar'" in err
     assert not out.parent.exists()
     # a setting given as the table has it runs
-    config.write_text(json.dumps({"wavelet": "haar", "zscore": True}))
+    config.write_text(json.dumps({"wavelet": "haar", "zscore": True}), encoding="utf-8")
     assert main(argv + ["--ng", "8", "--config", str(config), "--out", str(out)]) == 0
-    assert json.loads((out / "report.json").read_text())["config"]["n_bins"] == 8
+    assert json.loads((out / "report.json").read_text(encoding="utf-8"))["config"]["n_bins"] == 8
 
 
 def test_a_bad_setting_exits_2_before_the_manifest_is_read(tmp_path, capsys):
     """extract and run check their extraction settings before they read the manifest: a bad --ng with a bad
     manifest exits 2, naming the setting, and makes no output directory."""
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"patients": 5}))
+    manifest.write_text(json.dumps({"patients": 5}), encoding="utf-8")
     out = tmp_path / "new" / "out"
     for command in ("extract", "run"):
         capsys.readouterr()
@@ -662,9 +697,9 @@ _RECORDED = {"n_bins": 8, "wavelet": "haar", "whitestripe": "mr", "zscore": True
         "zscore-1"])
 def test_a_table_without_readable_settings_is_echoed_without_them(cohort_dir, tmp_path, caplog, first_line,
                                                                   reason):
-    config, *lines = (cohort_dir / "features.csv").read_text().splitlines()
+    config, *lines = (cohort_dir / "features.csv").read_text(encoding="utf-8").splitlines()
     features = tmp_path / "features.csv"
-    features.write_text("\n".join(([first_line] if first_line else []) + lines) + "\n")
+    features.write_text("\n".join(([first_line] if first_line else []) + lines) + "\n", encoding="utf-8")
     assert read_features_csv(features).settings is None
     manifest = str(cohort_dir / "manifest.json")
     runs = {"run": (["run", "--sets", "1", "--ng", "16"], "report.json", "km_split.svg"),
@@ -681,8 +716,9 @@ def test_a_table_without_readable_settings_is_echoed_without_them(cohort_dir, tm
             assert not echo.keys() & {"n_bins", "wavelet", "whitestripe", "zscore"}, command
     out = tmp_path / "select"
     assert main(["select", "--manifest", manifest, "--features", str(features), "--set", "1", "--out", str(out)]) == 0
-    echoes = [json.loads((out / "selection.json").read_text())["config"]]
-    echoes += [json.loads(p.read_text().splitlines()[0].removeprefix("# config: ")) for p in out.glob("table2_*")]
+    echoes = [json.loads((out / "selection.json").read_text(encoding="utf-8"))["config"]]
+    echoes += [json.loads(p.read_text(encoding="utf-8").splitlines()[0].removeprefix("# config: "))
+               for p in out.glob("table2_*")]
     assert len(echoes) >= 2 and all(echo.keys() == {"manifest", "sets", "per_samples", "horizon_days"}
                                     for echo in echoes)
 
@@ -731,12 +767,12 @@ def test_run_emits_seven_row_table(cohort_dir, tmp_path):
                  "--features", str(cohort_dir / "features.csv"),
                  "--sets", "1-7", "--repeats", "2", "--out", str(out)])
     assert code == 0
-    rows = [l for l in (out / "table1.csv").read_text().splitlines()
+    rows = [l for l in (out / "table1.csv").read_text(encoding="utf-8").splitlines()
             if l.startswith("Set ")]
     assert len(rows) == 7
     assert rows[0].startswith("Set 1,x,,,,,")       # clinical only
     assert rows[6].startswith("Set 7,x,x,x,x,x,x")  # everything
-    txt = (out / "table1.txt").read_text().splitlines()
+    txt = (out / "table1.txt").read_text(encoding="utf-8").splitlines()
     assert txt[0].strip().startswith("Set 1")
     assert txt[-1].startswith("AUC score")
     assert len([c for c in txt[1] if c == "x"]) == 7  # clinical row all sets
@@ -768,12 +804,12 @@ def test_synth_nifti_format_roundtrip(tmp_path):
     out = tmp_path / "nifti"
     assert main(["synth", "--seed", "2", "--lesions", "3", "--format", "nifti1",
                  "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     first = manifest["patients"][0]["lesions"][0]["planning_mr"]["image"]
     assert first.endswith(".nii")
     assert main(["extract", "--manifest", str(out / "manifest.json"),
                  "--out", str(out), "--ng", "8", "--wavelet", "none"]) == 0
-    lines = (out / "features.csv").read_text().splitlines()
+    lines = (out / "features.csv").read_text(encoding="utf-8").splitlines()
     header = [l for l in lines if l.startswith("lesion_id")][0]
     assert len(header.split(",")) == 3 + 98
     # the file format changes no value: NIfTI stores no modality, and the manifest role
@@ -797,27 +833,27 @@ def test_a_nifti_cohort_with_ct_less_lesions(tmp_path):
     out = tmp_path / "cohort"
     assert main(["synth", "--seed", "5", "--lesions", "24", "--hrm-fraction", "0.3", "--ct-missing", "0.3",
                  "--format", "nifti1", "--out", str(out)]) == 0
-    lesions = [lesion for patient in json.loads((out / "manifest.json").read_text())["patients"]
+    lesions = [lesion for patient in json.loads((out / "manifest.json").read_text(encoding="utf-8"))["patients"]
                for lesion in patient["lesions"]]
     ct_less = [lesion["lesion_id"] for lesion in lesions if lesion["planning_ct"] is None]
     assert len(ct_less) == 4
     assert main(["extract", "--manifest", str(out / "manifest.json"), "--out", str(out), "--ng", "8"]) == 0
-    assert json.loads((out / "features.json").read_text())["rows"] == 92
+    assert json.loads((out / "features.json").read_text(encoding="utf-8"))["rows"] == 92
     roles = [role for _, role, _ in read_features_csv(out / "features.csv").keys]
     assert [roles.count(role) for role in (ROLE_PLAN_MR, ROLE_PLAN_CT, ROLE_FOLLOWUP)] == [24, 20, 48]
     assert main(["run", "--manifest", str(out / "manifest.json"), "--features", str(out / "features.csv"),
                  "--sets", "1,5", "--repeats", "4", "--out", str(out / "run")]) == 0
-    excluded = json.loads((out / "run" / "report.json").read_text())["excluded_lesions"]
+    excluded = json.loads((out / "run" / "report.json").read_text(encoding="utf-8"))["excluded_lesions"]
     assert excluded == {"1": [], "5": ct_less}
 
 
 def test_lesion_id_under_two_patients_is_a_data_error(tmp_path, capsys):
     assert main(["synth", "--seed", "3", "--lesions", "4", "--out", str(tmp_path)]) == 0
     path = tmp_path / "manifest.json"
-    manifest = json.loads(path.read_text())
+    manifest = json.loads(path.read_text(encoding="utf-8"))
     first, second = (p["lesions"][0] for p in manifest["patients"][:2])
     second["lesion_id"] = first["lesion_id"]
-    path.write_text(json.dumps(manifest))
+    path.write_text(json.dumps(manifest), encoding="utf-8")
     assert main(["extract", "--manifest", str(path), "--out", str(tmp_path), "--ng", "8",
                  "--wavelet", "none"]) == 3
     err = capsys.readouterr().err
@@ -829,13 +865,13 @@ def test_lesion_id_under_two_patients_is_a_data_error(tmp_path, capsys):
 def test_run_with_config_file(cohort_dir, tmp_path):
     cfg = {"sets": "1", "repeats": 2, "seed": 4}
     cfg_path = tmp_path / "pipeline.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     out = tmp_path / "out"
     code = main(["run", "--manifest", str(cohort_dir / "manifest.json"),
                  "--features", str(cohort_dir / "features.csv"),
                  "--config", str(cfg_path), "--out", str(out)])
     assert code == 0
-    report = json.loads((out / "report.json").read_text())
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["config"]["repeats"] == 2
     assert report["config"]["sets"] == [1]
     assert report["sets"]["1"]["nonconverged_fits"] == 0
@@ -846,13 +882,13 @@ def test_run_with_config_file(cohort_dir, tmp_path):
                  "--features", str(cohort_dir / "features.csv"),
                  "--config", str(cfg_path), "--repeats", "3", "--out", str(out2)])
     assert code == 0
-    assert json.loads((out2 / "report.json").read_text())["config"]["repeats"] == 3
+    assert json.loads((out2 / "report.json").read_text(encoding="utf-8"))["config"]["repeats"] == 3
     # unknown keys, and values the flag's own type refuses, are config errors
     bad = tmp_path / "bad.json"
     for value in ({"unknown_key": 1}, {"n_bins": None}, {"repeats": "three"}, {"repeats": 2.5},
                   {"repeats": True}, {"c_value": None}, {"zscore": [1]}, {"wavelet": "db4"},
                   {"test_frac": {"value": 0.3}}, {"sets": None}, {"horizon_days": 0}, {"seed": -1}, [1, 2]):
-        bad.write_text(json.dumps(value))
+        bad.write_text(json.dumps(value), encoding="utf-8")
         assert main(["run", "--manifest", str(cohort_dir / "manifest.json"),
                      "--config", str(bad), "--out", str(tmp_path / "x")]) == 2, value
     assert not (tmp_path / "x").exists()
@@ -990,7 +1026,7 @@ def test_non_utf8_input_files_end_in_their_exit_code(cohort_dir, tmp_path, caplo
         assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == code
     if argv[0] == "extract":  # the table is unreadable, so every image is extracted again
         assert any("unreadable" in m and "UTF-8" in m for m in caplog.messages)
-        assert json.loads((out / "features.json").read_text())["rows"] == 48
+        assert json.loads((out / "features.json").read_text(encoding="utf-8"))["rows"] == 48
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -1012,7 +1048,7 @@ def test_paths_of_the_wrong_kind_end_in_their_exit_code(cohort_dir, tmp_path, ca
     paths = {"dir": tmp_path / "a-dir", "file": tmp_path / "a-file", "out": tmp_path / "out",
              "manifest": cohort_dir / "manifest.json", "features": cohort_dir / "features.csv"}
     paths["dir"].mkdir()
-    paths["file"].write_text("")
+    paths["file"].write_text("", encoding="utf-8")
     bad = paths["dir"] if "{dir}" in argv else paths["file"]
     capsys.readouterr()
     assert main([arg.format(**paths) for arg in argv]) == code
@@ -1042,11 +1078,11 @@ def test_set_ranges_expand_within_bounds():
 
 
 def test_run_logs_each_dropped_followup_once(cohort_dir, tmp_path, caplog):
-    manifest = json.loads((cohort_dir / "manifest.json").read_text())
+    manifest = json.loads((cohort_dir / "manifest.json").read_text(encoding="utf-8"))
     for lesion in manifest["patients"][0]["lesions"] + manifest["patients"][1]["lesions"]:
         lesion["event_date"] = lesion["followups"][-1]["date"]  # its last follow-up is on the event day
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(manifest))
+    path.write_text(json.dumps(manifest), encoding="utf-8")
     dropped = label_samples(load_manifest(path)).dropped
     assert dropped
     caplog.clear()

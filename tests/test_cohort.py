@@ -29,7 +29,9 @@ from radrisk.cohort import (
     FeatureSetSpec,
     strip_image_tag,
 )
-from radrisk.featurestore import FeatureStore
+from radrisk.cli import main
+from radrisk.featurestore import FeatureStore, read_features_csv, write_features_csv
+from radrisk.pipeline import image_jobs
 from radrisk.synth import EffectConfig, SynthConfig
 from helpers import field_paths, with_field_of_another_json_type
 
@@ -310,11 +312,11 @@ def test_manifest_roundtrip(tmp_path):
 
 def test_manifest_validation_errors(tmp_path):
     p = tmp_path / "bad.json"
-    p.write_text("{not json")
+    p.write_text("{not json", encoding="utf-8")
     with pytest.raises(DataError, match="malformed"):
         load_manifest(p)
     p2 = tmp_path / "bad2.json"
-    p2.write_text(json.dumps({"nope": []}))
+    p2.write_text(json.dumps({"nope": []}), encoding="utf-8")
     with pytest.raises(DataError, match="patients"):
         load_manifest(p2)
     with pytest.raises(DataError, match="not found"):
@@ -332,7 +334,7 @@ def test_manifest_validation_errors(tmp_path):
     def write(les):
         path = tmp_path / "fields.json"
         patient = {"patient_id": "P1", "clinical": dataclasses.asdict(CLINICAL), "lesions": [les]}
-        path.write_text(json.dumps({"patients": [patient]}))
+        path.write_text(json.dumps({"patients": [patient]}), encoding="utf-8")
         return path
 
     assert len(load_manifest(write(lesion()))) == 1
@@ -377,7 +379,7 @@ def test_manifest_validation_errors(tmp_path):
         ([patient], "P1: 'lesions' must be an array"),
     ):
         p3 = tmp_path / "types.json"
-        p3.write_text(json.dumps({"patients": patients}))
+        p3.write_text(json.dumps({"patients": patients}), encoding="utf-8")
         with pytest.raises(DataError, match=message):
             load_manifest(p3)
 
@@ -410,7 +412,7 @@ def test_manifest_validation_errors(tmp_path):
     ):
         p4 = tmp_path / "values.json"
         patient = {"patient_id": "P1", "clinical": clinical, "lesions": [lesion()], **changes}
-        p4.write_text(json.dumps({"patients": [patient]}))
+        p4.write_text(json.dumps({"patients": [patient]}), encoding="utf-8")
         with pytest.raises(DataError, match=message):
             load_manifest(p4)
 
@@ -444,7 +446,7 @@ _VALID_MANIFEST = {
 @given(path=st.sampled_from(list(field_paths(_VALID_MANIFEST))), data=st.data())
 def test_manifest_field_of_another_json_type(tmp_path, path, data):
     p = tmp_path / "swapped.json"
-    p.write_text(json.dumps(with_field_of_another_json_type(_VALID_MANIFEST, path, data)))
+    p.write_text(json.dumps(with_field_of_another_json_type(_VALID_MANIFEST, path, data)), encoding="utf-8")
     try:
         records = load_manifest(p)
     except DataError:
@@ -471,12 +473,46 @@ def test_manifest_rejects_a_lesion_id_repeated_across_patients(tmp_path):
         return {"patient_id": pid, "clinical": dataclasses.asdict(CLINICAL), "lesions": lesions}
 
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps({"patients": [patient("P0", ["L1"]), patient("P1", ["L2"])]}))
+    path.write_text(json.dumps({"patients": [patient("P0", ["L1"]), patient("P1", ["L2"])]}), encoding="utf-8")
     assert [r.lesion_id for r in load_manifest(path)] == ["L1", "L2"]
     for patients, owners in (
         ([patient("P0", ["L1"]), patient("P1", ["L2", "L1"])], "'P0' and 'P1'"),
         ([patient("P0", ["L1", "L1"])], "'P0' and 'P0'"),
     ):
-        path.write_text(json.dumps({"patients": patients}))
+        path.write_text(json.dumps({"patients": patients}), encoding="utf-8")
         with pytest.raises(DataError, match=f"lesion_id 'L1' appears twice, under patients {owners}"):
             load_manifest(path)
+
+
+# ids made of what csv quoting, the text parse and the str sidecar handle specially, and of any text at all
+_IDS = st.one_of(st.text(st.sampled_from(' ,"\'#-aé\u00a0\u2028\n\r\t\x00\x85'), min_size=1, max_size=5),
+                 st.text(min_size=1, max_size=5))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pid=_IDS, lid=_IDS)
+def test_an_id_the_manifest_accepts_survives_the_feature_table(tmp_path_factory, pid, lid):
+    """A printable id keeps its bytes through the table's text and its sidecar; any other id exits 3 before
+    ``--out`` is made."""
+    root = tmp_path_factory.mktemp("ids")
+    manifest = root / "manifest.json"
+    doc = json.loads(json.dumps(_VALID_MANIFEST))
+    doc["patients"][0]["patient_id"] = pid
+    doc["patients"][0]["lesions"][0]["lesion_id"] = lid
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    if not (pid.isprintable() and lid.isprintable()):
+        field = "patient_id" if not pid.isprintable() else "lesion_id"
+        with pytest.raises(DataError, match=f"'{field}' must be printable text"):
+            load_manifest(manifest)
+        assert main(["extract", "--manifest", str(manifest), "--out", str(root / "out")]) == 3
+        assert not (root / "out").exists()
+        return
+    records = load_manifest(manifest)
+    assert (records[0].patient_id, records[0].lesion_id) == (pid, lid)
+    keys = [job[:3] for job in image_jobs(records)]
+    store = FeatureStore(["original-shape-Volume"], keys, np.arange(len(keys)) / 3.0)
+    path = write_features_csv(root / "features.csv", store, "config: {}")
+    from_sidecar = read_features_csv(path)
+    path.with_name("features.csv.npy").unlink()
+    for back in (from_sidecar, read_features_csv(path)):
+        assert back.keys == keys and back.values.tobytes() == store.values.tobytes()

@@ -489,10 +489,10 @@ def test_risk_split_report_and_files(small_cohort, tmp_path):
     written = write_risk_split(split, tmp_path, "config: {}")
     names = {p.name for p in written}
     assert "km_split.svg" in names and "risk_split_metrics.csv" in names
-    svg = (tmp_path / "km_split.svg").read_text()
+    svg = (tmp_path / "km_split.svg").read_text(encoding="utf-8")
     assert svg.startswith("<?xml") and "</svg>" in svg
     assert "config:" in svg
-    metrics = (tmp_path / "risk_split_metrics.csv").read_text()
+    metrics = (tmp_path / "risk_split_metrics.csv").read_text(encoding="utf-8")
     assert "logrank_p" in metrics
 
 

@@ -175,7 +175,7 @@ def test_feature_csv_quotes_keys(tmp_path, read_path):
             ("#3,\n", "planning_ct", "2009-10-01"), ("P4-L1", "followup", "2010-02-01")]
     store = _store(keys)
     path = _written(tmp_path, store, read_path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[-1].startswith("P4-L1,followup,2010-02-01,")  # plain ids keep their bytes
     back = read_features_csv(path)
     assert back.keys == keys and back.names == store.names
@@ -229,11 +229,12 @@ def test_feature_csv_text_parse_wins_over_a_sidecar_that_does_not_match(tmp_path
     sidecar = _sidecar(path).read_bytes()
 
     # the CSV edited after writing: the edited value is read
-    text = path.read_text()
-    path.write_text(text.replace("\nL2,followup,2010-01-01,0.6666666666666666,", "\nL2,followup,2010-01-01,12345.0,"))
-    assert path.read_text() != text
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("\nL2,followup,2010-01-01,0.6666666666666666,", "\nL2,followup,2010-01-01,12345.0,"),
+                    encoding="utf-8")
+    assert path.read_text(encoding="utf-8") != text
     assert read_features_csv(path).values[1, 0] == 12345.0
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     assert read_features_csv(path).values[1, 0] == 2 / 3
 
     # a truncated or garbage sidecar is ignored
@@ -247,10 +248,10 @@ def test_feature_csv_text_parse_wins_over_a_sidecar_that_does_not_match(tmp_path
 
     # a sidecar next to a hand-written table: the table is read, and its errors are reported
     _sidecar(path).write_bytes(sidecar)
-    path.write_text("lesion_id,role,date,original-shape-Volume\nL9,followup,2011-01-01,7.0\n")
+    path.write_text("lesion_id,role,date,original-shape-Volume\nL9,followup,2011-01-01,7.0\n", encoding="utf-8")
     back = read_features_csv(path)
     assert back.keys == [("L9", "followup", "2011-01-01")] and back.values.tolist() == [[7.0]]
-    path.write_text("lesion_id,role,date,original-shape-Volume\nL9,followup,2011-01-01,x\n")
+    path.write_text("lesion_id,role,date,original-shape-Volume\nL9,followup,2011-01-01,x\n", encoding="utf-8")
     with pytest.raises(DataError, match="bad value"):
         read_features_csv(path)
 
@@ -259,7 +260,7 @@ def _planted(path, keys):
     """A table of ``keys`` and a sidecar that matches it, both written by hand: the writer writes only
     a valid store."""
     path.write_text("".join(["# config: {}\nlesion_id,role,date,original-shape-Volume\n",
-                             *(f"{','.join(key)},1.5\n" for key in keys)]))
+                             *(f"{','.join(key)},1.5\n" for key in keys)]), encoding="utf-8")
     with _sidecar(path).open("wb") as fh:
         np.save(fh, featurestore._digest(path))
         np.save(fh, np.array(["original-shape-Volume"]))
@@ -309,7 +310,7 @@ def test_feature_csv_sidecar_records_of_the_wrong_type_or_shape_are_ignored(tmp_
 ])
 def test_feature_csv_refuses_ambiguous_tables(tmp_path, header, rows, match):
     path = tmp_path / "f.csv"
-    path.write_text("\n".join(["# config: {}", "lesion_id,role,date," + header, *rows]) + "\n")
+    path.write_text("\n".join(["# config: {}", "lesion_id,role,date," + header, *rows]) + "\n", encoding="utf-8")
     with pytest.raises(DataError, match=match):
         read_features_csv(path)
 

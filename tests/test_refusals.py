@@ -17,14 +17,14 @@ import pytest
 
 from radrisk import classifier
 from radrisk.cli import main
-from radrisk.cohort import ImageSource
+from radrisk.cohort import ImageSource, delta_features
 from radrisk.errors import ConfigError, DataError
 from radrisk.evaluation import kaplan_meier, risk_split_report, roc_curve
 from radrisk.features import ExtractionConfig, discretize, shape_features, texture_features
 from radrisk.pipeline import Dataset
 from radrisk.selection import mrmr_select, pearson
 from radrisk.synth import synth_cohort
-from radrisk.volume import RoiMask, VolumeImage, read_volume, write_volume
+from radrisk.volume import RoiMask, VolumeImage, read_volume, white_stripe_stats, write_volume
 
 RETYPED = [None, 0, -1, 2.5, True, "", "x", "2010-02-30", [], [1], {}, {"a": 1}]
 
@@ -122,12 +122,12 @@ def _check(argv, named: Path, out: Path, capsys, case: str) -> int:
 
 def test_mutated_manifests_end_in_an_exit_code(cohort, tmp_path, capsys):
     rng = np.random.default_rng(130)
-    manifest = json.loads((cohort / "manifest.json").read_text())
+    manifest = json.loads((cohort / "manifest.json").read_text(encoding="utf-8"))
     features = str(cohort / "features.csv")
     codes = []
     for k, (case, text) in enumerate(_manifest_texts(manifest, rng, 90)):
         path = tmp_path / f"m{k}.json"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         codes.append(_check(["km", "--manifest", str(path)], path, tmp_path / f"km{k}", capsys, case))
         codes.append(_check(["select", "--manifest", str(path), "--features", features, "--set", "7"], path,
                             tmp_path / f"select{k}", capsys, case))
@@ -138,9 +138,9 @@ def test_mutated_tables_end_in_an_exit_code(cohort, tmp_path, capsys):
     rng = np.random.default_rng(131)
     manifest = str(cohort / "manifest.json")
     codes = []
-    for k, (case, text) in enumerate(_table_texts((cohort / "features.csv").read_text(), rng, 80)):
+    for k, (case, text) in enumerate(_table_texts((cohort / "features.csv").read_text(encoding="utf-8"), rng, 80)):
         path = tmp_path / f"t{k}.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         codes.append(_check(["select", "--manifest", manifest, "--features", str(path), "--set", "7"], path,
                             tmp_path / f"select{k}", capsys, case))
     assert {0, 3} <= set(codes)
@@ -165,14 +165,18 @@ def _refused(argv, out: Path, capsys) -> tuple[int, str]:
     (["run", "--sets", "9"], "feature sets must be within 1..7, got '9'"),
     (["run", "--sets", "1-x"], "cannot parse feature sets '1-x'"),
     (["run", "--config", "{missing}"], "config file not found: {missing}"),
+    # a null --features is no table: the run would extract, and wavelet 'none' cannot give set 7
+    (["run", "--config", "{null_features}"], "feature set 7 has the wavelet block, which wavelet 'none' does not"),
     (["synth", "--followups", "2"], "--followups must be 'min,max', got '2'"),
     (["evaluate", "--test-frac", "0"], "test_frac must be in (0, 1), got 0.0"),
     (["evaluate", "--test-frac", "1"], "test_frac must be in (0, 1), got 1.0"),
-], ids=["sets-9", "sets-1-x", "config-missing", "followups-2", "test-frac-0", "test-frac-1"])
+], ids=["sets-9", "sets-1-x", "config-missing", "config-null-features", "followups-2", "test-frac-0",
+        "test-frac-1"])
 def test_a_bad_setting_exits_2_and_leaves_no_out(cohort, tmp_path, capsys, argv, cause):
-    missing = str(tmp_path / "missing.json")
-    argv = [arg.format(missing=missing) for arg in argv]
-    cause = cause.format(missing=missing)
+    paths = {"missing": str(tmp_path / "missing.json"), "null_features": str(tmp_path / "null.json")}
+    (tmp_path / "null.json").write_text(json.dumps({"features_path": None, "wavelet": "none"}), encoding="utf-8")
+    argv = [arg.format(**paths) for arg in argv]
+    cause = cause.format(**paths)
     if argv[0] != "synth":
         argv += ["--manifest", str(cohort / "manifest.json")]
     if argv[0] == "evaluate":
@@ -185,7 +189,8 @@ def test_a_bad_setting_exits_2_and_leaves_no_out(cohort, tmp_path, capsys, argv,
 
 def test_a_missing_or_empty_table_exits_3_and_leaves_no_out(cohort, tmp_path, capsys):
     missing, empty = tmp_path / "missing.csv", tmp_path / "empty.csv"
-    empty.write_text("\n".join((cohort / "features.csv").read_text().splitlines()[:1] + ["# another"]) + "\n")
+    header = (cohort / "features.csv").read_text(encoding="utf-8").splitlines()[:1]
+    empty.write_text("\n".join(header + ["# another"]) + "\n", encoding="utf-8")
     for table, cause in ((missing, f"feature CSV not found: {missing}"), (empty, f"feature CSV {empty} is empty")):
         out = tmp_path / "out"
         code, error = _refused(["run", "--manifest", str(cohort / "manifest.json"), "--features", str(table)], out,
@@ -198,7 +203,7 @@ def test_an_auto_extracting_run_names_a_constant_image(cohort, tmp_path, capsys)
     copied = tmp_path / "cohort"
     shutil.copytree(cohort / "images", copied / "images")
     shutil.copy(cohort / "manifest.json", copied)
-    lesion = json.loads((cohort / "manifest.json").read_text())["patients"][0]["lesions"][0]
+    lesion = json.loads((cohort / "manifest.json").read_text(encoding="utf-8"))["patients"][0]["lesions"][0]
     image = copied / lesion["planning_mr"]["image"]
     voxels = read_volume(image)
     write_volume(VolumeImage(np.full_like(voxels.voxels, 7.0), voxels.spacing, voxels.modality), image)
@@ -211,7 +216,7 @@ def test_an_auto_extracting_run_names_a_constant_image(cohort, tmp_path, capsys)
 def test_load_model_refuses_another_format_version(tmp_path):
     X, y = np.random.default_rng(5).normal(size=(12, 2)), np.array([0, 1] * 6)
     path = classifier.fit(X, y, ["a", "b"]).save(tmp_path / "model.json")
-    path.write_text(json.dumps(json.loads(path.read_text()) | {"format_version": 2}))
+    path.write_text(json.dumps(json.loads(path.read_text(encoding="utf-8")) | {"format_version": 2}), encoding="utf-8")
     with pytest.raises(DataError, match="unsupported model format version 2"):
         classifier.load_model(path)
 
@@ -230,10 +235,10 @@ def test_fit_refuses_rows_or_names_that_disagree_with_the_matrix():
 ])
 def test_a_clinical_value_out_of_range_exits_3_and_names_the_manifest(cohort, tmp_path, capsys, field, value,
                                                                       cause):
-    manifest = json.loads((cohort / "manifest.json").read_text())
+    manifest = json.loads((cohort / "manifest.json").read_text(encoding="utf-8"))
     manifest["patients"][0]["clinical"][field] = value
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(manifest))
+    path.write_text(json.dumps(manifest), encoding="utf-8")
     out = tmp_path / "out"
     code, error = _refused(["km", "--manifest", str(path)], out, capsys)
     assert code == 3 and error == f"error: manifest {path}: {cause}", (code, error)
@@ -271,13 +276,28 @@ def _dataset(n: int) -> Dataset:
      "out-of-fold scores do not cover the dataset"),
     (lambda: ImageSource().load(), DataError, "image source has neither in-memory data nor paths"),
     (lambda: synth_cohort(0, 1), ConfigError, "need at least 2 lesions, got 1"),
+    (lambda: delta_features({"follow-up-mr-original-shape-Volume": 1.0},
+                            {"Plan-mr-original-shape-Volume": 1.0, "Plan-mr-original-shape-Sphericity": 1.0}, 5),
+     DataError, "planning vector has features missing from the follow-up vector"),
+    # 256 bins one ulp wide: the top bin's center rounds to the maximum, so the window is the 45 maxima
+    (lambda: white_stripe_stats(np.r_[np.full(55, 1.0), np.full(45, 1.0 + 256 * np.finfo(float).eps)]),
+     DataError, "constant image: zero variance in the white-stripe window"),
 ], ids=["mrmr-1-sample", "mrmr-duplicate-names", "texture-glxm", "n_bins-8.0", "shape-zero-spacing",
         "volume-text-spacing", "roc-lengths", "km-lengths", "risk-split-scores", "image-source-empty",
-        "synth-1-lesion"])
+        "synth-1-lesion", "delta-extra-planning-feature", "white-stripe-plateau"])
 def test_a_library_refusal_names_its_cause(call, error, cause):
     with pytest.raises(error) as refused:
         call()
     assert cause in str(refused.value)
+
+
+@pytest.mark.parametrize("fmt, asked, written", [("rawjson", "v.nii", "v.json"), ("nifti1", "v.json", "v.nii")])
+def test_write_volume_gives_the_path_its_format_suffix(tmp_path, fmt, asked, written):
+    image = VolumeImage(np.arange(24.0).reshape(2, 3, 4), (1.0, 2.0, 0.5))
+    path = write_volume(image, tmp_path / asked, fmt)
+    assert path == tmp_path / written and not (tmp_path / asked).exists()
+    back = read_volume(path)
+    assert np.array_equal(back.voxels, image.voxels) and back.spacing == image.spacing
 
 
 def test_pearson_with_a_constant_label_is_zero():

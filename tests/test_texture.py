@@ -23,7 +23,6 @@ from radrisk.features.texture import (
     _zone_codes,
     discretize_rows,
     run_length_counts,
-    size_zone_counts,
     texture_rows,
 )
 from helpers import full_mask, mask_of, vol
@@ -367,7 +366,7 @@ def _tally(entries):
 def test_zone_and_run_counts_equal_the_oracles(case, k):
     mask, levels, n_bins = case(k)
     droi = DiscretizedRoi(levels[0] if k == 1 else levels, n_bins, RoiMask(mask))
-    zones = size_zone_counts(droi)
+    zones = _counts(*_zone_codes(droi))  # the (gray level, zone size) counts of every row
     runs = run_length_counts(droi)
     assert zones.shape == (k, n_bins, droi.mask.count)
     assert runs.shape == (k * len(OFFSETS_13), n_bins, max(mask.shape))

@@ -19,7 +19,7 @@ def test_rawjson_identity_roundtrip(tmp_path):
     (tmp_path / "v.raw").write_bytes(raw)
     (tmp_path / "v.json").write_text(json.dumps({
         "dims": [2, 2, 1], "spacing": [1, 1, 1], "dtype": "f32", "data_file": "v.raw",
-    }))
+    }), encoding="utf-8")
     img = read_volume(tmp_path / "v.json")
     assert img.dims == (2, 2, 1)
     assert img.spacing == (1.0, 1.0, 1.0)
@@ -154,7 +154,7 @@ def _patched_nifti(tmp_path, fmt, offset, *values):
 def _sized_rawjson(tmp_path, n_bytes):
     (tmp_path / "s.raw").write_bytes(bytes(n_bytes))
     (tmp_path / "s.json").write_text(json.dumps({"dims": [2, 2, 2], "spacing": [1, 1, 1], "dtype": "f32",
-                                                 "data_file": "s.raw"}))
+                                                 "data_file": "s.raw"}), encoding="utf-8")
     return tmp_path / "s.json"
 
 
@@ -196,7 +196,8 @@ def test_io_refusals_name_their_cause(tmp_path, case):
 
 
 def test_rawjson_missing_field(tmp_path):
-    (tmp_path / "m.json").write_text(json.dumps({"dims": [1, 1, 1], "spacing": [1, 1, 1], "dtype": "f32"}))
+    (tmp_path / "m.json").write_text(json.dumps({"dims": [1, 1, 1], "spacing": [1, 1, 1], "dtype": "f32"}),
+                                     encoding="utf-8")
     with pytest.raises(DataError, match="data_file"):
         read_volume(tmp_path / "m.json")
 
@@ -224,7 +225,7 @@ _NIFTI_FLOAT_FIELDS = tuple(76 + 4 * k for k in range(8)) + (108, 112, 116)
 
 def _rawjson(tmp_path, header):
     (tmp_path / "v.raw").write_bytes(np.arange(4, dtype="<f4").tobytes())
-    (tmp_path / "v.json").write_text(json.dumps(header))
+    (tmp_path / "v.json").write_text(json.dumps(header), encoding="utf-8")
     return tmp_path / "v.json"
 
 
@@ -318,7 +319,8 @@ def _random_volume_file(rng, directory, case):
     if kind == "rawjson":
         (directory / f"{case}.raw").write_bytes(payload.tobytes())
         path.write_text(json.dumps({"dims": list(dims), "spacing": list(spacing), "dtype": "f32",
-                                    "data_file": f"{case}.raw", "modality": str(rng.choice(["MR", "CT"]))}))
+                                    "data_file": f"{case}.raw", "modality": str(rng.choice(["MR", "CT"]))}),
+                        encoding="utf-8")
     else:
         scaled = kind.endswith("scaled")
         slope = float(rng.choice([0.25, 2.0, -1.5, np.nan])) if scaled else 1.0
